@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-color race-colored race-shard vet bench bench-json bench-spmm bench-smoke bench-diff ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-color race-colored race-shard vet bench benchmark bench-spmm bench-smoke loc ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -45,20 +45,20 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGFusion' -benchtime 50x .
 
-# bench-json measures every symmetric method (matrix × threads) on this host
-# with the per-phase breakdown and writes the machine-readable record to
-# BENCH_pr10.json; gate a change with
-# `go run ./cmd/bench-diff BENCH_pr8.json BENCH_pr10.json`.
-bench-json:
-	$(GO) run ./cmd/spmv-bench -exp bench-json -scale 0.02 -iters 16 -json BENCH_pr10.json
+# benchmark runs the repository's perf benchmark (BENCHMARK.json): three
+# stacked levels — SpM×V, CG solve, HTTP solve — on one workload per run, e.g.
+# `make benchmark ARGS="--workload fem-banded --seed 1 --seconds 20 --trace 1"`
+# or `ARGS=-aa` for the A/A gate. See benchmark/README.md.
+benchmark:
+	bash benchmark/run.sh $(ARGS)
 
 # bench-spmm sweeps multi-RHS widths (scalar, spmm2/4/8, each with and
 # without hub caching where the analysis finds a hub) over a paper-suite
-# subset plus the synthetic power-law hub matrices, and writes the
-# machine-readable record to BENCH_pr6.json. Scale 0.15 keeps the run short
-# while making x large enough that hub caching has cache pressure to relieve.
+# subset plus the synthetic power-law hub matrices and prints the table.
+# Scale 0.15 keeps the run short while making x large enough that hub
+# caching has cache pressure to relieve.
 bench-spmm:
-	$(GO) run ./cmd/spmv-bench -exp spmm-bench -scale 0.15 -iters 24 -matrices consph,bmw7st_1 -json BENCH_pr6.json
+	$(GO) run ./cmd/spmv-bench -exp spmm-bench -scale 0.15 -iters 24 -matrices consph,bmw7st_1
 
 # bench-smoke is the cheap CI gate for the SpMM fast path: it checks the
 # deterministic traffic model — matrix bytes per useful flop must fall
@@ -93,21 +93,11 @@ fuzz-smoke:
 attrib-smoke:
 	./scripts/attrib_smoke.sh
 
-# bench-diff self-tests the benchmark regression sentinel against the
-# checked-in record: a record diffed against itself must be clean, and a
-# synthetically halved copy must make the sentinel exit non-zero. To gate a
-# real change: `make bench-json` on both revisions, then
-# `go run ./cmd/bench-diff OLD.json NEW.json`.
-bench-diff:
-	go run ./cmd/bench-diff BENCH_pr8.json BENCH_pr8.json >/dev/null
-	@tmp=$$(mktemp); jq '.records[].gflops_host *= 0.5' BENCH_pr8.json > $$tmp; \
-	if go run ./cmd/bench-diff BENCH_pr8.json $$tmp >/dev/null 2>/dev/null; then \
-		echo "bench-diff: FAIL: sentinel missed a 50% regression"; rm -f $$tmp; exit 1; \
-	fi; rm -f $$tmp
-	@if [ -f BENCH_pr10.json ]; then \
-		go run ./cmd/bench-diff BENCH_pr8.json BENCH_pr10.json || exit 1; \
-	fi
-	@echo "bench-diff: sentinel OK (clean self-diff, regression caught)"
+# loc prints the size metrics the ROADMAP wants to go down (non-test Go
+# lines, per-thread kernel bodies) and fails if a second format enum or a
+# format-kernel construction outside internal/format has crept back in.
+loc:
+	./scripts/loc.sh
 
 # serve-smoke drives symspmv-serve end to end: load a generated matrix, show
 # that concurrent solves coalesce into multi-RHS dispatches (batch-size
@@ -123,8 +113,9 @@ serve-smoke:
 # detector (the execution engine's spin barrier and phase fusion are exactly
 # the kind of code -race exists for), the telemetry smoke, the fuzz smoke
 # (differential checking plus a short run of each fuzz target), the SpMM
-# traffic-model smoke, and the serving-path smoke.
-ci: vet build race-colored race-shard race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke bench-diff
+# traffic-model smoke, the serving-path and attribution smokes, and the
+# one-format-table gate (loc).
+ci: vet build loc race-colored race-shard race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
 
 # tune-demo runs the empirical autotuner on a small slice of the paper suite
 # and prints one decision table per matrix: every candidate plan with its

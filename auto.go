@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"repro/internal/autotune"
+	"repro/internal/format"
 	"repro/internal/topo"
 )
 
@@ -24,7 +25,6 @@ type Decision = autotune.Decision
 type autoOpts struct {
 	cacheDir string
 	noCache  bool
-	formats  []Format
 	tune     autotune.Options
 }
 
@@ -54,7 +54,7 @@ func AutoMaxThreads(n int) AutoOption {
 // CSX-Sym, and CSB). CSX is not in the plan space — it is dominated by
 // CSX-Sym on the symmetric operators this library holds.
 func AutoFormats(fs ...Format) AutoOption {
-	return func(o *autoOpts) { o.formats = fs }
+	return func(o *autoOpts) { o.tune.Formats = fs }
 }
 
 // AutoReorder enables or disables the RCM-reordered plan variants (default:
@@ -123,28 +123,6 @@ func AutoCacheStats() TuneCacheStats {
 	return TuneCacheStats{Hits: h, Misses: m, CorruptMisses: c}
 }
 
-// autoFormat maps facade formats into the autotuner's plan space.
-var autoFormat = map[Format]autotune.Format{
-	CSR:          autotune.CSR,
-	BCSR:         autotune.BCSR,
-	SSSNaive:     autotune.SSSNaive,
-	SSSEffective: autotune.SSSEffective,
-	SSSIndexed:   autotune.SSSIndexed,
-	SSSAtomic:    autotune.SSSAtomic,
-	CSXSym:       autotune.CSXSym,
-	CSB:          autotune.CSBSym,
-	SSSColored:   autotune.SSSColored,
-}
-
-// facadeFormat is the inverse of autoFormat.
-var facadeFormat = map[autotune.Format]Format{}
-
-func init() {
-	for f, af := range autoFormat {
-		facadeFormat[af] = f
-	}
-}
-
 // AutoKernel selects and builds the best kernel for the matrix on this
 // machine. The search prunes the candidate space with the performance
 // model, then times the survivors with real micro-trials (see
@@ -159,12 +137,10 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 	for _, opt := range options {
 		opt(&o)
 	}
-	for _, f := range o.formats {
-		af, ok := autoFormat[f]
-		if !ok {
+	for _, f := range o.tune.Formats {
+		if !f.Valid() || f.Desc().Caps&format.Tuned == 0 {
 			return nil, nil, fmt.Errorf("symspmv: AutoKernel: format %v is not in the autotune plan space", f)
 		}
-		o.tune.Formats = append(o.tune.Formats, af)
 	}
 
 	// Resolve "detect" to the concrete topology before keying the cache: a
@@ -197,7 +173,7 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 		}
 	}
 
-	d, err := autotune.Tune(autotune.Problem{S: a.sss, M: a.coo, Stats: a.Stats()}, o.tune)
+	d, err := autotune.Tune(autotune.Problem{Matrix: format.Matrix{S: a.sss, M: a.coo}, Stats: a.Stats()}, o.tune)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -224,8 +200,7 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 // permutation, so the returned Kernel still computes y = A·x in the
 // caller's original row order.
 func (a *Matrix) planKernel(plan autotune.Plan) (Kernel, error) {
-	f, ok := facadeFormat[plan.Format]
-	if !ok {
+	if !plan.Format.Valid() {
 		return nil, fmt.Errorf("symspmv: plan format %v unknown", plan.Format)
 	}
 	opts := []Option{Threads(plan.Threads)}
@@ -242,46 +217,16 @@ func (a *Matrix) planKernel(plan autotune.Plan) (Kernel, error) {
 		opts = append(opts, HubCache())
 	}
 	if !plan.Reorder {
-		return a.Kernel(f, opts...)
+		return a.Kernel(plan.Format, opts...)
 	}
 	rm, perm, err := a.ReorderRCM()
 	if err != nil {
 		return nil, err
 	}
-	inner, err := rm.Kernel(f, Threads(plan.Threads))
+	inner, err := rm.Kernel(plan.Format, opts...)
 	if err != nil {
 		return nil, err
 	}
-	bk := inner.(*boundKernel)
-	n := a.sss.N
-	xp := make([]float64, n)
-	yp := make([]float64, n)
-	mul := bk.mul
-	bk.mul = func(x, y []float64) {
-		for i, pi := range perm {
-			xp[pi] = x[i]
-		}
-		mul(xp, yp)
-		for i, pi := range perm {
-			y[i] = yp[pi]
-		}
-	}
-	if md := bk.mulDot; md != nil {
-		// xᵀ·y is permutation-invariant, so the fused CG path survives.
-		bk.mulDot = func(x, y []float64) float64 {
-			for i, pi := range perm {
-				xp[pi] = x[i]
-			}
-			dot := md(xp, yp)
-			for i, pi := range perm {
-				y[i] = yp[pi]
-			}
-			return dot
-		}
-	}
-	// The SpMM path and the CSX-Sym kernel cache both assume the kernel's
-	// row order is the matrix's; neither holds under the wrap.
-	bk.mulMat = nil
-	bk.sym = nil
-	return bk, nil
+	inner.(*boundKernel).b.Permute(perm)
+	return inner, nil
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/autotune"
+	"repro/internal/core"
+	"repro/internal/format"
 )
 
 // autoTestOptions keeps AutoKernel tests fast: tiny trial rounds, capped
@@ -142,7 +144,7 @@ func TestAutoKernelFormatRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if f := d.Plan.Format; f != autotune.SSSIndexed && f != autotune.SSSAtomic {
+	if f := d.Plan.Format; f != SSSIndexed && f != SSSAtomic {
 		t.Fatalf("plan format %v outside the restricted space", f)
 	}
 	// CSX (unsymmetric) is not in the plan space and must be rejected early.
@@ -166,7 +168,7 @@ func TestAutoKernelColoredPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if d.Plan.Format != autotune.SSSColored {
+	if d.Plan.Format != SSSColored {
 		t.Fatalf("plan format %v, want SSS-colored", d.Plan.Format)
 	}
 	if k.Format() != SSSColored {
@@ -207,9 +209,9 @@ func TestAutotunePlanSpaceConsistency(t *testing.T) {
 		want := make([]float64, n)
 		A.MulVec(x, want)
 		tol := 1e-12
-		for f := range autoFormat {
+		for _, f := range formatsWith(format.Tuned, core.Sym) {
 			for _, reorder := range []bool{false, true} {
-				plan := autotune.Plan{Format: autoFormat[f], Threads: 2, Reorder: reorder}
+				plan := autotune.Plan{Format: f, Threads: 2, Reorder: reorder}
 				k, err := A.planKernel(plan)
 				if err != nil {
 					t.Fatalf("%s: building %v: %v", name, plan, err)
@@ -236,7 +238,7 @@ func TestAutoKernelReorderedPlanSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := A.planKernel(autotune.Plan{Format: autotune.SSSIndexed, Threads: 2, Reorder: true})
+	k, err := A.planKernel(autotune.Plan{Format: SSSIndexed, Threads: 2, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}

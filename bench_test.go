@@ -131,7 +131,7 @@ func BenchmarkFig5_ReductionOverhead(b *testing.B) {
 
 // modeledSpeedup builds fmt at p threads for every suite matrix and reports
 // the geometric-mean modeled speedup over serial CSR on pl.
-func modeledSpeedup(b *testing.B, f harness.Format, pl perfmodel.Platform, p int) {
+func modeledSpeedup(b *testing.B, f Format, pl perfmodel.Platform, p int) {
 	suite, cfg := benchSuite(b)
 	pl = pl.WithCacheScale(cfg.Scale)
 	var speed float64
@@ -140,7 +140,7 @@ func modeledSpeedup(b *testing.B, f harness.Format, pl perfmodel.Platform, p int
 		pool := parallel.NewPool(p)
 		for _, sm := range suite {
 			base := perfmodel.CSRCost(sm.CSR).SerialSeconds(pl)
-			cost := harness.Build(sm, f, pool).Cost
+			cost := harness.Cost(sm, f, pool)
 			s := base / cost.Seconds(pl, p)
 			if s > 0 {
 				logSum += ln(s)
@@ -157,8 +157,8 @@ func modeledSpeedup(b *testing.B, f harness.Format, pl perfmodel.Platform, p int
 // speedup of the three SSS reduction methods and CSR at each platform's
 // featured thread count.
 func BenchmarkFig9_ReductionMethods(b *testing.B) {
-	for _, f := range []harness.Format{
-		harness.FormatCSR, harness.FormatSSSNaive, harness.FormatSSSEffective, harness.FormatSSSIndexed,
+	for _, f := range []Format{
+		CSR, SSSNaive, SSSEffective, SSSIndexed,
 	} {
 		b.Run("Dunnington24/"+f.String(), func(b *testing.B) {
 			modeledSpeedup(b, f, perfmodel.Dunnington, 24)
@@ -174,8 +174,8 @@ func BenchmarkFig9_ReductionMethods(b *testing.B) {
 func BenchmarkFig10_Breakdown(b *testing.B) {
 	suite, cfg := benchSuite(b)
 	pl := perfmodel.Dunnington.WithCacheScale(cfg.Scale)
-	for _, f := range []harness.Format{
-		harness.FormatSSSNaive, harness.FormatSSSEffective, harness.FormatSSSIndexed,
+	for _, f := range []Format{
+		SSSNaive, SSSEffective, SSSIndexed,
 	} {
 		b.Run(f.String(), func(b *testing.B) {
 			var share float64
@@ -183,7 +183,7 @@ func BenchmarkFig10_Breakdown(b *testing.B) {
 				pool := parallel.NewPool(24)
 				sum := 0.0
 				for _, sm := range suite {
-					c := harness.Build(sm, f, pool).Cost
+					c := harness.Cost(sm, f, pool)
 					sum += c.RedSeconds(pl, 24) / c.Seconds(pl, 24)
 				}
 				pool.Close()
@@ -196,7 +196,7 @@ func BenchmarkFig10_Breakdown(b *testing.B) {
 
 // BenchmarkFig11_CSXSym reports the Fig. 11 endpoints for CSX and CSX-Sym.
 func BenchmarkFig11_CSXSym(b *testing.B) {
-	for _, f := range []harness.Format{harness.FormatCSX, harness.FormatCSXSym} {
+	for _, f := range []Format{CSX, CSXSym} {
 		b.Run("Dunnington24/"+f.String(), func(b *testing.B) {
 			modeledSpeedup(b, f, perfmodel.Dunnington, 24)
 		})
@@ -211,8 +211,8 @@ func BenchmarkFig11_CSXSym(b *testing.B) {
 func BenchmarkFig12_Gflops(b *testing.B) {
 	suite, cfg := benchSuite(b)
 	pl := perfmodel.Gainestown.WithCacheScale(cfg.Scale)
-	for _, f := range []harness.Format{
-		harness.FormatCSR, harness.FormatCSX, harness.FormatSSSIndexed, harness.FormatCSXSym,
+	for _, f := range []Format{
+		CSR, CSX, SSSIndexed, CSXSym,
 	} {
 		b.Run(f.String(), func(b *testing.B) {
 			var g float64
@@ -220,7 +220,7 @@ func BenchmarkFig12_Gflops(b *testing.B) {
 				pool := parallel.NewPool(16)
 				sum := 0.0
 				for _, sm := range suite {
-					sum += harness.Build(sm, f, pool).Cost.Gflops(pl, 16)
+					sum += harness.Cost(sm, f, pool).Gflops(pl, 16)
 				}
 				pool.Close()
 				g = sum / float64(len(suite))
@@ -245,8 +245,8 @@ func BenchmarkTableIII_RCM(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			before := harness.Build(sm, harness.FormatCSXSym, pool).Cost.Seconds(pl, 24)
-			after := harness.Build(rm, harness.FormatCSXSym, pool).Cost.Seconds(pl, 24)
+			before := harness.Cost(sm, CSXSym, pool).Seconds(pl, 24)
+			after := harness.Cost(rm, CSXSym, pool).Seconds(pl, 24)
 			sum += before/after - 1
 			n++
 		}
@@ -270,7 +270,7 @@ func BenchmarkFig13_Reordered(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sum += harness.Build(rm, harness.FormatCSXSym, pool).Cost.Gflops(pl, 16)
+			sum += harness.Cost(rm, CSXSym, pool).Gflops(pl, 16)
 		}
 		pool.Close()
 		g = sum / float64(len(suite))
@@ -301,7 +301,7 @@ func BenchmarkFig14_CG(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	for _, f := range []harness.Format{harness.FormatCSR, harness.FormatSSSIndexed, harness.FormatCSXSym} {
+	for _, f := range []Format{CSR, SSSIndexed, CSXSym} {
 		b.Run(f.String(), func(b *testing.B) {
 			pool := parallel.NewPool(parallel.DefaultThreads())
 			defer pool.Close()
@@ -399,7 +399,7 @@ func BenchmarkSpMV(b *testing.B) {
 		picks = []*harness.SuiteMatrix{suite[0], suite[2], suite[len(suite)-1]}
 	}
 	for _, sm := range picks {
-		for _, f := range harness.AllFormats {
+		for _, f := range Formats() {
 			b.Run(sm.Spec.Name+"/"+f.String(), func(b *testing.B) {
 				pool := parallel.NewPool(parallel.DefaultThreads())
 				defer pool.Close()

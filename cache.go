@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/csx"
+	"repro/internal/format"
 	"repro/internal/parallel"
 )
 
@@ -17,10 +18,10 @@ import (
 // be persisted (the other formats rebuild in O(nnz) anyway).
 func SaveKernel(k Kernel, path string) error {
 	bk, ok := k.(*boundKernel)
-	if !ok || bk.sym == nil {
+	if !ok || bk.b.Sym == nil {
 		return fmt.Errorf("symspmv: SaveKernel supports CSX-Sym kernels only (got %v)", k.Format())
 	}
-	return bk.sym.WriteFile(path)
+	return bk.b.Sym.WriteFile(path)
 }
 
 // LoadCSXSymKernel loads a kernel persisted with SaveKernel. The thread
@@ -33,11 +34,13 @@ func LoadCSXSymKernel(path string) (Kernel, error) {
 	}
 	pool := parallel.NewPool(len(sm.Blobs))
 	return &boundKernel{
-		format: CSXSym,
-		pool:   pool,
-		n:      sm.N,
-		sym:    sm,
-		mul:    func(x, y []float64) { sm.MulVec(pool, x, y) },
-		bytes:  sm.Bytes(),
+		b: &format.Built{
+			ID:    CSXSym,
+			Mul:   func(x, y []float64) { sm.MulVec(pool, x, y) },
+			Bytes: sm.Bytes(),
+			Sym:   sm,
+		},
+		pool: pool,
+		n:    sm.N,
 	}, nil
 }

@@ -33,21 +33,8 @@ import (
 	"repro/internal/obs"
 )
 
-var formatNames = map[string]symspmv.Format{
-	"csr":       symspmv.CSR,
-	"csx":       symspmv.CSX,
-	"bcsr":      symspmv.BCSR,
-	"sss":       symspmv.SSSIndexed,
-	"sss-idx":   symspmv.SSSIndexed,
-	"sss-naive": symspmv.SSSNaive,
-	"sss-eff":   symspmv.SSSEffective,
-	"sss-color": symspmv.SSSColored,
-	"csx-sym":   symspmv.CSXSym,
-	"csb":       symspmv.CSB,
-}
-
 func main() {
-	format := flag.String("format", "sss-idx", "kernel format: auto|csr|csx|bcsr|csb|sss-naive|sss-eff|sss-idx|sss-color|csx-sym")
+	format := flag.String("format", "sss-idx", "kernel format: auto, or any name symspmv.ParseFormat accepts (csr, csx, bcsr, csb, sss-naive, sss-eff, sss-idx, sss-atomic, sss-color, csx-sym, ...)")
 	threads := flag.Int("threads", 4, "worker threads (with -format auto: the cap on searched thread counts)")
 	domains := flag.Int("domains", 1, "NUMA domains to shard workers over: >1 enables the hierarchical two-level reduction on the SSS formats, 0 detects the machine topology (with -format auto: the domain count the sharded plan variants use)")
 	tol := flag.Float64("tol", 1e-10, "relative residual target")
@@ -94,10 +81,9 @@ func main() {
 	auto := strings.EqualFold(*format, "auto")
 	var f symspmv.Format
 	if !auto {
-		var ok bool
-		f, ok = formatNames[strings.ToLower(*format)]
-		if !ok {
-			log.Fatalf("unknown format %q", *format)
+		var perr error
+		if f, perr = symspmv.ParseFormat(*format); perr != nil {
+			log.Fatalf("cg-solve: %v", perr)
 		}
 	}
 

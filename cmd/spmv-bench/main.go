@@ -35,7 +35,6 @@ func main() {
 		nv       = flag.Int("nv", 0, "multi-RHS width: autotune tunes for it, spmm-bench restricts its sweep to it (0 = defaults)")
 		cgIters  = flag.Int("cg-iters", 2048, "CG iterations for fig14")
 		csvDir   = flag.String("csv", "", "also write each result table as CSV into this directory")
-		jsonPath = flag.String("json", "", "output path of the bench-json experiment (default BENCH_pr3.json)")
 		list     = flag.Bool("list", false, "list experiments and suite matrices, then exit")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
 
@@ -82,7 +81,6 @@ func main() {
 		Scale:        *scale,
 		Iterations:   *iters,
 		CGIterations: *cgIters,
-		JSONPath:     *jsonPath,
 		NV:           *nv,
 	}
 	if *matrices != "" {

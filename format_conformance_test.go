@@ -1,0 +1,281 @@
+package symspmv
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/format"
+	"repro/internal/vec"
+)
+
+// symmetricFixture builds a random symmetric matrix through the Builder plus
+// its dense expansion, the symmetric sibling of skewMM / structuralMM.
+func symmetricFixture(t *testing.T, rng *rand.Rand, n, offPerRow int) (*Matrix, []float64) {
+	t.Helper()
+	dense := make([]float64, n*n)
+	b := NewBuilder(n)
+	for r := 0; r < n; r++ {
+		v := 4 + rng.Float64()
+		dense[r*n+r] = v
+		b.Set(r, r, v)
+		for k := 0; r > 0 && k < offPerRow; k++ {
+			c := rng.Intn(r)
+			if dense[r*n+c] != 0 {
+				continue
+			}
+			v := rng.NormFloat64()
+			dense[r*n+c], dense[c*n+r] = v, v
+			b.Set(r, c, v)
+		}
+	}
+	a, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, dense
+}
+
+// waitGoroutines polls until the goroutine count is back at or under base:
+// Pool.Close signals its workers and returns without waiting for them.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the call — the pool leaked", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFormatConformance walks the whole format table × the three symmetry
+// classes × p ∈ {1, 3} and holds every row to what its descriptor says: it
+// builds iff it runs the class (a typed error and a released pool
+// otherwise), it computes the dense reference's product, and its fused dot
+// and SpMM closures exist iff the capability bits say so and agree with
+// vec.Dot and per-column MulVec. A new row is checked without touching this
+// test.
+func TestFormatConformance(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 61
+	type fixture struct {
+		kind  core.SymKind
+		a     *Matrix
+		dense []float64
+	}
+	sym, symDense := symmetricFixture(t, rng, n, 4)
+	fixtures := []fixture{{core.Sym, sym, symDense}}
+	for _, c := range []struct {
+		kind core.SymKind
+		gen  func(*rand.Rand, int, int) (string, []float64)
+	}{{core.Skew, skewMM}, {core.Structural, structuralMM}} {
+		mm, dense := c.gen(rng, n, 4)
+		a, err := ReadMatrixMarket(strings.NewReader(mm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures = append(fixtures, fixture{c.kind, a, dense})
+	}
+
+	const nv = 3
+	x := make([]float64, n)
+	xm := make([]float64, n*nv)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for i := range xm {
+		xm[i] = rng.NormFloat64()
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*(1+math.Abs(want)) }
+
+	for _, fx := range fixtures {
+		if got := fx.a.SymmetryClass(); got != fx.kind.String() {
+			t.Fatalf("fixture classified %q, want %q", got, fx.kind)
+		}
+		want := make([]float64, n)
+		denseMul(fx.dense, n, x, want)
+		for _, f := range Formats() {
+			d := f.Desc()
+			for _, p := range []int{1, 3} {
+				base := runtime.NumGoroutine()
+				k, err := fx.a.Kernel(f, Threads(p))
+				if !d.Has(0, fx.kind) {
+					var ue *UnsupportedFormatError
+					if err == nil || !errors.As(err, &ue) || ue.Format != f {
+						t.Errorf("%v on a %v matrix: Kernel = %v, want *UnsupportedFormatError", f, fx.kind, err)
+					}
+					if k != nil {
+						k.Close()
+					}
+					waitGoroutines(t, base, f.String()+" refused build")
+					continue
+				}
+				if err != nil {
+					t.Errorf("%v on a %v matrix p=%d: %v", f, fx.kind, p, err)
+					continue
+				}
+				bk := k.(*boundKernel)
+				y := make([]float64, n)
+				k.MulVec(x, y)
+				for i := range y {
+					if !near(y[i], want[i]) {
+						t.Errorf("%v %v p=%d: y[%d] = %g, dense reference %g", f, fx.kind, p, i, y[i], want[i])
+						break
+					}
+				}
+
+				if has := bk.b.MulDot != nil; has != d.Has(format.FusedDot, fx.kind) {
+					t.Errorf("%v %v: MulDot present = %v, descriptor says %v", f, fx.kind, has, !has)
+				} else if has {
+					yd := make([]float64, n)
+					dot := bk.b.MulDot(x, yd)
+					if ref := vec.Dot(bk.pool, x, yd); dot != ref {
+						t.Errorf("%v %v p=%d: fused dot %g, vec.Dot %g", f, fx.kind, p, dot, ref)
+					}
+					for i := range yd { // not bitwise: the atomic method's update order varies run to run
+						if !near(yd[i], y[i]) {
+							t.Errorf("%v %v p=%d: fused y[%d] = %g, MulVec %g", f, fx.kind, p, i, yd[i], y[i])
+							break
+						}
+					}
+				}
+
+				if has := SupportsMulMat(k); has != d.Has(format.MulMat, fx.kind) {
+					t.Errorf("%v %v: MulMat present = %v, descriptor says %v", f, fx.kind, has, !has)
+				} else if has {
+					ym := make([]float64, n*nv)
+					if err := MulMat(k, xm, ym, nv); err != nil {
+						t.Errorf("%v %v p=%d: MulMat: %v", f, fx.kind, p, err)
+					}
+					col, ycol := make([]float64, n), make([]float64, n)
+					for v := 0; v < nv; v++ {
+						for i := range col {
+							col[i] = xm[i*nv+v]
+						}
+						k.MulVec(col, ycol)
+						for i := range ycol {
+							if !near(ym[i*nv+v], ycol[i]) {
+								t.Errorf("%v %v p=%d: MulMat lane %d row %d = %g, MulVec %g", f, fx.kind, p, v, i, ym[i*nv+v], ycol[i])
+								break
+							}
+						}
+					}
+				}
+				k.Close()
+				waitGoroutines(t, base, f.String()+" closed kernel")
+			}
+		}
+	}
+
+	for _, f := range Formats() {
+		if got, err := ParseFormat(f.String()); err != nil || got != f {
+			t.Errorf("ParseFormat(%q) = %v, %v; want %v", f.String(), got, err, f)
+		}
+	}
+}
+
+// TestAutoKernelBCSROnSkew is the capability-drift regression: Matrix.Kernel
+// builds BCSR on a skew matrix, so the tuner restricted to BCSR must find it
+// in the plan space too (the tuner's own hand-written class filter used to
+// drop it: "no searched format supports skew-symmetric matrices").
+func TestAutoKernelBCSROnSkew(t *testing.T) {
+	mm, dense := skewMM(rand.New(rand.NewSource(42)), 97, 5)
+	a, err := ReadMatrixMarket(strings.NewReader(mm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, d, err := AutoKernel(a, AutoNoCache(), AutoFormats(BCSR), AutoMaxThreads(2), AutoTrialIters(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	if d.Plan.Format != BCSR || k.Format() != BCSR {
+		t.Fatalf("plan %v, kernel %v; want BCSR", d.Plan, k.Format())
+	}
+	n := a.N()
+	x, y, want := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(float64(3*i + 1))
+	}
+	k.MulVec(x, y)
+	denseMul(dense, n, x, want)
+	for i := range y {
+		if math.Abs(y[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+			t.Fatalf("y[%d] = %g, dense reference %g", i, y[i], want[i])
+		}
+	}
+}
+
+// TestAutoKernelRetunesOverV5CacheEntry: a tuning-cache file written by the
+// previous cache version (whose format field numbered the tuner's own enum)
+// must read as a corrupt miss — never replay as another format — and be
+// overwritten by the retune.
+func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
+	A, err := GeneratePoisson2D(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := []AutoOption{AutoCacheDir(dir), AutoMaxThreads(2), AutoTrialIters(2)}
+	k, _, err := AutoKernel(A, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("want one cache entry in %s, got %d (err %v)", dir, len(ents), err)
+	}
+	path := filepath.Join(dir, ents[0].Name())
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic(4) | version u32 LE: rewrite the version word to 5. The trailing
+	// checksum no longer matches either, as for any foreign file.
+	if string(current[:4]) != "ATNC" || current[4] != 6 {
+		t.Fatalf("cache entry header % x: not an ATNC v6 file", current[:8])
+	}
+	v5 := append([]byte(nil), current...)
+	v5[4] = 5
+	if err := os.WriteFile(path, v5, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := AutoCacheStats()
+	k2, d2, err := AutoKernel(A, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2.Close()
+	after := AutoCacheStats()
+	if d2.CacheHit || d2.Trials == 0 {
+		t.Fatalf("v5 entry: CacheHit=%v Trials=%d, want a retune", d2.CacheHit, d2.Trials)
+	}
+	if after.CorruptMisses != before.CorruptMisses+1 || after.Hits != before.Hits {
+		t.Fatalf("v5 entry counted as %+v → %+v, want one more corrupt miss", before, after)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten[4] != 6 {
+		t.Fatalf("entry still at version %d after the retune", rewritten[4])
+	}
+	k3, d3, err := AutoKernel(A, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k3.Close()
+	if !d3.CacheHit {
+		t.Fatal("the overwritten entry does not hit")
+	}
+}

@@ -9,11 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bcsr"
 	"repro/internal/core"
-	"repro/internal/csb"
-	"repro/internal/csr"
 	"repro/internal/csx"
+	"repro/internal/format"
 	"repro/internal/hub"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -31,57 +29,9 @@ var (
 		"Individual timed candidate trials run by the autotuner.")
 )
 
-// Format enumerates the kernel configurations the autotuner searches over.
-// It mirrors the facade's format set minus unsymmetric CSX (dominated by
-// CSX-Sym on the symmetric operators this library holds) and plus CSB-Sym.
-type Format int
-
-const (
-	CSR Format = iota
-	BCSR
-	SSSNaive
-	SSSEffective
-	SSSIndexed
-	SSSAtomic
-	CSXSym
-	CSBSym
-	SSSColored
-
-	NumFormats
-)
-
-// String implements fmt.Stringer.
-func (f Format) String() string {
-	switch f {
-	case CSR:
-		return "CSR"
-	case BCSR:
-		return "BCSR"
-	case SSSNaive:
-		return "SSS-naive"
-	case SSSEffective:
-		return "SSS-effective"
-	case SSSIndexed:
-		return "SSS-indexed"
-	case SSSAtomic:
-		return "SSS-atomic"
-	case CSXSym:
-		return "CSX-Sym"
-	case CSBSym:
-		return "CSB-Sym"
-	case SSSColored:
-		return "SSS-colored"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// AllFormats lists the full search space.
-var AllFormats = []Format{CSR, BCSR, SSSNaive, SSSEffective, SSSIndexed, SSSAtomic, CSXSym, CSBSym, SSSColored}
-
 // Plan is one executable configuration: what to build and how to run it.
 type Plan struct {
-	Format  Format
+	Format  format.ID
 	Threads int
 	Reorder bool // build on the RCM-permuted matrix, permuting x/y around the kernel
 	Hub     bool // hub-cached x access (symmetric formats on degree-skewed matrices)
@@ -117,35 +67,6 @@ func (p Plan) domains() int {
 		return p.Domains
 	}
 	return 1
-}
-
-// spmmCapable reports whether the format has a multi-RHS (SpMM) kernel: CSR
-// and the SSS family minus the single-vector-only atomic ablation.
-func (f Format) spmmCapable() bool {
-	switch f {
-	case CSR, SSSNaive, SSSEffective, SSSIndexed, SSSColored:
-		return true
-	}
-	return false
-}
-
-// hubCapable reports whether the format can run under a hub plan.
-func (f Format) hubCapable() bool {
-	switch f {
-	case SSSNaive, SSSEffective, SSSIndexed, SSSColored, CSXSym:
-		return true
-	}
-	return false
-}
-
-// shardCapable reports whether the format has the hierarchical (domain-
-// sharded, two-level reduction) execution path: the local-vector SSS methods.
-func (f Format) shardCapable() bool {
-	switch f {
-	case SSSNaive, SSSEffective, SSSIndexed:
-		return true
-	}
-	return false
 }
 
 // Candidate reports one examined configuration for the Decision record.
@@ -192,9 +113,7 @@ func (d *Decision) Report() string {
 // are reused when the caller already has them (the harness does) and built
 // on demand otherwise.
 type Problem struct {
-	S     *core.SSS
-	M     *matrix.COO // symmetric lower-triangular storage
-	CSR   *csr.Matrix // optional: full expanded operator
+	format.Matrix
 	Stats matrix.Stats
 }
 
@@ -202,8 +121,9 @@ type Problem struct {
 type Options struct {
 	// MaxThreads caps the thread-count candidates (default GOMAXPROCS).
 	MaxThreads int
-	// Formats restricts the searched formats (default AllFormats).
-	Formats []Format
+	// Formats restricts the searched formats (default: every format with the
+	// Tuned capability).
+	Formats []format.ID
 	// DisableReorder removes the RCM-reordered variants from the space.
 	DisableReorder bool
 	// TrialIters is the operation count of the first micro-trial round;
@@ -243,7 +163,11 @@ func (o Options) withDefaults() Options {
 		o.MaxThreads = runtime.GOMAXPROCS(0)
 	}
 	if len(o.Formats) == 0 {
-		o.Formats = AllFormats
+		for _, f := range format.All() {
+			if f.Desc().Caps&format.Tuned != 0 {
+				o.Formats = append(o.Formats, f)
+			}
+		}
 	}
 	if o.TrialIters <= 0 {
 		o.TrialIters = 8
@@ -264,13 +188,6 @@ func (o Options) withDefaults() Options {
 		o.NV = 1
 	}
 	if o.NV > 1 {
-		var kept []Format
-		for _, f := range o.Formats {
-			if f.spmmCapable() {
-				kept = append(kept, f)
-			}
-		}
-		o.Formats = kept
 		// The permuted-vector wrappers are single-vector; reordered plans
 		// have no SpMM path.
 		o.DisableReorder = true
@@ -299,31 +216,29 @@ func threadCandidates(max int) []int {
 
 // tuner carries one search's state.
 type tuner struct {
-	pr   Problem
-	o    Options
-	feat Features
-	pl   perfmodel.Platform
-	d    *Decision
+	pr    Problem
+	o     Options
+	feat  Features
+	shape format.Shape // feat plus the symbolic scans, as the format estimates read them
+	pl    perfmodel.Platform
+	d     *Decision
 
 	pools     map[[2]int]*parallel.Pool // keyed by (threads, domains)
 	symStats  map[int][2]int64
 	colorMemo map[int][2]int // colored-schedule {colors, blocks} per thread count
-	hierMemo  map[int]int64 // hierarchical cross-window bytes per domain count
-
-	csrBuilt *csr.Matrix // memoized expanded operator
+	hierMemo  map[int]int64  // hierarchical cross-window bytes per domain count
 
 	// Hub analysis, memoized: nil after hubDone means the matrix has no
 	// profitable hub at the default thresholds.
 	hubDone bool
 	hubP    *hub.Plan
 
-	// RCM-permuted structures, built lazily on first reordered trial.
+	// RCM permutation and the permuted matrix, built lazily on first
+	// reordered trial.
 	rcmDone bool
 	rcmErr  error
 	perm    []int32
-	rS      *core.SSS
-	rM      *matrix.COO
-	rCSR    *csr.Matrix
+	rcm     format.Matrix
 }
 
 // Tune runs the two-stage search and returns the full decision record.
@@ -332,28 +247,26 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 		return nil, errors.New("autotune: Problem needs S and M")
 	}
 	o = o.withDefaults()
+	// The plan space is what the format table says runs this symmetry class
+	// (and, for a multi-RHS search, has an SpMM kernel on it): on a skew or
+	// structural matrix that keeps the unsymmetric baselines and the
+	// kind-generalized SSS methods, and of those only CSR when NV > 1. Hub and
+	// hierarchical variants drop out the same way, candidate by candidate.
+	need := format.Tuned
+	if o.NV > 1 {
+		need |= format.MulMat
+	}
+	var kept []format.ID
+	for _, f := range o.Formats {
+		if f.Valid() && f.Desc().Has(need, pr.S.Kind) {
+			kept = append(kept, f)
+		}
+	}
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("autotune: no searched format supports %s matrices at nv=%d", pr.S.Kind, o.NV)
+	}
+	o.Formats = kept
 	if pr.S.Kind != core.Sym {
-		// Skew and structurally-symmetric matrices run only the formats with
-		// kind-generalized kernels: CSR (expanded) and the local-vector /
-		// colored SSS methods. Atomic, CSX-Sym, CSB-Sym and BCSR encode the
-		// symmetric scatter into their bodies; hub and hierarchical variants
-		// likewise exist only for Kind=Sym, and the SSS SpMM bodies are
-		// Sym-only so an NV>1 search keeps just CSR.
-		var kept []Format
-		for _, f := range o.Formats {
-			switch f {
-			case CSR, SSSNaive, SSSEffective, SSSIndexed, SSSColored:
-				if o.NV > 1 && f != CSR {
-					continue
-				}
-				kept = append(kept, f)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("autotune: no searched format supports %s matrices", pr.S.Kind)
-		}
-		o.Formats = kept
-		o.DisableHub = true
 		o.Domains = 1 // non-Sym kernels always reduce flat
 		if pr.S.Kind == core.Structural {
 			// Problem.M is a general COO for structural matrices; the RCM
@@ -364,23 +277,7 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 	if pr.Stats.Rows == 0 {
 		pr.Stats = matrix.ComputeStats(pr.M)
 	}
-	t := &tuner{
-		pr:        pr,
-		o:         o,
-		feat:      ExtractFeatures(pr.Stats),
-		d:         &Decision{},
-		pools:     make(map[[2]int]*parallel.Pool),
-		symStats:  make(map[int][2]int64),
-		colorMemo: make(map[int][2]int),
-		hierMemo:  make(map[int]int64),
-		csrBuilt:  pr.CSR,
-	}
-	if o.Platform != nil {
-		t.pl = *o.Platform
-	} else {
-		t.pl = perfmodel.Host()
-	}
-	t.d.Features = t.feat
+	t := newTuner(pr, o)
 	defer t.closePools()
 
 	start := time.Now()
@@ -391,6 +288,40 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 	t.d.Elapsed = time.Since(start)
 	tuneDecisions.Inc()
 	return t.d, nil
+}
+
+// newTuner assembles the search state for a problem whose Stats are filled
+// in and options that went through withDefaults.
+func newTuner(pr Problem, o Options) *tuner {
+	t := &tuner{
+		pr:        pr,
+		o:         o,
+		feat:      ExtractFeatures(pr.Stats),
+		d:         &Decision{},
+		pools:     make(map[[2]int]*parallel.Pool),
+		symStats:  make(map[int][2]int64),
+		colorMemo: make(map[int][2]int),
+		hierMemo:  make(map[int]int64),
+	}
+	t.shape = format.Shape{
+		N:            int64(t.feat.N),
+		NNZLower:     int64(t.feat.NNZLower),
+		LogicalNNZ:   int64(t.feat.LogicalNNZ),
+		CSRBytes:     t.feat.CSRBytes,
+		SSSBytes:     t.feat.SSSBytes,
+		Bandwidth:    t.feat.Bandwidth,
+		AvgBandwidth: t.feat.AvgBandwidth,
+		Kind:         pr.S.Kind,
+		Conflict:     t.symbolic,
+		Colors:       t.colorCount,
+	}
+	if o.Platform != nil {
+		t.pl = *o.Platform
+	} else {
+		t.pl = perfmodel.Host()
+	}
+	t.d.Features = t.feat
+	return t
 }
 
 // pool returns the shared warm pool for (threads, domains), creating it on
@@ -426,19 +357,15 @@ func (t *tuner) closePools() {
 // reordering could pay. Returns the indices of the surviving candidates.
 func (t *tuner) modelStage() []int {
 	ps := threadCandidates(t.o.MaxThreads)
-	price := func(f Format, p int, reordered, hubbed bool, hierDomains int) float64 {
-		c := t.modelCost(f, p, reordered)
-		if f.shardCapable() && p > 1 {
-			if hierDomains > 1 {
-				// Two-level reduction: only the shard-boundary windows cross
-				// domains, at the cost of one extra phase barrier.
-				c.RedCrossBytes = t.hierCrossBytes(hierDomains)
-				c.ExtraBarriers++
-			} else if t.o.Domains > 1 {
-				// A flat all-to-all reduction on a multi-domain machine sends
-				// the remote share of the local-vector stream across domains.
-				c.RedCrossBytes = t.flatCrossBytes(f, p, t.o.Domains)
-			}
+	kind := t.pr.S.Kind
+	price := func(f format.ID, p int, hubbed bool, hierDomains int) float64 {
+		c := t.modelCost(f, p, false)
+		if hierDomains > 1 {
+			// Two-level reduction: only the shard-boundary windows cross
+			// domains (instead of the flat estimate's remote share of the
+			// local-vector stream), at the cost of one extra phase barrier.
+			c.RedCrossBytes = t.hierCrossBytes(hierDomains)
+			c.ExtraBarriers++
 		}
 		if hubbed {
 			plan := t.hubPlan()
@@ -449,7 +376,7 @@ func (t *tuner) modelStage() []int {
 	for _, f := range t.o.Formats {
 		best := Candidate{Plan: Plan{Format: f}, ModeledSeconds: -1}
 		for _, p := range ps {
-			sec := price(f, p, false, false, 0)
+			sec := price(f, p, false, 0)
 			if best.ModeledSeconds < 0 || sec < best.ModeledSeconds {
 				best.Plan.Threads = p
 				best.ModeledSeconds = sec
@@ -459,22 +386,22 @@ func (t *tuner) modelStage() []int {
 		// Hub-cached variant: only where the structure shows real degree
 		// skew AND the analysis finds a profitable hub. The skew gate keeps
 		// the O(nnz) hub analysis off mesh-like matrices entirely.
-		if !t.o.DisableHub && f.hubCapable() && t.feat.DegreeSkew >= 8 && t.hubPlan() != nil {
+		if !t.o.DisableHub && f.Desc().Has(format.Hub, kind) && t.feat.DegreeSkew >= 8 && t.hubPlan() != nil {
 			hc := Candidate{Plan: Plan{Format: f, Threads: best.Threads, Hub: true}}
-			hc.ModeledSeconds = price(f, best.Threads, false, true, 0)
+			hc.ModeledSeconds = price(f, best.Threads, true, 0)
 			t.d.Candidates = append(t.d.Candidates, hc)
 		}
 		// Hierarchical domain-sharded variant: multi-domain machines only,
 		// local-vector SSS methods only. SpMM always reduces flat, so NV>1
 		// searches skip it.
-		if t.o.NV == 1 && t.o.Domains > 1 && f.shardCapable() {
+		if t.o.NV == 1 && t.o.Domains > 1 && f.Desc().Has(format.Hier, kind) {
 			d := t.o.Domains
 			if d > best.Threads {
 				d = best.Threads // the pool clamps domains to the thread count
 			}
 			if d > 1 {
 				hc := Candidate{Plan: Plan{Format: f, Threads: best.Threads, Domains: d, Hierarchical: true}}
-				hc.ModeledSeconds = price(f, best.Threads, false, false, d)
+				hc.ModeledSeconds = price(f, best.Threads, false, d)
 				t.d.Candidates = append(t.d.Candidates, hc)
 			}
 		}
@@ -489,7 +416,7 @@ func (t *tuner) modelStage() []int {
 	// fraction of the block count as colors are rejected outright.
 	for i := range t.d.Candidates {
 		c := &t.d.Candidates[i]
-		if c.Format != SSSColored || c.Threads <= 1 {
+		if c.Format != format.SSSColored || c.Threads <= 1 {
 			continue
 		}
 		colors, blocks := t.colorStats(c.Threads)
@@ -577,13 +504,23 @@ func (t *tuner) trialStage(survivors []int) error {
 	var live []*trial
 	for _, ci := range survivors {
 		c := &t.d.Candidates[ci]
-		mul, bytes, preproc, err := t.build(c.Plan)
+		b, err := t.build(c.Plan)
 		if err != nil {
 			c.Status = "build failed: " + err.Error()
 			continue
 		}
-		c.Bytes = bytes
-		c.PreprocNs = float64(preproc.Nanoseconds())
+		c.Bytes = b.Bytes
+		c.PreprocNs = float64(b.Preproc.Nanoseconds())
+		mul := b.Mul
+		if nv := t.o.NV; nv > 1 {
+			// NV>1 trials time the interleaved SpMM sweep; the plan space was
+			// filtered to formats that have one.
+			mul = func(x, y []float64) {
+				if merr := b.MulMat(x, y, nv); merr != nil {
+					panic(merr) // arguments are tuner-controlled
+				}
+			}
+		}
 		live = append(live, &trial{ci: ci, mul: mul})
 	}
 	if len(live) == 0 {
@@ -685,14 +622,6 @@ func (t *tuner) hubPlan() *hub.Plan {
 	return t.hubP
 }
 
-// expandedCSR memoizes the full (expanded) operator for the CSR trials.
-func (t *tuner) expandedCSR() *csr.Matrix {
-	if t.csrBuilt == nil {
-		t.csrBuilt = csr.FromCOO(t.pr.M)
-	}
-	return t.csrBuilt
-}
-
 // reordered lazily computes the RCM permutation and the permuted
 // structures, shared by every reordered trial.
 func (t *tuner) reordered() error {
@@ -715,128 +644,49 @@ func (t *tuner) reordered() error {
 		t.rcmErr = err
 		return err
 	}
-	t.perm, t.rM, t.rS = perm, pm, s
+	t.perm, t.rcm = perm, format.Matrix{S: s, M: pm}
 	return nil
 }
 
-// build constructs the real kernel for one plan on a shared warm pool and
-// returns its multiply closure, encoded size, and build cost. Construction
-// panics (malformed structures) are converted to errors so one broken
-// candidate cannot abort the search.
-func (t *tuner) build(plan Plan) (mul func(x, y []float64), bytes int64, preproc time.Duration, err error) {
+// build constructs the real kernel for one plan on a shared warm pool.
+// Construction panics (malformed structures) are converted to errors so one
+// broken candidate cannot abort the search.
+func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			mul, bytes = nil, 0
-			err = fmt.Errorf("autotune: building %v: %v", plan, r)
+			b, err = nil, fmt.Errorf("autotune: building %v: %v", plan, r)
 		}
 	}()
 
-	s, m := t.pr.S, t.pr.M
+	src := &t.pr.Matrix
 	if plan.Reorder {
 		if plan.Hub {
-			return nil, 0, 0, fmt.Errorf("autotune: %v: hub variants are not generated for reordered plans", plan)
+			return nil, fmt.Errorf("autotune: %v: hub variants are not generated for reordered plans", plan)
 		}
 		if err := t.reordered(); err != nil {
-			return nil, 0, 0, fmt.Errorf("autotune: RCM: %w", err)
+			return nil, fmt.Errorf("autotune: RCM: %w", err)
 		}
-		s, m = t.rS, t.rM
+		src = &t.rcm
 	}
-	var hp *hub.Plan
+	o := format.Options{CSX: t.o.CSXOptions}
 	if plan.Hub {
-		if hp = t.hubPlan(); hp == nil {
-			return nil, 0, 0, fmt.Errorf("autotune: %v: no profitable hub", plan)
+		if o.Hub = t.hubPlan(); o.Hub == nil {
+			return nil, fmt.Errorf("autotune: %v: no profitable hub", plan)
 		}
 	}
-	if plan.Hierarchical && !plan.Format.shardCapable() {
-		return nil, 0, 0, fmt.Errorf("autotune: %v: format has no hierarchical path", plan)
+	if plan.Hierarchical {
+		if err := plan.Format.Desc().Check(format.Hier, src.S.Kind); err != nil {
+			return nil, fmt.Errorf("autotune: %v: %w", plan, err)
+		}
 	}
-	nv := t.o.NV
-	pool := t.pool(plan.Threads, plan.domains())
-	csxOpts := csx.DefaultOptions()
-	if t.o.CSXOptions != nil {
-		csxOpts = *t.o.CSXOptions
+	// Non-hierarchical plans run on the flat pool, so a Hier-capable format
+	// only goes hierarchical when the plan says so.
+	b, err = format.Build(src, plan.Format, t.pool(plan.Threads, plan.domains()), o)
+	if err != nil {
+		return nil, err
 	}
-
-	t0 := time.Now()
-	switch plan.Format {
-	case CSR:
-		var a *csr.Matrix
-		if plan.Reorder {
-			if t.rCSR == nil {
-				t.rCSR = csr.FromCOO(m)
-			}
-			a = t.rCSR
-		} else {
-			a = t.expandedCSR()
-		}
-		pk := csr.NewParallel(a, pool)
-		mul, bytes = pk.MulVec, a.Bytes()
-		if nv > 1 {
-			mul = func(x, y []float64) { pk.MulMat(x, y, nv) }
-		}
-	case BCSR:
-		br, bc, aerr := bcsr.AutoTune(m, nil)
-		if aerr != nil {
-			return nil, 0, 0, aerr
-		}
-		a, ferr := bcsr.FromCOO(m, br, bc)
-		if ferr != nil {
-			return nil, 0, 0, ferr
-		}
-		pk := bcsr.NewParallel(a, pool)
-		mul, bytes = pk.MulVec, a.Bytes()
-	case SSSNaive, SSSEffective, SSSIndexed, SSSAtomic, SSSColored:
-		method := map[Format]core.ReductionMethod{
-			SSSNaive: core.Naive, SSSEffective: core.EffectiveRanges,
-			SSSIndexed: core.Indexed, SSSAtomic: core.Atomic,
-			SSSColored: core.Colored,
-		}[plan.Format]
-		k, kerr := core.NewKernelOpts(s, method, pool, core.KernelOptions{Hub: hp, FlatReduction: !plan.Hierarchical})
-		if kerr != nil {
-			return nil, 0, 0, kerr
-		}
-		mul, bytes = k.MulVec, s.Bytes()
-		if nv > 1 {
-			mul = func(x, y []float64) {
-				if merr := k.MulMat(x, y, nv); merr != nil {
-					panic(merr) // caught by the build recover; arguments are tuner-controlled
-				}
-			}
-		}
-	case CSXSym:
-		var smx *csx.SymMatrix
-		if hp != nil {
-			smx = csx.NewSymHub(s, plan.Threads, core.Indexed, csxOpts, hp)
-		} else {
-			smx = csx.NewSym(s, plan.Threads, core.Indexed, csxOpts)
-		}
-		mul = func(x, y []float64) { smx.MulVec(pool, x, y) }
-		bytes = smx.Bytes()
-	case CSBSym:
-		sm, nerr := csb.NewSym(s, 0)
-		if nerr != nil {
-			return nil, 0, 0, nerr
-		}
-		k := csb.NewKernel(sm, pool)
-		mul, bytes = k.MulVec, sm.Bytes()
-	default:
-		return nil, 0, 0, fmt.Errorf("autotune: unknown format %v", plan.Format)
-	}
-	preproc = time.Since(t0)
-
 	if plan.Reorder {
-		inner, perm := mul, t.perm
-		xp := make([]float64, t.feat.N)
-		yp := make([]float64, t.feat.N)
-		mul = func(x, y []float64) {
-			for i, pi := range perm {
-				xp[pi] = x[i]
-			}
-			inner(xp, yp)
-			for i, pi := range perm {
-				y[i] = yp[pi]
-			}
-		}
+		b.Permute(t.perm)
 	}
-	return mul, bytes, preproc, nil
+	return b, nil
 }

@@ -2,11 +2,11 @@ package autotune
 
 import (
 	"math"
+	"repro/internal/format"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
 
@@ -37,23 +37,17 @@ func poisson(t testing.TB, side int) (*matrix.COO, *core.SSS) {
 	return c, s
 }
 
-// newTuner assembles a tuner the way Tune does, for tests that drive
-// build() directly. Callers must closePools.
-func newTuner(t testing.TB, pr Problem) *tuner {
+// problem wraps a matrix pair for Tune.
+func problem(s *core.SSS, m *matrix.COO) Problem {
+	return Problem{Matrix: format.Matrix{S: s, M: m}}
+}
+
+// testTuner assembles a tuner the way Tune does, for tests that drive
+// build() and modelStage() directly. Callers must closePools.
+func testTuner(t testing.TB, pr Problem) *tuner {
 	t.Helper()
-	if pr.Stats.Rows == 0 {
-		pr.Stats = matrix.ComputeStats(pr.M)
-	}
-	return &tuner{
-		pr:        pr,
-		o:         Options{}.withDefaults(),
-		feat:      ExtractFeatures(pr.Stats),
-		d:         &Decision{},
-		pools:     make(map[[2]int]*parallel.Pool),
-		symStats:  make(map[int][2]int64),
-		colorMemo: make(map[int][2]int),
-		hierMemo:  make(map[int]int64),
-	}
+	pr.Stats = matrix.ComputeStats(pr.M)
+	return newTuner(pr, Options{}.withDefaults())
 }
 
 func TestThreadCandidates(t *testing.T) {
@@ -84,7 +78,7 @@ func TestThreadCandidates(t *testing.T) {
 
 func TestTuneChoosesBuildablePlan(t *testing.T) {
 	m, s := poisson(t, 40)
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 2,
 		TrialIters: 2,
 		Rounds:     2,
@@ -126,20 +120,20 @@ func TestTuneChoosesBuildablePlan(t *testing.T) {
 
 func TestTuneFormatRestriction(t *testing.T) {
 	m, s := poisson(t, 24)
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 2,
-		Formats:    []Format{CSR, SSSIndexed},
+		Formats:    []format.ID{format.CSR, format.SSSIndexed},
 		TrialIters: 2,
 		Rounds:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Plan.Format != CSR && d.Plan.Format != SSSIndexed {
+	if d.Plan.Format != format.CSR && d.Plan.Format != format.SSSIndexed {
 		t.Fatalf("plan format %v outside the restricted space", d.Plan.Format)
 	}
 	for _, c := range d.Candidates {
-		if c.Format != CSR && c.Format != SSSIndexed {
+		if c.Format != format.CSR && c.Format != format.SSSIndexed {
 			t.Fatalf("candidate %v outside the restricted space", c.Plan)
 		}
 	}
@@ -157,18 +151,18 @@ func TestBuildEveryFormat(t *testing.T) {
 	s.MulVec(x, ref)
 
 	for _, reorderVariant := range []bool{false, true} {
-		tn := newTuner(t, Problem{S: s, M: m})
-		for _, f := range AllFormats {
+		tn := testTuner(t, problem(s, m))
+		for _, f := range tn.o.Formats {
 			plan := Plan{Format: f, Threads: 2, Reorder: reorderVariant}
-			mul, bytes, _, err := tn.build(plan)
+			b, err := tn.build(plan)
 			if err != nil {
 				t.Fatalf("build %v: %v", plan, err)
 			}
-			if bytes <= 0 {
-				t.Fatalf("build %v: bytes = %d", plan, bytes)
+			if b.Bytes <= 0 {
+				t.Fatalf("build %v: bytes = %d", plan, b.Bytes)
 			}
 			y := make([]float64, n)
-			mul(x, y)
+			b.Mul(x, y)
 			for i := range y {
 				if math.Abs(y[i]-ref[i]) > 1e-12 {
 					t.Fatalf("%v: y[%d] = %g, serial reference %g", plan, i, y[i], ref[i])
@@ -185,11 +179,11 @@ func TestBuildEveryFormat(t *testing.T) {
 // is below the flat one, and the built plan computes the right answer.
 func TestHierarchicalCandidates(t *testing.T) {
 	m, s := poisson(t, 40)
-	tn := newTuner(t, Problem{S: s, M: m})
+	tn := testTuner(t, problem(s, m))
 	defer tn.closePools()
 	tn.o.Domains = 2
 	tn.o.MaxThreads = 4
-	tn.o.Formats = []Format{SSSNaive, SSSEffective, SSSIndexed}
+	tn.o.Formats = []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed}
 	tn.pl = perfmodel.Gainestown // Sockets=2: the cross-domain term is live
 	tn.modelStage()
 
@@ -209,8 +203,8 @@ func TestHierarchicalCandidates(t *testing.T) {
 		// The window stream beats the all-to-all estimate for the methods
 		// that ship whole local vectors; the indexed estimate is already
 		// sparse, so only those two admit a strict comparison.
-		if c.Format == SSSNaive || c.Format == SSSEffective {
-			if cross >= tn.flatCrossBytes(c.Format, c.Threads, c.Domains) {
+		if c.Format == format.SSSNaive || c.Format == format.SSSEffective {
+			if cross >= tn.modelCost(c.Format, c.Threads, false).RedCrossBytes {
 				t.Fatalf("%v: modeled hier cross bytes %d not below flat", c.Plan, cross)
 			}
 		}
@@ -225,14 +219,14 @@ func TestHierarchicalCandidates(t *testing.T) {
 	fill(x)
 	ref := make([]float64, s.N)
 	s.MulVec(x, ref)
-	for _, f := range []Format{SSSNaive, SSSEffective, SSSIndexed} {
+	for _, f := range []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed} {
 		plan := Plan{Format: f, Threads: 4, Domains: 2, Hierarchical: true}
-		mul, _, _, err := tn.build(plan)
+		b, err := tn.build(plan)
 		if err != nil {
 			t.Fatalf("build %v: %v", plan, err)
 		}
 		y := make([]float64, s.N)
-		mul(x, y)
+		b.Mul(x, y)
 		for i := range y {
 			if math.Abs(y[i]-ref[i]) > 1e-9 {
 				t.Fatalf("%v: y[%d] = %g, serial reference %g", plan, i, y[i], ref[i])
@@ -246,7 +240,7 @@ func TestHierarchicalCandidates(t *testing.T) {
 // the final call alone.
 func TestModelStageKeepsSurvivors(t *testing.T) {
 	m, s := poisson(t, 24)
-	tn := newTuner(t, Problem{S: s, M: m})
+	tn := testTuner(t, problem(s, m))
 	tn.pl = perfmodel.Host()
 	defer tn.closePools()
 	survivors := tn.modelStage()

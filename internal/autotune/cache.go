@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/format"
 	"repro/internal/obs"
 )
 
@@ -55,14 +56,13 @@ func CacheStats() (hits, misses, corrupt int64) {
 
 const (
 	cacheMagic = "ATNC"
-	// cacheVersion 5: the key gained the symmetry-class byte. The structure
-	// fingerprint hashes only the index arrays, so a skew or structural
-	// matrix with the same pattern as a symmetric one would otherwise replay
-	// the symmetric plan — whose search space (hub, hierarchical, CSX/CSB)
-	// the non-Sym kinds cannot build. v4 entries read as a clean miss and
-	// retune. (v4 added NUMA domain-sharded hierarchical variants; v3 hub
-	// variants and NV; v2 the SSS-colored format.)
-	cacheVersion = 5
+	// cacheVersion 6: the format field is the library-wide format.ID (the
+	// tuner's own enum, numbered differently, is gone), so a v5 entry would
+	// replay as another format. v5 entries read as a clean miss and retune.
+	// (v5 added the symmetry-class byte to the key; v4 NUMA domain-sharded
+	// hierarchical variants; v3 hub variants and NV; v2 the SSS-colored
+	// format.)
+	cacheVersion = 6
 )
 
 // Key identifies one tuning-cache entry: the matrix structure fingerprint,
@@ -288,7 +288,7 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 	if _, err := io.ReadFull(tr, machine); err != nil {
 		return Plan{}, fmt.Errorf("reading machine signature: %w", err)
 	}
-	var nv, keyDomains, format, threads, domains uint32
+	var nv, keyDomains, fid, threads, domains uint32
 	var kind, re, hb, hier uint8
 	var score float64
 	if err := get(&nv); err != nil {
@@ -300,7 +300,7 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 	if err := get(&kind); err != nil {
 		return Plan{}, err
 	}
-	if err := get(&format); err != nil {
+	if err := get(&fid); err != nil {
 		return Plan{}, err
 	}
 	if err := get(&threads); err != nil {
@@ -336,8 +336,8 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 		keyDomains != k.domains() || core.SymKind(kind) != k.Kind {
 		return Plan{}, fmt.Errorf("entry keyed to a different matrix, machine, vector count, domain count, or symmetry class")
 	}
-	if format >= uint32(NumFormats) {
-		return Plan{}, fmt.Errorf("unknown format %d", format)
+	if !format.ID(fid).Valid() {
+		return Plan{}, fmt.Errorf("unknown format %d", fid)
 	}
 	if threads == 0 || threads > 1<<16 {
 		return Plan{}, fmt.Errorf("implausible thread count %d", threads)
@@ -349,7 +349,7 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 		return Plan{}, fmt.Errorf("hierarchical plan with %d domains", domains)
 	}
 	return Plan{
-		Format: Format(format), Threads: int(threads), Reorder: re != 0, Hub: hb != 0,
+		Format: format.ID(fid), Threads: int(threads), Reorder: re != 0, Hub: hb != 0,
 		Domains: int(domains), Hierarchical: hier != 0,
 	}, nil
 }

@@ -3,6 +3,7 @@ package autotune
 import (
 	"os"
 	"path/filepath"
+	"repro/internal/format"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func testKey() Key {
 func TestStoreRoundTrip(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k := testKey()
-	want := Plan{Format: SSSIndexed, Threads: 4, Reorder: true}
+	want := Plan{Format: format.SSSIndexed, Threads: 4, Reorder: true}
 	if err := st.Save(k, want, 1234.5); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Overwrite with a different plan: the newer entry wins.
-	want2 := Plan{Format: CSXSym, Threads: 8}
+	want2 := Plan{Format: format.CSXSym, Threads: 8}
 	if err := st.Save(k, want2, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Hierarchical domain-sharded plans survive the v4 encoding.
-	want3 := Plan{Format: SSSNaive, Threads: 8, Domains: 2, Hierarchical: true}
+	want3 := Plan{Format: format.SSSNaive, Threads: 8, Domains: 2, Hierarchical: true}
 	if err := st.Save(k, want3, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestStoreAbsentIsPlainMiss(t *testing.T) {
 // entryFile saves one valid entry and returns its path and raw bytes.
 func entryFile(t *testing.T, st Store, k Key) (string, []byte) {
 	t.Helper()
-	if err := st.Save(k, Plan{Format: CSBSym, Threads: 2}, 42); err != nil {
+	if err := st.Save(k, Plan{Format: format.CSB, Threads: 2}, 42); err != nil {
 		t.Fatal(err)
 	}
 	path := st.path(k)
@@ -110,7 +111,7 @@ func TestStoreBitFlippedEntry(t *testing.T) {
 func TestStoreRejectsForeignKey(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k := testKey()
-	if err := st.Save(k, Plan{Format: CSR, Threads: 1}, 7); err != nil {
+	if err := st.Save(k, Plan{Format: format.CSR, Threads: 1}, 7); err != nil {
 		t.Fatal(err)
 	}
 	// Same file contents presented under a different key (e.g. a cache dir
@@ -131,7 +132,7 @@ func TestStoreRejectsForeignKey(t *testing.T) {
 func TestStoreSaveIsAtomic(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k := testKey()
-	if err := st.Save(k, Plan{Format: CSR, Threads: 1}, 7); err != nil {
+	if err := st.Save(k, Plan{Format: format.CSR, Threads: 1}, 7); err != nil {
 		t.Fatal(err)
 	}
 	// No temp droppings after a successful save.
@@ -182,7 +183,7 @@ func TestMachineSignatureStable(t *testing.T) {
 func TestCacheKeyedByDomains(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k2 := Key{Fingerprint: 0x77, Machine: "m", Domains: 2}
-	want := Plan{Format: SSSNaive, Threads: 4, Domains: 2, Hierarchical: true}
+	want := Plan{Format: format.SSSNaive, Threads: 4, Domains: 2, Hierarchical: true}
 	if err := st.Save(k2, want, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestCacheKeyedByDomains(t *testing.T) {
 		t.Fatal("Domains=2 entry answered a Domains=4 lookup")
 	}
 	// Domains 0 and 1 are the same (flat) key: a flat entry answers both.
-	flat := Plan{Format: SSSIndexed, Threads: 2}
+	flat := Plan{Format: format.SSSIndexed, Threads: 2}
 	if err := st.Save(Key{Fingerprint: 0x78, Machine: "m", Domains: 1}, flat, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"os"
+	"repro/internal/format"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func TestCacheStatsClassification(t *testing.T) {
 		t.Fatalf("expected clean miss, got ok=%v err=%v", ok, err)
 	}
 	// Hit: a freshly saved entry.
-	if err := st.Save(k, Plan{Format: SSSColored, Threads: 2}, 11); err != nil {
+	if err := st.Save(k, Plan{Format: format.SSSColored, Threads: 2}, 11); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := st.Load(k); !ok || err != nil {

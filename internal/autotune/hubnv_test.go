@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"math/rand"
+	"repro/internal/format"
 	"strings"
 	"testing"
 
@@ -44,9 +45,9 @@ func hubby(t testing.TB, n int) (*matrix.COO, *core.SSS) {
 
 func TestTuneGeneratesHubCandidates(t *testing.T) {
 	m, s := hubby(t, 600)
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 2, TrialIters: 2, Rounds: 1,
-		Formats: []Format{SSSIndexed, SSSColored},
+		Formats: []format.ID{format.SSSIndexed, format.SSSColored},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +71,9 @@ func TestTuneGeneratesHubCandidates(t *testing.T) {
 
 func TestTuneNoHubOnMesh(t *testing.T) {
 	m, s := poisson(t, 24)
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 2, TrialIters: 2, Rounds: 1,
-		Formats: []Format{SSSIndexed},
+		Formats: []format.ID{format.SSSIndexed},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,17 +87,17 @@ func TestTuneNoHubOnMesh(t *testing.T) {
 
 func TestTuneMultiRHS(t *testing.T) {
 	m, s := poisson(t, 20)
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 2, TrialIters: 2, Rounds: 1, NV: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Plan.Format.spmmCapable() {
+	if !d.Plan.Format.Desc().Has(format.MulMat, core.Sym) {
 		t.Fatalf("NV=4 chose an SpMM-incapable format: %v", d.Plan)
 	}
 	for _, c := range d.Candidates {
-		if !c.Plan.Format.spmmCapable() {
+		if !c.Plan.Format.Desc().Has(format.MulMat, core.Sym) {
 			t.Fatalf("NV=4 examined %v, which has no SpMM kernel", c.Plan.Format)
 		}
 		if c.Plan.Reorder {
@@ -108,7 +109,7 @@ func TestTuneMultiRHS(t *testing.T) {
 func TestCacheRoundTripsHubAndNV(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k := Key{Fingerprint: 0x1234, Machine: "m", NV: 8}
-	want := Plan{Format: SSSColored, Threads: 4, Hub: true}
+	want := Plan{Format: format.SSSColored, Threads: 4, Hub: true}
 	if err := st.Save(k, want, 42); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package autotune
 import (
 	"math/rand"
 	"os"
+	"repro/internal/format"
 	"strings"
 	"testing"
 
@@ -41,9 +42,9 @@ func TestColoredBlowUpGuard(t *testing.T) {
 	// The container is single-core, where the model correctly picks p=1 and
 	// a one-block schedule never degenerates; price against the paper's
 	// multicore platform so parallel colored candidates exist.
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 4,
-		Formats:    []Format{SSSColored, SSSEffective, SSSIndexed},
+		Formats:    []format.ID{format.SSSColored, format.SSSEffective, format.SSSIndexed},
 		TrialIters: 2,
 		Rounds:     1,
 		Platform:   &perfmodel.Gainestown,
@@ -53,7 +54,7 @@ func TestColoredBlowUpGuard(t *testing.T) {
 	}
 	rejected := false
 	for _, c := range d.Candidates {
-		if c.Format != SSSColored {
+		if c.Format != format.SSSColored {
 			continue
 		}
 		if strings.HasPrefix(c.Status, "rejected (colored blow-up") {
@@ -66,7 +67,7 @@ func TestColoredBlowUpGuard(t *testing.T) {
 	if !rejected {
 		t.Fatalf("no colored candidate was rejected by the blow-up guard; candidates:\n%s", d.Report())
 	}
-	if d.Plan.Format == SSSColored {
+	if d.Plan.Format == format.SSSColored {
 		t.Fatalf("chosen plan is the degenerate colored schedule: %v", d.Plan)
 	}
 }
@@ -75,9 +76,9 @@ func TestColoredBlowUpGuard(t *testing.T) {
 // — a banded matrix colors with a handful of colors at any thread count.
 func TestColoredGuardSparesBanded(t *testing.T) {
 	m, s := poisson(t, 60)
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 4,
-		Formats:    []Format{SSSColored, SSSEffective},
+		Formats:    []format.ID{format.SSSColored, format.SSSEffective},
 		TrialIters: 2,
 		Rounds:     1,
 		Platform:   &perfmodel.Gainestown,
@@ -116,7 +117,7 @@ func TestTuneSkewRestrictsPlanSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Tune(Problem{S: s, M: m}, Options{
+	d, err := Tune(problem(s, m), Options{
 		MaxThreads: 4,
 		TrialIters: 2,
 		Rounds:     1,
@@ -126,16 +127,14 @@ func TestTuneSkewRestrictsPlanSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range d.Candidates {
-		switch c.Format {
-		case CSR, SSSNaive, SSSEffective, SSSIndexed, SSSColored:
-		default:
+		if !c.Format.Desc().Has(format.Tuned, core.Skew) {
 			t.Errorf("kind-incapable format %v in the skew plan space", c.Format)
 		}
 		if c.Hub || c.Hierarchical {
 			t.Errorf("skew plan space generated %v", c.Plan)
 		}
 	}
-	if d.Plan.Format == SSSAtomic || d.Plan.Format == CSXSym || d.Plan.Format == CSBSym {
+	if d.Plan.Format == format.SSSAtomic || d.Plan.Format == format.CSXSym || d.Plan.Format == format.CSB {
 		t.Fatalf("chosen plan %v cannot run a skew matrix", d.Plan)
 	}
 }
@@ -149,25 +148,25 @@ func TestCacheKeyKind(t *testing.T) {
 	if st.path(sym) == st.path(skew) {
 		t.Fatal("sym and skew keys share a cache file")
 	}
-	if err := st.Save(sym, Plan{Format: CSXSym, Threads: 4}, 5); err != nil {
+	if err := st.Save(sym, Plan{Format: format.CSXSym, Threads: 4}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(skew, Plan{Format: SSSIndexed, Threads: 2}, 9); err != nil {
+	if err := st.Save(skew, Plan{Format: format.SSSIndexed, Threads: 2}, 9); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := st.Load(skew)
-	if err != nil || !ok || got.Format != SSSIndexed || got.Threads != 2 {
+	if err != nil || !ok || got.Format != format.SSSIndexed || got.Threads != 2 {
 		t.Fatalf("skew entry round trip: plan %v ok %v err %v", got, ok, err)
 	}
 	got, ok, err = st.Load(sym)
-	if err != nil || !ok || got.Format != CSXSym || got.Threads != 4 {
+	if err != nil || !ok || got.Format != format.CSXSym || got.Threads != 4 {
 		t.Fatalf("sym entry round trip: plan %v ok %v err %v", got, ok, err)
 	}
 
 	// A skew entry presented under the sym key (copied file) must miss with
 	// the symmetry-class diagnostic.
 	stray := Store{Dir: t.TempDir()}
-	if err := stray.Save(skew, Plan{Format: SSSIndexed, Threads: 2}, 9); err != nil {
+	if err := stray.Save(skew, Plan{Format: format.SSSIndexed, Threads: 2}, 9); err != nil {
 		t.Fatal(err)
 	}
 	if err := copyFile(stray.path(skew), stray.path(sym)); err != nil {

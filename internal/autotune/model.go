@@ -3,30 +3,15 @@ package autotune
 import (
 	"repro/internal/color"
 	"repro/internal/core"
+	"repro/internal/format"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 )
 
 // The model stage prices every (format, threads) candidate with the
-// perfmodel roofline account before anything is built. CSR and the SSS
-// methods are priced exactly (their working sets follow the paper's
-// equations from the structure features alone); CSX-Sym, BCSR and CSB-Sym
-// need encoded sizes that only exist after construction, so they get
-// deliberately optimistic estimates — an optimistic estimate can only cost
-// an extra micro-trial, while a pessimistic one would prune the true winner
-// without ever timing it.
-const (
-	// csxCompressionEstimate is the assumed CSX-Sym size relative to SSS.
-	// The paper's Table I reports 58–68% total compression over CSR, which
-	// lands the encoded stream at roughly half the SSS bytes on
-	// delta-friendly matrices; 0.55 keeps CSX-Sym in the trial pool
-	// whenever compression could plausibly pay.
-	csxCompressionEstimate = 0.55
-	// bcsrFillEstimate is the assumed explicit-fill inflation of the blocked
-	// baseline (stored/logical). Well-blocked FEM matrices sit near 1.1;
-	// 1.3 is the suite median under the AutoTune block search.
-	bcsrFillEstimate = 1.3
-)
+// perfmodel roofline account before anything is built. Each format's own
+// estimate lives in its descriptor (internal/format); this file supplies the
+// matrix scans those estimates read and the adjustments no format decides.
 
 // symbolic returns the conflict-index length and effective-region size of
 // the symmetric reduction at p threads, memoized per thread count — the one
@@ -64,24 +49,6 @@ func (t *tuner) colorStats(p int) (colors, blocks int) {
 	return sc.NumColors, sc.NumBlocks
 }
 
-// crossElems estimates the stored elements whose transposed write lands in
-// another thread's rows at p threads: the fraction of the average bandwidth
-// that exceeds a thread's row chunk. Prices the Atomic method's contention.
-func (t *tuner) crossElems(p int) int64 {
-	if p <= 1 {
-		return 0
-	}
-	chunk := float64(t.feat.N) / float64(p)
-	if chunk <= 0 {
-		return int64(t.feat.NNZLower)
-	}
-	frac := t.feat.AvgBandwidth / chunk
-	if frac > 1 {
-		frac = 1
-	}
-	return int64(frac * float64(t.feat.NNZLower))
-}
-
 // hierCrossBytes computes the cross-domain stream of the hierarchical
 // two-level reduction at d domains, memoized per domain count: 8 bytes per
 // shard-boundary window element, with window_d = domStart_d − min ColIdx over
@@ -113,132 +80,19 @@ func (t *tuner) hierCrossBytes(d int) int64 {
 	return total
 }
 
-// flatCrossBytes estimates the cross-domain share of a flat all-to-all
-// reduction's stream on a d-domain machine at p threads: with threads spread
-// evenly over domains, each domain's reducers read the remote portion of the
-// local vectors (naive: everything outside the domain; effective ranges:
-// roughly half, since region t spans [0, start_t); indexed: the index entries
-// whose transposed write reaches past the source shard, estimated from the
-// average bandwidth). These are machine-model estimates for ranking — the
-// built kernel's Traffic() counts the real thing.
-func (t *tuner) flatCrossBytes(f Format, p, d int) int64 {
-	n := int64(t.feat.N)
-	pp, dd := int64(p), int64(d)
-	switch f {
-	case SSSNaive:
-		return 8 * pp * n * (dd - 1) / dd
-	case SSSEffective:
-		return 4 * pp * n * (dd - 1) / dd
-	case SSSIndexed:
-		e, _ := t.symbolic(p)
-		reach := t.feat.AvgBandwidth
-		if chunk := float64(n) / float64(d); reach > chunk {
-			reach = chunk
-		}
-		frac := float64(d-1) * reach / float64(n)
-		if frac > 1 {
-			frac = 1
-		}
-		return int64(8 * frac * float64(e))
-	}
-	return 0
-}
-
-// modelCost builds the roofline account of one candidate. For reordered
-// variants the x-access span is assumed to shrink into the per-thread cache
-// (the §V-D effect RCM exists for) and the two permutation copies around
-// the kernel are charged as extra streamed traffic.
-func (t *tuner) modelCost(f Format, p int, reordered bool) perfmodel.SpMVCost {
-	feat := t.feat
-	n := int64(feat.N)
-	nnzL := int64(feat.NNZLower)
-	logical := int64(feat.LogicalNNZ)
-	span := feat.XSpanBytes
-	var permBytes int64
+// modelCost builds the roofline account of one candidate reducing flat: the
+// format's estimate plus the x-access span. For reordered variants the span
+// is assumed to shrink into the per-thread cache (the §V-D effect RCM exists
+// for) and the two permutation copies around the kernel are charged as extra
+// streamed traffic.
+func (t *tuner) modelCost(f format.ID, p int, reordered bool) perfmodel.SpMVCost {
+	c := f.Desc().Estimate(&t.shape, p, t.o.Domains)
+	c.XSpanBytes = t.feat.XSpanBytes
 	if reordered {
-		if c := t.pl.XCachePerThreadBytes; span > c {
-			span = c
+		if cache := t.pl.XCachePerThreadBytes; c.XSpanBytes > cache {
+			c.XSpanBytes = cache
 		}
-		permBytes = 4 * 8 * n // read x, write x_p; read y_p, write y
+		c.MultBytes += 4 * 8 * t.shape.N // read x, write x_p; read y_p, write y
 	}
-
-	c := perfmodel.SpMVCost{Name: f.String(), UsefulFlops: 2 * logical, XSpanBytes: span}
-	symAcc := 2*nnzL + n
-
-	switch f {
-	case CSR:
-		c.MultFlops = 2 * logical
-		c.MultBytes = feat.CSRBytes + 16*n
-		c.XAccesses = logical
-	case BCSR:
-		stored := int64(bcsrFillEstimate * float64(logical))
-		c.MultFlops = 2 * stored
-		// 8 B value + ~1 B amortized block indexing per stored element.
-		c.MultBytes = 9*stored + 4*n
-		c.XAccesses = logical / 4 // one irregular probe per block column
-	case SSSNaive, SSSEffective, SSSIndexed, SSSAtomic, SSSColored, CSXSym:
-		matBytes := feat.SSSBytes
-		// The feature estimate assumes the Sym layout; correct it for the
-		// kinds' actual storage (Skew drops the dense diagonal, Structural
-		// streams a second value array).
-		switch t.pr.S.Kind {
-		case core.Skew:
-			matBytes -= 8 * n
-		case core.Structural:
-			matBytes += 8 * nnzL
-		}
-		if f == CSXSym {
-			matBytes = int64(csxCompressionEstimate * float64(feat.SSSBytes))
-		}
-		c.MultFlops = 2 * logical
-		c.XAccesses = symAcc
-		if p == 1 {
-			// Serial symmetric kernel: no local vectors, no reduction.
-			c.MultBytes = matBytes + 16*n
-			break
-		}
-		switch f {
-		case SSSColored:
-			// Conflict-free: zero reduction bytes; y moves twice (init write
-			// + color-sweep read-modify-write) and each color beyond the
-			// multiply phase's own barrier costs one more crossing.
-			c.MultBytes = matBytes + 8*n + 24*n
-			c.ExtraBarriers = int64(t.colorCount(p))
-		case SSSNaive:
-			c.MultBytes = matBytes + 8*n + 8*int64(p)*n
-			c.RedBytes = 8*int64(p)*n + 8*n
-			c.RedFlops = int64(p) * n
-		case SSSEffective:
-			_, region := t.symbolic(p)
-			c.MultBytes = matBytes + 16*n + 8*region
-			c.RedBytes = 8*region + 8*n
-			c.RedFlops = region
-		case SSSIndexed, CSXSym:
-			e, _ := t.symbolic(p)
-			c.MultBytes = matBytes + 16*n + 8*e
-			c.RedBytes = 24 * e
-			c.RedFlops = e
-		case SSSAtomic:
-			c.MultBytes = matBytes + 16*n
-			c.AtomicOps = t.crossElems(p)
-			c.RedBytes = 16 * n
-			c.RedFlops = n
-		}
-	case CSBSym:
-		c.MultFlops = 2*n + 4*nnzL
-		c.UsefulFlops = c.MultFlops
-		// 12 B blocked elements, x and y streams, and roughly half the
-		// elements writing through the offset buffers.
-		c.MultBytes = 12*nnzL + 8*n + 16*n + 8*(nnzL/2)
-		c.RedBytes = 8 * 4 * n
-		c.RedFlops = 3 * n
-		c.XAccesses = symAcc
-		if float64(feat.Bandwidth) > 3*1024 {
-			// Elements beyond the three buffered block diagonals fall back
-			// to atomics; wide-band matrices pay for it.
-			c.AtomicOps = nnzL / 4
-		}
-	}
-	c.MultBytes += permBytes
 	return c
 }

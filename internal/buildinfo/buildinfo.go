@@ -1,10 +1,8 @@
 // Package buildinfo is the single source of version provenance for every
-// binary and machine-readable artifact in the repository: the git commit the
-// build came from plus the version numbers of the on-disk and on-wire
-// schemas. The cmds print it behind a -version flag, the harness stamps it
-// into the BENCH_*.json documents, and the serve API reports it from
-// /healthz, so an archived benchmark record, a tuning cache, and a running
-// server can all be attributed to one code revision.
+// binary in the repository: the git commit the build came from plus the
+// version of the on-wire schema. The cmds print it behind a -version flag
+// and the serve API reports it from /healthz, so a running server can be
+// attributed to one code revision.
 package buildinfo
 
 import (
@@ -20,11 +18,6 @@ import (
 // sites: the writer, the reader, and -version output all quote the same
 // constant.
 const (
-	// BenchSchema is the bench-json document schema (BENCH_pr3.json).
-	// Version 2 added the git commit + machine signature provenance stamp.
-	BenchSchema = "symspmv-bench/2"
-	// SpMMBenchSchema is the spmm-bench document schema (BENCH_pr6.json).
-	SpMMBenchSchema = "symspmv-spmm-bench/1"
 	// ServeAPI is the symspmv-serve HTTP API version prefix (/v1/...).
 	ServeAPI = "v1"
 )
@@ -81,8 +74,6 @@ func resolveCommit() string {
 func Version(program string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s (%s)\n", program, Commit(), runtime.Version())
-	fmt.Fprintf(&b, "  bench-json schema:  %s\n", BenchSchema)
-	fmt.Fprintf(&b, "  spmm-bench schema:  %s\n", SpMMBenchSchema)
 	fmt.Fprintf(&b, "  serve API:          %s\n", ServeAPI)
 	return b.String()
 }

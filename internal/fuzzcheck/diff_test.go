@@ -5,16 +5,25 @@ import (
 	"testing"
 
 	symspmv "repro"
+	"repro/internal/core"
+	"repro/internal/format"
 	"repro/internal/matrix"
 )
 
 // Tol is the differential tolerance: |y_i − ref_i| ≤ Tol·Σ_j|A_ij·x_j|.
 const Tol = 1e-12
 
-var allFormats = []symspmv.Format{
-	symspmv.CSR, symspmv.CSX, symspmv.BCSR,
-	symspmv.SSSNaive, symspmv.SSSEffective, symspmv.SSSIndexed,
-	symspmv.SSSAtomic, symspmv.CSXSym, symspmv.CSB, symspmv.SSSColored,
+// formatsWith filters the facade's format listing down to the formats
+// offering capability c (0: just running) on a matrix of class k, so a new
+// row of the format table is fuzzed without touching these tests.
+func formatsWith(c format.Caps, k core.SymKind) []symspmv.Format {
+	var out []symspmv.Format
+	for _, f := range symspmv.Formats() {
+		if f.Desc().Has(c, k) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // threadCounts deliberately exceeds every matrix dimension in the tiny
@@ -50,7 +59,7 @@ func TestDifferentialSuite(t *testing.T) {
 			n := tc.M.Rows
 			x := TestX(n, int64(n)+7)
 			ref, scale := Reference(tc.M, x)
-			for _, f := range allFormats {
+			for _, f := range symspmv.Formats() {
 				for _, p := range threadCounts {
 					k, err := a.Kernel(f, symspmv.Threads(p))
 					if err != nil {

@@ -6,18 +6,9 @@ import (
 	"testing"
 
 	symspmv "repro"
+	"repro/internal/core"
 	"repro/internal/matrix"
 )
-
-// kindFormats are the formats the skew/structural classes can run: the
-// unsymmetric baselines (which expand to a full general matrix) and the
-// kind-generalized SSS methods. CSX-Sym, CSB-Sym and the atomic ablation
-// hard-code the symmetric transposed write and are gated off at the facade.
-var kindFormats = []symspmv.Format{
-	symspmv.CSR, symspmv.CSX, symspmv.BCSR,
-	symspmv.SSSNaive, symspmv.SSSEffective, symspmv.SSSIndexed,
-	symspmv.SSSColored,
-}
 
 // buildKindMatrix routes the case through the full ingestion path: Matrix
 // Market serialization and back, then the facade reader's classification.
@@ -40,7 +31,10 @@ func buildKindMatrix(t *testing.T, m *matrix.COO, wantClass string) *symspmv.Mat
 }
 
 // TestKindDifferentialSuite is the skew/structural analog of
-// TestDifferentialSuite: every KindSuite case × every kind-capable format ×
+// TestDifferentialSuite: every KindSuite case × every format whose descriptor
+// runs the case's class (the unsymmetric baselines, which expand to a full
+// general matrix, and the kind-generalized SSS methods; CSX-Sym, CSB-Sym and
+// the atomic ablation hard-code the symmetric transposed write) ×
 // every thread count agrees with the serial dense reference (which mirrors
 // −v for skew input and takes general input as stored). y is pre-filled with
 // NaN before each multiply, and each kernel runs twice to catch stale
@@ -50,15 +44,15 @@ func TestKindDifferentialSuite(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			wantClass := "skew-symmetric"
+			kind := core.Skew
 			if !tc.M.Symmetric {
-				wantClass = "structurally-symmetric"
+				kind = core.Structural
 			}
-			a := buildKindMatrix(t, tc.M, wantClass)
+			a := buildKindMatrix(t, tc.M, kind.String())
 			n := tc.M.Rows
 			x := TestX(n, int64(n)+13)
 			ref, scale := Reference(tc.M, x)
-			for _, f := range kindFormats {
+			for _, f := range formatsWith(0, kind) {
 				for _, p := range threadCounts {
 					k, err := a.Kernel(f, symspmv.Threads(p))
 					if err != nil {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	symspmv "repro"
+	"repro/internal/core"
+	"repro/internal/format"
 )
 
 // The SpMM differential suite: every adversarial case × every SpMM-capable
@@ -14,15 +16,6 @@ import (
 // multi-RHS reference. Hub-cached variants run the same check with the hub
 // analysis forced on, so the remapped hot-x path faces the same degenerate
 // shapes as the plain kernels.
-
-var spmmFormats = []symspmv.Format{
-	symspmv.CSR, symspmv.SSSNaive, symspmv.SSSEffective,
-	symspmv.SSSIndexed, symspmv.SSSColored,
-}
-
-var noSpMMFormats = []symspmv.Format{
-	symspmv.CSX, symspmv.BCSR, symspmv.SSSAtomic, symspmv.CSXSym, symspmv.CSB,
-}
 
 // forcedHub engages the hub remap regardless of profitability, so even flat
 // adversarial matrices exercise the hot-x path.
@@ -41,9 +34,9 @@ func TestDifferentialSpMM(t *testing.T) {
 			for _, nv := range spmmWidths {
 				x := TestX(n*nv, int64(n*nv)+13)
 				ref, scale := ReferenceMat(tc.M, x, nv)
-				for _, f := range spmmFormats {
+				for _, f := range formatsWith(format.MulMat, core.Sym) {
 					hubVariants := []bool{false}
-					if f != symspmv.CSR {
+					if f.Desc().Has(format.Hub, core.Sym) {
 						hubVariants = append(hubVariants, true)
 					}
 					for _, hub := range hubVariants {
@@ -83,10 +76,7 @@ func TestDifferentialSpMM(t *testing.T) {
 // TestDifferentialHubMulVec runs the single-vector hub-cached kernels —
 // including CSX-Sym's, which has no SpMM path — against the dense reference.
 func TestDifferentialHubMulVec(t *testing.T) {
-	hubFormats := []symspmv.Format{
-		symspmv.SSSNaive, symspmv.SSSEffective, symspmv.SSSIndexed,
-		symspmv.SSSColored, symspmv.CSXSym,
-	}
+	hubFormats := formatsWith(format.Hub, core.Sym)
 	for _, tc := range AdversarialSuite() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
@@ -131,7 +121,10 @@ func TestSpMMUnsupportedFormats(t *testing.T) {
 	}
 	a := buildMatrix(t, tc.M)
 	n := tc.M.Rows
-	for _, f := range noSpMMFormats {
+	for _, f := range symspmv.Formats() {
+		if f.Desc().Has(format.MulMat, core.Sym) {
+			continue
+		}
 		k, err := a.Kernel(f, symspmv.Threads(2))
 		if err != nil {
 			t.Fatalf("%v: Kernel: %v", f, err)

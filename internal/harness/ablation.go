@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/csb"
 	"repro/internal/csx"
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
@@ -30,47 +29,33 @@ func AblationReduction(cfg Config, suite []*SuiteMatrix) *Table {
 		{perfmodel.Dunnington.WithCacheScale(cfg.Scale), 24},
 		{perfmodel.Gainestown.WithCacheScale(cfg.Scale), 16},
 	}
-	methods := []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed, core.Atomic}
-	const csbRow = 4 // extra row for the CSB-Sym comparator
-	labels := []string{
-		core.Naive.String(), core.EffectiveRanges.String(), core.Indexed.String(),
-		core.Atomic.String(), "csb-sym (Buluç)",
-	}
+	formats := []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed, format.SSSAtomic, format.CSB}
 
 	t := &Table{
 		Title: "Ablation — reduction strategies incl. atomic updates and CSB-Sym (modeled speedup over serial CSR, suite geomean)",
-		Note:  "atomic = direct CAS updates (§III-A's dismissed alternative); csb-sym = Buluç et al. blocked kernel with offset buffers + atomic fallback (§VI)",
+		Note:  "SSS-atomic = direct CAS updates (§III-A's dismissed alternative); CSB-Sym = Buluç et al. blocked kernel with offset buffers + atomic fallback (§VI)",
 		Header: []string{"Method",
 			fmt.Sprintf("%s (%d thr)", plats[0].pl.Name, plats[0].p),
 			fmt.Sprintf("%s (%d thr)", plats[1].pl.Name, plats[1].p)},
 	}
-	speed := make([][][]float64, len(labels))
+	speed := make([][][]float64, len(formats))
 	for i := range speed {
 		speed[i] = make([][]float64, len(plats))
 	}
 	for _, sm := range suite {
 		cfg.logf("ablation-reduction: %s", sm.Spec.Name)
-		csbm, err := csb.NewSym(sm.S, 0)
-		if err != nil {
-			panic(err) // beta default cannot fail
-		}
 		for pi, pp := range plats {
-			base := perfmodel.CSRCost(sm.CSR).SerialSeconds(pp.pl)
-			pool := parallel.NewPool(pp.p)
-			for mi, method := range methods {
-				k := core.NewKernel(sm.S, method, pool)
-				cost := perfmodel.SSSCost(k)
-				speed[mi][pi] = append(speed[mi][pi], base/cost.Seconds(pp.pl, pp.p))
+			base := serialCSRSeconds(sm, pp.pl)
+			costs := modelCosts(sm, formats, pp.p)
+			for fi, f := range formats {
+				speed[fi][pi] = append(speed[fi][pi], base/costs[f].Seconds(pp.pl, pp.p))
 			}
-			pool.Close()
-			csbCost := perfmodel.CSBSymCost(csbm, sm.S)
-			speed[csbRow][pi] = append(speed[csbRow][pi], base/csbCost.Seconds(pp.pl, pp.p))
 		}
 	}
-	for mi, label := range labels {
-		row := []string{label}
+	for fi, f := range formats {
+		row := []string{f.String()}
 		for pi := range plats {
-			row = append(row, fmt.Sprintf("%.2f", geomean(speed[mi][pi])))
+			row = append(row, fmt.Sprintf("%.2f", geomean(speed[fi][pi])))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -80,12 +65,13 @@ func AblationReduction(cfg Config, suite []*SuiteMatrix) *Table {
 // AblationBaselines widens the comparison with the register-blocked BCSR
 // baseline from the paper's related work: per-matrix modeled performance of
 // every unsymmetric baseline against the symmetric formats, plus BCSR's
-// fill ratio (why register blocking loses on scattered matrices).
+// fill ratio under the library's block search (1.00 where it falls back to
+// 1×1 because no register block pays, as on the scattered matrices).
 func AblationBaselines(cfg Config, suite []*SuiteMatrix) *Table {
 	cfg = cfg.withDefaults()
 	pl := perfmodel.Gainestown.WithCacheScale(cfg.Scale)
 	const p = 16
-	formats := []Format{FormatCSR, FormatBCSR, FormatCSX, FormatSSSIndexed, FormatCSXSym}
+	formats := []format.ID{format.CSR, format.BCSR, format.CSX, format.SSSIndexed, format.CSXSym}
 	t := &Table{
 		Title:  fmt.Sprintf("Ablation — unsymmetric baselines incl. BCSR (Gflop/s at %d threads, %s, modeled)", p, pl.Name),
 		Header: []string{"Matrix"},
@@ -100,10 +86,10 @@ func AblationBaselines(cfg Config, suite []*SuiteMatrix) *Table {
 		row := []string{sm.Spec.Name}
 		var fill float64
 		for _, f := range formats {
-			b := Build(sm, f, pool)
-			row = append(row, fmt.Sprintf("%.2f", b.Cost.Gflops(pl, p)))
-			if f == FormatBCSR {
-				fill = float64(b.Cost.MultFlops) / float64(b.Cost.UsefulFlops)
+			c := Cost(sm, f, pool)
+			row = append(row, fmt.Sprintf("%.2f", c.Gflops(pl, p)))
+			if f == format.BCSR {
+				fill = float64(c.MultFlops) / float64(c.UsefulFlops)
 			}
 		}
 		pool.Close()
@@ -152,16 +138,20 @@ func AblationCSX(cfg Config, suite []*SuiteMatrix) *Table {
 		Note:   fmt.Sprintf("modeled Gflop/s at %d threads on %s; preprocessing is host wall-clock", p, pl.Name),
 		Header: []string{"Variant", "C.R.", "Gflop/s", "preproc"},
 	}
+	pool := parallel.NewPool(p)
+	defer pool.Close()
 	for _, v := range csxVariants() {
 		var crSum, gSum float64
 		var preSum time.Duration
 		for _, sm := range suite {
 			cfg.logf("ablation-csx/%s: %s", v.name, sm.Spec.Name)
-			t0 := time.Now()
-			smx := csx.NewSym(sm.S, p, core.Indexed, v.opts)
-			preSum += time.Since(t0)
-			crSum += smx.CompressionRatio()
-			gSum += perfmodel.CSXSymCost(smx, sm.S).Gflops(pl, p)
+			b, err := format.Build(&sm.Matrix, format.CSXSym, pool, format.Options{CSX: &v.opts})
+			if err != nil {
+				panic(err) // the suite is symmetric; CSX-Sym always builds
+			}
+			preSum += b.Preproc
+			crSum += b.Sym.CompressionRatio()
+			gSum += b.Cost(&sm.Matrix).Gflops(pl, p)
 		}
 		n := float64(len(suite))
 		t.Rows = append(t.Rows, []string{

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/format"
 )
 
 func TestAblationReduction(t *testing.T) {
@@ -24,12 +26,14 @@ func TestAblationReduction(t *testing.T) {
 		}
 		speed[row[0]] = v
 	}
-	if !(speed["indexed"] > speed["effective-ranges"] &&
-		speed["effective-ranges"] > speed["naive"]) {
+	// Rows carry the canonical format labels, the same ones the facade prints.
+	naive, eff := speed[format.SSSNaive.String()], speed[format.SSSEffective.String()]
+	idx, atomic := speed[format.SSSIndexed.String()], speed[format.SSSAtomic.String()]
+	if !(idx > eff && eff > naive && naive > 0) {
 		t.Errorf("reduction ordering broken: %v", speed)
 	}
-	if speed["atomic"] >= speed["indexed"] {
-		t.Errorf("atomic (%g) should not beat indexed (%g)", speed["atomic"], speed["indexed"])
+	if atomic <= 0 || atomic >= idx {
+		t.Errorf("atomic (%g) should not beat indexed (%g)", atomic, idx)
 	}
 }
 
@@ -102,7 +106,7 @@ func TestHostMeasuredAndHostCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	hm := HostMeasured(cfg, suite, 2)
-	if len(hm.Rows) != 1 || len(hm.Rows[0]) != len(AllFormats)+1 {
+	if len(hm.Rows) != 1 || len(hm.Rows[0]) != len(format.All())+1 {
 		t.Fatalf("HostMeasured shape: %v", hm.Rows)
 	}
 	for _, cell := range hm.Rows[0][1:] {
@@ -111,7 +115,7 @@ func TestHostMeasuredAndHostCG(t *testing.T) {
 		}
 	}
 	hc := HostCG(cfg, suite, 2, 4)
-	if len(hc.Rows) != 3 { // CSR, SSS-idx, CSX-Sym
+	if len(hc.Rows) != 3 { // CSR, SSS-indexed, CSX-Sym
 		t.Fatalf("HostCG rows = %d", len(hc.Rows))
 	}
 }

@@ -18,7 +18,7 @@ func Autotune(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 	for _, sm := range suite {
 		t0 := time.Now()
 		d, err := autotune.Tune(
-			autotune.Problem{S: sm.S, M: sm.M, CSR: sm.CSR, Stats: sm.Stats},
+			autotune.Problem{Matrix: sm.Matrix, Stats: sm.Stats},
 			autotune.Options{Log: cfg.Log, NV: cfg.NV},
 		)
 		if err != nil {

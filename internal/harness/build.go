@@ -1,172 +1,28 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/bcsr"
-	"repro/internal/cg"
-	"repro/internal/core"
-	"repro/internal/csr"
-	"repro/internal/csx"
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
 
-// Format names one SpM×V kernel configuration of the evaluation.
-type Format int
-
-const (
-	// FormatCSR is the unsymmetric baseline.
-	FormatCSR Format = iota
-	// FormatCSX is the unsymmetric compressed comparator.
-	FormatCSX
-	// FormatBCSR is the register-blocked baseline (Im & Yelick / OSKI),
-	// auto-tuned over square block candidates.
-	FormatBCSR
-	// FormatSSSNaive, FormatSSSEffective and FormatSSSIndexed are the
-	// symmetric SSS kernel under the three reduction methods of Fig. 9.
-	FormatSSSNaive
-	FormatSSSEffective
-	FormatSSSIndexed
-	// FormatSSSColored is the conflict-free colored schedule: one phase per
-	// color, direct y writes, no reduction phase (the prevention-based
-	// fourth method beside the paper's three).
-	FormatSSSColored
-	// FormatCSXSym is CSX-Sym with the indexed reduction (Fig. 11).
-	FormatCSXSym
-
-	numFormats
-)
-
-// String implements fmt.Stringer with the paper's labels.
-func (f Format) String() string {
-	switch f {
-	case FormatCSR:
-		return "CSR"
-	case FormatCSX:
-		return "CSX"
-	case FormatBCSR:
-		return "BCSR"
-	case FormatSSSNaive:
-		return "SSS-naive"
-	case FormatSSSEffective:
-		return "SSS-effective"
-	case FormatSSSIndexed:
-		return "SSS-idx"
-	case FormatSSSColored:
-		return "SSS-colored"
-	case FormatCSXSym:
-		return "CSX-Sym"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
+// Build constructs format f for the suite matrix at p = pool.Size() threads.
+// The suite matrices are symmetric and every format builds on them, so a
+// failure is a bug in the format table, not an input condition.
+func Build(sm *SuiteMatrix, f format.ID, pool *parallel.Pool) *format.Built {
+	b, err := format.Build(&sm.Matrix, f, pool, format.Options{})
+	if err != nil {
+		panic("harness: building " + f.String() + ": " + err.Error())
 	}
-}
-
-// Symmetric reports whether the format exploits symmetry. All symmetric
-// formats except SSS-colored repair write conflicts with a reduction phase;
-// the colored schedule prevents them instead and has none.
-func (f Format) Symmetric() bool {
-	switch f {
-	case FormatSSSNaive, FormatSSSEffective, FormatSSSIndexed, FormatSSSColored, FormatCSXSym:
-		return true
-	}
-	return false
-}
-
-// Built is one constructed kernel: its real multiply closure (bound to a
-// pool) and its exact cost account for the platform model.
-type Built struct {
-	Format  Format
-	P       int
-	Cost    perfmodel.SpMVCost
-	Mul     func(x, y []float64)
-	MulDot  func(x, y []float64) float64 // fused y=A·x + xᵀy; nil when unsupported
-	Preproc time.Duration                // wall-clock construction time on the host
-	Bytes   int64                        // encoded matrix size
-}
-
-// fusedOp and plainOp adapt a Built to the cg operator interfaces: fusedOp
-// advertises cg.MulVecDotter so Solve takes the two-handoff fast path.
-type plainOp struct{ mul func(x, y []float64) }
-
-func (o plainOp) MulVec(x, y []float64) { o.mul(x, y) }
-
-type fusedOp struct {
-	plainOp
-	mulDot func(x, y []float64) float64
-}
-
-func (o fusedOp) MulVecDot(x, y []float64) float64 { return o.mulDot(x, y) }
-
-// Op returns the kernel as a cg operator. When the format supports the fused
-// SpM×V+dot (the symmetric kernels), the returned operator implements
-// cg.MulVecDotter and cg.Solve runs its two-handoff iteration.
-func (b *Built) Op() cg.MulVecer {
-	if b.MulDot != nil {
-		return fusedOp{plainOp{b.Mul}, b.MulDot}
-	}
-	return plainOp{b.Mul}
-}
-
-// Build constructs the kernel for format f at p = pool.Size() threads.
-func Build(sm *SuiteMatrix, f Format, pool *parallel.Pool) *Built {
-	p := pool.Size()
-	t0 := time.Now()
-	b := &Built{Format: f, P: p}
-	switch f {
-	case FormatCSR:
-		pk := csr.NewParallel(sm.CSR, pool)
-		b.Mul = pk.MulVec
-		b.Cost = perfmodel.CSRCost(sm.CSR)
-		b.Bytes = sm.CSR.Bytes()
-	case FormatCSX:
-		mx := csx.NewMatrix(sm.M, p, csx.DefaultOptions())
-		b.Mul = func(x, y []float64) { mx.MulVec(pool, x, y) }
-		b.Cost = perfmodel.CSXCost(mx, sm.CSR)
-		b.Bytes = mx.Bytes()
-	case FormatBCSR:
-		br, bc, err := bcsr.AutoTune(sm.M, [][2]int{{2, 2}, {3, 3}, {4, 4}, {6, 6}})
-		if err != nil {
-			panic(err)
-		}
-		a, err := bcsr.FromCOO(sm.M, br, bc)
-		if err != nil {
-			panic(err)
-		}
-		pk := bcsr.NewParallel(a, pool)
-		b.Mul = pk.MulVec
-		b.Cost = perfmodel.BCSRCost(a, sm.CSR)
-		b.Bytes = a.Bytes()
-	case FormatSSSNaive, FormatSSSEffective, FormatSSSIndexed, FormatSSSColored:
-		method := map[Format]core.ReductionMethod{
-			FormatSSSNaive:     core.Naive,
-			FormatSSSEffective: core.EffectiveRanges,
-			FormatSSSIndexed:   core.Indexed,
-			FormatSSSColored:   core.Colored,
-		}[f]
-		k := core.NewKernel(sm.S, method, pool)
-		b.Mul = k.MulVec
-		b.MulDot = k.MulVecDot
-		b.Cost = perfmodel.SSSCost(k)
-		b.Bytes = sm.S.Bytes()
-	case FormatCSXSym:
-		smx := csx.NewSym(sm.S, p, core.Indexed, csx.DefaultOptions())
-		b.Mul = func(x, y []float64) { smx.MulVec(pool, x, y) }
-		b.MulDot = func(x, y []float64) float64 { return smx.MulVecDot(pool, x, y) }
-		b.Cost = perfmodel.CSXSymCost(smx, sm.S)
-		b.Bytes = smx.Bytes()
-	default:
-		panic("harness: unknown format " + f.String())
-	}
-	b.Preproc = time.Since(t0)
 	return b
 }
 
-// AllFormats lists every kernel configuration in presentation order.
-var AllFormats = []Format{
-	FormatCSR, FormatBCSR, FormatCSX,
-	FormatSSSNaive, FormatSSSEffective, FormatSSSIndexed, FormatSSSColored, FormatCSXSym,
+// Cost builds format f for the suite matrix on pool and returns its exact
+// cost account for the platform model.
+func Cost(sm *SuiteMatrix, f format.ID, pool *parallel.Pool) perfmodel.SpMVCost {
+	return Build(sm, f, pool).Cost(&sm.Matrix)
 }
 
 // MeasureSpMV runs the §V-A measurement protocol on the host: iters

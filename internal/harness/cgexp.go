@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cg"
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 	"repro/internal/vec"
@@ -27,7 +28,7 @@ func PreprocCost(cfg Config, suite []*SuiteMatrix) *Table {
 	var costs []float64
 	for _, sm := range suite {
 		cfg.logf("preproc: %s", sm.Spec.Name)
-		b := Build(sm, FormatCSXSym, pool)
+		b := Build(sm, format.CSXSym, pool)
 		csrOp := MeasureSpMV(sm.CSR.MulVec, sm.S.N, minInt(cfg.Iterations, 16))
 		ops := b.Preproc.Seconds() / csrOp.Seconds()
 		costs = append(costs, ops)
@@ -59,7 +60,7 @@ func Fig14(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 	pl := perfmodel.Dunnington.WithCacheScale(cfg.Scale)
 	const p = 24
 	iters := float64(cfg.CGIterations)
-	formats := []Format{FormatCSR, FormatCSX, FormatSSSIndexed, FormatCSXSym}
+	formats := []format.ID{format.CSR, format.CSX, format.SSSIndexed, format.CSXSym}
 
 	t := &Table{
 		Title: fmt.Sprintf("Fig. 14 — CG time breakdown, %d iterations, %d threads, %s, RCM-reordered (seconds, modeled)",
@@ -82,12 +83,12 @@ func Fig14(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 
 		for _, f := range formats {
 			built := Build(rm, f, hostPool)
-			c := built.Cost
+			c := built.Cost(&rm.Matrix)
 			mult := c.MultSeconds(pl, p) * iters
 			red := c.RedSeconds(pl, p) * iters
 			vops := vecSec * iters
 			pre := 0.0
-			if f == FormatCSX || f == FormatCSXSym {
+			if f == format.CSX || f == format.CSXSym {
 				// Host-measured preprocessing expressed in serial CSR ops,
 				// mapped to platform time through the modeled serial op.
 				csrOp := MeasureSpMV(rm.CSR.MulVec, rm.S.N, 4)
@@ -129,7 +130,7 @@ func HostCG(cfg Config, suite []*SuiteMatrix, threads, iters int) *Table {
 		rngFill(xstar)
 		b := make([]float64, n)
 		sm.M.MulVec(xstar, b)
-		for _, f := range []Format{FormatCSR, FormatSSSIndexed, FormatCSXSym} {
+		for _, f := range []format.ID{format.CSR, format.SSSIndexed, format.CSXSym} {
 			cfg.logf("hostcg/%s: %s", sm.Spec.Name, f)
 			built := Build(sm, f, pool)
 			x := make([]float64, n)

@@ -3,23 +3,17 @@ package harness
 // The colored-schedule experiments extend the paper's evaluation with the
 // prevention-based fourth method: "colored" places SSS-colored beside the
 // three reduction methods of Fig. 9 and quantifies its RCM synergy (the
-// coloring collapses with the bandwidth), "phases" measures the per-phase
+// coloring collapses with the bandwidth), and "phases" measures the per-phase
 // time breakdown of every symmetric method on the host — making the colored
-// schedule's zero reduction time directly observable — and "bench-json"
-// dumps the measured record machine-readably.
+// schedule's zero reduction time directly observable.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"time"
 
-	"repro/internal/autotune"
-	"repro/internal/buildinfo"
 	"repro/internal/color"
 	"repro/internal/core"
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
@@ -27,8 +21,8 @@ import (
 // ColoredSpeedup renders the modeled speedup of the colored schedule beside
 // the paper's three reduction methods (the Fig. 9 set), per platform.
 func ColoredSpeedup(cfg Config, suite []*SuiteMatrix) []*Table {
-	formats := []Format{FormatCSR, FormatSSSNaive, FormatSSSEffective,
-		FormatSSSIndexed, FormatSSSColored}
+	formats := []format.ID{format.CSR, format.SSSNaive, format.SSSEffective,
+		format.SSSIndexed, format.SSSColored}
 	return speedupTables(cfg, suite, formats, "Colored")
 }
 
@@ -63,30 +57,29 @@ func ColoredRCM(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 		row := []string{sm.Spec.Name}
 		for _, m := range []*SuiteMatrix{sm, rm} {
 			c := color.Colors(m.S.N, m.S.RowPtr, m.S.ColIdx, pc, color.Options{})
-			b := Build(m, FormatSSSColored, pool)
+			b := Build(m, format.SSSColored, pool)
 			per := MeasureSpMV(b.Mul, m.S.N, cfg.Iterations)
 			row = append(row,
 				fmt.Sprintf("%d", m.Stats.Bandwidth),
 				fmt.Sprintf("%d", c),
-				fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost.UsefulFlops, per.Seconds())))
+				fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost(&m.Matrix).UsefulFlops, per.Seconds())))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
 
-// phaseMethods are the symmetric kernel methods the phase-timing experiments
-// compare, in presentation order.
-var phaseMethods = []core.ReductionMethod{
-	core.Naive, core.EffectiveRanges, core.Indexed, core.Colored,
+// phaseFormats are the symmetric SSS formats the phase-timing experiment
+// compares, in presentation order.
+var phaseFormats = []format.ID{
+	format.SSSNaive, format.SSSEffective, format.SSSIndexed, format.SSSColored,
 }
 
-// measurePhases runs iters instrumented operations of the method on sm at p
-// threads (vector-swapping, like MeasureSpMV) and returns the accumulated
-// phase breakdown, the host Gflop/s implied by its wall time, and the color
-// count (zero for the reduction methods).
-func measurePhases(sm *SuiteMatrix, method core.ReductionMethod, pool *parallel.Pool, iters int) (core.PhaseTimes, float64, int) {
-	k := core.NewKernel(sm.S, method, pool)
+// measurePhases runs iters instrumented operations of SSS format f on sm
+// (vector-swapping, like MeasureSpMV) and returns the accumulated phase
+// breakdown and the color count (zero for the reduction methods).
+func measurePhases(sm *SuiteMatrix, f format.ID, pool *parallel.Pool, iters int) (core.PhaseTimes, int) {
+	k := Build(sm, f, pool).Kernel
 	n := sm.S.N
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -99,13 +92,7 @@ func measurePhases(sm *SuiteMatrix, method core.ReductionMethod, pool *parallel.
 			renormalize(x)
 		}
 	}
-	// Per-op wall time through PerOp (ops counted by the instrumentation),
-	// not the iters argument: the two agree today, but a divergence (an op
-	// that bails before timing, a future multi-op Timed variant) must show up
-	// in the reported Gflop/s, not silently misscale it.
-	flops := perfmodel.SSSCost(k).UsefulFlops
-	gflops := perfmodel.Gflops(flops, pt.PerOp().Wall.Seconds())
-	return pt, gflops, k.Colors()
+	return pt, k.Colors()
 }
 
 // PhaseBreakdown is the host-measured counterpart of Fig. 10, extended with
@@ -127,129 +114,15 @@ func PhaseBreakdown(cfg Config, suite []*SuiteMatrix) *Table {
 		return fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1e3)
 	}
 	for _, sm := range suite {
-		for _, m := range phaseMethods {
-			cfg.logf("phases/%s: %v", sm.Spec.Name, m)
-			pt, _, colors := measurePhases(sm, m, pool, cfg.Iterations)
+		for _, f := range phaseFormats {
+			cfg.logf("phases/%s: %v", sm.Spec.Name, f)
+			pt, colors := measurePhases(sm, f, pool, cfg.Iterations)
 			per := pt.PerOp()
 			t.Rows = append(t.Rows, []string{
-				sm.Spec.Name, m.String(), fmt.Sprintf("%d", colors),
+				sm.Spec.Name, f.String(), fmt.Sprintf("%d", colors),
 				us(per.Compute), us(per.Reduction), us(per.Barrier), us(per.Wall),
 			})
 		}
 	}
 	return t
-}
-
-// benchRecord is one (matrix, method, threads) measurement of the
-// machine-readable benchmark dump.
-type benchRecord struct {
-	Matrix      string  `json:"matrix"`
-	Method      string  `json:"method"`
-	Threads     int     `json:"threads"`
-	GflopsHost  float64 `json:"gflops_host"`
-	Colors      int     `json:"colors"`
-	ComputeNs   int64   `json:"compute_ns"`
-	ReductionNs int64   `json:"reduction_ns"`
-	BarrierNs   int64   `json:"barrier_ns"`
-}
-
-// benchFile is the top-level BENCH_pr3.json document. Schema version 2 added
-// the provenance stamp: the git commit the binary was built from and the
-// autotune machine signature, so archived records stay attributable to a
-// code revision and a host.
-type benchFile struct {
-	Schema     string        `json:"schema"`
-	GitCommit  string        `json:"git_commit"`
-	Machine    string        `json:"machine"`
-	Scale      float64       `json:"scale"`
-	Iterations int           `json:"iterations"`
-	Threads    []int         `json:"threads"`
-	Records    []benchRecord `json:"records"`
-}
-
-// benchThreads is the sweep of the bench-json experiment: {1, 2, 4} plus the
-// machine's GOMAXPROCS when larger, deduplicated and capped at GOMAXPROCS.
-func benchThreads() []int {
-	maxp := runtime.GOMAXPROCS(0)
-	set := map[int]bool{}
-	for _, p := range []int{1, 2, 4, maxp} {
-		if p >= 1 && p <= maxp {
-			set[p] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// BenchJSON measures every symmetric method over the thread sweep on the
-// host, writes the machine-readable record to cfg.JSONPath (default
-// "BENCH_pr3.json"), and returns a summary table. Per-operation phase nanos
-// come from the instrumented TimedMulVec loop, whose wall time also yields
-// the Gflop/s (the two clock reads per worker per phase are included —
-// identical across methods, so comparisons stay fair).
-func BenchJSON(cfg Config, suite []*SuiteMatrix) (*Table, error) {
-	cfg = cfg.withDefaults()
-	path := cfg.JSONPath
-	if path == "" {
-		path = "BENCH_pr3.json"
-	}
-	threads := benchThreads()
-	doc := benchFile{
-		Schema:     buildinfo.BenchSchema,
-		GitCommit:  buildinfo.Commit(),
-		Machine:    autotune.MachineSignature(),
-		Scale:      cfg.Scale,
-		Iterations: cfg.Iterations,
-		Threads:    threads,
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("bench-json — host-measured record written to %s", path),
-		Header: []string{"Matrix", "Method", "p", "Gflop/s", "colors", "compute%", "reduction%", "barrier%"},
-	}
-	for _, p := range threads {
-		pool := parallel.NewPool(p)
-		for _, sm := range suite {
-			for _, m := range phaseMethods {
-				cfg.logf("bench-json/p=%d/%s: %v", p, sm.Spec.Name, m)
-				pt, gflops, colors := measurePhases(sm, m, pool, cfg.Iterations)
-				per := pt.PerOp()
-				rec := benchRecord{
-					Matrix:      sm.Spec.Name,
-					Method:      m.String(),
-					Threads:     p,
-					GflopsHost:  gflops,
-					Colors:      colors,
-					ComputeNs:   per.Compute.Nanoseconds(),
-					ReductionNs: per.Reduction.Nanoseconds(),
-					BarrierNs:   per.Barrier.Nanoseconds(),
-				}
-				doc.Records = append(doc.Records, rec)
-				wall := float64(per.Wall.Nanoseconds())
-				pct := func(ns int64) string {
-					if wall == 0 {
-						return "0"
-					}
-					return fmt.Sprintf("%.0f", 100*float64(ns)/wall)
-				}
-				t.Rows = append(t.Rows, []string{
-					sm.Spec.Name, m.String(), fmt.Sprintf("%d", p),
-					fmt.Sprintf("%.3f", gflops), fmt.Sprintf("%d", colors),
-					pct(rec.ComputeNs), pct(rec.ReductionNs), pct(rec.BarrierNs),
-				})
-			}
-		}
-		pool.Close()
-	}
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csx"
+	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
@@ -24,10 +25,11 @@ func TableI(cfg Config, suite []*SuiteMatrix) *Table {
 			cfg.Scale),
 		Header: []string{"Matrix", "Rows", "Nonzeros", "Size(CSR)", "C.R.(CSX-Sym)", "C.R.(Max)", "Problem"},
 	}
+	pool := parallel.NewPool(16)
+	defer pool.Close()
 	for _, sm := range suite {
 		cfg.logf("table1: encoding %s", sm.Spec.Name)
-		p := 16
-		smx := csx.NewSym(sm.S, p, core.Indexed, csx.DefaultOptions())
+		smx := Build(sm, format.CSXSym, pool).Sym
 		t.Rows = append(t.Rows, []string{
 			sm.Spec.Name,
 			fmt.Sprintf("%d", sm.Stats.Rows),
@@ -121,7 +123,7 @@ func Fig5(cfg Config, suite []*SuiteMatrix) *Table {
 	for _, p := range threadCounts {
 		t.Header = append(t.Header, fmt.Sprintf("p=%d", p))
 	}
-	methods := []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed}
+	methods := []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed}
 	rows := make([][]float64, len(methods))
 	for i := range rows {
 		rows[i] = make([]float64, len(threadCounts))
@@ -131,12 +133,10 @@ func Fig5(cfg Config, suite []*SuiteMatrix) *Table {
 		serial := core.SerialTraffic(sm.S)
 		serialBytes := float64(serial.MultMatrixBytes + serial.MultVectorBytes)
 		for pi, p := range threadCounts {
-			pool := parallel.NewPool(p)
-			for mi, method := range methods {
-				k := core.NewKernel(sm.S, method, pool)
-				rows[mi][pi] += float64(k.Traffic().RedBytes) / serialBytes
+			costs := modelCosts(sm, methods, p)
+			for mi, f := range methods {
+				rows[mi][pi] += float64(costs[f].RedBytes) / serialBytes
 			}
-			pool.Close()
 		}
 	}
 	for mi, method := range methods {

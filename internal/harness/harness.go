@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csr"
+	"repro/internal/format"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/perfmodel"
@@ -46,9 +47,6 @@ type Config struct {
 	NV int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-	// JSONPath, when non-empty, is where the "bench-json" experiment writes
-	// its machine-readable record (default "BENCH_pr3.json").
-	JSONPath string
 }
 
 func (c Config) withDefaults() Config {
@@ -87,12 +85,12 @@ func (c Config) threadsFor(pl perfmodel.Platform) []int {
 	return out
 }
 
-// SuiteMatrix bundles one suite entry with its prebuilt representations.
+// SuiteMatrix bundles one suite entry with its prebuilt representations:
+// M (symmetric lower-triangular storage), S, and CSR (the full expanded
+// operator) of the embedded format.Matrix.
 type SuiteMatrix struct {
-	Spec  gen.Spec
-	M     *matrix.COO // symmetric lower-triangular storage
-	S     *core.SSS
-	CSR   *csr.Matrix // full (expanded) operator
+	Spec gen.Spec
+	format.Matrix
 	Stats matrix.Stats
 }
 
@@ -135,11 +133,9 @@ func newSuiteMatrix(sp gen.Spec, m *matrix.COO) (*SuiteMatrix, error) {
 		return nil, fmt.Errorf("harness: %s: %w", sp.Name, err)
 	}
 	return &SuiteMatrix{
-		Spec:  sp,
-		M:     m,
-		S:     s,
-		CSR:   csr.FromCOO(m),
-		Stats: matrix.ComputeStats(m),
+		Spec:   sp,
+		Matrix: format.Matrix{S: s, M: m, CSR: csr.FromCOO(m)},
+		Stats:  matrix.ComputeStats(m),
 	}, nil
 }
 

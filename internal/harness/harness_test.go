@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
@@ -57,10 +58,10 @@ func TestBuildAllFormatsAgree(t *testing.T) {
 	sm.M.MulVec(x, want)
 	for _, p := range []int{1, 3} {
 		pool := parallel.NewPool(p)
-		for _, f := range AllFormats {
+		for _, f := range format.All() {
 			b := Build(sm, f, pool)
-			if b.Cost.MultBytes <= 0 || b.Cost.UsefulFlops <= 0 {
-				t.Errorf("%v p=%d: degenerate cost %+v", f, p, b.Cost)
+			if c := b.Cost(&sm.Matrix); c.MultBytes <= 0 || c.UsefulFlops <= 0 {
+				t.Errorf("%v p=%d: degenerate cost %+v", f, p, c)
 			}
 			got := make([]float64, n)
 			b.Mul(x, got)
@@ -81,22 +82,26 @@ func TestSymmetricFormatsReportReduction(t *testing.T) {
 	}
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	for _, f := range AllFormats {
-		b := Build(suite[0], f, pool)
-		hasRed := b.Cost.RedBytes > 0
-		if f == FormatSSSColored {
+	for _, f := range format.All() {
+		c := Cost(suite[0], f, pool)
+		hasRed := c.RedBytes > 0
+		if f == format.SSSColored {
 			// The colored schedule prevents conflicts instead of repairing
 			// them: zero reduction traffic is its defining property.
 			if hasRed {
-				t.Errorf("%v: colored schedule accounts reduction bytes (%d)", f, b.Cost.RedBytes)
+				t.Errorf("%v: colored schedule accounts reduction bytes (%d)", f, c.RedBytes)
 			}
-			if b.Cost.ExtraBarriers <= 0 {
+			if c.ExtraBarriers <= 0 {
 				t.Errorf("%v: colored schedule reports no extra barriers", f)
 			}
 			continue
 		}
-		if hasRed != f.Symmetric() {
-			t.Errorf("%v: reduction bytes present=%v, symmetric=%v", f, hasRed, f.Symmetric())
+		// Every other format that exploits symmetry (stores the lower
+		// triangle, not the expanded general operator) repairs the transposed
+		// writes in a reduction phase.
+		symmetric := f.Desc().Caps&format.General == 0
+		if hasRed != symmetric {
+			t.Errorf("%v: reduction bytes present=%v, symmetric=%v", f, hasRed, symmetric)
 		}
 	}
 }
@@ -204,5 +209,35 @@ func TestThreadsForClips(t *testing.T) {
 	}
 	if suiteless[len(suiteless)-1] != 16 {
 		t.Fatalf("max threads not included: %v", suiteless)
+	}
+}
+
+// The harness labels a format exactly as the facade does (symspmv.Format is
+// the same type): Fig. 9's rows and Fig. 12's columns carry the table's
+// canonical names, "SSS-indexed" and not the harness's old "SSS-idx".
+func TestTablesUseCanonicalLabels(t *testing.T) {
+	cfg := tinyCfg()
+	suite, err := LoadSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := map[string]bool{}
+	for _, f := range format.All() {
+		canonical[f.String()] = true
+	}
+	var labels []string
+	for _, row := range Fig9(cfg, suite)[0].Rows {
+		labels = append(labels, row[0])
+	}
+	labels = append(labels, Fig12(cfg, suite).Header[1:]...)
+	sawIndexed := false
+	for _, l := range labels {
+		if !canonical[l] {
+			t.Errorf("harness label %q is not a canonical format name", l)
+		}
+		sawIndexed = sawIndexed || l == "SSS-indexed"
+	}
+	if !sawIndexed {
+		t.Errorf("no SSS-indexed label among %v", labels)
 	}
 }

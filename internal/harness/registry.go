@@ -78,13 +78,6 @@ var experiments = map[string]func(cfg Config, suite []*SuiteMatrix) ([]*Table, e
 	"phases": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		return []*Table{PhaseBreakdown(cfg, suite)}, nil
 	},
-	"bench-json": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		t, err := BenchJSON(cfg, suite)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	},
 	"spmm-bench": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		t, err := SpMMBench(cfg, suite)
 		if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/format"
 	"repro/internal/perfmodel"
 )
 
@@ -15,7 +16,7 @@ import (
 // matrices, not assumed.
 func TableIII(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 	cfg = cfg.withDefaults()
-	formats := []Format{FormatCSR, FormatCSX, FormatSSSIndexed, FormatCSXSym}
+	formats := []format.ID{format.CSR, format.CSX, format.SSSIndexed, format.CSXSym}
 	type plat struct {
 		pl perfmodel.Platform
 		p  int

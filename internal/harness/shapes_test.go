@@ -8,6 +8,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
@@ -27,11 +28,11 @@ func shapesSuite(t *testing.T) ([]*SuiteMatrix, Config) {
 	return suite, cfg
 }
 
-func seconds(t *testing.T, sm *SuiteMatrix, f Format, pl perfmodel.Platform, p int) float64 {
+func seconds(t *testing.T, sm *SuiteMatrix, f format.ID, pl perfmodel.Platform, p int) float64 {
 	t.Helper()
 	pool := parallel.NewPool(p)
 	defer pool.Close()
-	return Build(sm, f, pool).Cost.Seconds(pl, p)
+	return Cost(sm, f, pool).Seconds(pl, p)
 }
 
 func TestShapeReductionMethodOrdering(t *testing.T) {
@@ -41,9 +42,9 @@ func TestShapeReductionMethodOrdering(t *testing.T) {
 	suite, cfg := shapesSuite(t)
 	pl := perfmodel.Dunnington.WithCacheScale(cfg.Scale)
 	for _, sm := range suite {
-		naive := seconds(t, sm, FormatSSSNaive, pl, 24)
-		eff := seconds(t, sm, FormatSSSEffective, pl, 24)
-		idx := seconds(t, sm, FormatSSSIndexed, pl, 24)
+		naive := seconds(t, sm, format.SSSNaive, pl, 24)
+		eff := seconds(t, sm, format.SSSEffective, pl, 24)
+		idx := seconds(t, sm, format.SSSIndexed, pl, 24)
 		if !(idx < eff && eff < naive) {
 			t.Errorf("%s: Fig.9 ordering violated at 24 threads: idx=%g eff=%g naive=%g",
 				sm.Spec.Name, idx, eff, naive)
@@ -65,8 +66,8 @@ func TestShapeIndexedBeatsCSRAtScaleOnRegular(t *testing.T) {
 			if sm.Spec.Name == "G3_circuit" {
 				continue // corner case: allowed to lose pre-RCM
 			}
-			csr := seconds(t, sm, FormatCSR, pl, p)
-			idx := seconds(t, sm, FormatSSSIndexed, pl, p)
+			csr := seconds(t, sm, format.CSR, pl, p)
+			idx := seconds(t, sm, format.SSSIndexed, pl, p)
 			if idx >= csr {
 				t.Errorf("%s/%s: SSS-idx (%g) not faster than CSR (%g) at %d threads",
 					sm.Spec.Name, pl.Name, idx, csr, p)
@@ -87,8 +88,8 @@ func TestShapeNaiveFallsBelowCSRAtHighThreads(t *testing.T) {
 		if sm.Spec.Name != "G3_circuit" {
 			continue
 		}
-		naive := seconds(t, sm, FormatSSSNaive, pl, 24)
-		csr := seconds(t, sm, FormatCSR, pl, 24)
+		naive := seconds(t, sm, format.SSSNaive, pl, 24)
+		csr := seconds(t, sm, format.CSR, pl, 24)
 		if naive <= csr {
 			t.Errorf("naive SSS (%g) did not fall below CSR (%g) on the corner case", naive, csr)
 		}
@@ -105,8 +106,8 @@ func TestShapeCSXSymLeadsOnBlocked(t *testing.T) {
 		if sm.Spec.Name == "G3_circuit" {
 			continue
 		}
-		idx := seconds(t, sm, FormatSSSIndexed, pl, 16)
-		sym := seconds(t, sm, FormatCSXSym, pl, 16)
+		idx := seconds(t, sm, format.SSSIndexed, pl, 16)
+		sym := seconds(t, sm, format.CSXSym, pl, 16)
 		if sym >= idx {
 			t.Errorf("%s: CSX-Sym (%g) not ahead of SSS-idx (%g) on blocked matrix",
 				sm.Spec.Name, sym, idx)
@@ -128,14 +129,14 @@ func TestShapeRCMRecoversCornerCase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := seconds(t, sm, FormatCSXSym, pl, 16)
-		after := seconds(t, rm, FormatCSXSym, pl, 16)
+		before := seconds(t, sm, format.CSXSym, pl, 16)
+		after := seconds(t, rm, format.CSXSym, pl, 16)
 		if after >= before*0.85 {
 			t.Errorf("RCM improved CSX-Sym only %g -> %g (< 15%%) on the scrambled matrix",
 				before, after)
 		}
 		// And after RCM the symmetric format must beat CSR.
-		csrAfter := seconds(t, rm, FormatCSR, pl, 16)
+		csrAfter := seconds(t, rm, format.CSR, pl, 16)
 		if after >= csrAfter {
 			t.Errorf("post-RCM CSX-Sym (%g) still behind CSR (%g)", after, csrAfter)
 		}
@@ -153,8 +154,8 @@ func TestShapeDensityDropsWithThreads(t *testing.T) {
 		}
 		pool2 := parallel.NewPool(2)
 		pool64 := parallel.NewPool(64)
-		d2 := Build(sm, FormatSSSIndexed, pool2).Cost.RedBytes
-		d64 := Build(sm, FormatSSSIndexed, pool64).Cost.RedBytes
+		d2 := Cost(sm, format.SSSIndexed, pool2).RedBytes
+		d64 := Cost(sm, format.SSSIndexed, pool64).RedBytes
 		pool2.Close()
 		pool64.Close()
 		// The indexed reduction bytes grow far slower than 32x when the

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
@@ -10,12 +11,12 @@ import (
 // modelCosts builds the kernels for the given formats at thread count p and
 // returns their cost accounts. Kernels are fully constructed (encoding,
 // symbolic analysis) — only the timing is modeled.
-func modelCosts(sm *SuiteMatrix, formats []Format, p int) map[Format]perfmodel.SpMVCost {
+func modelCosts(sm *SuiteMatrix, formats []format.ID, p int) map[format.ID]perfmodel.SpMVCost {
 	pool := parallel.NewPool(p)
 	defer pool.Close()
-	out := make(map[Format]perfmodel.SpMVCost, len(formats))
+	out := make(map[format.ID]perfmodel.SpMVCost, len(formats))
 	for _, f := range formats {
-		out[f] = Build(sm, f, pool).Cost
+		out[f] = Cost(sm, f, pool)
 	}
 	return out
 }
@@ -29,7 +30,7 @@ func serialCSRSeconds(sm *SuiteMatrix, pl perfmodel.Platform) float64 {
 // speedupTables renders, for each platform, the suite-geometric-mean modeled
 // speedup over serial CSR for every format across the thread sweep. Platform
 // caches are scaled with the suite so locality effects mirror full size.
-func speedupTables(cfg Config, suite []*SuiteMatrix, formats []Format, title string) []*Table {
+func speedupTables(cfg Config, suite []*SuiteMatrix, formats []format.ID, title string) []*Table {
 	cfg = cfg.withDefaults()
 	var tables []*Table
 	for _, basePl := range perfmodel.Platforms {
@@ -43,7 +44,7 @@ func speedupTables(cfg Config, suite []*SuiteMatrix, formats []Format, title str
 			t.Header = append(t.Header, fmt.Sprintf("p=%d", p))
 		}
 		// speed[f][pi] collects per-matrix speedups.
-		speed := make(map[Format][][]float64, len(formats))
+		speed := make(map[format.ID][][]float64, len(formats))
 		for _, f := range formats {
 			speed[f] = make([][]float64, len(threads))
 		}
@@ -72,7 +73,7 @@ func speedupTables(cfg Config, suite []*SuiteMatrix, formats []Format, title str
 		featured := threads[len(threads)-1]
 		pm := &Table{
 			Title:  fmt.Sprintf("%s — %s, per-matrix speedup at %d threads", title, pl.Name, featured),
-			Header: append([]string{"Matrix"}, formatNames(formats)...),
+			Header: append([]string{"Matrix"}, labels(formats)...),
 		}
 		pi := len(threads) - 1
 		for si, sm := range suite {
@@ -87,7 +88,7 @@ func speedupTables(cfg Config, suite []*SuiteMatrix, formats []Format, title str
 	return tables
 }
 
-func formatNames(formats []Format) []string {
+func labels(formats []format.ID) []string {
 	names := make([]string, len(formats))
 	for i, f := range formats {
 		names[i] = f.String()
@@ -98,14 +99,14 @@ func formatNames(formats []Format) []string {
 // Fig9 reproduces Fig. 9: symmetric SpM×V speedup under the three
 // local-vector reduction methods versus CSR, on both platforms.
 func Fig9(cfg Config, suite []*SuiteMatrix) []*Table {
-	formats := []Format{FormatCSR, FormatSSSNaive, FormatSSSEffective, FormatSSSIndexed}
+	formats := []format.ID{format.CSR, format.SSSNaive, format.SSSEffective, format.SSSIndexed}
 	return speedupTables(cfg, suite, formats, "Fig. 9")
 }
 
 // Fig11 reproduces Fig. 11: speedup with the CSX-Sym format against CSR,
 // CSX and the optimized SSS, on both platforms.
 func Fig11(cfg Config, suite []*SuiteMatrix) []*Table {
-	formats := []Format{FormatCSR, FormatCSX, FormatSSSIndexed, FormatCSXSym}
+	formats := []format.ID{format.CSR, format.CSX, format.SSSIndexed, format.CSXSym}
 	return speedupTables(cfg, suite, formats, "Fig. 11")
 }
 
@@ -116,7 +117,7 @@ func Fig10(cfg Config, suite []*SuiteMatrix) *Table {
 	cfg = cfg.withDefaults()
 	pl := perfmodel.Dunnington.WithCacheScale(cfg.Scale)
 	const p = 24
-	formats := []Format{FormatSSSNaive, FormatSSSEffective, FormatSSSIndexed}
+	formats := []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed}
 	t := &Table{
 		Title: fmt.Sprintf("Fig. 10 — symmetric SpM×V time breakdown at %d threads, %s (µs/op, modeled)", p, pl.Name),
 		Header: []string{"Matrix",
@@ -124,7 +125,7 @@ func Fig10(cfg Config, suite []*SuiteMatrix) *Table {
 	}
 	for _, sm := range suite {
 		cfg.logf("fig10: %s", sm.Spec.Name)
-		costs := modelCosts(sm, append(formats, FormatCSR), p)
+		costs := modelCosts(sm, append(formats, format.CSR), p)
 		row := []string{sm.Spec.Name}
 		for _, f := range formats {
 			c := costs[f]
@@ -132,7 +133,7 @@ func Fig10(cfg Config, suite []*SuiteMatrix) *Table {
 				fmt.Sprintf("%.0f", c.MultSeconds(pl, p)*1e6),
 				fmt.Sprintf("%.0f", c.RedSeconds(pl, p)*1e6))
 		}
-		row = append(row, fmt.Sprintf("%.0f", costs[FormatCSR].Seconds(pl, p)*1e6))
+		row = append(row, fmt.Sprintf("%.0f", costs[format.CSR].Seconds(pl, p)*1e6))
 		t.Rows = append(t.Rows, row)
 	}
 	return t
@@ -149,7 +150,7 @@ func Fig12(cfg Config, suite []*SuiteMatrix) *Table {
 // perMatrixGflops renders the Gflop/s of every format for each matrix.
 func perMatrixGflops(cfg Config, suite []*SuiteMatrix, pl perfmodel.Platform, p int, title string) *Table {
 	cfg = cfg.withDefaults()
-	formats := []Format{FormatCSR, FormatCSX, FormatSSSIndexed, FormatCSXSym}
+	formats := []format.ID{format.CSR, format.CSX, format.SSSIndexed, format.CSXSym}
 	t := &Table{Title: title, Header: []string{"Matrix"}}
 	for _, f := range formats {
 		t.Header = append(t.Header, f.String())
@@ -175,9 +176,9 @@ func perMatrixGflops(cfg Config, suite []*SuiteMatrix, pl perfmodel.Platform, p 
 }
 
 // HostMeasured runs the real §V-A measurement protocol on the host machine
-// for every format at the host's thread count, reporting wall-clock Gflop/s.
-// On a single-CPU container this measures the serial behaviour of the real
-// kernels (the honest counterpart of the modeled tables).
+// for every format in the table at the host's thread count, reporting
+// wall-clock Gflop/s (one sample per cell: a smoke of the real kernels, not a
+// record — benchmark/ is the measured record).
 func HostMeasured(cfg Config, suite []*SuiteMatrix, threads int) *Table {
 	cfg = cfg.withDefaults()
 	if threads <= 0 {
@@ -188,18 +189,18 @@ func HostMeasured(cfg Config, suite []*SuiteMatrix, threads int) *Table {
 			threads, cfg.Iterations),
 		Header: []string{"Matrix"},
 	}
-	for _, f := range AllFormats {
+	for _, f := range format.All() {
 		t.Header = append(t.Header, f.String())
 	}
 	pool := parallel.NewPool(threads)
 	defer pool.Close()
 	for _, sm := range suite {
 		row := []string{sm.Spec.Name}
-		for _, f := range AllFormats {
+		for _, f := range format.All() {
 			cfg.logf("host/%s: %s", sm.Spec.Name, f)
 			b := Build(sm, f, pool)
 			per := MeasureSpMV(b.Mul, sm.S.N, cfg.Iterations)
-			row = append(row, fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost.UsefulFlops, per.Seconds())))
+			row = append(row, fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost(&sm.Matrix).UsefulFlops, per.Seconds())))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -5,18 +5,17 @@ package harness
 // streaming the matrix once across nv right-hand sides divides the matrix
 // bytes per useful flop by nv, and caching the hottest x columns in
 // per-worker windows removes the irregular-access misses that power-law
-// matrices suffer. "spmm-bench" measures both on the host and writes the
-// machine-readable record (BENCH_pr6.json); "spmm-smoke" is the cheap CI
-// gate asserting the bytes-per-flop account actually drops with nv.
+// matrices suffer. "spmm-bench" measures both on the host; "spmm-smoke" is
+// the cheap CI gate asserting the bytes-per-flop account actually drops with
+// nv.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"runtime"
+	"sort"
 
-	"repro/internal/autotune"
-	"repro/internal/buildinfo"
 	"repro/internal/core"
+	"repro/internal/format"
 	"repro/internal/gen"
 	"repro/internal/hub"
 	"repro/internal/parallel"
@@ -26,36 +25,22 @@ import (
 // spmmWidths is the default register-blocked width sweep.
 var spmmWidths = []int{2, 4, 8}
 
-// spmmRecord is one (matrix, config, threads) measurement of the SpMM/hub
-// benchmark dump. Config is "scalar", "spmm<nv>", or the same with "+hub";
-// GflopsHost counts useful (logical) flops across all nv vectors, so an
-// nv-wide sweep that merely matched nv back-to-back scalar sweeps would
-// score the same Gflop/s — any surplus is the bandwidth win.
-type spmmRecord struct {
-	Matrix       string  `json:"matrix"`
-	Config       string  `json:"config"`
-	NV           int     `json:"nv"`
-	Threads      int     `json:"threads"`
-	Hub          bool    `json:"hub"`
-	HubCols      int     `json:"hub_cols,omitempty"`
-	HubCoverage  float64 `json:"hub_coverage,omitempty"`
-	GflopsHost   float64 `json:"gflops_host"`
-	MatBytesFlop float64 `json:"matrix_bytes_per_flop"`
-	ComputeNs    int64   `json:"compute_ns"`
-	ReductionNs  int64   `json:"reduction_ns"`
-	BarrierNs    int64   `json:"barrier_ns"`
-	WallNsPerVec int64   `json:"wall_ns_per_vec"` // wall/op ÷ nv: cost of one logical SpM×V
-}
-
-// spmmFile is the top-level BENCH_pr6.json document.
-type spmmFile struct {
-	Schema     string       `json:"schema"`
-	GitCommit  string       `json:"git_commit"`
-	Machine    string       `json:"machine"`
-	Scale      float64      `json:"scale"`
-	Iterations int          `json:"iterations"`
-	Threads    []int        `json:"threads"`
-	Records    []spmmRecord `json:"records"`
+// spmmThreads is the thread sweep of spmm-bench: {1, 2, 4} plus the machine's
+// GOMAXPROCS when larger, deduplicated and capped at GOMAXPROCS.
+func spmmThreads() []int {
+	maxp := runtime.GOMAXPROCS(0)
+	set := map[int]bool{}
+	for _, p := range []int{1, 2, 4, maxp} {
+		if p >= 1 && p <= maxp {
+			set[p] = true
+		}
+	}
+	out := make([]int, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // hubSuiteMatrices generates the power-law HubSuite at the configured scale.
@@ -132,17 +117,13 @@ func spmmConfigs(sm *SuiteMatrix, widths []int) []struct {
 }
 
 // SpMMBench measures the SSS-indexed kernel scalar vs register-blocked
-// multi-RHS vs hub-cached on the suite plus the power-law HubSuite, writes
-// the record to cfg.JSONPath (default "BENCH_pr6.json"), and returns a
-// summary table. The comparison to read off: "spmm8" Gflop/s vs "scalar"
-// (which also scores 8 back-to-back scalar sweeps — Gflop/s is per useful
-// flop), and "scalar+hub" compute time vs "scalar" on the power-law rows.
+// multi-RHS vs hub-cached on the suite plus the power-law HubSuite and
+// returns a summary table. The comparison to read off: "spmm8" Gflop/s vs
+// "scalar" (which also scores 8 back-to-back scalar sweeps — Gflop/s is per
+// useful flop), and "scalar+hub" compute time vs "scalar" on the power-law
+// rows.
 func SpMMBench(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 	cfg = cfg.withDefaults()
-	path := cfg.JSONPath
-	if path == "" {
-		path = "BENCH_pr6.json"
-	}
 	hubs, err := hubSuiteMatrices(cfg)
 	if err != nil {
 		return nil, err
@@ -153,77 +134,44 @@ func SpMMBench(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 	if cfg.NV > 1 {
 		widths = []int{cfg.NV}
 	}
-	threads := benchThreads()
-	doc := spmmFile{
-		Schema:     buildinfo.SpMMBenchSchema,
-		GitCommit:  buildinfo.Commit(),
-		Machine:    autotune.MachineSignature(),
-		Scale:      cfg.Scale,
-		Iterations: cfg.Iterations,
-		Threads:    threads,
-	}
 	t := &Table{
-		Title:  fmt.Sprintf("spmm-bench — SSS-idx scalar vs blocked multi-RHS vs hub, record written to %s", path),
+		Title:  fmt.Sprintf("spmm-bench — %v scalar vs blocked multi-RHS vs hub", format.SSSIndexed),
 		Note:   "Gflop/s counts useful flops over all vectors: nv scalar sweeps score the same as one scalar sweep",
 		Header: []string{"Matrix", "Config", "p", "Gflop/s", "matB/flop", "compute µs", "reduction µs", "wall µs/vec"},
 	}
-	for _, p := range threads {
+	for _, p := range spmmThreads() {
 		pool := parallel.NewPool(p)
 		for _, sm := range suite {
 			for _, c := range spmmConfigs(sm, widths) {
 				cfg.logf("spmm-bench/p=%d/%s: %s", p, sm.Spec.Name, c.name)
-				k, err := core.NewKernelOpts(sm.S, core.Indexed, pool, core.KernelOptions{Hub: c.plan})
+				b, err := format.Build(&sm.Matrix, format.SSSIndexed, pool, format.Options{Hub: c.plan})
 				if err != nil {
 					pool.Close()
 					return nil, fmt.Errorf("%s/%s: %w", sm.Spec.Name, c.name, err)
 				}
-				pt, err := measureSpMM(k, sm.S.N, c.nv, cfg.Iterations)
+				pt, err := measureSpMM(b.Kernel, sm.S.N, c.nv, cfg.Iterations)
 				if err != nil {
 					pool.Close()
 					return nil, fmt.Errorf("%s/%s: %w", sm.Spec.Name, c.name, err)
 				}
-				cost := perfmodel.SSSCost(k)
+				cost := b.Cost(&sm.Matrix)
 				if c.plan != nil {
 					cost = cost.WithHub(c.plan.Covered, c.plan.K(), p)
 				}
 				cost = cost.SpMM(c.nv)
 				per := pt.PerOp()
-				rec := spmmRecord{
-					Matrix:       sm.Spec.Name,
-					Config:       c.name,
-					NV:           c.nv,
-					Threads:      p,
-					Hub:          c.plan != nil,
-					GflopsHost:   perfmodel.Gflops(cost.UsefulFlops, per.Wall.Seconds()),
-					MatBytesFlop: float64(cost.MatrixBytes) / float64(cost.UsefulFlops),
-					ComputeNs:    per.Compute.Nanoseconds(),
-					ReductionNs:  per.Reduction.Nanoseconds(),
-					BarrierNs:    per.Barrier.Nanoseconds(),
-					WallNsPerVec: per.Wall.Nanoseconds() / int64(c.nv),
-				}
-				if c.plan != nil {
-					rec.HubCols = c.plan.K()
-					rec.HubCoverage = c.plan.Coverage()
-				}
-				doc.Records = append(doc.Records, rec)
 				t.Rows = append(t.Rows, []string{
 					sm.Spec.Name, c.name, fmt.Sprintf("%d", p),
-					fmt.Sprintf("%.3f", rec.GflopsHost),
-					fmt.Sprintf("%.3f", rec.MatBytesFlop),
-					fmt.Sprintf("%.1f", float64(rec.ComputeNs)/1e3),
-					fmt.Sprintf("%.1f", float64(rec.ReductionNs)/1e3),
-					fmt.Sprintf("%.1f", float64(rec.WallNsPerVec)/1e3),
+					fmt.Sprintf("%.3f", perfmodel.Gflops(cost.UsefulFlops, per.Wall.Seconds())),
+					fmt.Sprintf("%.3f", float64(cost.MatrixBytes)/float64(cost.UsefulFlops)),
+					fmt.Sprintf("%.1f", float64(per.Compute.Nanoseconds())/1e3),
+					fmt.Sprintf("%.1f", float64(per.Reduction.Nanoseconds())/1e3),
+					// wall/op ÷ nv: the cost of one logical SpM×V
+					fmt.Sprintf("%.1f", float64(per.Wall.Nanoseconds()/int64(c.nv))/1e3),
 				})
 			}
 		}
 		pool.Close()
-	}
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
@@ -241,14 +189,14 @@ func SpMMSmoke(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 	sm := suite[0]
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	k := core.NewKernel(sm.S, core.Indexed, pool)
+	b := Build(sm, format.SSSIndexed, pool)
 	t := &Table{
 		Title:  fmt.Sprintf("spmm-smoke — %s matrix-stream bytes per useful flop by width", sm.Spec.Name),
 		Header: []string{"nv", "matrix B/flop", "total B/flop"},
 	}
 	prev := -1.0
 	for _, nv := range []int{1, 2, 4, 8} {
-		cost := perfmodel.SSSCost(k).SpMM(nv)
+		cost := b.Cost(&sm.Matrix).SpMM(nv)
 		mbpf := float64(cost.MatrixBytes) / float64(cost.UsefulFlops)
 		total := float64(cost.MultBytes+cost.RedBytes) / float64(cost.UsefulFlops)
 		t.Rows = append(t.Rows, []string{
@@ -262,7 +210,7 @@ func SpMMSmoke(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 			x := make([]float64, sm.S.N*nv)
 			y := make([]float64, sm.S.N*nv)
 			rngFill(x)
-			if err := k.MulMat(x, y, nv); err != nil {
+			if err := b.MulMat(x, y, nv); err != nil {
 				return nil, fmt.Errorf("spmm-smoke: MulMat nv=%d: %w", nv, err)
 			}
 		}

@@ -53,26 +53,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// FormatNames maps the CLI/API format spellings onto facade formats. The
-// empty string (and "auto") selects autotuning.
-var FormatNames = map[string]symspmv.Format{
-	"csr":       symspmv.CSR,
-	"csx":       symspmv.CSX,
-	"bcsr":      symspmv.BCSR,
-	"sss":       symspmv.SSSIndexed,
-	"sss-idx":   symspmv.SSSIndexed,
-	"sss-naive": symspmv.SSSNaive,
-	"sss-eff":   symspmv.SSSEffective,
-	"sss-color": symspmv.SSSColored,
-	"csx-sym":   symspmv.CSXSym,
-	"csb":       symspmv.CSB,
-}
-
 // LoadSpec describes one matrix to register.
 type LoadSpec struct {
 	// Path is a Matrix Market file on the server's filesystem.
 	Path string
-	// Format fixes the kernel format by name; empty or "auto" autotunes
+	// Format fixes the kernel format by any name symspmv.ParseFormat accepts
+	// (what the list endpoint reports parses back); empty or "auto" autotunes
 	// with the tuning cache as warm start.
 	Format string
 	// Threads overrides Options.Threads for this matrix.
@@ -211,8 +197,7 @@ func (reg *Registry) prepare(a *symspmv.Matrix, spec LoadSpec) (symspmv.Kernel, 
 	if threads == 0 {
 		threads = reg.opts.Threads
 	}
-	name := strings.ToLower(spec.Format)
-	if name == "" || name == "auto" {
+	if spec.Format == "" || strings.EqualFold(spec.Format, "auto") {
 		var auto []symspmv.AutoOption
 		if threads > 0 {
 			auto = append(auto, symspmv.AutoMaxThreads(threads))
@@ -233,9 +218,9 @@ func (reg *Registry) prepare(a *symspmv.Matrix, spec LoadSpec) (symspmv.Kernel, 
 		}
 		return kern, prepInfo{format: d.Plan.String(), cacheHit: d.CacheHit, trials: d.Trials}, nil
 	}
-	f, ok := FormatNames[name]
-	if !ok {
-		return nil, prepInfo{}, BadRequestf("unknown format %q", spec.Format)
+	f, err := symspmv.ParseFormat(spec.Format)
+	if err != nil {
+		return nil, prepInfo{}, BadRequestf("%v", err)
 	}
 	var opts []symspmv.Option
 	if threads > 0 {
@@ -246,7 +231,7 @@ func (reg *Registry) prepare(a *symspmv.Matrix, spec LoadSpec) (symspmv.Kernel, 
 	opts = append(opts, symspmv.Domains(reg.opts.Domains))
 	kern, err := a.Kernel(f, opts...)
 	if err != nil {
-		return nil, prepInfo{}, BadRequestf("build %s kernel: %v", name, err)
+		return nil, prepInfo{}, BadRequestf("build %v kernel: %v", f, err)
 	}
 	return kern, prepInfo{format: f.String()}, nil
 }

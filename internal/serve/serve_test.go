@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -472,5 +474,26 @@ func TestMixedKeysDoNotCoalesce(t *testing.T) {
 		if d := math.Abs(o1.y[i] - 1); d > 1e-4 {
 			t.Fatalf("loose solve x[%d] off by %g", i, d)
 		}
+	}
+}
+
+// The name the list endpoint reports for a pinned format is a name the load
+// endpoint accepts: every format's String() posts back, and the typo'd name's
+// error lists what would have been accepted.
+func TestLoadAcceptsReportedFormatName(t *testing.T) {
+	reg := testRegistry(t, Options{})
+	path, _ := testMatrixFile(t, 60, 5)
+	for i, f := range symspmv.Formats() {
+		first, err := reg.Load(fmt.Sprintf("a%d", i), LoadSpec{Path: path, Format: f.String(), Threads: 2})
+		if err != nil {
+			t.Fatalf("Load(Format: %q): %v", f.String(), err)
+		}
+		if first.Format != f.String() {
+			t.Fatalf("entry reports format %q for %v", first.Format, f)
+		}
+	}
+	_, err := reg.Load("typo", LoadSpec{Path: path, Format: "sss-indexd"})
+	if !IsBadRequest(err) || !strings.Contains(err.Error(), "sss-idx") {
+		t.Fatalf("typo'd format: err = %v, want a bad request listing the valid names", err)
 	}
 }

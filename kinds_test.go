@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/format"
 )
 
 // skewMM renders a random n×n skew-symmetric matrix as a Matrix Market
@@ -70,6 +73,18 @@ func structuralMM(rng *rand.Rand, n, offPerRow int) (string, []float64) {
 	return b.String(), dense
 }
 
+// formatsWith filters the Formats() listing down to the formats offering
+// capability c (0: just running) on a matrix of class k.
+func formatsWith(c format.Caps, k core.SymKind) []Format {
+	var out []Format
+	for _, f := range Formats() {
+		if f.Desc().Has(c, k) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func denseMul(dense []float64, n int, x, y []float64) {
 	for r := 0; r < n; r++ {
 		acc := 0.0
@@ -120,7 +135,7 @@ func TestFacadeSkewMatrix(t *testing.T) {
 	if !a.Stats().Skew {
 		t.Fatal("Stats().Skew = false")
 	}
-	for _, f := range []Format{CSR, CSX, BCSR, SSSNaive, SSSEffective, SSSIndexed, SSSColored} {
+	for _, f := range formatsWith(0, core.Skew) {
 		for _, p := range []int{1, 3} {
 			checkKindKernel(t, a, dense, f, p)
 		}
@@ -155,10 +170,18 @@ func TestFacadeSkewMatrix(t *testing.T) {
 	}
 
 	// Symmetric-only surfaces refuse with the class in the message.
-	for _, f := range []Format{CSXSym, CSB, SSSAtomic} {
+	refused := 0
+	for _, f := range Formats() {
+		if f.Desc().Has(0, core.Skew) {
+			continue
+		}
+		refused++
 		if _, err := a.Kernel(f); err == nil || !strings.Contains(err.Error(), "skew-symmetric") {
 			t.Fatalf("Kernel(%v) = %v, want class-naming error", f, err)
 		}
+	}
+	if refused == 0 {
+		t.Fatal("no format refuses skew-symmetric matrices; the gate is untested")
 	}
 	if _, err := a.Kernel(SSSIndexed, HubCache()); err == nil || !strings.Contains(err.Error(), "skew-symmetric") {
 		t.Fatalf("Kernel(HubCache) = %v, want class-naming error", err)
@@ -204,7 +227,7 @@ func TestFacadeStructuralMatrix(t *testing.T) {
 	if !a.Stats().PatternSym {
 		t.Fatal("Stats().PatternSym = false")
 	}
-	for _, f := range []Format{CSR, CSX, SSSNaive, SSSEffective, SSSIndexed, SSSColored} {
+	for _, f := range formatsWith(0, core.Structural) {
 		for _, p := range []int{1, 3} {
 			checkKindKernel(t, a, dense, f, p)
 		}

@@ -38,7 +38,7 @@ func MulMat(k Kernel, x, y []float64, vecs int) error {
 		return err
 	}
 	if err := bk.mulMatLocked(x, y, vecs); err != nil {
-		return &MulMatError{Format: bk.format, NV: vecs, Reason: err.Error()}
+		return &MulMatError{Format: bk.b.ID, NV: vecs, Reason: err.Error()}
 	}
 	return nil
 }
@@ -49,7 +49,7 @@ func MulMat(k Kernel, x, y []float64, vecs int) error {
 // batch (the serve registry does) probe here instead of trial-dispatching.
 func SupportsMulMat(k Kernel) bool {
 	bk, ok := k.(*boundKernel)
-	return ok && !bk.isClosed() && bk.mulMat != nil
+	return ok && !bk.isClosed() && bk.b.MulMat != nil
 }
 
 func checkMulMat(k Kernel, lenX, lenY, vecs int) (*boundKernel, error) {
@@ -58,17 +58,17 @@ func checkMulMat(k Kernel, lenX, lenY, vecs int) (*boundKernel, error) {
 		return nil, &MulMatError{NV: vecs, Reason: "requires a Kernel from Matrix.Kernel"}
 	}
 	if bk.isClosed() {
-		return nil, &MulMatError{Format: bk.format, NV: vecs, Reason: "kernel is closed"}
+		return nil, &MulMatError{Format: bk.b.ID, NV: vecs, Reason: "kernel is closed"}
 	}
-	if bk.mulMat == nil {
-		return nil, &MulMatError{Format: bk.format, NV: vecs,
-			Reason: fmt.Sprintf("the %v format has no SpMM kernel", bk.format)}
+	if bk.b.MulMat == nil {
+		return nil, &MulMatError{Format: bk.b.ID, NV: vecs,
+			Reason: fmt.Sprintf("the %v format has no SpMM kernel", bk.b.ID)}
 	}
 	if vecs < 1 {
-		return nil, &MulMatError{Format: bk.format, NV: vecs, Reason: "vector count must be positive"}
+		return nil, &MulMatError{Format: bk.b.ID, NV: vecs, Reason: "vector count must be positive"}
 	}
 	if lenX != bk.n*vecs || lenY != bk.n*vecs {
-		return nil, &MulMatError{Format: bk.format, NV: vecs,
+		return nil, &MulMatError{Format: bk.b.ID, NV: vecs,
 			Reason: fmt.Sprintf("dims: N=%d, len(x)=%d, len(y)=%d", bk.n, lenX, lenY)}
 	}
 	return bk, nil
@@ -77,13 +77,6 @@ func checkMulMat(k Kernel, lenX, lenY, vecs int) (*boundKernel, error) {
 // CGBlockResult reports a block conjugate-gradient solve: per-lane
 // convergence flags and residuals plus the shared phase breakdown.
 type CGBlockResult = cg.BlockResult
-
-// blockOp adapts a boundKernel to cg.MulMater.
-type blockOp struct{ k *boundKernel }
-
-// blockOp calls the raw closure: SolveCGBlock holds the kernel mutex for the
-// whole solve (see boundKernel.acquire), so the per-call lock would deadlock.
-func (o blockOp) MulMat(x, y []float64, nv int) error { return o.k.mulMat(x, y, nv) }
 
 // SolveCGBlock solves nv systems A·x_v = b_v simultaneously with block CG:
 // the lanes advance in lockstep, each with its own CG scalars, and every
@@ -103,15 +96,17 @@ func SolveCGBlock(k Kernel, b, x []float64, nv int, opts CGOptions) (CGBlockResu
 	if bk.kind != core.Sym {
 		// Same SPD requirement as SolveCG: a skew or structural operator can
 		// never drive the CG recurrence.
-		return CGBlockResult{}, &MulMatError{Format: bk.format, NV: nv,
+		return CGBlockResult{}, &MulMatError{Format: bk.b.ID, NV: nv,
 			Reason: fmt.Sprintf("CG requires a symmetric positive definite operator, got a %s matrix", bk.kind)}
 	}
 	release, aerr := bk.acquire("SolveCGBlock")
 	if aerr != nil {
-		return CGBlockResult{}, &MulMatError{Format: bk.format, NV: nv, Reason: "kernel is closed"}
+		return CGBlockResult{}, &MulMatError{Format: bk.b.ID, NV: nv, Reason: "kernel is closed"}
 	}
 	defer release()
-	return cg.SolveBlock(blockOp{bk}, bk.pool, b, x, nv, cg.Options{
+	// Raw closure, not the locked wrapper: the solve holds the kernel mutex
+	// for its whole run (see SolveCG).
+	return cg.SolveBlock(bk.b.BlockOp(), bk.pool, b, x, nv, cg.Options{
 		MaxIter: opts.MaxIter,
 		Tol:     opts.Tol,
 		Context: opts.Context,

@@ -19,10 +19,10 @@ import (
 // path never reaches the hook.
 func EnableAttribution(k Kernel) (bool, error) {
 	bk, ok := k.(*boundKernel)
-	if !ok || bk.ck == nil {
+	if !ok || bk.b.Kernel == nil {
 		return false, nil
 	}
-	if err := attrib.Bind(bk.ck); err != nil {
+	if err := attrib.Bind(bk.b.Kernel); err != nil {
 		return false, err
 	}
 	return true, nil

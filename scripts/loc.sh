@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Size metrics the ROADMAP says should go down, plus the two structural
+# counts `make ci` gates on:
+#
+#   non-test Go lines outside benchmark/        (tracked, no limit)
+#   per-thread ...T kernel bodies in core       (tracked, no limit)
+#   `type Format` declarations                  (limit 1: the facade's alias
+#                                                of the internal/format ID)
+#   files constructing a format kernel          (limit 0 outside
+#   outside internal/format                      internal/format)
+#
+# "Constructing a format kernel" means calling one of the constructors
+# internal/format wraps. The packages that define those constructors, and the
+# files listed in STUDIES — experiment code that studies one kernel's
+# internals on purpose — are not counted; nothing else is exempt.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Explicit, not pattern-based: adding a file here is a reviewed decision.
+STUDIES=(
+	internal/harness/sharded.go          # flat vs hierarchical reduction on one pool (core.KernelOptions.FlatReduction)
+	cmd/mtx-info/main.go                 # per-method traffic/roofline rows and the serial CSX-Sym unit dump
+	internal/fuzzcheck/gencorpus/main.go # serialises CSX-Sym under every reduction method for the fuzz corpus
+)
+
+sources() { # non-test Go outside benchmark/ and build leftovers
+	find . -name '*.go' -not -name '*_test.go' \
+		-not -path './benchmark/*' -not -path './.bench_build/*' | sort
+}
+
+lines=$(sources | xargs cat | wc -l)
+bodies=$(grep -hE '^func .*[a-z0-9]T\(' $(ls internal/core/*.go | grep -v _test.go) | wc -l)
+enums=$(sources | xargs grep -lE '^type Format ' | wc -l)
+
+ctor='(core\.NewKernel(Opts)?|csx\.NewSym(Hub)?|csx\.NewMatrix|csb\.NewSym|bcsr\.FromCOO|csr\.NewParallel)\('
+skip='^\./internal/(format|core|csx|csb|bcsr|csr)/'
+for f in "${STUDIES[@]}"; do
+	[ -f "$f" ] || { echo "loc: listed study $f does not exist" >&2; exit 1; }
+	skip="$skip|^\./$f\$"
+done
+builders=$(sources | grep -vE "$skip" | xargs grep -lE "$ctor" || true)
+nbuilders=$(printf '%s' "$builders" | grep -c . || true)
+
+printf 'non-test Go lines outside benchmark/:      %6d\n' "$lines"
+printf 'per-thread ...T bodies in internal/core:   %6d\n' "$bodies"
+printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
+printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
+
+status=0
+if [ "$enums" -gt 1 ]; then
+	echo "loc: more than one format enum:" >&2
+	sources | xargs grep -nE '^type Format ' >&2
+	status=1
+fi
+if [ "$nbuilders" -gt 0 ]; then
+	echo "loc: format kernels constructed outside internal/format (go through format.Build):" >&2
+	echo "$builders" | xargs grep -nE "$ctor" >&2
+	status=1
+fi
+exit $status

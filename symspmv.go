@@ -35,12 +35,10 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/bcsr"
 	"repro/internal/cg"
 	"repro/internal/core"
-	"repro/internal/csb"
-	"repro/internal/csr"
 	"repro/internal/csx"
+	"repro/internal/format"
 	"repro/internal/hub"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
@@ -48,69 +46,56 @@ import (
 	"repro/internal/topo"
 )
 
-// Format selects a storage format / kernel configuration.
-type Format int
+// Format selects a storage format / kernel configuration. The formats, their
+// names and what each can do live in one table (internal/format); Formats
+// lists them and ParseFormat resolves their names.
+type Format = format.ID
 
 const (
 	// CSR is the unsymmetric Compressed Sparse Row baseline.
-	CSR Format = iota
+	CSR = format.CSR
 	// CSX is the unsymmetric Compressed Sparse eXtended format.
-	CSX
+	CSX = format.CSX
 	// BCSR is the register-blocked unsymmetric baseline (auto-tuned block
 	// shape; Im & Yelick / OSKI).
-	BCSR
+	BCSR = format.BCSR
 	// SSSNaive is the symmetric SSS kernel with naive full local vectors.
-	SSSNaive
+	SSSNaive = format.SSSNaive
 	// SSSEffective is SSS with the effective-ranges reduction.
-	SSSEffective
+	SSSEffective = format.SSSEffective
 	// SSSIndexed is SSS with the paper's local-vectors indexing (the
 	// recommended symmetric configuration).
-	SSSIndexed
+	SSSIndexed = format.SSSIndexed
 	// SSSAtomic is SSS with direct lock-free atomic updates instead of
 	// local vectors — an ablation comparator, not a recommended mode.
-	SSSAtomic
+	SSSAtomic = format.SSSAtomic
 	// CSXSym is the compressed symmetric format with indexed reduction
 	// (highest compression; pays a preprocessing cost).
-	CSXSym
+	CSXSym = format.CSXSym
 	// CSB is the symmetric Compressed Sparse Blocks comparator (Buluç et
 	// al.): thread-count-independent reduction, atomic fallback for
 	// wide-band matrices.
-	CSB
+	CSB = format.CSB
 	// SSSColored is SSS under the conflict-free colored schedule (RACE-style
 	// block coloring): threads write y directly, one phase per color — no
 	// local vectors and no reduction phase at all. Strongest on
 	// low-bandwidth (e.g. RCM-reordered) matrices, where the schedule
 	// collapses to very few colors.
-	SSSColored
+	SSSColored = format.SSSColored
 )
 
-// String implements fmt.Stringer.
-func (f Format) String() string {
-	switch f {
-	case CSR:
-		return "CSR"
-	case CSX:
-		return "CSX"
-	case BCSR:
-		return "BCSR"
-	case SSSNaive:
-		return "SSS-naive"
-	case SSSEffective:
-		return "SSS-effective"
-	case SSSIndexed:
-		return "SSS-indexed"
-	case SSSAtomic:
-		return "SSS-atomic"
-	case CSXSym:
-		return "CSX-Sym"
-	case CSB:
-		return "CSB-Sym"
-	case SSSColored:
-		return "SSS-colored"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
+// Formats lists every format, in declaration order.
+func Formats() []Format { return format.All() }
+
+// ParseFormat resolves a format name as the commands and the server spell
+// them: each format's String() and its short aliases (sss, sss-idx, sss-eff,
+// sss-color, csb, ...), case-insensitively. The error lists the valid names.
+func ParseFormat(name string) (Format, error) { return format.Parse(name) }
+
+// UnsupportedFormatError is the typed error Matrix.Kernel returns when the
+// format cannot run the matrix's symmetry class or lacks a requested
+// capability (HubCache). Match it with errors.As.
+type UnsupportedFormatError = format.UnsupportedError
 
 // Matrix is an immutable sparse matrix in one of three symmetry classes:
 // symmetric (lower triangle stored, the package's main subject),
@@ -307,7 +292,7 @@ type Option func(*kernelOpts)
 type kernelOpts struct {
 	threads int
 	domains int
-	csxOpts csx.Options
+	build   format.Options
 	hub     bool
 	hubOpts hub.Options
 }
@@ -336,7 +321,7 @@ func Domains(n int) Option {
 
 // CSXOptions overrides the CSX/CSX-Sym detection parameters.
 func CSXOptions(opts csx.Options) Option {
-	return func(o *kernelOpts) { o.csxOpts = opts }
+	return func(o *kernelOpts) { o.build.CSX = &opts }
 }
 
 // HubOptions tunes the hub-caching analysis (see HubCache). The zero value
@@ -387,7 +372,6 @@ func HubCacheOptions(ho HubOptions) Option {
 func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 	o := kernelOpts{
 		threads: parallel.DefaultThreads(),
-		csxOpts: csx.DefaultOptions(),
 		hubOpts: hub.DefaultOptions(),
 	}
 	for _, opt := range options {
@@ -396,28 +380,21 @@ func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 	if o.threads < 1 {
 		return nil, errors.New("symspmv: thread count must be positive")
 	}
-	if a.sss.Kind != core.Sym {
-		// The unsymmetric baselines expand to a full general matrix, so they
-		// run any class; of the symmetric formats only the kind-generalized
-		// SSS methods do. CSX-Sym, CSB-Sym and the atomic ablation hard-code
-		// the +Aᵀ transposed write and would compute the wrong operator.
-		switch f {
-		case CSR, CSX, BCSR, SSSNaive, SSSEffective, SSSIndexed, SSSColored:
-		default:
-			return nil, fmt.Errorf("symspmv: the %v format supports only symmetric matrices, got a %s one", f, a.sss.Kind)
-		}
-		if o.hub {
-			return nil, fmt.Errorf("symspmv: HubCache supports only symmetric matrices, got a %s one", a.sss.Kind)
-		}
+	if !f.Valid() {
+		return nil, fmt.Errorf("symspmv: unknown format %v", f)
 	}
-	var hubPlan *hub.Plan
+	// Refuse what the format's table row does not offer before spawning
+	// workers or paying for the hub analysis.
+	need := format.Caps(0)
 	if o.hub {
-		switch f {
-		case SSSNaive, SSSEffective, SSSIndexed, SSSColored, CSXSym:
-			hubPlan = hub.Analyze(a.sss.N, a.sss.RowPtr, a.sss.ColIdx, o.hubOpts)
-		default:
-			return nil, fmt.Errorf("symspmv: HubCache is not supported by the %v format", f)
-		}
+		need = format.Hub
+	}
+	if err := f.Desc().Check(need, a.sss.Kind); err != nil {
+		return nil, fmt.Errorf("symspmv: %w", err)
+	}
+	if o.hub {
+		// A nil plan (no profitable hub) builds plain.
+		o.build.Hub = hub.Analyze(a.sss.N, a.sss.RowPtr, a.sss.ColIdx, o.hubOpts)
 	}
 	var pool *parallel.Pool
 	if o.domains > 1 {
@@ -434,94 +411,21 @@ func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 			pool.Close()
 		}
 	}()
-	k := &boundKernel{format: f, pool: pool, n: a.sss.N, kind: a.sss.Kind}
-	switch f {
-	case CSR:
-		pk := csr.NewParallel(csr.FromCOO(a.coo), pool)
-		k.mul = pk.MulVec
-		k.mulMat = func(x, y []float64, vecs int) error { pk.MulMat(x, y, vecs); return nil }
-		k.bytes = pk.A.Bytes()
-	case CSX:
-		mx := csx.NewMatrix(a.coo, o.threads, o.csxOpts)
-		k.mul = func(x, y []float64) { mx.MulVec(pool, x, y) }
-		k.bytes = mx.Bytes()
-	case BCSR:
-		br, bc, err := bcsr.AutoTune(a.coo, nil)
-		if err != nil {
-			return nil, err
-		}
-		bm, err := bcsr.FromCOO(a.coo, br, bc)
-		if err != nil {
-			return nil, err
-		}
-		pk := bcsr.NewParallel(bm, pool)
-		k.mul = pk.MulVec
-		k.bytes = bm.Bytes()
-	case SSSNaive, SSSEffective, SSSIndexed, SSSAtomic, SSSColored:
-		method := map[Format]core.ReductionMethod{
-			SSSNaive: core.Naive, SSSEffective: core.EffectiveRanges,
-			SSSIndexed: core.Indexed, SSSAtomic: core.Atomic,
-			SSSColored: core.Colored,
-		}[f]
-		kk, err := core.NewKernelOpts(a.sss, method, pool, core.KernelOptions{Hub: hubPlan})
-		if err != nil {
-			return nil, err
-		}
-		k.mul = kk.MulVec
-		k.mulDot = kk.MulVecDot
-		if method != core.Atomic && a.sss.Kind == core.Sym {
-			// The multi-RHS bodies have no kind-generalized variant; leaving
-			// mulMat nil keeps SupportsMulMat honest for skew/structural.
-			k.mulMat = kk.MulMat
-		}
-		k.bytes = a.sss.Bytes()
-		k.hub = kk.Hub() != nil
-		k.hier = kk.Hierarchical()
-		k.ck = kk
-	case CSXSym:
-		var smx *csx.SymMatrix
-		if hubPlan != nil {
-			// Hub CSX-Sym filters hub elements into side streams; the blob
-			// cache format cannot capture those, so k.sym stays nil and
-			// SaveKernel reports the kernel unsupported.
-			smx = csx.NewSymHub(a.sss, o.threads, core.Indexed, o.csxOpts, hubPlan)
-			k.hub = true
-		} else {
-			smx = csx.NewSym(a.sss, o.threads, core.Indexed, o.csxOpts)
-			k.sym = smx
-		}
-		k.mul = func(x, y []float64) { smx.MulVec(pool, x, y) }
-		k.mulDot = func(x, y []float64) float64 { return smx.MulVecDot(pool, x, y) }
-		k.bytes = smx.Bytes()
-	case CSB:
-		bm, err := csb.NewSym(a.sss, 0)
-		if err != nil {
-			return nil, err
-		}
-		ck := csb.NewKernel(bm, pool)
-		k.mul = ck.MulVec
-		k.bytes = bm.Bytes()
-	default:
-		return nil, fmt.Errorf("symspmv: unknown format %v", f)
+	b, err := format.Build(&format.Matrix{S: a.sss, M: a.coo}, f, pool, o.build)
+	if err != nil {
+		return nil, fmt.Errorf("symspmv: %w", err)
 	}
 	built = true
-	return k, nil
+	return &boundKernel{b: b, pool: pool, n: a.sss.N, kind: a.sss.Kind}, nil
 }
 
+// boundKernel is a format.Built bound to the pool the facade owns for it.
 type boundKernel struct {
-	format Format
+	b      *format.Built
 	kind   core.SymKind // symmetry class of the source matrix
 	pool   *parallel.Pool
-	mul    func(x, y []float64)
-	mulDot func(x, y []float64) float64 // fused y=A·x + xᵀy; nil when unsupported
-	bytes  int64
 	n      int
 	closed bool
-	sym    *csx.SymMatrix                       // set for plain CSXSym kernels (enables SaveKernel)
-	mulMat func(x, y []float64, vecs int) error // nil when the format has no SpMM kernel
-	hub    bool                                 // a hub plan engaged (HubCache + profitable analysis)
-	hier   bool                                 // the hierarchical two-level reduction engaged (Domains > 1)
-	ck     *core.Kernel                         // the underlying SSS kernel; nil for non-SSS formats
 
 	// mu serializes every operation on the kernel. The underlying engines own
 	// per-call mutable state — operand slots the phase closures read, shared
@@ -543,7 +447,7 @@ func (k *boundKernel) mulVecLocked(x, y []float64) {
 	if k.closed {
 		panic("symspmv: MulVec on closed Kernel")
 	}
-	k.mul(x, y)
+	k.b.Mul(x, y)
 }
 
 func (k *boundKernel) mulMatLocked(x, y []float64, vecs int) error {
@@ -552,7 +456,7 @@ func (k *boundKernel) mulMatLocked(x, y []float64, vecs int) error {
 	if k.closed {
 		return errors.New("kernel is closed")
 	}
-	return k.mulMat(x, y, vecs)
+	return k.b.MulMat(x, y, vecs)
 }
 
 func (k *boundKernel) isClosed() bool {
@@ -579,39 +483,17 @@ func (k *boundKernel) acquire(op string) (release func(), err error) {
 // HubCache option was given AND the analysis found a profitable hub. The
 // method lives on the concrete kernel so callers can type-assert when they
 // need to distinguish "requested" from "engaged".
-func (k *boundKernel) HubEnabled() bool { return k.hub }
+func (k *boundKernel) HubEnabled() bool { return k.b.Hub }
 
 // HierarchicalEnabled reports whether the hierarchical two-level domain
 // reduction actually engaged: Domains(>1) was given AND the format has the
 // hierarchical path. Like HubEnabled, type-assert to reach it.
-func (k *boundKernel) HierarchicalEnabled() bool { return k.hier }
-
-// cgOp adapts a boundKernel to the cg operator interfaces. fusedCGOp
-// additionally advertises cg.MulVecDotter, so cg.Solve runs its two-handoff
-// fused iteration for the symmetric kernels.
-// The cg operators call the kernel's raw closures, not the locked wrappers:
-// a solve holds the kernel mutex for its entire run (it also drives vector
-// operations on the kernel's pool, which the per-call lock would not cover),
-// so taking the lock again per inner dispatch would self-deadlock.
-type cgOp struct{ k *boundKernel }
-
-func (o cgOp) MulVec(x, y []float64) { o.k.mul(x, y) }
-
-type fusedCGOp struct{ cgOp }
-
-func (o fusedCGOp) MulVecDot(x, y []float64) float64 { return o.k.mulDot(x, y) }
-
-func (k *boundKernel) cgOperator() cg.MulVecer {
-	if k.mulDot != nil {
-		return fusedCGOp{cgOp{k}}
-	}
-	return cgOp{k}
-}
+func (k *boundKernel) HierarchicalEnabled() bool { return k.b.Hier }
 
 func (k *boundKernel) MulVec(x, y []float64) { k.mulVecLocked(x, y) }
-func (k *boundKernel) Format() Format        { return k.format }
+func (k *boundKernel) Format() Format        { return k.b.ID }
 func (k *boundKernel) Threads() int          { return k.pool.Size() }
-func (k *boundKernel) Bytes() int64          { return k.bytes }
+func (k *boundKernel) Bytes() int64          { return k.b.Bytes }
 func (k *boundKernel) Close() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -664,7 +546,11 @@ func SolveCG(k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
 		return CGResult{}, err
 	}
 	defer release()
-	return cg.Solve(bk.cgOperator(), bk.pool, b, x, cg.Options{
+	// The operator calls the kernel's raw closures, not the locked wrappers:
+	// the solve holds the mutex for its entire run (it also drives vector
+	// operations on the kernel's pool, which a per-call lock would not
+	// cover), so locking again per inner dispatch would self-deadlock.
+	return cg.Solve(bk.b.Op(), bk.pool, b, x, cg.Options{
 		MaxIter: opts.MaxIter,
 		Tol:     opts.Tol,
 		Context: opts.Context,
@@ -689,7 +575,7 @@ func SolveCGJacobi(a *Matrix, k Kernel, b, x []float64, opts CGOptions) (CGResul
 		return CGResult{}, err
 	}
 	defer release()
-	return cg.SolvePCG(cg.MulVecFunc(bk.mul), cg.NewJacobi(a.sss.DValues), bk.pool, b, x, cg.Options{
+	return cg.SolvePCG(cg.MulVecFunc(bk.b.Mul), cg.NewJacobi(a.sss.DValues), bk.pool, b, x, cg.Options{
 		MaxIter: opts.MaxIter,
 		Tol:     opts.Tol,
 		Context: opts.Context,
