@@ -1,18 +1,24 @@
 package symspmv
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/format"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/vec"
 )
 
@@ -61,8 +67,9 @@ func waitGoroutines(t *testing.T, base int, what string) {
 // builds iff it runs the class (a typed error and a released pool
 // otherwise), it computes the dense reference's product, and its fused dot
 // and SpMM closures exist iff the capability bits say so and agree with
-// vec.Dot and per-column MulVec. A new row is checked without touching this
-// test.
+// vec.Dot and per-column MulVec, no product allocates, and every product is
+// sampled by the pool (checkSampledProduct). A new row is checked without
+// touching this test.
 func TestFormatConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 61
@@ -169,6 +176,25 @@ func TestFormatConformance(t *testing.T) {
 						}
 					}
 				}
+
+				// One sampled pipeline for every row: with sampling off no
+				// product allocates; with sampling and tracing on, each product
+				// is timed by the pool, whatever the format.
+				what := fmt.Sprintf("%v %v p=%d", f, fx.kind, p)
+				ops := map[string]func(){"MulVec": func() { k.MulVec(x, y) }}
+				if bk.b.MulDot != nil {
+					ops["MulDot"] = func() { bk.b.MulDot(x, y) }
+				}
+				if SupportsMulMat(k) {
+					ym := make([]float64, n*nv)
+					ops["MulMat"] = func() { MulMat(k, xm, ym, nv) }
+				}
+				for name, product := range ops {
+					if a := testing.AllocsPerRun(10, product); a != 0 {
+						t.Errorf("%s: %s allocates %v times per call with sampling off, want 0", what, name, a)
+					}
+					checkSampledProduct(t, what+" "+name, p, product)
+				}
 				k.Close()
 				waitGoroutines(t, base, f.String()+" closed kernel")
 			}
@@ -180,6 +206,91 @@ func TestFormatConformance(t *testing.T) {
 			t.Errorf("ParseFormat(%q) = %v, %v; want %v", f.String(), got, err, f)
 		}
 	}
+}
+
+// checkSampledProduct runs product on a p-worker kernel with sampling and
+// tracing on and holds it to the sampler's contract: every worker lane gets
+// the same spans, one per phase; the operation counter of the product's own
+// label advances by one; and compute + reduction + barrier = wall. The label
+// is read off the span names — "<label>/<phase>", with "<label>-spmm/<phase>"
+// for the SpMM families — so a new format is covered without touching this.
+func checkSampledProduct(t *testing.T, what string, p int, product func()) {
+	t.Helper()
+	obs.SetSampling(true)
+	obs.EnableTracing(p, 256)
+	defer func() {
+		obs.SetSampling(false)
+		obs.DisableTracing()
+	}()
+	product()
+	lanes := workerSpans(t, p)
+	if len(lanes[0]) == 0 {
+		t.Errorf("%s: no phase spans on worker 0", what)
+		return
+	}
+	seen := map[string]bool{}
+	for _, name := range lanes[0] {
+		if seen[name] {
+			t.Errorf("%s: span %q twice on one lane: %v", what, name, lanes[0])
+		}
+		seen[name] = true
+	}
+	for tid := 1; tid < p; tid++ {
+		if !slices.Equal(lanes[tid], lanes[0]) {
+			t.Errorf("%s: worker %d spans %v, worker 0 %v", what, tid, lanes[tid], lanes[0])
+		}
+	}
+	label, _, _ := strings.Cut(lanes[0][0], "/")
+	stem := "symspmv_spmv"
+	if l, ok := strings.CutSuffix(label, "-spmm"); ok {
+		label, stem = l, "symspmv_spmm"
+	}
+	m := parallel.NewOpMetrics(stem, label) // get-or-create: the product's own handles
+	ops0, wall0 := m.Ops.Value(), m.Wall.Sum()
+	parts0 := m.Compute.Sum() + m.Reduction.Sum() + m.Barrier.Sum()
+	barrier0 := m.Barrier.Sum()
+	product()
+	if got := m.Ops.Value() - ops0; got != 1 {
+		t.Errorf("%s: %s_ops_total{method=%q} advanced by %d, want 1", what, stem, label, got)
+	}
+	wall, parts := m.Wall.Sum()-wall0, m.Compute.Sum()+m.Reduction.Sum()+m.Barrier.Sum()-parts0
+	if wall <= 0 {
+		t.Errorf("%s: sampled wall time %g", what, wall)
+	}
+	// Barrier is the wall time the phases' critical paths leave over; it is
+	// zero only when those already exceed the wall.
+	if m.Barrier.Sum() > barrier0 && math.Abs(parts-wall) > 1e-12 {
+		t.Errorf("%s: compute+reduction+barrier = %g s, wall %g s", what, parts, wall)
+	} else if parts < wall-1e-12 {
+		t.Errorf("%s: parts %g s below wall %g s", what, parts, wall)
+	}
+}
+
+// workerSpans dumps the tracer and returns each worker lane's span names in
+// recording order.
+func workerSpans(t *testing.T, p int) [][]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			TID  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	lanes := make([][]string, p)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.TID < p {
+			lanes[ev.TID] = append(lanes[ev.TID], ev.Name)
+		}
+	}
+	return lanes
 }
 
 // TestAutoKernelBCSROnSkew is the capability-drift regression: Matrix.Kernel

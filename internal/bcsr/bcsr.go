@@ -170,36 +170,44 @@ func (a *Matrix) mulRange(xp, yp []float64, lo, hi int32) {
 }
 
 // Parallel wraps a Matrix with a block-count-balanced block-row partition.
+// Block rows are disjoint across threads, so the operation is one compute
+// phase over the padded operand copies xp/yp, built once.
 type Parallel struct {
 	A    *Matrix
 	Part *partition.RowPartition
 	pool *parallel.Pool
 	xp   []float64
 	yp   []float64
+	list parallel.PhaseList
 }
+
+// metrics files BCSR products under the SpM×V metric families.
+var metrics = parallel.NewOpMetrics("symspmv_spmv", "bcsr")
 
 // NewParallel prepares the multithreaded kernel (one partition per worker).
 func NewParallel(a *Matrix, pool *parallel.Pool) *Parallel {
-	return &Parallel{
+	p := &Parallel{
 		A:    a,
 		Part: partition.ByNNZ(a.RowPtr, pool.Size()),
 		pool: pool,
 		xp:   make([]float64, len(a.xbuf)),
 		yp:   make([]float64, len(a.ybuf)),
 	}
+	p.list = parallel.PhaseList{Metrics: metrics, Phases: []parallel.Phase{
+		parallel.ComputePhase("bcsr/multiply", func(tid int) {
+			p.A.mulRange(p.xp, p.yp, p.Part.Start[tid], p.Part.End[tid])
+		})}}
+	return p
 }
 
-// MulVec computes y = A·x in parallel. Block rows are disjoint across
-// threads, so no reduction phase is needed.
+// MulVec computes y = A·x in parallel.
 func (p *Parallel) MulVec(x, y []float64) {
 	if len(x) != p.A.Cols || len(y) != p.A.Rows {
 		panic(fmt.Sprintf("bcsr: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			p.A.Rows, p.A.Cols, len(x), len(y)))
 	}
 	copy(p.xp, x)
-	p.pool.Run(func(tid int) {
-		p.A.mulRange(p.xp, p.yp, p.Part.Start[tid], p.Part.End[tid])
-	})
+	p.pool.RunPhaseList(&p.list)
 	copy(y, p.yp[:p.A.Rows])
 }
 

@@ -1,9 +1,15 @@
 package core
 
+import (
+	"fmt"
+
+	"repro/internal/parallel"
+)
+
 // The Colored method executes the symmetric SpM×V without any reduction
 // phase: a conflict-free block schedule (internal/color) guarantees that all
 // blocks running concurrently have disjoint write sets, so every thread
-// updates y in place. One RunPhases call chains a diagonal-init phase and
+// updates y in place. One phase list chains a diagonal-init phase and
 // one phase per color through the pool's spin barrier — the whole operation
 // still costs a single coordinator handoff, like the reduction methods.
 //
@@ -17,27 +23,32 @@ package core
 // closures over k.curX/k.curY (see Kernel.assemble); with dot non-nil a
 // final phase leaves the xᵀy partials in dot[tid*DotStride], computed over
 // the same uniform chunks as vec.Dot so the combined sum is bitwise
-// identical to a dot of the finished output.
-func (k *Kernel) assembleColored(dot []float64) []func(tid int) {
-	phases := make([]func(int), 0, k.sched.NumColors+2)
+// identical to a dot of the finished output. Every phase is compute work —
+// zero reduction by construction, which sampling makes directly observable —
+// and every color has its own span name, so the perfetto view shows the
+// schedule's full phase structure.
+func (k *Kernel) assembleColored(dot []float64) []parallel.Phase {
+	name := k.Method.String()
+	phases := make([]parallel.Phase, 0, k.sched.NumColors+2)
 	init := func(tid int) { k.diagInitT(tid, k.curX, k.curY) }
 	if k.hubPlan != nil {
 		init = func(tid int) { k.prefillHotT(tid, k.curX); k.diagInitT(tid, k.curX, k.curY) }
 	}
-	phases = append(phases, init)
+	phases = append(phases, parallel.ComputePhase(name+"/init", init))
 	for c := 0; c < k.sched.NumColors; c++ {
 		assign := k.sched.Assign[c]
+		ph := func(tid int) { k.colorBlocksT(assign[tid], k.curX, k.curY) }
 		switch {
 		case k.hubPlan != nil:
-			phases = append(phases, func(tid int) { k.colorBlocksHubT(tid, assign[tid], k.curX, k.curY) })
+			ph = func(tid int) { k.colorBlocksHubT(tid, assign[tid], k.curX, k.curY) }
 		case k.S.Kind != Sym:
-			phases = append(phases, func(tid int) { k.colorBlocksKindT(assign[tid], k.curX, k.curY) })
-		default:
-			phases = append(phases, func(tid int) { k.colorBlocksT(assign[tid], k.curX, k.curY) })
+			ph = func(tid int) { k.colorBlocksKindT(assign[tid], k.curX, k.curY) }
 		}
+		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c), ph))
 	}
 	if dot != nil {
-		phases = append(phases, func(tid int) { dot[tid*DotStride] = k.dotChunkColoredT(tid, k.curX, k.curY) })
+		phases = append(phases, parallel.ComputePhase(name+"/dot",
+			func(tid int) { dot[tid*DotStride] = k.dotChunkColoredT(tid, k.curX, k.curY) }))
 	}
 	return phases
 }
@@ -104,13 +115,14 @@ func (k *Kernel) Colors() int {
 // each phase writes the interleaved output directly (multi-RHS costs zero
 // extra reduction). nv ∈ {2, 4, 8} run register-blocked color bodies (see
 // mulmat_blocked.go); other widths and hub plans run the generic body.
-func (k *Kernel) assembleColoredMat(nv int) []func(tid int) {
-	phases := make([]func(int), 0, k.sched.NumColors+1)
+func (k *Kernel) assembleColoredMat(nv int) []parallel.Phase {
+	name := k.Method.String() + "-spmm"
+	phases := make([]parallel.Phase, 0, k.sched.NumColors+1)
 	init := func(tid int) { k.diagInitMatT(tid, nv) }
 	if k.hubPlan != nil {
 		init = func(tid int) { k.prefillHotMatT(tid, nv); k.diagInitMatT(tid, nv) }
 	}
-	phases = append(phases, init)
+	phases = append(phases, parallel.ComputePhase(name+"/init", init))
 	for c := 0; c < k.sched.NumColors; c++ {
 		assign := k.sched.Assign[c]
 		var ph func(int)
@@ -126,7 +138,7 @@ func (k *Kernel) assembleColoredMat(nv int) []func(tid int) {
 		default:
 			ph = func(tid int) { k.colorBlocksMatT(assign[tid], nv) }
 		}
-		phases = append(phases, ph)
+		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c), ph))
 	}
 	return phases
 }

@@ -73,7 +73,7 @@ type hierState struct {
 	crossBytes int64
 
 	// domHist[d] are the per-domain critical-path phase histograms
-	// (multiply, reduce-intra, reduce-cross), fed by timedRun when sampling.
+	// (multiply, reduce-intra, reduce-cross), fed by observe when sampling.
 	domHist [][3]*obs.Histogram
 }
 
@@ -219,22 +219,33 @@ func buildHierIndexed(index []IndexEntry, h *hierState, p int) *hierIndexed {
 	return hi
 }
 
-// gphase/lphase wrap a phase body with the barrier scope closing it.
-func gphase(fn func(tid int)) parallel.Phase { return parallel.Phase{Fn: fn} }
-func lphase(fn func(tid int)) parallel.Phase {
-	return parallel.Phase{Fn: fn, Scope: parallel.PhaseLocal}
-}
+// The per-domain histograms a hierarchical phase's time is filed under; a
+// phase outside the domain structure (the Indexed method's trailing dot
+// sweep) has none.
+const (
+	domMultiply int8 = iota // multiply, hub prefill folded in
+	domIntra
+	domCross
+	domNone int8 = -1
+)
 
 // assembleHier builds the hierarchical phase list: optional domain-shared
 // hub prefill (local barrier), multiply (local barrier), intra-domain
 // combine (global barrier), cross-domain fold. With dot non-nil the fold is
 // fused with the xᵀy partial sweep (naive/effective) or followed by a
 // separate sweep (indexed, whose fold touches only conflicted elements).
-func (k *Kernel) assembleHier(dot []float64) []parallel.Phase {
-	phases := make([]parallel.Phase, 0, 5)
+// Prefill and multiply are compute work, combine and fold reduction, the
+// separate sweep compute again; buckets names each phase's per-domain
+// histogram.
+func (k *Kernel) assembleHier(dot []float64) (phases []parallel.Phase, buckets []int8) {
+	name := k.Method.String()
+	add := func(ph parallel.Phase, bucket int8) {
+		phases = append(phases, ph)
+		buckets = append(buckets, bucket)
+	}
 	hub := k.hubPlan != nil
 	if hub {
-		phases = append(phases, lphase(func(tid int) { k.prefillHotDomT(tid, k.curX) }))
+		add(parallel.ComputePhase(name+"/prefill", func(tid int) { k.prefillHotDomT(tid, k.curX) }).Local(), domMultiply)
 	}
 	var mult func(tid int)
 	switch {
@@ -247,29 +258,48 @@ func (k *Kernel) assembleHier(dot []float64) []parallel.Phase {
 	default:
 		mult = func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
 	}
-	phases = append(phases, lphase(mult))
+	add(parallel.ComputePhase(name+"/multiply", mult).Local(), domMultiply)
+	var intra, cross func(tid int)
 	switch k.Method {
 	case Naive:
-		phases = append(phases, gphase(func(tid int) { k.hierCombineNaiveT(tid) }))
+		intra = k.hierCombineNaiveT
 	case EffectiveRanges:
-		phases = append(phases, gphase(func(tid int) { k.hierCombineEffectiveT(tid) }))
+		intra = k.hierCombineEffectiveT
 	case Indexed:
-		phases = append(phases, gphase(func(tid int) { k.hierIndexedCombineT(tid) }))
+		intra = k.hierIndexedCombineT
 	}
 	switch {
-	case k.Method == Indexed && dot != nil:
-		phases = append(phases,
-			gphase(func(tid int) { k.hierIndexedApplyT(tid) }),
-			gphase(func(tid int) { dot[tid*DotStride] = k.LV.dotChunkT(tid, k.curX, k.curY) }))
 	case k.Method == Indexed:
-		phases = append(phases, gphase(func(tid int) { k.hierIndexedApplyT(tid) }))
+		cross = k.hierIndexedApplyT
 	case dot != nil:
-		phases = append(phases,
-			gphase(func(tid int) { dot[tid*DotStride] = k.hierCrossDotT(tid, k.curX, k.curY) }))
+		cross = func(tid int) { dot[tid*DotStride] = k.hierCrossDotT(tid, k.curX, k.curY) }
 	default:
-		phases = append(phases, gphase(func(tid int) { k.hierCrossT(tid) }))
+		cross = k.hierCrossT
 	}
-	return phases
+	add(parallel.ReductionPhase(name+"/reduce-intra", intra), domIntra)
+	add(parallel.ReductionPhase(name+"/reduce-cross", cross), domCross)
+	if k.Method == Indexed && dot != nil {
+		add(parallel.ComputePhase(name+"/dot",
+			func(tid int) { dot[tid*DotStride] = k.LV.dotChunkT(tid, k.curX, k.curY) }), domNone)
+	}
+	return phases, buckets
+}
+
+// observe feeds one sampled operation's per-domain critical-path times into
+// the domain histograms, each phase's under the bucket it was assembled
+// with.
+func (h *hierState) observe(buckets []int8, s *parallel.Sample) {
+	for dd := range h.domHist {
+		var ns [3]int64
+		for i, b := range buckets {
+			if b != domNone {
+				ns[b] += s.DomainNs(i, dd)
+			}
+		}
+		for b, hist := range h.domHist[dd] {
+			hist.Observe(float64(ns[b]) / 1e9)
+		}
+	}
 }
 
 // prefillHotDomT cooperatively fills the domain-shared hot window: the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hub"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -229,5 +230,76 @@ func TestRedCrossBytes(t *testing.T) {
 			}
 		}
 		pool.Close()
+	}
+}
+
+// TestHierarchicalDomainSampleMatchesHistograms pins the per-domain feed of a
+// sampled hierarchical operation: what the hook receives is what the domain
+// histograms were fed — per domain, the multiply bucket (hub prefill folded
+// in) is the compute time and the intra-combine plus cross-fold buckets the
+// reduction time — with one observation per bucket per operation.
+func TestHierarchicalDomainSampleMatchesHistograms(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	m := randomSymmetric(t, rng, 900, 6)
+	s, err := FromCOO(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, s.N)
+	y := make([]float64, s.N)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	plan := hub.Analyze(s.N, s.RowPtr, s.ColIdx, hub.Options{MaxCols: 64, MinDegree: 1, MinCoverage: 0})
+	if plan == nil {
+		t.Fatal("hub.Analyze returned nil with forced thresholds")
+	}
+	const domains = 2
+	pool := parallel.NewPoolDomains(4, domains)
+	defer pool.Close()
+	obs.SetSampling(true)
+	t.Cleanup(func() { obs.SetSampling(false) })
+
+	for _, opts := range []KernelOptions{{}, {Hub: plan}} {
+		for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed} {
+			k, err := NewKernelOpts(s, method, pool, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var compute, reduction []int64
+			k.SetSampleHook(func(ps PhaseSample) {
+				compute = append([]int64(nil), ps.DomComputeNs...)
+				reduction = append([]int64(nil), ps.DomReductionNs...)
+			})
+			var sum0 [domains][3]float64
+			var count0 [domains][3]int64
+			for dd, hists := range k.hier.domHist {
+				for b, h := range hists {
+					sum0[dd][b], count0[dd][b] = h.Sum(), h.Count()
+				}
+			}
+			k.MulVec(x, y)
+			if len(compute) != domains || len(reduction) != domains {
+				t.Fatalf("%v hub=%v: hook got %d/%d per-domain times, want %d", method, opts.Hub != nil, len(compute), len(reduction), domains)
+			}
+			for dd, hists := range k.hier.domHist {
+				var fed [3]float64
+				for b, h := range hists {
+					if got := h.Count() - count0[dd][b]; got != 1 {
+						t.Errorf("%v hub=%v domain %d bucket %d: %d observations for one operation", method, opts.Hub != nil, dd, b, got)
+					}
+					fed[b] = h.Sum() - sum0[dd][b]
+				}
+				if d := math.Abs(fed[domMultiply] - float64(compute[dd])/1e9); d > 1e-12 {
+					t.Errorf("%v hub=%v domain %d: multiply histogram fed %g s, hook compute %d ns", method, opts.Hub != nil, dd, fed[domMultiply], compute[dd])
+				}
+				if d := math.Abs(fed[domIntra] + fed[domCross] - float64(reduction[dd])/1e9); d > 1e-12 {
+					t.Errorf("%v hub=%v domain %d: reduce histograms fed %g s, hook reduction %d ns", method, opts.Hub != nil, dd, fed[domIntra]+fed[domCross], reduction[dd])
+				}
+				if compute[dd] <= 0 {
+					t.Errorf("%v hub=%v domain %d: compute time %d ns", method, opts.Hub != nil, dd, compute[dd])
+				}
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/color"
 	"repro/internal/hub"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 )
@@ -88,9 +87,9 @@ type Kernel struct {
 	sched    *color.Schedule
 	initPart *partition.RowPartition
 
-	// dot holds the per-thread partial sums of MulVecDot, one cache line
+	// dotPart holds the per-thread partial sums of MulVecDot, one cache line
 	// apart, allocated on first use.
-	dot []float64
+	dotPart []float64
 
 	// wide holds the nv-wide local vectors of MulMat, sized lazily.
 	wide *wideLocals
@@ -112,33 +111,27 @@ type Kernel struct {
 	hier *hierState
 
 	// curX/curY are the operands of the operation in flight. The phase lists
-	// are assembled once (phasesPlain in NewKernel, phasesDot on the first
-	// MulVecDot, phasesMat on the first MulMat of a given nv) as closures
-	// that read these fields, so repeated operations reuse the same closures
-	// and the hot path allocates nothing. A Kernel has never supported
-	// concurrent operations — it owns per-thread local vectors — so a single
-	// operand slot is safe. Phases carry the barrier scope closing them
-	// (parallel.Phase); flat lists are all-global.
-	curX, curY  []float64
-	phasesPlain []parallel.Phase
-	phasesDot   []parallel.Phase
+	// are assembled once (plain in NewKernel, dot on the first MulVecDot, mat
+	// on the first MulMat of a given nv) as closures that read these fields,
+	// so repeated operations reuse the same closures and the hot path
+	// allocates nothing. A Kernel has never supported concurrent operations —
+	// it owns per-thread local vectors — so a single operand slot is safe.
+	// Every phase carries the barrier scope closing it (flat lists are
+	// all-global) and the span name and kind the pool's sampler files its
+	// time under (parallel.Phase).
+	curX, curY []float64
+	plain, dot *parallel.PhaseList
 
 	// SpMM state: the phase list of the most recent MulMat vector count.
 	// Switching nv reassembles; steady-state block solvers reuse it. SpMM
 	// always reduces flat — the wide locals dwarf the staging windows, so
 	// the hierarchical schedule has nothing to save there yet.
-	phasesMat []parallel.Phase
-	matNV     int
+	mat   *parallel.PhaseList
+	matNV int
 
-	// Interned trace span names for each phase list, built on first sampled
-	// use (see obsmetrics.go).
-	traceNamesPlain []obs.NameID
-	traceNamesDot   []obs.NameID
-	traceNamesMat   []obs.NameID
-
-	// sampleHook, when set, receives every sampled operation's breakdown
-	// (attribfeed.go). Only the sampled timedRun path consults it.
-	sampleHook SampleHook
+	// sampleHook, when set, receives every sampled operation of the three
+	// lists (sample.go).
+	sampleHook func(PhaseSample)
 }
 
 // KernelOptions carries the optional preprocessing products a Kernel can be
@@ -259,7 +252,7 @@ func NewKernelOpts(s *SSS, method ReductionMethod, pool *parallel.Pool, opts Ker
 			}
 		}
 	}
-	k.phasesPlain = k.assemble(nil)
+	k.plain = k.assemble(nil, OpSpMV)
 	return k, nil
 }
 
@@ -272,19 +265,14 @@ func (k *Kernel) Hierarchical() bool { return k.hier != nil }
 func (k *Kernel) Hub() *hub.Plan { return k.hubPlan }
 
 // MulVec computes y = A·x: the parallel multiplication phase followed by the
-// reduction phase selected by Method, chained through Pool.RunPhases so the
-// whole operation costs one coordinator handoff. Local vectors are re-zeroed
-// during the reduction, so repeated calls reuse all buffers without extra
-// clearing. The phase list is prebuilt, so the call allocates nothing; the
-// only telemetry cost when sampling is off is one atomic load.
+// reduction phase selected by Method, one prebuilt phase list the pool runs in
+// one coordinator handoff. Local vectors are re-zeroed during the reduction,
+// so repeated calls reuse all buffers without extra clearing, and the call
+// allocates nothing. Whether the run is sampled is the pool's business.
 func (k *Kernel) MulVec(x, y []float64) {
 	k.checkDims(x, y)
 	k.curX, k.curY = x, y
-	if obs.SamplingEnabled() {
-		k.timedRun(k.phasesPlain, k.phaseKinds(len(k.phasesPlain)), k.namesPlain(), phaseObs[k.Method], true, OpSpMV, 1)
-	} else {
-		k.pool.RunPhaseList(k.phasesPlain)
-	}
+	k.pool.RunPhaseList(k.plain)
 	k.curX, k.curY = nil, nil
 }
 
@@ -297,20 +285,16 @@ func (k *Kernel) MulVec(x, y []float64) {
 // finished output.
 func (k *Kernel) MulVecDot(x, y []float64) float64 {
 	k.checkDims(x, y)
-	if k.phasesDot == nil {
-		k.dot = make([]float64, k.p*DotStride)
-		k.phasesDot = k.assemble(k.dot)
+	if k.dot == nil {
+		k.dotPart = make([]float64, k.p*DotStride)
+		k.dot = k.assemble(k.dotPart, OpSpMVDot)
 	}
 	k.curX, k.curY = x, y
-	if obs.SamplingEnabled() {
-		k.timedRun(k.phasesDot, k.phaseKinds(len(k.phasesDot)), k.namesDot(), phaseObs[k.Method], true, OpSpMVDot, 1)
-	} else {
-		k.pool.RunPhaseList(k.phasesDot)
-	}
+	k.pool.RunPhaseList(k.dot)
 	k.curX, k.curY = nil, nil
 	total := 0.0
 	for t := 0; t < k.p; t++ {
-		total += k.dot[t*DotStride]
+		total += k.dotPart[t*DotStride]
 	}
 	return total
 }
@@ -322,86 +306,59 @@ func (k *Kernel) checkDims(x, y []float64) {
 	}
 }
 
-// assemble builds the phase list for this kernel: the hierarchical chain
-// when a two-level plan exists, the flat multiply→reduce chain otherwise.
-func (k *Kernel) assemble(dot []float64) []parallel.Phase {
+// assemble builds the SpM×V list for this kernel — the hierarchical chain
+// when a two-level plan exists, the flat multiply→reduce chain otherwise —
+// as closures over k.curX/k.curY, the operand slots MulVec sets per call.
+// The list is built once and reused for every operation, which is what keeps
+// the hot path allocation-free. With dot non-nil the chain additionally
+// leaves xᵀy partial sums in dot[tid*DotStride].
+func (k *Kernel) assemble(dot []float64, op OpClass) *parallel.PhaseList {
 	if k.hier != nil {
-		return k.assembleHier(dot)
+		phases, buckets := k.assembleHier(dot)
+		return k.newList(phases, buckets, phaseObs[k.Method], op, 1)
 	}
-	return globalPhases(k.assembleFlat(dot))
+	return k.newList(k.assembleFlat(dot), nil, phaseObs[k.Method], op, 1)
 }
 
-// globalPhases wraps a flat phase list: every boundary is a whole-pool
-// barrier, the semantics RunPhases always had.
-func globalPhases(fns []func(tid int)) []parallel.Phase {
-	out := make([]parallel.Phase, len(fns))
-	for i, fn := range fns {
-		out[i] = parallel.Phase{Fn: fn}
-	}
-	return out
-}
-
-// assembleFlat builds the flat multiply→reduce phase list as closures over
-// k.curX/k.curY, the operand slots MulVec sets per call. The list is built
-// once and reused for every operation, which is what keeps the hot path
-// allocation-free. With dot non-nil the chain additionally leaves xᵀy
-// partial sums in dot[tid*DotStride].
-func (k *Kernel) assembleFlat(dot []float64) []func(tid int) {
+// assembleFlat labels the flat chain: multiply (compute) → reduce
+// (reduction; the Atomic finalize pass counts as its reduction), with the
+// Indexed fused-dot variant's trailing sweep again compute.
+func (k *Kernel) assembleFlat(dot []float64) []parallel.Phase {
+	name := k.Method.String()
+	var mult func(tid int)
 	switch k.Method {
 	case Naive:
-		mult := func(tid int) { k.multiplyNaiveT(tid, k.curX) }
+		mult = func(tid int) { k.multiplyNaiveT(tid, k.curX) }
 		switch {
 		case k.S.Kind != Sym:
 			mult = func(tid int) { k.multiplyNaiveKindT(tid, k.curX) }
 		case k.hubPlan != nil:
 			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyNaiveHubT(tid, k.curX) }
 		}
-		if dot != nil {
-			return []func(int){mult,
-				func(tid int) { dot[tid*DotStride] = k.LV.reduceNaiveDotT(tid, k.curX, k.curY) }}
-		}
-		return []func(int){mult, func(tid int) { k.LV.reduceNaiveT(tid, k.curY) }}
-	case EffectiveRanges:
-		mult := func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
+	case EffectiveRanges, Indexed:
+		mult = func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
 		switch {
 		case k.S.Kind != Sym:
 			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
 		case k.hubPlan != nil:
 			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyEffectiveHubT(tid, k.curX, k.curY) }
 		}
-		if dot != nil {
-			return []func(int){mult,
-				func(tid int) { dot[tid*DotStride] = k.LV.reduceEffectiveDotT(tid, k.curX, k.curY) }}
-		}
-		return []func(int){mult, func(tid int) { k.LV.reduceEffectiveT(tid, k.curY) }}
-	case Indexed:
-		mult := func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
-		switch {
-		case k.S.Kind != Sym:
-			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
-		case k.hubPlan != nil:
-			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyEffectiveHubT(tid, k.curX, k.curY) }
-		}
-		red := func(tid int) { k.LV.reduceIndexedT(tid, k.curY) }
-		if dot != nil {
-			// The indexed reduction touches only conflicted elements, so the
-			// dot needs a separate full sweep of y after the reduction.
-			return []func(int){mult, red,
-				func(tid int) { dot[tid*DotStride] = k.LV.dotChunkT(tid, k.curX, k.curY) }}
-		}
-		return []func(int){mult, red}
 	case Atomic:
-		mult := func(tid int) { k.multiplyAtomicT(tid, k.curX) }
+		red := func(tid int) { k.finalizeAtomicT(tid, k.curY) }
 		if dot != nil {
-			return []func(int){mult,
-				func(tid int) { dot[tid*DotStride] = k.finalizeAtomicDotT(tid, k.curX, k.curY) }}
+			red = func(tid int) { dot[tid*DotStride] = k.finalizeAtomicDotT(tid, k.curX, k.curY) }
 		}
-		return []func(int){mult, func(tid int) { k.finalizeAtomicT(tid, k.curY) }}
+		return []parallel.Phase{
+			parallel.ComputePhase(name+"/multiply", func(tid int) { k.multiplyAtomicT(tid, k.curX) }),
+			parallel.ReductionPhase(name+"/reduce", red),
+		}
 	case Colored:
 		return k.assembleColored(dot)
 	default:
-		panic("core: unknown reduction method " + k.Method.String())
+		panic("core: unknown reduction method " + name)
 	}
+	return append([]parallel.Phase{parallel.ComputePhase(name+"/multiply", mult)},
+		k.LV.ReducePhases(name, &k.curX, &k.curY, dot)...)
 }
 
 // multiplyNaiveT runs thread tid's slice of Alg. 3's multiplication phase:

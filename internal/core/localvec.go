@@ -23,10 +23,9 @@ const DotStride = 8
 // then has an empty local vector). The reduction re-zeroes every element it
 // consumes, so the multiply phase may assume all-zero locals on entry.
 //
-// The reduction is exposed in two forms: Reduce dispatches it on a pool
-// directly, and ReducePhases/ReduceDotPhases return it as a phase list so a
-// kernel can chain multiply→reduce through Pool.RunPhases without an
-// intermediate coordinator handoff.
+// The reduction is exposed as labelled phases (ReducePhases) a kernel appends
+// to its multiply phase, so multiply→reduce is one list and one coordinator
+// handoff.
 type LocalVectors struct {
 	N      int
 	Method ReductionMethod
@@ -112,46 +111,42 @@ func groupByVid(index []IndexEntry, split []int32) []IndexEntry {
 	return out
 }
 
-// Reduce folds the local vectors into y on pool and re-zeroes consumed
-// elements. For Naive, y is fully overwritten; for the other methods the
-// direct contributions already present in y are kept and augmented.
-func (lv *LocalVectors) Reduce(pool *parallel.Pool, y []float64) {
-	pool.RunPhases(lv.ReducePhases(y)...)
-}
-
-// ReducePhases returns the reduction as a phase list for Pool.RunPhases.
-func (lv *LocalVectors) ReducePhases(y []float64) []func(tid int) {
-	switch lv.Method {
-	case Naive:
-		return []func(int){func(tid int) { lv.reduceNaiveT(tid, y) }}
-	case EffectiveRanges:
-		return []func(int){func(tid int) { lv.reduceEffectiveT(tid, y) }}
-	case Indexed:
-		return []func(int){func(tid int) { lv.reduceIndexedT(tid, y) }}
+// ReducePhases returns the labelled reduction of the operation whose
+// operands sit in the slots *x and *y when the phases run — the caller sets
+// the slots per call and builds the list once. For Naive, *y is fully
+// overwritten; for the other methods the direct contributions already
+// present in *y are kept and augmented; consumed local elements are re-zeroed.
+//
+// With dot non-nil the reduction is fused with the dot product xᵀy: after the
+// phases have run, dot[tid*DotStride] holds thread tid's contribution over
+// its reduction range. The caller combines the partials in ascending tid
+// order; the per-thread ranges equal parallel.Chunk(N, p), so the combined
+// sum is bitwise identical to vec.Dot over the finished y. Span names are
+// prefix/reduce and prefix/dot.
+func (lv *LocalVectors) ReducePhases(prefix string, x, y *[]float64, dot []float64) []parallel.Phase {
+	var red func(tid int)
+	switch {
+	case lv.Method == Naive && dot != nil:
+		red = func(tid int) { dot[tid*DotStride] = lv.reduceNaiveDotT(tid, *x, *y) }
+	case lv.Method == Naive:
+		red = func(tid int) { lv.reduceNaiveT(tid, *y) }
+	case lv.Method == EffectiveRanges && dot != nil:
+		red = func(tid int) { dot[tid*DotStride] = lv.reduceEffectiveDotT(tid, *x, *y) }
+	case lv.Method == EffectiveRanges:
+		red = func(tid int) { lv.reduceEffectiveT(tid, *y) }
+	case lv.Method == Indexed:
+		red = func(tid int) { lv.reduceIndexedT(tid, *y) }
+	default:
+		panic("core: no local-vector reduction for method " + lv.Method.String())
 	}
-	return nil
-}
-
-// ReduceDotPhases returns the reduction fused with the dot product xᵀy:
-// after the phases have run, partial[tid*DotStride] holds thread tid's dot
-// contribution over its reduction range. The caller combines the partials in
-// ascending tid order; the per-thread ranges equal parallel.Chunk(N, p), so
-// the combined sum is bitwise identical to vec.Dot over the finished y.
-func (lv *LocalVectors) ReduceDotPhases(x, y, partial []float64) []func(tid int) {
-	switch lv.Method {
-	case Naive:
-		return []func(int){func(tid int) { partial[tid*DotStride] = lv.reduceNaiveDotT(tid, x, y) }}
-	case EffectiveRanges:
-		return []func(int){func(tid int) { partial[tid*DotStride] = lv.reduceEffectiveDotT(tid, x, y) }}
-	case Indexed:
+	phases := []parallel.Phase{parallel.ReductionPhase(prefix+"/reduce", red)}
+	if lv.Method == Indexed && dot != nil {
 		// The indexed reduction touches only conflicted elements, so the dot
 		// needs a separate full sweep of y once the reduction has finished.
-		return []func(int){
-			func(tid int) { lv.reduceIndexedT(tid, y) },
-			func(tid int) { partial[tid*DotStride] = lv.dotChunkT(tid, x, y) },
-		}
+		phases = append(phases, parallel.ComputePhase(prefix+"/dot",
+			func(tid int) { dot[tid*DotStride] = lv.dotChunkT(tid, *x, *y) }))
 	}
-	return nil
+	return phases
 }
 
 // reduceNaiveT sums the p full-length local vectors into y over thread tid's

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // Multi-vector multiplication (SpMM): Y = A·X for nv right-hand sides.
@@ -14,9 +14,9 @@ import (
 // index is reused unchanged (one entry covers nv lanes).
 //
 // The parallel path is a first-class kernel, not a per-call dispatch: the
-// multiply→reduce chain is assembled once per vector count as closures over
-// the kernel's operand slots and runs through Pool.RunPhases, exactly like
-// MulVec — one coordinator handoff, zero allocation in steady state. For
+// multiply→reduce chain is assembled once per vector count as a labelled
+// phase list over the kernel's operand slots and handed to the pool, exactly
+// like MulVec — one coordinator handoff, zero allocation in steady state. For
 // nv ∈ {2, 4, 8} the multiply runs register-blocked bodies with fixed-width
 // inner loops (mulmat_blocked.go); per lane they perform the same additions
 // in the same order as the scalar kernel, so each output column is bitwise
@@ -69,15 +69,9 @@ func (k *Kernel) MulMat(x, y []float64, nv int) error {
 		k.MulVec(x, y)
 		return nil
 	}
-	if k.phasesMat == nil || k.matNV != nv {
-		k.assembleMat(nv)
-	}
+	l := k.matList(nv)
 	k.curX, k.curY = x, y
-	if obs.SamplingEnabled() {
-		k.timedRun(k.phasesMat, k.phaseKindsMat(len(k.phasesMat)), k.namesMat(), spmmObs[k.Method], false, OpSpMM, nv)
-	} else {
-		k.pool.RunPhaseList(k.phasesMat)
-	}
+	k.pool.RunPhaseList(l)
 	k.curX, k.curY = nil, nil
 	return nil
 }
@@ -100,10 +94,13 @@ func (k *Kernel) checkMat(x, y []float64, nv int) error {
 	return nil
 }
 
-// assembleMat builds the cached SpMM phase list for vector count nv:
-// multiply→reduce for the local-vector methods, init→colors for the colored
-// schedule. Rebuilding happens only when nv changes.
-func (k *Kernel) assembleMat(nv int) {
+// matList returns the cached SpMM list for vector count nv — multiply→reduce
+// for the local-vector methods, init→colors for the colored schedule —
+// rebuilding it only when nv changes.
+func (k *Kernel) matList(nv int) *parallel.PhaseList {
+	if k.mat != nil && k.matNV == nv {
+		return k.mat
+	}
 	if k.hubPlan != nil {
 		want := k.hubPlan.K() * nv
 		if k.hotMat == nil || len(k.hotMat[0]) != want {
@@ -113,8 +110,9 @@ func (k *Kernel) assembleMat(nv int) {
 			}
 		}
 	}
+	var phases []parallel.Phase
 	if k.Method == Colored {
-		k.phasesMat = globalPhases(k.assembleColoredMat(nv))
+		phases = k.assembleColoredMat(nv)
 	} else {
 		k.ensureWideLocals(nv)
 		var mult, red func(int)
@@ -129,10 +127,14 @@ func (k *Kernel) assembleMat(nv int) {
 			mult = k.matMultEffective(nv)
 			red = func(tid int) { k.reduceMatEffectiveT(tid, nv) }
 		}
-		k.phasesMat = globalPhases([]func(int){mult, red})
+		name := k.Method.String() + "-spmm"
+		phases = []parallel.Phase{
+			parallel.ComputePhase(name+"/multiply", mult),
+			parallel.ReductionPhase(name+"/reduce", red),
+		}
 	}
-	k.matNV = nv
-	k.traceNamesMat = nil
+	k.mat, k.matNV = k.newList(phases, nil, spmmObs[k.Method], OpSpMM, nv), nv
+	return k.mat
 }
 
 // matMultNaive picks the naive multiply body: register-blocked for

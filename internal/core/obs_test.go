@@ -91,9 +91,9 @@ func TestColoredZeroReductionObserved(t *testing.T) {
 	t.Cleanup(func() { obs.SetSampling(false) })
 
 	mo := phaseObs[Colored]
-	ops0 := mo.ops.Value()
-	redCount0 := mo.reduction.Count()
-	compSum0 := mo.compute.Sum()
+	ops0 := mo.Ops.Value()
+	redCount0 := mo.Reduction.Count()
+	compSum0 := mo.Compute.Sum()
 
 	k := NewKernel(s, Colored, pool)
 	const iters = 5
@@ -101,16 +101,16 @@ func TestColoredZeroReductionObserved(t *testing.T) {
 		k.MulVec(x, y) // sampling on: routed through the timed path
 	}
 
-	if got := mo.ops.Value() - ops0; got != iters {
+	if got := mo.Ops.Value() - ops0; got != iters {
 		t.Fatalf("ops counter advanced by %d, want %d", got, iters)
 	}
-	if got := mo.reduction.Count() - redCount0; got != iters {
+	if got := mo.Reduction.Count() - redCount0; got != iters {
 		t.Fatalf("reduction histogram gained %d observations, want %d", got, iters)
 	}
-	if mo.reduction.Sum() != 0 {
-		t.Fatalf("colored reduction histogram sum = %g, want exactly 0", mo.reduction.Sum())
+	if mo.Reduction.Sum() != 0 {
+		t.Fatalf("colored reduction histogram sum = %g, want exactly 0", mo.Reduction.Sum())
 	}
-	if d := mo.compute.Sum() - compSum0; d <= 0 {
+	if d := mo.Compute.Sum() - compSum0; d <= 0 {
 		t.Fatalf("compute histogram sum advanced by %g, want > 0", d)
 	}
 }

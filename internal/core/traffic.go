@@ -129,7 +129,7 @@ func (k *Kernel) Traffic() Traffic {
 		// The hierarchical chain splits the reduction into intra + cross
 		// phases (plus a prefill phase on hub kernels): every phase beyond
 		// the flat multiply→reduce pair costs one more barrier crossing.
-		t.ExtraBarriers = int64(len(k.phasesPlain) - 2)
+		t.ExtraBarriers = int64(len(k.plain.Phases) - 2)
 	}
 	return t
 }

@@ -140,25 +140,36 @@ type Kernel struct {
 	M    *SymMatrix
 	Part *partition.RowPartition // over block rows
 	pool *parallel.Pool
-	p    int
 
 	buf1, buf2 []float64 // offset-1 and offset-2 shared buffers
 	accFar     []uint64  // atomic accumulator for far transposed writes
 	redPart    *partition.RowPartition
+
+	// The multiply→reduce list, built once over the operand slots x/y, so a
+	// product is one coordinator handoff and allocates nothing.
+	x, y []float64
+	list parallel.PhaseList
 }
+
+// metrics files CSB-Sym products under the SpM×V metric families.
+var metrics = parallel.NewOpMetrics("symspmv_spmv", "csb-sym")
 
 // NewKernel partitions the block rows by element count over pool.
 func NewKernel(sm *SymMatrix, pool *parallel.Pool) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		M:       sm,
 		Part:    partition.ByNNZ(blockRowElems(sm), pool.Size()),
 		pool:    pool,
-		p:       pool.Size(),
 		buf1:    make([]float64, sm.N),
 		buf2:    make([]float64, sm.N),
 		accFar:  make([]uint64, sm.N),
 		redPart: partition.Uniform(sm.N, pool.Size()),
 	}
+	k.list = parallel.PhaseList{Metrics: metrics, Phases: []parallel.Phase{
+		parallel.ComputePhase("csb-sym/multiply", k.multiplyT),
+		parallel.ReductionPhase("csb-sym/reduce", k.reduceT),
+	}}
+	return k
 }
 
 // blockRowElems builds a CSR-style pointer over block rows weighted by
@@ -182,69 +193,77 @@ func (k *Kernel) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("csb: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			k.M.N, k.M.N, len(x), len(y)))
 	}
-	sm := k.M
+	k.x, k.y = x, y
+	k.pool.RunPhaseList(&k.list)
+	k.x, k.y = nil, nil
+}
+
+// multiplyT is thread tid's slice of the multiplication phase.
+func (k *Kernel) multiplyT(tid int) {
+	sm, x, y := k.M, k.x, k.y
 	beta := sm.Beta
-	k.pool.Run(func(tid int) {
-		// Own rows: diagonal contribution initializes y.
-		rLo := int(k.Part.Start[tid]) * beta
-		rHi := int(k.Part.End[tid]) * beta
-		if rHi > sm.N {
-			rHi = sm.N
-		}
-		for r := rLo; r < rHi; r++ {
-			y[r] = sm.DValues[r] * x[r]
-		}
-		for bi := k.Part.Start[tid]; bi < k.Part.End[tid]; bi++ {
-			r0 := int(bi) * beta
-			for b := sm.BlockPtr[bi]; b < sm.BlockPtr[bi+1]; b++ {
-				bj := sm.BlockCol[b]
-				c0 := int(bj) * beta
-				off := bi - bj
-				var target []float64
+	// Own rows: diagonal contribution initializes y.
+	rLo := int(k.Part.Start[tid]) * beta
+	rHi := int(k.Part.End[tid]) * beta
+	if rHi > sm.N {
+		rHi = sm.N
+	}
+	for r := rLo; r < rHi; r++ {
+		y[r] = sm.DValues[r] * x[r]
+	}
+	for bi := k.Part.Start[tid]; bi < k.Part.End[tid]; bi++ {
+		r0 := int(bi) * beta
+		for b := sm.BlockPtr[bi]; b < sm.BlockPtr[bi+1]; b++ {
+			bj := sm.BlockCol[b]
+			c0 := int(bj) * beta
+			off := bi - bj
+			var target []float64
+			switch off {
+			case 0, 1, 2:
+				// Offset 0: the block column range is inside this
+				// thread's own rows only when the whole offset-0..2
+				// band is owned; offset 0 targets block row bi itself
+				// (owned), offsets 1–2 may cross into the previous
+				// thread's rows, hence the shared buffers.
 				switch off {
-				case 0, 1, 2:
-					// Offset 0: the block column range is inside this
-					// thread's own rows only when the whole offset-0..2
-					// band is owned; offset 0 targets block row bi itself
-					// (owned), offsets 1–2 may cross into the previous
-					// thread's rows, hence the shared buffers.
-					switch off {
-					case 0:
-						target = y
-					case 1:
-						target = k.buf1
-					default:
-						target = k.buf2
-					}
-					for e := sm.ElemPtr[b]; e < sm.ElemPtr[b+1]; e++ {
-						r := r0 + int(sm.LRow[e])
-						c := c0 + int(sm.LCol[e])
-						v := sm.Val[e]
-						y[r] += v * x[c]
-						target[c] += v * x[r]
-					}
+				case 0:
+					target = y
+				case 1:
+					target = k.buf1
 				default:
-					for e := sm.ElemPtr[b]; e < sm.ElemPtr[b+1]; e++ {
-						r := r0 + int(sm.LRow[e])
-						c := c0 + int(sm.LCol[e])
-						v := sm.Val[e]
-						y[r] += v * x[c]
-						atomicAddFloat(&k.accFar[c], v*x[r])
-					}
+					target = k.buf2
+				}
+				for e := sm.ElemPtr[b]; e < sm.ElemPtr[b+1]; e++ {
+					r := r0 + int(sm.LRow[e])
+					c := c0 + int(sm.LCol[e])
+					v := sm.Val[e]
+					y[r] += v * x[c]
+					target[c] += v * x[r]
+				}
+			default:
+				for e := sm.ElemPtr[b]; e < sm.ElemPtr[b+1]; e++ {
+					r := r0 + int(sm.LRow[e])
+					c := c0 + int(sm.LCol[e])
+					v := sm.Val[e]
+					y[r] += v * x[c]
+					atomicAddFloat(&k.accFar[c], v*x[r])
 				}
 			}
 		}
-	})
-	// Reduction: y += buf1 + buf2 + far, re-zeroing the buffers.
-	k.pool.Run(func(tid int) {
-		lo, hi := k.redPart.Start[tid], k.redPart.End[tid]
-		for r := lo; r < hi; r++ {
-			y[r] += k.buf1[r] + k.buf2[r] + math.Float64frombits(k.accFar[r])
-			k.buf1[r] = 0
-			k.buf2[r] = 0
-			k.accFar[r] = 0
-		}
-	})
+	}
+}
+
+// reduceT is the reduction over thread tid's uniform row chunk:
+// y += buf1 + buf2 + far, re-zeroing the buffers.
+func (k *Kernel) reduceT(tid int) {
+	y := k.y
+	lo, hi := k.redPart.Start[tid], k.redPart.End[tid]
+	for r := lo; r < hi; r++ {
+		y[r] += k.buf1[r] + k.buf2[r] + math.Float64frombits(k.accFar[r])
+		k.buf1[r] = 0
+		k.buf2[r] = 0
+		k.accFar[r] = 0
+	}
 }
 
 // atomicAddFloat adds v to the float64 stored as bits behind p, lock-free.

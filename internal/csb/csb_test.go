@@ -172,3 +172,29 @@ func TestQuickCSBMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCSBOneHandoffZeroAlloc: multiply→reduce is one prebuilt phase list, so
+// a product is one coordinator handoff and allocates nothing.
+func TestCSBOneHandoffZeroAlloc(t *testing.T) {
+	s := randomSymmetric(t, rand.New(rand.NewSource(305)), 400, 4)
+	sm, err := NewSym(s, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	pool.SetPhaseMode(parallel.PhaseSpin)
+	k := NewKernel(sm, pool)
+	x, y := make([]float64, s.N), make([]float64, s.N)
+	for i := range x {
+		x[i] = float64(i%5) - 2
+	}
+	before := pool.Handoffs()
+	k.MulVec(x, y)
+	if got := pool.Handoffs() - before; got != 1 {
+		t.Errorf("one product cost %d handoffs, want 1", got)
+	}
+	if a := testing.AllocsPerRun(10, func() { k.MulVec(x, y) }); a != 0 {
+		t.Errorf("MulVec allocates %v times per call, want 0", a)
+	}
+}

@@ -109,21 +109,41 @@ func mulMatRange(a *Matrix, x, y []float64, nv int, lo, hi int32) {
 
 // Parallel wraps a Matrix with an nnz-balanced row partition and a worker
 // pool for multithreaded y = A·x. CSR needs no reduction phase: output rows
-// are disjoint across threads.
+// are disjoint across threads, so each operation is one compute phase, built
+// once over the operand slots x, y and nv.
 type Parallel struct {
 	A    *Matrix
 	Part *partition.RowPartition
 	pool *parallel.Pool
+
+	x, y     []float64
+	nv       int
+	vec, mat parallel.PhaseList
 }
+
+// CSR products are filed under the SpM×V and SpMM metric families.
+var (
+	vecMetrics = parallel.NewOpMetrics("symspmv_spmv", "csr")
+	matMetrics = parallel.NewOpMetrics("symspmv_spmm", "csr")
+)
 
 // NewParallel prepares a multithreaded kernel over pool (one partition per
 // worker).
 func NewParallel(a *Matrix, pool *parallel.Pool) *Parallel {
-	return &Parallel{
+	p := &Parallel{
 		A:    a,
 		Part: partition.ByNNZ(a.RowPtr, pool.Size()),
 		pool: pool,
 	}
+	p.vec = parallel.PhaseList{Metrics: vecMetrics, Phases: []parallel.Phase{
+		parallel.ComputePhase("csr/multiply", func(tid int) {
+			mulRange(p.A, p.x, p.y, p.Part.Start[tid], p.Part.End[tid])
+		})}}
+	p.mat = parallel.PhaseList{Metrics: matMetrics, Phases: []parallel.Phase{
+		parallel.ComputePhase("csr-spmm/multiply", func(tid int) {
+			mulMatRange(p.A, p.x, p.y, p.nv, p.Part.Start[tid], p.Part.End[tid])
+		})}}
+	return p
 }
 
 // MulVec computes y = A·x with one goroutine per partition.
@@ -132,9 +152,7 @@ func (p *Parallel) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("csr: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			p.A.Rows, p.A.Cols, len(x), len(y)))
 	}
-	p.pool.Run(func(tid int) {
-		mulRange(p.A, x, y, p.Part.Start[tid], p.Part.End[tid])
-	})
+	p.run(&p.vec, x, y, 1)
 }
 
 // MulMat computes Y = A·X for nv interleaved vectors, one goroutine per
@@ -144,7 +162,11 @@ func (p *Parallel) MulMat(x, y []float64, nv int) {
 		panic(fmt.Sprintf("csr: MulMat dims: A is %dx%d, nv=%d, len(x)=%d, len(y)=%d",
 			p.A.Rows, p.A.Cols, nv, len(x), len(y)))
 	}
-	p.pool.Run(func(tid int) {
-		mulMatRange(p.A, x, y, nv, p.Part.Start[tid], p.Part.End[tid])
-	})
+	p.run(&p.mat, x, y, nv)
+}
+
+func (p *Parallel) run(l *parallel.PhaseList, x, y []float64, nv int) {
+	p.x, p.y, p.nv = x, y, nv
+	p.pool.RunPhaseList(l)
+	p.x, p.y = nil, nil
 }

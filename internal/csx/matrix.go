@@ -16,6 +16,11 @@ type Matrix struct {
 	Blobs      []*Blob
 	Part       *partition.RowPartition
 	nnz        int
+
+	// The one-phase operation, assembled on first use over the operand slots
+	// curX/curY so a product allocates nothing.
+	curX, curY []float64
+	list       parallel.PhaseList
 }
 
 // NewMatrix encodes a COO matrix into CSX with p per-thread blobs.
@@ -65,7 +70,12 @@ func (mx *Matrix) CompressionRatio() float64 {
 	return 1 - float64(mx.Bytes())/float64(csrBytes)
 }
 
+// matMetrics files CSX products under the SpM×V metric families.
+var matMetrics = parallel.NewOpMetrics("symspmv_spmv", "csx")
+
 // MulVec computes y = A·x on pool; pool.Size() must equal the blob count.
+// Output rows are disjoint across blobs, so the operation is one compute
+// phase, assembled on first use over the operand slots.
 func (mx *Matrix) MulVec(pool *parallel.Pool, x, y []float64) {
 	if pool.Size() != len(mx.Blobs) {
 		panic(fmt.Sprintf("csx: pool size %d != blob count %d", pool.Size(), len(mx.Blobs)))
@@ -74,14 +84,17 @@ func (mx *Matrix) MulVec(pool *parallel.Pool, x, y []float64) {
 		panic(fmt.Sprintf("csx: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			mx.Rows, mx.Cols, len(x), len(y)))
 	}
-	pool.Run(func(tid int) {
-		b := mx.Blobs[tid]
-		span := y[b.StartRow:b.EndRow]
-		for i := range span {
-			span[i] = 0
-		}
-		mulBlob(b, x, y)
-	})
+	if mx.list.Phases == nil {
+		mx.list = parallel.PhaseList{Metrics: matMetrics, Phases: []parallel.Phase{
+			parallel.ComputePhase("csx/multiply", func(tid int) {
+				b := mx.Blobs[tid]
+				clear(mx.curY[b.StartRow:b.EndRow])
+				mulBlob(b, mx.curX, mx.curY)
+			})}}
+	}
+	mx.curX, mx.curY = x, y
+	pool.RunPhaseList(&mx.list)
+	mx.curX, mx.curY = nil, nil
 }
 
 // MulVecSerial computes y = A·x on the calling goroutine (requires a

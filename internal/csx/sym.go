@@ -33,10 +33,17 @@ type SymMatrix struct {
 	hotX    [][]float64
 	side    []symHubSide
 
-	// dot holds the per-thread partial sums of MulVecDot, one cache line
-	// apart, allocated on first use.
-	dot []float64
+	// curX/curY are the operands of the operation in flight: the two phase
+	// lists are assembled once, on first use, as closures over these slots
+	// (like core.Kernel's), so a product allocates nothing. dot holds the
+	// per-thread partial sums of MulVecDot, one cache line apart.
+	curX, curY   []float64
+	plain, fused parallel.PhaseList
+	dot          []float64
 }
+
+// symMetrics files CSX-Sym products under the SpM×V metric families.
+var symMetrics = parallel.NewOpMetrics("symspmv_spmv", "csx-sym")
 
 // NewSym encodes an SSS matrix into CSX-Sym with p per-thread blobs and the
 // given local-vectors reduction method (the paper pairs CSX-Sym with the
@@ -106,34 +113,45 @@ func MaxSymCompressionRatio(nnzLower, n int) float64 {
 	return 1 - float64(symBytes)/float64(csrBytes)
 }
 
+// assemble builds the two operations — multiply→reduce, and the same with
+// the dot fused into the reduction — over the operand slots.
+func (sm *SymMatrix) assemble() {
+	mult := parallel.ComputePhase("csx-sym/multiply", func(tid int) { sm.multiplyT(tid, sm.curX, sm.curY) })
+	sm.dot = make([]float64, len(sm.Blobs)*core.DotStride)
+	sm.plain = parallel.PhaseList{Metrics: symMetrics,
+		Phases: append([]parallel.Phase{mult}, sm.LV.ReducePhases("csx-sym", &sm.curX, &sm.curY, nil)...)}
+	sm.fused = parallel.PhaseList{Metrics: symMetrics,
+		Phases: append([]parallel.Phase{mult}, sm.LV.ReducePhases("csx-sym", &sm.curX, &sm.curY, sm.dot)...)}
+}
+
 // MulVec computes y = A·x on pool: the CSX-Sym multiplication phase (dual
 // writes per stored element, unit-level local/direct routing) followed by
-// the configured local-vectors reduction, chained through Pool.RunPhases so
-// the pair costs one coordinator handoff.
+// the configured local-vectors reduction, one prebuilt phase list the pool
+// runs in one coordinator handoff.
 func (sm *SymMatrix) MulVec(pool *parallel.Pool, x, y []float64) {
-	sm.checkDims(pool, x, y)
-	phases := append([]func(int){func(tid int) { sm.multiplyT(tid, x, y) }},
-		sm.LV.ReducePhases(y)...)
-	pool.RunPhases(phases...)
+	sm.run(pool, &sm.plain, x, y)
 }
 
 // MulVecDot computes y = A·x and returns xᵀ·y, with the dot fused into the
 // reduction phase exactly like core.Kernel.MulVecDot — the CG fast path for
 // CSX-Sym kernels.
 func (sm *SymMatrix) MulVecDot(pool *parallel.Pool, x, y []float64) float64 {
-	sm.checkDims(pool, x, y)
-	p := pool.Size()
-	if sm.dot == nil {
-		sm.dot = make([]float64, p*core.DotStride)
-	}
-	phases := append([]func(int){func(tid int) { sm.multiplyT(tid, x, y) }},
-		sm.LV.ReduceDotPhases(x, y, sm.dot)...)
-	pool.RunPhases(phases...)
+	sm.run(pool, &sm.fused, x, y)
 	total := 0.0
-	for t := 0; t < p; t++ {
+	for t := range sm.Blobs {
 		total += sm.dot[t*core.DotStride]
 	}
 	return total
+}
+
+func (sm *SymMatrix) run(pool *parallel.Pool, l *parallel.PhaseList, x, y []float64) {
+	sm.checkDims(pool, x, y)
+	if l.Phases == nil {
+		sm.assemble()
+	}
+	sm.curX, sm.curY = x, y
+	pool.RunPhaseList(l)
+	sm.curX, sm.curY = nil, nil
 }
 
 func (sm *SymMatrix) checkDims(pool *parallel.Pool, x, y []float64) {

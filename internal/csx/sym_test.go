@@ -235,3 +235,35 @@ func TestSymMulVecDot(t *testing.T) {
 		}
 	}
 }
+
+// TestSymMulVecZeroAlloc: the two phase lists are assembled once, so neither
+// product allocates and each costs exactly one coordinator handoff — on any
+// pool of the right size, not just the first one seen.
+func TestSymMulVecZeroAlloc(t *testing.T) {
+	s, err := core.FromCOO(testMatrices(t)["blocked"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := make([]float64, s.N), make([]float64, s.N)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	sm := NewSym(s, 2, core.Indexed, DefaultOptions())
+	for round := 0; round < 2; round++ {
+		pool := parallel.NewPool(2)
+		pool.SetPhaseMode(parallel.PhaseSpin)
+		sm.MulVec(pool, x, y)
+		sm.MulVecDot(pool, x, y)
+		pool.ResetHandoffs()
+		if a := testing.AllocsPerRun(10, func() { sm.MulVec(pool, x, y) }); a != 0 {
+			t.Errorf("pool %d: MulVec allocates %v times per call, want 0", round, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { sm.MulVecDot(pool, x, y) }); a != 0 {
+			t.Errorf("pool %d: MulVecDot allocates %v times per call, want 0", round, a)
+		}
+		if got := pool.Handoffs(); got != 22 { // AllocsPerRun runs once to warm up
+			t.Errorf("pool %d: 22 products cost %d handoffs", round, got)
+		}
+		pool.Close()
+	}
+}

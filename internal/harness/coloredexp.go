@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/color"
-	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
@@ -75,26 +74,6 @@ var phaseFormats = []format.ID{
 	format.SSSNaive, format.SSSEffective, format.SSSIndexed, format.SSSColored,
 }
 
-// measurePhases runs iters instrumented operations of SSS format f on sm
-// (vector-swapping, like MeasureSpMV) and returns the accumulated phase
-// breakdown and the color count (zero for the reduction methods).
-func measurePhases(sm *SuiteMatrix, f format.ID, pool *parallel.Pool, iters int) (core.PhaseTimes, int) {
-	k := Build(sm, f, pool).Kernel
-	n := sm.S.N
-	x := make([]float64, n)
-	y := make([]float64, n)
-	rngFill(x)
-	var pt core.PhaseTimes
-	for it := 0; it < iters; it++ {
-		pt.Add(k.TimedMulVec(x, y))
-		x, y = y, x
-		if it%16 == 15 {
-			renormalize(x)
-		}
-	}
-	return pt, k.Colors()
-}
-
 // PhaseBreakdown is the host-measured counterpart of Fig. 10, extended with
 // the colored schedule: per matrix and method, the compute, reduction and
 // barrier/handoff time per operation. The colored rows read zero in the
@@ -116,10 +95,11 @@ func PhaseBreakdown(cfg Config, suite []*SuiteMatrix) *Table {
 	for _, sm := range suite {
 		for _, f := range phaseFormats {
 			cfg.logf("phases/%s: %v", sm.Spec.Name, f)
-			pt, colors := measurePhases(sm, f, pool, cfg.Iterations)
+			k := Build(sm, f, pool).Kernel
+			pt, _ := measureSpMM(k, sm.S.N, 1, cfg.Iterations) // single-vector sampling cannot fail
 			per := pt.PerOp()
 			t.Rows = append(t.Rows, []string{
-				sm.Spec.Name, f.String(), fmt.Sprintf("%d", colors),
+				sm.Spec.Name, f.String(), fmt.Sprintf("%d", k.Colors()),
 				us(per.Compute), us(per.Reduction), us(per.Barrier), us(per.Wall),
 			})
 		}

@@ -82,7 +82,9 @@ func Sharded(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 				})
 
 				if d == 2 {
-					per := timedPhases(hier, sm.S.N, cfg.Iterations).PerOp()
+					// Capped: the phase shape, not the absolute time, is the point here.
+					pt, _ := measureSpMM(hier, sm.S.N, 1, min(cfg.Iterations, 16))
+					per := pt.PerOp()
 					phaseTab.Rows = append(phaseTab.Rows, []string{
 						sm.Spec.Name,
 						method.String(),
@@ -103,22 +105,4 @@ func Sharded(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		}
 	}
 	return []*Table{bytesTab, phaseTab}, nil
-}
-
-// timedPhases runs a short measurement loop (capped: the phase shape, not
-// the absolute time, is the point here) and accumulates the breakdown.
-func timedPhases(k *core.Kernel, n, iters int) core.PhaseTimes {
-	if iters > 16 {
-		iters = 16
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = 1 + float64(i%7)
-	}
-	var pt core.PhaseTimes
-	for it := 0; it < iters; it++ {
-		pt.Add(k.TimedMulVec(x, y))
-	}
-	return pt
 }

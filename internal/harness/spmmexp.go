@@ -64,8 +64,9 @@ func hubSuiteMatrices(cfg Config) ([]*SuiteMatrix, error) {
 	return out, nil
 }
 
-// measureSpMM runs iters instrumented nv-wide operations (vector-swapping,
-// like MeasureSpMV) and returns the accumulated phase breakdown.
+// measureSpMM runs iters sampled nv-wide operations (vector-swapping, like
+// MeasureSpMV) and returns the accumulated phase breakdown; nv = 1 is the
+// plain SpM×V and cannot fail.
 func measureSpMM(k *core.Kernel, n, nv, iters int) (core.PhaseTimes, error) {
 	x := make([]float64, n*nv)
 	y := make([]float64, n*nv)

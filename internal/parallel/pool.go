@@ -11,10 +11,15 @@
 // A single channel dispatch (one coordinator handoff) costs on the order of
 // microseconds at high worker counts — small next to a large SpM×V but
 // dominant for the short phases of a CG iteration on small matrices. The
-// multi-phase path (RunPhases) therefore keeps the workers resident across
-// consecutive phases, separating them with a SpinBarrier instead of
-// returning to the coordinator, so a multiply→reduce chain or a fused
-// axpy/dot/xpay chain pays one handoff per call instead of one per phase.
+// multi-phase path (RunPhaseList, and RunPhases for unlabelled bodies)
+// therefore keeps the workers resident across consecutive phases, separating
+// them with a SpinBarrier instead of returning to the coordinator, so a
+// multiply→reduce chain or a fused axpy/dot/xpay chain pays one handoff per
+// call instead of one per phase.
+//
+// Every kernel and vector operation reaches the pool as a PhaseList whose
+// phases say what they are, so the dispatch is also the one place where
+// operations are timed (sample.go).
 package parallel
 
 import (
@@ -32,7 +37,7 @@ import (
 var poolHandoffs = obs.NewCounter("symspmv_pool_handoffs_total",
 	"Coordinator-to-worker dispatch cycles issued across all pools.")
 
-// PhaseMode selects how RunPhases separates consecutive phases.
+// PhaseMode selects how a multi-phase list separates consecutive phases.
 type PhaseMode int
 
 const (
@@ -68,12 +73,53 @@ const (
 	PhaseLocal
 )
 
-// Phase pairs a phase body with the scope of the barrier separating it from
-// the next phase (the scope of the final phase is irrelevant — completion is
-// signalled through the pool's WaitGroup either way).
+// PhaseKind says which side of the paper's split a phase's time belongs to:
+// the multiply/compute work, or the reduction repairing write conflicts.
+type PhaseKind uint8
+
+const (
+	PhaseCompute PhaseKind = iota
+	PhaseReduction
+)
+
+// Phase is one step of an operation and says what it is: the body, the scope
+// of the barrier separating it from the next phase (irrelevant for the final
+// phase — completion is signalled through the pool's WaitGroup), and the span
+// name and kind the sampler (sample.go) files its time under. The labels are
+// set once, where the list is assembled.
 type Phase struct {
 	Fn    func(tid int)
 	Scope PhaseScope
+	Name  obs.NameID
+	Kind  PhaseKind
+}
+
+// ComputePhase labels fn as compute work under the span name.
+func ComputePhase(name string, fn func(tid int)) Phase {
+	return Phase{Fn: fn, Name: obs.RegisterName(name)}
+}
+
+// ReductionPhase labels fn as reduction work under the span name.
+func ReductionPhase(name string, fn func(tid int)) Phase {
+	return Phase{Fn: fn, Name: obs.RegisterName(name), Kind: PhaseReduction}
+}
+
+// Local returns the phase closed by its worker's domain barrier instead of
+// the whole-pool one.
+func (ph Phase) Local() Phase {
+	ph.Scope = PhaseLocal
+	return ph
+}
+
+// PhaseList is one operation in the form the pool runs: its labelled phases,
+// assembled once over the owner's operand slots so running it allocates
+// nothing, and where its samples go — every sampled run feeds Metrics, then
+// Hook, on the coordinating goroutine after the workers have parked (the hook
+// may allocate but must not run anything on the pool). Either may be nil.
+type PhaseList struct {
+	Phases  []Phase
+	Metrics *OpMetrics
+	Hook    func(*Sample)
 }
 
 // Pool is a fixed-size set of persistent workers. A Pool must be created with
@@ -85,8 +131,8 @@ type Phase struct {
 // one. NewPool creates the degenerate single-domain pool.
 //
 // Ownership: a Pool is owned by a single coordinating goroutine. Run,
-// RunChunked, RunPhases, RunPhaseList and Close must all be issued from that
-// goroutine (or otherwise serialized by the caller); the Pool detects misuse
+// RunChunked, RunPhases, RunPhaseList, RunSampled and Close must all be issued
+// from that goroutine (or otherwise serialized by the caller); the Pool detects misuse
 // — Run after Close, Close during a Run, overlapping Runs — and panics
 // deterministically instead of racing.
 type Pool struct {
@@ -108,16 +154,17 @@ type Pool struct {
 	busy     atomic.Bool
 	handoffs atomic.Int64
 
-	// phaseList/runner implement the resident RunPhases path without
-	// allocating: runner is built once in NewPool and iterates phaseList,
-	// which RunPhases sets before the dispatch (the channel sends publish it
-	// to the workers) and clears after. scopedList/scopedRunner are the
-	// RunPhaseList counterparts, separating phases with the barrier named by
-	// each phase's scope.
-	phaseList    []func(tid int)
-	runner       func(tid int)
-	scopedList   []Phase
-	scopedRunner func(tid int)
+	// cur is the list in flight and [lo, hi) the phases of the current
+	// handoff; run sets them before each dispatch (the channel sends publish
+	// them to the workers) and phaseFn, bound once to phaseWorker, iterates
+	// them, so running a list allocates nothing. bare is the reusable backing
+	// of RunPhases' unlabelled list, sampler the state of a timed run
+	// (sample.go).
+	cur     []Phase
+	lo, hi  int
+	phaseFn func(tid int)
+	bare    []Phase
+	sampler sampler
 }
 
 // NewPool starts n persistent workers in a single domain. n must be positive.
@@ -162,31 +209,7 @@ func NewPoolDomains(n, domains int) *Pool {
 			p.domBar[d] = NewSpinBarrier(hi - lo)
 		}
 	}
-	p.runner = func(tid int) {
-		phases := p.phaseList
-		last := len(phases) - 1
-		for i, ph := range phases {
-			ph(tid)
-			if i < last {
-				p.barrier.Wait()
-			}
-		}
-	}
-	p.scopedRunner = func(tid int) {
-		phases := p.scopedList
-		bar := p.domBar[p.domOf[tid]]
-		last := len(phases) - 1
-		for i := range phases {
-			phases[i].Fn(tid)
-			if i < last {
-				if phases[i].Scope == PhaseLocal {
-					bar.Wait()
-				} else {
-					p.barrier.Wait()
-				}
-			}
-		}
-	}
+	p.phaseFn = p.phaseWorker
 	for i := 0; i < n; i++ {
 		p.work[i] = make(chan func(tid int))
 		go p.worker(i)
@@ -198,6 +221,28 @@ func (p *Pool) worker(tid int) {
 	for fn := range p.work[tid] {
 		fn(tid)
 		p.wg.Done()
+	}
+}
+
+// phaseWorker runs phases [lo, hi) of the current list on worker tid — timed
+// while the sampler is on — separated by the barrier each phase's scope names.
+func (p *Pool) phaseWorker(tid int) {
+	bar := p.domBar[p.domOf[tid]]
+	for i := p.lo; i < p.hi; i++ {
+		ph := &p.cur[i]
+		if p.sampler.on {
+			p.sampler.timed(ph, i*p.n+tid, tid)
+		} else {
+			ph.Fn(tid)
+		}
+		if i == p.hi-1 {
+			break
+		}
+		if ph.Scope == PhaseLocal {
+			bar.Wait()
+		} else {
+			p.barrier.Wait()
+		}
 	}
 }
 
@@ -215,12 +260,13 @@ func (p *Pool) DomainWorkers(d int) (lo, hi int) {
 	return p.domLo[d], p.domLo[d+1]
 }
 
-// SetPhaseMode overrides how RunPhases separates phases (default PhaseAuto).
-// Like every other Pool method it must be called by the owning goroutine.
+// SetPhaseMode overrides how multi-phase lists separate phases (default
+// PhaseAuto). Like every other Pool method it must be called by the owning
+// goroutine.
 func (p *Pool) SetPhaseMode(m PhaseMode) { p.mode = m }
 
 // Handoffs reports the number of coordinator→worker dispatch cycles issued so
-// far: every Run counts one; RunPhases counts one on the resident path and
+// far: every Run counts one; a phase list counts one on the resident path and
 // one per phase on the channel-fallback path. Tests use it to assert phase
 // fusion actually collapsed the barrier chain.
 func (p *Pool) Handoffs() int64 { return p.handoffs.Load() }
@@ -260,73 +306,83 @@ func (p *Pool) Run(fn func(tid int)) {
 	p.dispatch(fn)
 }
 
-// RunPhases executes the given phases in order on every worker: within a
-// phase all workers run concurrently, and no worker starts phase i+1 before
-// every worker has finished phase i. On the resident path the whole chain
-// costs a single coordinator handoff, with only a spin-barrier round between
-// phases; under PhaseChannel (or PhaseAuto when oversubscribed) each phase is
-// a separate channel dispatch, identical to calling Run per phase.
+// resident reports whether a multi-phase list keeps the workers resident
+// between phases (one handoff, spin barriers) or dispatches phase by phase.
+func (p *Pool) resident() bool {
+	switch p.mode {
+	case PhaseAuto:
+		return p.n <= runtime.GOMAXPROCS(0)
+	case PhaseChannel:
+		return false
+	}
+	return true
+}
+
+// run hands a non-empty list to the workers: in one handoff when the workers
+// stay resident (or there is a single phase), else one handoff per phase.
+func (p *Pool) run(phases []Phase) {
+	p.cur = phases
+	if len(phases) == 1 || p.resident() {
+		p.lo, p.hi = 0, len(phases)
+		p.dispatch(p.phaseFn)
+	} else {
+		for i := range phases {
+			p.lo, p.hi = i, i+1
+			p.dispatch(p.phaseFn)
+		}
+	}
+	p.cur = nil
+}
+
+// RunPhases executes the given unlabelled phases in order on every worker:
+// within a phase all workers run concurrently, and no worker starts phase i+1
+// before every worker has finished phase i. On the resident path the whole
+// chain costs a single coordinator handoff, with only a spin-barrier round
+// between phases; under PhaseChannel (or PhaseAuto when oversubscribed) each
+// phase is a separate channel dispatch, identical to calling Run per phase.
+// Having no labels, the chain is never sampled.
 func (p *Pool) RunPhases(phases ...func(tid int)) {
 	if len(phases) == 0 {
 		return
 	}
 	p.begin("RunPhases")
 	defer p.end()
-	if len(phases) == 1 {
-		p.dispatch(phases[0])
-		return
+	p.bare = p.bare[:0]
+	for _, fn := range phases {
+		p.bare = append(p.bare, Phase{Fn: fn})
 	}
-	resident := true
-	switch p.mode {
-	case PhaseAuto:
-		resident = p.n <= runtime.GOMAXPROCS(0)
-	case PhaseChannel:
-		resident = false
-	}
-	if !resident {
-		for _, ph := range phases {
-			p.dispatch(ph)
-		}
-		return
-	}
-	p.phaseList = phases
-	p.dispatch(p.runner)
-	p.phaseList = nil
+	p.run(p.bare)
+	clear(p.bare)
 }
 
-// RunPhaseList is RunPhases with per-phase barrier scopes: a PhaseGlobal
-// boundary synchronizes the whole pool, a PhaseLocal boundary only the
-// worker's domain — the two-level structure the hierarchical reduction
-// runs on. On the resident path the whole chain still costs one coordinator
-// handoff; the channel-fallback path dispatches each phase globally, which
+// RunPhaseList executes a labelled operation: RunPhases with per-phase
+// barrier scopes — a PhaseGlobal boundary synchronizes the whole pool, a
+// PhaseLocal boundary only the worker's domain, the two-level structure the
+// hierarchical reduction runs on — and, while obs.SamplingEnabled(), timed
+// (sample.go); unsampled, that one atomic load is its whole telemetry cost.
+// The channel-fallback path dispatches each phase globally, which
 // over-synchronizes local boundaries but never under-synchronizes, so it
 // stays correct at any GOMAXPROCS.
-func (p *Pool) RunPhaseList(phases []Phase) {
-	if len(phases) == 0 {
+func (p *Pool) RunPhaseList(l *PhaseList) {
+	if len(l.Phases) == 0 {
 		return
 	}
 	p.begin("RunPhaseList")
 	defer p.end()
-	if len(phases) == 1 {
-		p.dispatch(phases[0].Fn)
+	if obs.SamplingEnabled() {
+		p.sample(l)
 		return
 	}
-	resident := true
-	switch p.mode {
-	case PhaseAuto:
-		resident = p.n <= runtime.GOMAXPROCS(0)
-	case PhaseChannel:
-		resident = false
-	}
-	if !resident {
-		for i := range phases {
-			p.dispatch(phases[i].Fn)
-		}
-		return
-	}
-	p.scopedList = phases
-	p.dispatch(p.scopedRunner)
-	p.scopedList = nil
+	p.run(l.Phases)
+}
+
+// RunSampled executes l once as a sampled operation whatever the sampling
+// flag says and returns the sample's breakdown — the primitive behind the
+// kernels' TimedMulVec.
+func (p *Pool) RunSampled(l *PhaseList) PhaseTimes {
+	p.begin("RunSampled")
+	defer p.end()
+	return p.sample(l)
 }
 
 // RunChunked partitions [0, n) into Size() nearly equal contiguous chunks and

@@ -1,0 +1,143 @@
+package parallel
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+)
+
+// testList is compute → reduction → compute, the middle phase closed by the
+// domain barrier: worker 0 sleeps in the first phase, the last worker in the
+// second.
+func testList(p *Pool, hook func(*Sample)) *PhaseList {
+	last := p.Size() - 1
+	return &PhaseList{
+		Metrics: NewOpMetrics("symspmv_test", "sampler"),
+		Hook:    hook,
+		Phases: []Phase{
+			ComputePhase("test/a", func(tid int) {
+				if tid == 0 {
+					time.Sleep(2 * time.Millisecond)
+				}
+			}),
+			ReductionPhase("test/b", func(tid int) {
+				if tid == last {
+					time.Sleep(time.Millisecond)
+				}
+			}).Local(),
+			ComputePhase("test/c", func(int) {}),
+		},
+	}
+}
+
+// TestSampledRunBreakdown: a sampled run files each phase's slowest worker
+// under the phase's own kind, accounts for the whole wall time, feeds the
+// list's metrics and hook once, and synchronizes like the untimed run — one
+// handoff resident, one per phase over channels.
+func TestSampledRunBreakdown(t *testing.T) {
+	for _, tc := range []struct {
+		mode     PhaseMode
+		handoffs int64
+	}{{PhaseSpin, 1}, {PhaseChannel, 3}} {
+		p := NewPoolDomains(4, 2)
+		p.SetPhaseMode(tc.mode)
+		var got []Sample
+		var domCompute, domReduction [][]int64
+		l := testList(p, func(s *Sample) {
+			got = append(got, *s)
+			domCompute = append(domCompute, append([]int64(nil), s.DomComputeNs...))
+			domReduction = append(domReduction, append([]int64(nil), s.DomReductionNs...))
+			if s.DomainNs(0, 0) < int64(2*time.Millisecond) || s.DomainNs(0, 1) >= int64(2*time.Millisecond) {
+				t.Errorf("mode %v: phase 0 domain times %d / %d ns, want the sleep in domain 0 only", tc.mode, s.DomainNs(0, 0), s.DomainNs(0, 1))
+			}
+		})
+		ops0, wall0 := l.Metrics.Ops.Value(), l.Metrics.Wall.Count()
+
+		p.RunPhaseList(l) // sampling off: untimed
+		if len(got) != 0 || l.Metrics.Ops.Value() != ops0 {
+			t.Fatalf("mode %v: unsampled run produced a sample", tc.mode)
+		}
+		p.ResetHandoffs()
+		pt := p.RunSampled(l)
+		if h := p.Handoffs(); h != tc.handoffs {
+			t.Errorf("mode %v: sampled run cost %d handoffs, want %d", tc.mode, h, tc.handoffs)
+		}
+		obs.SetSampling(true)
+		p.RunPhaseList(l)
+		obs.SetSampling(false)
+		p.Close()
+
+		if len(got) != 2 || l.Metrics.Ops.Value()-ops0 != 2 || l.Metrics.Wall.Count()-wall0 != 2 {
+			t.Fatalf("mode %v: %d hook calls, %d ops, want 2 each", tc.mode, len(got), l.Metrics.Ops.Value()-ops0)
+		}
+		if got[0].PT != pt {
+			t.Errorf("mode %v: RunSampled returned %+v, hook saw %+v", tc.mode, pt, got[0].PT)
+		}
+		for i, s := range got {
+			pt := s.PT
+			if pt.Phases != 3 || pt.Ops != 1 || s.EndNs-s.StartNs != int64(pt.Wall) {
+				t.Errorf("mode %v sample %d: %+v over [%d, %d]", tc.mode, i, pt, s.StartNs, s.EndNs)
+			}
+			if pt.Compute < 2*time.Millisecond || pt.Reduction < time.Millisecond {
+				t.Errorf("mode %v sample %d: compute %v, reduction %v; want the 2 ms sleep under compute and the 1 ms one under reduction", tc.mode, i, pt.Compute, pt.Reduction)
+			}
+			if pt.Barrier <= 0 || pt.Compute+pt.Reduction+pt.Barrier != pt.Wall {
+				t.Errorf("mode %v sample %d: compute+reduction+barrier = %v, wall %v", tc.mode, i, pt.Compute+pt.Reduction+pt.Barrier, pt.Wall)
+			}
+			// The sleeps sit in domain 0 (worker 0) and domain 1 (the last worker).
+			if c, r := domCompute[i], domReduction[i]; len(c) != 2 || len(r) != 2 ||
+				c[0] < int64(2*time.Millisecond) || c[1] >= c[0] || r[1] < int64(time.Millisecond) || r[0] >= r[1] {
+				t.Errorf("mode %v sample %d: per-domain compute %v, reduction %v", tc.mode, i, c, r)
+			}
+		}
+	}
+}
+
+// TestSingleDomainSampleHasNoDomainTimes: on a one-domain pool the whole
+// critical path is PT.
+func TestSingleDomainSampleHasNoDomainTimes(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	called := false
+	p.RunSampled(testList(p, func(s *Sample) {
+		called = true
+		if s.DomComputeNs != nil || s.DomReductionNs != nil {
+			t.Errorf("single-domain sample carries per-domain times %v / %v", s.DomComputeNs, s.DomReductionNs)
+		}
+	}))
+	if !called {
+		t.Fatal("hook not called")
+	}
+}
+
+// TestSerialFraction: a phase counts as serial exactly when no two workers'
+// intervals overlap, and the gauge is the serial share of all sampled
+// multi-worker phases.
+func TestSerialFraction(t *testing.T) {
+	for _, tc := range []struct {
+		starts, ends []int64
+		want         bool
+	}{
+		{[]int64{0, 10}, []int64{10, 20}, true}, // back to back
+		{[]int64{10, 0}, []int64{20, 5}, true},  // either order
+		{[]int64{0, 5}, []int64{10, 20}, false}, // overlap
+		{[]int64{0, 3}, []int64{10, 4}, false},  // nested
+		{[]int64{0, 10, 20}, []int64{5, 15, 25}, true},
+		{[]int64{0, 10, 12}, []int64{5, 15, 25}, false},
+	} {
+		if got := disjoint(tc.starts, tc.ends); got != tc.want {
+			t.Errorf("disjoint(%v, %v) = %v, want %v", tc.starts, tc.ends, got, tc.want)
+		}
+	}
+	p := NewPool(2)
+	defer p.Close()
+	n0 := sampledPhases.Load()
+	p.RunSampled(testList(p, nil))
+	if got := sampledPhases.Load() - n0; got != 3 {
+		t.Errorf("one 3-phase sample on 2 workers counted %d multi-worker phases", got)
+	}
+	if f := serialFraction.Value(); f < 0 || f > 1 || f != float64(serialPhases.Load())/float64(sampledPhases.Load()) {
+		t.Errorf("serial fraction gauge %g, counters %d/%d", f, serialPhases.Load(), sampledPhases.Load())
+	}
+}

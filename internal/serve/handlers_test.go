@@ -230,6 +230,7 @@ func TestHTTPBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	plug := plugDispatcher(t, e)
+	rejected0 := rejectedQueueFull.Value()
 
 	const reqs = 24
 	var ok, rejected, other int64
@@ -259,8 +260,11 @@ func TestHTTPBackpressure(t *testing.T) {
 			}
 		}()
 	}
+	// Hold the dispatcher until the one-slot queue is full and has turned a
+	// request away, so both outcomes occur however the requests interleave.
+	plug.releaseWhen(t, func() bool { return len(e.batcher.in) == 1 && rejectedQueueFull.Value() > rejected0 })
 	wg.Wait()
-	<-plug
+	<-plug.done
 	if ok == 0 {
 		t.Fatal("no request was admitted")
 	}
@@ -310,8 +314,9 @@ func TestHTTPCoalescingAndMetrics(t *testing.T) {
 			}
 		}(r)
 	}
+	plug.releaseWhen(t, func() bool { return len(e.batcher.in) == reqs })
 	wg.Wait()
-	<-plug
+	<-plug.done
 
 	batched := 0
 	for _, l := range lanes {

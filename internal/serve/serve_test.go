@@ -151,24 +151,60 @@ func TestSoloRequestScalarPath(t *testing.T) {
 	}
 }
 
-// plugDispatcher keeps the entry's dispatcher busy for a bounded stretch (a
-// solve that cannot reach its tolerance within its iteration cap) so requests
-// enqueued meanwhile pile up and must coalesce. Returns the plug's done
-// channel; the caller drains it at the end.
-func plugDispatcher(t *testing.T, e *Entry) chan outcome {
+// dispatcherPlug is a request whose context holds the entry's dispatcher: the
+// dispatcher's pre-dispatch ctx.Err() check blocks until the test releases
+// it, so requests enqueued meanwhile pile up behind the plug and must
+// coalesce — however fast the plug's own product is.
+type dispatcherPlug struct {
+	context.Context
+	held                  chan struct{} // closed once the dispatcher is blocked on the plug
+	release               chan struct{}
+	holdOnce, releaseOnce sync.Once
+	done                  chan outcome
+}
+
+func (p *dispatcherPlug) Err() error {
+	p.holdOnce.Do(func() { close(p.held) })
+	<-p.release
+	return nil
+}
+
+// plugDispatcher enqueues a plug and returns once the dispatcher is holding
+// it. The caller lets it go with releaseWhen and drains done at the end.
+func plugDispatcher(t *testing.T, e *Entry) *dispatcherPlug {
 	t.Helper()
-	b := make([]float64, e.N)
-	for i := range b {
-		b[i] = 1
+	p := &dispatcherPlug{
+		Context: context.Background(),
+		held:    make(chan struct{}), release: make(chan struct{}),
+		done: make(chan outcome, 1),
 	}
-	req := &request{
-		key: batchKey{op: opSolve, tol: 1e-16, maxIter: 300},
-		in:  b, ctx: context.Background(), done: make(chan outcome, 1),
-	}
+	t.Cleanup(p.open) // a failed test must not leave the dispatcher blocked under Registry.Close
+	req := &request{key: batchKey{op: opSpMV}, in: make([]float64, e.N), ctx: p, done: p.done}
 	if err := e.batcher.Enqueue(req); err != nil {
 		t.Fatal(err)
 	}
-	return req.done
+	select {
+	case <-p.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("dispatcher never picked up the plug")
+	}
+	return p
+}
+
+func (p *dispatcherPlug) open() { p.releaseOnce.Do(func() { close(p.release) }) }
+
+// releaseWhen lets the dispatcher go as soon as queued() holds — typically
+// "every request of the test sits in the batcher's queue".
+func (p *dispatcherPlug) releaseWhen(t *testing.T, queued func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !queued() {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never queued up behind the plug")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.open()
 }
 
 // Concurrent same-key spmv requests coalesce into multi-lane dispatches, and
@@ -205,8 +241,9 @@ func TestSpMVCoalesces(t *testing.T) {
 			outs[r] = <-req.done
 		}(r, req)
 	}
+	plug.releaseWhen(t, func() bool { return len(e.batcher.in) == reqs })
 	wg.Wait()
-	<-plug
+	<-plug.done
 
 	batched := 0
 	for r := 0; r < reqs; r++ {
@@ -261,8 +298,9 @@ func TestSolveCoalescesAndDemuxes(t *testing.T) {
 			outs[r] = <-req.done
 		}(r, req)
 	}
+	plug.releaseWhen(t, func() bool { return len(e.batcher.in) == reqs })
 	wg.Wait()
-	<-plug
+	<-plug.done
 
 	batched := 0
 	for r := 0; r < reqs; r++ {

@@ -34,7 +34,7 @@ func MultiDots(pool *parallel.Pool, a, b []float64, nv int, out []float64) {
 	partial := make([]float64, np*nv+np*pad) // nv lanes per thread, padded apart
 	stride := nv + pad
 	n := len(a) / nv
-	pool.RunChunked(n, func(tid, lo, hi int) {
+	opMultiDots.chunked(pool, n, func(tid, lo, hi int) {
 		sums := partial[tid*stride : tid*stride+nv]
 		for i := lo; i < hi; i++ {
 			base := i * nv
@@ -61,7 +61,7 @@ func MultiSubCopyDots(pool *parallel.Pool, r, p, b, ap []float64, nv int, bb, rr
 	stride := 2*nv + pad
 	partial := make([]float64, np*stride)
 	n := len(b) / nv
-	pool.RunChunked(n, func(tid, lo, hi int) {
+	opMultiSubCopyDots.chunked(pool, n, func(tid, lo, hi int) {
 		sb := partial[tid*stride : tid*stride+nv]
 		sr := partial[tid*stride+nv : tid*stride+2*nv]
 		for i := lo; i < hi; i++ {
@@ -104,7 +104,7 @@ func MultiCGStep(pool *parallel.Pool, alpha, rrOld []float64, p, ap, x, r []floa
 	stride := nv + pad
 	partial := make([]float64, np*stride)
 	n := len(r) / nv
-	pool.RunPhases(
+	opMultiCGStep.run(pool,
 		func(tid int) {
 			lo, hi := parallel.Chunk(n, np, tid)
 			sums := partial[tid*stride : tid*stride+nv]

@@ -3,15 +3,20 @@
 // copies and norms, all chunked over a worker pool.
 //
 // Besides the classic one-operation-per-barrier kernels, the package offers
-// fused kernels (SubCopyDots, CGStep) that chain a CG iteration's whole
-// axpy/dot/copy sequence through Pool.RunPhases: the per-thread partial sums
+// fused kernels (SubCopyDots, CGStep) that run a CG iteration's whole
+// axpy/dot/copy sequence as one phase list: the per-thread partial sums
 // cross phase boundaries through a padded scratch array, and every thread
 // combines the partials itself after the barrier, so the chain costs one
 // coordinator handoff instead of one per operation.
+//
+// Every operation reaches the pool as a labelled phase list (op), so with
+// sampling on the pool times it like any kernel: symspmv_vec_* metrics per
+// operation and one vec/<operation> trace span per phase per worker.
 package vec
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -19,11 +24,57 @@ import (
 // pad spaces per-thread partials one cache line apart.
 const pad = 8
 
+// op labels one vector operation: the template of its phase list — metric
+// set and span names (all compute work), bodies filled in per call.
+type op parallel.PhaseList
+
+func newOp(name string, spans ...string) *op {
+	o := &op{Metrics: parallel.NewOpMetrics("symspmv_vec", name)}
+	for _, span := range spans {
+		o.Phases = append(o.Phases, parallel.ComputePhase(span, nil))
+	}
+	return o
+}
+
+var (
+	opDot              = newOp("dot", "vec/dot")
+	opAxpy             = newOp("axpy", "vec/axpy")
+	opXpay             = newOp("xpay", "vec/xpay")
+	opCopy             = newOp("copy", "vec/copy")
+	opScale            = newOp("scale", "vec/scale")
+	opSub              = newOp("sub", "vec/sub")
+	opFill             = newOp("fill", "vec/fill")
+	opSubCopyDots      = newOp("subcopydots", "vec/subcopydots")
+	opCGStep           = newOp("cgstep", "vec/cgstep-update", "vec/cgstep-direction")
+	opMultiDots        = newOp("multidots", "vec/multidots")
+	opMultiSubCopyDots = newOp("multisubcopydots", "vec/multisubcopydots")
+	opMultiCGStep      = newOp("multicgstep", "vec/multicgstep-update", "vec/multicgstep-direction")
+)
+
+// run executes the operation on pool with the given phase bodies.
+func (o *op) run(pool *parallel.Pool, bodies ...func(tid int)) {
+	l := parallel.PhaseList{Metrics: o.Metrics, Phases: slices.Clone(o.Phases)}
+	for i, fn := range bodies {
+		l.Phases[i].Fn = fn
+	}
+	pool.RunPhaseList(&l)
+}
+
+// chunked executes a one-phase operation over parallel.Chunk ranges of
+// [0, n): fn(tid, lo, hi) per worker, empty chunks included.
+func (o *op) chunked(pool *parallel.Pool, n int, fn func(tid, lo, hi int)) {
+	np := pool.Size()
+	o.run(pool, func(tid int) {
+		lo, hi := parallel.Chunk(n, np, tid)
+		fn(tid, lo, hi)
+	})
+}
+
 // Dot computes aᵀb in parallel (per-worker partial sums, combined serially —
 // deterministic for a fixed pool size).
 func Dot(pool *parallel.Pool, a, b []float64) float64 {
 	partial := make([]float64, pool.Size())
-	pool.RunChunked(len(a), func(tid, lo, hi int) {
+	opDot.chunked(pool, len(a), func(tid, lo, hi int) {
 		sum := 0.0
 		for i := lo; i < hi; i++ {
 			sum += a[i] * b[i]
@@ -39,7 +90,7 @@ func Dot(pool *parallel.Pool, a, b []float64) float64 {
 
 // Axpy computes y += alpha·x.
 func Axpy(pool *parallel.Pool, alpha float64, x, y []float64) {
-	pool.RunChunked(len(x), func(_, lo, hi int) {
+	opAxpy.chunked(pool, len(x), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			y[i] += alpha * x[i]
 		}
@@ -48,7 +99,7 @@ func Axpy(pool *parallel.Pool, alpha float64, x, y []float64) {
 
 // Xpay computes y = x + alpha·y (the CG direction update p = r + β·p).
 func Xpay(pool *parallel.Pool, alpha float64, x, y []float64) {
-	pool.RunChunked(len(x), func(_, lo, hi int) {
+	opXpay.chunked(pool, len(x), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			y[i] = x[i] + alpha*y[i]
 		}
@@ -57,14 +108,14 @@ func Xpay(pool *parallel.Pool, alpha float64, x, y []float64) {
 
 // Copy copies src into dst in parallel.
 func Copy(pool *parallel.Pool, dst, src []float64) {
-	pool.RunChunked(len(src), func(_, lo, hi int) {
+	opCopy.chunked(pool, len(src), func(_, lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
 }
 
 // Scale computes x *= alpha.
 func Scale(pool *parallel.Pool, alpha float64, x []float64) {
-	pool.RunChunked(len(x), func(_, lo, hi int) {
+	opScale.chunked(pool, len(x), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x[i] *= alpha
 		}
@@ -73,7 +124,7 @@ func Scale(pool *parallel.Pool, alpha float64, x []float64) {
 
 // Sub computes dst = a - b.
 func Sub(pool *parallel.Pool, dst, a, b []float64) {
-	pool.RunChunked(len(a), func(_, lo, hi int) {
+	opSub.chunked(pool, len(a), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = a[i] - b[i]
 		}
@@ -87,7 +138,7 @@ func Norm2(pool *parallel.Pool, x []float64) float64 {
 
 // Fill sets every element to v.
 func Fill(pool *parallel.Pool, x []float64, v float64) {
-	pool.RunChunked(len(x), func(_, lo, hi int) {
+	opFill.chunked(pool, len(x), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x[i] = v
 		}
@@ -102,7 +153,7 @@ func SubCopyDots(pool *parallel.Pool, r, p, b, ap []float64) (bb, rr float64) {
 	np := pool.Size()
 	partial := make([]float64, 2*np*pad)
 	n := len(b)
-	pool.RunChunked(n, func(tid, lo, hi int) {
+	opSubCopyDots.chunked(pool, n, func(tid, lo, hi int) {
 		sb, sr := 0.0, 0.0
 		for i := lo; i < hi; i++ {
 			bi := b[i]
@@ -138,7 +189,7 @@ func CGStep(pool *parallel.Pool, alpha, rrOld float64, p, ap, x, r []float64) fl
 	partial := make([]float64, np*pad)
 	var rrNew float64
 	n := len(r)
-	pool.RunPhases(
+	opCGStep.run(pool,
 		func(tid int) {
 			lo, hi := parallel.Chunk(n, np, tid)
 			sum := 0.0

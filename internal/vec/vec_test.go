@@ -1,11 +1,15 @@
 package vec
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -210,6 +214,78 @@ func TestCGStepMatchesUnfused(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// workerSpans dumps the tracer and returns each worker lane's span names in
+// recording order.
+func workerSpans(t *testing.T, p int) [][]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			TID  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	lanes := make([][]string, p)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.TID < p {
+			lanes[ev.TID] = append(lanes[ev.TID], ev.Name)
+		}
+	}
+	return lanes
+}
+
+// TestFusedStepsAreSampled: the CG vector operations reach the pool as
+// labelled phase lists like any kernel, so with sampling and tracing on each
+// fused step yields its two phase spans on every worker lane and one sampled
+// operation in its symspmv_vec_* metrics.
+func TestFusedStepsAreSampled(t *testing.T) {
+	const p, n, nv = 3, 50, 2
+	pool := parallel.NewPool(p)
+	defer pool.Close()
+	vecs := make([][]float64, 4)
+	for i := range vecs {
+		vecs[i] = make([]float64, n*nv)
+		for j := range vecs[i] {
+			vecs[i][j] = float64(i + j%5)
+		}
+	}
+	obs.SetSampling(true)
+	defer obs.SetSampling(false)
+	defer obs.DisableTracing()
+
+	for _, tc := range []struct {
+		op   *op
+		want []string
+		run  func()
+	}{
+		{opCGStep, []string{"vec/cgstep-update", "vec/cgstep-direction"},
+			func() { CGStep(pool, 0.5, 2, vecs[0][:n], vecs[1][:n], vecs[2][:n], vecs[3][:n]) }},
+		{opMultiCGStep, []string{"vec/multicgstep-update", "vec/multicgstep-direction"},
+			func() {
+				MultiCGStep(pool, []float64{0.5, 0.25}, []float64{2, 3}, vecs[0], vecs[1], vecs[2], vecs[3], nv, make([]float64, nv))
+			}},
+	} {
+		obs.EnableTracing(p, 64)
+		ops0 := tc.op.Metrics.Ops.Value()
+		tc.run()
+		for tid, got := range workerSpans(t, p) {
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("worker %d spans %v, want %v", tid, got, tc.want)
+			}
+		}
+		if got := tc.op.Metrics.Ops.Value() - ops0; got != 1 {
+			t.Errorf("%v: ops counter advanced by %d, want 1", tc.want, got)
 		}
 	}
 }

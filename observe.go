@@ -14,9 +14,9 @@ import (
 // The first bind for a pool shape runs a short STREAM calibration on the
 // kernel's pool (memoized for the process), so call it right after kernel
 // construction, not mid-solve. Returns (false, nil) for kernels attribution
-// does not model — the non-SSS formats, whose traffic the perfmodel accounts
-// differently. When sampling stays disabled the binding is inert: the hot
-// path never reaches the hook.
+// does not model — the non-SSS formats, which are sampled like any other but
+// not yet priced per phase. When sampling stays disabled the binding is
+// inert: the hot path never reaches the hook.
 func EnableAttribution(k Kernel) (bool, error) {
 	bk, ok := k.(*boundKernel)
 	if !ok || bk.b.Kernel == nil {

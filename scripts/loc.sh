@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Size metrics the ROADMAP says should go down, plus the two structural
+# Size metrics the ROADMAP says should go down, plus the three structural
 # counts `make ci` gates on:
 #
 #   non-test Go lines outside benchmark/        (tracked, no limit)
@@ -8,6 +8,8 @@
 #                                                of the internal/format ID)
 #   files constructing a format kernel          (limit 0 outside
 #   outside internal/format                      internal/format)
+#   kernel and vector-op files reading the      (limit 0: the pool's sampler
+#   sampling flag or the telemetry clock         is the one timed path)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -41,10 +43,17 @@ done
 builders=$(sources | grep -vE "$skip" | xargs grep -lE "$ctor" || true)
 nbuilders=$(printf '%s' "$builders" | grep -c . || true)
 
+# The one timed path: kernels and vector operations label their phases and
+# the pool's sampler (internal/parallel/sample.go) does all the timing.
+timers=$(sources | grep -E '^\./internal/(core|csx|csb|csr|bcsr|vec)/' |
+	xargs grep -lE 'obs\.(SamplingEnabled|Now)\(' || true)
+ntimers=$(printf '%s' "$timers" | grep -c . || true)
+
 printf 'non-test Go lines outside benchmark/:      %6d\n' "$lines"
 printf 'per-thread ...T bodies in internal/core:   %6d\n' "$bodies"
 printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
 printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
+printf 'kernel files timing themselves:            %6d  (limit 0)\n' "$ntimers"
 
 status=0
 if [ "$enums" -gt 1 ]; then
@@ -55,6 +64,11 @@ fi
 if [ "$nbuilders" -gt 0 ]; then
 	echo "loc: format kernels constructed outside internal/format (go through format.Build):" >&2
 	echo "$builders" | xargs grep -nE "$ctor" >&2
+	status=1
+fi
+if [ "$ntimers" -gt 0 ]; then
+	echo "loc: kernel or vector-op code reads the sampling flag or the clock (label the phase; the pool times it):" >&2
+	echo "$timers" | xargs grep -nE 'obs\.(SamplingEnabled|Now)\(' >&2
 	status=1
 fi
 exit $status

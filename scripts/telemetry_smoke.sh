@@ -70,4 +70,35 @@ echo "telemetry-smoke: trace OK ($(jq '.traceEvents | length' "$TMP/trace.json")
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 PID=""
+
+# The sampler lives in the pool, so a non-SSS format and the CG vector ops
+# must show up in the same families with no telemetry code of their own.
+echo "telemetry-smoke: solving with -format csx-sym"
+"$TMP/cg-solve" -format csx-sym -threads 2 -metrics-addr "$ADDR" -linger 30s "$MTX" &
+PID=$!
+METRICS=""
+for _ in $(seq 1 60); do
+    if METRICS=$(curl -fsS "http://$ADDR/metrics" 2>/dev/null) &&
+        grep -q '^symspmv_spmv_ops_total{method="csx-sym"} [1-9]' <<<"$METRICS"; then
+        break
+    fi
+    METRICS=""
+    sleep 0.5
+done
+if [ -z "$METRICS" ]; then
+    echo "telemetry-smoke: FAIL: /metrics never served symspmv_spmv_ops_total{method=\"csx-sym\"}" >&2
+    exit 1
+fi
+for series in 'symspmv_spmv_phase_seconds_count{method="csx-sym",phase="reduction"} [1-9]' \
+    'symspmv_vec_ops_total{method="cgstep"} [1-9]' 'symspmv_pool_serial_fraction [0-9]'; do
+    if ! grep -q "^$series" <<<"$METRICS"; then
+        echo "telemetry-smoke: FAIL: /metrics missing $series" >&2
+        exit 1
+    fi
+done
+echo "telemetry-smoke: csx-sym phase histogram and vec ops OK"
+
+kill "$PID" 2>/dev/null || true
+wait "$PID" 2>/dev/null || true
+PID=""
 echo "telemetry-smoke: PASS"
