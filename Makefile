@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-color race-colored race-shard vet bench benchmark bench-spmm bench-smoke loc ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-color race-colored race-shard race-pool vet bench benchmark bench-spmm bench-smoke loc ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -36,11 +36,19 @@ race-color:
 race-shard:
 	$(GO) test -race -run 'Hier|Domain|Shard|Topolog' ./internal/parallel ./internal/partition ./internal/core ./internal/fuzzcheck .
 
+# race-pool runs the pool and the code that lives on its hand-off at three
+# GOMAXPROCS values, so the spinning path (workers with a processor each), the
+# yield path and the oversubscribed park-at-once path all meet the race
+# detector.
+race-pool:
+	$(GO) test -race -cpu 1,2,4 ./internal/parallel ./internal/vec ./internal/cg
+
 vet:
 	$(GO) vet ./...
 
-# Quick benchmark smoke: the execution-engine microbenchmarks (pool dispatch,
-# spin vs channel phases) plus the host SpM×V dispatch comparison.
+# Quick benchmark smoke: the execution-engine microbenchmarks (the pool's
+# hand-off, a two-phase list, a bare barrier round) plus the host SpM×V per
+# reduction method and the fused CG iteration.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGFusion' -benchtime 50x .
@@ -94,8 +102,9 @@ attrib-smoke:
 	./scripts/attrib_smoke.sh
 
 # loc prints the size metrics the ROADMAP wants to go down (non-test Go
-# lines, per-thread kernel bodies) and fails if a second format enum or a
-# format-kernel construction outside internal/format has crept back in.
+# lines, per-thread kernel bodies) and fails if a second format enum, a
+# format-kernel construction outside internal/format, a kernel timing itself
+# or a second dispatch path in internal/parallel has crept back in.
 loc:
 	./scripts/loc.sh
 
@@ -108,14 +117,14 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # ci is the gate for every change: vet (fails the build on findings), build,
-# the colored-schedule and sharded-execution race focuses, the full test
-# suite under the race
-# detector (the execution engine's spin barrier and phase fusion are exactly
-# the kind of code -race exists for), the telemetry smoke, the fuzz smoke
+# the colored-schedule, sharded-execution and pool (three GOMAXPROCS values)
+# race focuses, the full test suite under the race detector (the execution
+# engine's hand-off, spin barrier and phase fusion are exactly the kind of
+# code -race exists for), the telemetry smoke, the fuzz smoke
 # (differential checking plus a short run of each fuzz target), the SpMM
 # traffic-model smoke, the serving-path and attribution smokes, and the
 # one-format-table gate (loc).
-ci: vet build loc race-colored race-shard race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
+ci: vet build loc race-colored race-shard race-pool race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
 
 # tune-demo runs the empirical autotuner on a small slice of the paper suite
 # and prints one decision table per matrix: every candidate plan with its

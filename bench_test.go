@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -346,47 +345,32 @@ func BenchmarkCGFusion(b *testing.B) {
 	})
 }
 
-// BenchmarkSpMVDispatch times the symmetric SpM×V per reduction method under
-// both phase-dispatch strategies — the resident spin-barrier path versus the
-// per-phase channel fallback — on a small matrix where synchronization cost
-// is a visible fraction of the kernel. GOMAXPROCS is raised so the spin path
-// is exercised even on small hosts.
+// BenchmarkSpMVDispatch times the symmetric SpM×V per reduction method on a
+// small matrix, where the pool's hand-off and the barrier between multiply
+// and reduce are a visible fraction of the kernel.
 func BenchmarkSpMVDispatch(b *testing.B) {
 	suite, _ := benchSuite(b)
 	sm := suite[0]
 	n := sm.S.N
-	const p = 4
-	prev := runtime.GOMAXPROCS(0)
-	if prev < p {
-		runtime.GOMAXPROCS(p)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	for _, method := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed} {
-		for _, mode := range []parallel.PhaseMode{parallel.PhaseSpin, parallel.PhaseChannel} {
-			name := "channel"
-			if mode == parallel.PhaseSpin {
-				name = "spin"
+		b.Run(method.String(), func(b *testing.B) {
+			pool := parallel.NewPool(parallel.DefaultThreads())
+			defer pool.Close()
+			k := core.NewKernel(sm.S, method, pool)
+			x := make([]float64, n)
+			y := make([]float64, n)
+			for i := range x {
+				x[i] = 1.0 / float64(i+1)
 			}
-			b.Run(fmt.Sprintf("%s/%s", method, name), func(b *testing.B) {
-				pool := parallel.NewPool(p)
-				defer pool.Close()
-				pool.SetPhaseMode(mode)
-				k := core.NewKernel(sm.S, method, pool)
-				x := make([]float64, n)
-				y := make([]float64, n)
-				for i := range x {
-					x[i] = 1.0 / float64(i+1)
-				}
-				flops := float64(2 * sm.S.LogicalNNZ())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k.MulVec(x, y)
-				}
-				b.StopTimer()
-				gflops := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
-				b.ReportMetric(gflops, "Gflop/s")
-			})
-		}
+			flops := float64(2 * sm.S.LogicalNNZ())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.MulVec(x, y)
+			}
+			b.StopTimer()
+			gflops := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
+			b.ReportMetric(gflops, "Gflop/s")
+		})
 	}
 }
 

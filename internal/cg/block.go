@@ -96,6 +96,8 @@ func SolveBlock(a MulMater, pool *parallel.Pool, b, x []float64, nv int, opts Op
 	normB := make([]float64, nv)
 	tol2 := make([]float64, nv)
 	frozen := make([]bool, nv)
+	// Bound once, as in Solve: an iteration allocates nothing.
+	dots, step := vec.BindMultiDots(pool, p, ap, nv), vec.BindMultiCGStep(pool, p, ap, x, r, nv)
 
 	res := BlockResult{NV: nv, Converged: make([]bool, nv), Residuals: make([]float64, nv)}
 	start := time.Now()
@@ -155,7 +157,7 @@ func SolveBlock(a MulMater, pool *parallel.Pool, b, x []float64, nv int, opts Op
 		}
 		mark(&res.SpMVTime, t0)
 		t0 = time.Now()
-		vec.MultiDots(pool, p, ap, nv, pap)
+		dots(pap)
 		for v := 0; v < nv; v++ {
 			if frozen[v] {
 				alpha[v] = 0 // frozen lanes stop moving; see vec.MultiCGStep
@@ -167,7 +169,7 @@ func SolveBlock(a MulMater, pool *parallel.Pool, b, x []float64, nv int, opts Op
 			}
 			alpha[v] = rr[v] / pap[v]
 		}
-		vec.MultiCGStep(pool, alpha, rr, p, ap, x, r, nv, rrNew)
+		step(alpha, rr, rrNew)
 		for v := 0; v < nv; v++ {
 			if !frozen[v] {
 				rr[v] = rrNew[v]

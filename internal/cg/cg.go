@@ -148,6 +148,13 @@ func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Resul
 	r := make([]float64, n)
 	p := make([]float64, n)
 	ap := make([]float64, n)
+	// The iteration's vector operations, bound once to the solve's vectors
+	// with their partial sums and phase lists: an iteration allocates nothing.
+	step := vec.BindCGStep(pool, p, ap, x, r)
+	var dot func() float64
+	if fused == nil {
+		dot = vec.BindDot(pool, p, ap)
+	}
 
 	var res Result
 	start := time.Now()
@@ -213,7 +220,7 @@ func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Resul
 				itMid = obs.Now()
 			}
 			t0 = time.Now()
-			pap = vec.Dot(pool, p, ap)
+			pap = dot()
 		}
 		if !opts.FixedIterations && (pap <= 0 || !isFinite(pap)) {
 			// Breakdown: A is not SPD along p, or NaN/Inf entered the
@@ -225,7 +232,7 @@ func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Resul
 		}
 		alpha := rr / pap
 		// x += α·p ; r −= α·A·p ; rr' = rᵀr ; p = r + (rr'/rr)·p — one handoff.
-		rr = vec.CGStep(pool, alpha, rr, p, ap, x, r)
+		rr = step(alpha, rr)
 		mark(&res.VectorTime, t0)
 		res.Iterations++
 		cgIterations.Inc()

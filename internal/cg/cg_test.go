@@ -3,7 +3,6 @@ package cg
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -231,16 +230,10 @@ func TestSolveFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
-// A fused CG iteration must execute with at most two global coordinator
-// handoffs: one for the fused SpM×V+dot, one for the fused vector-update
-// chain. Asserted through the pool's instrumented dispatch counter, with
-// GOMAXPROCS raised so the resident spin-barrier path is active.
+// A fused CG iteration must execute with at most two hand-offs: one for the
+// fused SpM×V+dot, one for the fused vector-update chain. Asserted through
+// the pool's instrumented dispatch counter.
 func TestSolveFusedIterationHandoffs(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	rng := rand.New(rand.NewSource(66))
 	const n = 400
 	m := spdMatrix(rng, n, 4)
@@ -273,6 +266,43 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 		if total > setup+2*iters {
 			t.Errorf("method=%v: %d handoffs for %d iterations, want ≤ %d",
 				method, total, iters, setup+2*iters)
+		}
+	}
+}
+
+// A CG iteration allocates nothing: the solve's workspace holds the partial
+// sums and the phase lists, so 100 more iterations cost no more allocations —
+// on the fused path, the unfused one and the block solver alike.
+func TestIterationsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const n, nv, k = 400, 4, 5
+	s, err := core.FromCOO(spdMatrix(rng, n, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	kern := core.NewKernel(s, core.Indexed, pool)
+	b, x := make([]float64, n*nv), make([]float64, n*nv)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	for name, solve := range map[string]func(iters int){
+		"fused": func(iters int) {
+			_, _ = Solve(kern, pool, b[:n], x[:n], Options{MaxIter: iters, FixedIterations: true})
+		},
+		"unfused": func(iters int) {
+			_, _ = Solve(MulVecFunc(kern.MulVec), pool, b[:n], x[:n], Options{MaxIter: iters, FixedIterations: true})
+		},
+		"block": func(iters int) {
+			_, _ = SolveBlock(kernelMulMater{kern}, pool, b, x, nv, Options{MaxIter: iters, FixedIterations: true})
+		},
+	} {
+		solve(1) // the kernel's own first-use buffers
+		short := testing.AllocsPerRun(5, func() { solve(k) })
+		long := testing.AllocsPerRun(5, func() { solve(k + 100) })
+		if long > short+2 { // one allocation per iteration would be +100; the race runtime's own may add one
+			t.Errorf("%s: %v allocations for %d iterations, %v for %d", name, long, k+100, short, k)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/matrix"
@@ -150,8 +151,9 @@ func TestMulVecDotMatchesMulVec(t *testing.T) {
 }
 
 // The multiply→reduce chain must produce bitwise-identical results whether
-// the phases run resident behind the spin barrier or as separate channel
-// dispatches: fusion changes synchronization only, never the float ops.
+// the participants spin (every one has a processor) or the pool is
+// oversubscribed and they park and yield: the hand-off changes
+// synchronization only, never the float ops.
 func TestPhasesBitwiseIdenticalAcrossDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := randomSymmetric(t, rng, 600, 5)
@@ -166,26 +168,27 @@ func TestPhasesBitwiseIdenticalAcrossDispatch(t *testing.T) {
 	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 		results := make([][]float64, 0, 2)
 		dots := make([]float64, 0, 2)
-		for _, mode := range []parallel.PhaseMode{parallel.PhaseSpin, parallel.PhaseChannel} {
+		for _, procs := range []int{4, 1} {
+			prev := runtime.GOMAXPROCS(procs)
 			pool := parallel.NewPool(4)
-			pool.SetPhaseMode(mode)
 			k := NewKernel(s, method, pool)
 			y := make([]float64, 600)
 			k.MulVec(x, y)
 			y2 := make([]float64, 600)
 			d := k.MulVecDot(x, y2)
 			pool.Close()
+			runtime.GOMAXPROCS(prev)
 			results = append(results, y)
 			dots = append(dots, d)
 		}
 		for i := range results[0] {
 			if results[0][i] != results[1][i] {
-				t.Fatalf("method=%v: y[%d] differs across dispatch modes: spin %g, channel %g",
+				t.Fatalf("method=%v: y[%d] differs across GOMAXPROCS: 4 gives %g, 1 gives %g",
 					method, i, results[0][i], results[1][i])
 			}
 		}
 		if dots[0] != dots[1] {
-			t.Fatalf("method=%v: dot differs across dispatch modes: spin %g, channel %g",
+			t.Fatalf("method=%v: dot differs across GOMAXPROCS: 4 gives %g, 1 gives %g",
 				method, dots[0], dots[1])
 		}
 	}

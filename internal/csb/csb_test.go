@@ -174,7 +174,7 @@ func TestQuickCSBMatchesReference(t *testing.T) {
 }
 
 // TestCSBOneHandoffZeroAlloc: multiply→reduce is one prebuilt phase list, so
-// a product is one coordinator handoff and allocates nothing.
+// a product is one hand-off and allocates nothing.
 func TestCSBOneHandoffZeroAlloc(t *testing.T) {
 	s := randomSymmetric(t, rand.New(rand.NewSource(305)), 400, 4)
 	sm, err := NewSym(s, 32)
@@ -183,7 +183,6 @@ func TestCSBOneHandoffZeroAlloc(t *testing.T) {
 	}
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	pool.SetPhaseMode(parallel.PhaseSpin)
 	k := NewKernel(sm, pool)
 	x, y := make([]float64, s.N), make([]float64, s.N)
 	for i := range x {

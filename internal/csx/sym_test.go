@@ -2,6 +2,7 @@ package csx
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -188,8 +189,8 @@ func TestSymNaiveAndEffectiveMethods(t *testing.T) {
 }
 
 // MulVecDot must produce the same output as MulVec bitwise (the fused dot
-// only adds reads) and return xᵀ·(A·x), under every reduction method and
-// across both phase-dispatch paths.
+// only adds reads) and return xᵀ·(A·x), under every reduction method,
+// spinning and oversubscribed (GOMAXPROCS 1) alike.
 func TestSymMulVecDot(t *testing.T) {
 	ms := testMatrices(t)
 	rng := rand.New(rand.NewSource(16))
@@ -205,14 +206,15 @@ func TestSymMulVecDot(t *testing.T) {
 		for _, method := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed} {
 			sm := NewSym(s, 4, method, DefaultOptions())
 			var prevDot float64
-			for mi, mode := range []parallel.PhaseMode{parallel.PhaseSpin, parallel.PhaseChannel} {
+			for mi, procs := range []int{4, 1} {
+				prev := runtime.GOMAXPROCS(procs)
 				pool := parallel.NewPool(4)
-				pool.SetPhaseMode(mode)
 				y1 := make([]float64, s.N)
 				y2 := make([]float64, s.N)
 				sm.MulVec(pool, x, y1)
 				dot := sm.MulVecDot(pool, x, y2)
 				pool.Close()
+				runtime.GOMAXPROCS(prev)
 				for i := range y1 {
 					if y1[i] != y2[i] {
 						t.Fatalf("%s/%v: y[%d] differs: MulVec %g, MulVecDot %g",
@@ -227,7 +229,7 @@ func TestSymMulVecDot(t *testing.T) {
 					t.Fatalf("%s/%v: dot=%g, want %g", name, method, dot, want)
 				}
 				if mi > 0 && dot != prevDot {
-					t.Fatalf("%s/%v: dot differs across dispatch modes: %g vs %g",
+					t.Fatalf("%s/%v: dot differs across GOMAXPROCS: %g vs %g",
 						name, method, dot, prevDot)
 				}
 				prevDot = dot
@@ -237,7 +239,7 @@ func TestSymMulVecDot(t *testing.T) {
 }
 
 // TestSymMulVecZeroAlloc: the two phase lists are assembled once, so neither
-// product allocates and each costs exactly one coordinator handoff — on any
+// product allocates and each costs exactly one hand-off — on any
 // pool of the right size, not just the first one seen.
 func TestSymMulVecZeroAlloc(t *testing.T) {
 	s, err := core.FromCOO(testMatrices(t)["blocked"])
@@ -251,7 +253,6 @@ func TestSymMulVecZeroAlloc(t *testing.T) {
 	sm := NewSym(s, 2, core.Indexed, DefaultOptions())
 	for round := 0; round < 2; round++ {
 		pool := parallel.NewPool(2)
-		pool.SetPhaseMode(parallel.PhaseSpin)
 		sm.MulVec(pool, x, y)
 		sm.MulVecDot(pool, x, y)
 		pool.ResetHandoffs()

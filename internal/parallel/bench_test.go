@@ -6,10 +6,19 @@ import (
 	"testing"
 )
 
-// BenchmarkPoolRun measures the round-trip latency of a single channel
-// dispatch (one coordinator handoff) at the thread counts the Fig. 7/8
-// dispatch-latency discussion cares about. The body is empty, so ns/op is
-// pure synchronization cost.
+// raiseProcs lifts GOMAXPROCS to p for the benchmark so the spinning hand-off
+// is what is measured even on small CI machines.
+func raiseProcs(b *testing.B, p int) {
+	if prev := runtime.GOMAXPROCS(0); prev < p {
+		runtime.GOMAXPROCS(p)
+		b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// BenchmarkPoolRun measures the round-trip latency of one hand-off (bump the
+// generation word, run tid 0, wait for the countdown) at the thread counts
+// the Fig. 7/8 dispatch-latency discussion cares about. The body is empty, so
+// ns/op is pure synchronization cost.
 func BenchmarkPoolRun(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
@@ -25,33 +34,19 @@ func BenchmarkPoolRun(b *testing.B) {
 }
 
 // BenchmarkRunPhases measures a two-phase chain — the multiply→reduce shape
-// of every symmetric SpM×V — under the three dispatch modes. The spin path
-// should beat channel dispatch whenever workers have their own cores: the
-// inter-phase boundary is a barrier round instead of a full coordinator
-// handoff. GOMAXPROCS is raised to the worker count for the duration so the
-// resident path is exercised even on small CI machines.
+// of every symmetric SpM×V: one hand-off plus one barrier round.
 func BenchmarkRunPhases(b *testing.B) {
 	for _, p := range []int{2, 4, 8} {
-		prev := runtime.GOMAXPROCS(0)
-		if prev < p {
-			runtime.GOMAXPROCS(p)
-		}
-		for _, mode := range []struct {
-			name string
-			m    PhaseMode
-		}{{"spin", PhaseSpin}, {"channel", PhaseChannel}} {
-			b.Run(fmt.Sprintf("p=%d/%s", p, mode.name), func(b *testing.B) {
-				pool := NewPool(p)
-				defer pool.Close()
-				pool.SetPhaseMode(mode.m)
-				noop := func(int) {}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pool.RunPhases(noop, noop)
-				}
-			})
-		}
-		runtime.GOMAXPROCS(prev)
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			raiseProcs(b, p)
+			pool := NewPool(p)
+			defer pool.Close()
+			noop := func(int) {}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.RunPhases(noop, noop)
+			}
+		})
 	}
 }
 
@@ -60,11 +55,7 @@ func BenchmarkRunPhases(b *testing.B) {
 func BenchmarkSpinBarrier(b *testing.B) {
 	for _, p := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(0)
-			if prev < p {
-				runtime.GOMAXPROCS(p)
-				defer runtime.GOMAXPROCS(prev)
-			}
+			raiseProcs(b, p)
 			pool := NewPool(p)
 			defer pool.Close()
 			bar := NewSpinBarrier(p)

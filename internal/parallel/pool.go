@@ -1,59 +1,59 @@
-// Package parallel provides a persistent worker pool with barrier semantics
-// and a low-latency multi-phase dispatch path.
+// Package parallel provides a persistent worker pool the caller works in,
+// with barrier semantics and a low-latency multi-phase dispatch path.
 //
 // The paper's implementation uses explicit Pthreads bound to cores and reuses
 // the same threads across the 128 SpM×V iterations of the measurement
-// protocol. Spawning fresh goroutines per kernel invocation would charge the
-// kernels with scheduler overhead the paper does not have, so Pool keeps p
-// long-lived workers that block on a dispatch channel and signal completion
-// through a shared WaitGroup.
+// protocol. Spawning goroutines per kernel invocation would charge the kernels
+// with scheduler overhead the paper does not have, and so would putting the
+// caller to sleep while P other goroutines are woken: a Pool of size P keeps
+// P−1 resident workers and the calling goroutine runs tid 0 itself.
 //
-// A single channel dispatch (one coordinator handoff) costs on the order of
-// microseconds at high worker counts — small next to a large SpM×V but
-// dominant for the short phases of a CG iteration on small matrices. The
-// multi-phase path (RunPhaseList, and RunPhases for unlabelled bodies)
-// therefore keeps the workers resident across consecutive phases, separating
-// them with a SpinBarrier instead of returning to the coordinator, so a
-// multiply→reduce chain or a fused axpy/dot/xpay chain pays one handoff per
-// call instead of one per phase.
+// The hand-off is a generation word. The caller writes the operation's
+// per-dispatch fields, bumps the word, runs its own share and waits on a
+// countdown the workers decrement (spin, then yield). A worker waits for the
+// word to move by spinning for a bounded budget (handoffSpin: long enough to
+// bridge the gaps inside a CG iteration, so consecutive operations cost a
+// cache-line transfer, not a thread wake) and then parks on its own wake
+// token, so an idle pool burns no CPU. On an oversubscribed pool (Size() >
+// GOMAXPROCS) a waiter's processor is needed by whoever it waits for, so
+// every wait skips its spin: workers park at once, barriers and the countdown
+// yield at once.
 //
-// Every kernel and vector operation reaches the pool as a PhaseList whose
-// phases say what they are, so the dispatch is also the one place where
-// operations are timed (sample.go).
+// A multi-phase list (RunPhaseList, and RunPhases for unlabelled bodies) keeps
+// the participants resident across its phases, separated by a SpinBarrier, so
+// a multiply→reduce or axpy/dot/xpay chain pays one hand-off per call, not
+// one per phase. Every kernel and vector operation reaches the pool as a
+// PhaseList whose phases say what they are, so the dispatch is also the one
+// place where operations are timed (sample.go).
 package parallel
 
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// poolHandoffs counts coordinator→worker dispatch cycles across all pools in
-// the process — the telemetry view of the per-pool Handoffs() counter. An
-// atomic add per dispatch, no gating needed.
-var poolHandoffs = obs.NewCounter("symspmv_pool_handoffs_total",
-	"Coordinator-to-worker dispatch cycles issued across all pools.")
-
-// PhaseMode selects how a multi-phase list separates consecutive phases.
-type PhaseMode int
-
-const (
-	// PhaseAuto uses the resident spin-barrier path when the pool is not
-	// oversubscribed (Size() ≤ GOMAXPROCS) and falls back to per-phase
-	// channel dispatch otherwise, where spinning workers would steal the
-	// processor from the workers they are waiting for.
-	PhaseAuto PhaseMode = iota
-	// PhaseSpin always keeps workers resident across phases with the spin
-	// barrier between them (the barrier itself degrades to Gosched-yielding
-	// when oversubscribed, so this stays correct at any GOMAXPROCS).
-	PhaseSpin
-	// PhaseChannel always dispatches each phase as a separate channel
-	// round-trip — the pre-fusion behaviour, kept for A/B benchmarking.
-	PhaseChannel
+// poolHandoffs counts caller→worker dispatch cycles across all pools — the
+// telemetry view of Handoffs() — and poolParks the times a worker parked,
+// the event that makes the next hand-off a thread wake. An atomic add each,
+// the second off the hot path.
+var (
+	poolHandoffs = obs.NewCounter("symspmv_pool_handoffs_total",
+		"Caller-to-worker dispatch cycles issued across all pools.")
+	poolParks = obs.NewCounter("symspmv_pool_parks_total",
+		"Times a pool worker parked after spinning out its hand-off budget.")
 )
+
+// handoffSpin bounds the generation-word loads a worker performs before it
+// parks: one constant near the knee of the sweep in DESIGN.md §7 (about 16 µs
+// on the benchmark box). Shorter and workers park inside a CG iteration, so
+// every hand-off is a thread wake; longer buys nothing and keeps a processor
+// from a second pool that much longer.
+const handoffSpin = 1 << 15
 
 // PhaseScope selects which workers a phase boundary synchronizes in a
 // RunPhaseList chain.
@@ -84,9 +84,11 @@ const (
 
 // Phase is one step of an operation and says what it is: the body, the scope
 // of the barrier separating it from the next phase (irrelevant for the final
-// phase — completion is signalled through the pool's WaitGroup), and the span
-// name and kind the sampler (sample.go) files its time under. The labels are
-// set once, where the list is assembled.
+// phase — completion is the pool's countdown), and the span name and kind the
+// sampler (sample.go) files its time under. The labels are set once, where
+// the list is assembled. Fn(0) runs on the goroutine that called the pool,
+// every other tid on a resident worker; no body may call back into the pool
+// it runs on.
 type Phase struct {
 	Fn    func(tid int)
 	Scope PhaseScope
@@ -114,18 +116,46 @@ func (ph Phase) Local() Phase {
 // PhaseList is one operation in the form the pool runs: its labelled phases,
 // assembled once over the owner's operand slots so running it allocates
 // nothing, and where its samples go — every sampled run feeds Metrics, then
-// Hook, on the coordinating goroutine after the workers have parked (the hook
-// may allocate but must not run anything on the pool). Either may be nil.
+// Hook, on the calling goroutine after the workers are done (the hook may
+// allocate but must not run anything on the pool). Either may be nil.
 type PhaseList struct {
 	Phases  []Phase
 	Metrics *OpMetrics
 	Hook    func(*Sample)
 }
 
-// Pool is a fixed-size set of persistent workers. A Pool must be created with
-// NewPool and released with Close.
+// PhasePanic is what every Run* method panics with when a phase body panicked
+// on any participant: the first panic's value and the stack of the goroutine
+// it happened on. It is raised on the calling goroutine once every
+// participant has left the operation (the barriers are poisoned, so no peer
+// waits for the one that died), with the pool re-armed for the next one.
+type PhasePanic struct {
+	Tid   int // participant the body panicked on
+	Value any
+	Stack []byte
+}
+
+func (e *PhasePanic) Error() string {
+	return fmt.Sprintf("parallel: phase body panicked on tid %d: %v", e.Tid, e.Value)
+}
+
+// slot is one worker's wake token: it parks on cond with parked set, dispatch
+// signals the workers whose flag it sees. The worker sets the flag and then
+// re-reads the generation word, dispatch bumps the word and then reads the
+// flag: one of the two sees the other, so a wake cannot be lost. Padded apart
+// from its neighbours.
+type slot struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	parked atomic.Bool
+	_      [64]byte
+}
+
+// Pool is a fixed-size set of participants: the calling goroutine as tid 0
+// plus Size()−1 persistent workers. A Pool must be created with NewPool and
+// released with Close.
 //
-// Workers are grouped into domains (NewPoolDomains): contiguous worker
+// Participants are grouped into domains (NewPoolDomains): contiguous tid
 // ranges, one per NUMA domain, each with its own sense-reversing barrier so
 // a PhaseLocal boundary costs an intra-domain round instead of a machine-wide
 // one. NewPool creates the degenerate single-domain pool.
@@ -133,17 +163,15 @@ type PhaseList struct {
 // Ownership: a Pool is owned by a single coordinating goroutine. Run,
 // RunChunked, RunPhases, RunPhaseList, RunSampled and Close must all be issued
 // from that goroutine (or otherwise serialized by the caller); the Pool detects misuse
-// — Run after Close, Close during a Run, overlapping Runs — and panics
-// deterministically instead of racing.
+// — Run after Close, Close during a Run, overlapping Runs, a body re-entering
+// the pool — and panics deterministically instead of racing.
 type Pool struct {
 	n       int
-	work    []chan func(tid int)
-	wg      sync.WaitGroup
 	barrier *SpinBarrier
-	mode    PhaseMode
+	slots   []slot // slots[tid-1] belongs to worker tid
 
-	// Domain structure: workers [domLo[d], domLo[d+1]) belong to domain d and
-	// share domBar[d]. For a single-domain pool domBar[0] is the global
+	// Domain structure: participants [domLo[d], domLo[d+1]) belong to domain
+	// d and share domBar[d]. For a single-domain pool domBar[0] is the global
 	// barrier itself.
 	domains int
 	domOf   []int32
@@ -153,30 +181,41 @@ type Pool struct {
 	closed   atomic.Bool
 	busy     atomic.Bool
 	handoffs atomic.Int64
+	failed   atomic.Pointer[PhasePanic] // first panic of the operation in flight
 
-	// cur is the list in flight and [lo, hi) the phases of the current
-	// handoff; run sets them before each dispatch (the channel sends publish
-	// them to the workers) and phaseFn, bound once to phaseWorker, iterates
-	// them, so running a list allocates nothing. bare is the reusable backing
-	// of RunPhases' unlabelled list, sampler the state of a timed run
-	// (sample.go).
+	// The hand-off. cur (the phases in flight; none tells the workers to
+	// leave), timed (the sampler is on) and over (oversubscribed, read once
+	// per dispatch) are written before gen is bumped and read by a worker
+	// only between seeing the bump and decrementing pending, which the caller
+	// waits on before touching them again. Every spinning worker reads gen,
+	// every finishing one writes pending: each has a cache line of its own.
+	_       [64]byte
 	cur     []Phase
-	lo, hi  int
-	phaseFn func(tid int)
+	timed   bool
+	over    bool
+	_       [64]byte
+	gen     atomic.Uint64
+	_       [64]byte
+	pending atomic.Int32
+	_       [64]byte
+
+	// bare is the reusable backing of the unlabelled lists Run and RunPhases
+	// build, sampler the state of a timed run (sample.go).
 	bare    []Phase
 	sampler sampler
 }
 
-// NewPool starts n persistent workers in a single domain. n must be positive.
+// NewPool creates a single-domain pool of n participants: n−1 persistent
+// workers, none for n == 1. n must be positive.
 func NewPool(n int) *Pool {
 	return NewPoolDomains(n, 1)
 }
 
-// NewPoolDomains starts n persistent workers grouped into domains contiguous
-// sub-pools (worker tid belongs to domain Chunk-style: earlier domains get
-// the remainder workers, matching partition.ByNNZDomains' worker counts).
-// domains is clamped to [1, n] so every domain owns at least one worker; a
-// single domain reproduces NewPool exactly.
+// NewPoolDomains creates a pool of n participants grouped into domains
+// contiguous sub-pools (tid belongs to domain Chunk-style: earlier domains
+// get the remainder, matching partition.ByNNZDomains' worker counts).
+// domains is clamped to [1, n] so every domain owns at least one participant;
+// a single domain reproduces NewPool exactly.
 func NewPoolDomains(n, domains int) *Pool {
 	if n <= 0 {
 		panic(fmt.Sprintf("parallel: NewPoolDomains(%d, %d): size must be positive", n, domains))
@@ -189,8 +228,8 @@ func NewPoolDomains(n, domains int) *Pool {
 	}
 	p := &Pool{
 		n:       n,
-		work:    make([]chan func(tid int), n),
 		barrier: NewSpinBarrier(n),
+		slots:   make([]slot, n-1),
 		domains: domains,
 		domOf:   make([]int32, n),
 		domBar:  make([]*SpinBarrier, domains),
@@ -209,72 +248,117 @@ func NewPoolDomains(n, domains int) *Pool {
 			p.domBar[d] = NewSpinBarrier(hi - lo)
 		}
 	}
-	p.phaseFn = p.phaseWorker
-	for i := 0; i < n; i++ {
-		p.work[i] = make(chan func(tid int))
-		go p.worker(i)
+	for i := range p.slots {
+		p.slots[i].cond.L = &p.slots[i].mu
+		go p.worker(i + 1)
 	}
 	return p
 }
 
+// worker is the resident loop of participant tid ≥ 1: wait for the generation
+// word to move, run the published phases, count down. It parks at once while
+// the pool has never run or is oversubscribed.
 func (p *Pool) worker(tid int) {
-	for fn := range p.work[tid] {
-		fn(tid)
-		p.wg.Done()
+	w := &p.slots[tid-1]
+	var seen uint64
+	spin := 0
+	for {
+		seen = p.await(w, seen, spin)
+		if p.cur == nil {
+			p.pending.Add(-1)
+			return
+		}
+		spin = spins(handoffSpin, p.over)
+		p.participate(tid)
+		p.pending.Add(-1)
 	}
 }
 
-// phaseWorker runs phases [lo, hi) of the current list on worker tid — timed
-// while the sampler is on — separated by the barrier each phase's scope names.
-func (p *Pool) phaseWorker(tid int) {
-	bar := p.domBar[p.domOf[tid]]
-	for i := p.lo; i < p.hi; i++ {
+// await returns the generation word once it has moved past seen: after at
+// most spin loads of it the worker parks on its wake token.
+func (p *Pool) await(w *slot, seen uint64, spin int) uint64 {
+	for i := 0; i < spin; i++ {
+		if g := p.gen.Load(); g != seen {
+			return g
+		}
+	}
+	w.mu.Lock()
+	w.parked.Store(true)
+	poolParks.Inc()
+	for p.gen.Load() == seen {
+		w.cond.Wait()
+	}
+	w.parked.Store(false)
+	w.mu.Unlock()
+	return p.gen.Load()
+}
+
+// participate runs the phases in flight as participant tid, separated by the
+// barrier each phase's scope names. A poisoned barrier means a peer's body
+// panicked, and ends this participant's share.
+func (p *Pool) participate(tid int) {
+	defer p.contain(tid)
+	budget := spins(spinBudget, p.over)
+	last := len(p.cur) - 1
+	for i := range p.cur {
 		ph := &p.cur[i]
-		if p.sampler.on {
+		if p.timed {
 			p.sampler.timed(ph, i*p.n+tid, tid)
 		} else {
 			ph.Fn(tid)
 		}
-		if i == p.hi-1 {
+		if i == last {
 			break
 		}
+		bar := p.barrier
 		if ph.Scope == PhaseLocal {
-			bar.Wait()
-		} else {
-			p.barrier.Wait()
+			bar = p.domBar[p.domOf[tid]]
+		}
+		if !bar.wait(budget) {
+			return
 		}
 	}
 }
 
-// Size reports the number of workers.
+// contain, deferred by every participant, turns a panicking body into the
+// operation's PhasePanic (the first one wins) and poisons every barrier so
+// no peer waits for the participant that will not arrive.
+func (p *Pool) contain(tid int) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	p.failed.CompareAndSwap(nil, &PhasePanic{Tid: tid, Value: v, Stack: debug.Stack()})
+	p.barrier.poison()
+	for _, b := range p.domBar {
+		b.poison()
+	}
+}
+
+// Size reports the number of participants.
 func (p *Pool) Size() int { return p.n }
 
 // Domains reports the number of worker domains (1 for NewPool pools).
 func (p *Pool) Domains() int { return p.domains }
 
-// DomainOf reports the domain worker tid belongs to.
+// DomainOf reports the domain participant tid belongs to.
 func (p *Pool) DomainOf(tid int) int { return int(p.domOf[tid]) }
 
-// DomainWorkers reports the contiguous worker range [lo, hi) of domain d.
+// DomainWorkers reports the contiguous tid range [lo, hi) of domain d.
 func (p *Pool) DomainWorkers(d int) (lo, hi int) {
 	return p.domLo[d], p.domLo[d+1]
 }
 
-// SetPhaseMode overrides how multi-phase lists separate phases (default
-// PhaseAuto). Like every other Pool method it must be called by the owning
-// goroutine.
-func (p *Pool) SetPhaseMode(m PhaseMode) { p.mode = m }
-
-// Handoffs reports the number of coordinator→worker dispatch cycles issued so
-// far: every Run counts one; a phase list counts one on the resident path and
-// one per phase on the channel-fallback path. Tests use it to assert phase
-// fusion actually collapsed the barrier chain.
+// Handoffs reports the number of caller→worker dispatch cycles issued so far:
+// one per Run and one per phase list, however many phases it has. Tests use
+// it to assert phase fusion actually collapsed the barrier chain.
 func (p *Pool) Handoffs() int64 { return p.handoffs.Load() }
 
 // ResetHandoffs zeroes the dispatch counter.
 func (p *Pool) ResetHandoffs() { p.handoffs.Store(0) }
 
-// begin guards a dispatch: panics deterministically on misuse.
+// begin guards an operation — it panics deterministically on misuse — and
+// counts its hand-off.
 func (p *Pool) begin(op string) {
 	if p.closed.Load() {
 		panic("parallel: " + op + " on closed Pool")
@@ -282,87 +366,83 @@ func (p *Pool) begin(op string) {
 	if !p.busy.CompareAndSwap(false, true) {
 		panic("parallel: concurrent " + op + " on Pool (a Pool is owned by a single goroutine)")
 	}
+	p.handoffs.Add(1)
+	poolHandoffs.Inc()
 }
 
 func (p *Pool) end() { p.busy.Store(false) }
 
-// dispatch sends fn to every worker and waits for completion — one
-// coordinator handoff.
-func (p *Pool) dispatch(fn func(tid int)) {
-	p.handoffs.Add(1)
-	poolHandoffs.Inc()
-	p.wg.Add(p.n)
-	for i := 0; i < p.n; i++ {
-		p.work[i] <- fn
-	}
-	p.wg.Wait()
-}
-
-// Run executes fn(tid) on every worker, tid in [0, Size()), and blocks until
-// all workers have finished (a barrier).
-func (p *Pool) Run(fn func(tid int)) {
-	p.begin("Run")
-	defer p.end()
-	p.dispatch(fn)
-}
-
-// resident reports whether a multi-phase list keeps the workers resident
-// between phases (one handoff, spin barriers) or dispatches phase by phase.
-func (p *Pool) resident() bool {
-	switch p.mode {
-	case PhaseAuto:
-		return p.n <= runtime.GOMAXPROCS(0)
-	case PhaseChannel:
-		return false
-	}
-	return true
-}
-
-// run hands a non-empty list to the workers: in one handoff when the workers
-// stay resident (or there is a single phase), else one handoff per phase.
-func (p *Pool) run(phases []Phase) {
+// dispatch runs the list on every participant — one hand-off — and returns
+// when all of them are done: publish it by bumping the generation word, wake
+// whoever is parked, take tid 0's share, then wait out the countdown (spin,
+// then yield). If a body panicked it re-arms the barriers and panics with the
+// operation's *PhasePanic instead.
+func (p *Pool) dispatch(phases []Phase) {
 	p.cur = phases
-	if len(phases) == 1 || p.resident() {
-		p.lo, p.hi = 0, len(phases)
-		p.dispatch(p.phaseFn)
-	} else {
-		for i := range phases {
-			p.lo, p.hi = i, i+1
-			p.dispatch(p.phaseFn)
+	if p.n > 1 {
+		p.over = p.n > runtime.GOMAXPROCS(0)
+		p.pending.Store(int32(p.n - 1))
+		p.gen.Add(1)
+		for i := range p.slots {
+			if w := &p.slots[i]; w.parked.Load() {
+				w.mu.Lock()
+				w.cond.Signal()
+				w.mu.Unlock()
+			}
 		}
 	}
-	p.cur = nil
+	p.participate(0)
+	for i, budget := 0, spins(spinBudget, p.over); p.pending.Load() != 0; i++ {
+		if i >= budget {
+			runtime.Gosched()
+		}
+	}
+	p.cur, p.timed = nil, false
+	if pp := p.failed.Load(); pp != nil {
+		p.failed.Store(nil)
+		p.barrier.rearm()
+		for _, b := range p.domBar {
+			b.rearm()
+		}
+		panic(pp)
+	}
 }
 
-// RunPhases executes the given unlabelled phases in order on every worker:
-// within a phase all workers run concurrently, and no worker starts phase i+1
-// before every worker has finished phase i. On the resident path the whole
-// chain costs a single coordinator handoff, with only a spin-barrier round
-// between phases; under PhaseChannel (or PhaseAuto when oversubscribed) each
-// phase is a separate channel dispatch, identical to calling Run per phase.
-// Having no labels, the chain is never sampled.
-func (p *Pool) RunPhases(phases ...func(tid int)) {
-	if len(phases) == 0 {
-		return
-	}
-	p.begin("RunPhases")
+// runBare dispatches unlabelled bodies as a list built in the reused backing.
+func (p *Pool) runBare(op string, fns []func(tid int)) {
+	p.begin(op)
 	defer p.end()
 	p.bare = p.bare[:0]
-	for _, fn := range phases {
+	for _, fn := range fns {
 		p.bare = append(p.bare, Phase{Fn: fn})
 	}
-	p.run(p.bare)
+	p.dispatch(p.bare)
 	clear(p.bare)
+}
+
+// Run executes fn(tid) on every participant, tid in [0, Size()) with tid 0 on
+// the calling goroutine, and returns when all of them have finished (a
+// barrier).
+func (p *Pool) Run(fn func(tid int)) {
+	p.runBare("Run", []func(tid int){fn})
+}
+
+// RunPhases executes the given unlabelled phases in order on every
+// participant: within a phase all run concurrently, and none starts phase i+1
+// before every one has finished phase i. The whole chain costs a single
+// hand-off, with only a spin-barrier round between phases. Having no labels,
+// the chain is never sampled.
+func (p *Pool) RunPhases(phases ...func(tid int)) {
+	if len(phases) > 0 {
+		p.runBare("RunPhases", phases)
+	}
 }
 
 // RunPhaseList executes a labelled operation: RunPhases with per-phase
 // barrier scopes — a PhaseGlobal boundary synchronizes the whole pool, a
-// PhaseLocal boundary only the worker's domain, the two-level structure the
-// hierarchical reduction runs on — and, while obs.SamplingEnabled(), timed
+// PhaseLocal boundary only the participant's domain, the two-level structure
+// the hierarchical reduction runs on — and, while obs.SamplingEnabled(), timed
 // (sample.go); unsampled, that one atomic load is its whole telemetry cost.
-// The channel-fallback path dispatches each phase globally, which
-// over-synchronizes local boundaries but never under-synchronizes, so it
-// stays correct at any GOMAXPROCS.
 func (p *Pool) RunPhaseList(l *PhaseList) {
 	if len(l.Phases) == 0 {
 		return
@@ -373,7 +453,7 @@ func (p *Pool) RunPhaseList(l *PhaseList) {
 		p.sample(l)
 		return
 	}
-	p.run(l.Phases)
+	p.dispatch(l.Phases)
 }
 
 // RunSampled executes l once as a sampled operation whatever the sampling
@@ -386,8 +466,8 @@ func (p *Pool) RunSampled(l *PhaseList) PhaseTimes {
 }
 
 // RunChunked partitions [0, n) into Size() nearly equal contiguous chunks and
-// executes fn(tid, lo, hi) per worker. Workers whose chunk is empty still run
-// with lo == hi so that fn can rely on being invoked exactly Size() times.
+// executes fn(tid, lo, hi) per participant. Those whose chunk is empty still
+// run with lo == hi so that fn can rely on being invoked exactly Size() times.
 func (p *Pool) RunChunked(n int, fn func(tid, lo, hi int)) {
 	p.Run(func(tid int) {
 		lo, hi := Chunk(n, p.n, tid)
@@ -395,19 +475,17 @@ func (p *Pool) RunChunked(n int, fn func(tid, lo, hi int)) {
 	})
 }
 
-// Close terminates the workers. The Pool must not be used afterwards. Close
-// during an in-flight Run/RunPhases is a misuse of the single-goroutine
-// ownership contract and panics. A second Close is a no-op.
+// Close ends the workers, parked and spinning alike, and returns once each
+// has taken its leave. The Pool must not be used afterwards. Close during an
+// in-flight Run/RunPhases is a misuse of the single-goroutine ownership
+// contract and panics. A second Close is a no-op.
 func (p *Pool) Close() {
 	if !p.busy.CompareAndSwap(false, true) {
 		panic("parallel: Close during Run (a Pool is owned by a single goroutine)")
 	}
 	defer p.end()
-	if !p.closed.CompareAndSwap(false, true) {
-		return
-	}
-	for i := 0; i < p.n; i++ {
-		close(p.work[i])
+	if p.closed.CompareAndSwap(false, true) {
+		p.dispatch(nil) // no phases: the workers leave
 	}
 }
 

@@ -2,10 +2,13 @@ package parallel
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPoolRunsAllWorkers(t *testing.T) {
@@ -135,16 +138,22 @@ func TestConcurrentRunPanics(t *testing.T) {
 	<-done
 }
 
-// RunPhases must order phases: no worker may enter phase i+1 before every
-// worker finished phase i, and data written in phase i must be visible in
-// phase i+1 without further synchronization. The writes below are plain
-// (non-atomic), so running this under -race also validates the barrier's
-// happens-before edges on both dispatch paths.
-func runPhasesOrdering(t *testing.T, mode PhaseMode, n int) {
+// RunPhases must order phases: no participant may enter phase i+1 before
+// every participant finished phase i, and data written in phase i must be
+// visible in phase i+1 without further synchronization. The writes below are
+// plain (non-atomic), so running this under -race also validates the
+// happens-before edges of the hand-off (caller → workers), the barriers and
+// the countdown (workers → caller, who checks sum).
+func runPhasesOrdering(t *testing.T, n int) {
 	t.Helper()
 	p := NewPool(n)
 	defer p.Close()
-	p.SetPhaseMode(mode)
+	runPhasesOrderingOn(t, p)
+}
+
+func runPhasesOrderingOn(t *testing.T, p *Pool) {
+	t.Helper()
+	n := p.Size()
 	a := make([]int, n)
 	b := make([]int, n)
 	var sum int
@@ -153,7 +162,7 @@ func runPhasesOrdering(t *testing.T, mode PhaseMode, n int) {
 			func(tid int) { a[tid] = tid + 1 },
 			func(tid int) { b[tid] = a[(tid+1)%n] * 2 }, // reads a neighbour's phase-1 write
 			func(tid int) {
-				if tid == 0 {
+				if tid == n-1 {
 					s := 0
 					for _, v := range b {
 						s += v
@@ -164,26 +173,220 @@ func runPhasesOrdering(t *testing.T, mode PhaseMode, n int) {
 		)
 		want := n * (n + 1) // 2·Σ(tid+1)
 		if sum != want {
-			t.Fatalf("mode=%v n=%d round=%d: sum=%d, want %d", mode, n, round, sum, want)
+			t.Fatalf("n=%d GOMAXPROCS=%d round=%d: sum=%d, want %d", n, runtime.GOMAXPROCS(0), round, sum, want)
 		}
 	}
 }
 
 func TestRunPhasesOrdering(t *testing.T) {
-	for _, mode := range []PhaseMode{PhaseAuto, PhaseSpin, PhaseChannel} {
-		for _, n := range []int{1, 2, 4, 8} {
-			runPhasesOrdering(t, mode, n)
+	for _, n := range []int{1, 2, 4, 8} {
+		runPhasesOrdering(t, n)
+	}
+}
+
+// The hand-off must stay correct when the pool is oversubscribed (more
+// participants than GOMAXPROCS): workers park instead of spinning, barrier
+// and countdown waiters yield at once, and the generation words still carry
+// the release ordering.
+func TestRunPhasesSpinOversubscribed(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		runPhasesOrdering(t, 8)
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// tid 0 is the calling goroutine: a pool of one starts no goroutine at all,
+// and a pool of n starts n−1.
+func TestCallerRunsTidZero(t *testing.T) {
+	base := runtime.NumGoroutine()
+	one := NewPool(1)
+	if got := runtime.NumGoroutine(); got != base {
+		t.Errorf("NewPool(1) started %d goroutines", got-base)
+	}
+	one.Run(func(int) {})
+	one.Close()
+
+	p := NewPool(4)
+	defer p.Close()
+	if got := runtime.NumGoroutine(); got != base+3 {
+		t.Errorf("NewPool(4) started %d goroutines, want 3", got-base)
+	}
+	var buf [64]byte
+	me := string(buf[:runtime.Stack(buf[:], false)]) // "goroutine N [running]:…"
+	me = me[:strings.Index(me, "[")]
+	ids := make([]string, 4)
+	p.Run(func(tid int) {
+		var buf [64]byte
+		ids[tid] = string(buf[:runtime.Stack(buf[:], false)])
+	})
+	for tid, id := range ids {
+		if strings.HasPrefix(id, me) != (tid == 0) {
+			t.Errorf("tid %d ran on %q, caller is %q", tid, id, me)
 		}
 	}
 }
 
-// The spin barrier must stay correct when the pool is oversubscribed
-// (more participants than GOMAXPROCS): waiters yield instead of spinning,
-// and the generation word still carries the release ordering.
-func TestRunPhasesSpinOversubscribed(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	runPhasesOrdering(t, PhaseSpin, 8)
+// parkedWorkers counts the workers sitting on their wake token.
+func parkedWorkers(p *Pool) int {
+	n := 0
+	for i := range p.slots {
+		if p.slots[i].parked.Load() {
+			n++
+		}
+	}
+	return n
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// An idle pool burns no CPU: a worker spins for its bounded budget after an
+// operation and then parks, which the parks counter records.
+func TestIdlePoolParks(t *testing.T) {
+	n := max(2, runtime.GOMAXPROCS(0))
+	p := NewPool(n)
+	defer p.Close()
+	parks0 := poolParks.Value()
+	for i := 0; i < 100; i++ {
+		p.Run(func(int) {})
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := parkedWorkers(p); got != n-1 {
+		t.Fatalf("50 ms after the last Run %d of %d workers are parked", got, n-1)
+	}
+	if got := poolParks.Value() - parks0; got < int64(n-1) {
+		t.Errorf("parks counter moved by %d, want at least %d", got, n-1)
+	}
+	used := time.Hour
+	for try := 0; try < 3 && used > 5*time.Millisecond; try++ { // the runtime's own background work may land in one window
+		c0 := cpuTime(t)
+		time.Sleep(50 * time.Millisecond)
+		used = cpuTime(t) - c0
+	}
+	if used > 5*time.Millisecond {
+		t.Errorf("idle pool of %d used %v of CPU in 50 ms", n, used)
+	}
+	// Parked workers take the next operation like spinning ones.
+	var ran atomic.Int32
+	p.Run(func(int) { ran.Add(1) })
+	if int(ran.Load()) != n {
+		t.Errorf("Run after parking reached %d of %d participants", ran.Load(), n)
+	}
+}
+
+// Close ends parked and spinning workers alike.
+func TestCloseEndsParkedAndSpinningWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, park := range []bool{true, false} {
+		p := NewPool(4)
+		p.Run(func(int) {})
+		if park && !waitFor(func() bool { return parkedWorkers(p) == 3 }) {
+			t.Fatal("workers did not park")
+		}
+		p.Close()
+		if !waitFor(func() bool { return runtime.NumGoroutine() <= base }) {
+			t.Errorf("park=%v: %d goroutines after Close, %d before NewPool", park, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// A panic in a phase body on any participant — the caller's tid 0, the last
+// worker, or between two barriers of a three-phase list — never hangs the
+// peers sitting in a barrier: it comes out of the call as a *PhasePanic on
+// the owning goroutine, and the same pool then runs a correct operation.
+func TestPhasePanicIsContained(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, n := range []int{2, 4, 8} {
+		for _, tc := range []struct {
+			name       string
+			tid, phase int
+		}{{"tid0", 0, 0}, {"last", n - 1, 0}, {"between-barriers", n / 2, 1}} {
+			for _, domains := range []int{1, 2} {
+				p := NewPoolDomains(n, domains)
+				l := &PhaseList{Phases: []Phase{
+					ComputePhase("test/p0", nil),
+					ReductionPhase("test/p1", nil).Local(),
+					ComputePhase("test/p2", nil),
+				}}
+				for i := range l.Phases {
+					l.Phases[i].Fn = func(tid int) {
+						if tid == tc.tid && i == tc.phase {
+							panic("boom")
+						}
+					}
+				}
+				for _, run := range []func(){
+					func() { p.RunPhaseList(l) },
+					func() { p.RunSampled(l) },
+				} {
+					pp := catchPhasePanic(run)
+					if pp == nil || pp.Tid != tc.tid || pp.Value != "boom" || !strings.Contains(string(pp.Stack), "TestPhasePanicIsContained") {
+						t.Fatalf("n=%d %s domains=%d: recovered %+v", n, tc.name, domains, pp)
+					}
+					if !strings.Contains(pp.Error(), "boom") {
+						t.Errorf("Error() = %q", pp.Error())
+					}
+					runPhasesOrderingOn(t, p)
+				}
+				p.Close()
+			}
+		}
+	}
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Errorf("%d goroutines left, %d at start", runtime.NumGoroutine(), base)
+	}
+}
+
+// Several participants panicking at once still yield exactly one PhasePanic.
+func TestPhasePanicOnEveryParticipant(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	for round := 0; round < 20; round++ {
+		if pp := catchPhasePanic(func() { p.RunPhases(func(int) {}, func(tid int) { panic(tid) }, func(int) {}) }); pp == nil || pp.Value != pp.Tid {
+			t.Fatalf("round %d: recovered %+v", round, pp)
+		}
+	}
+	runPhasesOrderingOn(t, p)
+}
+
+// A body that re-enters its own pool trips the ownership guard inside a phase:
+// that too surfaces as a PhasePanic instead of a deadlock.
+func TestReentrantRunIsAPhasePanic(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	pp := catchPhasePanic(func() {
+		p.Run(func(tid int) {
+			if tid == 1 {
+				p.Run(func(int) {})
+			}
+		})
+	})
+	if pp == nil || pp.Tid != 1 {
+		t.Fatalf("recovered %+v", pp)
+	}
+	runPhasesOrderingOn(t, p)
+}
+
+func catchPhasePanic(run func()) (pp *PhasePanic) {
+	defer func() { pp, _ = recover().(*PhasePanic) }()
+	run()
+	return nil
 }
 
 func TestSpinBarrierRounds(t *testing.T) {
@@ -238,18 +441,10 @@ func TestHandoffCounter(t *testing.T) {
 		t.Fatalf("Run: %d handoffs, want 1", got)
 	}
 
-	p.SetPhaseMode(PhaseSpin)
 	p.ResetHandoffs()
 	p.RunPhases(noop, noop, noop)
 	if got := p.Handoffs(); got != 1 {
-		t.Fatalf("RunPhases(spin, 3 phases): %d handoffs, want 1", got)
-	}
-
-	p.SetPhaseMode(PhaseChannel)
-	p.ResetHandoffs()
-	p.RunPhases(noop, noop, noop)
-	if got := p.Handoffs(); got != 3 {
-		t.Fatalf("RunPhases(channel, 3 phases): %d handoffs, want 3", got)
+		t.Fatalf("RunPhases(3 phases): %d handoffs, want 1", got)
 	}
 
 	p.ResetHandoffs()

@@ -15,7 +15,7 @@ import (
 // PhaseTimes is the measured breakdown of one or more sampled operations.
 // Compute and Reduction are critical-path sums: per phase the slowest
 // worker's in-phase time, summed over the phases of that kind. Barrier is
-// the remaining wall time — spin-barrier crossings, the coordinator handoff,
+// the remaining wall time — spin-barrier crossings, the hand-off,
 // and worker-start skew. Per operation, Wall = Compute + Reduction + Barrier
 // whenever Barrier is nonzero.
 type PhaseTimes struct {
@@ -127,10 +127,10 @@ var (
 // stamp per (phase, worker) plus the per-domain scratch, reused across
 // samples so steady-state sampling allocates only what the hook allocates.
 type sampler struct {
-	on, tracing bool
-	start, end  []int64
-	domNs       []int64
-	out         Sample
+	tracing    bool
+	start, end []int64
+	domNs      []int64
+	out        Sample
 }
 
 // timed runs ph on worker tid between two clock reads.
@@ -153,11 +153,10 @@ func (p *Pool) sample(l *PhaseList) PhaseTimes {
 	if need := nph * p.n; len(s.start) < need {
 		s.start, s.end = make([]int64, need), make([]int64, need)
 	}
-	s.on, s.tracing = true, obs.TracingEnabled()
+	p.timed, s.tracing = true, obs.TracingEnabled() // dispatch switches timed off again
 	t0 := obs.Now()
-	p.run(l.Phases)
+	p.dispatch(l.Phases)
 	end := obs.Now()
-	s.on = false
 
 	out := &s.out
 	*out = Sample{PT: PhaseTimes{Wall: time.Duration(end - t0), Phases: nph, Ops: 1}, StartNs: t0, EndNs: end}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -34,14 +35,11 @@ func testList(p *Pool, hook func(*Sample)) *PhaseList {
 // TestSampledRunBreakdown: a sampled run files each phase's slowest worker
 // under the phase's own kind, accounts for the whole wall time, feeds the
 // list's metrics and hook once, and synchronizes like the untimed run — one
-// handoff resident, one per phase over channels.
+// hand-off, at any GOMAXPROCS.
 func TestSampledRunBreakdown(t *testing.T) {
-	for _, tc := range []struct {
-		mode     PhaseMode
-		handoffs int64
-	}{{PhaseSpin, 1}, {PhaseChannel, 3}} {
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		prev := runtime.GOMAXPROCS(procs)
 		p := NewPoolDomains(4, 2)
-		p.SetPhaseMode(tc.mode)
 		var got []Sample
 		var domCompute, domReduction [][]int64
 		l := testList(p, func(s *Sample) {
@@ -49,46 +47,47 @@ func TestSampledRunBreakdown(t *testing.T) {
 			domCompute = append(domCompute, append([]int64(nil), s.DomComputeNs...))
 			domReduction = append(domReduction, append([]int64(nil), s.DomReductionNs...))
 			if s.DomainNs(0, 0) < int64(2*time.Millisecond) || s.DomainNs(0, 1) >= int64(2*time.Millisecond) {
-				t.Errorf("mode %v: phase 0 domain times %d / %d ns, want the sleep in domain 0 only", tc.mode, s.DomainNs(0, 0), s.DomainNs(0, 1))
+				t.Errorf("GOMAXPROCS %d: phase 0 domain times %d / %d ns, want the sleep in domain 0 only", procs, s.DomainNs(0, 0), s.DomainNs(0, 1))
 			}
 		})
 		ops0, wall0 := l.Metrics.Ops.Value(), l.Metrics.Wall.Count()
 
 		p.RunPhaseList(l) // sampling off: untimed
 		if len(got) != 0 || l.Metrics.Ops.Value() != ops0 {
-			t.Fatalf("mode %v: unsampled run produced a sample", tc.mode)
+			t.Fatalf("GOMAXPROCS %d: unsampled run produced a sample", procs)
 		}
 		p.ResetHandoffs()
 		pt := p.RunSampled(l)
-		if h := p.Handoffs(); h != tc.handoffs {
-			t.Errorf("mode %v: sampled run cost %d handoffs, want %d", tc.mode, h, tc.handoffs)
+		if h := p.Handoffs(); h != 1 {
+			t.Errorf("GOMAXPROCS %d: sampled run cost %d handoffs, want 1", procs, h)
 		}
 		obs.SetSampling(true)
 		p.RunPhaseList(l)
 		obs.SetSampling(false)
 		p.Close()
+		runtime.GOMAXPROCS(prev)
 
 		if len(got) != 2 || l.Metrics.Ops.Value()-ops0 != 2 || l.Metrics.Wall.Count()-wall0 != 2 {
-			t.Fatalf("mode %v: %d hook calls, %d ops, want 2 each", tc.mode, len(got), l.Metrics.Ops.Value()-ops0)
+			t.Fatalf("GOMAXPROCS %d: %d hook calls, %d ops, want 2 each", procs, len(got), l.Metrics.Ops.Value()-ops0)
 		}
 		if got[0].PT != pt {
-			t.Errorf("mode %v: RunSampled returned %+v, hook saw %+v", tc.mode, pt, got[0].PT)
+			t.Errorf("GOMAXPROCS %d: RunSampled returned %+v, hook saw %+v", procs, pt, got[0].PT)
 		}
 		for i, s := range got {
 			pt := s.PT
 			if pt.Phases != 3 || pt.Ops != 1 || s.EndNs-s.StartNs != int64(pt.Wall) {
-				t.Errorf("mode %v sample %d: %+v over [%d, %d]", tc.mode, i, pt, s.StartNs, s.EndNs)
+				t.Errorf("GOMAXPROCS %d sample %d: %+v over [%d, %d]", procs, i, pt, s.StartNs, s.EndNs)
 			}
 			if pt.Compute < 2*time.Millisecond || pt.Reduction < time.Millisecond {
-				t.Errorf("mode %v sample %d: compute %v, reduction %v; want the 2 ms sleep under compute and the 1 ms one under reduction", tc.mode, i, pt.Compute, pt.Reduction)
+				t.Errorf("GOMAXPROCS %d sample %d: compute %v, reduction %v; want the 2 ms sleep under compute and the 1 ms one under reduction", procs, i, pt.Compute, pt.Reduction)
 			}
 			if pt.Barrier <= 0 || pt.Compute+pt.Reduction+pt.Barrier != pt.Wall {
-				t.Errorf("mode %v sample %d: compute+reduction+barrier = %v, wall %v", tc.mode, i, pt.Compute+pt.Reduction+pt.Barrier, pt.Wall)
+				t.Errorf("GOMAXPROCS %d sample %d: compute+reduction+barrier = %v, wall %v", procs, i, pt.Compute+pt.Reduction+pt.Barrier, pt.Wall)
 			}
 			// The sleeps sit in domain 0 (worker 0) and domain 1 (the last worker).
 			if c, r := domCompute[i], domReduction[i]; len(c) != 2 || len(r) != 2 ||
 				c[0] < int64(2*time.Millisecond) || c[1] >= c[0] || r[1] < int64(time.Millisecond) || r[0] >= r[1] {
-				t.Errorf("mode %v sample %d: per-domain compute %v, reduction %v", tc.mode, i, c, r)
+				t.Errorf("GOMAXPROCS %d sample %d: per-domain compute %v, reduction %v", procs, i, c, r)
 			}
 		}
 	}
@@ -140,4 +139,50 @@ func TestSerialFraction(t *testing.T) {
 	if f := serialFraction.Value(); f < 0 || f > 1 || f != float64(serialPhases.Load())/float64(sampledPhases.Load()) {
 		t.Errorf("serial fraction gauge %g, counters %d/%d", f, serialPhases.Load(), sampledPhases.Load())
 	}
+}
+
+// TestHandoffOverlapsTheHalves is benchmark/README.md's "3–17 % of Pool.Run
+// calls whose halves never overlap" as a test: with the caller working in the
+// pool and the worker spinning on the generation word, under 1 % of 20 000
+// two-worker operations of a 20 µs body run one half after the other. What is
+// left is the box taking a processor away for longer than the body, so a
+// round counts against the pool only if the process was given both processors
+// (CPU time ≥ 1.9 × wall; both participants spin throughout), and a round
+// that clears the bar settles it.
+func TestHandoffOverlapsTheHalves(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
+		t.Skip("two halves cannot overlap on one processor")
+	}
+	p := NewPool(2)
+	defer p.Close()
+	l := &PhaseList{Phases: []Phase{ComputePhase("test/20us", func(int) {
+		for t0 := obs.Now(); obs.Now()-t0 < 20_000; {
+		}
+	})}}
+	obs.SetSampling(true)
+	defer obs.SetSampling(false)
+	undisturbed := 0
+	for round := 0; round < 5; round++ {
+		n0, serial0, cpu0, wall0 := sampledPhases.Load(), serialPhases.Load(), cpuTime(t), time.Now()
+		for i := 0; i < 20000; i++ {
+			p.RunPhaseList(l)
+		}
+		n, serial := sampledPhases.Load()-n0, serialPhases.Load()-serial0
+		share := (cpuTime(t) - cpu0).Seconds() / time.Since(wall0).Seconds()
+		t.Logf("round %d: %d of %d two-worker phases ran serially, CPU/wall %.2f (symspmv_pool_serial_fraction %.4f)",
+			round, serial, n, share, serialFraction.Value())
+		if n != 20000 {
+			t.Fatalf("sampled %d phases, want 20000", n)
+		}
+		if float64(serial) < 0.01*float64(n) {
+			return
+		}
+		if share >= 1.9 {
+			undisturbed++
+		}
+	}
+	if undisturbed == 0 {
+		t.Skip("the box never gave the process two processors")
+	}
+	t.Errorf("1 %% or more of the phases ran serially in every round, %d of them undisturbed", undisturbed)
 }

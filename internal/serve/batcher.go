@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	symspmv "repro"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 type opKind int
@@ -63,6 +65,8 @@ type request struct {
 	enqNs  int64 // stamped by Enqueue
 	pickNs int64 // stamped when the dispatcher adds the request to a batch
 	dispNs int64 // stamped when the batch's kernel operation starts
+
+	finished bool // dispatcher-owned: the outcome has been sent
 }
 
 // newRequest builds an externally-visible request with its observability
@@ -75,6 +79,7 @@ func newRequest(id, matrix string, key batchKey, in []float64, ctx context.Conte
 }
 
 func (r *request) finish(out outcome) {
+	r.finished = true
 	recordOutcome(r.key.op, out.err)
 	observeRequest(r, out, obs.Now())
 	r.done <- out
@@ -273,8 +278,27 @@ func padWidth(lanes int) int {
 // dispatch runs one kernel operation for the batch and demultiplexes the
 // result lanes. Batches of one (or kernels without SpMM) take the scalar
 // path; a failed batched solve falls back to per-request scalar solves so no
-// caller inherits another lane's breakdown.
+// caller inherits another lane's breakdown. A panic out of the kernel — a
+// *parallel.PhasePanic from its pool, or anything else — is contained here:
+// the batch's unanswered callers get ErrKernelPanic and the dispatcher goes
+// on to the next batch.
 func (b *Batcher) dispatch(batch []*request) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		stack := debug.Stack()
+		if pp, ok := v.(*parallel.PhasePanic); ok {
+			stack = pp.Stack // the goroutine the body ran on, not this one
+		}
+		logger().Error("serve: kernel panicked", "panic", fmt.Sprint(v), "stack", string(stack))
+		for _, r := range batch {
+			if !r.finished {
+				r.finish(outcome{err: fmt.Errorf("%w: %v", ErrKernelPanic, v)})
+			}
+		}
+	}()
 	recordDispatch(len(batch))
 	dispNs := obs.Now()
 	for _, r := range batch {

@@ -39,6 +39,11 @@ var (
 	// ErrUnloaded: the matrix was unloaded while the request waited in its
 	// queue (HTTP 409). The work was not performed.
 	ErrUnloaded = errors.New("serve: matrix unloaded during request")
+
+	// ErrKernelPanic: the kernel operation serving the request's batch
+	// panicked (HTTP 500). The batcher contained it and keeps serving; other
+	// matrices are untouched.
+	ErrKernelPanic = errors.New("serve: kernel panicked")
 )
 
 // StatusFor maps an error to its HTTP status code and a stable machine
@@ -63,6 +68,8 @@ func StatusFor(err error) (status int, code string) {
 		return http.StatusConflict, "exists"
 	case errors.Is(err, ErrUnloaded):
 		return http.StatusConflict, "unloaded"
+	case errors.Is(err, ErrKernelPanic):
+		return http.StatusInternalServerError, "kernel_panic"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, context.Canceled):

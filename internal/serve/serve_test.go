@@ -1,19 +1,25 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	symspmv "repro"
+	"repro/internal/parallel"
 )
 
 // testMatrixFile writes a strongly diagonally dominant SPD matrix (small
@@ -533,5 +539,98 @@ func TestLoadAcceptsReportedFormatName(t *testing.T) {
 	_, err := reg.Load("typo", LoadSpec{Path: path, Format: "sss-indexd"})
 	if !IsBadRequest(err) || !strings.Contains(err.Error(), "sss-idx") {
 		t.Fatalf("typo'd format: err = %v, want a bad request listing the valid names", err)
+	}
+}
+
+// panicOnceKernel panics inside a pool phase on its first MulVec — what a
+// kernel bug looks like from outside — and is the wrapped kernel afterwards.
+type panicOnceKernel struct {
+	symspmv.Kernel
+	pool  *parallel.Pool
+	armed atomic.Bool
+}
+
+func (k *panicOnceKernel) MulVec(x, y []float64) {
+	k.pool.Run(func(tid int) {
+		if tid == 1 && k.armed.CompareAndSwap(true, false) {
+			panic("kernel bug")
+		}
+	})
+	k.Kernel.MulVec(x, y)
+}
+
+// A kernel panic is contained by the dispatcher: the callers of the batch it
+// hit get ErrKernelPanic (HTTP 500, kernel_panic), every other concurrent
+// caller a correct product from the same batcher, and nothing leaks or hangs.
+func TestKernelPanicIsContained(t *testing.T) {
+	var logs bytes.Buffer
+	SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+	defer SetLogger(nil)
+	base := runtime.NumGoroutine()
+	_, a := testMatrixFile(t, 120, 9)
+	inner, err := a.Kernel(symspmv.SSSIndexed, symspmv.Threads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &panicOnceKernel{Kernel: inner, pool: parallel.NewPool(2)}
+	k.armed.Store(true)
+	b := newBatcher(k, a.N(), 64, 8, time.Millisecond)
+
+	x := make([]float64, a.N())
+	for i := range x {
+		x[i] = float64(i%5) - 2
+	}
+	want := make([]float64, a.N())
+	inner.MulVec(x, want)
+
+	const callers = 16
+	var wg sync.WaitGroup
+	var panicked, served atomic.Int32
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := spmvReq(x, nil)
+			if err := b.Enqueue(r); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case out := <-r.done:
+				switch status, code := StatusFor(out.err); {
+				case out.err == nil && slices.Equal(out.y, want):
+					served.Add(1)
+				case errors.Is(out.err, ErrKernelPanic) && status == 500 && code == "kernel_panic" && strings.Contains(out.err.Error(), "kernel bug"):
+					panicked.Add(1)
+				default:
+					t.Errorf("outcome err=%v (status %d %s), y correct=%v", out.err, status, code, slices.Equal(out.y, want))
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("caller never answered")
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked.Load() < 1 || panicked.Load()+served.Load() != callers {
+		t.Errorf("%d callers got kernel_panic, %d were served, of %d", panicked.Load(), served.Load(), callers)
+	}
+	// The batcher serves the next batch.
+	r := spmvReq(x, nil)
+	if err := b.Enqueue(r); err != nil {
+		t.Fatal(err)
+	}
+	if out := <-r.done; out.err != nil || !slices.Equal(out.y, want) {
+		t.Errorf("request after the panic: err=%v", out.err)
+	}
+	if !strings.Contains(logs.String(), "kernel bug") || !strings.Contains(logs.String(), "panicOnceKernel") {
+		t.Errorf("panic not logged with its stack: %q", logs.String())
+	}
+	b.Stop()
+	k.pool.Close()
+	inner.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d at start", runtime.NumGoroutine(), base)
+		}
 	}
 }

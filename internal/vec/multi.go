@@ -30,12 +30,19 @@ func Deinterleave(cols [][]float64, src []float64) {
 // in parallel. Partials are combined serially in thread order, so each lane's
 // result is bitwise identical to the single-vector Dot over that lane.
 func MultiDots(pool *parallel.Pool, a, b []float64, nv int, out []float64) {
+	BindMultiDots(pool, a, b, nv)(out)
+}
+
+// BindMultiDots returns MultiDots bound to its vectors (see BindDot).
+func BindMultiDots(pool *parallel.Pool, a, b []float64, nv int) func(out []float64) {
 	np := pool.Size()
 	partial := make([]float64, np*nv+np*pad) // nv lanes per thread, padded apart
 	stride := nv + pad
 	n := len(a) / nv
-	opMultiDots.chunked(pool, n, func(tid, lo, hi int) {
+	l := opMultiDots.bind(func(tid int) {
+		lo, hi := parallel.Chunk(n, np, tid)
 		sums := partial[tid*stride : tid*stride+nv]
+		clear(sums)
 		for i := lo; i < hi; i++ {
 			base := i * nv
 			for v := 0; v < nv; v++ {
@@ -43,13 +50,14 @@ func MultiDots(pool *parallel.Pool, a, b []float64, nv int, out []float64) {
 			}
 		}
 	})
-	for v := 0; v < nv; v++ {
-		out[v] = 0
-	}
-	for t := 0; t < np; t++ {
-		sums := partial[t*stride : t*stride+nv]
-		for v := 0; v < nv; v++ {
-			out[v] += sums[v]
+	return func(out []float64) {
+		pool.RunPhaseList(l)
+		clear(out[:nv])
+		for t := 0; t < np; t++ {
+			sums := partial[t*stride : t*stride+nv]
+			for v := 0; v < nv; v++ {
+				out[v] += sums[v]
+			}
 		}
 	}
 }
@@ -100,14 +108,21 @@ func MultiSubCopyDots(pool *parallel.Pool, r, p, b, ap []float64, nv int, bb, rr
 // because the solver stops reading frozen lanes' directions. rrOld entries of
 // frozen lanes must stay nonzero (they hold the last live value).
 func MultiCGStep(pool *parallel.Pool, alpha, rrOld []float64, p, ap, x, r []float64, nv int, rrNew []float64) {
+	BindMultiCGStep(pool, p, ap, x, r, nv)(alpha, rrOld, rrNew)
+}
+
+// BindMultiCGStep returns MultiCGStep bound to its vectors (see BindDot).
+func BindMultiCGStep(pool *parallel.Pool, p, ap, x, r []float64, nv int) func(alpha, rrOld, rrNew []float64) {
 	np := pool.Size()
-	stride := nv + pad
+	stride := 2*nv + pad // per thread: nv partial sums, then its nv betas
 	partial := make([]float64, np*stride)
+	var alpha, rrOld, rrNew []float64
 	n := len(r) / nv
-	opMultiCGStep.run(pool,
+	l := opMultiCGStep.bind(
 		func(tid int) {
 			lo, hi := parallel.Chunk(n, np, tid)
 			sums := partial[tid*stride : tid*stride+nv]
+			clear(sums)
 			for i := lo; i < hi; i++ {
 				base := i * nv
 				for v := 0; v < nv; v++ {
@@ -119,7 +134,7 @@ func MultiCGStep(pool *parallel.Pool, alpha, rrOld []float64, p, ap, x, r []floa
 			}
 		},
 		func(tid int) {
-			beta := make([]float64, nv)
+			beta := partial[tid*stride+nv : tid*stride+2*nv]
 			for v := 0; v < nv; v++ {
 				total := 0.0
 				for t := 0; t < np; t++ {
@@ -146,4 +161,8 @@ func MultiCGStep(pool *parallel.Pool, alpha, rrOld []float64, p, ap, x, r []floa
 			}
 		},
 	)
+	return func(a, rrO, rrN []float64) {
+		alpha, rrOld, rrNew = a, rrO, rrN
+		pool.RunPhaseList(l)
+	}
 }

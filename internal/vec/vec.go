@@ -9,6 +9,10 @@
 // combines the partials itself after the barrier, so the chain costs one
 // coordinator handoff instead of one per operation.
 //
+// The operations a solver repeats per iteration also come bound to their
+// vectors (BindDot, BindCGStep, BindMultiDots, BindMultiCGStep): partial sums
+// and phase list are built once, so the iterations allocate nothing.
+//
 // Every operation reaches the pool as a labelled phase list (op), so with
 // sampling on the pool times it like any kernel: symspmv_vec_* metrics per
 // operation and one vec/<operation> trace span per phase per worker.
@@ -51,41 +55,51 @@ var (
 	opMultiCGStep      = newOp("multicgstep", "vec/multicgstep-update", "vec/multicgstep-direction")
 )
 
-// run executes the operation on pool with the given phase bodies.
-func (o *op) run(pool *parallel.Pool, bodies ...func(tid int)) {
-	l := parallel.PhaseList{Metrics: o.Metrics, Phases: slices.Clone(o.Phases)}
+// bind returns the operation's phase list with the given phase bodies.
+func (o *op) bind(bodies ...func(tid int)) *parallel.PhaseList {
+	l := &parallel.PhaseList{Metrics: o.Metrics, Phases: slices.Clone(o.Phases)}
 	for i, fn := range bodies {
 		l.Phases[i].Fn = fn
 	}
-	pool.RunPhaseList(&l)
+	return l
 }
 
 // chunked executes a one-phase operation over parallel.Chunk ranges of
 // [0, n): fn(tid, lo, hi) per worker, empty chunks included.
 func (o *op) chunked(pool *parallel.Pool, n int, fn func(tid, lo, hi int)) {
 	np := pool.Size()
-	o.run(pool, func(tid int) {
+	pool.RunPhaseList(o.bind(func(tid int) {
 		lo, hi := parallel.Chunk(n, np, tid)
 		fn(tid, lo, hi)
-	})
+	}))
 }
 
 // Dot computes aᵀb in parallel (per-worker partial sums, combined serially —
 // deterministic for a fixed pool size).
-func Dot(pool *parallel.Pool, a, b []float64) float64 {
-	partial := make([]float64, pool.Size())
-	opDot.chunked(pool, len(a), func(tid, lo, hi int) {
+func Dot(pool *parallel.Pool, a, b []float64) float64 { return BindDot(pool, a, b)() }
+
+// BindDot returns Dot bound to its operands: the partial sums and the phase
+// list are built here, once, so the calls a solver makes per iteration
+// allocate nothing. Like the pool, the result serves one call at a time.
+func BindDot(pool *parallel.Pool, a, b []float64) func() float64 {
+	np := pool.Size()
+	partial := make([]float64, np*pad)
+	l := opDot.bind(func(tid int) {
+		lo, hi := parallel.Chunk(len(a), np, tid)
 		sum := 0.0
 		for i := lo; i < hi; i++ {
 			sum += a[i] * b[i]
 		}
-		partial[tid] = sum
+		partial[tid*pad] = sum
 	})
-	total := 0.0
-	for _, s := range partial {
-		total += s
+	return func() float64 {
+		pool.RunPhaseList(l)
+		total := 0.0
+		for t := 0; t < np; t++ {
+			total += partial[t*pad]
+		}
+		return total
 	}
-	return total
 }
 
 // Axpy computes y += alpha·x.
@@ -185,11 +199,16 @@ func SubCopyDots(pool *parallel.Pool, r, p, b, ap []float64) (bb, rr float64) {
 // a dot and an xpay); the arithmetic and summation order are identical, so
 // the results match the unfused sequence bitwise.
 func CGStep(pool *parallel.Pool, alpha, rrOld float64, p, ap, x, r []float64) float64 {
+	return BindCGStep(pool, p, ap, x, r)(alpha, rrOld)
+}
+
+// BindCGStep returns CGStep bound to its vectors, as BindDot does for Dot.
+func BindCGStep(pool *parallel.Pool, p, ap, x, r []float64) func(alpha, rrOld float64) float64 {
 	np := pool.Size()
 	partial := make([]float64, np*pad)
-	var rrNew float64
+	var alpha, rrOld, rrNew float64
 	n := len(r)
-	opCGStep.run(pool,
+	l := opCGStep.bind(
 		func(tid int) {
 			lo, hi := parallel.Chunk(n, np, tid)
 			sum := 0.0
@@ -216,5 +235,9 @@ func CGStep(pool *parallel.Pool, alpha, rrOld float64, p, ap, x, r []float64) fl
 			}
 		},
 	)
-	return rrNew
+	return func(a, rr float64) float64 {
+		alpha, rrOld = a, rr
+		pool.RunPhaseList(l)
+		return rrNew
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -173,14 +174,14 @@ func TestSubCopyDotsMatchesUnfused(t *testing.T) {
 }
 
 // CGStep must be bitwise identical to the unfused axpy/axpy/dot/xpay chain
-// of one CG iteration, on both phase-dispatch paths.
+// of one CG iteration, spinning and oversubscribed (GOMAXPROCS 1) alike.
 func TestCGStepMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 9, 1000} {
 		for _, p := range []int{1, 4, 8} {
-			for _, mode := range []parallel.PhaseMode{parallel.PhaseSpin, parallel.PhaseChannel} {
+			for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+				prev := runtime.GOMAXPROCS(procs)
 				pool := parallel.NewPool(p)
-				pool.SetPhaseMode(mode)
 				pv := make([]float64, n)
 				ap := make([]float64, n)
 				x := make([]float64, n)
@@ -205,12 +206,13 @@ func TestCGStepMatchesUnfused(t *testing.T) {
 
 				rrGot := CGStep(pool, alpha, rrOld, pv, ap, x, r)
 				pool.Close()
+				runtime.GOMAXPROCS(prev)
 				if rrGot != rrWant {
-					t.Fatalf("n=%d p=%d mode=%v: rr=%g, want %g", n, p, mode, rrGot, rrWant)
+					t.Fatalf("n=%d p=%d GOMAXPROCS=%d: rr=%g, want %g", n, p, procs, rrGot, rrWant)
 				}
 				for i := 0; i < n; i++ {
 					if x[i] != xw[i] || r[i] != rw[i] || pv[i] != pw[i] {
-						t.Fatalf("n=%d p=%d mode=%v: vectors differ at %d", n, p, mode, i)
+						t.Fatalf("n=%d p=%d GOMAXPROCS=%d: vectors differ at %d", n, p, procs, i)
 					}
 				}
 			}

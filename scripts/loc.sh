@@ -10,6 +10,8 @@
 #   outside internal/format                      internal/format)
 #   kernel and vector-op files reading the      (limit 0: the pool's sampler
 #   sampling flag or the telemetry clock         is the one timed path)
+#   internal/parallel lines naming PhaseMode     (limit 0: the generation-word
+#   or declaring a `chan func`                   hand-off is the one dispatch)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -49,11 +51,17 @@ timers=$(sources | grep -E '^\./internal/(core|csx|csb|csr|bcsr|vec)/' |
 	xargs grep -lE 'obs\.(SamplingEnabled|Now)\(' || true)
 ntimers=$(printf '%s' "$timers" | grep -c . || true)
 
+# The one dispatch: no mode switch and no channel of closures may come back
+# beside the pool's generation-word hand-off.
+forks=$(sources | grep -E '^\./internal/parallel/' | xargs grep -nE 'PhaseMode|chan func' || true)
+nforks=$(printf '%s' "$forks" | grep -c . || true)
+
 printf 'non-test Go lines outside benchmark/:      %6d\n' "$lines"
 printf 'per-thread ...T bodies in internal/core:   %6d\n' "$bodies"
 printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
 printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
 printf 'kernel files timing themselves:            %6d  (limit 0)\n' "$ntimers"
+printf 'dispatch forks in internal/parallel:       %6d  (limit 0)\n' "$nforks"
 
 status=0
 if [ "$enums" -gt 1 ]; then
@@ -69,6 +77,11 @@ fi
 if [ "$ntimers" -gt 0 ]; then
 	echo "loc: kernel or vector-op code reads the sampling flag or the clock (label the phase; the pool times it):" >&2
 	echo "$timers" | xargs grep -nE 'obs\.(SamplingEnabled|Now)\(' >&2
+	status=1
+fi
+if [ "$nforks" -gt 0 ]; then
+	echo "loc: internal/parallel names PhaseMode or declares a chan func (the hand-off is the one dispatch path):" >&2
+	echo "$forks" >&2
 	status=1
 fi
 exit $status
