@@ -84,13 +84,17 @@ telemetry-smoke:
 # fuzz-smoke is the adversarial gate: the full differential suite (every
 # generator case × format × reduction × thread count vs the serial dense
 # reference) under the race detector, then each native fuzz target on a short
-# budget. Go allows one -fuzz pattern per invocation, hence the loop; the
-# checked-in regression corpus under internal/fuzzcheck/testdata/ also runs
-# on every plain `go test`.
+# budget. Go allows one -fuzz pattern per invocation, hence the loops; the
+# checked-in regression corpora under internal/fuzzcheck/testdata/ and
+# internal/serve/testdata/ also run on every plain `go test`. The two serve
+# targets hold the request scanner of /spmv and /solve to encoding/json.
 fuzz-smoke:
 	$(GO) test -race -count=1 ./internal/fuzzcheck/
 	for t in FuzzReadMatrixMarket FuzzDecodeBlob FuzzSymDeserialize; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/fuzzcheck/ || exit 1; \
+	done
+	for t in FuzzDecodeSolve FuzzDecodeSpMV; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/serve/ || exit 1; \
 	done
 
 # attrib-smoke drives the roofline attribution engine end to end: a live

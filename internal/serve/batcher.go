@@ -44,6 +44,7 @@ type outcome struct {
 	residual   float64
 	lanes      int // real lanes in the dispatch that served this request
 	err        error
+	stages     stageTimes // filled by finish
 }
 
 // request is one admitted caller waiting for a lane.
@@ -55,10 +56,9 @@ type request struct {
 
 	// Request-scoped observability (reqtrace.go): id is the caller-visible
 	// request id (inbound traceparent trace-id or generated; empty on
-	// hand-built internal requests, which then skip the log line), seq the
-	// process-unique sequence number threading the trace spans, matrix the
-	// registry id. The three timestamps mark the ownership handoffs the
-	// latency decomposition hinges on.
+	// hand-built internal requests), seq the process-unique sequence number
+	// threading the trace spans, matrix the registry id. The three timestamps
+	// mark the ownership handoffs the latency decomposition hinges on.
 	id     string
 	seq    uint64
 	matrix string
@@ -78,11 +78,29 @@ func newRequest(id, matrix string, key batchKey, in []float64, ctx context.Conte
 	}
 }
 
+// finish hands the outcome to the waiting caller. A result JSON cannot carry
+// becomes ErrNonFinite here, so the metrics, the log line and the response
+// agree on it and no header is out when it is found.
 func (r *request) finish(out outcome) {
 	r.finished = true
+	if out.err == nil && !(allFinite(out.y) && isFinite(out.residual)) {
+		out = outcome{lanes: out.lanes, err: ErrNonFinite}
+	}
 	recordOutcome(r.key.op, out.err)
-	observeRequest(r, out, obs.Now())
+	out.stages = observeRequest(r, obs.Now())
 	r.done <- out
+}
+
+// isFinite: f-f is NaN for a NaN or an infinity, zero otherwise.
+func isFinite(f float64) bool { return f-f == 0 }
+
+func allFinite(v []float64) bool {
+	for _, f := range v {
+		if !isFinite(f) {
+			return false
+		}
+	}
+	return true
 }
 
 // Batcher owns one matrix's request stream. A single dispatcher goroutine
@@ -101,6 +119,11 @@ type Batcher struct {
 	spmm     bool // kernel supports MulMat (probed once at load)
 
 	in chan *request
+
+	// The interleaved operand and result blocks of a multi-lane dispatch.
+	// Only the dispatcher goroutine touches them, and each grows once to the
+	// widest batch seen, so a batch allocates nothing but its callers' results.
+	blockIn, blockOut []float64
 
 	mu      sync.RWMutex
 	stopped bool
@@ -200,7 +223,7 @@ func (b *Batcher) run() {
 			for len(batch) < b.maxBatch {
 				select {
 				case r := <-b.in:
-					b.admitToBatch(r, &batch, &pending)
+					b.admitOrHold(r, &batch, &pending)
 				case <-timer.C:
 					break collect
 				case <-b.stop:
@@ -230,10 +253,6 @@ func (b *Batcher) gather(batch *[]*request, pending []*request) []*request {
 			return rest
 		}
 	}
-}
-
-func (b *Batcher) admitToBatch(r *request, batch *[]*request, pending *[]*request) {
-	b.admitOrHold(r, batch, pending)
 }
 
 func (b *Batcher) admitOrHold(r *request, batch *[]*request, pending *[]*request) {
@@ -312,15 +331,22 @@ func (b *Batcher) dispatch(batch []*request) {
 	}
 	nv := padWidth(len(batch))
 	key := batch[0].key
-	in := make([]float64, b.n*nv)
-	out := make([]float64, b.n*nv)
-	for v, r := range batch {
-		for i := 0; i < b.n; i++ {
-			in[i*nv+v] = r.in[i]
+	if len(b.blockIn) < b.n*nv {
+		b.blockIn, b.blockOut = make([]float64, b.n*nv), make([]float64, b.n*nv)
+	}
+	in, out := b.blockIn[:b.n*nv], b.blockOut[:b.n*nv]
+	// Padding lanes are zeroed on every batch — the block held another batch's
+	// operands, at this width or another: MulMat lanes are independent, and a
+	// zero-b block-CG lane has rr = 0 <= tol² so it freezes before iteration 1.
+	for i := 0; i < b.n; i++ {
+		row := in[i*nv : (i+1)*nv]
+		for v, r := range batch {
+			row[v] = r.in[i]
+		}
+		for v := len(batch); v < nv; v++ {
+			row[v] = 0
 		}
 	}
-	// Padding lanes stay zero: MulMat lanes are independent, and a zero-b
-	// block-CG lane has rr = 0 <= tol² so it freezes before iteration 1.
 
 	switch key.op {
 	case opSpMV:
@@ -338,6 +364,7 @@ func (b *Batcher) dispatch(batch []*request) {
 			r.finish(outcome{y: y, lanes: len(batch)})
 		}
 	case opSolve:
+		clear(out) // block CG starts from x₀ = out
 		res, err := symspmv.SolveCGBlock(b.kern, in, out, nv, symspmv.CGOptions{
 			Tol:     key.tol,
 			MaxIter: key.maxIter,

@@ -44,6 +44,16 @@ var (
 	// panicked (HTTP 500). The batcher contained it and keeps serving; other
 	// matrices are untouched.
 	ErrKernelPanic = errors.New("serve: kernel panicked")
+
+	// ErrNonFinite: the product or solve ran but its result holds a NaN or an
+	// infinity — an operand near the float64 range, say — which JSON cannot
+	// carry (HTTP 422). Decided before any header is written.
+	ErrNonFinite = errors.New("serve: result is not finite")
+
+	// ErrBodyTooLarge: the request body outgrew its cap, the smaller of
+	// ServerOptions.MaxBodyBytes and what a vector of the matrix's N rows can
+	// take in JSON (HTTP 413).
+	ErrBodyTooLarge = errors.New("serve: request body too large")
 )
 
 // StatusFor maps an error to its HTTP status code and a stable machine
@@ -70,6 +80,10 @@ func StatusFor(err error) (status int, code string) {
 		return http.StatusConflict, "unloaded"
 	case errors.Is(err, ErrKernelPanic):
 		return http.StatusInternalServerError, "kernel_panic"
+	case errors.Is(err, ErrNonFinite):
+		return http.StatusUnprocessableEntity, "non_finite_result"
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, context.Canceled):

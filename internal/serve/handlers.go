@@ -28,7 +28,9 @@ type ServerOptions struct {
 	// beyond it new work is rejected with ErrSaturated (503). 0 means 256.
 	MaxInflight int
 	// MaxBodyBytes caps request bodies. 0 means 256 MiB — a dense float64
-	// vector for N = 4M rows encoded as JSON is on that order.
+	// vector for N = 4M rows encoded as JSON is on that order. A vector
+	// endpoint's cap is the smaller of this and what its matrix's N rows can
+	// take (vectorBodyCap).
 	MaxBodyBytes int64
 }
 
@@ -46,8 +48,8 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	s.mux.HandleFunc("GET /v1/matrices", s.handleList)
 	s.mux.HandleFunc("POST /v1/matrices", s.handleLoad)
 	s.mux.HandleFunc("DELETE /v1/matrices/{id}", s.handleUnload)
-	s.mux.HandleFunc("POST /v1/matrices/{id}/spmv", s.handleSpMV)
-	s.mux.HandleFunc("POST /v1/matrices/{id}/solve", s.handleSolve)
+	s.mux.HandleFunc("POST /v1/matrices/{id}/spmv", s.handleVector(opSpMV))
+	s.mux.HandleFunc("POST /v1/matrices/{id}/solve", s.handleVector(opSolve))
 	s.mux.Handle("GET /metrics", obs.Default.Handler())
 	for pattern, h := range obs.DebugHandlers() {
 		s.mux.Handle("GET "+pattern, h)
@@ -99,19 +101,14 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, body)
 }
 
+// writeJSON answers with one of the small control-plane bodies (load, list,
+// health, errors); the vector responses go through writeVectorResponse.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return BadRequestf("decode body: %v", err)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		logger().Warn("serve: write response", "status", status, "error", err.Error())
 	}
-	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -160,8 +157,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, BadRequestf("decode body: %v", err))
 		return
 	}
 	if req.Path == "" {
@@ -193,35 +192,10 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"unloaded": r.PathValue("id")})
 }
 
-type spmvRequest struct {
-	X     []float64 `json:"x,omitempty"`
-	XOnes bool      `json:"x_ones,omitempty"`
-}
-
-type spmvResponse struct {
-	Y          []float64 `json:"y"`
-	BatchLanes int       `json:"batch_lanes"`
-}
-
-type solveRequest struct {
-	B         []float64 `json:"b,omitempty"`
-	BOnes     bool      `json:"b_ones,omitempty"` // b = A·1, so the exact solution is all-ones
-	Tol       float64   `json:"tol,omitempty"`
-	MaxIter   int       `json:"max_iter,omitempty"`
-	TimeoutMS int       `json:"timeout_ms,omitempty"`
-}
-
-type solveResponse struct {
-	X          []float64 `json:"x"`
-	Iterations int       `json:"iterations"`
-	Converged  bool      `json:"converged"`
-	Residual   float64   `json:"residual"`
-	BatchLanes int       `json:"batch_lanes"`
-}
-
 // inputVector validates the request vector against the matrix dimension,
 // synthesizing the ones-vector variants server-side.
-func (s *Server) inputVector(e *Entry, v []float64, ones bool, name string) ([]float64, error) {
+func (s *Server) inputVector(e *Entry, op opKind, v []float64, ones bool) ([]float64, error) {
+	name := wireFields[op][0]
 	if ones {
 		if v != nil {
 			return nil, BadRequestf("give %s or %s_ones, not both", name, name)
@@ -230,7 +204,7 @@ func (s *Server) inputVector(e *Entry, v []float64, ones bool, name string) ([]f
 		for i := range x {
 			x[i] = 1
 		}
-		if name == "b" {
+		if op == opSolve {
 			// b = A·1 through the registered kernel, so "converged" means
 			// the solver reproduced the all-ones solution.
 			req := newRequest("", e.ID, batchKey{op: opSpMV}, x, context.Background())
@@ -251,103 +225,90 @@ func (s *Server) inputVector(e *Entry, v []float64, ones bool, name string) ([]f
 	return v, nil
 }
 
-// runRequest enqueues req on the matrix's batcher and waits for its lane
-// result or the caller giving up.
-func (s *Server) runRequest(e *Entry, req *request) (outcome, error) {
-	e.requests.Inc()
-	if err := e.batcher.Enqueue(req); err != nil {
-		return outcome{}, err
-	}
+// awaitOutcome waits for an enqueued request's lane result, or for its caller
+// to give up — an outcome with nothing in it but that error.
+func awaitOutcome(req *request) outcome {
 	select {
 	case out := <-req.done:
-		return out, out.err
+		return out
 	case <-req.ctx.Done():
 		// The batcher still owns the request and will discard its result;
 		// done is buffered so the dispatcher never blocks on us.
-		return outcome{}, req.ctx.Err()
+		return outcome{err: req.ctx.Err()}
 	}
 }
 
-func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
-	release, err := s.admit()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer release()
-	e, err := s.reg.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req spmvRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	x, err := s.inputVector(e, req.X, req.XOnes, "x")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rq := newRequest(requestID(r.Header), e.ID, batchKey{op: opSpMV}, x, r.Context())
-	w.Header().Set("X-Request-Id", rq.id)
-	out, err := s.runRequest(e, rq)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, spmvResponse{Y: out.y, BatchLanes: out.lanes})
+// vectorBodyCap bounds a /spmv or /solve body for a matrix of n rows: a
+// float64 is at most 24 characters in JSON, so 32 a row leaves room for a
+// separator and indentation, and 4 KiB for everything that is not the vector.
+func (s *Server) vectorBodyCap(n int) int64 {
+	return min(s.maxBody, 32*int64(n)+4<<10)
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	release, err := s.admit()
-	if err != nil {
-		writeError(w, err)
-		return
+// handleVector serves /spmv and /solve: one decode path, one lane through the
+// matrix's batcher, one encode path. The body's keys and the response's
+// fields are the only things op decides here (wire.go), plus the solve's
+// tolerance, iteration cap and timeout.
+func (s *Server) handleVector(op opKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, err := s.admit()
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		defer release()
+		e, err := s.reg.Get(r.PathValue("id"))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		decStart := obs.Now()
+		req, err := decodeVectorRequest(http.MaxBytesReader(w, r.Body, s.vectorBodyCap(e.N)), op, e.N)
+		decEnd := obs.Now()
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		in, err := s.inputVector(e, op, req.vec, req.ones)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		key, ctx := batchKey{op: op}, r.Context()
+		if op == opSolve {
+			if req.tol < 0 || req.maxIter < 0 || req.timeoutMS < 0 {
+				writeError(w, BadRequestf("tol, max_iter and timeout_ms must be non-negative"))
+				return
+			}
+			key.tol, key.maxIter = req.tol, req.maxIter
+			if key.tol == 0 {
+				key.tol = 1e-10
+			}
+			if req.timeoutMS > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.timeoutMS)*time.Millisecond)
+				defer cancel()
+			}
+		}
+		rq := newRequest(requestID(r.Header), e.ID, key, in, ctx)
+		w.Header().Set("X-Request-Id", rq.id)
+		decodeNs := observeStage(rq, stageDecode, spanDecode, decStart, decEnd)
+		e.requests.Inc()
+		if err := e.batcher.Enqueue(rq); err != nil {
+			writeError(w, err) // turned away at the queue: counted there, not logged
+			return
+		}
+		out := awaitOutcome(rq)
+		if out.err != nil {
+			writeError(w, out.err)
+			logRequest(rq, out, decodeNs, 0)
+			return
+		}
+		encStart := obs.Now()
+		if err := writeVectorResponse(w, op, out); err != nil {
+			logger().Warn("serve: write response", "request", rq.id, "error", err.Error())
+		}
+		encodeNs := observeStage(rq, stageEncode, spanEncode, encStart, obs.Now())
+		logRequest(rq, out, decodeNs, encodeNs)
 	}
-	defer release()
-	e, err := s.reg.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req solveRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	b, err := s.inputVector(e, req.B, req.BOnes, "b")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Tol < 0 || req.MaxIter < 0 || req.TimeoutMS < 0 {
-		writeError(w, BadRequestf("tol, max_iter and timeout_ms must be non-negative"))
-		return
-	}
-	tol := req.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	rq := newRequest(requestID(r.Header), e.ID, batchKey{op: opSolve, tol: tol, maxIter: req.MaxIter}, b, ctx)
-	w.Header().Set("X-Request-Id", rq.id)
-	out, err := s.runRequest(e, rq)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, solveResponse{
-		X:          out.y,
-		Iterations: out.iterations,
-		Converged:  out.converged,
-		Residual:   out.residual,
-		BatchLanes: out.lanes,
-	})
 }

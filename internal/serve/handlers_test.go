@@ -24,13 +24,39 @@ func testHTTPServer(t *testing.T, regOpts Options, srvOpts ServerOptions) (*Serv
 	return s, reg, ts
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
+// The wire schema of the vector endpoints as encoding/json struct tags: what
+// the tests post, and the reference the codec in wire.go is held to (byte
+// identity of responses, differential fuzzing of requests).
+type spmvRequest struct {
+	X     []float64 `json:"x,omitempty"`
+	XOnes bool      `json:"x_ones,omitempty"`
+}
+
+type spmvResponse struct {
+	Y          []float64 `json:"y"`
+	BatchLanes int       `json:"batch_lanes"`
+}
+
+type solveRequest struct {
+	B         []float64 `json:"b,omitempty"`
+	BOnes     bool      `json:"b_ones,omitempty"` // b = A·1, so the exact solution is all-ones
+	Tol       float64   `json:"tol,omitempty"`
+	MaxIter   int       `json:"max_iter,omitempty"`
+	TimeoutMS int       `json:"timeout_ms,omitempty"`
+}
+
+type solveResponse struct {
+	X          []float64 `json:"x"`
+	Iterations int       `json:"iterations"`
+	Converged  bool      `json:"converged"`
+	Residual   float64   `json:"residual"`
+	BatchLanes int       `json:"batch_lanes"`
+}
+
+// postRaw posts body as it stands and returns the response with its bytes.
+func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +65,21 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]an
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp, raw
+}
+
+// postJSON posts body — marshalled, unless it is already bytes — and parses
+// the answer.
+func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
+	t.Helper()
+	buf, ok := body.([]byte)
+	if !ok {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, raw := postRaw(t, url, buf)
 	var out map[string]any
 	if len(raw) > 0 {
 		if err := json.Unmarshal(raw, &out); err != nil {
@@ -140,27 +181,41 @@ func TestHTTPValidation(t *testing.T) {
 		t.Fatalf("load: %d", resp.StatusCode)
 	}
 
+	huge := make([]float64, 100) // A·huge overflows: every diagonal entry is above 4
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	// 100 rows cap the body at 32·100 + 4096 bytes whatever MaxBodyBytes says.
+	padded := []byte(`{"x_ones":true` + strings.Repeat(" ", 8000) + `}`)
+
 	cases := []struct {
 		name   string
 		url    string
 		body   any
 		status int
+		code   string
 	}{
-		{"missing path", "/v1/matrices", loadRequest{ID: "x"}, http.StatusBadRequest},
-		{"bad path", "/v1/matrices", loadRequest{ID: "x", Path: "/nonexistent.mtx"}, http.StatusBadRequest},
-		{"bad format", "/v1/matrices", loadRequest{ID: "x", Path: path, Format: "nope"}, http.StatusBadRequest},
-		{"bad id", "/v1/matrices", loadRequest{ID: "a b", Path: path}, http.StatusBadRequest},
-		{"wrong b length", "/v1/matrices/v/solve", solveRequest{B: []float64{1, 2, 3}}, http.StatusBadRequest},
-		{"b and b_ones", "/v1/matrices/v/solve", solveRequest{B: make([]float64, 100), BOnes: true}, http.StatusBadRequest},
-		{"negative tol", "/v1/matrices/v/solve", solveRequest{BOnes: true, Tol: -1}, http.StatusBadRequest},
-		{"wrong x length", "/v1/matrices/v/spmv", spmvRequest{X: []float64{1}}, http.StatusBadRequest},
-		{"unknown matrix", "/v1/matrices/zzz/spmv", spmvRequest{XOnes: true}, http.StatusNotFound},
-		{"unknown field", "/v1/matrices/v/solve", map[string]any{"bogus": 1}, http.StatusBadRequest},
+		{"missing path", "/v1/matrices", loadRequest{ID: "x"}, http.StatusBadRequest, "bad_request"},
+		{"bad path", "/v1/matrices", loadRequest{ID: "x", Path: "/nonexistent.mtx"}, http.StatusBadRequest, "bad_request"},
+		{"bad format", "/v1/matrices", loadRequest{ID: "x", Path: path, Format: "nope"}, http.StatusBadRequest, "bad_request"},
+		{"bad id", "/v1/matrices", loadRequest{ID: "a b", Path: path}, http.StatusBadRequest, "bad_request"},
+		{"wrong b length", "/v1/matrices/v/solve", solveRequest{B: []float64{1, 2, 3}}, http.StatusBadRequest, "bad_request"},
+		{"b one too long", "/v1/matrices/v/solve", solveRequest{B: make([]float64, 101)}, http.StatusBadRequest, "bad_request"},
+		{"b and b_ones", "/v1/matrices/v/solve", solveRequest{B: make([]float64, 100), BOnes: true}, http.StatusBadRequest, "bad_request"},
+		{"negative tol", "/v1/matrices/v/solve", solveRequest{BOnes: true, Tol: -1}, http.StatusBadRequest, "bad_request"},
+		{"wrong x length", "/v1/matrices/v/spmv", spmvRequest{X: []float64{1}}, http.StatusBadRequest, "bad_request"},
+		{"unknown matrix", "/v1/matrices/zzz/spmv", spmvRequest{XOnes: true}, http.StatusNotFound, "not_found"},
+		{"unknown field", "/v1/matrices/v/solve", map[string]any{"bogus": 1}, http.StatusBadRequest, "bad_request"},
+		{"solve key on spmv", "/v1/matrices/v/spmv", map[string]any{"x_ones": true, "tol": 1e-8}, http.StatusBadRequest, "bad_request"},
+		{"duplicate key", "/v1/matrices/v/spmv", []byte(`{"x_ones":true,"x_ones":true}`), http.StatusBadRequest, "bad_request"},
+		{"data after the body", "/v1/matrices/v/spmv", []byte(`{"x_ones":true} {}`), http.StatusBadRequest, "bad_request"},
+		{"non-finite result", "/v1/matrices/v/spmv", spmvRequest{X: huge}, http.StatusUnprocessableEntity, "non_finite_result"},
+		{"body over the matrix's cap", "/v1/matrices/v/spmv", padded, http.StatusRequestEntityTooLarge, "body_too_large"},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.url, c.body)
-		if resp.StatusCode != c.status {
-			t.Errorf("%s: status %d, want %d (body %v)", c.name, resp.StatusCode, c.status, body)
+		if resp.StatusCode != c.status || errCode(t, body) != c.code {
+			t.Errorf("%s: status %d, want %d %s (body %v)", c.name, resp.StatusCode, c.status, c.code, body)
 		}
 	}
 }

@@ -47,15 +47,20 @@ var (
 	rejectedDraining = obs.NewCounter("symspmv_serve_rejected_total",
 		"rejected requests", "reason", "draining")
 
-	// Per-request stage decomposition (reqtrace.go): queue wait (enqueue →
-	// batch pickup), coalescing wait (pickup → kernel dispatch; zero for solo
-	// requests) and solve (dispatch → answer).
+	// Per-request stage decomposition (reqtrace.go): decode (reading and
+	// scanning the body), queue wait (enqueue → batch pickup), coalescing wait
+	// (pickup → kernel dispatch; zero for solo requests), solve (dispatch →
+	// outcome) and encode (streaming the response).
+	stageDecode = obs.NewHistogram("symspmv_serve_stage_seconds",
+		"request latency by stage", obs.DurationBuckets, "stage", "decode")
 	stageQueueWait = obs.NewHistogram("symspmv_serve_stage_seconds",
 		"request latency by stage", obs.DurationBuckets, "stage", "queue_wait")
 	stageCoalesceWait = obs.NewHistogram("symspmv_serve_stage_seconds",
 		"request latency by stage", obs.DurationBuckets, "stage", "coalesce_wait")
 	stageSolve = obs.NewHistogram("symspmv_serve_stage_seconds",
 		"request latency by stage", obs.DurationBuckets, "stage", "solve")
+	stageEncode = obs.NewHistogram("symspmv_serve_stage_seconds",
+		"request latency by stage", obs.DurationBuckets, "stage", "encode")
 
 	spmvOK     = obs.NewCounter("symspmv_serve_requests_total", "requests by op and outcome", "op", "spmv", "outcome", "ok")
 	spmvErr    = obs.NewCounter("symspmv_serve_requests_total", "requests by op and outcome", "op", "spmv", "outcome", "error")

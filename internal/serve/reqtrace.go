@@ -11,21 +11,25 @@ import (
 
 // Request-scoped observability: every admitted request carries an id (the
 // caller's W3C traceparent trace-id when one is inbound, a generated one
-// otherwise) and a process-unique sequence number, and is timestamped at the
-// three ownership handoffs of its life — enqueue, batch pickup, kernel
-// dispatch — so its latency decomposes into queue wait, coalescing wait, and
-// solve time. The decomposition is exported three ways: per-stage histograms
-// on /metrics, one structured log line per request, and (when tracing is
-// enabled) three coordinator-lane spans sharing a "request" arg, which lets
+// otherwise) and a process-unique sequence number. Its handler times the two
+// stages it runs itself, decode and encode, and the request is timestamped at
+// the three ownership handoffs in between — enqueue, batch pickup, kernel
+// dispatch — so the handler's wall time decomposes into decode, queue wait,
+// coalescing wait, solve and encode. The decomposition is exported three
+// ways: per-stage histograms on /metrics, one structured log line per request
+// (written by the handler once the response is out), and (when tracing is
+// enabled) coordinator-lane spans sharing a "request" arg, which lets
 // perfetto group one request's stages and line them up against the kernel's
 // attribution spans.
 
 var (
 	reqSeq atomic.Uint64
 
+	spanDecode       = obs.RegisterName("serve/decode")
 	spanQueueWait    = obs.RegisterName("serve/queue-wait")
 	spanCoalesceWait = obs.RegisterName("serve/coalesce-wait")
 	spanSolve        = obs.RegisterName("serve/solve")
+	spanEncode       = obs.RegisterName("serve/encode")
 	spanArgRequest   = obs.RegisterName("request")
 )
 
@@ -81,10 +85,14 @@ func logger() *slog.Logger {
 	return slog.Default()
 }
 
-// observeRequest exports one finished request's stage decomposition. Called
-// from request.finish with every handoff timestamp stamped; requests that
-// never entered the queue (failed admission) never get here.
-func observeRequest(r *request, out outcome, doneNs int64) {
+// stageTimes is the dispatcher-side part of a request's decomposition, in
+// nanoseconds; it rides the outcome back to the handler for the log line.
+type stageTimes struct{ queue, coalesce, solve int64 }
+
+// observeRequest exports one finished request's dispatcher-side stages.
+// Called from request.finish with every handoff timestamp stamped; requests
+// that never entered the queue (failed admission) never get here.
+func observeRequest(r *request, doneNs int64) stageTimes {
 	// Clamp: a request failed before pickup or dispatch has zero timestamps
 	// for the later stages.
 	pick, disp := r.pickNs, r.dispNs
@@ -94,38 +102,11 @@ func observeRequest(r *request, out outcome, doneNs int64) {
 	if disp == 0 {
 		disp = doneNs
 	}
-	queueNs := pick - r.enqNs
-	coalesceNs := disp - pick
-	solveNs := doneNs - disp
+	st := stageTimes{queue: pick - r.enqNs, coalesce: disp - pick, solve: doneNs - disp}
 
-	stageQueueWait.Observe(float64(queueNs) / 1e9)
-	stageCoalesceWait.Observe(float64(coalesceNs) / 1e9)
-	stageSolve.Observe(float64(solveNs) / 1e9)
-
-	if r.id != "" {
-		attrs := []any{
-			slog.String("request", r.id),
-			slog.Uint64("seq", r.seq),
-			slog.String("op", r.key.op.String()),
-			slog.String("matrix", r.matrix),
-			slog.Int("lanes", out.lanes),
-			slog.Float64("queue_wait_ms", float64(queueNs)/1e6),
-			slog.Float64("coalesce_wait_ms", float64(coalesceNs)/1e6),
-			slog.Float64("solve_ms", float64(solveNs)/1e6),
-		}
-		if r.key.op == opSolve {
-			attrs = append(attrs,
-				slog.Int("iterations", out.iterations),
-				slog.Bool("converged", out.converged),
-				slog.Float64("residual", out.residual))
-		}
-		if out.err != nil {
-			attrs = append(attrs, slog.String("error", out.err.Error()))
-			logger().Error("request failed", attrs...)
-		} else {
-			logger().Info("request served", attrs...)
-		}
-	}
+	stageQueueWait.Observe(float64(st.queue) / 1e9)
+	stageCoalesceWait.Observe(float64(st.coalesce) / 1e9)
+	stageSolve.Observe(float64(st.solve) / 1e9)
 
 	if obs.TracingEnabled() && r.enqNs > 0 {
 		seq := int64(r.seq)
@@ -134,5 +115,46 @@ func observeRequest(r *request, out outcome, doneNs int64) {
 			obs.TraceSpanArg(obs.LaneCoordinator, spanCoalesceWait, pick, disp, spanArgRequest, seq)
 		}
 		obs.TraceSpanArg(obs.LaneCoordinator, spanSolve, disp, doneNs, spanArgRequest, seq)
+	}
+	return st
+}
+
+// observeStage exports a stage the handler ran itself (decode or encode) and
+// returns its length.
+func observeStage(r *request, h *obs.Histogram, span obs.NameID, startNs, endNs int64) int64 {
+	h.Observe(float64(endNs-startNs) / 1e9)
+	obs.TraceSpanArg(obs.LaneCoordinator, span, startNs, endNs, spanArgRequest, int64(r.seq))
+	return endNs - startNs
+}
+
+// logRequest writes the request's one log line. The handler calls it last, so
+// the line covers the whole handler. A caller that gave up before its outcome
+// arrived has no dispatcher-side stages to report (they read zero here and
+// still reach the histograms when the dispatcher lets the request go).
+func logRequest(r *request, out outcome, decodeNs, encodeNs int64) {
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	attrs := []any{
+		slog.String("request", r.id),
+		slog.Uint64("seq", r.seq),
+		slog.String("op", r.key.op.String()),
+		slog.String("matrix", r.matrix),
+		slog.Int("lanes", out.lanes),
+		slog.Float64("decode_ms", ms(decodeNs)),
+		slog.Float64("queue_wait_ms", ms(out.stages.queue)),
+		slog.Float64("coalesce_wait_ms", ms(out.stages.coalesce)),
+		slog.Float64("solve_ms", ms(out.stages.solve)),
+		slog.Float64("encode_ms", ms(encodeNs)),
+	}
+	if r.key.op == opSolve {
+		attrs = append(attrs,
+			slog.Int("iterations", out.iterations),
+			slog.Bool("converged", out.converged),
+			slog.Float64("residual", out.residual))
+	}
+	if out.err != nil {
+		attrs = append(attrs, slog.String("error", out.err.Error()))
+		logger().Error("request failed", attrs...)
+	} else {
+		logger().Info("request served", attrs...)
 	}
 }
