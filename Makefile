@@ -87,12 +87,16 @@ telemetry-smoke:
 # budget. Go allows one -fuzz pattern per invocation, hence the loops; the
 # checked-in regression corpora under internal/fuzzcheck/testdata/ and
 # internal/serve/testdata/ also run on every plain `go test`. The two serve
-# targets hold the request scanner of /spmv and /solve to encoding/json.
+# targets hold the request scanner of /spmv and /solve to encoding/json;
+# FuzzReadMatrixMarket holds the block reader to the line-oriented reader it
+# replaced, and its sibling in internal/matrix does the same with the block
+# size as a fuzz input, so that block edges fall inside the fuzzed bytes.
 fuzz-smoke:
 	$(GO) test -race -count=1 ./internal/fuzzcheck/
 	for t in FuzzReadMatrixMarket FuzzDecodeBlob FuzzSymDeserialize; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/fuzzcheck/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarketBlocks$$' -fuzztime 10s ./internal/matrix/
 	for t in FuzzDecodeSolve FuzzDecodeSpMV; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/serve/ || exit 1; \
 	done
@@ -107,8 +111,9 @@ attrib-smoke:
 
 # loc prints the size metrics the ROADMAP wants to go down (non-test Go
 # lines, per-thread kernel bodies) and fails if a second format enum, a
-# format-kernel construction outside internal/format, a kernel timing itself
-# or a second dispatch path in internal/parallel has crept back in.
+# format-kernel construction outside internal/format, a kernel timing itself,
+# a second dispatch path in internal/parallel, or a comparator sort or
+# per-line string on the set-up path has crept back in.
 loc:
 	./scripts/loc.sh
 

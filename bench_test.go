@@ -22,6 +22,7 @@ import (
 	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/csx"
+	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
@@ -285,6 +286,34 @@ func BenchmarkPreprocCost(b *testing.B) {
 		b.Run(sm.Spec.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = csx.NewSym(sm.S, 16, core.Indexed, csx.DefaultOptions())
+			}
+		})
+	}
+}
+
+// BenchmarkCSXSymEncode times CSX-Sym construction alone — sampling
+// statistics, substructure detection, ctl encoding — on the two matrix
+// classes of the perf benchmark (block-banded FEM, scrambled stencil) at a
+// tenth of paper size, with the benchmark's two threads.
+func BenchmarkCSXSymEncode(b *testing.B) {
+	for _, name := range []string{"bmwcra_1", "parabolic_fem"} {
+		b.Run(name, func(b *testing.B) {
+			spec, err := gen.SpecByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := gen.Generate(spec, 0.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := core.FromCOO(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = csx.NewSym(s, 2, core.Indexed, csx.DefaultOptions())
 			}
 		})
 	}

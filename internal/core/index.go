@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -34,7 +34,7 @@ func TouchedColumns(s *SSS, part *partition.RowPartition, pool *parallel.Pool) [
 
 // sortDedup sorts ascending and removes duplicates in place.
 func sortDedup(v []int32) []int32 {
-	sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
+	slices.Sort(v)
 	w := 0
 	for i, c := range v {
 		if i == 0 || c != v[w-1] {

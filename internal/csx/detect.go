@@ -1,7 +1,8 @@
 package csx
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // elements is the detector's working view of one thread's row range: parallel
@@ -104,11 +105,8 @@ func (d *detector) detect() {
 			enabled = append(enabled, scored{dir, c})
 		}
 	}
-	sort.Slice(enabled, func(i, j int) bool {
-		if enabled[i].cov != enabled[j].cov {
-			return enabled[i].cov > enabled[j].cov
-		}
-		return enabled[i].dir < enabled[j].dir
+	slices.SortFunc(enabled, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.cov, a.cov), cmp.Compare(a.dir, b.dir))
 	})
 
 	// Blocks first: a dense 2-D block covers strictly more than the
@@ -125,11 +123,8 @@ func (d *detector) detect() {
 
 // sortUnits orders units by (anchor row, anchor col), the ctl emission order.
 func (d *detector) sortUnits() {
-	sort.Slice(d.units, func(i, j int) bool {
-		if d.units[i].row != d.units[j].row {
-			return d.units[i].row < d.units[j].row
-		}
-		return d.units[i].col < d.units[j].col
+	slices.SortFunc(d.units, func(a, b unit) int {
+		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
 	})
 }
 
@@ -200,13 +195,10 @@ func directionKeyPos(dir Direction, el *elements) (key, pos func(int32) int32) {
 	panic("csx: bad direction")
 }
 
-// sampleStats estimates per-direction coverage on a row sample: the fraction
-// of sampled elements that lie in runs of at least MinRunLength. This is the
-// statistics pass that drives substructure-type selection (and keeps the
-// preprocessing cost contained, §V-E).
-func (d *detector) sampleStats() {
+// rowSample returns the element indices, ascending, that the statistics pass
+// looks at: every k-th window of 64 contiguous rows.
+func (d *detector) rowSample() []int32 {
 	el := d.el
-	// Sample contiguous row windows: every k-th window of 64 rows.
 	const window = 64
 	k := int(1.0 / d.opts.SampleFraction)
 	if k < 1 {
@@ -235,17 +227,23 @@ func (d *detector) sampleStats() {
 			sample = append(sample, i)
 		}
 	}
+	return sample
+}
+
+// sampleStats estimates per-direction coverage on a row sample: the fraction
+// of sampled elements that lie in runs of at least MinRunLength. This is the
+// statistics pass that drives substructure-type selection (and keeps the
+// preprocessing cost contained, §V-E): each direction's sample is ordered by
+// the two counting-sort passes directionPerm uses, never by a comparator.
+func (d *detector) sampleStats() {
+	el := d.el
+	sample := d.rowSample()
 	for _, dir := range d.opts.Directions {
 		key, pos := directionKeyPos(dir, el)
-		sub := make([]int32, len(sample))
-		copy(sub, sample)
-		sort.Slice(sub, func(a, b int) bool {
-			i, j := sub[a], sub[b]
-			if key(i) != key(j) {
-				return key(i) < key(j)
-			}
-			return pos(i) < pos(j)
-		})
+		sub := sample // ascending element indices: row-major, the horizontal order
+		if dir != DirHorizontal {
+			sub = countingSortBy(countingSortBy(sample, pos), key)
+		}
 		covered := 0
 		runLen := 1
 		flush := func() {

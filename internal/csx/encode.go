@@ -1,9 +1,6 @@
 package csx
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Blob is the encoded form of one thread's row range: the ctl byte stream
 // plus the values arranged in unit order. A serial matrix has one Blob.
@@ -78,9 +75,8 @@ func encodeRange(el *elements, vals []float64, opts Options, symBoundary int32) 
 // units interleaved with delta chunks cut at pattern-unit anchors, the
 // CSX-Sym boundary, width changes beyond a chunk's reach, and the size cap.
 func emitRow(w *ctlWriter, b *Blob, el *elements, vals []float64, r int32, rowUnits []unit, leftovers []int32, symBoundary int32) {
-	// rowUnits are column-disjoint (each element has one owner), sort defensively.
-	sort.Slice(rowUnits, func(i, j int) bool { return rowUnits[i].col < rowUnits[j].col })
-
+	// rowUnits are column-disjoint (each element has one owner) and arrive in
+	// column order: detect leaves the units sorted by (row, col).
 	li := 0
 	emitDeltaChunks := func(upTo int32) {
 		// Emit leftovers with col < upTo as delta units.

@@ -18,8 +18,11 @@ import (
 // testdata/fuzz/<Target>/ are the regression seeds: each one reproduced a
 // pre-fix panic or mis-parse.
 
-// FuzzReadMatrixMarket: never panic; an accepted parse must produce a valid
-// COO that survives a write/reparse round trip bit-exactly.
+// FuzzReadMatrixMarket: never panic; the block reader agrees with the
+// line-oriented reader it replaced (readReference) — same accept/reject, the
+// same error text down to the line number, the same matrix bit for bit — and
+// an accepted parse must produce a valid COO that survives a write/reparse
+// round trip bit-exactly.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n% c\n3 4 3\n1 1 2.5\n3 4 -1e3\n2 2 0.125\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 4\n2 1 -1\n"))
@@ -28,10 +31,30 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 1.0")) // no trailing newline
 	f.Add([]byte("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 1.0\n2 2 2.0\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n92233720368547758080 2 1\n1 1 1.0\n"))
+	// Dimensions near the int32 limit with two out-of-order entries: must
+	// parse, and sort, in memory bounded by the two entries.
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 2\n2000000000 1 1\n1 2000000000 2\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n% c\n\n2 2 oops\n"))    // data after the declared count
+	f.Add([]byte("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 2\n2 1 3\n2 2 0.5\n"))       // skew file, nonzero diagonal
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n3 3 3\n+1 1 1\n2\u00a02 2\n3 3 1 1\n")) // tokens only the string path takes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := matrix.ReadMatrixMarket(bytes.NewReader(data))
+		want, wantErr := readReference(bytes.NewReader(data))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("reader says %v, the line-oriented reference %v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if m.Rows != want.Rows || m.Cols != want.Cols || m.Symmetric != want.Symmetric || m.Skew != want.Skew || m.NNZ() != want.NNZ() {
+			t.Fatalf("parsed %dx%d nnz=%d sym=%v skew=%v, reference %dx%d nnz=%d sym=%v skew=%v",
+				m.Rows, m.Cols, m.NNZ(), m.Symmetric, m.Skew, want.Rows, want.Cols, want.NNZ(), want.Symmetric, want.Skew)
+		}
+		for k := range want.Val {
+			if m.RowIdx[k] != want.RowIdx[k] || m.ColIdx[k] != want.ColIdx[k] || math.Float64bits(m.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("entry %d is (%d,%d,%v), reference (%d,%d,%v)", k,
+					m.RowIdx[k], m.ColIdx[k], m.Val[k], want.RowIdx[k], want.ColIdx[k], want.Val[k])
+			}
 		}
 		if err := m.Validate(); err != nil {
 			t.Fatalf("accepted matrix fails Validate: %v", err)

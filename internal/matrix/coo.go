@@ -12,7 +12,7 @@ package matrix
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // COO is a sparse matrix in coordinate (triplet) form. Entries may be in any
@@ -92,37 +92,72 @@ func (m *COO) Clone() *COO {
 	return c
 }
 
-// Normalize sorts the entries into row-major order and sums duplicates.
-// Explicit zeros produced by cancellation are kept; structural zeros are the
-// caller's concern. Normalize returns the receiver for chaining.
+// Normalize sorts the entries into row-major order, in place, and sums
+// duplicates in the order they appear in the input: the sort is stable, so
+// entries sharing a coordinate are added left to right. Explicit zeros
+// produced by cancellation are kept; structural zeros are the caller's
+// concern. An already normalized matrix is left untouched and nothing is
+// allocated. Normalize returns the receiver for chaining.
+//
+// The sort is an LSD radix sort on the packed key (row, col), linear in the
+// number of entries. Rows and columns are packed relative to their smallest
+// value into as few bits as their ranges need, so the scratch — two key arrays,
+// one value array and one digit's counters — is O(nnz) whatever Rows and Cols
+// are, and coordinates outside the declared shape still sort as themselves.
 func (m *COO) Normalize() *COO {
-	n := m.NNZ()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	if m.IsNormalized() {
+		return m
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		i, j := perm[a], perm[b]
-		if m.RowIdx[i] != m.RowIdx[j] {
-			return m.RowIdx[i] < m.RowIdx[j]
-		}
-		return m.ColIdx[i] < m.ColIdx[j]
-	})
+	n := m.NNZ()
+	rlo, rhi, clo, chi := m.RowIdx[0], m.RowIdx[0], m.ColIdx[0], m.ColIdx[0]
+	for k := 1; k < n; k++ {
+		rlo, rhi = min(rlo, m.RowIdx[k]), max(rhi, m.RowIdx[k])
+		clo, chi = min(clo, m.ColIdx[k]), max(chi, m.ColIdx[k])
+	}
+	cbits := bits.Len64(uint64(int64(chi) - int64(clo)))
+	keyBits := cbits + bits.Len64(uint64(int64(rhi)-int64(rlo)))
+	keys, vals := make([]uint64, n), m.Val
+	for k := range keys {
+		keys[k] = uint64(int64(m.RowIdx[k])-int64(rlo))<<cbits | uint64(int64(m.ColIdx[k])-int64(clo))
+	}
 
-	ri := make([]int32, 0, n)
-	ci := make([]int32, 0, n)
-	vv := make([]float64, 0, n)
-	for _, k := range perm {
-		r, c, v := m.RowIdx[k], m.ColIdx[k], m.Val[k]
-		if len(ri) > 0 && ri[len(ri)-1] == r && ci[len(ci)-1] == c {
-			vv[len(vv)-1] += v
+	const digit = 11 // bits per pass: 2048 counters stay in L1
+	var count [1 << digit]int
+	keys2, vals2 := make([]uint64, n), make([]float64, n)
+	for shift := 0; shift < keyBits; shift += digit {
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>shift&(1<<digit-1)]++
+		}
+		if count[keys[0]>>shift&(1<<digit-1)] == n {
+			continue // every key has the same digit here
+		}
+		at := 0
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		for i, k := range keys {
+			d := k >> shift & (1<<digit - 1)
+			keys2[count[d]], vals2[count[d]] = k, vals[i]
+			count[d]++
+		}
+		keys, keys2, vals, vals2 = keys2, keys, vals2, vals
+	}
+
+	// Unpack in place, summing runs of one key. vals may be m.Val itself:
+	// the write index never passes the read index.
+	w := 0
+	for i, k := range keys {
+		if w > 0 && k == keys[i-1] {
+			m.Val[w-1] += vals[i]
 			continue
 		}
-		ri = append(ri, r)
-		ci = append(ci, c)
-		vv = append(vv, v)
+		m.RowIdx[w] = int32(int64(k>>cbits) + int64(rlo))
+		m.ColIdx[w] = int32(int64(k&(1<<cbits-1)) + int64(clo))
+		m.Val[w] = vals[i]
+		w++
 	}
-	m.RowIdx, m.ColIdx, m.Val = ri, ci, vv
+	m.RowIdx, m.ColIdx, m.Val = m.RowIdx[:w], m.ColIdx[:w], m.Val[:w]
 	return m
 }
 
@@ -214,13 +249,20 @@ func (m *COO) Permute(perm []int32) (*COO, error) {
 	if len(perm) != m.Rows {
 		return nil, fmt.Errorf("matrix: Permute: len(perm)=%d, want %d", len(perm), m.Rows)
 	}
-	out := NewCOO(m.Rows, m.Cols, m.NNZ())
-	out.Symmetric = m.Symmetric
-	out.Skew = m.Skew
-	for k := range m.Val {
+	for i, p := range perm {
+		if p < 0 || int(p) >= m.Rows {
+			return nil, fmt.Errorf("matrix: Permute: perm[%d]=%d outside 0..%d", i, p, m.Rows-1)
+		}
+	}
+	out := &COO{
+		Rows: m.Rows, Cols: m.Cols, Symmetric: m.Symmetric, Skew: m.Skew,
+		RowIdx: make([]int32, m.NNZ()),
+		ColIdx: make([]int32, m.NNZ()),
+		Val:    make([]float64, m.NNZ()),
+	}
+	for k, v := range m.Val {
 		r := perm[m.RowIdx[k]]
 		c := perm[m.ColIdx[k]]
-		v := m.Val[k]
 		if m.Symmetric && c > r {
 			r, c = c, r
 			if m.Skew {
@@ -229,7 +271,7 @@ func (m *COO) Permute(perm []int32) (*COO, error) {
 				v = -v
 			}
 		}
-		out.Add(int(r), int(c), v)
+		out.RowIdx[k], out.ColIdx[k], out.Val[k] = r, c, v
 	}
 	return out.Normalize(), nil
 }

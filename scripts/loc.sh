@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Size metrics the ROADMAP says should go down, plus the three structural
-# counts `make ci` gates on:
+# Size metrics the ROADMAP says should go down, plus the structural counts
+# `make ci` gates on:
 #
 #   non-test Go lines outside benchmark/        (tracked, no limit)
 #   per-thread ...T kernel bodies in core       (tracked, no limit)
@@ -12,6 +12,10 @@
 #   sampling flag or the telemetry clock         is the one timed path)
 #   internal/parallel lines naming PhaseMode     (limit 0: the generation-word
 #   or declaring a `chan func`                   hand-off is the one dispatch)
+#   set-up path lines that sort nnz entries      (limit 0: sort.Slice in
+#   through a comparator or allocate per line    internal/matrix and csx/detect.go;
+#                                                strings.Fields or .Text() in the
+#                                                Matrix Market reader's data loop)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -56,12 +60,27 @@ ntimers=$(printf '%s' "$timers" | grep -c . || true)
 forks=$(sources | grep -E '^\./internal/parallel/' | xargs grep -nE 'PhaseMode|chan func' || true)
 nforks=$(printf '%s' "$forks" | grep -c . || true)
 
+# The set-up path is linear and allocates per block: no comparator sort over
+# the entries (Normalize is a radix sort, the CSX statistics pass uses the
+# detector's counting sort), and the reader's data loop — parse, entry and
+# mmSplit, everything from parse's signature to the comment of entries —
+# never goes back to a string and a strings.Fields slice per line. (The
+# allocation count itself is TestReadMatrixMarketAllocates' business.)
+mmio=internal/matrix/mmio.go
+loop=$(awk '/^func \(p \*mmFormat\) parse\(/{on=1} /^\/\/ entries reads /{on=0} on' "$mmio")
+grep -q '^// entries reads ' "$mmio" && [ -n "$loop" ] ||
+	{ echo "loc: cannot find the data loop (parse .. entries) in $mmio" >&2; exit 1; }
+slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) internal/csx/detect.go /dev/null
+	printf '%s\n' "$loop" | grep -nE 'strings\.Fields|\.Text\(\)' | sed "s|^|$mmio (data loop):|"; } || true)
+nslow=$(printf '%s' "$slow" | grep -c . || true)
+
 printf 'non-test Go lines outside benchmark/:      %6d\n' "$lines"
 printf 'per-thread ...T bodies in internal/core:   %6d\n' "$bodies"
 printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
 printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
 printf 'kernel files timing themselves:            %6d  (limit 0)\n' "$ntimers"
 printf 'dispatch forks in internal/parallel:       %6d  (limit 0)\n' "$nforks"
+printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
 
 status=0
 if [ "$enums" -gt 1 ]; then
@@ -82,6 +101,11 @@ fi
 if [ "$nforks" -gt 0 ]; then
 	echo "loc: internal/parallel names PhaseMode or declares a chan func (the hand-off is the one dispatch path):" >&2
 	echo "$forks" >&2
+	status=1
+fi
+if [ "$nslow" -gt 0 ]; then
+	echo "loc: a comparator sort or a per-line allocation on the set-up path (radix/counting sort; tokenise bytes in place):" >&2
+	echo "$slow" >&2
 	status=1
 fi
 exit $status
