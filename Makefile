@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-color race-colored race-shard race-pool vet bench benchmark bench-spmm bench-smoke loc ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-color race-colored race-pool vet bench benchmark bench-spmm bench-smoke loc ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -29,13 +29,6 @@ race-color:
 	$(GO) test -race -count=3 -run 'Color|Recursive|Level' ./internal/color
 	$(GO) test -race -run 'Color|Kind' ./internal/core ./internal/fuzzcheck
 
-# race-shard focuses the race detector on the NUMA-sharded execution path:
-# the domain-scoped spin barriers, the hierarchical two-level reduction
-# (domain-local combine overlapping remote multiplies is exactly where a
-# misscoped barrier would race), and the differential topology sweep.
-race-shard:
-	$(GO) test -race -run 'Hier|Domain|Shard|Topolog' ./internal/parallel ./internal/partition ./internal/core ./internal/fuzzcheck .
-
 # race-pool runs the pool and the code that lives on its hand-off at three
 # GOMAXPROCS values, so the spinning path (workers with a processor each), the
 # yield path and the oversubscribed park-at-once path all meet the race
@@ -60,11 +53,8 @@ bench:
 benchmark:
 	bash benchmark/run.sh $(ARGS)
 
-# bench-spmm sweeps multi-RHS widths (scalar, spmm2/4/8, each with and
-# without hub caching where the analysis finds a hub) over a paper-suite
-# subset plus the synthetic power-law hub matrices and prints the table.
-# Scale 0.15 keeps the run short while making x large enough that hub
-# caching has cache pressure to relieve.
+# bench-spmm sweeps multi-RHS widths (scalar, spmm2/4/8) over a paper-suite
+# subset and prints the table. Scale 0.15 keeps the run short.
 bench-spmm:
 	$(GO) run ./cmd/spmv-bench -exp spmm-bench -scale 0.15 -iters 24 -matrices consph,bmw7st_1
 
@@ -90,7 +80,8 @@ telemetry-smoke:
 # targets hold the request scanner of /spmv and /solve to encoding/json;
 # FuzzReadMatrixMarket holds the block reader to the line-oriented reader it
 # replaced, and its sibling in internal/matrix does the same with the block
-# size as a fuzz input, so that block edges fall inside the fuzzed bytes.
+# size as a fuzz input, so that block edges fall inside the fuzzed bytes;
+# FuzzLoadPlan holds the tuning-cache parser to "a miss or a buildable plan".
 fuzz-smoke:
 	$(GO) test -race -count=1 ./internal/fuzzcheck/
 	for t in FuzzReadMatrixMarket FuzzDecodeBlob FuzzSymDeserialize; do \
@@ -100,6 +91,7 @@ fuzz-smoke:
 	for t in FuzzDecodeSolve FuzzDecodeSpMV; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/serve/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime 10s ./internal/autotune/
 
 # attrib-smoke drives the roofline attribution engine end to end: a live
 # solve must expose physically plausible achieved-bandwidth fractions per
@@ -110,10 +102,11 @@ attrib-smoke:
 	./scripts/attrib_smoke.sh
 
 # loc prints the size metrics the ROADMAP wants to go down (non-test Go
-# lines, per-thread kernel bodies) and fails if a second format enum, a
-# format-kernel construction outside internal/format, a kernel timing itself,
-# a second dispatch path in internal/parallel, or a comparator sort or
-# per-line string on the set-up path has crept back in.
+# lines, per-thread kernel bodies) and fails if either passes its ratchet or a
+# second format enum, a format-kernel construction outside internal/format, a
+# kernel timing itself, a second dispatch path in internal/parallel, a second
+# execution mode (domain pools, hub plans), or a comparator sort or per-line
+# string on the set-up path has crept back in.
 loc:
 	./scripts/loc.sh
 
@@ -126,14 +119,14 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # ci is the gate for every change: vet (fails the build on findings), build,
-# the colored-schedule, sharded-execution and pool (three GOMAXPROCS values)
-# race focuses, the full test suite under the race detector (the execution
-# engine's hand-off, spin barrier and phase fusion are exactly the kind of
-# code -race exists for), the telemetry smoke, the fuzz smoke
+# the colored-schedule and pool (three GOMAXPROCS values) race focuses, the
+# full test suite under the race detector (the execution engine's hand-off,
+# spin barrier and phase fusion are exactly the kind of code -race exists
+# for), the telemetry smoke, the fuzz smoke
 # (differential checking plus a short run of each fuzz target), the SpMM
 # traffic-model smoke, the serving-path and attribution smokes, and the
 # one-format-table gate (loc).
-ci: vet build loc race-colored race-shard race-pool race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
+ci: vet build loc race-colored race-pool race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
 
 # tune-demo runs the empirical autotuner on a small slice of the paper suite
 # and prints one decision table per matrix: every candidate plan with its

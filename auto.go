@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/autotune"
 	"repro/internal/format"
-	"repro/internal/topo"
 )
 
 // Decision is the autotuner's full record of one plan selection: the chosen
@@ -72,21 +71,6 @@ func AutoVectors(nv int) AutoOption {
 	return func(o *autoOpts) { o.tune.NV = nv }
 }
 
-// AutoDomains overrides the NUMA domain count the hierarchical (domain-
-// sharded, two-level reduction) plan variants shard over. The default is the
-// detected machine topology; on single-domain machines no hierarchical
-// variants are generated. Pass 1 to suppress them explicitly.
-func AutoDomains(n int) AutoOption {
-	return func(o *autoOpts) { o.tune.Domains = n }
-}
-
-// AutoHub enables or disables the hub-cached plan variants (default:
-// enabled; the tuner only generates them when the degree-skew signal and
-// the hub analysis both say caching could pay).
-func AutoHub(enable bool) AutoOption {
-	return func(o *autoOpts) { o.tune.DisableHub = !enable }
-}
-
 // AutoTrialIters sets the operation count of the first micro-trial round
 // (default 8); successive-halving rounds double it.
 func AutoTrialIters(n int) AutoOption {
@@ -143,19 +127,10 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 		}
 	}
 
-	// Resolve "detect" to the concrete topology before keying the cache: a
-	// plan raced against hierarchical variants must not answer a forced-flat
-	// lookup (or the reverse), and the detected count is machine state the
-	// signature alone does not carry.
-	domains := o.tune.Domains
-	if domains <= 0 {
-		domains = topo.Domains()
-	}
 	key := autotune.Key{
 		Fingerprint: autotune.Fingerprint(a.sss),
 		Machine:     autotune.MachineSignature(),
 		NV:          o.tune.NV,
-		Domains:     domains,
 		Kind:        a.sss.Kind,
 	}
 	store := autotune.Store{Dir: o.cacheDir}
@@ -203,27 +178,14 @@ func (a *Matrix) planKernel(plan autotune.Plan) (Kernel, error) {
 	if !plan.Format.Valid() {
 		return nil, fmt.Errorf("symspmv: plan format %v unknown", plan.Format)
 	}
-	opts := []Option{Threads(plan.Threads)}
-	if plan.Hierarchical && plan.Domains > 1 {
-		if plan.Reorder {
-			return nil, fmt.Errorf("symspmv: plan %v combines domain sharding with reordering", plan)
-		}
-		opts = append(opts, Domains(plan.Domains))
-	}
-	if plan.Hub {
-		if plan.Reorder {
-			return nil, fmt.Errorf("symspmv: plan %v combines hub caching with reordering", plan)
-		}
-		opts = append(opts, HubCache())
-	}
 	if !plan.Reorder {
-		return a.Kernel(plan.Format, opts...)
+		return a.Kernel(plan.Format, Threads(plan.Threads))
 	}
 	rm, perm, err := a.ReorderRCM()
 	if err != nil {
 		return nil, err
 	}
-	inner, err := rm.Kernel(plan.Format, opts...)
+	inner, err := rm.Kernel(plan.Format, Threads(plan.Threads))
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@
 //	cg-solve -format sss-idx -threads 4 matrix.mtx
 //	cg-solve -format csx-sym -tol 1e-10 -maxiter 5000 matrix.mtx
 //	cg-solve -format auto matrix.mtx              # empirical autotuning
-//	cg-solve -format sss-idx -nv 8 -hub matrix.mtx  # block CG, hub-cached x
+//	cg-solve -format sss-idx -nv 8 matrix.mtx     # block CG
 //
 // With -format auto the library measures its way to the best format, thread
 // count, and reorder decision for this matrix on this machine, and caches
@@ -36,13 +36,11 @@ import (
 func main() {
 	format := flag.String("format", "sss-idx", "kernel format: auto, or any name symspmv.ParseFormat accepts (csr, csx, bcsr, csb, sss-naive, sss-eff, sss-idx, sss-atomic, sss-color, csx-sym, ...)")
 	threads := flag.Int("threads", 4, "worker threads (with -format auto: the cap on searched thread counts)")
-	domains := flag.Int("domains", 1, "NUMA domains to shard workers over: >1 enables the hierarchical two-level reduction on the SSS formats, 0 detects the machine topology (with -format auto: the domain count the sharded plan variants use)")
 	tol := flag.Float64("tol", 1e-10, "relative residual target")
 	maxIter := flag.Int("maxiter", 0, "iteration cap (0 = 10·N)")
 	rhsOnes := flag.Bool("rhs-ones", true, "b = A·1 (exact solution known); false: pseudo-random b")
 	jacobi := flag.Bool("jacobi", false, "use Jacobi (diagonal) preconditioning")
 	nv := flag.Int("nv", 1, "solve nv right-hand sides simultaneously with block CG (streams the matrix once per iteration; needs an SpMM-capable format)")
-	hubCache := flag.Bool("hub", false, "hub-cache the hottest x columns (SSS and CSX-Sym formats; silently plain when the analysis finds no profitable hub)")
 	cache := flag.String("cache", "", "CSX-Sym kernel cache file: loaded if present, written after encoding (csx-sym only)")
 	tuneCache := flag.String("tune-cache", "", "tuning-cache directory for -format auto (default: the user cache dir; \"off\" disables)")
 	verbose := flag.Bool("v", false, "print the autotune decision report (-format auto)")
@@ -108,11 +106,6 @@ func main() {
 		if *nv > 1 {
 			opts = append(opts, symspmv.AutoVectors(*nv))
 		}
-		if *domains != 0 {
-			opts = append(opts, symspmv.AutoDomains(*domains))
-		}
-		// -hub is only a forced option for fixed formats; the autotuner
-		// prices hub plans on its own and lands one when the model says so.
 		switch *tuneCache {
 		case "":
 		case "off":
@@ -145,14 +138,7 @@ func main() {
 			}
 		}
 		if k == nil {
-			kopts := []symspmv.Option{symspmv.Threads(*threads)}
-			if *domains != 1 {
-				kopts = append(kopts, symspmv.Domains(*domains))
-			}
-			if *hubCache {
-				kopts = append(kopts, symspmv.HubCache())
-			}
-			k, err = A.Kernel(f, kopts...)
+			k, err = A.Kernel(f, symspmv.Threads(*threads))
 			if err != nil {
 				log.Fatal(err)
 			}

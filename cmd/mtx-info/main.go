@@ -100,8 +100,7 @@ func rooflineTable(path string, threads int) error {
 	}
 	pool := parallel.NewPool(threads)
 	defer pool.Close()
-	calib := attrib.Calibrate(pool)
-	bw := stream.GB(stream.TriadSum(calib)) // GB/s ≡ bytes/ns
+	bw := stream.GB(attrib.Calibrate(pool).Triad) // GB/s ≡ bytes/ns
 	fmt.Printf("  roofline: STREAM triad %.1f GB/s at %d threads\n", bw, threads)
 	fmt.Printf("  %-22s %12s %12s %12s %10s %10s\n",
 		"method", "mult bytes", "red bytes", "total", "floor µs", "≤ Gflop/s")

@@ -14,14 +14,12 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/parallel"
 	"repro/internal/stream"
-	"repro/internal/topo"
 )
 
 func main() {
 	n := flag.Int("n", 8<<20, "elements per array (8 bytes each; use >> LLC)")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	reps := flag.Int("reps", 5, "repetitions; best rate is reported (STREAM methodology)")
-	domains := flag.Int("domains", 0, "NUMA domains to shard workers over and measure individually (0 = detect; 1 = whole-machine only)")
 	version := flag.Bool("version", false, "print version/provenance and exit")
 	flag.Parse()
 	if *version {
@@ -31,15 +29,7 @@ func main() {
 	if *threads <= 0 {
 		*threads = runtime.GOMAXPROCS(0)
 	}
-	if *domains <= 0 {
-		*domains = topo.Domains()
-	}
-	var pool *parallel.Pool
-	if *domains > 1 {
-		pool = parallel.NewPoolDomains(*threads, *domains)
-	} else {
-		pool = parallel.NewPool(*threads)
-	}
+	pool := parallel.NewPool(*threads)
 	defer pool.Close()
 
 	res := stream.Run(pool, *n, *reps)
@@ -49,12 +39,4 @@ func main() {
 	fmt.Printf("  scale: %7.2f GB/s\n", stream.GB(res.Scale))
 	fmt.Printf("  add:   %7.2f GB/s\n", stream.GB(res.Add))
 	fmt.Printf("  triad: %7.2f GB/s\n", stream.GB(res.Triad))
-	if pool.Domains() > 1 {
-		fmt.Printf("per-domain (one domain's worker group active, pure-Go: no thread pinning):\n")
-		for _, dr := range stream.RunPerDomain(pool, *n, *reps) {
-			fmt.Printf("  domain %d (%d threads): copy %7.2f  scale %7.2f  add %7.2f  triad %7.2f GB/s\n",
-				dr.Domain, dr.Threads, stream.GB(dr.Copy), stream.GB(dr.Scale),
-				stream.GB(dr.Add), stream.GB(dr.Triad))
-		}
-	}
 }

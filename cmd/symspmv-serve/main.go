@@ -40,7 +40,6 @@ func main() {
 	queue := flag.Int("queue", 64, "per-matrix request queue depth; a full queue returns 429")
 	maxInflight := flag.Int("max-inflight", 256, "server-wide in-flight request cap; beyond it requests get 503")
 	threads := flag.Int("threads", 0, "default worker-thread cap per kernel (0 = facade default)")
-	domains := flag.Int("domains", 0, "NUMA domains to shard kernel workers over: >1 enables the hierarchical two-level reduction on the SSS formats, 0 detects the machine topology, 1 forces flat execution")
 	tuneCache := flag.String("tune-cache", "", "tuning-cache directory for autotuned loads (default: the user cache dir; \"off\" disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	sample := flag.Bool("sample", true, "sample kernel operations: phase metrics and roofline attribution on /metrics and /debug/attrib")
@@ -75,7 +74,6 @@ func main() {
 
 	reg := serve.NewRegistry(serve.Options{
 		Threads:      *threads,
-		Domains:      *domains,
 		TuneCacheDir: *tuneCache,
 		Window:       *window,
 		MaxBatch:     *maxBatch,

@@ -2,9 +2,11 @@ package symspmv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -67,9 +69,10 @@ func waitGoroutines(t *testing.T, base int, what string) {
 // builds iff it runs the class (a typed error and a released pool
 // otherwise), it computes the dense reference's product, and its fused dot
 // and SpMM closures exist iff the capability bits say so and agree with
-// vec.Dot and per-column MulVec, no product allocates, and every product is
-// sampled by the pool (checkSampledProduct). A new row is checked without
-// touching this test.
+// vec.Dot and per-column MulVec, a repeated product is bitwise the first
+// (the determinism contract, exceptions named below), no product allocates,
+// and every product is sampled by the pool (checkSampledProduct). A new row
+// is checked without touching this test.
 func TestFormatConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 61
@@ -102,6 +105,16 @@ func TestFormatConformance(t *testing.T) {
 		xm[i] = rng.NormFloat64()
 	}
 	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*(1+math.Abs(want)) }
+	// sameBits reports the first index at which a and b differ bitwise, -1 if
+	// none.
+	sameBits := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
 
 	for _, fx := range fixtures {
 		if got := fx.a.SymmetryClass(); got != fx.kind.String() {
@@ -139,6 +152,25 @@ func TestFormatConformance(t *testing.T) {
 					}
 				}
 
+				// Determinism: at a fixed thread count every format adds the
+				// contributions to one output element in an order the
+				// partition fixes — local vectors fold in ascending thread
+				// order, colours run in schedule order — so a repeated product
+				// is bitwise the first, on any host. Two exceptions, by
+				// design. SSS-atomic at p > 1: the order in which threads' CAS
+				// updates reach an element is a race. CSB-Sym when elements
+				// lie beyond its three buffered block diagonals and take the
+				// atomic fallback — which cannot happen here: n = 61 is a
+				// single β = 1024 block, so CSB-Sym is held to the contract.
+				deterministic := !(f == SSSAtomic && p > 1)
+				if deterministic {
+					y2 := make([]float64, n)
+					k.MulVec(x, y2)
+					if i := sameBits(y, y2); i >= 0 {
+						t.Errorf("%v %v p=%d: second MulVec y[%d] = %x, first %x", f, fx.kind, p, i, math.Float64bits(y2[i]), math.Float64bits(y[i]))
+					}
+				}
+
 				if has := bk.b.MulDot != nil; has != d.Has(format.FusedDot, fx.kind) {
 					t.Errorf("%v %v: MulDot present = %v, descriptor says %v", f, fx.kind, has, !has)
 				} else if has {
@@ -153,6 +185,15 @@ func TestFormatConformance(t *testing.T) {
 							break
 						}
 					}
+					if deterministic {
+						yd2 := make([]float64, n)
+						if dot2 := bk.b.MulDot(x, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
+							t.Errorf("%v %v p=%d: second fused dot %x, first %x", f, fx.kind, p, math.Float64bits(dot2), math.Float64bits(dot))
+						}
+						if i := sameBits(yd, yd2); i >= 0 {
+							t.Errorf("%v %v p=%d: second fused y[%d] differs from the first", f, fx.kind, p, i)
+						}
+					}
 				}
 
 				if has := SupportsMulMat(k); has != d.Has(format.MulMat, fx.kind) {
@@ -161,6 +202,13 @@ func TestFormatConformance(t *testing.T) {
 					ym := make([]float64, n*nv)
 					if err := MulMat(k, xm, ym, nv); err != nil {
 						t.Errorf("%v %v p=%d: MulMat: %v", f, fx.kind, p, err)
+					}
+					// No format with an SpMM kernel is among the exceptions.
+					ym2 := make([]float64, n*nv)
+					if err := MulMat(k, xm, ym2, nv); err != nil {
+						t.Errorf("%v %v p=%d: second MulMat: %v", f, fx.kind, p, err)
+					} else if i := sameBits(ym, ym2); i >= 0 {
+						t.Errorf("%v %v p=%d: second MulMat differs from the first at %d", f, fx.kind, p, i)
 					}
 					col, ycol := make([]float64, n), make([]float64, n)
 					for v := 0; v < nv; v++ {
@@ -325,10 +373,14 @@ func TestAutoKernelBCSROnSkew(t *testing.T) {
 	}
 }
 
-// TestAutoKernelRetunesOverV5CacheEntry: a tuning-cache file written by the
-// previous cache version (whose format field numbered the tuner's own enum)
-// must read as a corrupt miss — never replay as another format — and be
-// overwritten by the retune.
+// TestAutoKernelRetunesOverV5CacheEntry: a tuning-cache file written by an
+// earlier cache version — v5, whose format field numbered the tuner's own
+// enum, or v6, which carried the domain count in the key and hub, domains and
+// hierarchical fields in the plan — must read as a corrupt miss, never replay
+// as another plan, and be overwritten by the retune. The v5 file is the
+// current one with its version word rewritten; the v6 file is a well-formed
+// v6 entry for the same key, checksum included, so the version check alone
+// turns it away.
 func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
 	A, err := GeneratePoisson2D(24)
 	if err != nil {
@@ -350,43 +402,56 @@ func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// magic(4) | version u32 LE: rewrite the version word to 5. The trailing
-	// checksum no longer matches either, as for any foreign file.
-	if string(current[:4]) != "ATNC" || current[4] != 6 {
-		t.Fatalf("cache entry header % x: not an ATNC v6 file", current[:8])
+	// magic(4) | version u32 LE | fingerprint u64 | machineLen u32 | machine |
+	// nv u32 | kind u8 | format u32 | threads u32 | reorder u8 | score f64 | crc u32
+	if string(current[:4]) != "ATNC" || current[4] != 7 {
+		t.Fatalf("cache entry header % x: not an ATNC v7 file", current[:8])
 	}
-	v5 := append([]byte(nil), current...)
+	v5 := bytes.Clone(current)
 	v5[4] = 5
-	if err := os.WriteFile(path, v5, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	keyEnd := 20 + int(binary.LittleEndian.Uint32(current[16:])) + 4 // through nv
+	v6 := bytes.Clone(current[:keyEnd])
+	v6[4] = 6
+	v6 = binary.LittleEndian.AppendUint32(v6, 1)     // keyDomains
+	v6 = append(v6, current[keyEnd:keyEnd+10]...)    // kind, format, threads, reorder
+	v6 = append(v6, 0, 0, 0, 0, 0, 0)                // hub, domains, hierarchical
+	v6 = append(v6, current[keyEnd+10:keyEnd+18]...) // score
+	v6 = binary.LittleEndian.AppendUint32(v6, crc32.ChecksumIEEE(v6))
 
-	before := AutoCacheStats()
-	k2, d2, err := AutoKernel(A, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2.Close()
-	after := AutoCacheStats()
-	if d2.CacheHit || d2.Trials == 0 {
-		t.Fatalf("v5 entry: CacheHit=%v Trials=%d, want a retune", d2.CacheHit, d2.Trials)
-	}
-	if after.CorruptMisses != before.CorruptMisses+1 || after.Hits != before.Hits {
-		t.Fatalf("v5 entry counted as %+v → %+v, want one more corrupt miss", before, after)
-	}
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rewritten[4] != 6 {
-		t.Fatalf("entry still at version %d after the retune", rewritten[4])
-	}
-	k3, d3, err := AutoKernel(A, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k3.Close()
-	if !d3.CacheHit {
-		t.Fatal("the overwritten entry does not hit")
+	for _, old := range []struct {
+		name string
+		file []byte
+	}{{"v5", v5}, {"v6", v6}} {
+		if err := os.WriteFile(path, old.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := AutoCacheStats()
+		k2, d2, err := AutoKernel(A, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2.Close()
+		after := AutoCacheStats()
+		if d2.CacheHit || d2.Trials == 0 {
+			t.Fatalf("%s entry: CacheHit=%v Trials=%d, want a retune", old.name, d2.CacheHit, d2.Trials)
+		}
+		if after.CorruptMisses != before.CorruptMisses+1 || after.Hits != before.Hits {
+			t.Fatalf("%s entry counted as %+v → %+v, want one more corrupt miss", old.name, before, after)
+		}
+		rewritten, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rewritten[4] != 7 {
+			t.Fatalf("%s entry still at version %d after the retune", old.name, rewritten[4])
+		}
+		k3, d3, err := AutoKernel(A, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k3.Close()
+		if !d3.CacheHit {
+			t.Fatalf("the entry overwritten over %s does not hit", old.name)
+		}
 	}
 }

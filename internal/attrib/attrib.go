@@ -2,9 +2,9 @@
 // per-phase times of every sampled kernel operation (core.PhaseSample) with
 // the perfmodel-predicted traffic of that kernel and the machine's measured
 // STREAM bandwidth, and answers — live — "is this run at roofline, and if
-// not, which phase and which domain is off?".
+// not, which phase is off?".
 //
-// Three numbers per (method, phase, domain):
+// Three numbers per (method, phase):
 //
 //	achieved GB/s     = predicted phase bytes / measured phase seconds
 //	roofline fraction = achieved GB/s / measured STREAM triad GB/s
@@ -43,15 +43,10 @@ var FractionBuckets = []float64{
 	0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5,
 }
 
-// DomainAll labels the whole-machine aggregate entries; per-domain entries of
-// hierarchical kernels use the numeric domain instead.
-const DomainAll = "all"
-
 // entryKey identifies one attribution stream.
 type entryKey struct {
 	Method string
 	Phase  string // "compute" or "reduction"
-	Domain string // DomainAll or "0".."D-1"
 }
 
 // entry accumulates one attribution stream. Rates are ratios of sums, so
@@ -66,7 +61,7 @@ type entry struct {
 	achieved     *obs.Gauge
 	fraction     *obs.Gauge
 	modelError   *obs.Gauge
-	fractionHist *obs.Histogram // aggregate entries only
+	fractionHist *obs.Histogram
 }
 
 // Engine is the attribution accumulator. One process-wide instance (Default)
@@ -94,18 +89,16 @@ func newEngine() *Engine {
 // Default is the process-wide attribution engine.
 var Default = newEngine()
 
-// binding joins one kernel to the engine: its predicted cost, the pool
-// shape, the calibrated bandwidths, and the per-domain byte split.
+// binding joins one kernel to the engine: its predicted cost, the pool size
+// and the calibrated bandwidth.
 type binding struct {
-	eng    *Engine
-	method string
-	p, d   int
-	cost   perfmodel.SpMVCost
-	pl     perfmodel.Platform // CalibratedHost, the independent model
-	shares []float64          // per-domain nnz fraction; nil when flat
-	calib  []stream.DomainResult
-	allGBs float64 // sum of per-domain triads: the machine roofline
-	nBytes int64   // 8·n, one full-vector stream
+	eng      *Engine
+	method   string
+	p        int
+	cost     perfmodel.SpMVCost
+	pl       perfmodel.Platform // CalibratedHost, the independent model
+	triadGBs float64            // the machine roofline
+	nBytes   int64              // 8·n, one full-vector stream
 }
 
 // Bind attaches the default engine to a kernel: computes the kernel's
@@ -124,20 +117,15 @@ func (e *Engine) Bind(k *core.Kernel) error {
 	if pool == nil {
 		return fmt.Errorf("attrib: kernel has no pool")
 	}
-	calib := Calibrate(pool)
 	b := &binding{
-		eng:    e,
-		method: k.Method.String(),
-		p:      pool.Size(),
-		d:      pool.Domains(),
-		cost:   perfmodel.SSSCost(k),
-		shares: k.DomainShares(),
-		calib:  calib,
-		allGBs: stream.GB(stream.TriadSum(calib)),
-		nBytes: int64(8 * k.S.N),
+		eng:      e,
+		method:   k.Method.String(),
+		p:        pool.Size(),
+		cost:     perfmodel.SSSCost(k),
+		triadGBs: stream.GB(Calibrate(pool).Triad),
+		nBytes:   int64(8 * k.S.N),
 	}
-	domGBs := b.allGBs / float64(len(calib))
-	b.pl = perfmodel.CalibratedHost(b.p, b.d, domGBs)
+	b.pl = perfmodel.CalibratedHost(b.p, b.triadGBs)
 	k.SetSampleHook(b.observe)
 	return nil
 }
@@ -168,25 +156,13 @@ func (b *binding) observe(s core.PhaseSample) {
 
 	e := b.eng
 	e.mu.Lock()
-	e.observeLocked(b.method, "compute", DomainAll, b.allGBs,
+	e.observeLocked(b.method, "compute", b.triadGBs,
 		float64(computeBytes), float64(s.PT.Compute.Nanoseconds()), modelMultNs)
-	e.observeLocked(b.method, "reduction", DomainAll, b.allGBs,
+	e.observeLocked(b.method, "reduction", b.triadGBs,
 		float64(redBytes), float64(s.PT.Reduction.Nanoseconds()), modelRedNs)
-	for dd := range s.DomComputeNs {
-		share := 0.0
-		if b.shares != nil && dd < len(b.shares) {
-			share = b.shares[dd]
-		}
-		gbs := stream.GB(b.calib[dd].Triad)
-		dom := fmt.Sprintf("%d", dd)
-		e.observeLocked(b.method, "compute", dom, gbs,
-			share*float64(computeBytes), float64(s.DomComputeNs[dd]), share*modelMultNs)
-		e.observeLocked(b.method, "reduction", dom, gbs,
-			share*float64(redBytes), float64(s.DomReductionNs[dd]), share*modelRedNs)
-	}
 	frac := 0.0
-	if wallNs := float64(s.EndNs - s.StartNs); wallNs > 0 && b.allGBs > 0 {
-		frac = (float64(computeBytes+redBytes) / wallNs) / b.allGBs
+	if wallNs := float64(s.EndNs - s.StartNs); wallNs > 0 && b.triadGBs > 0 {
+		frac = (float64(computeBytes+redBytes) / wallNs) / b.triadGBs
 	}
 	name := e.traceNameLocked(b.method, frac)
 	arg := e.argName
@@ -203,29 +179,27 @@ func (b *binding) observe(s core.PhaseSample) {
 // nonexistent reduction, or a single-thread Indexed kernel whose conflict
 // index is empty) and unmeasured phases are skipped — a rate with a zero
 // numerator or denominator attributes nothing.
-func (e *Engine) observeLocked(method, phase, domain string, rooflineGBs, bytes, measNs, modelNs float64) {
+func (e *Engine) observeLocked(method, phase string, rooflineGBs, bytes, measNs, modelNs float64) {
 	if bytes <= 0 || measNs <= 0 {
 		return
 	}
-	key := entryKey{Method: method, Phase: phase, Domain: domain}
+	key := entryKey{Method: method, Phase: phase}
 	en := e.entries[key]
 	if en == nil {
 		en = &entry{
 			rooflineGBs: rooflineGBs,
 			achieved: obs.NewGauge("symspmv_attrib_achieved_gbps",
 				"Achieved bandwidth of one kernel phase: perfmodel-predicted bytes over measured critical-path seconds (GB/s).",
-				"method", method, "phase", phase, "domain", domain),
+				"method", method, "phase", phase),
 			fraction: obs.NewGauge("symspmv_attrib_roofline_fraction",
 				"Achieved bandwidth as a fraction of the measured STREAM triad roofline; ~1 is the hardware limit, >1 means cache-resident.",
-				"method", method, "phase", phase, "domain", domain),
+				"method", method, "phase", phase),
 			modelError: obs.NewGauge("symspmv_attrib_model_error",
 				"Measured over model-predicted phase seconds (calibrated-host perfmodel); 1 is a perfect prediction.",
-				"method", method, "phase", phase, "domain", domain),
-		}
-		if domain == DomainAll {
-			en.fractionHist = obs.NewHistogram("symspmv_attrib_fraction",
+				"method", method, "phase", phase),
+			fractionHist: obs.NewHistogram("symspmv_attrib_fraction",
 				"Per-operation roofline fraction of one kernel phase.",
-				FractionBuckets, "method", method, "phase", phase)
+				FractionBuckets, "method", method, "phase", phase),
 		}
 		e.entries[key] = en
 		e.order = append(e.order, key)
@@ -244,7 +218,7 @@ func (e *Engine) observeLocked(method, phase, domain string, rooflineGBs, bytes,
 	if en.sumModelNs > 0 {
 		en.modelError.Set(en.sumMeasNs / en.sumModelNs)
 	}
-	if en.fractionHist != nil && rooflineGBs > 0 {
+	if rooflineGBs > 0 {
 		en.fractionHist.Observe((bytes / measNs) / rooflineGBs)
 	}
 }

@@ -25,7 +25,7 @@ func smallCalibration(t *testing.T) {
 	t.Cleanup(func() {
 		CalibrationSize, CalibrationReps = size, reps
 		calMu.Lock()
-		calCache = map[calKey][]stream.DomainResult{}
+		calCache = map[int]stream.Result{}
 		calMu.Unlock()
 	})
 }
@@ -87,9 +87,9 @@ func TestAttributionExposition(t *testing.T) {
 		"# TYPE symspmv_attrib_model_error gauge",
 		"# TYPE symspmv_attrib_stream_gbps gauge",
 		"# TYPE symspmv_attrib_fraction histogram",
-		`symspmv_attrib_achieved_gbps{method="effective-ranges",phase="compute",domain="all"}`,
-		`symspmv_attrib_roofline_fraction{method="effective-ranges",phase="reduction",domain="all"}`,
-		`symspmv_attrib_stream_gbps{domain="0"}`,
+		`symspmv_attrib_achieved_gbps{method="effective-ranges",phase="compute"}`,
+		`symspmv_attrib_roofline_fraction{method="effective-ranges",phase="reduction"}`,
+		"\nsymspmv_attrib_stream_gbps ",
 		`symspmv_attrib_fraction_bucket{method="effective-ranges",phase="compute",le="1.5"}`,
 	} {
 		if !strings.Contains(text, want) {
@@ -108,16 +108,16 @@ func TestAttributionExposition(t *testing.T) {
 		}
 		found++
 		if e.Ops < 4 {
-			t.Errorf("%s/%s/%s: ops = %d, want >= 4", e.Method, e.Phase, e.Domain, e.Ops)
+			t.Errorf("%s/%s: ops = %d, want >= 4", e.Method, e.Phase, e.Ops)
 		}
 		if e.AchievedGBs <= 0 || e.MeasuredUsPerOp <= 0 || e.PredictedBytesPerOp <= 0 {
-			t.Errorf("%s/%s/%s: non-positive rates: %+v", e.Method, e.Phase, e.Domain, e)
+			t.Errorf("%s/%s: non-positive rates: %+v", e.Method, e.Phase, e)
 		}
 		if e.RooflineFraction <= 0 {
-			t.Errorf("%s/%s/%s: roofline fraction %v, want > 0", e.Method, e.Phase, e.Domain, e.RooflineFraction)
+			t.Errorf("%s/%s: roofline fraction %v, want > 0", e.Method, e.Phase, e.RooflineFraction)
 		}
 		if e.ModelError <= 0 {
-			t.Errorf("%s/%s/%s: model error %v, want > 0", e.Method, e.Phase, e.Domain, e.ModelError)
+			t.Errorf("%s/%s: model error %v, want > 0", e.Method, e.Phase, e.ModelError)
 		}
 	}
 	if found < 2 {
@@ -165,14 +165,14 @@ func TestAttributionSkipsEmptyPhases(t *testing.T) {
 	}
 }
 
-// TestCalibrateMemoizes: same pool shape, one measurement.
+// TestCalibrateMemoizes: same pool size, one measurement.
 func TestCalibrateMemoizes(t *testing.T) {
 	smallCalibration(t)
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 	a := Calibrate(pool)
 	b := Calibrate(pool)
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("Calibrate did not memoize per pool shape")
+	if a.Triad <= 0 || a != b {
+		t.Fatalf("Calibrate did not memoize per pool size: %+v then %+v", a, b)
 	}
 }

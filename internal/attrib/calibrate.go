@@ -1,7 +1,6 @@
 package attrib
 
 import (
-	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -19,37 +18,27 @@ var (
 	CalibrationReps = 2
 )
 
-type calKey struct {
-	threads, domains int
-}
-
 var (
 	calMu    sync.Mutex
-	calCache = map[calKey][]stream.DomainResult{}
+	calCache = map[int]stream.Result{} // by pool size
 )
 
-// Calibrate measures (or returns the memoized) per-domain STREAM bandwidth
-// for a pool's shape. Keyed by (threads, domains): on one machine every pool
-// of the same shape sees the same memory system, so a bind never re-runs the
-// ~hundred-millisecond measurement. Runs the pool, so call it only while no
-// kernel operation is in flight (Bind time, never from the sample hook).
-func Calibrate(pool *parallel.Pool) []stream.DomainResult {
-	key := calKey{threads: pool.Size(), domains: pool.Domains()}
+// Calibrate measures (or returns the memoized) STREAM bandwidth for a pool's
+// size: on one machine every pool of the same size sees the same memory
+// system, so a bind never re-runs the ~hundred-millisecond measurement. Runs
+// the pool, so call it only while no kernel operation is in flight (Bind
+// time, never from the sample hook).
+func Calibrate(pool *parallel.Pool) stream.Result {
 	calMu.Lock()
 	defer calMu.Unlock()
-	if rs, ok := calCache[key]; ok {
-		return rs
+	if r, ok := calCache[pool.Size()]; ok {
+		return r
 	}
-	rs := stream.RunPerDomain(pool, CalibrationSize, CalibrationReps)
-	calCache[key] = rs
-	for _, r := range rs {
-		streamGauge(r.Domain).Set(stream.GB(r.Triad))
-	}
-	return rs
+	r := stream.Run(pool, CalibrationSize, CalibrationReps)
+	calCache[pool.Size()] = r
+	streamGauge.Set(stream.GB(r.Triad))
+	return r
 }
 
-func streamGauge(domain int) *obs.Gauge {
-	return obs.NewGauge("symspmv_attrib_stream_gbps",
-		"Measured STREAM triad bandwidth of one memory domain's worker group (GB/s), the roofline denominator.",
-		"domain", strconv.Itoa(domain))
-}
+var streamGauge = obs.NewGauge("symspmv_attrib_stream_gbps",
+	"Measured STREAM triad bandwidth of the most recently calibrated pool (GB/s), the roofline denominator.")

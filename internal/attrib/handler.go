@@ -13,7 +13,6 @@ import (
 type SnapshotEntry struct {
 	Method              string  `json:"method"`
 	Phase               string  `json:"phase"`
-	Domain              string  `json:"domain"`
 	Ops                 int64   `json:"ops"`
 	MeasuredUsPerOp     float64 `json:"measured_us_per_op"`
 	ModelUsPerOp        float64 `json:"model_us_per_op"`
@@ -24,9 +23,8 @@ type SnapshotEntry struct {
 	ModelError          float64 `json:"model_error"`
 }
 
-// SnapshotStream is one domain's calibrated STREAM measurement.
+// SnapshotStream is one pool size's calibrated STREAM measurement.
 type SnapshotStream struct {
-	Domain   int     `json:"domain"`
 	Threads  int     `json:"threads"`
 	TriadGBs float64 `json:"triad_gbps"`
 	ArrayMB  float64 `json:"array_mb"`
@@ -42,15 +40,12 @@ type Snapshot struct {
 func (e *Engine) Snapshot() Snapshot {
 	snap := Snapshot{Stream: []SnapshotStream{}, Entries: []SnapshotEntry{}}
 	calMu.Lock()
-	for _, rs := range calCache {
-		for _, r := range rs {
-			snap.Stream = append(snap.Stream, SnapshotStream{
-				Domain:   r.Domain,
-				Threads:  r.Threads,
-				TriadGBs: stream.GB(r.Triad),
-				ArrayMB:  float64(r.ArrayBytes) / (1 << 20),
-			})
-		}
+	for _, r := range calCache {
+		snap.Stream = append(snap.Stream, SnapshotStream{
+			Threads:  r.Threads,
+			TriadGBs: stream.GB(r.Triad),
+			ArrayMB:  float64(r.ArrayBytes) / (1 << 20),
+		})
 	}
 	calMu.Unlock()
 
@@ -62,7 +57,6 @@ func (e *Engine) Snapshot() Snapshot {
 		se := SnapshotEntry{
 			Method:              key.Method,
 			Phase:               key.Phase,
-			Domain:              key.Domain,
 			Ops:                 en.ops,
 			MeasuredUsPerOp:     en.sumMeasNs / ops / 1e3,
 			ModelUsPerOp:        en.sumModelNs / ops / 1e3,

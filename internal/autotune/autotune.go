@@ -12,13 +12,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/csx"
 	"repro/internal/format"
-	"repro/internal/hub"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 	"repro/internal/reorder"
-	"repro/internal/topo"
 )
 
 // Tuner telemetry: completed searches and individual timed trials.
@@ -34,13 +32,6 @@ type Plan struct {
 	Format  format.ID
 	Threads int
 	Reorder bool // build on the RCM-permuted matrix, permuting x/y around the kernel
-	Hub     bool // hub-cached x access (symmetric formats on degree-skewed matrices)
-	// Domains is the NUMA domain count the plan shards over (0 and 1 both
-	// mean a flat single-domain pool); Hierarchical selects the two-level
-	// domain reduction on such a pool. Only the local-vector SSS formats
-	// generate hierarchical plans.
-	Domains      int
-	Hierarchical bool
 }
 
 // String renders the plan compactly, e.g. "SSS-indexed p=4 (RCM)".
@@ -49,24 +40,7 @@ func (p Plan) String() string {
 	if p.Reorder {
 		s += " (RCM)"
 	}
-	if p.Hub {
-		s += " +hub"
-	}
-	if p.Domains > 1 {
-		s += fmt.Sprintf(" d=%d", p.Domains)
-		if p.Hierarchical {
-			s += "+hier"
-		}
-	}
 	return s
-}
-
-// domains reports the pool domain count the plan executes on.
-func (p Plan) domains() int {
-	if p.Hierarchical && p.Domains > 1 {
-		return p.Domains
-	}
-	return 1
 }
 
 // Candidate reports one examined configuration for the Decision record.
@@ -143,12 +117,6 @@ type Options struct {
 	// SpMM-capable formats, the model prices each candidate's SpMM sweep,
 	// and the micro-trials time MulMat. Default 1 (plain SpMV).
 	NV int
-	// Domains overrides the NUMA domain count the hierarchical candidates
-	// shard over (default: the detected topology, topo.Domains()). On one
-	// domain no hierarchical candidates are generated.
-	Domains int
-	// DisableHub removes the hub-cached variants from the space.
-	DisableHub bool
 	// Platform overrides the model-stage platform (default a host-derived
 	// one from perfmodel.Host).
 	Platform *perfmodel.Platform
@@ -180,9 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AmortizeOps <= 0 {
 		o.AmortizeOps = 1000
-	}
-	if o.Domains <= 0 {
-		o.Domains = topo.Domains()
 	}
 	if o.NV < 1 {
 		o.NV = 1
@@ -223,15 +188,9 @@ type tuner struct {
 	pl    perfmodel.Platform
 	d     *Decision
 
-	pools     map[[2]int]*parallel.Pool // keyed by (threads, domains)
+	pools     map[int]*parallel.Pool // by thread count
 	symStats  map[int][2]int64
 	colorMemo map[int][2]int // colored-schedule {colors, blocks} per thread count
-	hierMemo  map[int]int64  // hierarchical cross-window bytes per domain count
-
-	// Hub analysis, memoized: nil after hubDone means the matrix has no
-	// profitable hub at the default thresholds.
-	hubDone bool
-	hubP    *hub.Plan
 
 	// RCM permutation and the permuted matrix, built lazily on first
 	// reordered trial.
@@ -239,6 +198,15 @@ type tuner struct {
 	rcmErr  error
 	perm    []int32
 	rcm     format.Matrix
+}
+
+// planCaps is what a format must offer on the matrix's class to be in the
+// plan space at nv vectors.
+func planCaps(nv int) format.Caps {
+	if nv > 1 {
+		return format.Tuned | format.MulMat
+	}
+	return format.Tuned
 }
 
 // Tune runs the two-stage search and returns the full decision record.
@@ -250,12 +218,8 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 	// The plan space is what the format table says runs this symmetry class
 	// (and, for a multi-RHS search, has an SpMM kernel on it): on a skew or
 	// structural matrix that keeps the unsymmetric baselines and the
-	// kind-generalized SSS methods, and of those only CSR when NV > 1. Hub and
-	// hierarchical variants drop out the same way, candidate by candidate.
-	need := format.Tuned
-	if o.NV > 1 {
-		need |= format.MulMat
-	}
+	// kind-generalized SSS methods, and of those only CSR when NV > 1.
+	need := planCaps(o.NV)
 	var kept []format.ID
 	for _, f := range o.Formats {
 		if f.Valid() && f.Desc().Has(need, pr.S.Kind) {
@@ -266,13 +230,10 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 		return nil, fmt.Errorf("autotune: no searched format supports %s matrices at nv=%d", pr.S.Kind, o.NV)
 	}
 	o.Formats = kept
-	if pr.S.Kind != core.Sym {
-		o.Domains = 1 // non-Sym kernels always reduce flat
-		if pr.S.Kind == core.Structural {
-			// Problem.M is a general COO for structural matrices; the RCM
-			// rebuild path assumes symmetric lower storage.
-			o.DisableReorder = true
-		}
+	if pr.S.Kind == core.Structural {
+		// Problem.M is a general COO for structural matrices; the RCM
+		// rebuild path assumes symmetric lower storage.
+		o.DisableReorder = true
 	}
 	if pr.Stats.Rows == 0 {
 		pr.Stats = matrix.ComputeStats(pr.M)
@@ -298,10 +259,9 @@ func newTuner(pr Problem, o Options) *tuner {
 		o:         o,
 		feat:      ExtractFeatures(pr.Stats),
 		d:         &Decision{},
-		pools:     make(map[[2]int]*parallel.Pool),
+		pools:     make(map[int]*parallel.Pool),
 		symStats:  make(map[int][2]int64),
 		colorMemo: make(map[int][2]int),
-		hierMemo:  make(map[int]int64),
 	}
 	t.shape = format.Shape{
 		N:            int64(t.feat.N),
@@ -324,23 +284,13 @@ func newTuner(pr Problem, o Options) *tuner {
 	return t
 }
 
-// pool returns the shared warm pool for (threads, domains), creating it on
-// first use. d ≤ 1 is the flat pool every non-hierarchical plan runs on.
-func (t *tuner) pool(p, d int) *parallel.Pool {
-	if d < 1 {
-		d = 1
-	}
-	key := [2]int{p, d}
-	if pl, ok := t.pools[key]; ok {
-		return pl
-	}
-	var pl *parallel.Pool
-	if d > 1 {
-		pl = parallel.NewPoolDomains(p, d)
-	} else {
+// pool returns the shared warm pool of p threads, creating it on first use.
+func (t *tuner) pool(p int) *parallel.Pool {
+	pl, ok := t.pools[p]
+	if !ok {
 		pl = parallel.NewPool(p)
+		t.pools[p] = pl
 	}
-	t.pools[key] = pl
 	return pl
 }
 
@@ -357,54 +307,16 @@ func (t *tuner) closePools() {
 // reordering could pay. Returns the indices of the surviving candidates.
 func (t *tuner) modelStage() []int {
 	ps := threadCandidates(t.o.MaxThreads)
-	kind := t.pr.S.Kind
-	price := func(f format.ID, p int, hubbed bool, hierDomains int) float64 {
-		c := t.modelCost(f, p, false)
-		if hierDomains > 1 {
-			// Two-level reduction: only the shard-boundary windows cross
-			// domains (instead of the flat estimate's remote share of the
-			// local-vector stream), at the cost of one extra phase barrier.
-			c.RedCrossBytes = t.hierCrossBytes(hierDomains)
-			c.ExtraBarriers++
-		}
-		if hubbed {
-			plan := t.hubPlan()
-			c = c.WithHub(plan.Covered, plan.K(), p)
-		}
-		return c.SpMM(t.o.NV).Seconds(t.pl, p)
-	}
 	for _, f := range t.o.Formats {
 		best := Candidate{Plan: Plan{Format: f}, ModeledSeconds: -1}
 		for _, p := range ps {
-			sec := price(f, p, false, 0)
+			sec := t.modelCost(f, p, false).SpMM(t.o.NV).Seconds(t.pl, p)
 			if best.ModeledSeconds < 0 || sec < best.ModeledSeconds {
 				best.Plan.Threads = p
 				best.ModeledSeconds = sec
 			}
 		}
 		t.d.Candidates = append(t.d.Candidates, best)
-		// Hub-cached variant: only where the structure shows real degree
-		// skew AND the analysis finds a profitable hub. The skew gate keeps
-		// the O(nnz) hub analysis off mesh-like matrices entirely.
-		if !t.o.DisableHub && f.Desc().Has(format.Hub, kind) && t.feat.DegreeSkew >= 8 && t.hubPlan() != nil {
-			hc := Candidate{Plan: Plan{Format: f, Threads: best.Threads, Hub: true}}
-			hc.ModeledSeconds = price(f, best.Threads, true, 0)
-			t.d.Candidates = append(t.d.Candidates, hc)
-		}
-		// Hierarchical domain-sharded variant: multi-domain machines only,
-		// local-vector SSS methods only. SpMM always reduces flat, so NV>1
-		// searches skip it.
-		if t.o.NV == 1 && t.o.Domains > 1 && f.Desc().Has(format.Hier, kind) {
-			d := t.o.Domains
-			if d > best.Threads {
-				d = best.Threads // the pool clamps domains to the thread count
-			}
-			if d > 1 {
-				hc := Candidate{Plan: Plan{Format: f, Threads: best.Threads, Domains: d, Hierarchical: true}}
-				hc.ModeledSeconds = price(f, best.Threads, false, d)
-				t.d.Candidates = append(t.d.Candidates, hc)
-			}
-		}
 	}
 
 	// Colored blow-up guard: on a near-complete conflict graph (power-law
@@ -474,9 +386,6 @@ func (t *tuner) modelStage() []int {
 	if !t.o.DisableReorder && t.pl.XMissFraction(t.feat.XSpanBytes) > 0.02 {
 		for _, i := range append([]int(nil), survivors...) {
 			c := t.d.Candidates[i]
-			if c.Hierarchical {
-				continue // the flat survivor already yields the RCM variant
-			}
 			rc := Candidate{Plan: Plan{Format: c.Format, Threads: c.Threads, Reorder: true}}
 			rc.ModeledSeconds = t.modelCost(c.Format, c.Threads, true).Seconds(t.pl, c.Threads)
 			t.d.Candidates = append(t.d.Candidates, rc)
@@ -611,17 +520,6 @@ func renormalize(v []float64) {
 	}
 }
 
-// hubPlan memoizes the hub analysis at the default thresholds; nil when the
-// matrix has no profitable hub.
-func (t *tuner) hubPlan() *hub.Plan {
-	if !t.hubDone {
-		t.hubDone = true
-		s := t.pr.S
-		t.hubP = hub.Analyze(s.N, s.RowPtr, s.ColIdx, hub.DefaultOptions())
-	}
-	return t.hubP
-}
-
 // reordered lazily computes the RCM permutation and the permuted
 // structures, shared by every reordered trial.
 func (t *tuner) reordered() error {
@@ -660,28 +558,12 @@ func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 
 	src := &t.pr.Matrix
 	if plan.Reorder {
-		if plan.Hub {
-			return nil, fmt.Errorf("autotune: %v: hub variants are not generated for reordered plans", plan)
-		}
 		if err := t.reordered(); err != nil {
 			return nil, fmt.Errorf("autotune: RCM: %w", err)
 		}
 		src = &t.rcm
 	}
-	o := format.Options{CSX: t.o.CSXOptions}
-	if plan.Hub {
-		if o.Hub = t.hubPlan(); o.Hub == nil {
-			return nil, fmt.Errorf("autotune: %v: no profitable hub", plan)
-		}
-	}
-	if plan.Hierarchical {
-		if err := plan.Format.Desc().Check(format.Hier, src.S.Kind); err != nil {
-			return nil, fmt.Errorf("autotune: %v: %w", plan, err)
-		}
-	}
-	// Non-hierarchical plans run on the flat pool, so a Hier-capable format
-	// only goes hierarchical when the plan says so.
-	b, err = format.Build(src, plan.Format, t.pool(plan.Threads, plan.domains()), o)
+	b, err = format.Build(src, plan.Format, t.pool(plan.Threads), format.Options{CSX: t.o.CSXOptions})
 	if err != nil {
 		return nil, err
 	}

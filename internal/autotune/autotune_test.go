@@ -173,68 +173,6 @@ func TestBuildEveryFormat(t *testing.T) {
 	}
 }
 
-// TestHierarchicalCandidates checks the NUMA-sharded plan space: on a
-// (synthetic) two-domain machine the model stage offers a hierarchical
-// variant for every local-vector SSS format, its modeled cross-domain stream
-// is below the flat one, and the built plan computes the right answer.
-func TestHierarchicalCandidates(t *testing.T) {
-	m, s := poisson(t, 40)
-	tn := testTuner(t, problem(s, m))
-	defer tn.closePools()
-	tn.o.Domains = 2
-	tn.o.MaxThreads = 4
-	tn.o.Formats = []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed}
-	tn.pl = perfmodel.Gainestown // Sockets=2: the cross-domain term is live
-	tn.modelStage()
-
-	hier := 0
-	for _, c := range tn.d.Candidates {
-		if !c.Hierarchical {
-			continue
-		}
-		hier++
-		if c.Domains < 2 || c.Domains > c.Threads {
-			t.Fatalf("hierarchical candidate %v: implausible domain count", c.Plan)
-		}
-		cross := tn.hierCrossBytes(c.Domains)
-		if cross < 0 {
-			t.Fatalf("%v: negative modeled cross bytes %d", c.Plan, cross)
-		}
-		// The window stream beats the all-to-all estimate for the methods
-		// that ship whole local vectors; the indexed estimate is already
-		// sparse, so only those two admit a strict comparison.
-		if c.Format == format.SSSNaive || c.Format == format.SSSEffective {
-			if cross >= tn.modelCost(c.Format, c.Threads, false).RedCrossBytes {
-				t.Fatalf("%v: modeled hier cross bytes %d not below flat", c.Plan, cross)
-			}
-		}
-	}
-	if hier == 0 {
-		t.Fatal("model stage generated no hierarchical candidates on a two-domain machine")
-	}
-
-	// A hierarchical plan builds on a domain pool and matches the serial
-	// reference (the per-domain regrouping allows tiny float drift).
-	x := make([]float64, s.N)
-	fill(x)
-	ref := make([]float64, s.N)
-	s.MulVec(x, ref)
-	for _, f := range []format.ID{format.SSSNaive, format.SSSEffective, format.SSSIndexed} {
-		plan := Plan{Format: f, Threads: 4, Domains: 2, Hierarchical: true}
-		b, err := tn.build(plan)
-		if err != nil {
-			t.Fatalf("build %v: %v", plan, err)
-		}
-		y := make([]float64, s.N)
-		b.Mul(x, y)
-		for i := range y {
-			if math.Abs(y[i]-ref[i]) > 1e-9 {
-				t.Fatalf("%v: y[%d] = %g, serial reference %g", plan, i, y[i], ref[i])
-			}
-		}
-	}
-}
-
 // TestModelStageKeepsSurvivors checks the pruning floor: at least two
 // candidates must always reach the trial stage so the model never makes
 // the final call alone.

@@ -5,10 +5,8 @@ package autotune
 // (internal/csx/serialize.go) the format is versioned and checksummed:
 //
 //	magic "ATNC" | version u32 |
-//	fingerprint u64 | machineLen u32 | machine bytes | nv u32 |
-//	keyDomains u32 | kind u8 |
-//	format u32 | threads u32 | reorder u8 | hub u8 |
-//	domains u32 | hierarchical u8 | scoreNs f64 |
+//	fingerprint u64 | machineLen u32 | machine bytes | nv u32 | kind u8 |
+//	format u32 | threads u32 | reorder u8 | scoreNs f64 |
 //	crc32 (IEEE) of everything above
 //
 // All integers are little-endian. A file that is truncated, bit-flipped,
@@ -56,28 +54,22 @@ func CacheStats() (hits, misses, corrupt int64) {
 
 const (
 	cacheMagic = "ATNC"
-	// cacheVersion 6: the format field is the library-wide format.ID (the
-	// tuner's own enum, numbered differently, is gone), so a v5 entry would
-	// replay as another format. v5 entries read as a clean miss and retune.
-	// (v5 added the symmetry-class byte to the key; v4 NUMA domain-sharded
-	// hierarchical variants; v3 hub variants and NV; v2 the SSS-colored
-	// format.)
-	cacheVersion = 6
+	// cacheVersion 7: the domain count left the key and the hub, domains and
+	// hierarchical fields left the plan, with the execution modes they
+	// selected. Older entries read as a clean miss and retune. (v6 made the
+	// format field the library-wide format.ID; v5 added the symmetry-class
+	// byte to the key; v3 NV; v2 the SSS-colored format.)
+	cacheVersion = 7
 )
 
 // Key identifies one tuning-cache entry: the matrix structure fingerprint,
-// the machine signature, the vector count the plan was tuned for (0 and 1
-// both mean single-vector SpMV), and the domain count the search sharded
-// over (0 and 1 both mean flat). A plan raced against hierarchical
-// 2-domain variants must not answer a forced-flat lookup, and vice versa —
-// the caller resolves "detect" to a concrete count before building the key.
-// Values are excluded from the fingerprint on purpose — the plan depends
-// only on structure.
+// the machine signature, and the vector count the plan was tuned for (0 and
+// 1 both mean single-vector SpMV). Values are excluded from the fingerprint
+// on purpose — the plan depends only on structure.
 type Key struct {
 	Fingerprint uint64
 	Machine     string
 	NV          int
-	Domains     int
 	// Kind is the matrix's symmetry class. The fingerprint covers only the
 	// index structure, which all classes share, so the class must key the
 	// entry separately.
@@ -90,14 +82,6 @@ func (k Key) nv() uint32 {
 		return 1
 	}
 	return uint32(k.NV)
-}
-
-// domains normalizes the domain count (0 → 1).
-func (k Key) domains() uint32 {
-	if k.Domains < 1 {
-		return 1
-	}
-	return uint32(k.Domains)
 }
 
 // Fingerprint hashes the matrix structure (dimension and sparsity pattern,
@@ -167,11 +151,6 @@ func (st Store) path(k Key) string {
 		// per tuned width.
 		name += fmt.Sprintf("-nv%d", nv)
 	}
-	if d := k.domains(); d > 1 {
-		// Domain-sharded searches likewise get their own file per domain
-		// count, beside the flat plan.
-		name += fmt.Sprintf("-d%d", d)
-	}
 	if k.Kind != core.Sym {
 		// Non-Sym kinds share the fingerprint of a same-pattern symmetric
 		// matrix; a suffix keeps their plans in separate files.
@@ -197,24 +176,10 @@ func (st Store) Save(k Key, p Plan, scoreNs float64) error {
 	put(uint32(len(k.Machine)))
 	w.Write([]byte(k.Machine))
 	put(k.nv())
-	put(k.domains())
 	put(uint8(k.Kind))
 	put(uint32(p.Format))
 	put(uint32(p.Threads))
-	var re, hb, hier uint8
-	if p.Reorder {
-		re = 1
-	}
-	if p.Hub {
-		hb = 1
-	}
-	if p.Hierarchical {
-		hier = 1
-	}
-	put(re)
-	put(hb)
-	put(uint32(p.Domains))
-	put(hier)
+	put(p.Reorder)
 	put(scoreNs)
 	binary.Write(&body, binary.LittleEndian, crc.Sum32())
 
@@ -288,13 +253,10 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 	if _, err := io.ReadFull(tr, machine); err != nil {
 		return Plan{}, fmt.Errorf("reading machine signature: %w", err)
 	}
-	var nv, keyDomains, fid, threads, domains uint32
-	var kind, re, hb, hier uint8
+	var nv, fid, threads uint32
+	var kind, re uint8
 	var score float64
 	if err := get(&nv); err != nil {
-		return Plan{}, err
-	}
-	if err := get(&keyDomains); err != nil {
 		return Plan{}, err
 	}
 	if err := get(&kind); err != nil {
@@ -307,15 +269,6 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 		return Plan{}, err
 	}
 	if err := get(&re); err != nil {
-		return Plan{}, err
-	}
-	if err := get(&hb); err != nil {
-		return Plan{}, err
-	}
-	if err := get(&domains); err != nil {
-		return Plan{}, err
-	}
-	if err := get(&hier); err != nil {
 		return Plan{}, err
 	}
 	if err := get(&score); err != nil {
@@ -332,26 +285,19 @@ func readEntry(r io.Reader, k Key) (Plan, error) {
 	if kind > uint8(core.Structural) {
 		return Plan{}, fmt.Errorf("unknown symmetry class %d", kind)
 	}
-	if fp != k.Fingerprint || string(machine) != k.Machine || nv != k.nv() ||
-		keyDomains != k.domains() || core.SymKind(kind) != k.Kind {
-		return Plan{}, fmt.Errorf("entry keyed to a different matrix, machine, vector count, domain count, or symmetry class")
+	if fp != k.Fingerprint || string(machine) != k.Machine || nv != k.nv() || core.SymKind(kind) != k.Kind {
+		return Plan{}, fmt.Errorf("entry keyed to a different matrix, machine, vector count, or symmetry class")
 	}
 	if !format.ID(fid).Valid() {
 		return Plan{}, fmt.Errorf("unknown format %d", fid)
 	}
+	if err := format.ID(fid).Desc().Check(planCaps(int(nv)), k.Kind); err != nil {
+		return Plan{}, fmt.Errorf("plan outside the searched space: %w", err)
+	}
 	if threads == 0 || threads > 1<<16 {
 		return Plan{}, fmt.Errorf("implausible thread count %d", threads)
 	}
-	if domains > threads {
-		return Plan{}, fmt.Errorf("implausible domain count %d for %d threads", domains, threads)
-	}
-	if hier != 0 && domains < 2 {
-		return Plan{}, fmt.Errorf("hierarchical plan with %d domains", domains)
-	}
-	return Plan{
-		Format: format.ID(fid), Threads: int(threads), Reorder: re != 0, Hub: hb != 0,
-		Domains: int(domains), Hierarchical: hier != 0,
-	}, nil
+	return Plan{Format: format.ID(fid), Threads: int(threads), Reorder: re != 0}, nil
 }
 
 // DefaultCacheDir is the conventional persistent cache location

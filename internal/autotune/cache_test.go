@@ -1,9 +1,14 @@
 package autotune
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"repro/internal/core"
 	"repro/internal/format"
+	"repro/internal/parallel"
 	"strings"
 	"testing"
 )
@@ -38,16 +43,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	got, ok, err = st.Load(k)
 	if err != nil || !ok || got != want2 {
 		t.Fatalf("after overwrite: plan %v ok %v err %v, want %v", got, ok, err, want2)
-	}
-
-	// Hierarchical domain-sharded plans survive the v4 encoding.
-	want3 := Plan{Format: format.SSSNaive, Threads: 8, Domains: 2, Hierarchical: true}
-	if err := st.Save(k, want3, 7); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err = st.Load(k)
-	if err != nil || !ok || got != want3 {
-		t.Fatalf("hierarchical roundtrip: plan %v ok %v err %v, want %v", got, ok, err, want3)
 	}
 }
 
@@ -124,7 +119,7 @@ func TestStoreRejectsForeignKey(t *testing.T) {
 	if ok || err == nil {
 		t.Fatalf("foreign key: plan %v ok %v err %v, want miss + error", p, ok, err)
 	}
-	if !strings.Contains(err.Error(), "different matrix, machine, vector count, domain count, or symmetry class") {
+	if !strings.Contains(err.Error(), "different matrix, machine, vector count, or symmetry class") {
 		t.Fatalf("foreign key diagnostic = %v", err)
 	}
 }
@@ -177,33 +172,55 @@ func TestMachineSignatureStable(t *testing.T) {
 	}
 }
 
-// TestCacheKeyedByDomains: a plan tuned under a domain-sharded search must
-// not answer a flat lookup of the same matrix, and vice versa — the two
-// searches race different candidate spaces.
-func TestCacheKeyedByDomains(t *testing.T) {
-	st := Store{Dir: t.TempDir()}
-	k2 := Key{Fingerprint: 0x77, Machine: "m", Domains: 2}
-	want := Plan{Format: format.SSSNaive, Threads: 4, Domains: 2, Hierarchical: true}
-	if err := st.Save(k2, want, 5); err != nil {
-		t.Fatal(err)
+// FuzzLoadPlan: arbitrary bytes read as a miss or as a plan format.Build
+// accepts on the key's matrix, never a panic. Every input is also tried with
+// its checksum repaired, so the fuzzer reaches the field checks behind the
+// CRC. The matrix is skew-symmetric, the class fewest formats run. Seeds: a
+// valid entry, truncations and bit flips (one lands on the version, one turns
+// the format into a symmetric-only one).
+func FuzzLoadPlan(f *testing.F) {
+	m := randomSkewCOO(f, 64, 4)
+	s, err := core.FromCOO(m)
+	if err != nil {
+		f.Fatal(err)
 	}
-	got, ok, err := st.Load(k2)
-	if err != nil || !ok || got != want {
-		t.Fatalf("Load = %v, %v, %v; want %v", got, ok, err, want)
+	k := Key{Fingerprint: Fingerprint(s), Machine: "fuzz", Kind: core.Skew}
+	st := Store{Dir: f.TempDir()}
+	if err := st.Save(k, Plan{Format: format.SSSEffective, Threads: 2, Reorder: true}, 42); err != nil {
+		f.Fatal(err)
 	}
-	if _, ok, _ := st.Load(Key{Fingerprint: 0x77, Machine: "m"}); ok {
-		t.Fatal("Domains=2 entry answered a flat lookup")
+	valid, err := os.ReadFile(st.path(k))
+	if err != nil {
+		f.Fatal(err)
 	}
-	if _, ok, _ := st.Load(Key{Fingerprint: 0x77, Machine: "m", Domains: 4}); ok {
-		t.Fatal("Domains=2 entry answered a Domains=4 lookup")
+	f.Add(valid)
+	for _, cut := range []int{0, 3, 8, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
 	}
-	// Domains 0 and 1 are the same (flat) key: a flat entry answers both.
-	flat := Plan{Format: format.SSSIndexed, Threads: 2}
-	if err := st.Save(Key{Fingerprint: 0x78, Machine: "m", Domains: 1}, flat, 3); err != nil {
-		t.Fatal(err)
+	for _, i := range []int{0, 4, 8, len(valid) - 21, len(valid) - 17, len(valid) - 1} {
+		flipped := bytes.Clone(valid)
+		flipped[i] ^= 0x02
+		f.Add(flipped)
 	}
-	got, ok, err = st.Load(Key{Fingerprint: 0x78, Machine: "m"})
-	if err != nil || !ok || got != flat {
-		t.Fatalf("flat Load = %v, %v, %v; want %v", got, ok, err, flat)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		repaired := bytes.Clone(data)
+		if n := len(repaired) - 4; n >= 0 {
+			binary.LittleEndian.PutUint32(repaired[n:], crc32.ChecksumIEEE(repaired[:n]))
+		}
+		for _, in := range [][]byte{data, repaired} {
+			plan, err := readEntry(bytes.NewReader(in), k)
+			if err != nil || plan.Threads > 8 {
+				// Whether a format builds does not depend on the thread
+				// count; a pool of up to 65 536 workers per input is not
+				// worth the fuzzing time.
+				continue
+			}
+			pool := parallel.NewPool(plan.Threads)
+			_, err = format.Build(&format.Matrix{S: s, M: m}, plan.Format, pool, format.Options{})
+			pool.Close()
+			if err != nil {
+				t.Fatalf("loaded plan %v does not build: %v", plan, err)
+			}
+		}
+	})
 }

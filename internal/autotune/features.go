@@ -43,14 +43,6 @@ type Features struct {
 	AvgBandwidth float64 // mean |r−c| — drives the x-locality model
 	AvgRowNNZ    float64
 	MaxRowNNZ    int
-	MaxColNNZ    int // max stored column degree — where hubs show up in lower-triangle storage
-
-	// DegreeSkew is max(MaxRowNNZ, MaxColNNZ)/AvgRowNNZ — the structural
-	// signal for hub caching. The column side matters: in lower-triangle
-	// storage a hub column c collects entries (r, c) for r > c, so its degree
-	// is invisible to per-row counts. Power-law (hub-and-spoke) matrices run
-	// the skew into the hundreds; FEM meshes sit near 1.
-	DegreeSkew float64
 
 	CSRBytes int64 // Eq. (1) size of the full operator
 	SSSBytes int64 // Eq. (2) size of the symmetric skyline form
@@ -71,16 +63,8 @@ func ExtractFeatures(st matrix.Stats) Features {
 		AvgBandwidth: st.AvgBandwidth,
 		AvgRowNNZ:    st.AvgRowNNZ,
 		MaxRowNNZ:    st.MaxRowNNZ,
-		MaxColNNZ:    st.MaxColNNZ,
 		CSRBytes:     st.CSRBytes,
 		SSSBytes:     st.SSSBytes,
-	}
-	if st.AvgRowNNZ > 0 {
-		deg := st.MaxRowNNZ
-		if st.MaxColNNZ > deg {
-			deg = st.MaxColNNZ
-		}
-		f.DegreeSkew = float64(deg) / st.AvgRowNNZ
 	}
 	span := int64(8 * (2*st.AvgBandwidth + 1))
 	if cap := int64(8 * st.Rows); span > cap {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/color"
 	"repro/internal/core"
 	"repro/internal/format"
-	"repro/internal/partition"
 	"repro/internal/perfmodel"
 )
 
@@ -49,44 +48,13 @@ func (t *tuner) colorStats(p int) (colors, blocks int) {
 	return sc.NumColors, sc.NumBlocks
 }
 
-// hierCrossBytes computes the cross-domain stream of the hierarchical
-// two-level reduction at d domains, memoized per domain count: 8 bytes per
-// shard-boundary window element, with window_d = domStart_d − min ColIdx over
-// the domain's rows — exactly the buffers core's hierarchical kernel stages
-// (domain 0 has no earlier domain and crosses nothing). One O(nnz) scan per
-// distinct d, the same cost class as symbolic().
-func (t *tuner) hierCrossBytes(d int) int64 {
-	if v, ok := t.hierMemo[d]; ok {
-		return v
-	}
-	s := t.pr.S
-	wpd := make([]int, d)
-	for i := range wpd {
-		wpd[i] = 1
-	}
-	_, dom := partition.ByNNZDomains(s.RowPtr, wpd)
-	var total int64
-	for dd := 1; dd < d; dd++ {
-		ds, de := dom.Start[dd], dom.End[dd]
-		low := ds
-		for j := s.RowPtr[ds]; j < s.RowPtr[de]; j++ {
-			if c := s.ColIdx[j]; c < low {
-				low = c
-			}
-		}
-		total += 8 * int64(ds-low)
-	}
-	t.hierMemo[d] = total
-	return total
-}
-
-// modelCost builds the roofline account of one candidate reducing flat: the
-// format's estimate plus the x-access span. For reordered variants the span
+// modelCost builds the roofline account of one candidate: the format's
+// estimate plus the x-access span. For reordered variants the span
 // is assumed to shrink into the per-thread cache (the §V-D effect RCM exists
 // for) and the two permutation copies around the kernel are charged as extra
 // streamed traffic.
 func (t *tuner) modelCost(f format.ID, p int, reordered bool) perfmodel.SpMVCost {
-	c := f.Desc().Estimate(&t.shape, p, t.o.Domains)
+	c := f.Desc().Estimate(&t.shape, p)
 	c.XSpanBytes = t.feat.XSpanBytes
 	if reordered {
 		if cache := t.pl.XCachePerThreadBytes; c.XSpanBytes > cache {

@@ -30,18 +30,12 @@ import (
 func (k *Kernel) assembleColored(dot []float64) []parallel.Phase {
 	name := k.Method.String()
 	phases := make([]parallel.Phase, 0, k.sched.NumColors+2)
-	init := func(tid int) { k.diagInitT(tid, k.curX, k.curY) }
-	if k.hubPlan != nil {
-		init = func(tid int) { k.prefillHotT(tid, k.curX); k.diagInitT(tid, k.curX, k.curY) }
-	}
-	phases = append(phases, parallel.ComputePhase(name+"/init", init))
+	phases = append(phases, parallel.ComputePhase(name+"/init",
+		func(tid int) { k.diagInitT(tid, k.curX, k.curY) }))
 	for c := 0; c < k.sched.NumColors; c++ {
 		assign := k.sched.Assign[c]
 		ph := func(tid int) { k.colorBlocksT(assign[tid], k.curX, k.curY) }
-		switch {
-		case k.hubPlan != nil:
-			ph = func(tid int) { k.colorBlocksHubT(tid, assign[tid], k.curX, k.curY) }
-		case k.S.Kind != Sym:
+		if k.S.Kind != Sym {
 			ph = func(tid int) { k.colorBlocksKindT(assign[tid], k.curX, k.curY) }
 		}
 		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c), ph))
@@ -114,26 +108,21 @@ func (k *Kernel) Colors() int {
 // same schedule: the colored method needs no wide local vectors at all,
 // each phase writes the interleaved output directly (multi-RHS costs zero
 // extra reduction). nv ∈ {2, 4, 8} run register-blocked color bodies (see
-// mulmat_blocked.go); other widths and hub plans run the generic body.
+// mulmat_blocked.go); other widths run the generic body.
 func (k *Kernel) assembleColoredMat(nv int) []parallel.Phase {
 	name := k.Method.String() + "-spmm"
 	phases := make([]parallel.Phase, 0, k.sched.NumColors+1)
-	init := func(tid int) { k.diagInitMatT(tid, nv) }
-	if k.hubPlan != nil {
-		init = func(tid int) { k.prefillHotMatT(tid, nv); k.diagInitMatT(tid, nv) }
-	}
-	phases = append(phases, parallel.ComputePhase(name+"/init", init))
+	phases = append(phases, parallel.ComputePhase(name+"/init",
+		func(tid int) { k.diagInitMatT(tid, nv) }))
 	for c := 0; c < k.sched.NumColors; c++ {
 		assign := k.sched.Assign[c]
 		var ph func(int)
-		switch {
-		case k.hubPlan != nil:
-			ph = func(tid int) { k.colorBlocksMatHubT(tid, assign[tid], nv) }
-		case nv == 2:
+		switch nv {
+		case 2:
 			ph = func(tid int) { k.colorBlocksMat2T(assign[tid]) }
-		case nv == 4:
+		case 4:
 			ph = func(tid int) { k.colorBlocksMat4T(assign[tid]) }
-		case nv == 8:
+		case 8:
 			ph = func(tid int) { k.colorBlocksMat8T(assign[tid]) }
 		default:
 			ph = func(tid int) { k.colorBlocksMatT(assign[tid], nv) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/color"
-	"repro/internal/hub"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 )
@@ -94,38 +93,19 @@ type Kernel struct {
 	// wide holds the nv-wide local vectors of MulMat, sized lazily.
 	wide *wideLocals
 
-	// Hub-cached x access (see internal/hub): hubPlan carries the encoded
-	// ColIdx copy and the slot→column table; hotX[tid] is worker tid's
-	// private scalar hot window (length K), hotMat[tid] the interleaved
-	// SpMM window (length K·nv, sized by assembleMat). Each worker refills
-	// its own window at the start of its first phase, so the prefill rides
-	// inside the existing handoff with no extra barrier.
-	hubPlan *hub.Plan
-	hotX    [][]float64
-	hotMat  [][]float64
-
-	// hier is the two-level reduction plan (hier.go), non-nil only when the
-	// pool has multiple domains, the method keeps local vectors, and the
-	// flat reduction was not forced. Single-domain kernels never build it,
-	// which is what keeps them bitwise identical to the pre-domain code.
-	hier *hierState
-
 	// curX/curY are the operands of the operation in flight. The phase lists
 	// are assembled once (plain in NewKernel, dot on the first MulVecDot, mat
 	// on the first MulMat of a given nv) as closures that read these fields,
 	// so repeated operations reuse the same closures and the hot path
 	// allocates nothing. A Kernel has never supported concurrent operations —
 	// it owns per-thread local vectors — so a single operand slot is safe.
-	// Every phase carries the barrier scope closing it (flat lists are
-	// all-global) and the span name and kind the pool's sampler files its
+	// Every phase carries the span name and kind the pool's sampler files its
 	// time under (parallel.Phase).
 	curX, curY []float64
 	plain, dot *parallel.PhaseList
 
 	// SpMM state: the phase list of the most recent MulMat vector count.
-	// Switching nv reassembles; steady-state block solvers reuse it. SpMM
-	// always reduces flat — the wide locals dwarf the staging windows, so
-	// the hierarchical schedule has nothing to save there yet.
+	// Switching nv reassembles; steady-state block solvers reuse it.
 	mat   *parallel.PhaseList
 	matNV int
 
@@ -134,85 +114,26 @@ type Kernel struct {
 	sampleHook func(PhaseSample)
 }
 
-// KernelOptions carries the optional preprocessing products a Kernel can be
-// built with.
-type KernelOptions struct {
-	// Hub enables hub-cached x access: the kernel walks Hub.Enc instead of
-	// the matrix's ColIdx and serves encoded gathers from per-worker hot
-	// windows (per-domain shared windows on a hierarchical kernel). Must
-	// have been built by hub.Analyze over this matrix's structure. Not
-	// supported by the Atomic method.
-	Hub *hub.Plan
-
-	// FlatReduction forces the single-level reduction even on a multi-domain
-	// pool — the A/B baseline of the sharded experiment and the flat
-	// comparator of the traffic model. The row partition stays domain-aligned
-	// so the multiply phases are identical; only the reduction differs. No
-	// effect on single-domain pools.
-	FlatReduction bool
-}
-
 // NewKernel builds the parallel kernel. The partition is computed over the
 // strict lower triangle row pointer, matching the paper's nnz-balanced
 // row-wise assignment. For the Indexed method the symbolic analysis runs
-// here, once, and is reused across multiplications.
+// here, once, and is reused across multiplications. The atomic ablation
+// encodes the symmetric update in its CAS loop and has no kind-generalized
+// variant (everything else does, kinds.go): pairing it with a skew or
+// structural matrix is a caller bug — internal/format's table rejects it
+// before it gets here — and panics.
 func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
-	k, err := NewKernelOpts(s, method, pool, KernelOptions{})
-	if err != nil {
-		// Reachable only for Atomic over a non-Sym matrix; callers choosing
-		// that pairing deliberately should use NewKernelOpts.
-		panic(err)
-	}
-	return k
-}
-
-// NewKernelOpts builds the parallel kernel with optional preprocessing
-// products. It validates the options against the matrix and method instead
-// of failing deep inside the pool.
-func NewKernelOpts(s *SSS, method ReductionMethod, pool *parallel.Pool, opts KernelOptions) (*Kernel, error) {
-	if s.Kind != Sym {
-		// The atomic ablation encodes the symmetric update in its CAS loop,
-		// and the hub bodies are specialized to the Sym scatter; neither has a
-		// kind-generalized variant. Everything else does (kinds.go).
-		if method == Atomic {
-			return nil, fmt.Errorf("core: the atomic method supports only symmetric matrices, got %s", s.Kind)
-		}
-		if opts.Hub != nil {
-			return nil, fmt.Errorf("core: hub caching supports only symmetric matrices, got %s", s.Kind)
-		}
-	}
-	if opts.Hub != nil {
-		if method == Atomic {
-			return nil, fmt.Errorf("core: hub caching is not supported by the atomic method")
-		}
-		if len(opts.Hub.Enc) != len(s.ColIdx) {
-			return nil, fmt.Errorf("core: hub plan encodes %d elements, matrix has %d",
-				len(opts.Hub.Enc), len(s.ColIdx))
-		}
+	if method == Atomic && s.Kind != Sym {
+		panic(fmt.Sprintf("core: the atomic method supports only symmetric matrices, got %s", s.Kind))
 	}
 	p := pool.Size()
-	d := pool.Domains()
-	var part, domPart *partition.RowPartition
-	if d > 1 {
-		// Domain-aligned sharding: rows split across domains by nnz, then
-		// among each domain's workers. Used for flat kernels too, so a
-		// flat-vs-hierarchical comparison shares the exact multiply phase.
-		wpd := make([]int, d)
-		for dd := range wpd {
-			lo, hi := pool.DomainWorkers(dd)
-			wpd[dd] = hi - lo
-		}
-		part, domPart = partition.ByNNZDomains(s.RowPtr, wpd)
-	} else {
-		part = partition.ByNNZ(s.RowPtr, p)
-	}
+	part := partition.ByNNZ(s.RowPtr, p)
 	k := &Kernel{
-		S:       s,
-		Method:  method,
-		Part:    part,
-		pool:    pool,
-		p:       p,
-		hubPlan: opts.Hub,
+		S:      s,
+		Method: method,
+		Part:   part,
+		pool:   pool,
+		p:      p,
 	}
 	switch method {
 	case Atomic:
@@ -227,42 +148,10 @@ func NewKernelOpts(s *SSS, method ReductionMethod, pool *parallel.Pool, opts Ker
 			touched = TouchedColumns(s, part, pool)
 		}
 		k.LV = NewLocalVectors(s.N, part, method, touched)
-		// The hierarchical chain reuses the Sym multiply bodies directly, so
-		// non-Sym kinds fall back to the flat reduction on multi-domain pools.
-		if d > 1 && !opts.FlatReduction && s.Kind == Sym {
-			k.hier = newHierState(k, domPart)
-			xdomainBytes.Set(float64(k.hier.crossBytes))
-		}
-	}
-	if k.hubPlan != nil {
-		k.hotX = make([][]float64, p)
-		if k.hier != nil {
-			// One shared hot window per domain, cooperatively prefilled by
-			// the domain's workers under the local barrier (hier.go).
-			for dd := 0; dd < d; dd++ {
-				w := make([]float64, k.hubPlan.K())
-				lo, hi := pool.DomainWorkers(dd)
-				for t := lo; t < hi; t++ {
-					k.hotX[t] = w
-				}
-			}
-		} else {
-			for t := 0; t < p; t++ {
-				k.hotX[t] = make([]float64, k.hubPlan.K())
-			}
-		}
 	}
 	k.plain = k.assemble(nil, OpSpMV)
-	return k, nil
+	return k
 }
-
-// Hierarchical reports whether this kernel runs the two-level domain
-// reduction (hier.go).
-func (k *Kernel) Hierarchical() bool { return k.hier != nil }
-
-// Hub reports the hub plan this kernel was built with; nil for plain
-// kernels.
-func (k *Kernel) Hub() *hub.Plan { return k.hubPlan }
 
 // MulVec computes y = A·x: the parallel multiplication phase followed by the
 // reduction phase selected by Method, one prebuilt phase list the pool runs in
@@ -306,42 +195,31 @@ func (k *Kernel) checkDims(x, y []float64) {
 	}
 }
 
-// assemble builds the SpM×V list for this kernel — the hierarchical chain
-// when a two-level plan exists, the flat multiply→reduce chain otherwise —
-// as closures over k.curX/k.curY, the operand slots MulVec sets per call.
-// The list is built once and reused for every operation, which is what keeps
-// the hot path allocation-free. With dot non-nil the chain additionally
-// leaves xᵀy partial sums in dot[tid*DotStride].
+// assemble builds the SpM×V list for this kernel as closures over
+// k.curX/k.curY, the operand slots MulVec sets per call. The list is built
+// once and reused for every operation, which is what keeps the hot path
+// allocation-free. With dot non-nil the chain additionally leaves xᵀy partial
+// sums in dot[tid*DotStride].
 func (k *Kernel) assemble(dot []float64, op OpClass) *parallel.PhaseList {
-	if k.hier != nil {
-		phases, buckets := k.assembleHier(dot)
-		return k.newList(phases, buckets, phaseObs[k.Method], op, 1)
-	}
-	return k.newList(k.assembleFlat(dot), nil, phaseObs[k.Method], op, 1)
+	return k.newList(k.phases(dot), phaseObs[k.Method], op, 1)
 }
 
-// assembleFlat labels the flat chain: multiply (compute) → reduce
-// (reduction; the Atomic finalize pass counts as its reduction), with the
-// Indexed fused-dot variant's trailing sweep again compute.
-func (k *Kernel) assembleFlat(dot []float64) []parallel.Phase {
+// phases labels the chain: multiply (compute) → reduce (reduction; the Atomic
+// finalize pass counts as its reduction), with the Indexed fused-dot
+// variant's trailing sweep again compute.
+func (k *Kernel) phases(dot []float64) []parallel.Phase {
 	name := k.Method.String()
 	var mult func(tid int)
 	switch k.Method {
 	case Naive:
 		mult = func(tid int) { k.multiplyNaiveT(tid, k.curX) }
-		switch {
-		case k.S.Kind != Sym:
+		if k.S.Kind != Sym {
 			mult = func(tid int) { k.multiplyNaiveKindT(tid, k.curX) }
-		case k.hubPlan != nil:
-			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyNaiveHubT(tid, k.curX) }
 		}
 	case EffectiveRanges, Indexed:
 		mult = func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
-		switch {
-		case k.S.Kind != Sym:
+		if k.S.Kind != Sym {
 			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
-		case k.hubPlan != nil:
-			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyEffectiveHubT(tid, k.curX, k.curY) }
 		}
 	case Atomic:
 		red := func(tid int) { k.finalizeAtomicT(tid, k.curY) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -106,10 +107,7 @@ func TestKindKernelsMatchReference(t *testing.T) {
 			for _, p := range []int{1, 2, 3, 4, 8} {
 				pool := parallel.NewPool(p)
 				for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
-					k, err := NewKernelOpts(s, method, pool, KernelOptions{})
-					if err != nil {
-						t.Fatalf("n=%d %s p=%d %v: %v", n, kind, p, method, err)
-					}
+					k := NewKernel(s, method, pool)
 					y := make([]float64, n)
 					k.MulVec(x, y)
 					k.MulVec(x, y) // stale-local check, as in the Sym tests
@@ -168,15 +166,16 @@ func TestKindGating(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 
-	if _, err := NewKernelOpts(s, Atomic, pool, KernelOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "atomic") {
-		t.Errorf("atomic over skew: err = %v, want atomic-method rejection", err)
-	}
+	func() {
+		defer func() {
+			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "atomic") {
+				t.Errorf("atomic over skew: panic = %v, want atomic-method rejection", v)
+			}
+		}()
+		NewKernel(s, Atomic, pool)
+	}()
 
-	k, err := NewKernelOpts(s, Indexed, pool, KernelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := NewKernel(s, Indexed, pool)
 	x := make([]float64, 50*2)
 	y := make([]float64, 50*2)
 	if err := k.MulMat(x, y, 2); err == nil || !strings.Contains(err.Error(), "symmetric") {
@@ -256,18 +255,12 @@ func TestKindAccounting(t *testing.T) {
 	// structural adds 8 bytes per stored element.
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	ks, err := NewKernelOpts(skew, EffectiveRanges, pool, KernelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ks := NewKernel(skew, EffectiveRanges, pool)
 	n, nnz := int64(skew.N), int64(len(skew.Val))
 	if got := ks.Traffic().MultMatrixBytes; got != 12*nnz+4*n {
 		t.Errorf("skew MultMatrixBytes = %d, want %d", got, 12*nnz+4*n)
 	}
-	kst, err := NewKernelOpts(st, EffectiveRanges, pool, KernelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kst := NewKernel(st, EffectiveRanges, pool)
 	n, nnz = int64(st.N), int64(len(st.Val))
 	if got := kst.Traffic().MultMatrixBytes; got != 20*nnz+4*n+8*n {
 		t.Errorf("structural MultMatrixBytes = %d, want %d", got, 20*nnz+4*n+8*n)

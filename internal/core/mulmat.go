@@ -101,15 +101,6 @@ func (k *Kernel) matList(nv int) *parallel.PhaseList {
 	if k.mat != nil && k.matNV == nv {
 		return k.mat
 	}
-	if k.hubPlan != nil {
-		want := k.hubPlan.K() * nv
-		if k.hotMat == nil || len(k.hotMat[0]) != want {
-			k.hotMat = make([][]float64, k.p)
-			for t := range k.hotMat {
-				k.hotMat[t] = make([]float64, want)
-			}
-		}
-	}
 	var phases []parallel.Phase
 	if k.Method == Colored {
 		phases = k.assembleColoredMat(nv)
@@ -133,17 +124,13 @@ func (k *Kernel) matList(nv int) *parallel.PhaseList {
 			parallel.ReductionPhase(name+"/reduce", red),
 		}
 	}
-	k.mat, k.matNV = k.newList(phases, nil, spmmObs[k.Method], OpSpMM, nv), nv
+	k.mat, k.matNV = k.newList(phases, spmmObs[k.Method], OpSpMM, nv), nv
 	return k.mat
 }
 
 // matMultNaive picks the naive multiply body: register-blocked for
-// nv ∈ {2, 4, 8}, hub-decoding when a hub plan is attached, generic
-// otherwise.
+// nv ∈ {2, 4, 8}, generic otherwise.
 func (k *Kernel) matMultNaive(nv int) func(int) {
-	if k.hubPlan != nil {
-		return func(tid int) { k.prefillHotMatT(tid, nv); k.mulMatNaiveHubT(tid, nv) }
-	}
 	switch nv {
 	case 2:
 		return k.mulMatNaive2T
@@ -159,18 +146,6 @@ func (k *Kernel) matMultNaive(nv int) func(int) {
 // matMultEffective picks the effective-ranges multiply body (shared by the
 // Indexed method).
 func (k *Kernel) matMultEffective(nv int) func(int) {
-	if k.hubPlan != nil {
-		switch nv {
-		case 2:
-			return func(tid int) { k.prefillHotMatT(tid, 2); k.mulMatEffectiveHub2T(tid) }
-		case 4:
-			return func(tid int) { k.prefillHotMatT(tid, 4); k.mulMatEffectiveHub4T(tid) }
-		case 8:
-			return func(tid int) { k.prefillHotMatT(tid, 8); k.mulMatEffectiveHub8T(tid) }
-		default:
-			return func(tid int) { k.prefillHotMatT(tid, nv); k.mulMatEffectiveHubT(tid, nv) }
-		}
-	}
 	switch nv {
 	case 2:
 		return k.mulMatEffective2T

@@ -7,8 +7,8 @@ import (
 // The kernel does not time itself: its phases are labelled where the lists
 // are assembled, the pool's sampler times them (internal/parallel/sample.go),
 // and each list's hook puts the kernel's labels on the pool's sample for the
-// per-domain histograms and the attribution engine (internal/attrib, which
-// core cannot import: core is below perfmodel, and attrib needs both).
+// attribution engine (internal/attrib, which core cannot import: core is
+// below perfmodel, and attrib needs both).
 
 // PhaseTimes is the compute/reduction/barrier breakdown of sampled operations.
 type PhaseTimes = parallel.PhaseTimes
@@ -55,13 +55,8 @@ type PhaseSample struct {
 func (k *Kernel) SetSampleHook(fn func(PhaseSample)) { k.sampleHook = fn }
 
 // newList wraps assembled phases as the operation (op, nv), sampled into mo.
-// buckets, on a hierarchical kernel's SpMV lists, names the per-domain
-// histogram each phase's time belongs to.
-func (k *Kernel) newList(phases []parallel.Phase, buckets []int8, mo *parallel.OpMetrics, op OpClass, nv int) *parallel.PhaseList {
+func (k *Kernel) newList(phases []parallel.Phase, mo *parallel.OpMetrics, op OpClass, nv int) *parallel.PhaseList {
 	return &parallel.PhaseList{Phases: phases, Metrics: mo, Hook: func(s *parallel.Sample) {
-		if buckets != nil {
-			k.hier.observe(buckets, s)
-		}
 		if k.sampleHook != nil {
 			k.sampleHook(PhaseSample{Method: k.Method, Op: op, NV: nv, Sample: *s})
 		}
@@ -98,28 +93,3 @@ func (k *Kernel) TimedMulMat(x, y []float64, nv int) (PhaseTimes, error) {
 
 // Pool reports the worker pool this kernel is bound to.
 func (k *Kernel) Pool() *parallel.Pool { return k.pool }
-
-// DomainShares reports each domain's fraction of the matrix nnz (diagonal
-// included), the weight attribution uses to split predicted per-operation
-// bytes across domains. Nil for non-hierarchical kernels.
-func (k *Kernel) DomainShares() []float64 {
-	if k.hier == nil {
-		return nil
-	}
-	h := k.hier
-	shares := make([]float64, h.d)
-	total := 0.0
-	for dd := 0; dd < h.d; dd++ {
-		lo, hi := h.domPart.Start[dd], h.domPart.End[dd]
-		nnz := float64(k.S.RowPtr[hi]-k.S.RowPtr[lo]) + float64(hi-lo)
-		shares[dd] = nnz
-		total += nnz
-	}
-	if total <= 0 {
-		return shares
-	}
-	for dd := range shares {
-		shares[dd] /= total
-	}
-	return shares
-}

@@ -22,14 +22,6 @@ type Traffic struct {
 	RedBytes int64 // local reads + y read-modify-write + index reads
 	RedFlops int64
 
-	// RedCrossBytes is the share of RedBytes that crosses a NUMA domain
-	// boundary: the staged shard-boundary windows for a hierarchical kernel,
-	// the remote share of the all-to-all local-vector stream for a flat
-	// reduction on a multi-domain pool, zero on one domain. The platform
-	// model prices this stream against the cross-domain interconnect
-	// bandwidth instead of the aggregate socket bandwidth.
-	RedCrossBytes int64
-
 	// WorkingSetOverhead is the paper's ws metric for the chosen method:
 	// Eq. (3) naive, Eq. (4) effective ranges, Eq. (5)/(6) indexing (exact,
 	// using the measured index length rather than the density approximation).
@@ -123,13 +115,6 @@ func (k *Kernel) Traffic() Traffic {
 		t.RedFlops = 0
 		t.WorkingSetOverhead = 0
 		t.ExtraBarriers = int64(k.sched.NumColors)
-	}
-	t.RedCrossBytes = k.redCrossBytes()
-	if k.hier != nil {
-		// The hierarchical chain splits the reduction into intra + cross
-		// phases (plus a prefill phase on hub kernels): every phase beyond
-		// the flat multiply→reduce pair costs one more barrier crossing.
-		t.ExtraBarriers = int64(len(k.plain.Phases) - 2)
 	}
 	return t
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hub"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 )
@@ -25,13 +24,6 @@ type SymMatrix struct {
 	LV      *core.LocalVectors
 
 	nnzLower int
-
-	// Hub caching (see internal/hub and NewSymHub): hub elements are
-	// filtered out of the encoded blobs and carried in per-thread side
-	// streams multiplied against private hot-x windows.
-	hubPlan *hub.Plan
-	hotX    [][]float64
-	side    []symHubSide
 
 	// curX/curY are the operands of the operation in flight: the two phase
 	// lists are assembled once, on first use, as closures over these slots
@@ -168,10 +160,6 @@ func (sm *SymMatrix) checkDims(pool *parallel.Pool, x, y []float64) {
 func (sm *SymMatrix) multiplyT(tid int, x, y []float64) {
 	b := sm.Blobs[tid]
 	local := sm.LV.Vecs[tid]
-	if sm.hubPlan != nil {
-		sm.multiplyHubT(tid, x, y)
-		return
-	}
 	if sm.Method == core.Naive {
 		// Naive semantics: *every* write goes to the thread's
 		// full-length local vector and the reduction overwrites y.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/csb"
 	"repro/internal/csr"
 	"repro/internal/csx"
-	"repro/internal/hub"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
@@ -36,9 +35,6 @@ func (m *Matrix) expanded() *csr.Matrix {
 
 // Options are the optional preprocessing products of a build.
 type Options struct {
-	// Hub is a hub plan from hub.Analyze over the matrix's structure; nil
-	// builds plain. Only formats with the Hub capability accept one.
-	Hub *hub.Plan
 	// CSX overrides the CSX / CSX-Sym detection parameters (nil: defaults).
 	CSX *csx.Options
 }
@@ -75,20 +71,13 @@ type Built struct {
 	Kernel *core.Kernel
 	// Sym is the encoded CSX-Sym matrix, set when it can be persisted.
 	Sym *csx.SymMatrix
-	// Hub and Hier report whether a hub plan and the hierarchical two-level
-	// reduction engaged.
-	Hub, Hier bool
 }
 
 // Build constructs format f for m on pool. A class or capability the format
 // lacks is an *UnsupportedError; the pool stays the caller's to close.
 func Build(m *Matrix, f ID, pool *parallel.Pool, o Options) (*Built, error) {
 	d := f.Desc()
-	need := Caps(0)
-	if o.Hub != nil {
-		need = Hub
-	}
-	if err := d.Check(need, m.S.Kind); err != nil {
+	if err := d.Check(0, m.S.Kind); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
@@ -143,19 +132,14 @@ var sssMethod = map[ID]core.ReductionMethod{
 	SSSIndexed: core.Indexed, SSSAtomic: core.Atomic, SSSColored: core.Colored,
 }
 
-func buildSSS(d *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built, error) {
-	k, err := core.NewKernelOpts(m.S, sssMethod[d.ID], pool, core.KernelOptions{Hub: o.Hub})
-	if err != nil {
-		return nil, err
-	}
+func buildSSS(d *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built, error) {
+	k := core.NewKernel(m.S, sssMethod[d.ID], pool)
 	b := &Built{
 		Mul:    k.MulVec,
 		MulDot: k.MulVecDot,
 		Bytes:  m.S.Bytes(),
 		Cost:   func(*Matrix) perfmodel.SpMVCost { return perfmodel.SSSCost(k) },
 		Kernel: k,
-		Hub:    k.Hub() != nil,
-		Hier:   k.Hierarchical(),
 	}
 	if d.Has(MulMat, m.S.Kind) {
 		b.MulMat = k.MulMat
@@ -164,21 +148,14 @@ func buildSSS(d *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built,
 }
 
 func buildCSXSym(_ *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built, error) {
-	b := &Built{Hub: o.Hub != nil}
-	var smx *csx.SymMatrix
-	if o.Hub != nil {
-		// Hub CSX-Sym filters hub elements into side streams the blob format
-		// cannot capture, so Sym stays nil and the kernel is not persistable.
-		smx = csx.NewSymHub(m.S, pool.Size(), core.Indexed, o.csx(), o.Hub)
-	} else {
-		smx = csx.NewSym(m.S, pool.Size(), core.Indexed, o.csx())
-		b.Sym = smx
-	}
-	b.Mul = func(x, y []float64) { smx.MulVec(pool, x, y) }
-	b.MulDot = func(x, y []float64) float64 { return smx.MulVecDot(pool, x, y) }
-	b.Bytes = smx.Bytes()
-	b.Cost = func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSXSymCost(smx, m.S) }
-	return b, nil
+	smx := csx.NewSym(m.S, pool.Size(), core.Indexed, o.csx())
+	return &Built{
+		Mul:    func(x, y []float64) { smx.MulVec(pool, x, y) },
+		MulDot: func(x, y []float64) float64 { return smx.MulVecDot(pool, x, y) },
+		Bytes:  smx.Bytes(),
+		Cost:   func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSXSymCost(smx, m.S) },
+		Sym:    smx,
+	}, nil
 }
 
 func buildCSB(_ *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built, error) {

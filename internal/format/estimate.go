@@ -42,26 +42,22 @@ type Shape struct {
 	Colors func(p int) int
 }
 
-// Estimate prices the unbuilt format at p threads reducing flat on a machine
-// with the given NUMA domain count. The caller owns what no format decides:
-// the x-access span, reordering traffic, hub and hierarchical adjustments.
-// Only formats in the autotune plan space have an estimate.
-func (d *Descriptor) Estimate(sh *Shape, p, domains int) perfmodel.SpMVCost {
-	if domains < 1 {
-		domains = 1
-	}
+// Estimate prices the unbuilt format at p threads. The caller owns what no
+// format decides: the x-access span and reordering traffic. Only formats in
+// the autotune plan space have an estimate.
+func (d *Descriptor) Estimate(sh *Shape, p int) perfmodel.SpMVCost {
 	c := perfmodel.SpMVCost{Name: d.Name, UsefulFlops: 2 * sh.LogicalNNZ}
-	return d.estimate(d, c, sh, p, domains)
+	return d.estimate(d, c, sh, p)
 }
 
-func estimateCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _, _ int) perfmodel.SpMVCost {
+func estimateCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _ int) perfmodel.SpMVCost {
 	c.MultFlops = 2 * sh.LogicalNNZ
 	c.MultBytes = sh.CSRBytes + 16*sh.N
 	c.XAccesses = sh.LogicalNNZ
 	return c
 }
 
-func estimateBCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _, _ int) perfmodel.SpMVCost {
+func estimateBCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _ int) perfmodel.SpMVCost {
 	stored := int64(bcsrFillEstimate * float64(sh.LogicalNNZ))
 	c.MultFlops = 2 * stored
 	// 8 B value + ~1 B amortized block indexing per stored element.
@@ -72,7 +68,7 @@ func estimateBCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _, _ int) perf
 
 // estimateSym prices the SSS family and CSX-Sym (the SSS-indexed account over
 // a compressed matrix stream).
-func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p, domains int) perfmodel.SpMVCost {
+func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p int) perfmodel.SpMVCost {
 	n, pp := sh.N, int64(p)
 	matBytes := sh.SSSBytes
 	// SSSBytes assumes the symmetric layout; correct it for the kinds' actual
@@ -97,12 +93,6 @@ func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p, domains int)
 		c.MultBytes = matBytes + 16*n
 		return c
 	}
-	// cross is the share of a flat all-to-all reduction's stream that reaches
-	// another domain when the p threads spread evenly over several: a
-	// machine-model estimate for ranking — the built kernel's Traffic()
-	// counts the real thing.
-	var cross int64
-	dd := int64(domains)
 	switch method {
 	case core.Colored:
 		// Conflict-free: zero reduction bytes; y moves twice (init write +
@@ -114,37 +104,21 @@ func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p, domains int)
 		c.MultBytes = matBytes + 8*n + 8*pp*n
 		c.RedBytes = 8*pp*n + 8*n
 		c.RedFlops = pp * n
-		cross = 8 * pp * n * (dd - 1) / dd // everything outside the domain
 	case core.EffectiveRanges:
 		_, region := sh.Conflict(p)
 		c.MultBytes = matBytes + 16*n + 8*region
 		c.RedBytes = 8*region + 8*n
 		c.RedFlops = region
-		cross = 4 * pp * n * (dd - 1) / dd // roughly half: region t spans [0, start_t)
 	case core.Indexed:
 		e, _ := sh.Conflict(p)
 		c.MultBytes = matBytes + 16*n + 8*e
 		c.RedBytes = 24 * e
 		c.RedFlops = e
-		// The index entries whose transposed write reaches past the source
-		// shard, estimated from the average bandwidth.
-		reach := sh.AvgBandwidth
-		if chunk := float64(n) / float64(domains); reach > chunk {
-			reach = chunk
-		}
-		frac := float64(domains-1) * reach / float64(n)
-		if frac > 1 {
-			frac = 1
-		}
-		cross = int64(8 * frac * float64(e))
 	case core.Atomic:
 		c.MultBytes = matBytes + 16*n
 		c.AtomicOps = crossElems(sh, p)
 		c.RedBytes = 16 * n
 		c.RedFlops = n
-	}
-	if d.Caps&Hier != 0 { // CSX-Sym shares the indexed account but never shards
-		c.RedCrossBytes = cross
 	}
 	return c
 }
@@ -164,7 +138,7 @@ func crossElems(sh *Shape, p int) int64 {
 	return int64(frac * float64(sh.NNZLower))
 }
 
-func estimateCSB(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _, _ int) perfmodel.SpMVCost {
+func estimateCSB(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _ int) perfmodel.SpMVCost {
 	n, nnzL := sh.N, sh.NNZLower
 	c.MultFlops = 2*n + 4*nnzL
 	c.UsefulFlops = c.MultFlops

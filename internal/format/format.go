@@ -66,20 +66,14 @@ const (
 	MulMat
 	// FusedDot: the format computes y = A·x and xᵀ·y in one dispatch.
 	FusedDot
-	// Hub: the format can gather its hottest x columns from per-worker
-	// windows (internal/hub).
-	Hub
-	// Hier: the format has the hierarchical two-level reduction on a
-	// multi-domain pool.
-	Hier
 	// Serial: the encoded matrix can be persisted (SaveKernel).
 	Serial
 	// Tuned: the format is in the autotuner's plan space.
 	Tuned
 	// General: the format stores the expanded general operator, so MulMat
 	// holds on every class it runs. The symmetric-storage formats have
-	// skew/structural bodies for MulVec and the fused dot only; their MulMat,
-	// Hub and Hier exist for symmetric matrices alone.
+	// skew/structural bodies for MulVec and the fused dot only; their MulMat
+	// exists for symmetric matrices alone.
 	General
 
 	// AnyClass is all three symmetry classes.
@@ -88,12 +82,12 @@ const (
 
 // symOnly are the capabilities a symmetric-storage format loses on a skew or
 // structural matrix.
-const symOnly = MulMat | Hub | Hier
+const symOnly = MulMat
 
 // capNames words a capability for error messages.
 var capNames = map[Caps]string{
-	MulMat: "SpMM kernel", FusedDot: "fused dot", Hub: "hub caching",
-	Hier: "hierarchical reduction", Serial: "serialized form", Tuned: "autotune plan",
+	MulMat: "SpMM kernel", FusedDot: "fused dot",
+	Serial: "serialized form", Tuned: "autotune plan",
 }
 
 // Descriptor is one row of the format table.
@@ -106,11 +100,11 @@ type Descriptor struct {
 	Caps    Caps
 
 	// build constructs the kernel on pool; Build has already checked the
-	// class and hub capabilities.
+	// class.
 	build func(d *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built, error)
 	// estimate finishes the model-stage cost of the unbuilt format at p
 	// threads (see Estimate); nil outside the autotune plan space.
-	estimate func(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p, domains int) perfmodel.SpMVCost
+	estimate func(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p int) perfmodel.SpMVCost
 }
 
 // table is the registry, indexed by ID.
@@ -120,22 +114,22 @@ var table = [...]Descriptor{
 	CSX: {Name: "CSX", Caps: AnyClass | General, build: buildCSX},
 	BCSR: {Name: "BCSR", Caps: AnyClass | General | Tuned,
 		build: buildBCSR, estimate: estimateBCSR},
-	SSSNaive: {Name: "SSS-naive", Caps: AnyClass | MulMat | FusedDot | Hub | Hier | Tuned,
+	SSSNaive: {Name: "SSS-naive", Caps: AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
 	SSSEffective: {Name: "SSS-effective", Aliases: []string{"sss-eff"},
-		Caps:  AnyClass | MulMat | FusedDot | Hub | Hier | Tuned,
+		Caps:  AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
 	SSSIndexed: {Name: "SSS-indexed", Aliases: []string{"sss", "sss-idx"},
-		Caps:  AnyClass | MulMat | FusedDot | Hub | Hier | Tuned,
+		Caps:  AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
 	SSSAtomic: {Name: "SSS-atomic", Caps: Symmetric | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
-	CSXSym: {Name: "CSX-Sym", Caps: Symmetric | FusedDot | Hub | Serial | Tuned,
+	CSXSym: {Name: "CSX-Sym", Caps: Symmetric | FusedDot | Serial | Tuned,
 		build: buildCSXSym, estimate: estimateSym},
 	CSB: {Name: "CSB-Sym", Aliases: []string{"csb"}, Caps: Symmetric | Tuned,
 		build: buildCSB, estimate: estimateCSB},
 	SSSColored: {Name: "SSS-colored", Aliases: []string{"sss-color"},
-		Caps:  AnyClass | MulMat | FusedDot | Hub | Tuned,
+		Caps:  AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
 }
 

@@ -75,7 +75,7 @@ func TestParse(t *testing.T) {
 }
 
 // TestCheckNamesWhatIsMissing pins the three ways a request can fail and
-// that the symmetric-storage formats lose MulMat/Hub/Hier off the symmetric
+// that the symmetric-storage formats lose MulMat off the symmetric
 // class while the expanded-operator formats keep MulMat.
 func TestCheckNamesWhatIsMissing(t *testing.T) {
 	cases := []struct {
@@ -86,13 +86,13 @@ func TestCheckNamesWhatIsMissing(t *testing.T) {
 	}{
 		{SSSIndexed, 0, core.Skew, ""},
 		{SSSIndexed, FusedDot, core.Structural, ""},
-		{SSSIndexed, MulMat | Hub | Hier, core.Sym, ""},
+		{SSSIndexed, MulMat | FusedDot, core.Sym, ""},
 		{CSR, MulMat, core.Skew, ""},
 		{CSXSym, 0, core.Skew, "skew-symmetric"},
-		{CSR, Hub, core.Sym, "no hub caching"},
-		{SSSColored, Hier, core.Sym, "no hierarchical reduction"},
+		{CSX, MulMat, core.Sym, "no SpMM kernel"},
+		{CSB, FusedDot | Serial, core.Sym, "no fused dot, serialized form"},
 		{SSSIndexed, MulMat, core.Skew, "SpMM kernel supports only symmetric"},
-		{SSSIndexed, Hub, core.Structural, "structurally-symmetric"},
+		{SSSIndexed, MulMat, core.Structural, "structurally-symmetric"},
 	}
 	for _, tc := range cases {
 		err := tc.f.Desc().Check(tc.c, tc.k)
@@ -115,8 +115,8 @@ func TestCheckNamesWhatIsMissing(t *testing.T) {
 // symmetric matrices only.
 func docTable() string {
 	var b strings.Builder
-	b.WriteString("| format | also accepted as | classes | SpMM | fused dot | hub | hier | saved | autotuned |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| format | also accepted as | classes | SpMM | fused dot | saved | autotuned |\n")
+	b.WriteString("|---|---|---|---|---|---|---|\n")
 	for _, f := range All() {
 		d := f.Desc()
 		var classes []string
@@ -139,7 +139,7 @@ func docTable() string {
 			aliases = "`" + strings.Join(d.Aliases, "`, `") + "`"
 		}
 		b.WriteString("| `" + d.Name + "` | " + aliases + " | " + strings.Join(classes, ", "))
-		for _, c := range []Caps{MulMat, FusedDot, Hub, Hier, Serial, Tuned} {
+		for _, c := range []Caps{MulMat, FusedDot, Serial, Tuned} {
 			b.WriteString(" | " + cell(c))
 		}
 		b.WriteString(" |\n")

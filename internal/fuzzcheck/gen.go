@@ -206,9 +206,8 @@ func AdversarialSuite() []Case {
 	}
 	add("all-in-last-row-33", m)
 
-	// Hub columns: columns 0–2 are touched by nearly every row, the access
-	// pattern the hub-cached kernels remap into private hot-x windows. The
-	// skew is strong enough that a forced hub analysis always engages.
+	// Hub columns: columns 0–2 are touched by nearly every row, so every
+	// thread's transposed writes collide on the same few elements.
 	m = sym(120, 120*5)
 	rng = rand.New(rand.NewSource(1010))
 	for r := 0; r < 120; r++ {
@@ -374,8 +373,7 @@ func KindSuite() []Case {
 	add("structural-banded-160", m)
 
 	// Structural hub: columns 0–2 are touched by nearly every row in both
-	// triangles — the degree-skew shape, minus the hub option (which the
-	// kinds reject).
+	// triangles — the degree-skew shape.
 	m = general(120, 120*7)
 	rng = rand.New(rand.NewSource(1901))
 	for r := 0; r < 120; r++ {

@@ -13,13 +13,7 @@ import (
 // The SpMM differential suite: every adversarial case × every SpMM-capable
 // format × widths spanning the generic fallback (3) and the register-blocked
 // specializations (2, 4, 8) × thread counts, against a serial dense
-// multi-RHS reference. Hub-cached variants run the same check with the hub
-// analysis forced on, so the remapped hot-x path faces the same degenerate
-// shapes as the plain kernels.
-
-// forcedHub engages the hub remap regardless of profitability, so even flat
-// adversarial matrices exercise the hot-x path.
-var forcedHub = symspmv.HubOptions{MaxCols: 16, MinDegree: 1, MinCoverage: -1}
+// multi-RHS reference.
 
 var spmmThreads = []int{1, 3, 8}
 var spmmWidths = []int{1, 2, 3, 4, 8}
@@ -35,75 +29,28 @@ func TestDifferentialSpMM(t *testing.T) {
 				x := TestX(n*nv, int64(n*nv)+13)
 				ref, scale := ReferenceMat(tc.M, x, nv)
 				for _, f := range formatsWith(format.MulMat, core.Sym) {
-					hubVariants := []bool{false}
-					if f.Desc().Has(format.Hub, core.Sym) {
-						hubVariants = append(hubVariants, true)
-					}
-					for _, hub := range hubVariants {
-						opts := []symspmv.Option{}
-						if hub {
-							opts = append(opts, symspmv.HubCacheOptions(forcedHub))
+					for _, p := range spmmThreads {
+						k, err := a.Kernel(f, symspmv.Threads(p))
+						if err != nil {
+							t.Errorf("%v p=%d: Kernel: %v", f, p, err)
+							continue
 						}
-						for _, p := range spmmThreads {
-							k, err := a.Kernel(f, append([]symspmv.Option{symspmv.Threads(p)}, opts...)...)
-							if err != nil {
-								t.Errorf("%v hub=%v p=%d: Kernel: %v", f, hub, p, err)
-								continue
+						y := make([]float64, n*nv)
+						for rep := 0; rep < 2; rep++ {
+							for i := range y {
+								y[i] = math.NaN()
 							}
-							y := make([]float64, n*nv)
-							for rep := 0; rep < 2; rep++ {
-								for i := range y {
-									y[i] = math.NaN()
-								}
-								if err := symspmv.MulMat(k, x, y, nv); err != nil {
-									t.Errorf("%v hub=%v p=%d nv=%d: MulMat: %v", f, hub, p, nv, err)
-									break
-								}
-								if err := Compare(y, ref, scale, Tol); err != nil {
-									t.Errorf("%v hub=%v p=%d nv=%d rep=%d: %v", f, hub, p, nv, rep, err)
-									break
-								}
+							if err := symspmv.MulMat(k, x, y, nv); err != nil {
+								t.Errorf("%v p=%d nv=%d: MulMat: %v", f, p, nv, err)
+								break
 							}
-							k.Close()
+							if err := Compare(y, ref, scale, Tol); err != nil {
+								t.Errorf("%v p=%d nv=%d rep=%d: %v", f, p, nv, rep, err)
+								break
+							}
 						}
+						k.Close()
 					}
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialHubMulVec runs the single-vector hub-cached kernels —
-// including CSX-Sym's, which has no SpMM path — against the dense reference.
-func TestDifferentialHubMulVec(t *testing.T) {
-	hubFormats := formatsWith(format.Hub, core.Sym)
-	for _, tc := range AdversarialSuite() {
-		tc := tc
-		t.Run(tc.Name, func(t *testing.T) {
-			t.Parallel()
-			a := buildMatrix(t, tc.M)
-			n := tc.M.Rows
-			x := TestX(n, int64(n)+29)
-			ref, scale := Reference(tc.M, x)
-			for _, f := range hubFormats {
-				for _, p := range spmmThreads {
-					k, err := a.Kernel(f, symspmv.Threads(p), symspmv.HubCacheOptions(forcedHub))
-					if err != nil {
-						t.Errorf("%v p=%d: Kernel: %v", f, p, err)
-						continue
-					}
-					y := make([]float64, n)
-					for rep := 0; rep < 2; rep++ {
-						for i := range y {
-							y[i] = math.NaN()
-						}
-						k.MulVec(x, y)
-						if err := Compare(y, ref, scale, Tol); err != nil {
-							t.Errorf("%v p=%d rep=%d: %v", f, p, rep, err)
-							break
-						}
-					}
-					k.Close()
 				}
 			}
 		})

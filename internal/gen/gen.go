@@ -38,9 +38,8 @@ const (
 	// BlockSize×BlockSize coupling blocks along a band.
 	BlockedStructural
 	// PowerLawGraph is a preferential-attachment graph Laplacian: a handful
-	// of early vertices accumulate most of the edges (hubs), producing the
-	// degree skew that x-access hub caching exploits. Not part of Table I —
-	// see HubSuite.
+	// of early vertices accumulate most of the edges (hubs), producing a
+	// degree skew no Table I matrix has — see HubSuite.
 	PowerLawGraph
 	// ScatteredBand is a banded matrix whose rows have been cut into
 	// contiguous segments and the segments shuffled: locally banded, globally
@@ -112,8 +111,9 @@ var PaperSuite = []Spec{
 
 // HubSuite lists synthetic power-law matrices beyond Table I. Their hub
 // vertices (the oldest in the attachment process) are touched by nearly
-// every row, which is exactly the access pattern the hub-cached kernels
-// target; the Table I matrices have no such skew.
+// every row, so every thread's transposed writes reach the same few columns:
+// a stress of the conflict index and of the colored schedule, whose conflict
+// graph goes near-complete. The Table I matrices have no such skew.
 var HubSuite = []Spec{
 	{Name: "powerlaw-s", Problem: "Graph", Rows: 100000, NNZ: 900000, Kind: PowerLawGraph},
 	{Name: "powerlaw-m", Problem: "Graph", Rows: 400000, NNZ: 5200000, Kind: PowerLawGraph},
@@ -428,8 +428,7 @@ func genBlocked(rng *rand.Rand, n, b int, targetNNZRow float64, bandFrac float64
 // each new vertex attaches to mAtt earlier vertices chosen proportionally
 // to their current degree, so early vertices become hubs whose degree grows
 // with n. In lower-triangular storage a hub h collects entries (v, h) for
-// every later attacher v — a dense stored column, the signature the
-// autotuner's DegreeSkew feature (via matrix.Stats.MaxColNNZ) detects.
+// every later attacher v — a dense stored column (matrix.Stats.MaxColNNZ).
 func genPowerLaw(rng *rand.Rand, n int, targetNNZRow float64) *matrix.COO {
 	// Logical nnz/row ≈ 1 (diag) + 2·mAtt (each edge counts on both sides).
 	mAtt := int(math.Round((targetNNZRow - 1) / 2))

@@ -96,7 +96,6 @@ var experiments = map[string]func(cfg Config, suite []*SuiteMatrix) ([]*Table, e
 		return []*Table{HostMeasured(cfg, suite, 0)}, nil
 	},
 	"autotune": Autotune,
-	"sharded":  Sharded,
 	"hostcg": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		return []*Table{HostCG(cfg, suite, 0, 64)}, nil
 	},

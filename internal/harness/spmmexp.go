@@ -1,13 +1,10 @@
 package harness
 
-// The multi-RHS (SpMM) and hub-caching experiments. The paper's central
-// claim is that symmetric SpM×V is bound by matrix-stream bandwidth;
-// streaming the matrix once across nv right-hand sides divides the matrix
-// bytes per useful flop by nv, and caching the hottest x columns in
-// per-worker windows removes the irregular-access misses that power-law
-// matrices suffer. "spmm-bench" measures both on the host; "spmm-smoke" is
-// the cheap CI gate asserting the bytes-per-flop account actually drops with
-// nv.
+// The multi-RHS (SpMM) experiments. The paper's central claim is that
+// symmetric SpM×V is bound by matrix-stream bandwidth; streaming the matrix
+// once across nv right-hand sides divides the matrix bytes per useful flop by
+// nv. "spmm-bench" measures that on the host; "spmm-smoke" is the cheap CI
+// gate asserting the bytes-per-flop account actually drops with nv.
 
 import (
 	"fmt"
@@ -16,8 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/format"
-	"repro/internal/gen"
-	"repro/internal/hub"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 )
@@ -41,27 +36,6 @@ func spmmThreads() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// hubSuiteMatrices generates the power-law HubSuite at the configured scale.
-// The Table I matrices have no degree skew, so the hub rows of the benchmark
-// need their own workload.
-func hubSuiteMatrices(cfg Config) ([]*SuiteMatrix, error) {
-	var out []*SuiteMatrix
-	for _, sp := range gen.HubSuite {
-		m, err := gen.Generate(sp, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		sm, err := newSuiteMatrix(sp, m)
-		if err != nil {
-			return nil, err
-		}
-		cfg.logf("generated %-14s N=%-8d nnz=%-9d (power-law)",
-			sp.Name, sm.Stats.Rows, sm.Stats.LogicalNNZ)
-		out = append(out, sm)
-	}
-	return out, nil
 }
 
 // measureSpMM runs iters sampled nv-wide operations (vector-swapping, like
@@ -90,85 +64,47 @@ func measureSpMM(k *core.Kernel, n, nv, iters int) (core.PhaseTimes, error) {
 	return pt, nil
 }
 
-// spmmConfigs enumerates the kernel configurations benchmarked per matrix:
-// the scalar baseline and each blocked width, plus hub-cached twins when the
-// hub analysis finds a profitable column set (the power-law matrices).
-func spmmConfigs(sm *SuiteMatrix, widths []int) []struct {
-	name string
-	nv   int
-	plan *hub.Plan
-} {
-	type cfg = struct {
-		name string
-		nv   int
-		plan *hub.Plan
-	}
-	plan := hub.Analyze(sm.S.N, sm.S.RowPtr, sm.S.ColIdx, hub.DefaultOptions())
-	out := []cfg{{"scalar", 1, nil}}
-	if plan != nil {
-		out = append(out, cfg{"scalar+hub", 1, plan})
-	}
-	for _, nv := range widths {
-		out = append(out, cfg{fmt.Sprintf("spmm%d", nv), nv, nil})
-		if plan != nil {
-			out = append(out, cfg{fmt.Sprintf("spmm%d+hub", nv), nv, plan})
-		}
-	}
-	return out
-}
-
 // SpMMBench measures the SSS-indexed kernel scalar vs register-blocked
-// multi-RHS vs hub-cached on the suite plus the power-law HubSuite and
-// returns a summary table. The comparison to read off: "spmm8" Gflop/s vs
-// "scalar" (which also scores 8 back-to-back scalar sweeps — Gflop/s is per
-// useful flop), and "scalar+hub" compute time vs "scalar" on the power-law
-// rows.
+// multi-RHS on the suite and returns a summary table. The comparison to read
+// off: "spmm8" Gflop/s vs "scalar" (which also scores 8 back-to-back scalar
+// sweeps — Gflop/s is per useful flop).
 func SpMMBench(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 	cfg = cfg.withDefaults()
-	hubs, err := hubSuiteMatrices(cfg)
-	if err != nil {
-		return nil, err
-	}
-	suite = append(append([]*SuiteMatrix{}, suite...), hubs...)
-
 	widths := spmmWidths
 	if cfg.NV > 1 {
 		widths = []int{cfg.NV}
 	}
+	widths = append([]int{1}, widths...)
 	t := &Table{
-		Title:  fmt.Sprintf("spmm-bench — %v scalar vs blocked multi-RHS vs hub", format.SSSIndexed),
+		Title:  fmt.Sprintf("spmm-bench — %v scalar vs blocked multi-RHS", format.SSSIndexed),
 		Note:   "Gflop/s counts useful flops over all vectors: nv scalar sweeps score the same as one scalar sweep",
 		Header: []string{"Matrix", "Config", "p", "Gflop/s", "matB/flop", "compute µs", "reduction µs", "wall µs/vec"},
 	}
 	for _, p := range spmmThreads() {
 		pool := parallel.NewPool(p)
 		for _, sm := range suite {
-			for _, c := range spmmConfigs(sm, widths) {
-				cfg.logf("spmm-bench/p=%d/%s: %s", p, sm.Spec.Name, c.name)
-				b, err := format.Build(&sm.Matrix, format.SSSIndexed, pool, format.Options{Hub: c.plan})
+			b := Build(sm, format.SSSIndexed, pool)
+			for _, nv := range widths {
+				name := "scalar"
+				if nv > 1 {
+					name = fmt.Sprintf("spmm%d", nv)
+				}
+				cfg.logf("spmm-bench/p=%d/%s: %s", p, sm.Spec.Name, name)
+				pt, err := measureSpMM(b.Kernel, sm.S.N, nv, cfg.Iterations)
 				if err != nil {
 					pool.Close()
-					return nil, fmt.Errorf("%s/%s: %w", sm.Spec.Name, c.name, err)
+					return nil, fmt.Errorf("%s/%s: %w", sm.Spec.Name, name, err)
 				}
-				pt, err := measureSpMM(b.Kernel, sm.S.N, c.nv, cfg.Iterations)
-				if err != nil {
-					pool.Close()
-					return nil, fmt.Errorf("%s/%s: %w", sm.Spec.Name, c.name, err)
-				}
-				cost := b.Cost(&sm.Matrix)
-				if c.plan != nil {
-					cost = cost.WithHub(c.plan.Covered, c.plan.K(), p)
-				}
-				cost = cost.SpMM(c.nv)
+				cost := b.Cost(&sm.Matrix).SpMM(nv)
 				per := pt.PerOp()
 				t.Rows = append(t.Rows, []string{
-					sm.Spec.Name, c.name, fmt.Sprintf("%d", p),
+					sm.Spec.Name, name, fmt.Sprintf("%d", p),
 					fmt.Sprintf("%.3f", perfmodel.Gflops(cost.UsefulFlops, per.Wall.Seconds())),
 					fmt.Sprintf("%.3f", float64(cost.MatrixBytes)/float64(cost.UsefulFlops)),
 					fmt.Sprintf("%.1f", float64(per.Compute.Nanoseconds())/1e3),
 					fmt.Sprintf("%.1f", float64(per.Reduction.Nanoseconds())/1e3),
 					// wall/op ÷ nv: the cost of one logical SpM×V
-					fmt.Sprintf("%.1f", float64(per.Wall.Nanoseconds()/int64(c.nv))/1e3),
+					fmt.Sprintf("%.1f", float64(per.Wall.Nanoseconds()/int64(nv))/1e3),
 				})
 			}
 		}

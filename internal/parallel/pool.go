@@ -55,24 +55,6 @@ var (
 // from a second pool that much longer.
 const handoffSpin = 1 << 15
 
-// PhaseScope selects which workers a phase boundary synchronizes in a
-// RunPhaseList chain.
-type PhaseScope uint8
-
-const (
-	// PhaseGlobal closes the phase with the whole-pool barrier: every worker
-	// sees every other worker's writes before the next phase starts. The
-	// zero value, and the semantics of every RunPhases boundary.
-	PhaseGlobal PhaseScope = iota
-	// PhaseLocal closes the phase with the worker's domain barrier only:
-	// workers of one domain synchronize among themselves and proceed without
-	// waiting for other domains. Correct only when the next phase reads
-	// nothing written by another domain in this phase. On a single-domain
-	// pool the domain barrier is the global barrier, so PhaseLocal degrades
-	// to PhaseGlobal exactly.
-	PhaseLocal
-)
-
 // PhaseKind says which side of the paper's split a phase's time belongs to:
 // the multiply/compute work, or the reduction repairing write conflicts.
 type PhaseKind uint8
@@ -82,18 +64,16 @@ const (
 	PhaseReduction
 )
 
-// Phase is one step of an operation and says what it is: the body, the scope
-// of the barrier separating it from the next phase (irrelevant for the final
-// phase — completion is the pool's countdown), and the span name and kind the
-// sampler (sample.go) files its time under. The labels are set once, where
-// the list is assembled. Fn(0) runs on the goroutine that called the pool,
-// every other tid on a resident worker; no body may call back into the pool
-// it runs on.
+// Phase is one step of an operation and says what it is: the body, and the
+// span name and kind the sampler (sample.go) files its time under. A barrier
+// separates it from the next phase (completion of the final one is the pool's
+// countdown). The labels are set once, where the list is assembled. Fn(0)
+// runs on the goroutine that called the pool, every other tid on a resident
+// worker; no body may call back into the pool it runs on.
 type Phase struct {
-	Fn    func(tid int)
-	Scope PhaseScope
-	Name  obs.NameID
-	Kind  PhaseKind
+	Fn   func(tid int)
+	Name obs.NameID
+	Kind PhaseKind
 }
 
 // ComputePhase labels fn as compute work under the span name.
@@ -104,13 +84,6 @@ func ComputePhase(name string, fn func(tid int)) Phase {
 // ReductionPhase labels fn as reduction work under the span name.
 func ReductionPhase(name string, fn func(tid int)) Phase {
 	return Phase{Fn: fn, Name: obs.RegisterName(name), Kind: PhaseReduction}
-}
-
-// Local returns the phase closed by its worker's domain barrier instead of
-// the whole-pool one.
-func (ph Phase) Local() Phase {
-	ph.Scope = PhaseLocal
-	return ph
 }
 
 // PhaseList is one operation in the form the pool runs: its labelled phases,
@@ -155,11 +128,6 @@ type slot struct {
 // plus Size()−1 persistent workers. A Pool must be created with NewPool and
 // released with Close.
 //
-// Participants are grouped into domains (NewPoolDomains): contiguous tid
-// ranges, one per NUMA domain, each with its own sense-reversing barrier so
-// a PhaseLocal boundary costs an intra-domain round instead of a machine-wide
-// one. NewPool creates the degenerate single-domain pool.
-//
 // Ownership: a Pool is owned by a single coordinating goroutine. Run,
 // RunChunked, RunPhases, RunPhaseList, RunSampled and Close must all be issued
 // from that goroutine (or otherwise serialized by the caller); the Pool detects misuse
@@ -169,14 +137,6 @@ type Pool struct {
 	n       int
 	barrier *SpinBarrier
 	slots   []slot // slots[tid-1] belongs to worker tid
-
-	// Domain structure: participants [domLo[d], domLo[d+1]) belong to domain
-	// d and share domBar[d]. For a single-domain pool domBar[0] is the global
-	// barrier itself.
-	domains int
-	domOf   []int32
-	domBar  []*SpinBarrier
-	domLo   []int
 
 	closed   atomic.Bool
 	busy     atomic.Bool
@@ -205,48 +165,16 @@ type Pool struct {
 	sampler sampler
 }
 
-// NewPool creates a single-domain pool of n participants: n−1 persistent
-// workers, none for n == 1. n must be positive.
+// NewPool creates a pool of n participants: n−1 persistent workers, none for
+// n == 1. n must be positive.
 func NewPool(n int) *Pool {
-	return NewPoolDomains(n, 1)
-}
-
-// NewPoolDomains creates a pool of n participants grouped into domains
-// contiguous sub-pools (tid belongs to domain Chunk-style: earlier domains
-// get the remainder, matching partition.ByNNZDomains' worker counts).
-// domains is clamped to [1, n] so every domain owns at least one participant;
-// a single domain reproduces NewPool exactly.
-func NewPoolDomains(n, domains int) *Pool {
 	if n <= 0 {
-		panic(fmt.Sprintf("parallel: NewPoolDomains(%d, %d): size must be positive", n, domains))
-	}
-	if domains < 1 {
-		domains = 1
-	}
-	if domains > n {
-		domains = n
+		panic(fmt.Sprintf("parallel: NewPool(%d): size must be positive", n))
 	}
 	p := &Pool{
 		n:       n,
 		barrier: NewSpinBarrier(n),
 		slots:   make([]slot, n-1),
-		domains: domains,
-		domOf:   make([]int32, n),
-		domBar:  make([]*SpinBarrier, domains),
-		domLo:   make([]int, domains+1),
-	}
-	for d := 0; d < domains; d++ {
-		lo, hi := Chunk(n, domains, d)
-		p.domLo[d] = lo
-		p.domLo[d+1] = hi
-		for t := lo; t < hi; t++ {
-			p.domOf[t] = int32(d)
-		}
-		if domains == 1 {
-			p.domBar[d] = p.barrier
-		} else {
-			p.domBar[d] = NewSpinBarrier(hi - lo)
-		}
 	}
 	for i := range p.slots {
 		p.slots[i].cond.L = &p.slots[i].mu
@@ -294,8 +222,8 @@ func (p *Pool) await(w *slot, seen uint64, spin int) uint64 {
 }
 
 // participate runs the phases in flight as participant tid, separated by the
-// barrier each phase's scope names. A poisoned barrier means a peer's body
-// panicked, and ends this participant's share.
+// barrier. A poisoned barrier means a peer's body panicked, and ends this
+// participant's share.
 func (p *Pool) participate(tid int) {
 	defer p.contain(tid)
 	budget := spins(spinBudget, p.over)
@@ -310,19 +238,15 @@ func (p *Pool) participate(tid int) {
 		if i == last {
 			break
 		}
-		bar := p.barrier
-		if ph.Scope == PhaseLocal {
-			bar = p.domBar[p.domOf[tid]]
-		}
-		if !bar.wait(budget) {
+		if !p.barrier.wait(budget) {
 			return
 		}
 	}
 }
 
 // contain, deferred by every participant, turns a panicking body into the
-// operation's PhasePanic (the first one wins) and poisons every barrier so
-// no peer waits for the participant that will not arrive.
+// operation's PhasePanic (the first one wins) and poisons the barrier so no
+// peer waits for the participant that will not arrive.
 func (p *Pool) contain(tid int) {
 	v := recover()
 	if v == nil {
@@ -330,24 +254,10 @@ func (p *Pool) contain(tid int) {
 	}
 	p.failed.CompareAndSwap(nil, &PhasePanic{Tid: tid, Value: v, Stack: debug.Stack()})
 	p.barrier.poison()
-	for _, b := range p.domBar {
-		b.poison()
-	}
 }
 
 // Size reports the number of participants.
 func (p *Pool) Size() int { return p.n }
-
-// Domains reports the number of worker domains (1 for NewPool pools).
-func (p *Pool) Domains() int { return p.domains }
-
-// DomainOf reports the domain participant tid belongs to.
-func (p *Pool) DomainOf(tid int) int { return int(p.domOf[tid]) }
-
-// DomainWorkers reports the contiguous tid range [lo, hi) of domain d.
-func (p *Pool) DomainWorkers(d int) (lo, hi int) {
-	return p.domLo[d], p.domLo[d+1]
-}
 
 // Handoffs reports the number of caller→worker dispatch cycles issued so far:
 // one per Run and one per phase list, however many phases it has. Tests use
@@ -375,7 +285,7 @@ func (p *Pool) end() { p.busy.Store(false) }
 // dispatch runs the list on every participant — one hand-off — and returns
 // when all of them are done: publish it by bumping the generation word, wake
 // whoever is parked, take tid 0's share, then wait out the countdown (spin,
-// then yield). If a body panicked it re-arms the barriers and panics with the
+// then yield). If a body panicked it re-arms the barrier and panics with the
 // operation's *PhasePanic instead.
 func (p *Pool) dispatch(phases []Phase) {
 	p.cur = phases
@@ -401,9 +311,6 @@ func (p *Pool) dispatch(phases []Phase) {
 	if pp := p.failed.Load(); pp != nil {
 		p.failed.Store(nil)
 		p.barrier.rearm()
-		for _, b := range p.domBar {
-			b.rearm()
-		}
 		panic(pp)
 	}
 }
@@ -438,11 +345,9 @@ func (p *Pool) RunPhases(phases ...func(tid int)) {
 	}
 }
 
-// RunPhaseList executes a labelled operation: RunPhases with per-phase
-// barrier scopes — a PhaseGlobal boundary synchronizes the whole pool, a
-// PhaseLocal boundary only the participant's domain, the two-level structure
-// the hierarchical reduction runs on — and, while obs.SamplingEnabled(), timed
-// (sample.go); unsampled, that one atomic load is its whole telemetry cost.
+// RunPhaseList executes a labelled operation: RunPhases and, while
+// obs.SamplingEnabled(), timed (sample.go); unsampled, that one atomic load is
+// its whole telemetry cost.
 func (p *Pool) RunPhaseList(l *PhaseList) {
 	if len(l.Phases) == 0 {
 		return

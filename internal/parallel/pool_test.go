@@ -317,35 +317,33 @@ func TestPhasePanicIsContained(t *testing.T) {
 			name       string
 			tid, phase int
 		}{{"tid0", 0, 0}, {"last", n - 1, 0}, {"between-barriers", n / 2, 1}} {
-			for _, domains := range []int{1, 2} {
-				p := NewPoolDomains(n, domains)
-				l := &PhaseList{Phases: []Phase{
-					ComputePhase("test/p0", nil),
-					ReductionPhase("test/p1", nil).Local(),
-					ComputePhase("test/p2", nil),
-				}}
-				for i := range l.Phases {
-					l.Phases[i].Fn = func(tid int) {
-						if tid == tc.tid && i == tc.phase {
-							panic("boom")
-						}
+			p := NewPool(n)
+			l := &PhaseList{Phases: []Phase{
+				ComputePhase("test/p0", nil),
+				ReductionPhase("test/p1", nil),
+				ComputePhase("test/p2", nil),
+			}}
+			for i := range l.Phases {
+				l.Phases[i].Fn = func(tid int) {
+					if tid == tc.tid && i == tc.phase {
+						panic("boom")
 					}
 				}
-				for _, run := range []func(){
-					func() { p.RunPhaseList(l) },
-					func() { p.RunSampled(l) },
-				} {
-					pp := catchPhasePanic(run)
-					if pp == nil || pp.Tid != tc.tid || pp.Value != "boom" || !strings.Contains(string(pp.Stack), "TestPhasePanicIsContained") {
-						t.Fatalf("n=%d %s domains=%d: recovered %+v", n, tc.name, domains, pp)
-					}
-					if !strings.Contains(pp.Error(), "boom") {
-						t.Errorf("Error() = %q", pp.Error())
-					}
-					runPhasesOrderingOn(t, p)
-				}
-				p.Close()
 			}
+			for _, run := range []func(){
+				func() { p.RunPhaseList(l) },
+				func() { p.RunSampled(l) },
+			} {
+				pp := catchPhasePanic(run)
+				if pp == nil || pp.Tid != tc.tid || pp.Value != "boom" || !strings.Contains(string(pp.Stack), "TestPhasePanicIsContained") {
+					t.Fatalf("n=%d %s: recovered %+v", n, tc.name, pp)
+				}
+				if !strings.Contains(pp.Error(), "boom") {
+					t.Errorf("Error() = %q", pp.Error())
+				}
+				runPhasesOrderingOn(t, p)
+			}
+			p.Close()
 		}
 	}
 	if !waitFor(func() bool { return runtime.NumGoroutine() <= base }) {
@@ -549,40 +547,5 @@ func TestRunChunkedEdgeCases(t *testing.T) {
 		if m != 1 {
 			t.Fatalf("RunChunked(%d) with p=8: index %d visited %d times", n, i, m)
 		}
-	}
-}
-
-// TestNewPoolDomainsClamps pins the domain-count clamp: fewer workers than
-// requested domains collapses to one domain per worker, and a non-positive
-// request collapses to a single (flat) domain, so every domain barrier has
-// at least one participant.
-func TestNewPoolDomainsClamps(t *testing.T) {
-	for _, tc := range []struct{ n, req, want int }{
-		{2, 4, 2},  // p < domains
-		{3, 0, 1},  // zero request
-		{3, -2, 1}, // negative request
-		{4, 4, 4},  // one worker per domain
-	} {
-		pool := NewPoolDomains(tc.n, tc.req)
-		if got := pool.Domains(); got != tc.want {
-			t.Errorf("NewPoolDomains(%d, %d).Domains() = %d, want %d", tc.n, tc.req, got, tc.want)
-		}
-		covered := 0
-		for d := 0; d < pool.Domains(); d++ {
-			lo, hi := pool.DomainWorkers(d)
-			if hi <= lo {
-				t.Errorf("NewPoolDomains(%d, %d): domain %d empty [%d,%d)", tc.n, tc.req, d, lo, hi)
-			}
-			for tid := lo; tid < hi; tid++ {
-				if pool.DomainOf(tid) != d {
-					t.Errorf("DomainOf(%d) = %d, want %d", tid, pool.DomainOf(tid), d)
-				}
-			}
-			covered += hi - lo
-		}
-		if covered != tc.n {
-			t.Errorf("NewPoolDomains(%d, %d): domains cover %d workers, want %d", tc.n, tc.req, covered, tc.n)
-		}
-		pool.Close()
 	}
 }

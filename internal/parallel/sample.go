@@ -97,20 +97,7 @@ type Sample struct {
 	// StartNs/EndNs bound the operation on the obs.Now clock, so a hook can
 	// annotate the same window the phase spans cover.
 	StartNs, EndNs int64
-	// DomComputeNs/DomReductionNs are the per-domain critical paths — per
-	// phase the slowest of the domain's workers, summed by kind. Nil on a
-	// single-domain pool (whose one domain is PT); on a multi-domain pool they
-	// and DomainNs read pool-owned scratch the next sample overwrites, so they
-	// are valid for the duration of the hook call only.
-	DomComputeNs   []int64
-	DomReductionNs []int64
-
-	domNs []int64 // [phase*domains+domain]
 }
-
-// DomainNs reports the critical-path time of phase i inside domain d — the
-// slowest of that domain's workers. Multi-domain pools only.
-func (s *Sample) DomainNs(i, d int) int64 { return s.domNs[i*len(s.DomComputeNs)+d] }
 
 // Serial-fraction telemetry: of the sampled phases that ran on more than one
 // worker, the share in which no two workers' [start, end] intervals
@@ -124,12 +111,11 @@ var (
 )
 
 // sampler is the pool-owned state of a timed run: one start and one end
-// stamp per (phase, worker) plus the per-domain scratch, reused across
-// samples so steady-state sampling allocates only what the hook allocates.
+// stamp per (phase, worker), reused across samples so steady-state sampling
+// allocates only what the hook allocates.
 type sampler struct {
 	tracing    bool
 	start, end []int64
-	domNs      []int64
 	out        Sample
 }
 
@@ -160,36 +146,13 @@ func (p *Pool) sample(l *PhaseList) PhaseTimes {
 
 	out := &s.out
 	*out = Sample{PT: PhaseTimes{Wall: time.Duration(end - t0), Phases: nph, Ops: 1}, StartNs: t0, EndNs: end}
-	if D := p.domains; D > 1 {
-		// Rows 0..nph-1 are the phases, the last two the per-kind sums.
-		if need := (nph + 2) * D; len(s.domNs) < need {
-			s.domNs = make([]int64, need)
-		}
-		clear(s.domNs[nph*D : (nph+2)*D])
-		out.domNs = s.domNs[:nph*D]
-		out.DomComputeNs, out.DomReductionNs = s.domNs[nph*D:(nph+1)*D], s.domNs[(nph+1)*D:(nph+2)*D]
-	}
 	for i := range l.Phases {
 		starts, ends := s.start[i*p.n:(i+1)*p.n], s.end[i*p.n:(i+1)*p.n]
-		reduction := l.Phases[i].Kind == PhaseReduction
 		crit := int64(0)
-		for d := 0; d < p.domains; d++ {
-			dom := int64(0)
-			for tid := p.domLo[d]; tid < p.domLo[d+1]; tid++ {
-				dom = max(dom, ends[tid]-starts[tid])
-			}
-			crit = max(crit, dom)
-			if out.domNs == nil {
-				continue
-			}
-			out.domNs[i*p.domains+d] = dom
-			if reduction {
-				out.DomReductionNs[d] += dom
-			} else {
-				out.DomComputeNs[d] += dom
-			}
+		for tid := range starts {
+			crit = max(crit, ends[tid]-starts[tid])
 		}
-		if reduction {
+		if l.Phases[i].Kind == PhaseReduction {
 			out.PT.Reduction += time.Duration(crit)
 		} else {
 			out.PT.Compute += time.Duration(crit)

@@ -8,9 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// testList is compute → reduction → compute, the middle phase closed by the
-// domain barrier: worker 0 sleeps in the first phase, the last worker in the
-// second.
+// testList is compute → reduction → compute: worker 0 sleeps in the first
+// phase, the last worker in the second.
 func testList(p *Pool, hook func(*Sample)) *PhaseList {
 	last := p.Size() - 1
 	return &PhaseList{
@@ -26,7 +25,7 @@ func testList(p *Pool, hook func(*Sample)) *PhaseList {
 				if tid == last {
 					time.Sleep(time.Millisecond)
 				}
-			}).Local(),
+			}),
 			ComputePhase("test/c", func(int) {}),
 		},
 	}
@@ -39,17 +38,9 @@ func testList(p *Pool, hook func(*Sample)) *PhaseList {
 func TestSampledRunBreakdown(t *testing.T) {
 	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
 		prev := runtime.GOMAXPROCS(procs)
-		p := NewPoolDomains(4, 2)
+		p := NewPool(4)
 		var got []Sample
-		var domCompute, domReduction [][]int64
-		l := testList(p, func(s *Sample) {
-			got = append(got, *s)
-			domCompute = append(domCompute, append([]int64(nil), s.DomComputeNs...))
-			domReduction = append(domReduction, append([]int64(nil), s.DomReductionNs...))
-			if s.DomainNs(0, 0) < int64(2*time.Millisecond) || s.DomainNs(0, 1) >= int64(2*time.Millisecond) {
-				t.Errorf("GOMAXPROCS %d: phase 0 domain times %d / %d ns, want the sleep in domain 0 only", procs, s.DomainNs(0, 0), s.DomainNs(0, 1))
-			}
-		})
+		l := testList(p, func(s *Sample) { got = append(got, *s) })
 		ops0, wall0 := l.Metrics.Ops.Value(), l.Metrics.Wall.Count()
 
 		p.RunPhaseList(l) // sampling off: untimed
@@ -84,29 +75,7 @@ func TestSampledRunBreakdown(t *testing.T) {
 			if pt.Barrier <= 0 || pt.Compute+pt.Reduction+pt.Barrier != pt.Wall {
 				t.Errorf("GOMAXPROCS %d sample %d: compute+reduction+barrier = %v, wall %v", procs, i, pt.Compute+pt.Reduction+pt.Barrier, pt.Wall)
 			}
-			// The sleeps sit in domain 0 (worker 0) and domain 1 (the last worker).
-			if c, r := domCompute[i], domReduction[i]; len(c) != 2 || len(r) != 2 ||
-				c[0] < int64(2*time.Millisecond) || c[1] >= c[0] || r[1] < int64(time.Millisecond) || r[0] >= r[1] {
-				t.Errorf("GOMAXPROCS %d sample %d: per-domain compute %v, reduction %v", procs, i, c, r)
-			}
 		}
-	}
-}
-
-// TestSingleDomainSampleHasNoDomainTimes: on a one-domain pool the whole
-// critical path is PT.
-func TestSingleDomainSampleHasNoDomainTimes(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	called := false
-	p.RunSampled(testList(p, func(s *Sample) {
-		called = true
-		if s.DomComputeNs != nil || s.DomReductionNs != nil {
-			t.Errorf("single-domain sample carries per-domain times %v / %v", s.DomComputeNs, s.DomReductionNs)
-		}
-	}))
-	if !called {
-		t.Fatal("hook not called")
 	}
 }
 

@@ -63,78 +63,30 @@ func ByNNZ(rowPtr []int32, p int) *RowPartition {
 	if p <= 0 {
 		panic(fmt.Sprintf("partition: ByNNZ with p=%d", p))
 	}
-	n := len(rowPtr) - 1
+	n := int32(len(rowPtr) - 1)
 	rp := &RowPartition{Start: make([]int32, p), End: make([]int32, p)}
-	byNNZInto(rowPtr, 0, int32(n), rp.Start, rp.End)
-	return rp
-}
-
-// byNNZInto splits the row range [loRow, hiRow) into len(start) partitions
-// balancing the per-partition nnz, writing the boundaries into start/end.
-// It is ByNNZ generalized to a sub-range: over the full range it produces
-// bit-for-bit the partition ByNNZ always has, which is what makes the
-// single-domain case of ByNNZDomains collapse exactly onto the flat path.
-func byNNZInto(rowPtr []int32, loRow, hiRow int32, start, end []int32) {
-	p := len(start)
-	base := int64(rowPtr[loRow])
-	total := int64(rowPtr[hiRow]) - base
-	row := loRow
+	base := int64(rowPtr[0])
+	total := int64(rowPtr[n]) - base
+	row := int32(0)
 	for i := 0; i < p; i++ {
-		start[i] = row
-		// target cumulative nnz (from the range base) after partition i
+		rp.Start[i] = row
+		// target cumulative nnz after partition i
 		target := base + total*int64(i+1)/int64(p)
-		for row < hiRow && int64(rowPtr[row+1]) <= target {
+		for row < n && int64(rowPtr[row+1]) <= target {
 			row++
 		}
 		// Always make progress when rows remain and this is not forced empty:
 		// a single huge row can exceed the target; take it anyway so no row is
 		// dropped and no partition repeats rows.
-		if row < hiRow && row == start[i] {
+		if row < n && row == rp.Start[i] {
 			row++
 		}
 		if i == p-1 {
-			row = hiRow
+			row = n
 		}
-		end[i] = row
+		rp.End[i] = row
 	}
-}
-
-// ByNNZDomains computes a domain-aligned partition: rows are first sharded
-// across len(workersPerDomain) domains by nnz, then each domain's rows are
-// split by nnz among that domain's workers. The worker partition (length
-// Σ workersPerDomain, domain workers contiguous in ascending domain order)
-// and the domain partition are both returned; workers.Start of a domain's
-// first worker equals the domain's row start, the alignment the hierarchical
-// reduction relies on.
-//
-// Every domain must have at least one worker (clamp the domain count to the
-// worker count before calling, as parallel.NewPoolDomains does). Domains that
-// receive no rows — more domains than rows — simply hand empty ranges to all
-// their workers. With a single domain the worker partition is bitwise
-// identical to ByNNZ(rowPtr, p).
-func ByNNZDomains(rowPtr []int32, workersPerDomain []int) (workers, domains *RowPartition) {
-	d := len(workersPerDomain)
-	if d == 0 {
-		panic("partition: ByNNZDomains with no domains")
-	}
-	p := 0
-	for i, w := range workersPerDomain {
-		if w <= 0 {
-			panic(fmt.Sprintf("partition: ByNNZDomains: domain %d has %d workers", i, w))
-		}
-		p += w
-	}
-	n := len(rowPtr) - 1
-	domains = &RowPartition{Start: make([]int32, d), End: make([]int32, d)}
-	byNNZInto(rowPtr, 0, int32(n), domains.Start, domains.End)
-	workers = &RowPartition{Start: make([]int32, p), End: make([]int32, p)}
-	w := 0
-	for i := 0; i < d; i++ {
-		nw := workersPerDomain[i]
-		byNNZInto(rowPtr, domains.Start[i], domains.End[i], workers.Start[w:w+nw], workers.End[w:w+nw])
-		w += nw
-	}
-	return workers, domains
+	return rp
 }
 
 // Uniform computes a p-way partition of n rows with equal row counts,

@@ -217,124 +217,3 @@ func TestNNZOf(t *testing.T) {
 		t.Fatalf("NNZOf sums to %d, want 20", total)
 	}
 }
-
-// TestByNNZDomainsSingleDomainCollapses pins the bitwise-identity guarantee
-// the flat execution path relies on: with one domain, the worker partition of
-// ByNNZDomains is exactly ByNNZ, boundary for boundary.
-func TestByNNZDomainsSingleDomainCollapses(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	counts := make([]int32, 500)
-	for i := range counts {
-		counts[i] = int32(rng.Intn(12))
-	}
-	ptr := rowPtrOf(counts)
-	for _, p := range []int{1, 2, 5, 16} {
-		workers, domains := ByNNZDomains(ptr, []int{p})
-		flat := ByNNZ(ptr, p)
-		if domains.P() != 1 || domains.Start[0] != 0 || int(domains.End[0]) != 500 {
-			t.Fatalf("p=%d: single domain shard = [%d,%d)", p, domains.Start[0], domains.End[0])
-		}
-		for i := 0; i < p; i++ {
-			if workers.Start[i] != flat.Start[i] || workers.End[i] != flat.End[i] {
-				t.Fatalf("p=%d worker %d: domain split [%d,%d) != flat [%d,%d)",
-					p, i, workers.Start[i], workers.End[i], flat.Start[i], flat.End[i])
-			}
-		}
-	}
-}
-
-// TestByNNZDomainsAlignment checks the invariant the hierarchical reduction
-// is built on: each domain's first worker starts at the domain's shard start
-// and its last worker ends at the shard end, with both partitions valid
-// ordered covers.
-func TestByNNZDomainsAlignment(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	counts := make([]int32, 300)
-	for i := range counts {
-		counts[i] = int32(rng.Intn(9))
-	}
-	ptr := rowPtrOf(counts)
-	for _, wpd := range [][]int{{2, 2}, {1, 3}, {4, 1, 2}, {2, 2, 2, 2}} {
-		workers, domains := ByNNZDomains(ptr, wpd)
-		if err := domains.Validate(300); err != nil {
-			t.Fatalf("%v: domains: %v", wpd, err)
-		}
-		if err := workers.Validate(300); err != nil {
-			t.Fatalf("%v: workers: %v", wpd, err)
-		}
-		w := 0
-		for d, nw := range wpd {
-			if workers.Start[w] != domains.Start[d] {
-				t.Errorf("%v: domain %d first worker starts at %d, shard at %d",
-					wpd, d, workers.Start[w], domains.Start[d])
-			}
-			if workers.End[w+nw-1] != domains.End[d] {
-				t.Errorf("%v: domain %d last worker ends at %d, shard at %d",
-					wpd, d, workers.End[w+nw-1], domains.End[d])
-			}
-			w += nw
-		}
-	}
-}
-
-// TestByNNZDomainsMoreDomainsThanRows: a tiny matrix sharded over many
-// domains must yield empty shards (and empty worker ranges) past the rows,
-// never an invalid cover.
-func TestByNNZDomainsMoreDomainsThanRows(t *testing.T) {
-	ptr := rowPtrOf([]int32{4, 4, 4})
-	wpd := make([]int, 8)
-	for i := range wpd {
-		wpd[i] = 2
-	}
-	workers, domains := ByNNZDomains(ptr, wpd)
-	if err := domains.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := workers.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-	empty := 0
-	for d := 0; d < domains.P(); d++ {
-		if domains.Start[d] == domains.End[d] {
-			empty++
-		}
-	}
-	if empty < 5 {
-		t.Fatalf("8 domains over 3 rows: only %d empty shards", empty)
-	}
-}
-
-// TestByNNZDomainsHollowRows: interior all-zero rows next to one huge row
-// must not break the shard cover or the per-domain worker splits.
-func TestByNNZDomainsHollowRows(t *testing.T) {
-	ptr := rowPtrOf([]int32{0, 0, 1000, 0, 0})
-	for _, wpd := range [][]int{{1, 1}, {2, 2}, {3, 1, 2}} {
-		workers, domains := ByNNZDomains(ptr, wpd)
-		if err := domains.Validate(5); err != nil {
-			t.Fatalf("%v: domains: %v", wpd, err)
-		}
-		if err := workers.Validate(5); err != nil {
-			t.Fatalf("%v: workers: %v", wpd, err)
-		}
-	}
-}
-
-// TestByNNZDomainsPanics pins the contract violations that must fail loudly
-// rather than mis-shard: no domains at all, and a domain with no workers
-// (the caller — parallel.NewPoolDomains — clamps before calling).
-func TestByNNZDomainsPanics(t *testing.T) {
-	ptr := rowPtrOf([]int32{1, 1})
-	for name, wpd := range map[string][]int{
-		"no-domains":  {},
-		"zero-worker": {2, 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: ByNNZDomains did not panic", name)
-				}
-			}()
-			ByNNZDomains(ptr, wpd)
-		}()
-	}
-}

@@ -35,12 +35,6 @@ type Platform struct {
 	// saturated bandwidth of one socket (GB/s). Table II's "sustained B/W"
 	// is Sockets·BWSocket.
 	BW1, BWSocket float64
-	// BWCross is the sustained cross-domain interconnect bandwidth (GB/s)
-	// available to reduction traffic whose producer and consumer sit in
-	// different NUMA domains (QPI on Gainestown). Zero means "no separate
-	// interconnect ceiling" and falls back to BWSocket — correct for
-	// single-domain machines, where nothing crosses anyway.
-	BWCross float64
 	// BarrierBaseNs and BarrierPerThreadNs model the synchronization cost
 	// of one parallel phase barrier.
 	BarrierBaseNs, BarrierPerThreadNs float64
@@ -110,7 +104,6 @@ var Gainestown = Platform{
 	F1:                   1.60,
 	BW1:                  5.5,
 	BWSocket:             15.5,
-	BWCross:              11.0, // one QPI link's sustained data bandwidth
 	BarrierBaseNs:        1500,
 	BarrierPerThreadNs:   120,
 	LLCBytes:             2 * 8 << 20,
@@ -167,35 +160,6 @@ func (pl Platform) PhaseSeconds(p int, flops, bytes int64) float64 {
 	return t + pl.BarrierSeconds(p)
 }
 
-// CrossBandwidth reports the sustained cross-domain bandwidth (GB/s): BWCross
-// when set, otherwise one socket's bandwidth (the remote stream still has to
-// pass through a controller).
-func (pl Platform) CrossBandwidth() float64 {
-	if pl.BWCross > 0 {
-		return pl.BWCross
-	}
-	return pl.BWSocket
-}
-
-// PhaseSecondsCross is PhaseSeconds with a third roofline term: crossBytes of
-// the phase's traffic must additionally pass the cross-domain interconnect,
-// whose ceiling is CrossBandwidth regardless of thread count. On machines
-// with one domain, or phases that cross nothing, it reduces to PhaseSeconds.
-func (pl Platform) PhaseSecondsCross(p int, flops, bytes, crossBytes int64) float64 {
-	tFlop := float64(flops) / (float64(pl.effectiveCores(p)) * pl.F1 * 1e9)
-	tMem := float64(bytes) / (pl.Bandwidth(p) * 1e9)
-	t := tFlop
-	if tMem > t {
-		t = tMem
-	}
-	if crossBytes > 0 && pl.Sockets > 1 {
-		if tX := float64(crossBytes) / (pl.CrossBandwidth() * 1e9); tX > t {
-			t = tX
-		}
-	}
-	return t + pl.BarrierSeconds(p)
-}
-
 // SerialSeconds predicts a single-thread phase without barrier cost.
 func (pl Platform) SerialSeconds(flops, bytes int64) float64 {
 	tFlop := float64(flops) / (pl.F1 * 1e9)
@@ -241,34 +205,23 @@ func Host() Platform {
 }
 
 // CalibratedHost returns the generic Host platform re-shaped to a live pool
-// and anchored to a measured bandwidth: p threads across d memory domains,
-// with the per-domain saturated bandwidth set to the measured STREAM triad
-// rate domTriadGBs of one domain (BW1 scaled so p threads on one domain can
-// reach saturation). The attribution engine uses it as the *independent*
-// model-time predictor: its phase times carry flop and barrier terms the
-// plain bytes/bandwidth roofline does not, so measured/model error is a
-// separate signal from the roofline fraction rather than its reciprocal.
-func CalibratedHost(p, d int, domTriadGBs float64) Platform {
+// of p threads and anchored to a measured bandwidth: the saturated bandwidth
+// is the measured STREAM triad rate triadGBs (BW1 scaled so the p threads
+// reach it). The attribution engine uses it as the *independent* model-time
+// predictor: its phase times carry flop and barrier terms the plain
+// bytes/bandwidth roofline does not, so measured/model error is a separate
+// signal from the roofline fraction rather than its reciprocal.
+func CalibratedHost(p int, triadGBs float64) Platform {
 	pl := Host()
 	if p < 1 {
 		p = 1
 	}
-	if d < 1 {
-		d = 1
-	}
 	pl.Name = "CalibratedHost"
 	pl.Cores = p
 	pl.ThreadsMax = p
-	pl.Sockets = d
-	if domTriadGBs > 0 {
-		pl.BWSocket = domTriadGBs
-		// Per-thread linear ramp: one domain's workers can saturate their
-		// domain, and a single thread gets a realistic fraction of it.
-		perThread := domTriadGBs / float64((p+d-1)/d)
-		if perThread > domTriadGBs {
-			perThread = domTriadGBs
-		}
-		pl.BW1 = perThread
+	if triadGBs > 0 {
+		pl.BWSocket = triadGBs
+		pl.BW1 = triadGBs / float64(p)
 	}
 	return pl
 }

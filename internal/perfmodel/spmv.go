@@ -26,12 +26,6 @@ type SpMVCost struct {
 	RedBytes    int64
 	UsefulFlops int64 // 2·NNZ_logical, the numerator of the Gflop/s metric
 
-	// RedCrossBytes is the share of RedBytes crossing a NUMA domain boundary
-	// (core.Traffic.RedCrossBytes); priced against the platform's
-	// cross-domain interconnect bandwidth as an extra roofline term of the
-	// reduction phase. Zero for single-domain kernels.
-	RedCrossBytes int64
-
 	// MatrixBytes is the matrix-stream portion of MultBytes — the part a
 	// multi-RHS (SpMM) sweep does NOT scale with the vector count. The
 	// remainder (MultBytes − MatrixBytes) is vector traffic, which does.
@@ -82,13 +76,12 @@ func (c SpMVCost) MultSeconds(pl Platform, p int) float64 {
 	return t
 }
 
-// RedSeconds predicts the reduction phase alone, including the cross-domain
-// interconnect ceiling on the RedCrossBytes share of its stream.
+// RedSeconds predicts the reduction phase alone.
 func (c SpMVCost) RedSeconds(pl Platform, p int) float64 {
 	if c.RedBytes == 0 && c.RedFlops == 0 {
 		return 0
 	}
-	return pl.PhaseSecondsCross(p, c.RedFlops, c.RedBytes, c.RedCrossBytes)
+	return pl.PhaseSeconds(p, c.RedFlops, c.RedBytes)
 }
 
 // SerialSeconds predicts the single-thread kernel (no barriers, both phases
@@ -123,26 +116,9 @@ func (c SpMVCost) SpMM(nv int) SpMVCost {
 	out.MultBytes = c.MatrixBytes + (c.MultBytes-c.MatrixBytes)*m
 	out.RedFlops = c.RedFlops * m
 	out.RedBytes = c.RedBytes * m
-	out.RedCrossBytes = c.RedCrossBytes * m
 	out.UsefulFlops = c.UsefulFlops * m
 	out.XSpanBytes = c.XSpanBytes * m
 	out.AtomicOps = c.AtomicOps * m
-	return out
-}
-
-// WithHub adjusts the cost for a hub-caching plan: the covered irregular x
-// accesses become private-window (L1) hits, and each of the p workers pays
-// an 8·K-byte window prefill per operation. covered and k come straight
-// from hub.Plan (Covered, K()).
-func (c SpMVCost) WithHub(covered int64, k, p int) SpMVCost {
-	out := c
-	out.Name = c.Name + "+hub"
-	out.XAccesses = c.XAccesses - covered
-	if out.XAccesses < 0 {
-		out.XAccesses = 0
-	}
-	// Prefill: read K entries of x and write K window entries, per worker.
-	out.MultBytes = c.MultBytes + int64(16*k*p)
 	return out
 }
 
@@ -281,7 +257,6 @@ func SSSCost(k *core.Kernel) SpMVCost {
 		MatrixBytes:   t.MultMatrixBytes,
 		RedFlops:      t.RedFlops,
 		RedBytes:      t.RedBytes,
-		RedCrossBytes: t.RedCrossBytes,
 		UsefulFlops:   t.MultFlops,
 		XAccesses:     acc,
 		XSpanBytes:    span,

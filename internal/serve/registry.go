@@ -17,12 +17,6 @@ type Options struct {
 	// format). 0 means the facade default.
 	Threads int
 
-	// Domains is the NUMA domain count handed to kernel preparation: the
-	// autotuner shards its hierarchical plan variants over it, and fixed SSS
-	// formats run their two-level reduction on it. 0 detects the machine
-	// topology; 1 forces flat execution.
-	Domains int
-
 	// TuneCacheDir is the persistent tuning-cache directory handed to
 	// AutoKernel: matrices seen before (same fingerprint, same machine)
 	// warm-start without timed trials. "" uses the facade default; "off"
@@ -202,9 +196,6 @@ func (reg *Registry) prepare(a *symspmv.Matrix, spec LoadSpec) (symspmv.Kernel, 
 		if threads > 0 {
 			auto = append(auto, symspmv.AutoMaxThreads(threads))
 		}
-		if reg.opts.Domains != 0 {
-			auto = append(auto, symspmv.AutoDomains(reg.opts.Domains))
-		}
 		switch reg.opts.TuneCacheDir {
 		case "":
 		case "off":
@@ -226,9 +217,6 @@ func (reg *Registry) prepare(a *symspmv.Matrix, spec LoadSpec) (symspmv.Kernel, 
 	if threads > 0 {
 		opts = append(opts, symspmv.Threads(threads))
 	}
-	// 0 detects the topology (flat on single-domain machines), so fixed
-	// formats follow the same NUMA default the autotuned path has.
-	opts = append(opts, symspmv.Domains(reg.opts.Domains))
 	kern, err := a.Kernel(f, opts...)
 	if err != nil {
 		return nil, prepInfo{}, BadRequestf("build %v kernel: %v", f, err)

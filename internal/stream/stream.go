@@ -77,103 +77,3 @@ func Run(pool *parallel.Pool, n, reps int) Result {
 	}
 	return res
 }
-
-// DomainResult is one domain's measured bandwidth.
-type DomainResult struct {
-	Domain int
-	Result
-}
-
-// RunDomain measures the STREAM kernels with only domain d's workers of the
-// pool doing work — the other workers pass straight through to the barrier —
-// so the rate approximates what one domain's thread group can sustain alone.
-// A pure-Go runtime cannot pin OS threads to NUMA nodes, so on a real
-// multi-socket machine this is the bandwidth of one domain-sized worker
-// group, not a guaranteed single-socket stream; the perfmodel calibration
-// treats it accordingly.
-func RunDomain(pool *parallel.Pool, d, n, reps int) Result {
-	wlo, whi := pool.DomainWorkers(d)
-	nw := whi - wlo
-	a := make([]float64, n)
-	b := make([]float64, n)
-	c := make([]float64, n)
-	for i := range a {
-		a[i] = 1.0
-		b[i] = 2.0
-	}
-	const scalar = 3.0
-	res := Result{Threads: nw, ArrayBytes: int64(8 * n)}
-
-	// run dispatches fn over domain d's workers only, chunking [0, n).
-	run := func(fn func(lo, hi int)) {
-		pool.Run(func(tid int) {
-			if tid < wlo || tid >= whi {
-				return
-			}
-			lo, hi := parallel.Chunk(n, nw, tid-wlo)
-			fn(lo, hi)
-		})
-	}
-	best := func(cur *float64, bytes int64, fn func()) {
-		t0 := time.Now()
-		fn()
-		dt := time.Since(t0).Seconds()
-		if dt <= 0 {
-			return
-		}
-		if rate := float64(bytes) / dt; rate > *cur {
-			*cur = rate
-		}
-	}
-
-	for r := 0; r < reps; r++ {
-		best(&res.Copy, int64(16*n), func() {
-			run(func(lo, hi int) { copy(c[lo:hi], a[lo:hi]) })
-		})
-		best(&res.Scale, int64(16*n), func() {
-			run(func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					b[i] = scalar * c[i]
-				}
-			})
-		})
-		best(&res.Add, int64(24*n), func() {
-			run(func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					c[i] = a[i] + b[i]
-				}
-			})
-		})
-		best(&res.Triad, int64(24*n), func() {
-			run(func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					a[i] = b[i] + scalar*c[i]
-				}
-			})
-		})
-	}
-	return res
-}
-
-// TriadSum aggregates the triad rates (bytes/s) of a per-domain measurement:
-// the machine-level roofline available when every domain streams at once,
-// under the interleaved-allocation assumption the domain pools make.
-func TriadSum(rs []DomainResult) float64 {
-	total := 0.0
-	for _, r := range rs {
-		total += r.Triad
-	}
-	return total
-}
-
-// RunPerDomain measures every domain of the pool in turn, one RunDomain
-// each. On a flat (single-domain) pool it degenerates to one whole-machine
-// measurement — domain 0 holding all workers — so callers can always iterate
-// the returned slice without a topology special case.
-func RunPerDomain(pool *parallel.Pool, n, reps int) []DomainResult {
-	out := make([]DomainResult, pool.Domains())
-	for d := range out {
-		out[d] = DomainResult{Domain: d, Result: RunDomain(pool, d, n, reps)}
-	}
-	return out
-}

@@ -25,38 +25,6 @@ func TestRunProducesPositiveRates(t *testing.T) {
 	}
 }
 
-func TestRunPerDomain(t *testing.T) {
-	pool := parallel.NewPoolDomains(4, 2)
-	defer pool.Close()
-	drs := RunPerDomain(pool, 1<<14, 2)
-	if len(drs) != 2 {
-		t.Fatalf("got %d domain results, want 2", len(drs))
-	}
-	for _, dr := range drs {
-		if dr.Threads != 2 {
-			t.Errorf("domain %d: Threads = %d, want 2", dr.Domain, dr.Threads)
-		}
-		for name, v := range map[string]float64{
-			"copy": dr.Copy, "scale": dr.Scale, "add": dr.Add, "triad": dr.Triad,
-		} {
-			if v <= 0 {
-				t.Errorf("domain %d: %s rate %g not positive", dr.Domain, name, v)
-			}
-		}
-	}
-}
-
-// TestRunPerDomainFlatFallback checks the single-domain degeneracy: a flat
-// pool yields one whole-machine measurement.
-func TestRunPerDomainFlatFallback(t *testing.T) {
-	pool := parallel.NewPool(2)
-	defer pool.Close()
-	drs := RunPerDomain(pool, 1<<12, 1)
-	if len(drs) != 1 || drs[0].Domain != 0 || drs[0].Threads != 2 {
-		t.Fatalf("flat fallback = %+v, want one domain-0 result with 2 threads", drs)
-	}
-}
-
 func TestGB(t *testing.T) {
 	if GB(2e9) != 2.0 {
 		t.Fatalf("GB(2e9) = %g", GB(2e9))

@@ -6,7 +6,7 @@ import (
 
 // EnableAttribution binds the roofline attribution engine (internal/attrib)
 // to a kernel: every sampled operation (obs.SetSampling) then feeds achieved
-// GB/s, roofline fraction, and model error per (method, phase, domain) into
+// GB/s, roofline fraction, and model error per (method, phase) into
 // the symspmv_attrib_* metric families and the /debug/attrib snapshot, and —
 // when tracing is enabled — annotates the Chrome trace's coordinator lane
 // with the operation's roofline percentage.

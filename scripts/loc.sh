@@ -2,8 +2,9 @@
 # Size metrics the ROADMAP says should go down, plus the structural counts
 # `make ci` gates on:
 #
-#   non-test Go lines outside benchmark/        (tracked, no limit)
-#   per-thread ...T kernel bodies in core       (tracked, no limit)
+#   non-test Go lines outside benchmark/        (limit 20 000: a ratchet,
+#                                                not a target)
+#   per-thread ...T kernel bodies in core       (limit 33)
 #   `type Format` declarations                  (limit 1: the facade's alias
 #                                                of the internal/format ID)
 #   files constructing a format kernel          (limit 0 outside
@@ -12,6 +13,9 @@
 #   sampling flag or the telemetry clock         is the one timed path)
 #   internal/parallel lines naming PhaseMode     (limit 0: the generation-word
 #   or declaring a `chan func`                   hand-off is the one dispatch)
+#   second execution modes: domain pools,        (limit 0: one pool with one
+#   domain-scoped phases and partitions, hub     barrier, one nnz partition, one
+#   plans, topology detection                    x gather)
 #   set-up path lines that sort nnz entries      (limit 0: sort.Slice in
 #   through a comparator or allocate per line    internal/matrix and csx/detect.go;
 #                                                strings.Fields or .Text() in the
@@ -26,7 +30,6 @@ cd "$(dirname "$0")/.."
 
 # Explicit, not pattern-based: adding a file here is a reviewed decision.
 STUDIES=(
-	internal/harness/sharded.go          # flat vs hierarchical reduction on one pool (core.KernelOptions.FlatReduction)
 	cmd/mtx-info/main.go                 # per-method traffic/roofline rows and the serial CSX-Sym unit dump
 	internal/fuzzcheck/gencorpus/main.go # serialises CSX-Sym under every reduction method for the fuzz corpus
 )
@@ -40,7 +43,7 @@ lines=$(sources | xargs cat | wc -l)
 bodies=$(grep -hE '^func .*[a-z0-9]T\(' $(ls internal/core/*.go | grep -v _test.go) | wc -l)
 enums=$(sources | xargs grep -lE '^type Format ' | wc -l)
 
-ctor='(core\.NewKernel(Opts)?|csx\.NewSym(Hub)?|csx\.NewMatrix|csb\.NewSym|bcsr\.FromCOO|csr\.NewParallel)\('
+ctor='(core\.NewKernel|csx\.NewSym|csx\.NewMatrix|csb\.NewSym|bcsr\.FromCOO|csr\.NewParallel)\('
 skip='^\./internal/(format|core|csx|csb|bcsr|csr)/'
 for f in "${STUDIES[@]}"; do
 	[ -f "$f" ] || { echo "loc: listed study $f does not exist" >&2; exit 1; }
@@ -60,6 +63,11 @@ ntimers=$(printf '%s' "$timers" | grep -c . || true)
 forks=$(sources | grep -E '^\./internal/parallel/' | xargs grep -nE 'PhaseMode|chan func' || true)
 nforks=$(printf '%s' "$forks" | grep -c . || true)
 
+# One machine, one multiply body: the NUMA-domain layer and hub caching
+# (DESIGN.md §12, §14) stay deleted.
+modes=$(sources | xargs grep -nE 'NewPoolDomains|PhaseLocal|ByNNZDomains|hub\.Plan|topo\.' || true)
+nmodes=$(printf '%s' "$modes" | grep -c . || true)
+
 # The set-up path is linear and allocates per block: no comparator sort over
 # the entries (Normalize is a radix sort, the CSX statistics pass uses the
 # detector's counting sort), and the reader's data loop — parse, entry and
@@ -74,15 +82,25 @@ slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) in
 	printf '%s\n' "$loop" | grep -nE 'strings\.Fields|\.Text\(\)' | sed "s|^|$mmio (data loop):|"; } || true)
 nslow=$(printf '%s' "$slow" | grep -c . || true)
 
-printf 'non-test Go lines outside benchmark/:      %6d\n' "$lines"
-printf 'per-thread ...T bodies in internal/core:   %6d\n' "$bodies"
+printf 'non-test Go lines outside benchmark/:      %6d  (limit 20000)\n' "$lines"
+printf 'per-thread ...T bodies in internal/core:   %6d  (limit 33)\n' "$bodies"
 printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
 printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
 printf 'kernel files timing themselves:            %6d  (limit 0)\n' "$ntimers"
 printf 'dispatch forks in internal/parallel:       %6d  (limit 0)\n' "$nforks"
+printf 'second execution modes:                    %6d  (limit 0)\n' "$nmodes"
 printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
 
 status=0
+if [ "$lines" -gt 20000 ]; then
+	echo "loc: $lines non-test Go lines, over the 20 000 ratchet (ROADMAP item 5)" >&2
+	status=1
+fi
+if [ "$bodies" -gt 33 ]; then
+	echo "loc: $bodies per-thread ...T bodies in internal/core, limit 33:" >&2
+	grep -nE '^func .*[a-z0-9]T\(' $(ls internal/core/*.go | grep -v _test.go) >&2
+	status=1
+fi
 if [ "$enums" -gt 1 ]; then
 	echo "loc: more than one format enum:" >&2
 	sources | xargs grep -nE '^type Format ' >&2
@@ -101,6 +119,11 @@ fi
 if [ "$nforks" -gt 0 ]; then
 	echo "loc: internal/parallel names PhaseMode or declares a chan func (the hand-off is the one dispatch path):" >&2
 	echo "$forks" >&2
+	status=1
+fi
+if [ "$nmodes" -gt 0 ]; then
+	echo "loc: a second execution mode is back (domain pool, domain-scoped phase or partition, hub plan, topology detection):" >&2
+	echo "$modes" >&2
 	status=1
 fi
 if [ "$nslow" -gt 0 ]; then

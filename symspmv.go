@@ -39,11 +39,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/csx"
 	"repro/internal/format"
-	"repro/internal/hub"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/reorder"
-	"repro/internal/topo"
 )
 
 // Format selects a storage format / kernel configuration. The formats, their
@@ -93,8 +91,7 @@ func Formats() []Format { return format.All() }
 func ParseFormat(name string) (Format, error) { return format.Parse(name) }
 
 // UnsupportedFormatError is the typed error Matrix.Kernel returns when the
-// format cannot run the matrix's symmetry class or lacks a requested
-// capability (HubCache). Match it with errors.As.
+// format cannot run the matrix's symmetry class. Match it with errors.As.
 type UnsupportedFormatError = format.UnsupportedError
 
 // Matrix is an immutable sparse matrix in one of three symmetry classes:
@@ -291,10 +288,7 @@ type Option func(*kernelOpts)
 
 type kernelOpts struct {
 	threads int
-	domains int
 	build   format.Options
-	hub     bool
-	hubOpts hub.Options
 }
 
 // Threads sets the worker count (default: GOMAXPROCS).
@@ -302,78 +296,14 @@ func Threads(n int) Option {
 	return func(o *kernelOpts) { o.threads = n }
 }
 
-// Domains shards the kernel's workers across n NUMA domains and, for the
-// local-vector SSS formats (SSSNaive, SSSEffective, SSSIndexed), switches the
-// reduction to the hierarchical two-level schedule: local vectors combine
-// inside each domain first, and only the shard-boundary overlap windows cross
-// domains. n = 0 detects the machine topology (/sys/devices/system/node;
-// single domain when undetectable); n = 1 forces the flat pool, bitwise
-// identical to not passing the option. Formats without a hierarchical path
-// accept the option and simply run flat on the domain-sharded pool.
-func Domains(n int) Option {
-	return func(o *kernelOpts) {
-		if n <= 0 {
-			n = topo.Domains()
-		}
-		o.domains = n
-	}
-}
-
 // CSXOptions overrides the CSX/CSX-Sym detection parameters.
 func CSXOptions(opts csx.Options) Option {
 	return func(o *kernelOpts) { o.build.CSX = &opts }
 }
 
-// HubOptions tunes the hub-caching analysis (see HubCache). The zero value
-// of each field selects the library default.
-type HubOptions struct {
-	// MaxCols caps the hub size (default 512 columns — 4 KiB of hot x per
-	// worker, well inside L1).
-	MaxCols int
-	// MinDegree is the minimum column degree for hub membership (default 16).
-	MinDegree int
-	// MinCoverage is the minimum fraction of stored off-diagonal elements
-	// the hub must cover for the pass to engage at all (default 0.10);
-	// below it the analysis declares the matrix hub-free and the kernel is
-	// built plain. Set it to a negative value to force hub caching on.
-	MinCoverage float64
-}
-
-// HubCache enables the hub-caching preprocessing pass on the symmetric
-// formats (SSS non-atomic and CSXSym): the highest-degree columns are
-// remapped to a small per-worker hot window of x, so the scattered gathers
-// that power-law matrices pay on their hub columns become L1 hits. On
-// matrices without degree skew the analysis finds no profitable hub and the
-// kernel silently builds plain — HubCache is a hint, not a layout contract.
-// Atomic and unsymmetric formats reject the option.
-func HubCache() Option {
-	return func(o *kernelOpts) { o.hub = true }
-}
-
-// HubCacheOptions is HubCache with explicit thresholds.
-func HubCacheOptions(ho HubOptions) Option {
-	return func(o *kernelOpts) {
-		o.hub = true
-		d := hub.DefaultOptions()
-		if ho.MaxCols != 0 {
-			d.MaxCols = ho.MaxCols
-		}
-		if ho.MinDegree != 0 {
-			d.MinDegree = ho.MinDegree
-		}
-		if ho.MinCoverage != 0 {
-			d.MinCoverage = ho.MinCoverage
-		}
-		o.hubOpts = d
-	}
-}
-
 // Kernel builds a multithreaded kernel for the matrix in the given format.
 func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
-	o := kernelOpts{
-		threads: parallel.DefaultThreads(),
-		hubOpts: hub.DefaultOptions(),
-	}
+	o := kernelOpts{threads: parallel.DefaultThreads()}
 	for _, opt := range options {
 		opt(&o)
 	}
@@ -383,25 +313,12 @@ func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 	if !f.Valid() {
 		return nil, fmt.Errorf("symspmv: unknown format %v", f)
 	}
-	// Refuse what the format's table row does not offer before spawning
-	// workers or paying for the hub analysis.
-	need := format.Caps(0)
-	if o.hub {
-		need = format.Hub
-	}
-	if err := f.Desc().Check(need, a.sss.Kind); err != nil {
+	// Refuse a class the format's table row does not run before spawning
+	// workers.
+	if err := f.Desc().Check(0, a.sss.Kind); err != nil {
 		return nil, fmt.Errorf("symspmv: %w", err)
 	}
-	if o.hub {
-		// A nil plan (no profitable hub) builds plain.
-		o.build.Hub = hub.Analyze(a.sss.N, a.sss.RowPtr, a.sss.ColIdx, o.hubOpts)
-	}
-	var pool *parallel.Pool
-	if o.domains > 1 {
-		pool = parallel.NewPoolDomains(o.threads, o.domains)
-	} else {
-		pool = parallel.NewPool(o.threads)
-	}
+	pool := parallel.NewPool(o.threads)
 	// Release the workers on every failed construction path — including
 	// panics out of the format builders — so an error can never leak the
 	// pool's goroutines.
@@ -478,17 +395,6 @@ func (k *boundKernel) acquire(op string) (release func(), err error) {
 	}
 	return k.mu.Unlock, nil
 }
-
-// HubEnabled reports whether the hub-caching pass actually engaged: the
-// HubCache option was given AND the analysis found a profitable hub. The
-// method lives on the concrete kernel so callers can type-assert when they
-// need to distinguish "requested" from "engaged".
-func (k *boundKernel) HubEnabled() bool { return k.b.Hub }
-
-// HierarchicalEnabled reports whether the hierarchical two-level domain
-// reduction actually engaged: Domains(>1) was given AND the format has the
-// hierarchical path. Like HubEnabled, type-assert to reach it.
-func (k *boundKernel) HierarchicalEnabled() bool { return k.b.Hier }
 
 func (k *boundKernel) MulVec(x, y []float64) { k.mulVecLocked(x, y) }
 func (k *boundKernel) Format() Format        { return k.b.ID }
