@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-color race-colored race-pool vet bench benchmark bench-spmm bench-smoke loc ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-color race-colored race-pool vet bench benchmark bench-spmm bench-smoke loc generate-check ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -101,8 +101,16 @@ fuzz-smoke:
 attrib-smoke:
 	./scripts/attrib_smoke.sh
 
-# loc prints the size metrics the ROADMAP wants to go down (non-test Go
-# lines, per-thread kernel bodies) and fails if either passes its ratchet or a
+# generate-check reruns the kernel-body generator (internal/core/gen, one
+# template of the lower-row loop) and fails when the checked-in
+# internal/core/lowerrow_gen.go is not what it prints.
+generate-check:
+	$(GO) generate ./internal/core/...
+	git diff --exit-code -- internal/core/lowerrow_gen.go
+
+# loc prints the size metrics the ROADMAP wants to go down (hand-written
+# non-test Go lines, hand-written per-thread kernel bodies; generated files are
+# counted apart) and fails if either passes its ratchet or a
 # second format enum, a format-kernel construction outside internal/format, a
 # kernel timing itself, a second dispatch path in internal/parallel, a second
 # execution mode (domain pools, hub plans), or a comparator sort or per-line
@@ -119,14 +127,14 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # ci is the gate for every change: vet (fails the build on findings), build,
-# the colored-schedule and pool (three GOMAXPROCS values) race focuses, the
-# full test suite under the race detector (the execution engine's hand-off,
+# the generated kernel bodies up to date, the colored-schedule and pool (three
+# GOMAXPROCS values) race focuses, the full test suite under the race detector (the execution engine's hand-off,
 # spin barrier and phase fusion are exactly the kind of code -race exists
 # for), the telemetry smoke, the fuzz smoke
 # (differential checking plus a short run of each fuzz target), the SpMM
 # traffic-model smoke, the serving-path and attribution smokes, and the
 # one-format-table gate (loc).
-ci: vet build loc race-colored race-pool race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
+ci: vet build generate-check loc race-colored race-pool race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
 
 # tune-demo runs the empirical autotuner on a small slice of the paper suite
 # and prints one decision table per matrix: every candidate plan with its

@@ -64,28 +64,6 @@ func (k *Kernel) diagInitT(tid int, x, y []float64) {
 	}
 }
 
-// colorBlocksT executes the given same-color blocks: both the row and the
-// transpose contribution of every stored element go straight into y. The
-// schedule guarantees no concurrently-running block writes any of the same
-// elements.
-func (k *Kernel) colorBlocksT(blocks []int32, x, y []float64) {
-	s := k.S
-	part := k.sched.Part
-	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
-			xr := x[r]
-			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
-				acc += v * x[c]
-				y[c] += v * xr
-			}
-			y[r] += acc
-		}
-	}
-}
-
 // dotChunkColoredT computes the xᵀy partial over thread tid's uniform chunk.
 func (k *Kernel) dotChunkColoredT(tid int, x, y []float64) float64 {
 	sum := 0.0
@@ -107,8 +85,8 @@ func (k *Kernel) Colors() int {
 // assembleColoredMat assembles the cached nv-wide SpMM phase list over the
 // same schedule: the colored method needs no wide local vectors at all,
 // each phase writes the interleaved output directly (multi-RHS costs zero
-// extra reduction). nv ∈ {2, 4, 8} run register-blocked color bodies (see
-// mulmat_blocked.go); other widths run the generic body.
+// extra reduction). nv ∈ {2, 4, 8} run the template's register-blocked
+// direct-write cells (lowerrow_gen.go); other widths run its nv-wide cell.
 func (k *Kernel) assembleColoredMat(nv int) []parallel.Phase {
 	name := k.Method.String() + "-spmm"
 	phases := make([]parallel.Phase, 0, k.sched.NumColors+1)
@@ -142,30 +120,6 @@ func (k *Kernel) diagInitMatT(tid, nv int) {
 		ri := int(r) * nv
 		for v := 0; v < nv; v++ {
 			y[ri+v] = d * x[ri+v]
-		}
-	}
-}
-
-// colorBlocksMatT is the generic-nv colored SpMM color phase.
-func (k *Kernel) colorBlocksMatT(blocks []int32, nv int) {
-	s := k.S
-	x, y := k.curX, k.curY
-	part := k.sched.Part
-	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
-			ri := int(r) * nv
-			xr := x[ri : ri+nv]
-			yr := y[ri : ri+nv]
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				ci := int(s.ColIdx[j]) * nv
-				a := s.Val[j]
-				xc := x[ci : ci+nv]
-				yc := y[ci : ci+nv]
-				for v := 0; v < nv; v++ {
-					yr[v] += a * xc[v]
-					yc[v] += a * xr[v]
-				}
-			}
 		}
 	}
 }

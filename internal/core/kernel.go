@@ -119,12 +119,17 @@ type Kernel struct {
 // row-wise assignment. For the Indexed method the symbolic analysis runs
 // here, once, and is reused across multiplications. The atomic ablation
 // encodes the symmetric update in its CAS loop and has no kind-generalized
-// variant (everything else does, kinds.go): pairing it with a skew or
-// structural matrix is a caller bug — internal/format's table rejects it
-// before it gets here — and panics.
+// variant (everything else does, the template's kind cells): pairing it with a
+// skew or structural matrix is a caller bug — internal/format's table rejects
+// it before it gets here — and panics. So does a matrix that fails Validate,
+// with Validate's error: FromCOO and FromCOOStructural never build one, and no
+// kernel body checks the structure again.
 func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
 	if method == Atomic && s.Kind != Sym {
 		panic(fmt.Sprintf("core: the atomic method supports only symmetric matrices, got %s", s.Kind))
+	}
+	if err := s.Validate(); err != nil {
+		panic(err)
 	}
 	p := pool.Size()
 	part := partition.ByNNZ(s.RowPtr, p)
@@ -237,55 +242,6 @@ func (k *Kernel) phases(dot []float64) []parallel.Phase {
 	}
 	return append([]parallel.Phase{parallel.ComputePhase(name+"/multiply", mult)},
 		k.LV.ReducePhases(name, &k.curX, &k.curY, dot)...)
-}
-
-// multiplyNaiveT runs thread tid's slice of Alg. 3's multiplication phase:
-// every write, including the thread's own rows, goes to the thread's
-// full-length local vector.
-func (k *Kernel) multiplyNaiveT(tid int, x []float64) {
-	s := k.S
-	local := k.LV.Vecs[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
-		xr := x[r]
-		acc := s.DValues[r] * xr
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := s.ColIdx[j]
-			v := s.Val[j]
-			acc += v * x[c]
-			local[c] += v * xr
-		}
-		local[r] += acc
-	}
-}
-
-// multiplyEffectiveT runs thread tid's slice of the multiplication phase
-// shared by the effective-ranges and indexed methods: rows within the
-// thread's own partition write directly to y, and only transposed
-// contributions that fall before the partition start are buffered in the
-// local vector.
-func (k *Kernel) multiplyEffectiveT(tid int, x, y []float64) {
-	s := k.S
-	local := k.LV.Vecs[tid]
-	startT := k.Part.Start[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
-		xr := x[r]
-		acc := s.DValues[r] * xr
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := s.ColIdx[j]
-			v := s.Val[j]
-			acc += v * x[c]
-			if c >= startT {
-				y[c] += v * xr
-			} else {
-				local[c] += v * xr
-			}
-		}
-		// Rows are processed in ascending order and transposed writes
-		// target strictly earlier rows (c < r), so y[r] has received no
-		// contribution yet: plain assignment, no pre-zeroing of y needed.
-		// Cross-thread contributions go through locals.
-		y[r] = acc
-	}
 }
 
 // IndexLen reports the number of conflict-index entries; zero for

@@ -236,13 +236,16 @@ func (lv *LocalVectors) reduceEffectiveDotT(tid int, x, y []float64) float64 {
 // sequentially; worker boundaries never split an Idx value, so each output
 // element is written by a single worker.
 func (lv *LocalVectors) reduceIndexedT(tid int, y []float64) {
-	lo, hi := lv.redSplit[tid], lv.redSplit[tid+1]
-	for e := lo; e < hi; {
-		vid := lv.redEntries[e].Vid
+	// The worker's entries are cut out of lv once, so the walk below indexes
+	// them unchecked and loads each entry once.
+	entries := lv.redEntries[lv.redSplit[tid]:lv.redSplit[tid+1]]
+	for e := 0; e < len(entries); {
+		vid := entries[e].Vid
 		local := lv.Vecs[vid]
-		for ; e < hi && lv.redEntries[e].Vid == vid; e++ {
-			idx := lv.redEntries[e].Idx
-			y[idx] += local[idx]
+		yv := y[:len(local)] // one check serves both vectors
+		for ; e < len(entries) && entries[e].Vid == vid; e++ {
+			idx := entries[e].Idx
+			yv[idx] += local[idx]
 			local[idx] = 0
 		}
 	}

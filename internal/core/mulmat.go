@@ -17,10 +17,13 @@ import (
 // multiply→reduce chain is assembled once per vector count as a labelled
 // phase list over the kernel's operand slots and handed to the pool, exactly
 // like MulVec — one coordinator handoff, zero allocation in steady state. For
-// nv ∈ {2, 4, 8} the multiply runs register-blocked bodies with fixed-width
-// inner loops (mulmat_blocked.go); per lane they perform the same additions
-// in the same order as the scalar kernel, so each output column is bitwise
-// identical to a MulVec of the corresponding input column.
+// nv ∈ {2, 4, 8} the multiply runs the lower-row template's lane-width 2, 4
+// and 8 cells (lowerrow_gen.go): fully unrolled lanes with scalar accumulators
+// over fixed-width windows (x[ci:ci+4:ci+4]), so the lane values stay in
+// registers; per lane they perform the same additions in the same order as
+// the scalar cell, so each output column is bitwise identical to a MulVec of
+// the corresponding input column. Only the multiply is specialized: the
+// reductions are streaming passes and stay generic.
 
 // MulMat computes Y = A·X serially for nv interleaved vectors. Only
 // Kind=Sym matrices are supported: the SpMM bodies are specialized to the
@@ -180,65 +183,6 @@ func (k *Kernel) ensureWideLocals(nv int) {
 	k.wide = w
 }
 
-// mulMatNaiveT is the generic-nv naive multiply: every write goes to the
-// thread's full-length wide local vector.
-func (k *Kernel) mulMatNaiveT(tid, nv int) {
-	s := k.S
-	x := k.curX
-	local := k.wide.vecs[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
-		ri := int(r) * nv
-		d := s.DValues[r]
-		for v := 0; v < nv; v++ {
-			local[ri+v] += d * x[ri+v]
-		}
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			ci := int(s.ColIdx[j]) * nv
-			a := s.Val[j]
-			for v := 0; v < nv; v++ {
-				local[ri+v] += a * x[ci+v]
-				local[ci+v] += a * x[ri+v]
-			}
-		}
-	}
-}
-
-// mulMatEffectiveT is the generic-nv effective-ranges multiply: rows within
-// the thread's own partition write directly to y; transposed contributions
-// before the partition start buffer into the wide local.
-func (k *Kernel) mulMatEffectiveT(tid, nv int) {
-	s := k.S
-	x, y := k.curX, k.curY
-	local := k.wide.vecs[tid]
-	startT := int(k.Part.Start[tid])
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
-		ri := int(r) * nv
-		d := s.DValues[r]
-		// Accumulate the row locally, store once (same ordering argument
-		// as the single-vector kernel: transposed writes only target
-		// earlier rows).
-		for v := 0; v < nv; v++ {
-			y[ri+v] = d * x[ri+v]
-		}
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := int(s.ColIdx[j])
-			ci := c * nv
-			a := s.Val[j]
-			if c >= startT {
-				for v := 0; v < nv; v++ {
-					y[ri+v] += a * x[ci+v]
-					y[ci+v] += a * x[ri+v]
-				}
-			} else {
-				for v := 0; v < nv; v++ {
-					y[ri+v] += a * x[ci+v]
-					local[ci+v] += a * x[ri+v]
-				}
-			}
-		}
-	}
-}
-
 // reduceMatNaiveT folds the p full-length wide locals into y over thread
 // tid's uniform row chunk, re-zeroing the locals in the same pass; per lane
 // the summation order matches reduceNaiveT exactly.
@@ -291,16 +235,17 @@ func (k *Kernel) reduceMatEffectiveT(tid, nv int) {
 // sequentially like reduceIndexedT.
 func (k *Kernel) reduceMatIndexedT(tid, nv int) {
 	y := k.curY
-	entries, split := k.LV.redEntries, k.LV.redSplit
-	lo, hi := split[tid], split[tid+1]
-	for e := lo; e < hi; {
+	entries := k.LV.redEntries[k.LV.redSplit[tid]:k.LV.redSplit[tid+1]]
+	for e := 0; e < len(entries); {
 		vid := entries[e].Vid
 		local := k.wide.vecs[vid]
-		for ; e < hi && entries[e].Vid == vid; e++ {
+		for ; e < len(entries) && entries[e].Vid == vid; e++ {
 			base := int(entries[e].Idx) * nv
-			for v := 0; v < nv; v++ {
-				y[base+v] += local[base+v]
-				local[base+v] = 0
+			yb := y[base : base+nv : base+nv]
+			lb := local[base : base+nv : base+nv]
+			for v := range yb {
+				yb[v] += lb[v]
+				lb[v] = 0
 			}
 		}
 	}

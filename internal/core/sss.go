@@ -187,6 +187,83 @@ func FromCOOStructural(m *matrix.COO) (*SSS, error) {
 	return s, nil
 }
 
+// invalidSSS is the error of Validate: what is wrong and, when the fault
+// belongs to a row, which one (Row is -1 for a fault in the array lengths).
+type invalidSSS struct {
+	Row int
+	Msg string
+}
+
+func (e *invalidSSS) Error() string {
+	if e.Row < 0 {
+		return "core: invalid SSS: " + e.Msg
+	}
+	return fmt.Sprintf("core: invalid SSS: row %d: %s", e.Row, e.Msg)
+}
+
+// Validate checks the structure every kernel relies on and nothing checks
+// again: the array lengths fit N and Kind, RowPtr starts at zero, never
+// decreases and ends at len(ColIdx), and within a row the columns ascend
+// strictly and stay below the diagonal. The error names the first offending
+// row. Sorted columns are what makes the effective-range boundary a point in
+// the row (an unsorted row would send a write meant for the local vector into
+// another thread's range of y); the pointer bounds are what the multiply
+// bodies' per-row check can then never fail. One pass over the index arrays,
+// run once per kernel build by NewKernel and csx.NewSym.
+func (s *SSS) Validate() error {
+	n := s.N
+	bad := func(row int, format string, args ...any) error {
+		return &invalidSSS{Row: row, Msg: fmt.Sprintf(format, args...)}
+	}
+	if n < 0 || len(s.RowPtr) != n+1 {
+		return bad(-1, "N = %d with %d row pointers, want N+1", n, len(s.RowPtr))
+	}
+	if len(s.Val) != len(s.ColIdx) {
+		return bad(-1, "%d values for %d column indices", len(s.Val), len(s.ColIdx))
+	}
+	wantD, wantU := n, 0
+	switch s.Kind {
+	case Sym:
+	case Skew:
+		wantD = 0
+	case Structural:
+		wantU = len(s.Val)
+	default:
+		return bad(-1, "unknown symmetry class %s", s.Kind)
+	}
+	if len(s.DValues) != wantD || len(s.UVal) != wantU {
+		return bad(-1, "a %s matrix with %d diagonal and %d upper values, want %d and %d",
+			s.Kind, len(s.DValues), len(s.UVal), wantD, wantU)
+	}
+	if s.RowPtr[0] != 0 {
+		return bad(0, "RowPtr[0] = %d, want 0", s.RowPtr[0])
+	}
+	rowPtr, colIdx := s.RowPtr, s.ColIdx
+	j := 0
+	for r := 0; r < n; r++ {
+		hi := int(rowPtr[r+1])
+		if hi < j || hi > len(colIdx) {
+			return bad(r, "row pointers [%d, %d) with %d stored elements", j, hi, len(colIdx))
+		}
+		// Ascending from above -1 and ending below r puts every column in [0, r).
+		prev := int32(-1)
+		for ; j < hi; j++ {
+			c := colIdx[j]
+			if c <= prev {
+				return bad(r, "column %d after %d: want strictly ascending columns in [0, %d)", c, prev, r)
+			}
+			prev = c
+		}
+		if int(prev) >= r {
+			return bad(r, "column %d: want strictly ascending columns in [0, %d)", prev, r)
+		}
+	}
+	if int(rowPtr[n]) != len(colIdx) {
+		return bad(n-1, "RowPtr[N] = %d with %d stored elements", rowPtr[n], len(colIdx))
+	}
+	return nil
+}
+
 // findSlot binary-searches row r's slot for column c in the lower CSR.
 func (s *SSS) findSlot(r, c int32) (int32, bool) {
 	lo, hi := s.RowPtr[r], s.RowPtr[r+1]

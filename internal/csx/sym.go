@@ -47,6 +47,10 @@ func NewSym(s *core.SSS, p int, method core.ReductionMethod, opts Options) *SymM
 		// the wrong operator.
 		panic(fmt.Sprintf("csx: NewSym supports only symmetric matrices, got %s", s.Kind))
 	}
+	// The encoder walks RowPtr/ColIdx as trustingly as the SSS kernels do.
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
 	part := partition.ByNNZ(s.RowPtr, p)
 	sm := &SymMatrix{
 		N:        s.N,

@@ -52,6 +52,32 @@ func TestSymPoolSizeMismatchPanics(t *testing.T) {
 	sm.MulVec(pool, x, y)
 }
 
+// NewSym runs SSS.Validate before it encodes: an unsorted row is refused with
+// Validate's error, not encoded into a blob that would scatter into the wrong
+// thread's range.
+func TestNewSymRefusesInvalidSSS(t *testing.T) {
+	s, err := core.FromCOO(testMatrices(t)["banded"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := 0
+	for s.RowPtr[r+1]-s.RowPtr[r] < 2 {
+		r++
+	}
+	j := s.RowPtr[r]
+	s.ColIdx[j], s.ColIdx[j+1] = s.ColIdx[j+1], s.ColIdx[j]
+	want := s.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted an unsorted row")
+	}
+	defer func() {
+		if got, _ := recover().(error); got == nil || got.Error() != want.Error() {
+			t.Fatalf("NewSym panicked with %v, want Validate's error %q", got, want)
+		}
+	}()
+	NewSym(s, 2, core.Indexed, DefaultOptions())
+}
+
 func TestMatrixPoolSizeMismatchPanics(t *testing.T) {
 	ms := testMatrices(t)
 	mx := NewMatrix(ms["banded"], 3, DefaultOptions())

@@ -2,9 +2,17 @@
 # Size metrics the ROADMAP says should go down, plus the structural counts
 # `make ci` gates on:
 #
-#   non-test Go lines outside benchmark/        (limit 20 000: a ratchet,
-#                                                not a target)
-#   per-thread ...T kernel bodies in core       (limit 33)
+#   hand-written non-test Go lines outside      (limit 20 000: a ratchet,
+#   benchmark/                                   not a target; files that open
+#                                                with the standard "Code generated
+#                                                ... DO NOT EDIT." line are counted
+#                                                apart and not gated: their source
+#                                                is the generator, which is)
+#   hand-written per-thread ...T bodies in core (limit 15: the reductions, the
+#                                                diagonal-init and dot sweeps, the
+#                                                atomic comparator; the 18 multiply
+#                                                bodies are cells of the template
+#                                                in internal/core/gen)
 #   `type Format` declarations                  (limit 1: the facade's alias
 #                                                of the internal/format ID)
 #   files constructing a format kernel          (limit 0 outside
@@ -39,8 +47,18 @@ sources() { # non-test Go outside benchmark/ and build leftovers
 		-not -path './benchmark/*' -not -path './.bench_build/*' | sort
 }
 
-lines=$(sources | xargs cat | wc -l)
-bodies=$(grep -hE '^func .*[a-z0-9]T\(' $(ls internal/core/*.go | grep -v _test.go) | wc -l)
+# generated <file> succeeds when the file opens with the header every Go tool
+# recognises (https://go.dev/s/generatedcode).
+generated() { head -n 1 "$1" | grep -qE '^// Code generated .* DO NOT EDIT\.$'; }
+hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
+
+lines=$(cat $hand | wc -l)
+genlines=$(( $(sources | xargs cat | wc -l) - lines ))
+corefiles=$(echo "$hand" | grep -E '^\./internal/core/[^/]*$')
+corelines=$(cat $corefiles | wc -l)
+tmpllines=$(cat $(echo "$hand" | grep '^\./internal/core/gen/') | wc -l)
+bodies=$(grep -hE '^func .*[a-z0-9]T\(' $corefiles | wc -l)
+cells=$(grep -hE '^func .*[a-z0-9]T\(' internal/core/lowerrow_gen.go | wc -l)
 enums=$(sources | xargs grep -lE '^type Format ' | wc -l)
 
 ctor='(core\.NewKernel|csx\.NewSym|csx\.NewMatrix|csb\.NewSym|bcsr\.FromCOO|csr\.NewParallel)\('
@@ -82,8 +100,11 @@ slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) in
 	printf '%s\n' "$loop" | grep -nE 'strings\.Fields|\.Text\(\)' | sed "s|^|$mmio (data loop):|"; } || true)
 nslow=$(printf '%s' "$slow" | grep -c . || true)
 
-printf 'non-test Go lines outside benchmark/:      %6d  (limit 20000)\n' "$lines"
-printf 'per-thread ...T bodies in internal/core:   %6d  (limit 33)\n' "$bodies"
+printf 'hand-written non-test Go lines:            %6d  (limit 20000; outside benchmark/)\n' "$lines"
+printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
+printf 'generated non-test Go lines:               %6d  (not gated)\n' "$genlines"
+printf 'hand-written ...T bodies in internal/core: %6d  (limit 15)\n' "$bodies"
+printf 'generated ...T cells in internal/core:     %6d\n' "$cells"
 printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
 printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
 printf 'kernel files timing themselves:            %6d  (limit 0)\n' "$ntimers"
@@ -93,12 +114,12 @@ printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
 
 status=0
 if [ "$lines" -gt 20000 ]; then
-	echo "loc: $lines non-test Go lines, over the 20 000 ratchet (ROADMAP item 5)" >&2
+	echo "loc: $lines hand-written non-test Go lines, over the 20 000 ratchet (ROADMAP item 5)" >&2
 	status=1
 fi
-if [ "$bodies" -gt 33 ]; then
-	echo "loc: $bodies per-thread ...T bodies in internal/core, limit 33:" >&2
-	grep -nE '^func .*[a-z0-9]T\(' $(ls internal/core/*.go | grep -v _test.go) >&2
+if [ "$bodies" -gt 15 ]; then
+	echo "loc: $bodies hand-written per-thread ...T bodies in internal/core, limit 15 (a multiply body is a cell of internal/core/gen):" >&2
+	grep -nE '^func .*[a-z0-9]T\(' $corefiles >&2
 	status=1
 fi
 if [ "$enums" -gt 1 ]; then
