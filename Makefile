@@ -113,8 +113,9 @@ generate-check:
 # counted apart) and fails if either passes its ratchet or a
 # second format enum, a format-kernel construction outside internal/format, a
 # kernel timing itself, a second dispatch path in internal/parallel, a second
-# execution mode (domain pools, hub plans), or a comparator sort or per-line
-# string on the set-up path has crept back in.
+# execution mode (domain pools, hub plans), a dropped comparator (the atomic
+# reduction method, internal/bcsr, internal/csb), or a comparator sort or
+# per-line string on the set-up path has crept back in.
 loc:
 	./scripts/loc.sh
 

@@ -48,10 +48,9 @@ func AutoMaxThreads(n int) AutoOption {
 	return func(o *autoOpts) { o.tune.MaxThreads = n }
 }
 
-// AutoFormats restricts the searched formats (default: CSR, BCSR, the four
-// SSS reduction methods plus the conflict-free SSS-colored schedule,
-// CSX-Sym, and CSB). CSX is not in the plan space — it is dominated by
-// CSX-Sym on the symmetric operators this library holds.
+// AutoFormats restricts the searched formats (default: every format with the
+// Tuned capability). CSX is not in the plan space — it is dominated by CSX-Sym
+// on the symmetric operators this library holds.
 func AutoFormats(fs ...Format) AutoOption {
 	return func(o *autoOpts) { o.tune.Formats = fs }
 }
@@ -75,14 +74,6 @@ func AutoVectors(nv int) AutoOption {
 // (default 8); successive-halving rounds double it.
 func AutoTrialIters(n int) AutoOption {
 	return func(o *autoOpts) { o.tune.TrialIters = n }
-}
-
-// AutoAmortizeOps sets the expected kernel lifetime in SpM×V operations,
-// over which preprocessing cost (CSX-Sym encoding, BCSR block search) is
-// amortized into the trial score (default 1000). Short-lived workloads
-// should lower it so cheap-to-build formats win.
-func AutoAmortizeOps(n int) AutoOption {
-	return func(o *autoOpts) { o.tune.AmortizeOps = n }
 }
 
 // AutoLog directs the tuner's progress lines to w.

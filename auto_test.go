@@ -139,12 +139,12 @@ func TestAutoKernelFormatRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, d, err := AutoKernel(A, append(autoTestOptions(t),
-		AutoFormats(SSSIndexed, SSSAtomic), AutoReorder(false))...)
+		AutoFormats(SSSIndexed, SSSNaive), AutoReorder(false))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if f := d.Plan.Format; f != SSSIndexed && f != SSSAtomic {
+	if f := d.Plan.Format; f != SSSIndexed && f != SSSNaive {
 		t.Fatalf("plan format %v outside the restricted space", f)
 	}
 	// CSX (unsymmetric) is not in the plan space and must be rejected early.

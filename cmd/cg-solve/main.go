@@ -30,11 +30,12 @@ import (
 
 	symspmv "repro"
 	"repro/internal/buildinfo"
+	formats "repro/internal/format"
 	"repro/internal/obs"
 )
 
 func main() {
-	format := flag.String("format", "sss-idx", "kernel format: auto, or any name symspmv.ParseFormat accepts (csr, csx, bcsr, csb, sss-naive, sss-eff, sss-idx, sss-atomic, sss-color, csx-sym, ...)")
+	format := flag.String("format", "sss-idx", "kernel format: auto, or any name symspmv.ParseFormat accepts, in any case ("+strings.Join(formats.Names(), ", ")+")")
 	threads := flag.Int("threads", 4, "worker threads (with -format auto: the cap on searched thread counts)")
 	tol := flag.Float64("tol", 1e-10, "relative residual target")
 	maxIter := flag.Int("maxiter", 0, "iteration cap (0 = 10·N)")

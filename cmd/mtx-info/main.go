@@ -117,16 +117,7 @@ func rooflineTable(path string, threads int) error {
 	}
 
 	row(perfmodel.CSRCost(csr.FromCOO(c)))
-	methods := []core.ReductionMethod{
-		core.Naive, core.EffectiveRanges, core.Indexed, core.Atomic, core.Colored,
-	}
-	if s.Kind != core.Sym {
-		// The atomic ablation has no kind-generalized body.
-		methods = []core.ReductionMethod{
-			core.Naive, core.EffectiveRanges, core.Indexed, core.Colored,
-		}
-	}
-	for _, m := range methods {
+	for _, m := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed, core.Colored} {
 		k := core.NewKernel(s, m, pool)
 		row(perfmodel.SSSCost(k))
 	}

@@ -70,7 +70,7 @@ func waitGoroutines(t *testing.T, base int, what string) {
 // otherwise), it computes the dense reference's product, and its fused dot
 // and SpMM closures exist iff the capability bits say so and agree with
 // vec.Dot and per-column MulVec, a repeated product is bitwise the first
-// (the determinism contract, exceptions named below), no product allocates,
+// (the determinism contract, which has no exception), no product allocates,
 // and every product is sampled by the pool (checkSampledProduct). A new row
 // is checked without touching this test.
 func TestFormatConformance(t *testing.T) {
@@ -156,19 +156,11 @@ func TestFormatConformance(t *testing.T) {
 				// contributions to one output element in an order the
 				// partition fixes — local vectors fold in ascending thread
 				// order, colours run in schedule order — so a repeated product
-				// is bitwise the first, on any host. Two exceptions, by
-				// design. SSS-atomic at p > 1: the order in which threads' CAS
-				// updates reach an element is a race. CSB-Sym when elements
-				// lie beyond its three buffered block diagonals and take the
-				// atomic fallback — which cannot happen here: n = 61 is a
-				// single β = 1024 block, so CSB-Sym is held to the contract.
-				deterministic := !(f == SSSAtomic && p > 1)
-				if deterministic {
-					y2 := make([]float64, n)
-					k.MulVec(x, y2)
-					if i := sameBits(y, y2); i >= 0 {
-						t.Errorf("%v %v p=%d: second MulVec y[%d] = %x, first %x", f, fx.kind, p, i, math.Float64bits(y2[i]), math.Float64bits(y[i]))
-					}
+				// is bitwise the first, on any host. No row is exempt.
+				y2 := make([]float64, n)
+				k.MulVec(x, y2)
+				if i := sameBits(y, y2); i >= 0 {
+					t.Errorf("%v %v p=%d: second MulVec y[%d] = %x, first %x", f, fx.kind, p, i, math.Float64bits(y2[i]), math.Float64bits(y[i]))
 				}
 
 				if has := bk.b.MulDot != nil; has != d.Has(format.FusedDot, fx.kind) {
@@ -179,20 +171,18 @@ func TestFormatConformance(t *testing.T) {
 					if ref := vec.Dot(bk.pool, x, yd); dot != ref {
 						t.Errorf("%v %v p=%d: fused dot %g, vec.Dot %g", f, fx.kind, p, dot, ref)
 					}
-					for i := range yd { // not bitwise: the atomic method's update order varies run to run
+					for i := range yd {
 						if !near(yd[i], y[i]) {
 							t.Errorf("%v %v p=%d: fused y[%d] = %g, MulVec %g", f, fx.kind, p, i, yd[i], y[i])
 							break
 						}
 					}
-					if deterministic {
-						yd2 := make([]float64, n)
-						if dot2 := bk.b.MulDot(x, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
-							t.Errorf("%v %v p=%d: second fused dot %x, first %x", f, fx.kind, p, math.Float64bits(dot2), math.Float64bits(dot))
-						}
-						if i := sameBits(yd, yd2); i >= 0 {
-							t.Errorf("%v %v p=%d: second fused y[%d] differs from the first", f, fx.kind, p, i)
-						}
+					yd2 := make([]float64, n)
+					if dot2 := bk.b.MulDot(x, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
+						t.Errorf("%v %v p=%d: second fused dot %x, first %x", f, fx.kind, p, math.Float64bits(dot2), math.Float64bits(dot))
+					}
+					if i := sameBits(yd, yd2); i >= 0 {
+						t.Errorf("%v %v p=%d: second fused y[%d] differs from the first", f, fx.kind, p, i)
 					}
 				}
 
@@ -203,7 +193,6 @@ func TestFormatConformance(t *testing.T) {
 					if err := MulMat(k, xm, ym, nv); err != nil {
 						t.Errorf("%v %v p=%d: MulMat: %v", f, fx.kind, p, err)
 					}
-					// No format with an SpMM kernel is among the exceptions.
 					ym2 := make([]float64, n*nv)
 					if err := MulMat(k, xm, ym2, nv); err != nil {
 						t.Errorf("%v %v p=%d: second MulMat: %v", f, fx.kind, p, err)
@@ -341,23 +330,24 @@ func workerSpans(t *testing.T, p int) [][]string {
 	return lanes
 }
 
-// TestAutoKernelBCSROnSkew is the capability-drift regression: Matrix.Kernel
-// builds BCSR on a skew matrix, so the tuner restricted to BCSR must find it
-// in the plan space too (the tuner's own hand-written class filter used to
-// drop it: "no searched format supports skew-symmetric matrices").
-func TestAutoKernelBCSROnSkew(t *testing.T) {
+// TestAutoKernelCSROnSkew is the capability-drift regression: Matrix.Kernel
+// builds CSR — the General | Tuned row — on a skew matrix, so the tuner
+// restricted to it must find it in the plan space too (the tuner's own
+// hand-written class filter used to drop the unsymmetric baselines: "no
+// searched format supports skew-symmetric matrices").
+func TestAutoKernelCSROnSkew(t *testing.T) {
 	mm, dense := skewMM(rand.New(rand.NewSource(42)), 97, 5)
 	a, err := ReadMatrixMarket(strings.NewReader(mm))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, d, err := AutoKernel(a, AutoNoCache(), AutoFormats(BCSR), AutoMaxThreads(2), AutoTrialIters(2))
+	k, d, err := AutoKernel(a, AutoNoCache(), AutoFormats(CSR), AutoMaxThreads(2), AutoTrialIters(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if d.Plan.Format != BCSR || k.Format() != BCSR {
-		t.Fatalf("plan %v, kernel %v; want BCSR", d.Plan, k.Format())
+	if d.Plan.Format != CSR || k.Format() != CSR {
+		t.Fatalf("plan %v, kernel %v; want CSR", d.Plan, k.Format())
 	}
 	n := a.N()
 	x, y, want := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -376,11 +366,13 @@ func TestAutoKernelBCSROnSkew(t *testing.T) {
 // TestAutoKernelRetunesOverV5CacheEntry: a tuning-cache file written by an
 // earlier cache version — v5, whose format field numbered the tuner's own
 // enum, or v6, which carried the domain count in the key and hub, domains and
-// hierarchical fields in the plan — must read as a corrupt miss, never replay
-// as another plan, and be overwritten by the retune. The v5 file is the
-// current one with its version word rewritten; the v6 file is a well-formed
-// v6 entry for the same key, checksum included, so the version check alone
-// turns it away.
+// hierarchical fields in the plan, or v7, which numbered the format field over
+// the ten-row table — must read as a corrupt miss, never replay as another
+// plan, and be overwritten by the retune. The v5 file is the current one with
+// its version word rewritten; the v6 and v7 files are well-formed entries for
+// the same key, checksums included, so the version check alone turns them
+// away. (v7 shares today's layout; internal/autotune's
+// TestStoreV7EntriesAreMisses walks every old format number.)
 func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
 	A, err := GeneratePoisson2D(24)
 	if err != nil {
@@ -404,8 +396,8 @@ func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
 	}
 	// magic(4) | version u32 LE | fingerprint u64 | machineLen u32 | machine |
 	// nv u32 | kind u8 | format u32 | threads u32 | reorder u8 | score f64 | crc u32
-	if string(current[:4]) != "ATNC" || current[4] != 7 {
-		t.Fatalf("cache entry header % x: not an ATNC v7 file", current[:8])
+	if string(current[:4]) != "ATNC" || current[4] != 8 {
+		t.Fatalf("cache entry header % x: not an ATNC v8 file", current[:8])
 	}
 	v5 := bytes.Clone(current)
 	v5[4] = 5
@@ -417,11 +409,14 @@ func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
 	v6 = append(v6, 0, 0, 0, 0, 0, 0)                // hub, domains, hierarchical
 	v6 = append(v6, current[keyEnd+10:keyEnd+18]...) // score
 	v6 = binary.LittleEndian.AppendUint32(v6, crc32.ChecksumIEEE(v6))
+	v7 := bytes.Clone(current[:len(current)-4])
+	v7[4] = 7
+	v7 = binary.LittleEndian.AppendUint32(v7, crc32.ChecksumIEEE(v7))
 
 	for _, old := range []struct {
 		name string
 		file []byte
-	}{{"v5", v5}, {"v6", v6}} {
+	}{{"v5", v5}, {"v6", v6}, {"v7", v7}} {
 		if err := os.WriteFile(path, old.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +437,7 @@ func TestAutoKernelRetunesOverV5CacheEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rewritten[4] != 7 {
+		if rewritten[4] != 8 {
 			t.Fatalf("%s entry still at version %d after the retune", old.name, rewritten[4])
 		}
 		k3, d3, err := AutoKernel(A, opts...)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/csx"
 	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -91,6 +90,20 @@ type Problem struct {
 	Stats matrix.Stats
 }
 
+// The search's two fixed trade-offs: one value each is in use, so they are
+// constants, not Options.
+const (
+	// pruneRatio drops candidates whose modeled time exceeds the modeled best
+	// by this factor before any trial runs: wide enough that the optimistic
+	// CSX-Sym size estimate (format/estimate.go) keeps it in the trials, and
+	// the two-survivor floor in modelStage covers a model that is off by more.
+	pruneRatio = 2.5
+	// amortizeOps is the number of SpM×V operations the preprocessing cost
+	// (CSX-Sym encoding) is spread over in the trial score — the expected
+	// lifetime of a tuned kernel, a few CG solves.
+	amortizeOps = 1000
+)
+
 // Options configures the search. The zero value is ready to use.
 type Options struct {
 	// MaxThreads caps the thread-count candidates (default GOMAXPROCS).
@@ -105,13 +118,6 @@ type Options struct {
 	TrialIters int
 	// Rounds caps the successive-halving rounds. Default 4.
 	Rounds int
-	// PruneRatio drops candidates whose modeled time exceeds the modeled
-	// best by this factor before any trial runs. Default 2.5.
-	PruneRatio float64
-	// AmortizeOps is the number of SpM×V operations the preprocessing cost
-	// (CSX-Sym encoding, BCSR block search) is spread over in the trial
-	// score — the expected lifetime of the kernel. Default 1000.
-	AmortizeOps int
 	// NV tunes for a multi-RHS (SpMM) workload over NV interleaved vectors
 	// instead of single-vector SpMV: the search space shrinks to the
 	// SpMM-capable formats, the model prices each candidate's SpMM sweep,
@@ -120,8 +126,6 @@ type Options struct {
 	// Platform overrides the model-stage platform (default a host-derived
 	// one from perfmodel.Host).
 	Platform *perfmodel.Platform
-	// CSXOptions overrides CSX-Sym detection parameters.
-	CSXOptions *csx.Options
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -142,12 +146,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Rounds <= 0 {
 		o.Rounds = 4
-	}
-	if o.PruneRatio <= 1 {
-		o.PruneRatio = 2.5
-	}
-	if o.AmortizeOps <= 0 {
-		o.AmortizeOps = 1000
 	}
 	if o.NV < 1 {
 		o.NV = 1
@@ -264,16 +262,14 @@ func newTuner(pr Problem, o Options) *tuner {
 		colorMemo: make(map[int][2]int),
 	}
 	t.shape = format.Shape{
-		N:            int64(t.feat.N),
-		NNZLower:     int64(t.feat.NNZLower),
-		LogicalNNZ:   int64(t.feat.LogicalNNZ),
-		CSRBytes:     t.feat.CSRBytes,
-		SSSBytes:     t.feat.SSSBytes,
-		Bandwidth:    t.feat.Bandwidth,
-		AvgBandwidth: t.feat.AvgBandwidth,
-		Kind:         pr.S.Kind,
-		Conflict:     t.symbolic,
-		Colors:       t.colorCount,
+		N:          int64(t.feat.N),
+		NNZLower:   int64(t.feat.NNZLower),
+		LogicalNNZ: int64(t.feat.LogicalNNZ),
+		CSRBytes:   t.feat.CSRBytes,
+		SSSBytes:   t.feat.SSSBytes,
+		Kind:       pr.S.Kind,
+		Conflict:   t.symbolic,
+		Colors:     t.colorCount,
 	}
 	if o.Platform != nil {
 		t.pl = *o.Platform
@@ -349,7 +345,7 @@ func (t *tuner) modelStage() []int {
 		if c.Status != "" {
 			continue // rejected above; never trialed, never resurrected
 		}
-		if c.ModeledSeconds > t.o.PruneRatio*bestSec {
+		if c.ModeledSeconds > pruneRatio*bestSec {
 			c.Status = fmt.Sprintf("pruned (model: %.1fx off best)", c.ModeledSeconds/bestSec)
 			continue
 		}
@@ -406,7 +402,7 @@ type trial struct {
 // trialStage builds the survivors and races them under successive halving:
 // each round doubles the measured operation count and keeps the faster
 // half, so long accurate timings are spent only on close contenders. The
-// score amortizes the build cost over AmortizeOps operations, which is what
+// score amortizes the build cost over amortizeOps operations, which is what
 // lets cheap-to-build SSS beat CSX-Sym for one-shot workloads and lose for
 // long solver runs.
 func (t *tuner) trialStage(survivors []int) error {
@@ -444,7 +440,7 @@ func (t *tuner) trialStage(survivors []int) error {
 			ns := measure(tr.mul, n, iters)
 			c.MeasuredNs = ns
 			c.Status = "trialed"
-			tr.score = ns + c.PreprocNs/float64(t.o.AmortizeOps)
+			tr.score = ns + c.PreprocNs/amortizeOps
 			t.d.Trials++
 			tuneTrials.Inc()
 			t.o.logf("round %d: %-22s %.0f ns/op (%d iters)", round, c.Plan, ns, iters)
@@ -563,7 +559,9 @@ func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 		}
 		src = &t.rcm
 	}
-	b, err = format.Build(src, plan.Format, t.pool(plan.Threads), format.Options{CSX: t.o.CSXOptions})
+	// Default build options: a trial must time the kernel AutoKernel will
+	// build from the winning plan, and that build passes no CSX overrides.
+	b, err = format.Build(src, plan.Format, t.pool(plan.Threads), format.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -54,12 +54,15 @@ func CacheStats() (hits, misses, corrupt int64) {
 
 const (
 	cacheMagic = "ATNC"
-	// cacheVersion 7: the domain count left the key and the hub, domains and
-	// hierarchical fields left the plan, with the execution modes they
-	// selected. Older entries read as a clean miss and retune. (v6 made the
-	// format field the library-wide format.ID; v5 added the symmetry-class
-	// byte to the key; v3 NV; v2 the SSS-colored format.)
-	cacheVersion = 7
+	// cacheVersion 8: three rows left the format table (ten to seven), so the
+	// format field's numbering moved under every row after CSX (a v7 "5" was
+	// SSS-indexed and would now read as CSX-Sym — a different, buildable
+	// plan). Older entries read as a clean miss and retune. (v7 dropped the
+	// domain count from the key and the hub, domains and hierarchical fields
+	// from the plan; v6 made the format field the library-wide format.ID; v5
+	// added the symmetry-class byte to the key; v3 NV; v2 the SSS-colored
+	// format.)
+	cacheVersion = 8
 )
 
 // Key identifies one tuning-cache entry: the matrix structure fingerprint,

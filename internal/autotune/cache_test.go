@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func TestStoreAbsentIsPlainMiss(t *testing.T) {
 // entryFile saves one valid entry and returns its path and raw bytes.
 func entryFile(t *testing.T, st Store, k Key) (string, []byte) {
 	t.Helper()
-	if err := st.Save(k, Plan{Format: format.CSB, Threads: 2}, 42); err != nil {
+	if err := st.Save(k, Plan{Format: format.SSSColored, Threads: 2}, 42); err != nil {
 		t.Fatal(err)
 	}
 	path := st.path(k)
@@ -99,6 +100,47 @@ func TestStoreBitFlippedEntry(t *testing.T) {
 		p, ok, err := st.Load(k)
 		if ok || err == nil {
 			t.Fatalf("bit flip at byte %d: plan %v ok %v err %v, want miss + error", i, p, ok, err)
+		}
+	}
+}
+
+// TestStoreV7EntriesAreMisses: version 7 numbered the format field over the
+// ten-row table (CSR, CSX, BCSR, SSS-naive, SSS-effective, SSS-indexed,
+// SSS-atomic, CSX-Sym, CSB-Sym, SSS-colored). Under today's seven rows old 2–6
+// name different formats, all buildable, and old 7–9 name none, so a v7 entry —
+// same layout as v8, checksum valid, keyed to this very matrix — must be turned
+// away by its version whatever format it stored: a miss with a diagnostic,
+// never a plan, and the retune's Save overwrites it.
+func TestStoreV7EntriesAreMisses(t *testing.T) {
+	st := Store{Dir: t.TempDir()}
+	k := testKey()
+	for oldID := uint32(0); oldID < 10; oldID++ {
+		var v7 []byte
+		v7 = append(v7, "ATNC"...)
+		v7 = binary.LittleEndian.AppendUint32(v7, 7)
+		v7 = binary.LittleEndian.AppendUint64(v7, k.Fingerprint)
+		v7 = binary.LittleEndian.AppendUint32(v7, uint32(len(k.Machine)))
+		v7 = append(v7, k.Machine...)
+		v7 = binary.LittleEndian.AppendUint32(v7, 1) // nv
+		v7 = append(v7, uint8(core.Sym))
+		v7 = binary.LittleEndian.AppendUint32(v7, oldID)
+		v7 = binary.LittleEndian.AppendUint32(v7, 2) // threads
+		v7 = append(v7, 0)                           // reorder
+		v7 = binary.LittleEndian.AppendUint64(v7, math.Float64bits(42))
+		v7 = binary.LittleEndian.AppendUint32(v7, crc32.ChecksumIEEE(v7))
+		if err := os.WriteFile(st.path(k), v7, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, ok, err := st.Load(k)
+		if ok || err == nil || !strings.Contains(err.Error(), "unsupported version 7") {
+			t.Fatalf("v7 entry with format %d: plan %v ok %v err %v, want a miss on the version", oldID, p, ok, err)
+		}
+		want := Plan{Format: format.SSSIndexed, Threads: 2}
+		if err := st.Save(k, want, 42); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := st.Load(k); err != nil || !ok || got != want {
+			t.Fatalf("after the retune's Save over a v7 entry: plan %v ok %v err %v, want %v", got, ok, err, want)
 		}
 	}
 }
@@ -176,8 +218,9 @@ func TestMachineSignatureStable(t *testing.T) {
 // accepts on the key's matrix, never a panic. Every input is also tried with
 // its checksum repaired, so the fuzzer reaches the field checks behind the
 // CRC. The matrix is skew-symmetric, the class fewest formats run. Seeds: a
-// valid entry, truncations and bit flips (one lands on the version, one turns
-// the format into a symmetric-only one).
+// valid entry, truncations and bit flips (one turns the version into the
+// previous one, 7, whose format field was numbered differently; one turns the
+// format into CSX-Sym, the symmetric-only one).
 func FuzzLoadPlan(f *testing.F) {
 	m := randomSkewCOO(f, 64, 4)
 	s, err := core.FromCOO(m)
@@ -186,7 +229,7 @@ func FuzzLoadPlan(f *testing.F) {
 	}
 	k := Key{Fingerprint: Fingerprint(s), Machine: "fuzz", Kind: core.Skew}
 	st := Store{Dir: f.TempDir()}
-	if err := st.Save(k, Plan{Format: format.SSSEffective, Threads: 2, Reorder: true}, 42); err != nil {
+	if err := st.Save(k, Plan{Format: format.SSSIndexed, Threads: 2, Reorder: true}, 42); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(st.path(k))
@@ -197,9 +240,15 @@ func FuzzLoadPlan(f *testing.F) {
 	for _, cut := range []int{0, 3, 8, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:cut])
 	}
-	for _, i := range []int{0, 4, 8, len(valid) - 21, len(valid) - 17, len(valid) - 1} {
+	if format.SSSIndexed^1 != format.CSXSym || cacheVersion^0x0f != 7 {
+		f.Fatal("the format and version seeds below no longer flip to CSX-Sym and v7")
+	}
+	for _, flip := range []struct {
+		at   int
+		mask byte
+	}{{0, 0x02}, {4, 0x0f}, {8, 0x02}, {len(valid) - 21, 0x01}, {len(valid) - 17, 0x02}, {len(valid) - 1, 0x02}} {
 		flipped := bytes.Clone(valid)
-		flipped[i] ^= 0x02
+		flipped[flip.at] ^= flip.mask
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

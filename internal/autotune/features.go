@@ -4,11 +4,10 @@
 //
 // The paper's evaluation (§V) shows the winning configuration varies per
 // matrix and per platform: SSS-indexed wins where the reduction dominates,
-// CSX-Sym where bandwidth starves the multiply, CSR at low thread counts,
-// and CSB-Sym on narrow-band matrices. OSKI-style systems turn such a pile
-// of kernels into a library by empirical autotuning: a model-guided pruning
-// pass followed by timed micro-trials. This package implements that
-// two-stage search:
+// CSX-Sym where bandwidth starves the multiply, and CSR at low thread
+// counts. OSKI-style systems turn such a pile of kernels into a library by
+// empirical autotuning: a model-guided pruning pass followed by timed
+// micro-trials. This package implements that two-stage search:
 //
 //  1. Model stage — every (format, threads) candidate is priced with the
 //     internal/perfmodel roofline account, fed by cheap structure features
@@ -18,8 +17,8 @@
 //     paper's vector-swapping protocol under successive halving: every
 //     round doubles the trial length and keeps the faster half, so the
 //     expensive long measurements are spent only on the close contenders.
-//     Preprocessing cost (CSX-Sym encoding, BCSR fill search) is amortized
-//     into the score over a configurable number of expected operations.
+//     Preprocessing cost (CSX-Sym encoding) is amortized into the score
+//     over a fixed number of expected operations.
 //
 // Decisions are persisted in a versioned, checksummed on-disk cache keyed by
 // a structure fingerprint of the matrix plus a machine signature, so repeat

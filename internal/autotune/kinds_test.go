@@ -130,7 +130,7 @@ func TestTuneSkewRestrictsPlanSpace(t *testing.T) {
 			t.Errorf("kind-incapable format %v in the skew plan space", c.Format)
 		}
 	}
-	if d.Plan.Format == format.SSSAtomic || d.Plan.Format == format.CSXSym || d.Plan.Format == format.CSB {
+	if !d.Plan.Format.Desc().Has(0, core.Skew) {
 		t.Fatalf("chosen plan %v cannot run a skew matrix", d.Plan)
 	}
 }

@@ -247,7 +247,7 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 	}
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	for _, method := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed, core.Atomic} {
+	for _, method := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed} {
 		k := core.NewKernel(s, method, pool)
 		x := make([]float64, n)
 		const iters = 25

@@ -25,11 +25,6 @@ const (
 	// local-vector entries that are written, and the reduction touches only
 	// those (Fig. 3d).
 	Indexed
-	// Atomic is an ablation comparator outside the paper's three methods:
-	// no local vectors at all — conflicting writes go through lock-free
-	// compare-and-swap updates on a shared accumulator (the Buluç et al.
-	// fallback strategy; see atomic.go for why it loses).
-	Atomic
 	// Colored prevents write conflicts instead of repairing them (RACE-style
 	// block coloring, internal/color): row blocks whose write sets are
 	// disjoint share a color, execution runs one spin-barrier phase per
@@ -47,8 +42,6 @@ func (m ReductionMethod) String() string {
 		return "effective-ranges"
 	case Indexed:
 		return "indexed"
-	case Atomic:
-		return "atomic"
 	case Colored:
 		return "colored"
 	default:
@@ -75,11 +68,6 @@ type Kernel struct {
 
 	pool *parallel.Pool
 	p    int
-
-	// Atomic-method state: the shared bit-pattern accumulator and the
-	// uniform row split of its final conversion pass.
-	acc           []uint64
-	redPartAtomic *partition.RowPartition
 
 	// Colored-method state: the conflict-free block schedule and the uniform
 	// row split used by the diagonal-init and fused-dot phases.
@@ -117,17 +105,11 @@ type Kernel struct {
 // NewKernel builds the parallel kernel. The partition is computed over the
 // strict lower triangle row pointer, matching the paper's nnz-balanced
 // row-wise assignment. For the Indexed method the symbolic analysis runs
-// here, once, and is reused across multiplications. The atomic ablation
-// encodes the symmetric update in its CAS loop and has no kind-generalized
-// variant (everything else does, the template's kind cells): pairing it with a
-// skew or structural matrix is a caller bug — internal/format's table rejects
-// it before it gets here — and panics. So does a matrix that fails Validate,
-// with Validate's error: FromCOO and FromCOOStructural never build one, and no
-// kernel body checks the structure again.
+// here, once, and is reused across multiplications. Every method runs all
+// three symmetry classes (the template's kind cells). A matrix that fails
+// Validate panics with Validate's error: FromCOO and FromCOOStructural never
+// build one, and no kernel body checks the structure again.
 func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
-	if method == Atomic && s.Kind != Sym {
-		panic(fmt.Sprintf("core: the atomic method supports only symmetric matrices, got %s", s.Kind))
-	}
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -141,9 +123,6 @@ func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
 		p:      p,
 	}
 	switch method {
-	case Atomic:
-		k.acc = make([]uint64, s.N)
-		k.redPartAtomic = partition.Uniform(s.N, p)
 	case Colored:
 		k.sched = color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
 		k.initPart = partition.Uniform(s.N, p)
@@ -209,9 +188,8 @@ func (k *Kernel) assemble(dot []float64, op OpClass) *parallel.PhaseList {
 	return k.newList(k.phases(dot), phaseObs[k.Method], op, 1)
 }
 
-// phases labels the chain: multiply (compute) → reduce (reduction; the Atomic
-// finalize pass counts as its reduction), with the Indexed fused-dot
-// variant's trailing sweep again compute.
+// phases labels the chain: multiply (compute) → reduce (reduction), with the
+// Indexed fused-dot variant's trailing sweep again compute.
 func (k *Kernel) phases(dot []float64) []parallel.Phase {
 	name := k.Method.String()
 	var mult func(tid int)
@@ -225,15 +203,6 @@ func (k *Kernel) phases(dot []float64) []parallel.Phase {
 		mult = func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
 		if k.S.Kind != Sym {
 			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
-		}
-	case Atomic:
-		red := func(tid int) { k.finalizeAtomicT(tid, k.curY) }
-		if dot != nil {
-			red = func(tid int) { dot[tid*DotStride] = k.finalizeAtomicDotT(tid, k.curX, k.curY) }
-		}
-		return []parallel.Phase{
-			parallel.ComputePhase(name+"/multiply", func(tid int) { k.multiplyAtomicT(tid, k.curX) }),
-			parallel.ReductionPhase(name+"/reduce", red),
 		}
 	case Colored:
 		return k.assembleColored(dot)

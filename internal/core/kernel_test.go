@@ -84,7 +84,7 @@ func TestParallelKernelsMatchReference(t *testing.T) {
 
 		for _, p := range []int{1, 2, 3, 4, 7, 16} {
 			pool := parallel.NewPool(p)
-			for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Atomic, Colored} {
+			for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 				k := NewKernel(s, method, pool)
 				got := make([]float64, n)
 				// Run twice: the second run catches stale local-vector state
@@ -116,25 +116,16 @@ func TestMulVecDotMatchesMulVec(t *testing.T) {
 		}
 		for _, p := range []int{1, 2, 4, 7} {
 			pool := parallel.NewPool(p)
-			for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Atomic, Colored} {
+			for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 				k := NewKernel(s, method, pool)
 				y1 := make([]float64, n)
 				y2 := make([]float64, n)
 				k.MulVec(x, y1)
 				dot := k.MulVecDot(x, y2)
-				if method == Atomic {
-					// CAS accumulation order is scheduling-dependent, so the
-					// Atomic ablation is only reproducible to roundoff.
-					if d := maxRelDiff(y1, y2); d > 1e-12 {
-						t.Fatalf("n=%d p=%d method=%v: MulVecDot differs from MulVec by %g",
-							n, p, method, d)
-					}
-				} else {
-					for i := range y1 {
-						if y1[i] != y2[i] {
-							t.Fatalf("n=%d p=%d method=%v: y[%d] differs: MulVec %g, MulVecDot %g",
-								n, p, method, i, y1[i], y2[i])
-						}
+				for i := range y1 {
+					if y1[i] != y2[i] {
+						t.Fatalf("n=%d p=%d method=%v: y[%d] differs: MulVec %g, MulVecDot %g",
+							n, p, method, i, y1[i], y2[i])
 					}
 				}
 				want := 0.0
@@ -347,7 +338,7 @@ func TestKernelMoreThreadsThanRows(t *testing.T) {
 	x := []float64{1, -2, 3, -4, 5}
 	want := make([]float64, 5)
 	m.MulVec(x, want)
-	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Atomic, Colored} {
+	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 		k := NewKernel(s, method, pool)
 		got := make([]float64, 5)
 		k.MulVec(x, got)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -165,15 +164,6 @@ func TestKindGating(t *testing.T) {
 	}
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-
-	func() {
-		defer func() {
-			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "atomic") {
-				t.Errorf("atomic over skew: panic = %v, want atomic-method rejection", v)
-			}
-		}()
-		NewKernel(s, Atomic, pool)
-	}()
 
 	k := NewKernel(s, Indexed, pool)
 	x := make([]float64, 50*2)

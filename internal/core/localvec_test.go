@@ -169,39 +169,10 @@ func TestSSSBytesEquation(t *testing.T) {
 	}
 }
 
-func TestAtomicTrafficAndCrossWrites(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randomSymmetric(t, rng, 1024, 4)
-	s, err := FromCOO(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := parallel.NewPool(8)
-	defer pool.Close()
-	k := NewKernel(s, Atomic, pool)
-	tr := k.Traffic()
-	if tr.AtomicOps != int64(len(s.Val))+int64(s.N) {
-		t.Fatalf("AtomicOps = %d, want nnzLower+N = %d", tr.AtomicOps, len(s.Val)+s.N)
-	}
-	if tr.WorkingSetOverhead != int64(8*s.N) {
-		t.Fatalf("atomic ws = %d, want 8N = %d", tr.WorkingSetOverhead, 8*s.N)
-	}
-	cross := k.CrossWrites()
-	if cross <= 0 || cross > int64(len(s.Val)) {
-		t.Fatalf("CrossWrites = %d outside (0, nnzLower]", cross)
-	}
-	// Single-threaded: no cross writes at all.
-	pool1 := parallel.NewPool(1)
-	defer pool1.Close()
-	if c := NewKernel(s, Atomic, pool1).CrossWrites(); c != 0 {
-		t.Fatalf("p=1 CrossWrites = %d, want 0", c)
-	}
-}
-
 func TestReductionMethodString(t *testing.T) {
 	for m, want := range map[ReductionMethod]string{
 		Naive: "naive", EffectiveRanges: "effective-ranges",
-		Indexed: "indexed", Atomic: "atomic", ReductionMethod(99): "ReductionMethod(99)",
+		Indexed: "indexed", Colored: "colored", ReductionMethod(99): "ReductionMethod(99)",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("String(%d) = %q, want %q", int(m), got, want)

@@ -7,8 +7,7 @@ package core
 // lower row, instantiated 18 times by gen/main.go into lowerrow_gen.go (the
 // holes and the loop's shape are described there and in DESIGN.md §17).
 // What stays hand-written is what is not that loop: the reductions
-// (localvec.go, mulmat.go), the diagonal-init and dot sweeps (colored.go) and
-// the atomic comparator (atomic.go).
+// (localvec.go, mulmat.go) and the diagonal-init and dot sweeps (colored.go).
 
 // rowPtrOverrun is what a generated body panics with when a row's end pointer
 // lies past the column array — the check that lets the inner loops index

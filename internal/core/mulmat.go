@@ -61,9 +61,8 @@ func (s *SSS) MulMat(x, y []float64, nv int) {
 }
 
 // MulMat computes Y = A·X on the kernel's pool for nv interleaved vectors.
-// Supported for every reduction method except the Atomic ablation (whose
-// CAS accumulator is single-vector); unsupported methods and bad dimensions
-// return an error instead of panicking inside the pool.
+// Supported for every reduction method on symmetric matrices; other classes
+// and bad dimensions return an error instead of panicking inside the pool.
 func (k *Kernel) MulMat(x, y []float64, nv int) error {
 	if err := k.checkMat(x, y, nv); err != nil {
 		return err
@@ -81,9 +80,6 @@ func (k *Kernel) MulMat(x, y []float64, nv int) error {
 
 // checkMat validates an SpMM request.
 func (k *Kernel) checkMat(x, y []float64, nv int) error {
-	if k.Method == Atomic {
-		return fmt.Errorf("core: MulMat is not supported by the atomic method (its CAS accumulator is single-vector)")
-	}
 	if k.S.Kind != Sym {
 		return fmt.Errorf("core: MulMat supports only symmetric matrices, got %s (multi-RHS bodies have no kind-generalized variant)", k.S.Kind)
 	}

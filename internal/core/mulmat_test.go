@@ -123,18 +123,6 @@ func TestKernelMulMatInterleavesWithMulVec(t *testing.T) {
 	}
 }
 
-func TestMulMatAtomicUnsupported(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	m := randomSymmetric(t, rng, 20, 2)
-	s, _ := FromCOO(m)
-	pool := parallel.NewPool(2)
-	defer pool.Close()
-	k := NewKernel(s, Atomic, pool)
-	if err := k.MulMat(make([]float64, 40), make([]float64, 40), 2); err == nil {
-		t.Fatal("expected an error for Atomic MulMat")
-	}
-}
-
 func TestMulMatBadArgs(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	m := randomSymmetric(t, rng, 20, 2)

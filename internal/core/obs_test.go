@@ -45,7 +45,7 @@ func TestTimedMulVecInvariant(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Atomic, Colored} {
+	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 		k := NewKernel(s, method, pool)
 		for it := 0; it < 3; it++ {
 			pt := k.TimedMulVec(x, y)
@@ -135,7 +135,7 @@ func TestMulVecZeroAlloc(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Atomic, Colored} {
+	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 		k := NewKernel(s, method, pool)
 		k.MulVec(x, y)    // warm up
 		k.MulVecDot(x, y) // allocates the dot buffer + fused phase list once

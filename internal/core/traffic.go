@@ -27,11 +27,6 @@ type Traffic struct {
 	// using the measured index length rather than the density approximation).
 	WorkingSetOverhead int64
 
-	// AtomicOps counts lock-prefixed read-modify-write operations per
-	// iteration (Atomic method only); the platform model prices them by
-	// latency, not bandwidth.
-	AtomicOps int64
-
 	// ExtraBarriers counts barrier crossings beyond the one closing each
 	// priced phase (Colored method only: the colors−1 additional phase
 	// boundaries of the conflict-free schedule, plus the init→color one).
@@ -95,15 +90,6 @@ func (k *Kernel) Traffic() Traffic {
 		t.RedBytes = 8*e /* locals */ + 8*e /* index */ + 8*e /* y updates */
 		t.RedFlops = e
 		t.WorkingSetOverhead = 16 * e
-	case Atomic:
-		// One shared accumulator (8N, thread-count independent) absorbs
-		// every write; the finalize pass converts it into y. The real cost
-		// is the per-element locked update, counted separately.
-		t.MultVectorBytes = xBytes + 8*n
-		t.RedBytes = 8*n + yBytes // finalize: read acc, write y
-		t.RedFlops = 0
-		t.WorkingSetOverhead = 8 * n
-		t.AtomicOps = nnzLower + n
 	case Colored:
 		// Conflict prevention: zero reduction traffic and zero working-set
 		// overhead. y moves twice through the multiply — written by the

@@ -217,7 +217,7 @@ func TestReadSymMatrixRejectsCorruptBlobs(t *testing.T) {
 			sm.Blobs[1].StartRow--
 		}},
 		{"unsupported reduction method", func(sm *SymMatrix) {
-			sm.Method = core.Atomic
+			sm.Method = core.Colored
 		}},
 	}
 	for _, tc := range cases {

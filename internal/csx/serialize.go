@@ -287,8 +287,8 @@ func ReadSymMatrix(r io.Reader) (*SymMatrix, error) {
 		return nil, err
 	}
 	// CSX-Sym executes only the first three reduction methods (NewSym never
-	// produces Atomic or Colored); accepting a larger value here would hand
-	// the kernels a matrix with no usable local-vector state.
+	// produces Colored); accepting a larger value here would hand the kernels
+	// a matrix with no usable local-vector state.
 	if method > uint32(core.Indexed) {
 		return nil, fmt.Errorf("csx: unsupported reduction method %d for CSX-Sym", method)
 	}

@@ -3,10 +3,8 @@ package format
 import (
 	"time"
 
-	"repro/internal/bcsr"
 	"repro/internal/cg"
 	"repro/internal/core"
-	"repro/internal/csb"
 	"repro/internal/csr"
 	"repro/internal/csx"
 	"repro/internal/matrix"
@@ -110,26 +108,10 @@ func buildCSX(_ *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built,
 	}, nil
 }
 
-func buildBCSR(_ *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built, error) {
-	br, bc, err := bcsr.AutoTune(m.M, nil)
-	if err != nil {
-		return nil, err
-	}
-	a, err := bcsr.FromCOO(m.M, br, bc)
-	if err != nil {
-		return nil, err
-	}
-	return &Built{
-		Mul:   bcsr.NewParallel(a, pool).MulVec,
-		Bytes: a.Bytes(),
-		Cost:  func(m *Matrix) perfmodel.SpMVCost { return perfmodel.BCSRCost(a, m.expanded()) },
-	}, nil
-}
-
 // sssMethod is the reduction method behind each SSS format.
 var sssMethod = map[ID]core.ReductionMethod{
 	SSSNaive: core.Naive, SSSEffective: core.EffectiveRanges,
-	SSSIndexed: core.Indexed, SSSAtomic: core.Atomic, SSSColored: core.Colored,
+	SSSIndexed: core.Indexed, SSSColored: core.Colored,
 }
 
 func buildSSS(d *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built, error) {
@@ -155,18 +137,6 @@ func buildCSXSym(_ *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Bui
 		Bytes:  smx.Bytes(),
 		Cost:   func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSXSymCost(smx, m.S) },
 		Sym:    smx,
-	}, nil
-}
-
-func buildCSB(_ *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built, error) {
-	sm, err := csb.NewSym(m.S, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Built{
-		Mul:   csb.NewKernel(sm, pool).MulVec,
-		Bytes: sm.Bytes(),
-		Cost:  func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSBSymCost(sm, m.S) },
 	}, nil
 }
 

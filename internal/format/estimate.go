@@ -7,23 +7,17 @@ import (
 
 // The model-stage estimates price a format before anything is built. CSR and
 // the SSS methods are priced exactly (their working sets follow the paper's
-// equations from the structure features alone); CSX-Sym, BCSR and CSB-Sym
-// need encoded sizes that only exist after construction, so they get
-// deliberately optimistic estimates — an optimistic estimate can only cost
-// an extra micro-trial, while a pessimistic one would prune the true winner
-// without ever timing it.
-const (
-	// csxCompressionEstimate is the assumed CSX-Sym size relative to SSS.
-	// The paper's Table I reports 58–68% total compression over CSR, which
-	// lands the encoded stream at roughly half the SSS bytes on
-	// delta-friendly matrices; 0.55 keeps CSX-Sym in the trial pool
-	// whenever compression could plausibly pay.
-	csxCompressionEstimate = 0.55
-	// bcsrFillEstimate is the assumed explicit-fill inflation of the blocked
-	// baseline (stored/logical). Well-blocked FEM matrices sit near 1.1;
-	// 1.3 is the suite median under the AutoTune block search.
-	bcsrFillEstimate = 1.3
-)
+// equations from the structure features alone); CSX-Sym needs an encoded size
+// that only exists after construction, so it gets a deliberately optimistic
+// estimate — an optimistic estimate can only cost an extra micro-trial, while
+// a pessimistic one would prune the true winner without ever timing it.
+
+// csxCompressionEstimate is the assumed CSX-Sym size relative to SSS. The
+// paper's Table I reports 58–68% total compression over CSR, which lands the
+// encoded stream at roughly half the SSS bytes on delta-friendly matrices;
+// 0.55 keeps CSX-Sym in the trial pool whenever compression could plausibly
+// pay.
+const csxCompressionEstimate = 0.55
 
 // Shape is what an estimate may read: the matrix's structure statistics and
 // the two symbolic scans that depend on the thread count, which the caller
@@ -31,8 +25,6 @@ const (
 type Shape struct {
 	N, NNZLower, LogicalNNZ int64
 	CSRBytes, SSSBytes      int64 // Eq. (1) and Eq. (2) sizes
-	Bandwidth               int
-	AvgBandwidth            float64
 	Kind                    core.SymKind
 
 	// Conflict returns the conflict-index length and effective-region size
@@ -54,15 +46,6 @@ func estimateCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _ int) perfmode
 	c.MultFlops = 2 * sh.LogicalNNZ
 	c.MultBytes = sh.CSRBytes + 16*sh.N
 	c.XAccesses = sh.LogicalNNZ
-	return c
-}
-
-func estimateBCSR(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _ int) perfmodel.SpMVCost {
-	stored := int64(bcsrFillEstimate * float64(sh.LogicalNNZ))
-	c.MultFlops = 2 * stored
-	// 8 B value + ~1 B amortized block indexing per stored element.
-	c.MultBytes = 9*stored + 4*sh.N
-	c.XAccesses = sh.LogicalNNZ / 4 // one irregular probe per block column
 	return c
 }
 
@@ -114,44 +97,6 @@ func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p int) perfmode
 		c.MultBytes = matBytes + 16*n + 8*e
 		c.RedBytes = 24 * e
 		c.RedFlops = e
-	case core.Atomic:
-		c.MultBytes = matBytes + 16*n
-		c.AtomicOps = crossElems(sh, p)
-		c.RedBytes = 16 * n
-		c.RedFlops = n
-	}
-	return c
-}
-
-// crossElems estimates the stored elements whose transposed write lands in
-// another thread's rows at p threads: the fraction of the average bandwidth
-// that exceeds a thread's row chunk. Prices the Atomic method's contention.
-func crossElems(sh *Shape, p int) int64 {
-	chunk := float64(sh.N) / float64(p)
-	if chunk <= 0 {
-		return sh.NNZLower
-	}
-	frac := sh.AvgBandwidth / chunk
-	if frac > 1 {
-		frac = 1
-	}
-	return int64(frac * float64(sh.NNZLower))
-}
-
-func estimateCSB(_ *Descriptor, c perfmodel.SpMVCost, sh *Shape, _ int) perfmodel.SpMVCost {
-	n, nnzL := sh.N, sh.NNZLower
-	c.MultFlops = 2*n + 4*nnzL
-	c.UsefulFlops = c.MultFlops
-	// 12 B blocked elements, x and y streams, and roughly half the elements
-	// writing through the offset buffers.
-	c.MultBytes = 12*nnzL + 8*n + 16*n + 8*(nnzL/2)
-	c.RedBytes = 8 * 4 * n
-	c.RedFlops = 3 * n
-	c.XAccesses = 2*nnzL + n
-	if float64(sh.Bandwidth) > 3*1024 {
-		// Elements beyond the three buffered block diagonals fall back to
-		// atomics; wide-band matrices pay for it.
-		c.AtomicOps = nnzL / 4
 	}
 	return c
 }

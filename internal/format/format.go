@@ -24,9 +24,6 @@ const (
 	CSR ID = iota
 	// CSX is the unsymmetric Compressed Sparse eXtended format.
 	CSX
-	// BCSR is the register-blocked unsymmetric baseline (auto-tuned block
-	// shape; Im & Yelick / OSKI).
-	BCSR
 	// SSSNaive is the symmetric SSS kernel with naive full local vectors.
 	SSSNaive
 	// SSSEffective is SSS with the effective-ranges reduction.
@@ -34,16 +31,9 @@ const (
 	// SSSIndexed is SSS with the paper's local-vectors indexing (the
 	// recommended symmetric configuration).
 	SSSIndexed
-	// SSSAtomic is SSS with direct lock-free atomic updates instead of
-	// local vectors — an ablation comparator, not a recommended mode.
-	SSSAtomic
 	// CSXSym is the compressed symmetric format with indexed reduction
 	// (highest compression; pays a preprocessing cost).
 	CSXSym
-	// CSB is the symmetric Compressed Sparse Blocks comparator (Buluç et
-	// al.): thread-count-independent reduction, atomic fallback for
-	// wide-band matrices.
-	CSB
 	// SSSColored is SSS under the conflict-free colored schedule (RACE-style
 	// block coloring): threads write y directly, one phase per color — no
 	// local vectors and no reduction phase at all. Strongest on
@@ -112,8 +102,6 @@ var table = [...]Descriptor{
 	CSR: {Name: "CSR", Caps: AnyClass | General | MulMat | Tuned,
 		build: buildCSR, estimate: estimateCSR},
 	CSX: {Name: "CSX", Caps: AnyClass | General, build: buildCSX},
-	BCSR: {Name: "BCSR", Caps: AnyClass | General | Tuned,
-		build: buildBCSR, estimate: estimateBCSR},
 	SSSNaive: {Name: "SSS-naive", Caps: AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
 	SSSEffective: {Name: "SSS-effective", Aliases: []string{"sss-eff"},
@@ -122,12 +110,8 @@ var table = [...]Descriptor{
 	SSSIndexed: {Name: "SSS-indexed", Aliases: []string{"sss", "sss-idx"},
 		Caps:  AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},
-	SSSAtomic: {Name: "SSS-atomic", Caps: Symmetric | FusedDot | Tuned,
-		build: buildSSS, estimate: estimateSym},
 	CSXSym: {Name: "CSX-Sym", Caps: Symmetric | FusedDot | Serial | Tuned,
 		build: buildCSXSym, estimate: estimateSym},
-	CSB: {Name: "CSB-Sym", Aliases: []string{"csb"}, Caps: Symmetric | Tuned,
-		build: buildCSB, estimate: estimateCSB},
 	SSSColored: {Name: "SSS-colored", Aliases: []string{"sss-color"},
 		Caps:  AnyClass | MulMat | FusedDot | Tuned,
 		build: buildSSS, estimate: estimateSym},

@@ -44,7 +44,9 @@ func TestTableIsWellFormed(t *testing.T) {
 // TestParse: every format's own String() parses back (so a name the server
 // reports can be posted to it), in any case; every spelling the two retired
 // name maps (internal/serve, cmd/cg-solve) accepted still resolves to the
-// same format; and the error names the alternatives.
+// same format; the error names the alternatives; and the names of the three
+// rows that left the table (BCSR, CSB-Sym, SSS-atomic) are unknown formats like
+// any other.
 func TestParse(t *testing.T) {
 	for _, f := range All() {
 		for _, name := range []string{f.String(), strings.ToLower(f.String()), strings.ToUpper(f.String())} {
@@ -54,22 +56,24 @@ func TestParse(t *testing.T) {
 		}
 	}
 	legacy := map[string]ID{
-		"csr": CSR, "csx": CSX, "bcsr": BCSR, "sss": SSSIndexed, "sss-idx": SSSIndexed,
+		"csr": CSR, "csx": CSX, "sss": SSSIndexed, "sss-idx": SSSIndexed,
 		"sss-naive": SSSNaive, "sss-eff": SSSEffective, "sss-color": SSSColored,
-		"csx-sym": CSXSym, "csb": CSB, "sss-atomic": SSSAtomic,
+		"csx-sym": CSXSym,
 	}
 	for name, want := range legacy {
 		if got, err := Parse(name); err != nil || got != want {
 			t.Errorf("Parse(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	_, err := Parse("sss-indexd")
-	if err == nil {
-		t.Fatal("Parse accepted a typo")
-	}
-	for _, name := range Names() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("Parse error %q does not list %q", err, name)
+	for _, unknown := range []string{"sss-indexd", "bcsr", "csb", "csb-sym", "sss-atomic"} {
+		_, err := Parse(unknown)
+		if err == nil {
+			t.Fatalf("Parse accepted %q", unknown)
+		}
+		for _, name := range Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Parse(%q) error %q does not list %q", unknown, err, name)
+			}
 		}
 	}
 }
@@ -90,7 +94,7 @@ func TestCheckNamesWhatIsMissing(t *testing.T) {
 		{CSR, MulMat, core.Skew, ""},
 		{CSXSym, 0, core.Skew, "skew-symmetric"},
 		{CSX, MulMat, core.Sym, "no SpMM kernel"},
-		{CSB, FusedDot | Serial, core.Sym, "no fused dot, serialized form"},
+		{CSR, FusedDot | Serial, core.Sym, "no fused dot, serialized form"},
 		{SSSIndexed, MulMat, core.Skew, "SpMM kernel supports only symmetric"},
 		{SSSIndexed, MulMat, core.Structural, "structurally-symmetric"},
 	}

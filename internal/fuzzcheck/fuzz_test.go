@@ -3,6 +3,10 @@ package fuzzcheck
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -123,7 +127,7 @@ func FuzzDecodeBlob(f *testing.F) {
 // symBytes serializes a small CSX-Sym matrix, optionally corrupted in
 // memory first — the resulting file always carries a valid CRC, so these
 // inputs exercise the structural validation behind the checksum.
-func symBytes(f *testing.F, method core.ReductionMethod, mutate func(sm *csx.SymMatrix)) []byte {
+func symBytes(f testing.TB, method core.ReductionMethod, mutate func(sm *csx.SymMatrix)) []byte {
 	m := matrix.NewCOO(24, 24, 24*3)
 	m.Symmetric = true
 	for r := 0; r < 24; r++ {
@@ -182,4 +186,34 @@ func FuzzSymDeserialize(f *testing.F) {
 		defer pool.Close()
 		sm.MulVec(pool, x, y)
 	})
+}
+
+// TestCorruptMethodSeedIsStillRejected pins the checked-in corrupt-method seed
+// across the removal of the Atomic reduction method: the seed stores method
+// byte 3 — Atomic when gencorpus wrote it, Colored now — so regenerating it
+// changes an identifier and not a byte, and ReadSymMatrix turns it away for the
+// same reason as before (CSX-Sym runs the three local-vector methods only).
+func TestCorruptMethodSeedIsStillRejected(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSymDeserialize", "corrupt-method"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSuffix(string(file), ")\n"), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("corrupt-method is not a one-value []byte corpus file: %q", file[:min(len(file), 40)])
+	}
+	seed, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.Colored != 3 {
+		t.Fatalf("core.Colored = %d; the seed stores method 3", core.Colored)
+	}
+	want := symBytes(t, core.Indexed, func(sm *csx.SymMatrix) { sm.Method = core.Colored })
+	if !bytes.Equal([]byte(seed), want) {
+		t.Fatal("the checked-in corrupt-method seed is not what gencorpus writes today; run go run ./internal/fuzzcheck/gencorpus")
+	}
+	if _, err := csx.ReadSymMatrix(bytes.NewReader([]byte(seed))); err == nil || !strings.Contains(err.Error(), "unsupported reduction method 3") {
+		t.Fatalf("ReadSymMatrix(corrupt-method) = %v, want the unsupported-method error", err)
+	}
 }

@@ -31,8 +31,7 @@ type Case struct {
 //     chunks in ByNNZ,
 //   - a single dense row (= dense column, by symmetry): one thread owns
 //     nearly all nonzeros, local vectors cover the whole prefix,
-//   - extreme bandwidth: entries at (r, 0) stress the reduction index and
-//     CSB's atomic fallback,
+//   - extreme bandwidth: entries at (r, 0) stress the reduction index,
 //   - duplicate COO entries, partially cancelling: Normalize's summing and
 //     the builders' tolerance of them,
 //   - denormal and huge values: tolerance modelling and non-finite guards,

@@ -58,7 +58,7 @@ func main() {
 		"valid-effective":      symBytes(core.EffectiveRanges, nil),
 		"corrupt-unknown-unit": symBytes(core.Indexed, func(sm *csx.SymMatrix) { sm.Blobs[1].Ctl[0] |= 0x3f }),
 		"corrupt-blob-rows":    symBytes(core.Indexed, func(sm *csx.SymMatrix) { sm.Blobs[0].StartRow++ }),
-		"corrupt-method":       symBytes(core.Indexed, func(sm *csx.SymMatrix) { sm.Method = core.Atomic }),
+		"corrupt-method":       symBytes(core.Indexed, func(sm *csx.SymMatrix) { sm.Method = core.Colored }),
 		"truncated-tail":       clean[:len(clean)-5],
 		"truncated-header":     clean[:20],
 	}

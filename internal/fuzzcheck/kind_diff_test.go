@@ -33,9 +33,8 @@ func buildKindMatrix(t *testing.T, m *matrix.COO, wantClass string) *symspmv.Mat
 // TestKindDifferentialSuite is the skew/structural analog of
 // TestDifferentialSuite: every KindSuite case × every format whose descriptor
 // runs the case's class (the unsymmetric baselines, which expand to a full
-// general matrix, and the kind-generalized SSS methods; CSX-Sym, CSB-Sym and
-// the atomic ablation hard-code the symmetric transposed write) ×
-// every thread count agrees with the serial dense reference (which mirrors
+// general matrix, and the kind-generalized SSS methods; CSX-Sym hard-codes the
+// symmetric transposed write) × every thread count agrees with the serial dense reference (which mirrors
 // −v for skew input and takes general input as stored). y is pre-filled with
 // NaN before each multiply, and each kernel runs twice to catch stale
 // per-call state.

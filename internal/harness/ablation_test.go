@@ -9,34 +9,6 @@ import (
 	"repro/internal/format"
 )
 
-func TestAblationReduction(t *testing.T) {
-	suite, err := LoadSuite(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := AblationReduction(tinyCfg(), suite)
-	if len(tab.Rows) != 5 {
-		t.Fatalf("want 5 method rows, got %d", len(tab.Rows))
-	}
-	speed := map[string]float64{}
-	for _, row := range tab.Rows {
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			t.Fatalf("bad cell %q", row[1])
-		}
-		speed[row[0]] = v
-	}
-	// Rows carry the canonical format labels, the same ones the facade prints.
-	naive, eff := speed[format.SSSNaive.String()], speed[format.SSSEffective.String()]
-	idx, atomic := speed[format.SSSIndexed.String()], speed[format.SSSAtomic.String()]
-	if !(idx > eff && eff > naive && naive > 0) {
-		t.Errorf("reduction ordering broken: %v", speed)
-	}
-	if atomic <= 0 || atomic >= idx {
-		t.Errorf("atomic (%g) should not beat indexed (%g)", atomic, idx)
-	}
-}
-
 func TestAblationCSXVariantsOrdered(t *testing.T) {
 	suite, err := LoadSuite(tinyCfg())
 	if err != nil {
@@ -57,25 +29,6 @@ func TestAblationCSXVariantsOrdered(t *testing.T) {
 	if cr["full"] < cr["delta-only"] {
 		t.Errorf("full detection (%g%%) compresses worse than delta-only (%g%%)",
 			cr["full"], cr["delta-only"])
-	}
-}
-
-func TestAblationBaselines(t *testing.T) {
-	cfg := tinyCfg()
-	suite, err := LoadSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := AblationBaselines(cfg, suite)
-	if len(tab.Rows) != len(suite) {
-		t.Fatalf("want %d rows, got %d", len(suite), len(tab.Rows))
-	}
-	// The fill column parses and is >= 1.
-	for _, row := range tab.Rows {
-		fill, err := strconv.ParseFloat(row[len(row)-1], 64)
-		if err != nil || fill < 1 {
-			t.Fatalf("bad fill cell %q (err %v)", row[len(row)-1], err)
-		}
 	}
 }
 

@@ -58,14 +58,8 @@ var experiments = map[string]func(cfg Config, suite []*SuiteMatrix) ([]*Table, e
 		}
 		return []*Table{t}, nil
 	},
-	"ablation-reduction": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		return []*Table{AblationReduction(cfg, suite)}, nil
-	},
 	"ablation-csx": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		return []*Table{AblationCSX(cfg, suite)}, nil
-	},
-	"ablation-baselines": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		return []*Table{AblationBaselines(cfg, suite)}, nil
 	},
 	"colored": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		tables := ColoredSpeedup(cfg, suite)
@@ -115,8 +109,7 @@ func ExperimentNames() []string {
 var paperOrder = []string{
 	"table1", "table2", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12",
 	"table3", "fig13", "preproc", "fig14",
-	"ablation-reduction", "ablation-csx", "ablation-baselines",
-	"colored", "phases",
+	"ablation-csx", "colored", "phases",
 }
 
 // Run executes one experiment (or "all") against a freshly loaded suite,

@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bcsr"
 	"repro/internal/core"
-	"repro/internal/csb"
 	"repro/internal/csr"
 	"repro/internal/csx"
 	"repro/internal/matrix"
@@ -48,47 +46,6 @@ func TestCSXCostBelowCSRCost(t *testing.T) {
 	}
 	if cCSX.XSpanBytes != cCSR.XSpanBytes {
 		t.Fatalf("x spans should match (same operator): %d vs %d", cCSX.XSpanBytes, cCSR.XSpanBytes)
-	}
-}
-
-func TestBCSRCostCountsFill(t *testing.T) {
-	m, _ := scatteredSym(t, 1500, 3)
-	a := csr.FromCOO(m)
-	bm, err := bcsr.FromCOO(m, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := BCSRCost(bm, a)
-	if c.MultFlops <= c.UsefulFlops {
-		t.Fatalf("fill flops not counted: mult=%d useful=%d", c.MultFlops, c.UsefulFlops)
-	}
-	if c.Name != "BCSR-3x3" {
-		t.Fatalf("Name = %q", c.Name)
-	}
-}
-
-func TestCSBSymCostAtomics(t *testing.T) {
-	_, s := scatteredSym(t, 4000, 4)
-	sm, err := csb.NewSym(s, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := CSBSymCost(sm, s)
-	if c.AtomicOps != sm.FarElems {
-		t.Fatalf("AtomicOps = %d, want FarElems = %d", c.AtomicOps, sm.FarElems)
-	}
-	if sm.FarElems == 0 {
-		t.Fatal("scattered matrix should have far elements")
-	}
-	// Atomic pricing must make the scattered case slower than the indexed
-	// kernel on the FSB platform.
-	pl := Dunnington
-	pool := newPool(t, 24)
-	k := core.NewKernel(s, core.Indexed, pool)
-	idx := SSSCost(k).Seconds(pl, 24)
-	csbT := c.Seconds(pl, 24)
-	if csbT <= idx {
-		t.Errorf("CSB-Sym (%g) should trail indexed (%g) on a scattered matrix", csbT, idx)
 	}
 }
 

@@ -47,10 +47,6 @@ type Platform struct {
 	// extra x traffic — the cache-miss effect RCM reordering removes (§V-D
 	// reason 1).
 	XCachePerThreadBytes int64
-	// AtomicNs is the average cost of one lock-prefixed read-modify-write
-	// under sharing (prices the Atomic ablation method; latency-bound, so
-	// charged per operation rather than per byte).
-	AtomicNs float64
 }
 
 // WithCacheScale returns a copy with cache capacities scaled by s. The
@@ -89,7 +85,6 @@ var Dunnington = Platform{
 	BarrierPerThreadNs:   220,
 	LLCBytes:             4 * 16 << 20,
 	XCachePerThreadBytes: 1536 << 10, // 3 MiB L2 per core pair + L3 share
-	AtomicNs:             120,        // FSB-era locked RMW with cross-package sharing
 }
 
 // Gainestown is the paper's two-socket quad-core NUMA system (Table II):
@@ -108,7 +103,6 @@ var Gainestown = Platform{
 	BarrierPerThreadNs:   120,
 	LLCBytes:             2 * 8 << 20,
 	XCachePerThreadBytes: 1 << 20, // 256 KiB L2 + 8 MiB L3 per quad-core socket
-	AtomicNs:             30,      // QPI-era locked RMW
 }
 
 // Bandwidth reports the sustained aggregate bandwidth (GB/s) available to p
@@ -200,7 +194,6 @@ func Host() Platform {
 		BarrierPerThreadNs:   100,
 		LLCBytes:             32 << 20,
 		XCachePerThreadBytes: 2 << 20,
-		AtomicNs:             20,
 	}
 }
 

@@ -3,9 +3,7 @@ package perfmodel
 import (
 	"fmt"
 
-	"repro/internal/bcsr"
 	"repro/internal/core"
-	"repro/internal/csb"
 	"repro/internal/csr"
 	"repro/internal/csx"
 )
@@ -37,10 +35,6 @@ type SpMVCost struct {
 	XAccesses  int64
 	XSpanBytes int64
 
-	// AtomicOps counts lock-prefixed updates per operation (Atomic ablation
-	// method only); priced by Platform.AtomicNs, divided across threads.
-	AtomicOps int64
-
 	// ExtraBarriers counts barrier crossings beyond the one ending each
 	// priced phase. The colored (conflict-free) schedule runs 1 + colors
 	// phases with no reduction at all, so it carries colors extra barriers
@@ -68,12 +62,7 @@ func (c SpMVCost) Seconds(pl Platform, p int) float64 {
 
 // MultSeconds predicts the multiplication phase alone (Fig. 10).
 func (c SpMVCost) MultSeconds(pl Platform, p int) float64 {
-	t := pl.PhaseSeconds(p, c.MultFlops, c.MultBytes+c.xExtraBytes(pl))
-	if c.AtomicOps > 0 {
-		// Locked updates are latency-bound and spread across the threads.
-		t += float64(c.AtomicOps) * pl.AtomicNs * 1e-9 / float64(p)
-	}
-	return t
+	return pl.PhaseSeconds(p, c.MultFlops, c.MultBytes+c.xExtraBytes(pl))
 }
 
 // RedSeconds predicts the reduction phase alone.
@@ -87,11 +76,7 @@ func (c SpMVCost) RedSeconds(pl Platform, p int) float64 {
 // SerialSeconds predicts the single-thread kernel (no barriers, both phases
 // merged — a serial symmetric kernel has no reduction at all).
 func (c SpMVCost) SerialSeconds(pl Platform) float64 {
-	t := pl.SerialSeconds(c.MultFlops, c.MultBytes+c.xExtraBytes(pl))
-	if c.AtomicOps > 0 {
-		t += float64(c.AtomicOps) * pl.AtomicNs * 1e-9
-	}
-	return t
+	return pl.SerialSeconds(c.MultFlops, c.MultBytes+c.xExtraBytes(pl))
 }
 
 // Gflops reports the paper's performance metric at p threads.
@@ -118,7 +103,6 @@ func (c SpMVCost) SpMM(nv int) SpMVCost {
 	out.RedBytes = c.RedBytes * m
 	out.UsefulFlops = c.UsefulFlops * m
 	out.XSpanBytes = c.XSpanBytes * m
-	out.AtomicOps = c.AtomicOps * m
 	return out
 }
 
@@ -179,49 +163,6 @@ func CSXCost(mx *csx.Matrix, orig *csr.Matrix) SpMVCost {
 	}
 }
 
-// BCSRCost accounts the register-blocked BCSR kernel: explicit fill inflates
-// both the value stream and the flop count, while the per-block indexing
-// shrinks the index stream; only the logical nonzeros count as useful flops.
-func BCSRCost(a *bcsr.Matrix, orig *csr.Matrix) SpMVCost {
-	n := int64(a.Rows)
-	stored := int64(len(a.Val))
-	return SpMVCost{
-		Name:        fmt.Sprintf("BCSR-%dx%d", a.BR, a.BC),
-		MultFlops:   2 * stored,
-		MultBytes:   a.Bytes() + 8*n + 8*n,
-		MatrixBytes: a.Bytes(),
-		UsefulFlops: 2 * int64(a.NNZ()),
-		// One irregular x access per block column touch; the block's BC
-		// elements are contiguous, so they count as a single span probe.
-		XAccesses:  int64(a.Blocks()),
-		XSpanBytes: xProfile(orig.RowPtr, orig.ColIdx, orig.Cols),
-	}
-}
-
-// CSBSymCost accounts the CSB-Sym comparator (Buluç et al.): 12-byte
-// elements with short block-local coordinates, transposed writes to the two
-// offset buffers, atomics for far blocks, and a thread-count-independent
-// reduction of three full-length vector additions.
-func CSBSymCost(sm *csb.SymMatrix, orig *core.SSS) SpMVCost {
-	n := int64(sm.N)
-	nnzLower := int64(sm.NNZLower())
-	flops := 2*n + 4*nnzLower
-	acc, span := symXProfile(orig)
-	buffered := sm.OffsetElems[1] + sm.OffsetElems[2]
-	return SpMVCost{
-		Name:        "CSB-Sym",
-		MultFlops:   flops,
-		MultBytes:   sm.Bytes() + 8*n /* x */ + 8*n /* y */ + 8*buffered,
-		MatrixBytes: sm.Bytes(),
-		RedFlops:    3 * n,
-		RedBytes:    8 * 4 * n, // read buf1+buf2+far, read-modify-write y
-		UsefulFlops: flops,
-		XAccesses:   acc,
-		XSpanBytes:  span,
-		AtomicOps:   sm.FarElems,
-	}
-}
-
 // symXProfile computes the x-access statistics of a symmetric kernel over
 // the strict lower triangle: every stored element reads both x[c] (span
 // |r−c|) and x[r] (local), plus the diagonal pass.
@@ -260,7 +201,6 @@ func SSSCost(k *core.Kernel) SpMVCost {
 		UsefulFlops:   t.MultFlops,
 		XAccesses:     acc,
 		XSpanBytes:    span,
-		AtomicOps:     t.AtomicOps,
 		ExtraBarriers: t.ExtraBarriers,
 	}
 }

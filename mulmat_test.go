@@ -4,7 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/format"
 )
 
 // buildHubbySPD builds an SPD matrix with a few super-hub columns touched by
@@ -51,13 +55,36 @@ func TestMulMatTypedError(t *testing.T) {
 		t.Fatalf("expected *MulMatError{CSXSym, 2}, got %v", err)
 	}
 
-	ka, err := A.Kernel(SSSAtomic, Threads(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ka.Close()
-	if err := MulMat(ka, make([]float64, n*2), make([]float64, n*2), 2); !errors.As(err, &me) {
-		t.Fatalf("expected *MulMatError for atomic, got %v", err)
+	// Off the symmetric class the SSS rows lose their SpMM kernel: every row
+	// the table says runs the class without MulMat answers the typed error.
+	for _, c := range []struct {
+		kind core.SymKind
+		gen  func(*rand.Rand, int, int) (string, []float64)
+	}{{core.Skew, skewMM}, {core.Structural, structuralMM}} {
+		mm, _ := c.gen(rng, 40, 3)
+		K, err := ReadMatrixMarket(strings.NewReader(mm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := 0
+		for _, f := range formatsWith(0, c.kind) {
+			if f.Desc().Has(format.MulMat, c.kind) {
+				continue
+			}
+			ks, err := K.Kernel(f, Threads(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = MulMat(ks, make([]float64, 40*2), make([]float64, 40*2), 2)
+			ks.Close()
+			if !errors.As(err, &me) || me.Format != f {
+				t.Fatalf("%v on a %v matrix: expected *MulMatError, got %v", f, c.kind, err)
+			}
+			refused++
+		}
+		if refused == 0 {
+			t.Fatalf("%v: no format refused MulMat; the loop checked nothing", c.kind)
+		}
 	}
 
 	kr, err := A.Kernel(SSSIndexed, Threads(2))
@@ -112,7 +139,7 @@ func TestSolveCGBlockFacade(t *testing.T) {
 	}
 
 	// Unsupported format surfaces the typed error.
-	kx, err := A.Kernel(CSB, Threads(2))
+	kx, err := A.Kernel(CSXSym, Threads(2))
 	if err != nil {
 		t.Fatal(err)
 	}

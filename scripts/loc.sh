@@ -2,17 +2,16 @@
 # Size metrics the ROADMAP says should go down, plus the structural counts
 # `make ci` gates on:
 #
-#   hand-written non-test Go lines outside      (limit 20 000: a ratchet,
+#   hand-written non-test Go lines outside      (limit 18 100: a ratchet,
 #   benchmark/                                   not a target; files that open
 #                                                with the standard "Code generated
 #                                                ... DO NOT EDIT." line are counted
 #                                                apart and not gated: their source
 #                                                is the generator, which is)
-#   hand-written per-thread ...T bodies in core (limit 15: the reductions, the
-#                                                diagonal-init and dot sweeps, the
-#                                                atomic comparator; the 18 multiply
-#                                                bodies are cells of the template
-#                                                in internal/core/gen)
+#   hand-written per-thread ...T bodies in core (limit 12: the reductions and the
+#                                                diagonal-init and dot sweeps; the
+#                                                18 multiply bodies are cells of
+#                                                the template in internal/core/gen)
 #   `type Format` declarations                  (limit 1: the facade's alias
 #                                                of the internal/format ID)
 #   files constructing a format kernel          (limit 0 outside
@@ -24,6 +23,9 @@
 #   second execution modes: domain pools,        (limit 0: one pool with one
 #   domain-scoped phases and partitions, hub     barrier, one nnz partition, one
 #   plans, topology detection                    x gather)
+#   dropped comparators: the atomic reduction    (limit 0: SSS-atomic, CSB-Sym and
+#   method, its model pricing, the CSB-Sym       BCSR lost every host cell and were
+#   and BCSR packages                            never picked by the tuner; EXPERIMENTS.md)
 #   set-up path lines that sort nnz entries      (limit 0: sort.Slice in
 #   through a comparator or allocate per line    internal/matrix and csx/detect.go;
 #                                                strings.Fields or .Text() in the
@@ -61,8 +63,8 @@ bodies=$(grep -hE '^func .*[a-z0-9]T\(' $corefiles | wc -l)
 cells=$(grep -hE '^func .*[a-z0-9]T\(' internal/core/lowerrow_gen.go | wc -l)
 enums=$(sources | xargs grep -lE '^type Format ' | wc -l)
 
-ctor='(core\.NewKernel|csx\.NewSym|csx\.NewMatrix|csb\.NewSym|bcsr\.FromCOO|csr\.NewParallel)\('
-skip='^\./internal/(format|core|csx|csb|bcsr|csr)/'
+ctor='(core\.NewKernel|csx\.NewSym|csx\.NewMatrix|csr\.NewParallel)\('
+skip='^\./internal/(format|core|csx|csr)/'
 for f in "${STUDIES[@]}"; do
 	[ -f "$f" ] || { echo "loc: listed study $f does not exist" >&2; exit 1; }
 	skip="$skip|^\./$f\$"
@@ -72,7 +74,7 @@ nbuilders=$(printf '%s' "$builders" | grep -c . || true)
 
 # The one timed path: kernels and vector operations label their phases and
 # the pool's sampler (internal/parallel/sample.go) does all the timing.
-timers=$(sources | grep -E '^\./internal/(core|csx|csb|csr|bcsr|vec)/' |
+timers=$(sources | grep -E '^\./internal/(core|csx|csr|vec)/' |
 	xargs grep -lE 'obs\.(SamplingEnabled|Now)\(' || true)
 ntimers=$(printf '%s' "$timers" | grep -c . || true)
 
@@ -85,6 +87,11 @@ nforks=$(printf '%s' "$forks" | grep -c . || true)
 # (DESIGN.md §12, §14) stay deleted.
 modes=$(sources | xargs grep -nE 'NewPoolDomains|PhaseLocal|ByNNZDomains|hub\.Plan|topo\.' || true)
 nmodes=$(printf '%s' "$modes" | grep -c . || true)
+
+# Seven formats somebody selects: the atomic reduction method, its pricing in
+# the model and the two packages that existed for comparators stay deleted.
+dropped=$(sources | xargs grep -nE 'core\.Atomic|multiplyAtomicT|internal/(bcsr|csb)|AtomicOps|AtomicNs' || true)
+ndropped=$(printf '%s' "$dropped" | grep -c . || true)
 
 # The set-up path is linear and allocates per block: no comparator sort over
 # the entries (Normalize is a radix sort, the CSX statistics pass uses the
@@ -100,25 +107,26 @@ slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) in
 	printf '%s\n' "$loop" | grep -nE 'strings\.Fields|\.Text\(\)' | sed "s|^|$mmio (data loop):|"; } || true)
 nslow=$(printf '%s' "$slow" | grep -c . || true)
 
-printf 'hand-written non-test Go lines:            %6d  (limit 20000; outside benchmark/)\n' "$lines"
+printf 'hand-written non-test Go lines:            %6d  (limit 18100; outside benchmark/)\n' "$lines"
 printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
 printf 'generated non-test Go lines:               %6d  (not gated)\n' "$genlines"
-printf 'hand-written ...T bodies in internal/core: %6d  (limit 15)\n' "$bodies"
+printf 'hand-written ...T bodies in internal/core: %6d  (limit 12)\n' "$bodies"
 printf 'generated ...T cells in internal/core:     %6d\n' "$cells"
 printf '`type Format` declarations:                %6d  (limit 1)\n' "$enums"
 printf 'format-kernel builders outside the table:  %6d  (limit 0)\n' "$nbuilders"
 printf 'kernel files timing themselves:            %6d  (limit 0)\n' "$ntimers"
 printf 'dispatch forks in internal/parallel:       %6d  (limit 0)\n' "$nforks"
 printf 'second execution modes:                    %6d  (limit 0)\n' "$nmodes"
+printf 'dropped comparators back in the tree:     %6d  (limit 0)\n' "$ndropped"
 printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
 
 status=0
-if [ "$lines" -gt 20000 ]; then
-	echo "loc: $lines hand-written non-test Go lines, over the 20 000 ratchet (ROADMAP item 5)" >&2
+if [ "$lines" -gt 18100 ]; then
+	echo "loc: $lines hand-written non-test Go lines, over the 18 100 ratchet (ROADMAP item 5)" >&2
 	status=1
 fi
-if [ "$bodies" -gt 15 ]; then
-	echo "loc: $bodies hand-written per-thread ...T bodies in internal/core, limit 15 (a multiply body is a cell of internal/core/gen):" >&2
+if [ "$bodies" -gt 12 ]; then
+	echo "loc: $bodies hand-written per-thread ...T bodies in internal/core, limit 12 (a multiply body is a cell of internal/core/gen):" >&2
 	grep -nE '^func .*[a-z0-9]T\(' $corefiles >&2
 	status=1
 fi
@@ -145,6 +153,11 @@ fi
 if [ "$nmodes" -gt 0 ]; then
 	echo "loc: a second execution mode is back (domain pool, domain-scoped phase or partition, hub plan, topology detection):" >&2
 	echo "$modes" >&2
+	status=1
+fi
+if [ "$ndropped" -gt 0 ]; then
+	echo "loc: a dropped comparator is back (atomic reduction method or its model pricing, internal/bcsr, internal/csb):" >&2
+	echo "$dropped" >&2
 	status=1
 fi
 if [ "$nslow" -gt 0 ]; then

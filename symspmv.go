@@ -54,9 +54,6 @@ const (
 	CSR = format.CSR
 	// CSX is the unsymmetric Compressed Sparse eXtended format.
 	CSX = format.CSX
-	// BCSR is the register-blocked unsymmetric baseline (auto-tuned block
-	// shape; Im & Yelick / OSKI).
-	BCSR = format.BCSR
 	// SSSNaive is the symmetric SSS kernel with naive full local vectors.
 	SSSNaive = format.SSSNaive
 	// SSSEffective is SSS with the effective-ranges reduction.
@@ -64,16 +61,9 @@ const (
 	// SSSIndexed is SSS with the paper's local-vectors indexing (the
 	// recommended symmetric configuration).
 	SSSIndexed = format.SSSIndexed
-	// SSSAtomic is SSS with direct lock-free atomic updates instead of
-	// local vectors — an ablation comparator, not a recommended mode.
-	SSSAtomic = format.SSSAtomic
 	// CSXSym is the compressed symmetric format with indexed reduction
 	// (highest compression; pays a preprocessing cost).
 	CSXSym = format.CSXSym
-	// CSB is the symmetric Compressed Sparse Blocks comparator (Buluç et
-	// al.): thread-count-independent reduction, atomic fallback for
-	// wide-band matrices.
-	CSB = format.CSB
 	// SSSColored is SSS under the conflict-free colored schedule (RACE-style
 	// block coloring): threads write y directly, one phase per color — no
 	// local vectors and no reduction phase at all. Strongest on
@@ -87,7 +77,7 @@ func Formats() []Format { return format.All() }
 
 // ParseFormat resolves a format name as the commands and the server spell
 // them: each format's String() and its short aliases (sss, sss-idx, sss-eff,
-// sss-color, csb, ...), case-insensitively. The error lists the valid names.
+// sss-color), case-insensitively. The error lists the valid names.
 func ParseFormat(name string) (Format, error) { return format.Parse(name) }
 
 // UnsupportedFormatError is the typed error Matrix.Kernel returns when the

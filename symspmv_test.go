@@ -70,7 +70,7 @@ func TestAllKernelFormatsMatchReference(t *testing.T) {
 	want := make([]float64, n)
 	A.MulVec(x, want)
 
-	for _, f := range []Format{CSR, CSX, BCSR, SSSNaive, SSSEffective, SSSIndexed, SSSAtomic, SSSColored, CSXSym} {
+	for _, f := range Formats() {
 		for _, threads := range []int{1, 4} {
 			k, err := A.Kernel(f, Threads(threads))
 			if err != nil {
