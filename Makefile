@@ -41,10 +41,12 @@ vet:
 
 # Quick benchmark smoke: the execution-engine microbenchmarks (the pool's
 # hand-off, a two-phase list, a bare barrier round) plus the host SpM×V per
-# reduction method and the fused CG iteration.
+# reduction method, the fused CG iteration, and the two CSX decode kernels in
+# ns per stored element with the unit mix each ran over.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGFusion' -benchtime 50x .
+	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three
 # stacked levels — SpM×V, CG solve, HTTP solve — on one workload per run, e.g.

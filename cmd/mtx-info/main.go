@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	symspmv "repro"
 	"repro/internal/attrib"
@@ -144,32 +145,18 @@ func dumpUnits(path string, n int) error {
 		return fmt.Errorf("-dump: CSX-Sym encodes only symmetric matrices, got a %s one", s.Kind)
 	}
 	sm := csx.NewSym(s, 1, core.Indexed, csx.DefaultOptions())
+	fmt.Println("  unit mix the CSX-Sym kernel runs over (serial encoding):")
+	fmt.Print(indent(csx.UnitMix(sm.Blobs[0])))
 	fmt.Printf("  first %d ctl units (serial encoding):\n", n)
 	fmt.Print(indent(csx.UnitDump(sm.Blobs[0], n)))
 	return nil
 }
 
+// indent puts every line of s, which is empty or ends in a newline, four
+// columns in.
 func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		if line != "" {
-			out += "    " + line + "\n"
-		}
+	if s == "" {
+		return ""
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
+	return "    " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n    ") + "\n"
 }

@@ -1,7 +1,10 @@
 package csx
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/matrix"
 )
@@ -12,11 +15,11 @@ import (
 // (truncated heads or varints, zero-size units, unknown patterns, wild jumps)
 // surface as errors instead of panics or out-of-range accesses. emit is
 // called once per element in ctl order; unitDone, if non-nil, once per unit
-// with the unit's column extremes (the hook the CSX-Sym boundary-legality
-// validation hangs off). ctl bytes reach this walker from disk, so it is the
-// untrusted-input gate in front of the kernels, which may then assume
-// validated streams.
-func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone func(minCol, maxCol int32) error) error {
+// whose body decoded, with its pattern, size, anchor and column extremes (the
+// hook the CSX-Sym boundary-legality validation, UnitDump and UnitMix hang
+// off). ctl bytes reach this walker from disk, so it is the untrusted-input
+// gate in front of the kernels, which may then assume validated streams.
+func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone func(u walkedUnit) error) error {
 	ctl := b.Ctl
 	row := b.StartRow - 1
 	col := int32(0)
@@ -56,12 +59,17 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 			return fmt.Errorf("csx: column delta %d beyond %d columns at byte %d", d, cols, i-n)
 		}
 		col += int32(d)
-		minCol, maxCol := col, col
-
 		pat := Pattern(flags & patternMask)
+		u := walkedUnit{pat: pat, size: size, row: row, col: col, minCol: col, maxCol: col}
 		switch pat {
 		case Delta8, Delta16, Delta32:
-			width := map[Pattern]int{Delta8: 1, Delta16: 2, Delta32: 4}[pat]
+			width := 1
+			switch pat {
+			case Delta16:
+				width = 2
+			case Delta32:
+				width = 4
+			}
 			if err := emit(row, col); err != nil {
 				return err
 			}
@@ -83,11 +91,11 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 				if err := emit(row, col); err != nil {
 					return err
 				}
-				if col < minCol {
-					minCol = col
+				if col < u.minCol {
+					u.minCol = col
 				}
-				if col > maxCol {
-					maxCol = col
+				if col > u.maxCol {
+					u.maxCol = col
 				}
 			}
 		case Horizontal:
@@ -97,7 +105,7 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 				}
 			}
 			col += int32(size) - 1
-			maxCol = col
+			u.maxCol = col
 		case Vertical:
 			for k := 0; k < size; k++ {
 				if err := emit(row+int32(k), col); err != nil {
@@ -110,14 +118,14 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 					return err
 				}
 			}
-			maxCol = col + int32(size) - 1
+			u.maxCol = col + int32(size) - 1
 		case AntiDiagonal:
 			for k := 0; k < size; k++ {
 				if err := emit(row+int32(k), col-int32(k)); err != nil {
 					return err
 				}
 			}
-			minCol = col - int32(size) + 1
+			u.minCol = col - int32(size) + 1
 		case Block2, Block3:
 			depth := int32(2)
 			if pat == Block3 {
@@ -135,17 +143,26 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 				}
 			}
 			col += w - 1
-			maxCol = col
+			u.maxCol = col
 		default:
 			return fmt.Errorf("csx: unknown pattern %d at byte %d", pat, i)
 		}
 		if unitDone != nil {
-			if err := unitDone(minCol, maxCol); err != nil {
+			if err := unitDone(u); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// walkedUnit is what blobWalk hands its per-unit hook: the unit's pattern and
+// element count, its anchor, and the extremes of the columns it covers.
+type walkedUnit struct {
+	pat            Pattern
+	size           int
+	row, col       int32
+	minCol, maxCol int32
 }
 
 // DecodeToCOO reconstructs the exact (row, col, value) triplets a blob
@@ -227,9 +244,9 @@ func ValidateSymBlob(b *Blob, n int, boundary int32, touched map[int32]struct{})
 		}
 		return nil
 	}
-	unitDone := func(minCol, maxCol int32) error {
-		if minCol < boundary && maxCol >= boundary {
-			return fmt.Errorf("csx: unit columns [%d,%d] straddle the write boundary %d", minCol, maxCol, boundary)
+	unitDone := func(u walkedUnit) error {
+		if u.minCol < boundary && u.maxCol >= boundary {
+			return fmt.Errorf("csx: unit columns [%d,%d] straddle the write boundary %d", u.minCol, u.maxCol, boundary)
 		}
 		return nil
 	}
@@ -281,8 +298,88 @@ func DecodeSymMatrix(sm *SymMatrix) (*matrix.COO, error) {
 	return out.Normalize(), nil
 }
 
+// walkUnits runs blobWalk for its per-unit hook alone: no element callback
+// and no matrix dimensions to hold the jumps to.
+func walkUnits(b *Blob, unitDone func(u walkedUnit) error) error {
+	return blobWalk(b, math.MaxInt32, math.MaxInt32, func(r, c int32) error { return nil }, unitDone)
+}
+
+var errDumpFull = errors.New("csx: unit dump full")
+
 // UnitDump renders a human-readable listing of the first maxUnits units of a
-// blob (debugging/teaching aid used by mtx-info -dump).
+// blob (debugging/teaching aid used by mtx-info -dump). A stream blobWalk
+// refuses is listed up to the unit it broke in, the walker's error last.
 func UnitDump(b *Blob, maxUnits int) string {
-	return dumpUnits(b, maxUnits)
+	var out strings.Builder
+	count := 0
+	err := walkUnits(b, func(u walkedUnit) error {
+		if count >= maxUnits {
+			return errDumpFull
+		}
+		fmt.Fprintf(&out, "unit %3d: row=%d col=%d pat=%s size=%d\n", count, u.row, u.col, u.pat, u.size)
+		count++
+		return nil
+	})
+	if err != nil && !errors.Is(err, errDumpFull) {
+		fmt.Fprintf(&out, "<%v>\n", err)
+	}
+	return out.String()
+}
+
+// unitMix counts a blob's units by pattern and size: what the decode kernels
+// will run, and the table their fixed-width cells are admitted on (DESIGN.md
+// §17.2). A block unit of size s is 2 or 3 rows of s/2 or s/3 columns.
+type unitMix [numPatterns][maxUnitSize + 1]int64
+
+func mixOf(b *Blob) (m unitMix, err error) {
+	err = walkUnits(b, func(u walkedUnit) error {
+		m[u.pat][u.size]++
+		return nil
+	})
+	return m, err
+}
+
+// totals reports the units and stored elements of pattern p.
+func (m *unitMix) totals(p Pattern) (units, elems int64) {
+	for size, n := range m[p] {
+		units += n
+		elems += n * int64(size)
+	}
+	return units, elems
+}
+
+// UnitMix renders the unit mix of a blob: per pattern the units, the stored
+// elements, their share of the blob and the mean unit size, and for the block
+// patterns the same by block width. mtx-info -dump prints it before the unit
+// listing; a stream blobWalk refuses is counted up to the error, printed last.
+func UnitMix(b *Blob) string {
+	m, err := mixOf(b)
+	var all int64
+	for p := Pattern(0); p < numPatterns; p++ {
+		_, elems := m.totals(p)
+		all += elems
+	}
+	share := func(elems int64) float64 { return 100 * float64(elems) / float64(max(all, 1)) }
+	var out strings.Builder
+	fmt.Fprintf(&out, "%-14s %9s %10s %7s %10s\n", "pattern", "units", "elements", "share", "mean size")
+	for p := Pattern(0); p < numPatterns; p++ {
+		units, elems := m.totals(p)
+		if units == 0 {
+			continue
+		}
+		fmt.Fprintf(&out, "%-14s %9d %10d %6.1f%% %10.1f\n", p, units, elems, share(elems), float64(elems)/float64(units))
+		if p != Block2 && p != Block3 {
+			continue
+		}
+		depth := int(p-Block2) + 2
+		for size, n := range m[p] {
+			if n > 0 {
+				fmt.Fprintf(&out, "  %-12s %9d %10d %6.1f%%\n", fmt.Sprintf("width %d", size/depth), n, n*int64(size), share(n*int64(size)))
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(&out, "<%v>\n", err)
+	}
+	return out.String()
 }

@@ -132,6 +132,62 @@ func TestUnitDump(t *testing.T) {
 	if !strings.Contains(dump, "row=") || !strings.Contains(dump, "pat=") {
 		t.Fatalf("unexpected dump format:\n%s", dump)
 	}
+	if got := strings.Count(dump, "\n"); got != 10 {
+		t.Fatalf("asked for 10 units, got %d lines:\n%s", got, dump)
+	}
+	if UnitDump(mx.Blobs[0], 0) != "" {
+		t.Fatal("a dump of zero units is not empty")
+	}
+
+	// A delta unit whose body is cut short: the units before it are listed,
+	// then the walker's error — the fourth copy of the ctl walker this
+	// replaced indexed ctl[off+k] unchecked here and panicked.
+	w := newCtlWriter(0)
+	w.beginUnit(Horizontal, 3, 5, 1, 3)
+	w.beginUnit(Delta8, 4, 9, 0, 6)
+	w.putDelta8(2)
+	cut := &Blob{EndRow: 10, Ctl: w.buf, Vals: make([]float64, 7), NNZ: 7}
+	dump = UnitDump(cut, 10)
+	if !strings.HasPrefix(dump, "unit   0: row=5 col=1 pat=horizontal size=3\n") || !strings.HasSuffix(dump, "<csx: truncated delta body at byte 9>\n") {
+		t.Fatalf("dump of a truncated delta body:\n%s", dump)
+	}
+	if mix := UnitMix(cut); !strings.Contains(mix, "horizontal") || !strings.HasSuffix(mix, "<csx: truncated delta body at byte 9>\n") {
+		t.Fatalf("unit mix of a truncated delta body:\n%s", mix)
+	}
+	cut.Ctl = cut.Ctl[:5] // and cut inside the second unit head
+	if dump = UnitDump(cut, 10); !strings.HasSuffix(dump, "<csx: truncated unit head at byte 4>\n") {
+		t.Fatalf("dump of a truncated unit head:\n%s", dump)
+	}
+}
+
+// UnitMix counts what the encoder counted (Blob.UnitCount, DeltaElems), from
+// the ctl stream alone, and its block widths add up to the block patterns.
+func TestUnitMixAgreesWithTheEncoder(t *testing.T) {
+	ms := testMatrices(t)
+	for name, m := range ms {
+		b := NewMatrix(m, 1, DefaultOptions()).Blobs[0]
+		mix, err := mixOf(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var elems, delta int64
+		for p := Pattern(0); p < numPatterns; p++ {
+			units, n := mix.totals(p)
+			if units != b.UnitCount[p] {
+				t.Errorf("%s: %d %s units in the stream, the encoder counted %d", name, units, p, b.UnitCount[p])
+			}
+			elems += n
+			if p <= Delta32 {
+				delta += n
+			}
+		}
+		if elems != int64(b.NNZ) || delta != b.DeltaElems {
+			t.Errorf("%s: %d elements (%d in delta units) in the stream, the blob holds %d (%d)", name, elems, delta, b.NNZ, b.DeltaElems)
+		}
+		if out := UnitMix(b); b.UnitCount[Block3] > 0 && !strings.Contains(out, "width ") {
+			t.Errorf("%s: no width histogram under the block patterns:\n%s", name, out)
+		}
+	}
 }
 
 func TestDelta16And32Coverage(t *testing.T) {

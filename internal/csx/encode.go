@@ -1,7 +1,5 @@
 package csx
 
-import "fmt"
-
 // Blob is the encoded form of one thread's row range: the ctl byte stream
 // plus the values arranged in unit order. A serial matrix has one Blob.
 type Blob struct {
@@ -187,78 +185,4 @@ func buildElements(rowPtr, colIdx []int32, startRow, endRow int32) (*elements, i
 	}
 	el.rowPtr[endRow-startRow] = n
 	return el, lo, hi
-}
-
-// dumpUnits renders a human-readable ctl listing (mtx-info/examples aid).
-func dumpUnits(b *Blob, maxUnits int) string {
-	out := ""
-	i := 0
-	row := b.StartRow - 1
-	col := int32(0)
-	count := 0
-	for i < len(b.Ctl) && count < maxUnits {
-		if i+2 > len(b.Ctl) {
-			return out + fmt.Sprintf("<truncated unit head at byte %d>\n", i)
-		}
-		flags := b.Ctl[i]
-		size := int(b.Ctl[i+1])
-		i += 2
-		if flags&flagNR != 0 {
-			if flags&flagRJMP != 0 {
-				jump, n := uvarint(b.Ctl[i:])
-				if n <= 0 {
-					return out + fmt.Sprintf("<corrupt row-jump varint at byte %d>\n", i)
-				}
-				i += n
-				row += int32(jump) + 1
-			} else {
-				row++
-			}
-			col = 0
-		}
-		d, n := uvarint(b.Ctl[i:])
-		if n <= 0 {
-			return out + fmt.Sprintf("<corrupt column-delta varint at byte %d>\n", i)
-		}
-		i += n
-		col += int32(d)
-		pat := Pattern(flags & patternMask)
-		out += fmt.Sprintf("unit %3d: row=%d col=%d pat=%s size=%d\n", count, row, col, pat, size)
-		switch pat {
-		case Delta8:
-			i += size - 1
-			col = advanceDeltaCol(b.Ctl, i-(size-1), size-1, 1, col)
-		case Delta16:
-			i += 2 * (size - 1)
-			col = advanceDeltaCol(b.Ctl, i-2*(size-1), size-1, 2, col)
-		case Delta32:
-			i += 4 * (size - 1)
-			col = advanceDeltaCol(b.Ctl, i-4*(size-1), size-1, 4, col)
-		case Horizontal:
-			col += int32(size) - 1
-		case Block2:
-			col += int32(size/2) - 1
-		case Block3:
-			col += int32(size/3) - 1
-		}
-		count++
-	}
-	return out
-}
-
-func advanceDeltaCol(ctl []byte, off, n, width int, col int32) int32 {
-	for k := 0; k < n; k++ {
-		var d uint32
-		switch width {
-		case 1:
-			d = uint32(ctl[off+k])
-		case 2:
-			d = uint32(ctl[off+2*k]) | uint32(ctl[off+2*k+1])<<8
-		default:
-			d = uint32(ctl[off+4*k]) | uint32(ctl[off+4*k+1])<<8 |
-				uint32(ctl[off+4*k+2])<<16 | uint32(ctl[off+4*k+3])<<24
-		}
-		col += int32(d)
-	}
-	return col
 }

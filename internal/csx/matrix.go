@@ -110,110 +110,108 @@ func (mx *Matrix) MulVecSerial(x, y []float64) {
 }
 
 // mulBlob is the unsymmetric decode-multiply kernel: a dispatch over unit
-// types with a specialized inner loop per pattern (the JIT substitute).
-// y rows [StartRow, EndRow) must be zeroed by the caller; all unit writes
-// accumulate, and cross-row units never leave the blob's row range.
+// types with a specialized inner loop per pattern (the JIT substitute), built
+// like mulBlobSym's (DESIGN.md §17.2): windows cut once per unit, blocks read
+// column by column with one accumulator per block row. y rows [StartRow,
+// EndRow) must be zeroed by the caller; all unit writes accumulate, and
+// cross-row units never leave the blob's row range.
 func mulBlob(b *Blob, x, y []float64) {
-	ctl := b.Ctl
-	vals := b.Vals
-	row := b.StartRow - 1
-	col := int32(0)
-	pos := 0
-	i := 0
-	for i < len(ctl) {
-		flags := ctl[i]
-		size := int(ctl[i+1])
+	// As in mulBlobSym: windows are checked against the length.
+	ctl, vals := b.Ctl, b.Vals[:len(b.Vals):len(b.Vals)]
+	x, y = x[:len(x):len(x)], y[:len(y):len(y)]
+	row, col := int(b.StartRow)-1, 0
+	for i := 0; i < len(ctl); {
+		flags, size := ctl[i], int(ctl[i+1])
 		i += 2
 		if flags&flagNR != 0 {
+			row++
 			if flags&flagRJMP != 0 {
 				jump, n := readUvarint(ctl, i)
 				i += n
-				row += int32(jump) + 1
-			} else {
-				row++
+				row += int(jump)
 			}
 			col = 0
 		}
 		d, n := readUvarint(ctl, i)
 		i += n
-		col += int32(d)
+		col += int(d)
+		vv := vals[:size]
+		vals = vals[size:]
 
-		switch Pattern(flags & patternMask) {
+		switch pat := Pattern(flags & patternMask); pat {
 		case Delta8:
-			sum := vals[pos] * x[col]
-			for k := 1; k < size; k++ {
-				col += int32(ctl[i])
+			sum := vv[0] * x[col] // gather
+			for _, v := range vv[1:] {
+				col += int(ctl[i]) // delta
 				i++
-				sum += vals[pos+k] * x[col]
+				sum += v * x[col] // gather
 			}
 			y[row] += sum
-			pos += size
 		case Delta16:
-			sum := vals[pos] * x[col]
-			for k := 1; k < size; k++ {
-				col += int32(uint32(ctl[i]) | uint32(ctl[i+1])<<8)
+			sum := vv[0] * x[col] // gather
+			for _, v := range vv[1:] {
+				col += int(ctl[i]) | int(ctl[i+1])<<8 // delta
 				i += 2
-				sum += vals[pos+k] * x[col]
+				sum += v * x[col] // gather
 			}
 			y[row] += sum
-			pos += size
 		case Delta32:
-			sum := vals[pos] * x[col]
-			for k := 1; k < size; k++ {
-				col += int32(uint32(ctl[i]) | uint32(ctl[i+1])<<8 | uint32(ctl[i+2])<<16 | uint32(ctl[i+3])<<24)
+			sum := vv[0] * x[col] // gather
+			for _, v := range vv[1:] {
+				col += int(ctl[i]) | int(ctl[i+1])<<8 | int(ctl[i+2])<<16 | int(ctl[i+3])<<24 // delta
 				i += 4
-				sum += vals[pos+k] * x[col]
+				sum += v * x[col] // gather
 			}
 			y[row] += sum
-			pos += size
 		case Horizontal:
+			xw := x[col:][:size]
 			sum := 0.0
-			for k := 0; k < size; k++ {
-				sum += vals[pos+k] * x[col+int32(k)]
+			for k, v := range vv {
+				sum += v * xw[k]
 			}
 			y[row] += sum
-			pos += size
-			col += int32(size) - 1
+			col += size - 1
 		case Vertical:
-			xv := x[col]
-			for k := 0; k < size; k++ {
-				y[row+int32(k)] += vals[pos+k] * xv
+			xv, yw := x[col], y[row:][:size]
+			for k, v := range vv {
+				yw[k] += v * xv
 			}
-			pos += size
 		case Diagonal:
-			for k := 0; k < size; k++ {
-				y[row+int32(k)] += vals[pos+k] * x[col+int32(k)]
+			xw, yw := x[col:][:size], y[row:][:size]
+			for k, v := range vv {
+				yw[k] += v * xw[k]
 			}
-			pos += size
 		case AntiDiagonal:
-			for k := 0; k < size; k++ {
-				y[row+int32(k)] += vals[pos+k] * x[col-int32(k)]
+			for k, v := range vv {
+				y[row+k] += v * x[col-k]
 			}
-			pos += size
 		case Block2:
 			w := size / 2
-			for rr := 0; rr < 2; rr++ {
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					sum += vals[pos] * x[col+int32(k)]
-					pos++
-				}
-				y[row+int32(rr)] += sum
+			a0, a1, yw := vv[:w], vv[w:][:w], (*[2]float64)(y[row:])
+			s0, s1 := 0.0, 0.0
+			for k, xc := range x[col:][:w] {
+				s0 += a0[k] * xc
+				s1 += a1[k] * xc
 			}
-			col += int32(w) - 1
+			yw[0] += s0
+			yw[1] += s1
+			col += w - 1
 		case Block3:
 			w := size / 3
-			for rr := 0; rr < 3; rr++ {
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					sum += vals[pos] * x[col+int32(k)]
-					pos++
-				}
-				y[row+int32(rr)] += sum
+			yw := (*[3]float64)(y[row:])
+			s0, s1, s2 := 0.0, 0.0, 0.0
+			a0, a1, a2 := vv[:w], vv[w:][:w], vv[2*w:][:w]
+			for k, xc := range x[col:][:w] {
+				s0 += a0[k] * xc
+				s1 += a1[k] * xc
+				s2 += a2[k] * xc
 			}
-			col += int32(w) - 1
+			yw[0] += s0
+			yw[1] += s1
+			yw[2] += s2
+			col += w - 1
 		default:
-			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", flags&patternMask))
+			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", pat))
 		}
 	}
 }

@@ -12,7 +12,7 @@
 // with LLVM. Go has no runtime code generation, so this package substitutes
 // a dispatch table of hand-specialized decode kernels, one per unit type —
 // the same algorithmic effect (tight, branch-free inner loops per pattern)
-// within Go's ahead-of-time compilation model.
+// within Go's ahead-of-time compilation model (DESIGN.md §17.2).
 package csx
 
 import "fmt"

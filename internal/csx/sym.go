@@ -186,156 +186,164 @@ func (sm *SymMatrix) multiplyT(tid int, x, y []float64) {
 // mulBlobSym is the CSX-Sym decode-multiply kernel. For every unit the
 // symmetric (transposed) writes go either to the local vector (unit columns
 // < boundary) or directly to y (unit columns ≥ boundary); the encoder
-// guarantees no unit straddles.
+// guarantees no unit straddles. The bodies follow DESIGN.md §17.2: a unit's
+// values and its x, y and target windows are cut once, by checked slice
+// expressions, and the element loops range over slices of proved length; a
+// block is read column by column with one accumulator per block row, its
+// scatter terms folded into one read-modify-write per column. Results are
+// bitwise those of the row-major loops in decode_ref_test.go.
 func mulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
-	ctl := b.Ctl
-	vals := b.Vals
-	row := b.StartRow - 1
-	col := int32(0)
-	pos := 0
-	i := 0
-	for i < len(ctl) {
-		flags := ctl[i]
-		size := int(ctl[i+1])
+	// A slice expression is checked against the capacity: clamp it to the
+	// length, so that a window past len panics instead of reading on.
+	ctl, vals := b.Ctl, b.Vals[:len(b.Vals):len(b.Vals)]
+	x, y, local = x[:len(x):len(x)], y[:len(y):len(y)], local[:len(local):len(local)]
+	row, col, bound := int(b.StartRow)-1, 0, int(boundary)
+	for i := 0; i < len(ctl); {
+		flags, size := ctl[i], int(ctl[i+1])
 		i += 2
 		if flags&flagNR != 0 {
+			row++
 			if flags&flagRJMP != 0 {
 				jump, n := readUvarint(ctl, i)
 				i += n
-				row += int32(jump) + 1
-			} else {
-				row++
+				row += int(jump)
 			}
 			col = 0
 		}
 		d, n := readUvarint(ctl, i)
 		i += n
-		col += int32(d)
+		col += int(d)
 
 		// Unit-level routing: all columns of a unit sit on one side.
 		target := y
-		if col < boundary {
+		if col < bound {
 			target = local
 		}
+		vv := vals[:size]
+		vals = vals[size:]
 
-		switch Pattern(flags & patternMask) {
+		switch pat := Pattern(flags & patternMask); pat {
 		case Delta8:
-			xr := x[row]
-			v := vals[pos]
-			sum := v * x[col]
-			target[col] += v * xr
-			for k := 1; k < size; k++ {
-				col += int32(ctl[i])
+			xr, v := x[row], vv[0]
+			sum := v * x[col]     // gather
+			target[col] += v * xr // scatter
+			for _, v := range vv[1:] {
+				col += int(ctl[i]) // delta
 				i++
-				v = vals[pos+k]
-				sum += v * x[col]
-				target[col] += v * xr
+				sum += v * x[col]     // gather
+				target[col] += v * xr // scatter
 			}
 			y[row] += sum
-			pos += size
 		case Delta16:
-			xr := x[row]
-			v := vals[pos]
-			sum := v * x[col]
-			target[col] += v * xr
-			for k := 1; k < size; k++ {
-				col += int32(uint32(ctl[i]) | uint32(ctl[i+1])<<8)
+			xr, v := x[row], vv[0]
+			sum := v * x[col]     // gather
+			target[col] += v * xr // scatter
+			for _, v := range vv[1:] {
+				col += int(ctl[i]) | int(ctl[i+1])<<8 // delta
 				i += 2
-				v = vals[pos+k]
-				sum += v * x[col]
-				target[col] += v * xr
+				sum += v * x[col]     // gather
+				target[col] += v * xr // scatter
 			}
 			y[row] += sum
-			pos += size
 		case Delta32:
-			xr := x[row]
-			v := vals[pos]
-			sum := v * x[col]
-			target[col] += v * xr
-			for k := 1; k < size; k++ {
-				col += int32(uint32(ctl[i]) | uint32(ctl[i+1])<<8 | uint32(ctl[i+2])<<16 | uint32(ctl[i+3])<<24)
+			xr, v := x[row], vv[0]
+			sum := v * x[col]     // gather
+			target[col] += v * xr // scatter
+			for _, v := range vv[1:] {
+				col += int(ctl[i]) | int(ctl[i+1])<<8 | int(ctl[i+2])<<16 | int(ctl[i+3])<<24 // delta
 				i += 4
-				v = vals[pos+k]
-				sum += v * x[col]
-				target[col] += v * xr
+				sum += v * x[col]     // gather
+				target[col] += v * xr // scatter
 			}
 			y[row] += sum
-			pos += size
 		case Horizontal:
-			xr := x[row]
+			xr, xw, tw := x[row], x[col:][:size], target[col:][:size]
 			sum := 0.0
-			for k := 0; k < size; k++ {
-				v := vals[pos+k]
-				c := col + int32(k)
-				sum += v * x[c]
-				target[c] += v * xr
+			for k, v := range vv {
+				sum += v * xw[k]
+				tw[k] += v * xr
 			}
 			y[row] += sum
-			pos += size
-			col += int32(size) - 1
+			col += size - 1
 		case Vertical:
-			xv := x[col]
+			xv, xw, yw := x[col], x[row:][:size], y[row:][:size]
 			tsum := 0.0
-			for k := 0; k < size; k++ {
-				v := vals[pos+k]
-				r := row + int32(k)
-				y[r] += v * xv
-				tsum += v * x[r]
+			for k, v := range vv {
+				yw[k] += v * xv
+				tsum += v * xw[k]
 			}
 			target[col] += tsum
-			pos += size
 		case Diagonal:
-			for k := 0; k < size; k++ {
-				v := vals[pos+k]
-				r := row + int32(k)
-				c := col + int32(k)
-				y[r] += v * x[c]
-				target[c] += v * x[r]
+			// A sub-diagonal run writes y[r] as row r and again as column r
+			// of the next element when target is y: element order stays.
+			xw, yw := x[row:][:size], y[row:][:size]
+			xc, tw := x[col:][:size], target[col:][:size]
+			for k, v := range vv {
+				yw[k] += v * xc[k]
+				tw[k] += v * xw[k]
 			}
-			pos += size
 		case AntiDiagonal:
-			for k := 0; k < size; k++ {
-				v := vals[pos+k]
-				r := row + int32(k)
-				c := col - int32(k)
+			for k, v := range vv {
+				r, c := row+k, col-k
 				y[r] += v * x[c]
 				target[c] += v * x[r]
 			}
-			pos += size
 		case Block2:
 			w := size / 2
-			for rr := 0; rr < 2; rr++ {
-				r := row + int32(rr)
-				xr := x[r]
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					v := vals[pos]
-					c := col + int32(k)
-					sum += v * x[c]
-					target[c] += v * xr
-					pos++
-				}
-				y[r] += sum
+			a0, a1 := vv[:w], vv[w:][:w]
+			xw, tw := x[col:][:w], target[col:][:w]
+			xr, yw := (*[2]float64)(x[row:]), (*[2]float64)(y[row:])
+			s0, s1 := 0.0, 0.0
+			for k, xc := range xw {
+				s0 += a0[k] * xc
+				s1 += a1[k] * xc
+				tw[k] = (tw[k] + a0[k]*xr[0]) + a1[k]*xr[1]
 			}
-			col += int32(w) - 1
+			yw[0] += s0
+			yw[1] += s1
+			col += w - 1
 		case Block3:
 			w := size / 3
-			for rr := 0; rr < 3; rr++ {
-				r := row + int32(rr)
-				xr := x[r]
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					v := vals[pos]
-					c := col + int32(k)
-					sum += v * x[c]
-					target[c] += v * xr
-					pos++
+			xr, yw := (*[3]float64)(x[row:]), (*[3]float64)(y[row:])
+			xr0, xr1, xr2 := xr[0], xr[1], xr[2]
+			s0, s1, s2 := 0.0, 0.0, 0.0
+			switch size {
+			case 18:
+				a, xw, tw := (*[18]float64)(vv), (*[6]float64)(x[col:]), (*[6]float64)(target[col:])
+				s0, s1, s2 = s0+a[0]*xw[0], s1+a[6]*xw[0], s2+a[12]*xw[0]
+				tw[0] = ((tw[0] + a[0]*xr0) + a[6]*xr1) + a[12]*xr2
+				s0, s1, s2 = s0+a[1]*xw[1], s1+a[7]*xw[1], s2+a[13]*xw[1]
+				tw[1] = ((tw[1] + a[1]*xr0) + a[7]*xr1) + a[13]*xr2
+				s0, s1, s2 = s0+a[2]*xw[2], s1+a[8]*xw[2], s2+a[14]*xw[2]
+				tw[2] = ((tw[2] + a[2]*xr0) + a[8]*xr1) + a[14]*xr2
+				s0, s1, s2 = s0+a[3]*xw[3], s1+a[9]*xw[3], s2+a[15]*xw[3]
+				tw[3] = ((tw[3] + a[3]*xr0) + a[9]*xr1) + a[15]*xr2
+				s0, s1, s2 = s0+a[4]*xw[4], s1+a[10]*xw[4], s2+a[16]*xw[4]
+				tw[4] = ((tw[4] + a[4]*xr0) + a[10]*xr1) + a[16]*xr2
+				s0, s1, s2 = s0+a[5]*xw[5], s1+a[11]*xw[5], s2+a[17]*xw[5]
+				tw[5] = ((tw[5] + a[5]*xr0) + a[11]*xr1) + a[17]*xr2
+			case 6:
+				a, xw, tw := (*[6]float64)(vv), (*[2]float64)(x[col:]), (*[2]float64)(target[col:])
+				s0, s1, s2 = s0+a[0]*xw[0], s1+a[2]*xw[0], s2+a[4]*xw[0]
+				tw[0] = ((tw[0] + a[0]*xr0) + a[2]*xr1) + a[4]*xr2
+				s0, s1, s2 = s0+a[1]*xw[1], s1+a[3]*xw[1], s2+a[5]*xw[1]
+				tw[1] = ((tw[1] + a[1]*xr0) + a[3]*xr1) + a[5]*xr2
+			default:
+				a0, a1, a2 := vv[:w], vv[w:][:w], vv[2*w:][:w]
+				xw, tw := x[col:][:w], target[col:][:w]
+				for k, xc := range xw {
+					s0 += a0[k] * xc
+					s1 += a1[k] * xc
+					s2 += a2[k] * xc
+					tw[k] = ((tw[k] + a0[k]*xr0) + a1[k]*xr1) + a2[k]*xr2
 				}
-				y[r] += sum
 			}
-			col += int32(w) - 1
+			yw[0] += s0
+			yw[1] += s1
+			yw[2] += s2
+			col += w - 1
 		default:
-			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", flags&patternMask))
+			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", pat))
 		}
 	}
 }
