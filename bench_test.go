@@ -344,12 +344,13 @@ func BenchmarkFig14_CG(b *testing.B) {
 	}
 }
 
-// BenchmarkCGFusion isolates the phase-fusion win in the real solver: the
-// same SSS-indexed kernel driven through the fused two-handoff iteration
-// (MulVecDot + CGStep) versus the unfused path (MulVec, Dot, and the
-// axpy/dot/xpay chain as separate dispatches). The iterates are bitwise
-// identical; only the synchronization differs.
-func BenchmarkCGFusion(b *testing.B) {
+// BenchmarkCGIteration prices one CG iteration of the real solver on one
+// SSS-indexed kernel, three ways: the fused two-handoff iteration (MulVecDot
+// + CGStep), the unfused three-handoff one (MulVec, Dot, CGStep), and Jacobi
+// on the fused iteration with z = D⁻¹·r folded into CGStep's sweeps. Plain
+// CG's iterates are bitwise identical fused or not; only the synchronization
+// differs. Reports ns per iteration; allocs/op counts a whole solve.
+func BenchmarkCGIteration(b *testing.B) {
 	suite, _ := benchSuite(b)
 	sm := suite[0]
 	n := sm.S.N
@@ -360,18 +361,28 @@ func BenchmarkCGFusion(b *testing.B) {
 	pool := parallel.NewPool(parallel.DefaultThreads())
 	defer pool.Close()
 	k := core.NewKernel(sm.S, core.Indexed, pool)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	const iters = 16
+	opts := cg.Options{MaxIter: iters, FixedIterations: true}
+	for _, tc := range []struct {
+		name  string
+		solve func(x []float64)
+	}{
+		{"fused", func(x []float64) { _, _ = cg.Solve(k, pool, rhs, x, opts) }},
+		{"unfused", func(x []float64) { _, _ = cg.Solve(cg.MulVecFunc(k.MulVec), pool, rhs, x, opts) }},
+		{"jacobi", func(x []float64) { _, _ = cg.SolveJacobi(k, sm.S.DValues, pool, rhs, x, opts) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			x := make([]float64, n)
-			benchCG(k, pool, rhs, x)
-		}
-	})
-	b.Run("unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			x := make([]float64, n)
-			benchCG(cg.MulVecFunc(k.MulVec), pool, rhs, x)
-		}
-	})
+			tc.solve(x) // the kernel's first-use buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(x)
+				tc.solve(x)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters), "ns/iter")
+		})
+	}
 }
 
 // BenchmarkSpMVDispatch times the symmetric SpM×V per reduction method on a

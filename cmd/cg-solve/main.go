@@ -40,7 +40,7 @@ func main() {
 	tol := flag.Float64("tol", 1e-10, "relative residual target")
 	maxIter := flag.Int("maxiter", 0, "iteration cap (0 = 10·N)")
 	rhsOnes := flag.Bool("rhs-ones", true, "b = A·1 (exact solution known); false: pseudo-random b")
-	jacobi := flag.Bool("jacobi", false, "use Jacobi (diagonal) preconditioning")
+	jacobi := flag.Bool("jacobi", false, "use Jacobi (diagonal) preconditioning: the same fused iteration, plus one multiply per element")
 	nv := flag.Int("nv", 1, "solve nv right-hand sides simultaneously with block CG (streams the matrix once per iteration; needs an SpMM-capable format)")
 	cache := flag.String("cache", "", "CSX-Sym kernel cache file: loaded if present, written after encoding (csx-sym only)")
 	tuneCache := flag.String("tune-cache", "", "tuning-cache directory for -format auto (default: the user cache dir; \"off\" disables)")

@@ -437,7 +437,7 @@ func (t *tuner) trialStage(survivors []int) error {
 	for round := 1; ; round++ {
 		for _, tr := range live {
 			c := &t.d.Candidates[tr.ci]
-			ns := measure(tr.mul, n, iters)
+			ns := float64(perfmodel.MeasureSpMV(tr.mul, n, iters))
 			c.MeasuredNs = ns
 			c.Status = "trialed"
 			tr.score = ns + c.PreprocNs/amortizeOps
@@ -464,56 +464,6 @@ func (t *tuner) trialStage(survivors []int) error {
 	t.d.Plan = winner.Plan
 	t.o.logf("chosen: %v (%.0f ns/op)", winner.Plan, winner.MeasuredNs)
 	return nil
-}
-
-// measure times iters operations of mul with the §V-A protocol: the input
-// and output vectors swap every iteration (defeating cache reuse of x) and
-// renormalize periodically so repeated operator application cannot
-// overflow. One untimed warm-up operation absorbs cold caches.
-func measure(mul func(x, y []float64), n, iters int) (nsPerOp float64) {
-	x := make([]float64, n)
-	y := make([]float64, n)
-	fill(x)
-	mul(x, y)
-	x, y = y, x
-	renormalize(x)
-	t0 := time.Now()
-	for it := 0; it < iters; it++ {
-		mul(x, y)
-		x, y = y, x
-		if it%16 == 15 {
-			renormalize(x)
-		}
-	}
-	return float64(time.Since(t0).Nanoseconds()) / float64(iters)
-}
-
-func fill(v []float64) {
-	state := uint64(0x9E3779B97F4A7C15)
-	for i := range v {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		v[i] = float64(int64(state))/float64(1<<63)*0.5 + 0.25
-	}
-}
-
-func renormalize(v []float64) {
-	maxAbs := 0.0
-	for _, x := range v {
-		if x > maxAbs {
-			maxAbs = x
-		} else if -x > maxAbs {
-			maxAbs = -x
-		}
-	}
-	if maxAbs == 0 || (maxAbs > 0.5 && maxAbs < 2) {
-		return
-	}
-	s := 1 / maxAbs
-	for i := range v {
-		v[i] *= s
-	}
 }
 
 // reordered lazily computes the RCM permutation and the permuted

@@ -145,8 +145,7 @@ func TestTuneFormatRestriction(t *testing.T) {
 func TestBuildEveryFormat(t *testing.T) {
 	m, s := poisson(t, 30)
 	n := s.N
-	x := make([]float64, n)
-	fill(x)
+	x := perfmodel.InputVector(n)
 	ref := make([]float64, n)
 	s.MulVec(x, ref)
 
@@ -199,7 +198,7 @@ func TestMeasurePositive(t *testing.T) {
 			y[i] = 0.5 * x[i]
 		}
 	}
-	if ns := measure(mul, n, 4); ns <= 0 {
-		t.Fatalf("measure returned %v ns/op", ns)
+	if d := perfmodel.MeasureSpMV(mul, n, 4); d <= 0 {
+		t.Fatalf("MeasureSpMV returned %v per op", d)
 	}
 }

@@ -26,6 +26,16 @@ func indefiniteOp(x, y []float64) {
 	y[len(y)-1] = -x[len(x)-1]
 }
 
+// unitDiagonal is the diagonal that makes SolveJacobi's preconditioner the
+// identity.
+func unitDiagonal(n int) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = 1
+	}
+	return d
+}
+
 func onesRHS(n int) ([]float64, []float64) {
 	b := make([]float64, n)
 	for i := range b {
@@ -95,7 +105,7 @@ func TestSolvePCGBreakdownOnNaN(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 	b, x := onesRHS(16)
-	res, err := SolvePCG(MulVecFunc(nanOp), IdentityPreconditioner{}, pool, b, x, Options{MaxIter: 100})
+	res, err := SolveJacobi(MulVecFunc(nanOp), unitDiagonal(len(b)), pool, b, x, Options{MaxIter: 100})
 	var be *BreakdownError
 	if !errors.As(err, &be) {
 		t.Fatalf("NaN operator: expected *BreakdownError, got %v", err)
@@ -112,9 +122,23 @@ func TestSolvePCGBreakdownOnIndefinite(t *testing.T) {
 	b := make([]float64, n)
 	b[n-1] = 1
 	x := make([]float64, n)
-	_, err := SolvePCG(MulVecFunc(indefiniteOp), IdentityPreconditioner{}, pool, b, x, Options{MaxIter: 100})
+	_, err := SolveJacobi(MulVecFunc(indefiniteOp), unitDiagonal(n), pool, b, x, Options{MaxIter: 100})
 	var be *BreakdownError
 	if !errors.As(err, &be) {
 		t.Fatalf("indefinite operator: expected *BreakdownError, got %v", err)
+	}
+}
+
+// An indefinite diagonal can make rᵀz vanish while r does not: β would
+// divide by zero, so the Jacobi solve stops with an "rz" breakdown.
+func TestSolveJacobiBreakdownOnVanishingRZ(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	b, x := onesRHS(2)
+	// A = I, so pᵀAp = zᵀz = 2 > 0; but z = (1, −1) and rᵀz = 1 − 1 = 0.
+	_, err := SolveJacobi(MulVecFunc(func(x, y []float64) { copy(y, x) }), []float64{1, -1}, pool, b, x, Options{})
+	var be *BreakdownError
+	if !errors.As(err, &be) || be.Quantity != "rz" || be.Iteration != 0 {
+		t.Fatalf("err = %v, want an rz breakdown at iteration 0", err)
 	}
 }

@@ -1,7 +1,9 @@
 // Package cg implements the non-preconditioned Conjugate Gradient method
 // (Alg. 1 in the paper) over any SpM×V kernel, with per-phase wall-clock
 // instrumentation (SpM×V vs vector operations vs format preprocessing) —
-// the measurement Fig. 14 reports.
+// the measurement Fig. 14 reports. Jacobi-preconditioned CG is the same
+// loop with the inverse diagonal as its one parameter; the block solver
+// (SolveBlock) runs nv right-hand sides over one SpMM per iteration.
 package cg
 
 import (
@@ -44,13 +46,13 @@ type MulVecer interface {
 
 // MulVecDotter is the fused fast path: a kernel that computes y = A·x and
 // returns xᵀ·y in one parallel dispatch (the dot rides inside the kernel's
-// reduction phase). When the operator passed to Solve also implements this
-// interface, each CG iteration needs only two coordinator handoffs — the
-// fused SpM×V+dot and the fused vector-update chain — instead of six
-// barrier-terminated operations. The fused dot must be bitwise identical to
-// vec.Dot(x, y) over the finished output (per-thread partials over
-// parallel.Chunk ranges, combined in thread order), which keeps Solve's
-// trajectory independent of whether the fast path is taken.
+// reduction phase). When the operator passed to Solve or SolveJacobi also
+// implements this interface, each CG iteration needs only two coordinator
+// handoffs — the fused SpM×V+dot and the fused vector-update chain — instead
+// of three. The fused dot must be bitwise identical to vec.Dot(x, y) over
+// the finished output (per-thread partials over parallel.Chunk ranges,
+// combined in thread order), which keeps the solve's trajectory independent
+// of whether the fast path is taken.
 type MulVecDotter interface {
 	MulVecer
 	MulVecDot(x, y []float64) float64
@@ -131,6 +133,32 @@ func (r Result) String() string {
 // paper's timing protocol runs a fixed iteration count for identical work
 // per format, and a mid-run exit would break that accounting.
 func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Result, error) {
+	return solve(a, nil, pool, b, x, opts)
+}
+
+// SolveJacobi runs Jacobi-preconditioned CG on A·x = b: Solve's loop with
+// the element-wise z = D⁻¹·r (D = diag(A), passed as diag) folded into its
+// two vector sweeps, so an iteration costs Solve's handoffs and allocates
+// nothing. A zero diagonal entry leaves its row unpreconditioned. Besides
+// Solve's breakdowns it reports a vanishing or non-finite rᵀ·z, which β
+// divides by.
+func SolveJacobi(a MulVecer, diag []float64, pool *parallel.Pool, b, x []float64, opts Options) (Result, error) {
+	if len(diag) != len(b) {
+		panic(fmt.Sprintf("cg: len(diag)=%d, len(b)=%d", len(diag), len(b)))
+	}
+	inv := make([]float64, len(diag))
+	for i, d := range diag {
+		inv[i] = 1
+		if d != 0 {
+			inv[i] = 1 / d
+		}
+	}
+	return solve(a, inv, pool, b, x, opts)
+}
+
+// solve is the one CG loop: invDiag nil is plain CG (z is r, rᵀz is rᵀr),
+// otherwise Jacobi-preconditioned CG.
+func solve(a MulVecer, invDiag []float64, pool *parallel.Pool, b, x []float64, opts Options) (Result, error) {
 	n := len(b)
 	if len(x) != n {
 		panic(fmt.Sprintf("cg: len(x)=%d, len(b)=%d", len(x), n))
@@ -150,7 +178,7 @@ func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Resul
 	ap := make([]float64, n)
 	// The iteration's vector operations, bound once to the solve's vectors
 	// with their partial sums and phase lists: an iteration allocates nothing.
-	step := vec.BindCGStep(pool, p, ap, x, r)
+	step := vec.BindCGStep(pool, invDiag, p, ap, x, r)
 	var dot func() float64
 	if fused == nil {
 		dot = vec.BindDot(pool, p, ap)
@@ -175,12 +203,13 @@ func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Resul
 		return res, err
 	}
 
-	// r₀ = b − A·x₀ ; p₀ = r₀ ; ‖b‖² and r₀ᵀr₀ in the same sweep.
+	// r₀ = b − A·x₀ ; z₀ = D⁻¹·r₀ ; p₀ = z₀ ; ‖b‖², r₀ᵀz₀ and r₀ᵀr₀ in the
+	// same sweep.
 	t0 := time.Now()
 	a.MulVec(x, ap)
 	mark(&res.SpMVTime, t0)
 	t0 = time.Now()
-	bb, rr := vec.SubCopyDots(pool, r, p, b, ap)
+	bb, rz, rr := vec.SubCopyDots(pool, invDiag, r, p, b, ap)
 	normB := math.Sqrt(bb)
 	if normB == 0 {
 		normB = 1
@@ -230,9 +259,17 @@ func Solve(a MulVecer, pool *parallel.Pool, b, x []float64, opts Options) (Resul
 			mark(&res.VectorTime, t0)
 			return finish(rr, normB, &BreakdownError{Iteration: i, Quantity: "pAp", Value: pap})
 		}
-		alpha := rr / pap
-		// x += α·p ; r −= α·A·p ; rr' = rᵀr ; p = r + (rr'/rr)·p — one handoff.
-		rr = step(alpha, rr)
+		if !opts.FixedIterations && (rz == 0 || !isFinite(rz)) {
+			// β = rz'/rz: a vanished or non-finite rz poisons every later
+			// search direction. (Plain CG's rz is rr, which the checks
+			// above already hold finite and above tol2.)
+			mark(&res.VectorTime, t0)
+			return finish(rr, normB, &BreakdownError{Iteration: i, Quantity: "rz", Value: rz})
+		}
+		alpha := rz / pap
+		// x += α·p ; r −= α·A·p ; z = D⁻¹·r ; rz' = rᵀz, rr' = rᵀr ;
+		// p = z + (rz'/rz)·p — one handoff.
+		rz, rr = step(alpha, rz)
 		mark(&res.VectorTime, t0)
 		res.Iterations++
 		cgIterations.Inc()

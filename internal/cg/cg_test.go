@@ -231,8 +231,9 @@ func TestSolveFusedMatchesUnfused(t *testing.T) {
 }
 
 // A fused CG iteration must execute with at most two hand-offs: one for the
-// fused SpM×V+dot, one for the fused vector-update chain. Asserted through
-// the pool's instrumented dispatch counter.
+// fused SpM×V+dot, one for the fused vector-update chain; without the
+// kernel's fused dot, three. Jacobi rides the same iteration. Asserted
+// through the pool's instrumented dispatch counter.
 func TestSolveFusedIterationHandoffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	const n = 400
@@ -249,23 +250,32 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 	defer pool.Close()
 	for _, method := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed} {
 		k := core.NewKernel(s, method, pool)
-		x := make([]float64, n)
-		const iters = 25
-		// Warm-up solve allocates MulVecDot's partial buffer outside the count.
-		_, _ = Solve(k, pool, b, x, Options{MaxIter: 1, FixedIterations: true})
+		for _, tc := range []struct {
+			name    string
+			perIter int
+			solve   func(x []float64, opts Options)
+		}{
+			{"cg", 2, func(x []float64, opts Options) { _, _ = Solve(k, pool, b, x, opts) }},
+			{"jacobi", 2, func(x []float64, opts Options) { _, _ = SolveJacobi(k, s.DValues, pool, b, x, opts) }},
+			{"jacobi-unfused", 3, func(x []float64, opts Options) {
+				_, _ = SolveJacobi(MulVecFunc(k.MulVec), s.DValues, pool, b, x, opts)
+			}},
+		} {
+			x := make([]float64, n)
+			const iters = 25
+			// Warm-up solve allocates MulVecDot's partial buffer outside the count.
+			tc.solve(x, Options{MaxIter: 1, FixedIterations: true})
 
-		for i := range x {
-			x[i] = 0
-		}
-		pool.ResetHandoffs()
-		_, _ = Solve(k, pool, b, x, Options{MaxIter: iters, FixedIterations: true})
-		total := pool.Handoffs()
-		// Setup costs two handoffs (initial SpM×V + SubCopyDots); every
-		// iteration may cost at most two.
-		const setup = 2
-		if total > setup+2*iters {
-			t.Errorf("method=%v: %d handoffs for %d iterations, want ≤ %d",
-				method, total, iters, setup+2*iters)
+			clear(x)
+			pool.ResetHandoffs()
+			tc.solve(x, Options{MaxIter: iters, FixedIterations: true})
+			total := pool.Handoffs()
+			// Setup costs two handoffs (initial SpM×V + SubCopyDots).
+			const setup = 2
+			if want := int64(setup + tc.perIter*iters); total > want {
+				t.Errorf("method=%v %s: %d handoffs for %d iterations, want ≤ %d",
+					method, tc.name, total, iters, want)
+			}
 		}
 	}
 }

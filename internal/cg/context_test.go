@@ -97,7 +97,7 @@ func TestSolvePCGHonorsCancel(t *testing.T) {
 	cancel()
 
 	x := make([]float64, len(b))
-	_, err := SolvePCG(MulVecFunc(k.MulVec), IdentityPreconditioner{}, pool, b, x, Options{Context: ctx})
+	_, err := SolveJacobi(k, k.S.DValues, pool, b, x, Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want errors.Is(err, context.Canceled)", err)
 	}

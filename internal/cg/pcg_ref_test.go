@@ -10,24 +10,16 @@ import (
 	"repro/internal/vec"
 )
 
-// Preconditioner applies z = M⁻¹·r for a symmetric positive definite
-// approximation M of A. Implementations must be safe for repeated calls
-// with the same buffers.
-type Preconditioner interface {
-	Apply(pool *parallel.Pool, r, z []float64)
-}
+// The Jacobi-preconditioned CG loop SolveJacobi replaced, kept verbatim from
+// PR 24 as the oracle: SolvePCG with its JacobiPreconditioner, one dispatch
+// per vector operation. The preconditioner is now its inverse diagonal, and
+// the one-shot vec kernels it called (Sub, Copy, Norm2, Axpy, Xpay), which
+// left the package with it, are the serial loops below: they are
+// element-wise, so the chunking they ran under never changed a bit, and
+// Norm2 was √Dot. SolveJacobi must reproduce every iterate bitwise.
 
-// JacobiPreconditioner is the diagonal (point-Jacobi) preconditioner:
-// M = diag(A), z_i = r_i / A_ii. Zero or missing diagonal entries fall back
-// to the identity for that row. The paper treats preconditioning as
-// orthogonal to the SpM×V optimizations; Jacobi is provided as the standard
-// baseline preconditioner whose cost is a single vector operation.
-type JacobiPreconditioner struct {
-	InvDiag []float64
-}
-
-// NewJacobi builds the preconditioner from the operator's diagonal.
-func NewJacobi(diag []float64) *JacobiPreconditioner {
+// refInvDiag is NewJacobi: zero diagonal entries fall back to the identity.
+func refInvDiag(diag []float64) []float64 {
 	inv := make([]float64, len(diag))
 	for i, d := range diag {
 		if d != 0 {
@@ -36,37 +28,34 @@ func NewJacobi(diag []float64) *JacobiPreconditioner {
 			inv[i] = 1
 		}
 	}
-	return &JacobiPreconditioner{InvDiag: inv}
+	return inv
 }
 
-// Apply computes z = M⁻¹·r.
-func (j *JacobiPreconditioner) Apply(pool *parallel.Pool, r, z []float64) {
-	inv := j.InvDiag
-	pool.RunChunked(len(r), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			z[i] = r[i] * inv[i]
-		}
-	})
+func refApply(inv, r, z []float64) {
+	for i := range r {
+		z[i] = r[i] * inv[i]
+	}
 }
 
-// IdentityPreconditioner turns PCG back into plain CG (useful for tests and
-// ablations sharing one code path).
-type IdentityPreconditioner struct{}
-
-// Apply copies r into z.
-func (IdentityPreconditioner) Apply(pool *parallel.Pool, r, z []float64) {
-	vec.Copy(pool, z, r)
+func refSub(dst, a, b []float64) {
+	for i := range a {
+		dst[i] = a[i] - b[i]
+	}
 }
 
-// SolvePCG runs the preconditioned Conjugate Gradient method on A·x = b.
-// With the identity preconditioner it performs the same iteration as Solve
-// (one extra vector copy per step). The phase breakdown accounts the
-// preconditioner under VectorTime.
-//
-// Like Solve, SolvePCG returns a *BreakdownError on a non-positive or
-// non-finite pᵀ·Ap, a vanishing or non-finite rᵀ·z (the scalar β divides
-// by), or a non-finite residual; Options.FixedIterations skips the checks.
-func SolvePCG(a MulVecer, m Preconditioner, pool *parallel.Pool, b, x []float64, opts Options) (Result, error) {
+func refAxpy(alpha float64, x, y []float64) {
+	for i := range x {
+		y[i] += alpha * x[i]
+	}
+}
+
+func refXpay(alpha float64, x, y []float64) {
+	for i := range x {
+		y[i] = x[i] + alpha*y[i]
+	}
+}
+
+func refSolvePCG(a MulVecer, inv []float64, pool *parallel.Pool, b, x []float64, opts Options) (Result, error) {
 	n := len(b)
 	if len(x) != n {
 		panic(fmt.Sprintf("cg: len(x)=%d, len(b)=%d", len(x), n))
@@ -102,10 +91,10 @@ func SolvePCG(a MulVecer, m Preconditioner, pool *parallel.Pool, b, x []float64,
 	mark(&res.SpMVTime, t0)
 
 	t0 = time.Now()
-	vec.Sub(pool, r, b, ap)
-	m.Apply(pool, r, z)
-	vec.Copy(pool, p, z)
-	normB := vec.Norm2(pool, b)
+	refSub(r, b, ap)
+	refApply(inv, r, z)
+	copy(p, z)
+	normB := math.Sqrt(vec.Dot(pool, b, b))
 	if normB == 0 {
 		normB = 1
 	}
@@ -149,14 +138,14 @@ func SolvePCG(a MulVecer, m Preconditioner, pool *parallel.Pool, b, x []float64,
 			return finish(rr, normB, &BreakdownError{Iteration: i, Quantity: "rz", Value: rz})
 		}
 		alpha := rz / pap
-		vec.Axpy(pool, alpha, p, x)
-		vec.Axpy(pool, -alpha, ap, r)
-		m.Apply(pool, r, z)
+		refAxpy(alpha, p, x)
+		refAxpy(-alpha, ap, r)
+		refApply(inv, r, z)
 		rzNew := vec.Dot(pool, r, z)
 		beta := rzNew / rz
 		rz = rzNew
 		rr = vec.Dot(pool, r, r)
-		vec.Xpay(pool, beta, z, p) // p = z + β·p
+		refXpay(beta, z, p) // p = z + β·p
 		mark(&res.VectorTime, t0)
 		res.Iterations++
 		cgIterations.Inc()

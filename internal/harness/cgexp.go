@@ -8,7 +8,6 @@ import (
 	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
-	"repro/internal/vec"
 )
 
 // PreprocCost reproduces §V-E: the CSX-Sym preprocessing cost expressed in
@@ -29,7 +28,7 @@ func PreprocCost(cfg Config, suite []*SuiteMatrix) *Table {
 	for _, sm := range suite {
 		cfg.logf("preproc: %s", sm.Spec.Name)
 		b := Build(sm, format.CSXSym, pool)
-		csrOp := MeasureSpMV(sm.CSR.MulVec, sm.S.N, minInt(cfg.Iterations, 16))
+		csrOp := perfmodel.MeasureSpMV(sm.CSR.MulVec, sm.S.N, minInt(cfg.Iterations, 16))
 		ops := b.Preproc.Seconds() / csrOp.Seconds()
 		costs = append(costs, ops)
 		t.Rows = append(t.Rows, []string{
@@ -91,7 +90,7 @@ func Fig14(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 			if f == format.CSX || f == format.CSXSym {
 				// Host-measured preprocessing expressed in serial CSR ops,
 				// mapped to platform time through the modeled serial op.
-				csrOp := MeasureSpMV(rm.CSR.MulVec, rm.S.N, 4)
+				csrOp := perfmodel.MeasureSpMV(rm.CSR.MulVec, rm.S.N, 4)
 				ops := built.Preproc.Seconds() / csrOp.Seconds()
 				pre = ops * perfmodel.CSRCost(rm.CSR).SerialSeconds(pl)
 			}
@@ -126,15 +125,13 @@ func HostCG(cfg Config, suite []*SuiteMatrix, threads, iters int) *Table {
 	defer pool.Close()
 	for _, sm := range suite {
 		n := sm.S.N
-		xstar := make([]float64, n)
-		rngFill(xstar)
+		xstar := perfmodel.InputVector(n)
 		b := make([]float64, n)
 		sm.M.MulVec(xstar, b)
 		for _, f := range []format.ID{format.CSR, format.SSSIndexed, format.CSXSym} {
 			cfg.logf("hostcg/%s: %s", sm.Spec.Name, f)
 			built := Build(sm, f, pool)
 			x := make([]float64, n)
-			vec.Fill(pool, x, 0)
 			// FixedIterations skips the breakdown checks, so no error.
 			res, _ := cg.Solve(built.Op(), pool, b, x, cg.Options{
 				MaxIter: iters, FixedIterations: true,

@@ -57,7 +57,7 @@ func ColoredRCM(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 		for _, m := range []*SuiteMatrix{sm, rm} {
 			c := color.Colors(m.S.N, m.S.RowPtr, m.S.ColIdx, pc, color.Options{})
 			b := Build(m, format.SSSColored, pool)
-			per := MeasureSpMV(b.Mul, m.S.N, cfg.Iterations)
+			per := perfmodel.MeasureSpMV(b.Mul, m.S.N, cfg.Iterations)
 			row = append(row,
 				fmt.Sprintf("%d", m.Stats.Bandwidth),
 				fmt.Sprintf("%d", c),

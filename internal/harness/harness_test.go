@@ -52,8 +52,7 @@ func TestBuildAllFormatsAgree(t *testing.T) {
 	}
 	sm := suite[1] // consph: blocked, exercises CSX patterns
 	n := sm.S.N
-	x := make([]float64, n)
-	rngFill(x)
+	x := perfmodel.InputVector(n)
 	want := make([]float64, n)
 	sm.M.MulVec(x, want)
 	for _, p := range []int{1, 3} {
@@ -111,7 +110,7 @@ func TestMeasureSpMVPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MeasureSpMV(suite[0].CSR.MulVec, suite[0].S.N, 4); d <= 0 {
+	if d := perfmodel.MeasureSpMV(suite[0].CSR.MulVec, suite[0].S.N, 4); d <= 0 {
 		t.Fatalf("MeasureSpMV = %v", d)
 	}
 }

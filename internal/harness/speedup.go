@@ -199,7 +199,7 @@ func HostMeasured(cfg Config, suite []*SuiteMatrix, threads int) *Table {
 		for _, f := range format.All() {
 			cfg.logf("host/%s: %s", sm.Spec.Name, f)
 			b := Build(sm, f, pool)
-			per := MeasureSpMV(b.Mul, sm.S.N, cfg.Iterations)
+			per := perfmodel.MeasureSpMV(b.Mul, sm.S.N, cfg.Iterations)
 			row = append(row, fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost(&sm.Matrix).UsefulFlops, per.Seconds())))
 		}
 		t.Rows = append(t.Rows, row)

@@ -38,30 +38,23 @@ func spmmThreads() []int {
 	return out
 }
 
-// measureSpMM runs iters sampled nv-wide operations (vector-swapping, like
-// MeasureSpMV) and returns the accumulated phase breakdown; nv = 1 is the
-// plain SpM×V and cannot fail.
+// measureSpMM runs perfmodel.MeasureSpMV's protocol over nv-wide sampled
+// operations and returns the phase breakdown accumulated over the timed
+// ones; nv = 1 is the plain SpM×V and cannot fail.
 func measureSpMM(k *core.Kernel, n, nv, iters int) (core.PhaseTimes, error) {
-	x := make([]float64, n*nv)
-	y := make([]float64, n*nv)
-	rngFill(x)
 	var pt core.PhaseTimes
-	for it := 0; it < iters; it++ {
-		if nv == 1 {
-			pt.Add(k.TimedMulVec(x, y))
-		} else {
-			p, err := k.TimedMulMat(x, y, nv)
-			if err != nil {
-				return pt, err
-			}
+	var err error
+	ops := 0
+	perfmodel.MeasureSpMV(func(x, y []float64) {
+		p, e := k.TimedMulMat(x, y, nv)
+		if ops++; ops > 1 { // the first is the protocol's untimed warm-up
 			pt.Add(p)
 		}
-		x, y = y, x
-		if it%16 == 15 {
-			renormalize(x)
+		if err == nil {
+			err = e
 		}
-	}
-	return pt, nil
+	}, n*nv, iters)
+	return pt, err
 }
 
 // SpMMBench measures the SSS-indexed kernel scalar vs register-blocked
@@ -144,9 +137,8 @@ func SpMMSmoke(cfg Config, suite []*SuiteMatrix) (*Table, error) {
 		}
 		prev = mbpf
 		if nv > 1 {
-			x := make([]float64, sm.S.N*nv)
+			x := perfmodel.InputVector(sm.S.N * nv)
 			y := make([]float64, sm.S.N*nv)
-			rngFill(x)
 			if err := b.MulMat(x, y, nv); err != nil {
 				return nil, fmt.Errorf("spmm-smoke: MulMat nv=%d: %w", nv, err)
 			}

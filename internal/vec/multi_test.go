@@ -80,7 +80,7 @@ func TestMultiKernelsMatchSingleLane(t *testing.T) {
 	MultiSubCopyDots(pool, r, p, bv, ap, nv, bb, rr)
 	for v := 0; v < nv; v++ {
 		r1, p1 := make([]float64, n), make([]float64, n)
-		bb1, rr1 := SubCopyDots(pool, r1, p1, lane(bv, v), lane(ap, v))
+		bb1, _, rr1 := SubCopyDots(pool, nil, r1, p1, lane(bv, v), lane(ap, v))
 		if bb[v] != bb1 || rr[v] != rr1 {
 			t.Fatalf("MultiSubCopyDots lane %d sums differ", v)
 		}

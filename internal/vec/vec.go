@@ -1,13 +1,11 @@
 // Package vec provides the parallel dense-vector kernels the CG solver
-// performs between SpM×V operations: dot products, axpy-style updates,
-// copies and norms, all chunked over a worker pool.
-//
-// Besides the classic one-operation-per-barrier kernels, the package offers
-// fused kernels (SubCopyDots, CGStep) that run a CG iteration's whole
-// axpy/dot/copy sequence as one phase list: the per-thread partial sums
-// cross phase boundaries through a padded scratch array, and every thread
-// combines the partials itself after the barrier, so the chain costs one
-// coordinator handoff instead of one per operation.
+// performs between SpM×V operations, chunked over a worker pool: the dot
+// product, and fused kernels (SubCopyDots, CGStep) that run a CG iteration's
+// whole axpy/dot/copy sequence — Jacobi's z = D⁻¹·r included — as one phase
+// list: the per-thread partial sums cross phase boundaries through a padded
+// scratch array, and every thread combines the partials itself after the
+// barrier, so the chain costs one coordinator handoff instead of one per
+// operation.
 //
 // The operations a solver repeats per iteration also come bound to their
 // vectors (BindDot, BindCGStep, BindMultiDots, BindMultiCGStep): partial sums
@@ -19,7 +17,6 @@
 package vec
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/parallel"
@@ -42,12 +39,6 @@ func newOp(name string, spans ...string) *op {
 
 var (
 	opDot              = newOp("dot", "vec/dot")
-	opAxpy             = newOp("axpy", "vec/axpy")
-	opXpay             = newOp("xpay", "vec/xpay")
-	opCopy             = newOp("copy", "vec/copy")
-	opScale            = newOp("scale", "vec/scale")
-	opSub              = newOp("sub", "vec/sub")
-	opFill             = newOp("fill", "vec/fill")
 	opSubCopyDots      = newOp("subcopydots", "vec/subcopydots")
 	opCGStep           = newOp("cgstep", "vec/cgstep-update", "vec/cgstep-direction")
 	opMultiDots        = newOp("multidots", "vec/multidots")
@@ -102,89 +93,48 @@ func BindDot(pool *parallel.Pool, a, b []float64) func() float64 {
 	}
 }
 
-// Axpy computes y += alpha·x.
-func Axpy(pool *parallel.Pool, alpha float64, x, y []float64) {
-	opAxpy.chunked(pool, len(x), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
-}
-
-// Xpay computes y = x + alpha·y (the CG direction update p = r + β·p).
-func Xpay(pool *parallel.Pool, alpha float64, x, y []float64) {
-	opXpay.chunked(pool, len(x), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] = x[i] + alpha*y[i]
-		}
-	})
-}
-
-// Copy copies src into dst in parallel.
-func Copy(pool *parallel.Pool, dst, src []float64) {
-	opCopy.chunked(pool, len(src), func(_, lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
-}
-
-// Scale computes x *= alpha.
-func Scale(pool *parallel.Pool, alpha float64, x []float64) {
-	opScale.chunked(pool, len(x), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] *= alpha
-		}
-	})
-}
-
-// Sub computes dst = a - b.
-func Sub(pool *parallel.Pool, dst, a, b []float64) {
-	opSub.chunked(pool, len(a), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] - b[i]
-		}
-	})
-}
-
-// Norm2 computes the Euclidean norm ‖x‖₂.
-func Norm2(pool *parallel.Pool, x []float64) float64 {
-	return math.Sqrt(Dot(pool, x, x))
-}
-
-// Fill sets every element to v.
-func Fill(pool *parallel.Pool, x []float64, v float64) {
-	opFill.chunked(pool, len(x), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = v
-		}
-	})
-}
-
-// SubCopyDots fuses the CG setup chain into one coordinator handoff:
-// r = b − ap, p = r, returning bᵀb and rᵀr. Partial sums are combined
-// serially in thread order, so the results are bitwise identical to the
-// unfused Sub/Copy/Dot/Dot sequence.
-func SubCopyDots(pool *parallel.Pool, r, p, b, ap []float64) (bb, rr float64) {
+// SubCopyDots fuses the CG set-up chain into one coordinator handoff:
+// r = b − ap, p = d∘r, returning bᵀb, rᵀz and rᵀr for z = d∘r. d is Jacobi's
+// inverse diagonal; with d nil (plain CG) z is r and rz is rr. Partial sums
+// are combined serially in thread order, so each result is bitwise the Dot
+// of its two vectors.
+func SubCopyDots(pool *parallel.Pool, d, r, p, b, ap []float64) (bb, rz, rr float64) {
 	np := pool.Size()
-	partial := make([]float64, 2*np*pad)
-	n := len(b)
-	opSubCopyDots.chunked(pool, n, func(tid, lo, hi int) {
-		sb, sr := 0.0, 0.0
-		for i := lo; i < hi; i++ {
-			bi := b[i]
-			ri := bi - ap[i]
-			r[i] = ri
-			p[i] = ri
-			sb += bi * bi
-			sr += ri * ri
+	partial := make([]float64, 3*np*pad)
+	opSubCopyDots.chunked(pool, len(b), func(tid, lo, hi int) {
+		sb, sz, sr := 0.0, 0.0, 0.0
+		if d == nil {
+			for i := lo; i < hi; i++ {
+				bi := b[i]
+				ri := bi - ap[i]
+				r[i] = ri
+				p[i] = ri
+				sb += bi * bi
+				sr += ri * ri
+			}
+			sz = sr
+		} else {
+			for i := lo; i < hi; i++ {
+				bi := b[i]
+				ri := bi - ap[i]
+				r[i] = ri
+				zi := ri * d[i]
+				p[i] = zi
+				sb += bi * bi
+				sz += ri * zi
+				sr += ri * ri
+			}
 		}
 		partial[tid*pad] = sb
-		partial[(np+tid)*pad] = sr
+		partial[(np+tid)*pad] = sz
+		partial[(2*np+tid)*pad] = sr
 	})
 	for t := 0; t < np; t++ {
 		bb += partial[t*pad]
-		rr += partial[(np+t)*pad]
+		rz += partial[(np+t)*pad]
+		rr += partial[(2*np+t)*pad]
 	}
-	return bb, rr
+	return bb, rz, rr
 }
 
 // CGStep fuses the vector-operation tail of one CG iteration (Alg. 1) into a
@@ -199,45 +149,88 @@ func SubCopyDots(pool *parallel.Pool, r, p, b, ap []float64) (bb, rr float64) {
 // a dot and an xpay); the arithmetic and summation order are identical, so
 // the results match the unfused sequence bitwise.
 func CGStep(pool *parallel.Pool, alpha, rrOld float64, p, ap, x, r []float64) float64 {
-	return BindCGStep(pool, p, ap, x, r)(alpha, rrOld)
+	_, rr := BindCGStep(pool, nil, p, ap, x, r)(alpha, rrOld)
+	return rr
 }
 
-// BindCGStep returns CGStep bound to its vectors, as BindDot does for Dot.
-func BindCGStep(pool *parallel.Pool, p, ap, x, r []float64) func(alpha, rrOld float64) float64 {
+// BindCGStep returns CGStep bound to its vectors, as BindDot does for Dot,
+// with Jacobi preconditioning folded in when d (the inverse diagonal) is
+// non-nil: phase 1 also sums the partials of rᵀz for z = d∘r, and phase 2
+// sets beta = rzNew/rzOld and p = z + beta·p, recomputing z rather than
+// storing it. The step returns rᵀz and rᵀr; with d nil, z is r and both are
+// rᵀr. The nil test picks the phase bodies here, once: plain CG runs
+// CGStep's loops unchanged.
+func BindCGStep(pool *parallel.Pool, d, p, ap, x, r []float64) func(alpha, rzOld float64) (rz, rr float64) {
 	np := pool.Size()
-	partial := make([]float64, np*pad)
-	var alpha, rrOld, rrNew float64
+	partial := make([]float64, 2*np*pad) // per thread: rᵀr, then rᵀz (Jacobi)
+	var alpha, rzOld, rzNew, rrNew float64
 	n := len(r)
-	l := opCGStep.bind(
-		func(tid int) {
+	update := func(tid int) {
+		lo, hi := parallel.Chunk(n, np, tid)
+		sum := 0.0
+		for i := lo; i < hi; i++ {
+			x[i] += alpha * p[i]
+			ri := r[i] - alpha*ap[i]
+			r[i] = ri
+			sum += ri * ri
+		}
+		partial[tid*pad] = sum
+	}
+	direction := func(tid int) {
+		total := 0.0
+		for t := 0; t < np; t++ {
+			total += partial[t*pad]
+		}
+		beta := total / rzOld
+		lo, hi := parallel.Chunk(n, np, tid)
+		for i := lo; i < hi; i++ {
+			p[i] = r[i] + beta*p[i]
+		}
+		if tid == 0 {
+			rzNew, rrNew = total, total
+		}
+	}
+	if d != nil {
+		// Every slice is cut to the chunk once, so one bounds proof covers
+		// each loop: with d's extra stream, the per-element checks were most
+		// of what separated Jacobi's iteration from plain CG's.
+		update = func(tid int) {
 			lo, hi := parallel.Chunk(n, np, tid)
-			sum := 0.0
-			for i := lo; i < hi; i++ {
+			r := r[lo:hi]
+			x, p, ap, d := x[lo:hi][:len(r)], p[lo:hi][:len(r)], ap[lo:hi][:len(r)], d[lo:hi][:len(r)]
+			sz, sr := 0.0, 0.0
+			for i, ri := range r {
 				x[i] += alpha * p[i]
-				ri := r[i] - alpha*ap[i]
+				ri -= alpha * ap[i]
 				r[i] = ri
-				sum += ri * ri
+				sz += ri * (ri * d[i])
+				sr += ri * ri
 			}
-			partial[tid*pad] = sum
-		},
-		func(tid int) {
-			total := 0.0
+			partial[tid*pad] = sr
+			partial[(np+tid)*pad] = sz
+		}
+		direction = func(tid int) {
+			rz, rr := 0.0, 0.0
 			for t := 0; t < np; t++ {
-				total += partial[t*pad]
+				rr += partial[t*pad]
+				rz += partial[(np+t)*pad]
 			}
-			beta := total / rrOld
+			beta := rz / rzOld
 			lo, hi := parallel.Chunk(n, np, tid)
-			for i := lo; i < hi; i++ {
-				p[i] = r[i] + beta*p[i]
+			p := p[lo:hi]
+			r, d := r[lo:hi][:len(p)], d[lo:hi][:len(p)]
+			for i, pi := range p {
+				p[i] = r[i]*d[i] + beta*pi
 			}
 			if tid == 0 {
-				rrNew = total
+				rzNew, rrNew = rz, rr
 			}
-		},
-	)
-	return func(a, rr float64) float64 {
-		alpha, rrOld = a, rr
+		}
+	}
+	l := opCGStep.bind(update, direction)
+	return func(a, rz float64) (float64, float64) {
+		alpha, rzOld = a, rz
 		pool.RunPhaseList(l)
-		return rrNew
+		return rzNew, rrNew
 	}
 }

@@ -36,64 +36,6 @@ func TestDot(t *testing.T) {
 	})
 }
 
-func TestAxpyXpaySubScaleCopyFill(t *testing.T) {
-	pools(t, func(p *parallel.Pool) {
-		x := []float64{1, 2, 3}
-		y := []float64{10, 20, 30}
-		Axpy(p, 2, x, y)
-		want := []float64{12, 24, 36}
-		for i := range y {
-			if y[i] != want[i] {
-				t.Fatalf("Axpy: y = %v, want %v", y, want)
-			}
-		}
-		Xpay(p, 0.5, x, y) // y = x + 0.5y
-		want = []float64{7, 14, 21}
-		for i := range y {
-			if y[i] != want[i] {
-				t.Fatalf("Xpay: y = %v, want %v", y, want)
-			}
-		}
-		dst := make([]float64, 3)
-		Sub(p, dst, y, x)
-		want = []float64{6, 12, 18}
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("Sub: %v, want %v", dst, want)
-			}
-		}
-		Scale(p, 1.0/6, dst)
-		want = []float64{1, 2, 3}
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("Scale: %v, want %v", dst, want)
-			}
-		}
-		cp := make([]float64, 3)
-		Copy(p, cp, dst)
-		for i := range cp {
-			if cp[i] != dst[i] {
-				t.Fatalf("Copy: %v", cp)
-			}
-		}
-		Fill(p, cp, -1)
-		for i := range cp {
-			if cp[i] != -1 {
-				t.Fatalf("Fill: %v", cp)
-			}
-		}
-	})
-}
-
-func TestNorm2(t *testing.T) {
-	pools(t, func(p *parallel.Pool) {
-		v := []float64{3, 4}
-		if got := Norm2(p, v); math.Abs(got-5) > 1e-15 {
-			t.Fatalf("Norm2 = %g, want 5", got)
-		}
-	})
-}
-
 // Property: parallel Dot matches serial accumulation for any pool size.
 func TestQuickDotMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
@@ -137,36 +79,57 @@ func TestDotDeterministic(t *testing.T) {
 	}
 }
 
-// SubCopyDots must be bitwise identical to the unfused Sub/Copy/Dot/Dot
-// sequence it replaces in the CG setup.
+// randomVec returns n standard-normal entries.
+func randomVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// jacobiCases yields plain CG (d nil) and a Jacobi inverse diagonal.
+func jacobiCases(rng *rand.Rand, n int) map[string][]float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = 1 / (1 + 10*rng.Float64())
+	}
+	return map[string][]float64{"plain": nil, "jacobi": d}
+}
+
+// precondition is the unfused z = d∘r (z = r for plain CG).
+func precondition(d, r []float64) []float64 {
+	z := slices.Clone(r)
+	for i := range d {
+		z[i] *= d[i]
+	}
+	return z
+}
+
+// SubCopyDots must be bitwise identical to the unfused set-up sequence it
+// replaces — r = b − ap, z = d∘r, p = z, then Dot for bᵀb, rᵀz and rᵀr.
 func TestSubCopyDotsMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{0, 1, 7, 1000} {
 		for _, p := range []int{1, 3, 8} {
-			pool := parallel.NewPool(p)
-			b := make([]float64, n)
-			ap := make([]float64, n)
-			for i := 0; i < n; i++ {
-				b[i] = rng.NormFloat64()
-				ap[i] = rng.NormFloat64()
-			}
-			rWant := make([]float64, n)
-			pWant := make([]float64, n)
-			Sub(pool, rWant, b, ap)
-			Copy(pool, pWant, rWant)
-			bbWant := Dot(pool, b, b)
-			rrWant := Dot(pool, rWant, rWant)
+			for name, d := range jacobiCases(rng, n) {
+				pool := parallel.NewPool(p)
+				b, ap := randomVec(rng, n), randomVec(rng, n)
+				rWant := make([]float64, n)
+				for i := range rWant {
+					rWant[i] = b[i] - ap[i]
+				}
+				zWant := precondition(d, rWant)
+				bbWant, rzWant, rrWant := Dot(pool, b, b), Dot(pool, rWant, zWant), Dot(pool, rWant, rWant)
 
-			rGot := make([]float64, n)
-			pGot := make([]float64, n)
-			bb, rr := SubCopyDots(pool, rGot, pGot, b, ap)
-			pool.Close()
-			if bb != bbWant || rr != rrWant {
-				t.Fatalf("n=%d p=%d: dots (%g,%g), want (%g,%g)", n, p, bb, rr, bbWant, rrWant)
-			}
-			for i := 0; i < n; i++ {
-				if rGot[i] != rWant[i] || pGot[i] != pWant[i] {
-					t.Fatalf("n=%d p=%d: vectors differ at %d", n, p, i)
+				rGot, pGot := make([]float64, n), make([]float64, n)
+				bb, rz, rr := SubCopyDots(pool, d, rGot, pGot, b, ap)
+				pool.Close()
+				if bb != bbWant || rz != rzWant || rr != rrWant {
+					t.Fatalf("%s n=%d p=%d: dots (%g,%g,%g), want (%g,%g,%g)", name, n, p, bb, rz, rr, bbWant, rzWant, rrWant)
+				}
+				if !slices.Equal(rGot, rWant) || !slices.Equal(pGot, zWant) {
+					t.Fatalf("%s n=%d p=%d: vectors differ", name, n, p)
 				}
 			}
 		}
@@ -174,45 +137,47 @@ func TestSubCopyDotsMatchesUnfused(t *testing.T) {
 }
 
 // CGStep must be bitwise identical to the unfused axpy/axpy/dot/xpay chain
-// of one CG iteration, spinning and oversubscribed (GOMAXPROCS 1) alike.
+// of one CG iteration — with z = d∘r and its dot in between for Jacobi —
+// spinning and oversubscribed (GOMAXPROCS 1) alike.
 func TestCGStepMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 9, 1000} {
 		for _, p := range []int{1, 4, 8} {
 			for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
-				prev := runtime.GOMAXPROCS(procs)
-				pool := parallel.NewPool(p)
-				pv := make([]float64, n)
-				ap := make([]float64, n)
-				x := make([]float64, n)
-				r := make([]float64, n)
-				for i := 0; i < n; i++ {
-					pv[i] = rng.NormFloat64()
-					ap[i] = rng.NormFloat64()
-					x[i] = rng.NormFloat64()
-					r[i] = rng.NormFloat64()
-				}
-				alpha := 0.37
-				rrOld := Dot(pool, r, r)
+				for name, d := range jacobiCases(rng, n) {
+					prev := runtime.GOMAXPROCS(procs)
+					pool := parallel.NewPool(p)
+					pv, ap, x, r := randomVec(rng, n), randomVec(rng, n), randomVec(rng, n), randomVec(rng, n)
+					alpha := 0.37
+					rzOld := Dot(pool, r, precondition(d, r))
 
-				// Unfused reference on copies.
-				xw := append([]float64(nil), x...)
-				rw := append([]float64(nil), r...)
-				pw := append([]float64(nil), pv...)
-				Axpy(pool, alpha, pw, xw)
-				Axpy(pool, -alpha, ap, rw)
-				rrWant := Dot(pool, rw, rw)
-				Xpay(pool, rrWant/rrOld, rw, pw)
+					// Unfused reference on copies.
+					xw, rw, pw := slices.Clone(x), slices.Clone(r), slices.Clone(pv)
+					for i := range xw {
+						xw[i] += alpha * pw[i]
+						rw[i] += -alpha * ap[i]
+					}
+					zw := precondition(d, rw)
+					rzWant, rrWant := Dot(pool, rw, zw), Dot(pool, rw, rw)
+					for i := range pw {
+						pw[i] = zw[i] + rzWant/rzOld*pw[i]
+					}
 
-				rrGot := CGStep(pool, alpha, rrOld, pv, ap, x, r)
-				pool.Close()
-				runtime.GOMAXPROCS(prev)
-				if rrGot != rrWant {
-					t.Fatalf("n=%d p=%d GOMAXPROCS=%d: rr=%g, want %g", n, p, procs, rrGot, rrWant)
-				}
-				for i := 0; i < n; i++ {
-					if x[i] != xw[i] || r[i] != rw[i] || pv[i] != pw[i] {
-						t.Fatalf("n=%d p=%d GOMAXPROCS=%d: vectors differ at %d", n, p, procs, i)
+					var rzGot, rrGot float64
+					if d == nil {
+						rrGot = CGStep(pool, alpha, rzOld, pv, ap, x, r)
+						rzGot = rrGot
+					} else {
+						rzGot, rrGot = BindCGStep(pool, d, pv, ap, x, r)(alpha, rzOld)
+					}
+					pool.Close()
+					runtime.GOMAXPROCS(prev)
+					if rzGot != rzWant || rrGot != rrWant {
+						t.Fatalf("%s n=%d p=%d GOMAXPROCS=%d: rz, rr = %g, %g, want %g, %g",
+							name, n, p, procs, rzGot, rrGot, rzWant, rrWant)
+					}
+					if !slices.Equal(x, xw) || !slices.Equal(r, rw) || !slices.Equal(pv, pw) {
+						t.Fatalf("%s n=%d p=%d GOMAXPROCS=%d: vectors differ", name, n, p, procs)
 					}
 				}
 			}

@@ -2,7 +2,7 @@
 # Size metrics the ROADMAP says should go down, plus the structural counts
 # `make ci` gates on:
 #
-#   hand-written non-test Go lines outside      (limit 18 100: a ratchet,
+#   hand-written non-test Go lines outside      (limit 17 900: a ratchet,
 #   benchmark/                                   not a target; files that open
 #                                                with the standard "Code generated
 #                                                ... DO NOT EDIT." line are counted
@@ -30,6 +30,9 @@
 #   through a comparator or allocate per line    internal/matrix and csx/detect.go;
 #                                                strings.Fields or .Text() in the
 #                                                Matrix Market reader's data loop)
+#   CG iteration loops in internal/cg            (limit 2: Solve's, which Jacobi
+#                                                shares, and SolveBlock's; and no
+#                                                SolvePCG or Preconditioner anywhere)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -107,7 +110,15 @@ slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) in
 	printf '%s\n' "$loop" | grep -nE 'strings\.Fields|\.Text\(\)' | sed "s|^|$mmio (data loop):|"; } || true)
 nslow=$(printf '%s' "$slow" | grep -c . || true)
 
-printf 'hand-written non-test Go lines:            %6d  (limit 18100; outside benchmark/)\n' "$lines"
+# One scalar CG loop: plain and Jacobi-preconditioned CG share Solve's
+# iteration (the inverse diagonal is its one parameter); the block solver has
+# the other. The second scalar loop and its extension point stay deleted.
+loops=$(sources | grep -E '^\./internal/cg/' | xargs grep -nE 'for i := 0; i < opts\.MaxIter' || true)
+nloops=$(printf '%s' "$loops" | grep -c . || true)
+pcg=$(sources | xargs grep -nE 'SolvePCG|Preconditioner' || true)
+npcg=$(printf '%s' "$pcg" | grep -c . || true)
+
+printf 'hand-written non-test Go lines:            %6d  (limit 17900; outside benchmark/)\n' "$lines"
 printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
 printf 'generated non-test Go lines:               %6d  (not gated)\n' "$genlines"
 printf 'hand-written ...T bodies in internal/core: %6d  (limit 12)\n' "$bodies"
@@ -119,10 +130,12 @@ printf 'dispatch forks in internal/parallel:       %6d  (limit 0)\n' "$nforks"
 printf 'second execution modes:                    %6d  (limit 0)\n' "$nmodes"
 printf 'dropped comparators back in the tree:     %6d  (limit 0)\n' "$ndropped"
 printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
+printf 'CG iteration loops in internal/cg:         %6d  (limit 2)\n' "$nloops"
+printf 'SolvePCG / Preconditioner back in the tree:%6d  (limit 0)\n' "$npcg"
 
 status=0
-if [ "$lines" -gt 18100 ]; then
-	echo "loc: $lines hand-written non-test Go lines, over the 18 100 ratchet (ROADMAP item 5)" >&2
+if [ "$lines" -gt 17900 ]; then
+	echo "loc: $lines hand-written non-test Go lines, over the 17 900 ratchet (ROADMAP item 5)" >&2
 	status=1
 fi
 if [ "$bodies" -gt 12 ]; then
@@ -163,6 +176,16 @@ fi
 if [ "$nslow" -gt 0 ]; then
 	echo "loc: a comparator sort or a per-line allocation on the set-up path (radix/counting sort; tokenise bytes in place):" >&2
 	echo "$slow" >&2
+	status=1
+fi
+if [ "$nloops" -gt 2 ]; then
+	echo "loc: more than two CG iteration loops in internal/cg (a variant is a parameter of Solve's loop):" >&2
+	echo "$loops" >&2
+	status=1
+fi
+if [ "$npcg" -gt 0 ]; then
+	echo "loc: SolvePCG or a Preconditioner is back (Jacobi is SolveJacobi, Solve's loop):" >&2
+	echo "$pcg" >&2
 	status=1
 fi
 exit $status

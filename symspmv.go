@@ -430,8 +430,8 @@ type CGOptions struct {
 // For the symmetric formats (SSS*, CSXSym) the solve takes the fused fast
 // path: the pᵀ·Ap dot product rides inside the kernel's reduction phase and
 // the iteration's vector operations run as one fused chain, so each CG
-// iteration costs two coordinator handoffs instead of six. The iterates are
-// bitwise identical either way.
+// iteration costs two coordinator handoffs (three for the formats without
+// the fused dot). The iterates are bitwise identical either way.
 func SolveCG(k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
 	bk, err := checkKernel(k, b, x, "SolveCG")
 	if err != nil {
@@ -454,10 +454,11 @@ func SolveCG(k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
 }
 
 // SolveCGJacobi solves A·x = b with Jacobi-(diagonal-)preconditioned CG.
-// The preconditioner is built from A's diagonal; the paper treats
-// preconditioning as orthogonal to the SpM×V optimization, and Jacobi adds
-// only one vector operation per iteration. A must be the matrix the kernel
-// was built from.
+// The preconditioner is built from A's diagonal (a zero entry leaves its row
+// unpreconditioned); the paper treats preconditioning as orthogonal to the
+// SpM×V optimization. The solve is SolveCG's iteration — the same fused fast
+// path and handoff count — with z = D⁻¹·r folded into its vector sweeps: one
+// multiply per element more. A must be the matrix the kernel was built from.
 func SolveCGJacobi(a *Matrix, k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
 	bk, err := checkKernel(k, b, x, "SolveCGJacobi")
 	if err != nil {
@@ -471,7 +472,7 @@ func SolveCGJacobi(a *Matrix, k Kernel, b, x []float64, opts CGOptions) (CGResul
 		return CGResult{}, err
 	}
 	defer release()
-	return cg.SolvePCG(cg.MulVecFunc(bk.b.Mul), cg.NewJacobi(a.sss.DValues), bk.pool, b, x, cg.Options{
+	return cg.SolveJacobi(bk.b.Op(), a.sss.DValues, bk.pool, b, x, cg.Options{
 		MaxIter: opts.MaxIter,
 		Tol:     opts.Tol,
 		Context: opts.Context,
