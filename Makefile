@@ -42,11 +42,13 @@ vet:
 # Quick benchmark smoke: the execution-engine microbenchmarks (the pool's
 # hand-off, a two-phase list, a bare barrier round) plus the host SpM×V per
 # reduction method, the CG iteration (fused, unfused, Jacobi: ns/iter and
-# allocs), and the two CSX decode kernels in ns per stored element with the
-# unit mix each ran over.
+# allocs), the CG vector operations in MB/s (scalar and at every block width),
+# and the two CSX decode kernels in ns per stored element with the unit mix
+# each ran over.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGIteration' -benchtime 50x .
+	$(GO) test -run xxx -bench BenchmarkVecOps -benchtime 500x ./internal/vec
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three
@@ -104,12 +106,13 @@ fuzz-smoke:
 attrib-smoke:
 	./scripts/attrib_smoke.sh
 
-# generate-check reruns the kernel-body generator (internal/core/gen, one
-# template of the lower-row loop) and fails when the checked-in
-# internal/core/lowerrow_gen.go is not what it prints.
+# generate-check reruns the body generator (internal/core/gen: the template of
+# the lower-row loop and the one of the block-CG vector bodies) and fails when
+# the checked-in internal/core/lowerrow_gen.go or internal/vec/multi_gen.go is
+# not what it prints.
 generate-check:
 	$(GO) generate ./internal/core/...
-	git diff --exit-code -- internal/core/lowerrow_gen.go
+	git diff --exit-code -- internal/core/lowerrow_gen.go internal/vec/multi_gen.go
 
 # loc prints the size metrics the ROADMAP wants to go down (hand-written
 # non-test Go lines, hand-written per-thread kernel bodies; generated files are
@@ -131,7 +134,7 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # ci is the gate for every change: vet (fails the build on findings), build,
-# the generated kernel bodies up to date, the colored-schedule and pool (three
+# the generated kernel and vector bodies up to date, the colored-schedule and pool (three
 # GOMAXPROCS values) race focuses, the full test suite under the race detector (the execution engine's hand-off,
 # spin barrier and phase fusion are exactly the kind of code -race exists
 # for), the telemetry smoke, the fuzz smoke

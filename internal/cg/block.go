@@ -68,7 +68,9 @@ func (r BlockResult) String() string {
 //
 // A lane whose pᵀ·Ap goes non-positive or non-finite triggers a
 // *BreakdownError naming the first offending lane; x still holds every
-// lane's last finite iterate.
+// lane's last finite iterate. An SpMM error stops the solve the same way:
+// the result reports the last completed iterate's residuals (NaN if the
+// first product failed) and no lane as converged.
 func SolveBlock(a MulMater, pool *parallel.Pool, b, x []float64, nv int, opts Options) (BlockResult, error) {
 	if nv < 1 {
 		panic(fmt.Sprintf("cg: SolveBlock nv=%d", nv))
@@ -116,7 +118,7 @@ func SolveBlock(a MulMater, pool *parallel.Pool, b, x []float64, nv int, opts Op
 	// R₀ = B − A·X₀ ; P₀ = R₀ ; per-lane ‖b‖² and r₀ᵀr₀.
 	t0 := time.Now()
 	if err := a.MulMat(x, ap, nv); err != nil {
-		return res, err
+		return finish(err)
 	}
 	mark(&res.SpMVTime, t0)
 	t0 = time.Now()
@@ -153,7 +155,7 @@ func SolveBlock(a MulMater, pool *parallel.Pool, b, x []float64, nv int, opts Op
 		}
 		t0 = time.Now()
 		if err := a.MulMat(p, ap, nv); err != nil {
-			return res, err
+			return finish(err)
 		}
 		mark(&res.SpMVTime, t0)
 		t0 = time.Now()

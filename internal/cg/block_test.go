@@ -166,6 +166,54 @@ func TestSolveBlockBreakdown(t *testing.T) {
 	}
 }
 
+// failingMulMater forwards to a kernel until its call number fail, which
+// returns an error instead.
+type failingMulMater struct {
+	kernelMulMater
+	calls, fail int
+}
+
+func (a *failingMulMater) MulMat(x, y []float64, nv int) error {
+	if a.calls++; a.calls == a.fail {
+		return errors.New("spmm failed")
+	}
+	return a.kernelMulMater.MulMat(x, y, nv)
+}
+
+// An SpMM that fails mid-solve stops it with its error and a result that
+// reports the last completed iterate: its residuals, no lane converged, and
+// the time spent.
+func TestSolveBlockSpMMErrorReportsLastIterate(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	const n, nv = 120, 4
+	s, err := core.FromCOO(spdMatrix(rng, n, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	b := make([]float64, n*nv)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	a := &failingMulMater{kernelMulMater: kernelMulMater{core.NewKernel(s, core.Indexed, pool)}, fail: 3}
+	res, err := SolveBlock(a, pool, b, make([]float64, n*nv), nv, Options{Tol: 1e-12})
+	if err == nil || err.Error() != "spmm failed" {
+		t.Fatalf("err = %v, want the SpMM's error", err)
+	}
+	if res.Iterations != 1 {
+		t.Errorf("Iterations = %d, want 1 (the third product is the second iteration's)", res.Iterations)
+	}
+	for v := 0; v < nv; v++ {
+		if !(res.Residuals[v] > 0) || res.Converged[v] {
+			t.Errorf("lane %d: residual %g, converged %v; want the last iterate's residual, not converged", v, res.Residuals[v], res.Converged[v])
+		}
+	}
+	if res.TotalTime <= 0 {
+		t.Errorf("TotalTime = %v, want > 0", res.TotalTime)
+	}
+}
+
 func indefiniteSSS(t *testing.T, n int) *core.SSS {
 	t.Helper()
 	m := matrix.NewCOO(n, n, n)

@@ -1,6 +1,7 @@
 package cg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,8 +233,9 @@ func TestSolveFusedMatchesUnfused(t *testing.T) {
 
 // A fused CG iteration must execute with at most two hand-offs: one for the
 // fused SpM×V+dot, one for the fused vector-update chain; without the
-// kernel's fused dot, three. Jacobi rides the same iteration. Asserted
-// through the pool's instrumented dispatch counter.
+// kernel's fused dot, three. Jacobi rides the same iteration. A block-CG
+// iteration takes three: the SpMM, the per-lane dots and the fused step.
+// Asserted through the pool's instrumented dispatch counter.
 func TestSolveFusedIterationHandoffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	const n = 400
@@ -246,22 +248,29 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
+	const nv = 4
+	b4 := make([]float64, n*nv)
+	for i := range b4 {
+		b4[i] = rng.NormFloat64()
+	}
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	for _, method := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed} {
 		k := core.NewKernel(s, method, pool)
 		for _, tc := range []struct {
 			name    string
+			lanes   int
 			perIter int
 			solve   func(x []float64, opts Options)
 		}{
-			{"cg", 2, func(x []float64, opts Options) { _, _ = Solve(k, pool, b, x, opts) }},
-			{"jacobi", 2, func(x []float64, opts Options) { _, _ = SolveJacobi(k, s.DValues, pool, b, x, opts) }},
-			{"jacobi-unfused", 3, func(x []float64, opts Options) {
+			{"cg", 1, 2, func(x []float64, opts Options) { _, _ = Solve(k, pool, b, x, opts) }},
+			{"jacobi", 1, 2, func(x []float64, opts Options) { _, _ = SolveJacobi(k, s.DValues, pool, b, x, opts) }},
+			{"jacobi-unfused", 1, 3, func(x []float64, opts Options) {
 				_, _ = SolveJacobi(MulVecFunc(k.MulVec), s.DValues, pool, b, x, opts)
 			}},
+			{"block", nv, 3, func(x []float64, opts Options) { _, _ = SolveBlock(kernelMulMater{k}, pool, b4, x, nv, opts) }},
 		} {
-			x := make([]float64, n)
+			x := make([]float64, n*tc.lanes)
 			const iters = 25
 			// Warm-up solve allocates MulVecDot's partial buffer outside the count.
 			tc.solve(x, Options{MaxIter: 1, FixedIterations: true})
@@ -270,7 +279,7 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 			pool.ResetHandoffs()
 			tc.solve(x, Options{MaxIter: iters, FixedIterations: true})
 			total := pool.Handoffs()
-			// Setup costs two handoffs (initial SpM×V + SubCopyDots).
+			// Setup costs two handoffs (initial SpM×V or SpMM + SubCopyDots).
 			const setup = 2
 			if want := int64(setup + tc.perIter*iters); total > want {
 				t.Errorf("method=%v %s: %d handoffs for %d iterations, want ≤ %d",
@@ -282,10 +291,11 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 
 // A CG iteration allocates nothing: the solve's workspace holds the partial
 // sums and the phase lists, so 100 more iterations cost no more allocations —
-// on the fused path, the unfused one and the block solver alike.
+// on the fused path, the unfused one and the block solver alike, the latter
+// at every generated lane width and the run-time one.
 func TestIterationsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	const n, nv, k = 400, 4, 5
+	const n, nv, k = 400, 8, 5
 	s, err := core.FromCOO(spdMatrix(rng, n, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -297,17 +307,20 @@ func TestIterationsAllocateNothing(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	for name, solve := range map[string]func(iters int){
+	solves := map[string]func(iters int){
 		"fused": func(iters int) {
 			_, _ = Solve(kern, pool, b[:n], x[:n], Options{MaxIter: iters, FixedIterations: true})
 		},
 		"unfused": func(iters int) {
 			_, _ = Solve(MulVecFunc(kern.MulVec), pool, b[:n], x[:n], Options{MaxIter: iters, FixedIterations: true})
 		},
-		"block": func(iters int) {
-			_, _ = SolveBlock(kernelMulMater{kern}, pool, b, x, nv, Options{MaxIter: iters, FixedIterations: true})
-		},
-	} {
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		solves[fmt.Sprintf("block nv=%d", w)] = func(iters int) {
+			_, _ = SolveBlock(kernelMulMater{kern}, pool, b[:n*w], x[:n*w], w, Options{MaxIter: iters, FixedIterations: true})
+		}
+	}
+	for name, solve := range solves {
 		solve(1) // the kernel's own first-use buffers
 		short := testing.AllocsPerRun(5, func() { solve(k) })
 		long := testing.AllocsPerRun(5, func() { solve(k + 100) })

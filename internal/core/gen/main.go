@@ -1,8 +1,10 @@
 // Command gen writes internal/core/lowerrow_gen.go: the multiply bodies of
 // the symmetric kernel, every one an instantiation of the single lower-row
-// loop below. Run by `go generate ./internal/core/...` (the directive lives
-// in lowerrow.go); `make ci` fails when the checked-in file differs from what
-// this program prints.
+// loop below. Its second template (vec.go) writes internal/vec/multi_gen.go,
+// the block-CG vector bodies at the same lane widths. Run by
+// `go generate ./internal/core/...` (the one directive lives in lowerrow.go);
+// `make ci` fails when either checked-in file differs from what this program
+// prints.
 //
 // The loop has three holes (DESIGN.md §17):
 //
@@ -299,15 +301,20 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 {{- end}}`
 
 func main() {
-	if err := generate("lowerrow_gen.go"); err != nil {
-		fmt.Fprintln(os.Stderr, "gen:", err)
-		os.Exit(1)
+	for _, err := range []error{
+		generate("lowerrow_gen.go", text, cells),
+		generate("../vec/multi_gen.go", vecText, vecCells()),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gen:", err)
+			os.Exit(1)
+		}
 	}
 }
 
-func generate(path string) error {
+func generate(path, text string, data any) error {
 	var buf bytes.Buffer
-	if err := template.Must(template.New("lowerrow").Parse(text)).Execute(&buf, cells); err != nil {
+	if err := template.Must(template.New(path).Parse(text)).Execute(&buf, data); err != nil {
 		return err
 	}
 	src, err := format.Source(buf.Bytes())

@@ -6,24 +6,70 @@ package vec
 
 import "repro/internal/parallel"
 
-// Interleave packs nv column vectors cols[v][i] into dst[i*nv+v].
-func Interleave(dst []float64, cols [][]float64) {
-	nv := len(cols)
-	for v, c := range cols {
-		for i, ci := range c {
-			dst[i*nv+v] = ci
+// lanes is one multi-lane operation bound to its vectors, its per-thread
+// partial sums and its per-call α and β inputs. Its phase bodies are the
+// cells of multi_gen.go, generated with the kernel's multiply bodies by
+// internal/core/gen: at nv ∈ {2, 4, 8} every lane's sum, α and β is a
+// register, and the partials are written once per chunk.
+type lanes struct {
+	nv, n, np           int // lanes, rows, threads
+	stride              int // a thread's block of partials: nv per sum, padded apart
+	partial             []float64
+	a, b, ap, p, r, x   []float64
+	alpha, rrOld, rrNew []float64
+}
+
+func newLanes(pool *parallel.Pool, nv, rows, sums int) *lanes {
+	m := &lanes{nv: nv, n: rows, np: pool.Size(), stride: sums*nv + pad}
+	m.partial = make([]float64, m.np*m.stride)
+	return m
+}
+
+// cell picks an operation's body by lane width, as core's matMultEffective
+// does: the register-blocked cell for nv ∈ {2, 4, 8}, the nv cell otherwise.
+func (m *lanes) cell(anyNV, w2, w4, w8 func(int)) func(int) {
+	switch m.nv {
+	case 2:
+		return w2
+	case 4:
+		return w4
+	case 8:
+		return w8
+	}
+	return anyNV
+}
+
+// total sets out[v] to lane v of sum k over every thread's partials,
+// combined in thread order.
+func (m *lanes) total(out []float64, k int) {
+	out = out[:m.nv]
+	clear(out)
+	for t := range m.np {
+		for v, s := range m.partial[t*m.stride+k*m.nv:][:m.nv] {
+			out[v] += s
 		}
 	}
 }
 
-// Deinterleave unpacks src[i*nv+v] into nv column vectors cols[v][i].
-func Deinterleave(cols [][]float64, src []float64) {
-	nv := len(cols)
-	for v, c := range cols {
-		for i := range c {
-			c[i] = src[i*nv+v]
+// betas is the direction phase's prologue: lane v's rᵀr over every thread's
+// partials, combined in thread order into this thread's slots, handed out as
+// rrNew by thread 0, and returned as β = rrNew/rrOld. A lane frozen at an
+// exact zero residual has rrOld = 0: 0/0 would poison p with NaN, and 0·NaN
+// would then poison x on the next step. Its direction is never read again, so
+// any finite β does.
+func (m *lanes) betas(tid int) []float64 {
+	b := m.partial[tid*m.stride+m.nv:][:m.nv]
+	m.total(b, 0)
+	if tid == 0 {
+		copy(m.rrNew, b)
+	}
+	for v, old := range m.rrOld[:m.nv] {
+		b[v] /= old
+		if old == 0 {
+			b[v] = 0
 		}
 	}
+	return b
 }
 
 // MultiDots computes the nv per-lane dot products out[v] = Σ_i a[i*nv+v]·b[i*nv+v]
@@ -35,66 +81,23 @@ func MultiDots(pool *parallel.Pool, a, b []float64, nv int, out []float64) {
 
 // BindMultiDots returns MultiDots bound to its vectors (see BindDot).
 func BindMultiDots(pool *parallel.Pool, a, b []float64, nv int) func(out []float64) {
-	np := pool.Size()
-	partial := make([]float64, np*nv+np*pad) // nv lanes per thread, padded apart
-	stride := nv + pad
-	n := len(a) / nv
-	l := opMultiDots.bind(func(tid int) {
-		lo, hi := parallel.Chunk(n, np, tid)
-		sums := partial[tid*stride : tid*stride+nv]
-		clear(sums)
-		for i := lo; i < hi; i++ {
-			base := i * nv
-			for v := 0; v < nv; v++ {
-				sums[v] += a[base+v] * b[base+v]
-			}
-		}
-	})
+	m := newLanes(pool, nv, len(a)/nv, 1)
+	m.a, m.b = a, b
+	l := opMultiDots.bind(m.cell(m.dotsT, m.dots2T, m.dots4T, m.dots8T))
 	return func(out []float64) {
 		pool.RunPhaseList(l)
-		clear(out[:nv])
-		for t := 0; t < np; t++ {
-			sums := partial[t*stride : t*stride+nv]
-			for v := 0; v < nv; v++ {
-				out[v] += sums[v]
-			}
-		}
+		m.total(out, 0)
 	}
 }
 
 // MultiSubCopyDots is the nv-lane SubCopyDots: r = b − ap, p = r, filling
 // bb[v] = Σ b²-lane-v and rr[v] = Σ r²-lane-v, in one coordinator handoff.
 func MultiSubCopyDots(pool *parallel.Pool, r, p, b, ap []float64, nv int, bb, rr []float64) {
-	np := pool.Size()
-	stride := 2*nv + pad
-	partial := make([]float64, np*stride)
-	n := len(b) / nv
-	opMultiSubCopyDots.chunked(pool, n, func(tid, lo, hi int) {
-		sb := partial[tid*stride : tid*stride+nv]
-		sr := partial[tid*stride+nv : tid*stride+2*nv]
-		for i := lo; i < hi; i++ {
-			base := i * nv
-			for v := 0; v < nv; v++ {
-				bi := b[base+v]
-				ri := bi - ap[base+v]
-				r[base+v] = ri
-				p[base+v] = ri
-				sb[v] += bi * bi
-				sr[v] += ri * ri
-			}
-		}
-	})
-	for v := 0; v < nv; v++ {
-		bb[v], rr[v] = 0, 0
-	}
-	for t := 0; t < np; t++ {
-		sb := partial[t*stride : t*stride+nv]
-		sr := partial[t*stride+nv : t*stride+2*nv]
-		for v := 0; v < nv; v++ {
-			bb[v] += sb[v]
-			rr[v] += sr[v]
-		}
-	}
+	m := newLanes(pool, nv, len(b)/nv, 2)
+	m.r, m.p, m.b, m.ap = r, p, b, ap
+	pool.RunPhaseList(opMultiSubCopyDots.bind(m.cell(m.subCopyDotsT, m.subCopyDots2T, m.subCopyDots4T, m.subCopyDots8T)))
+	m.total(bb, 0)
+	m.total(rr, 1)
 }
 
 // MultiCGStep is the nv-lane CGStep: for every lane v,
@@ -105,64 +108,22 @@ func MultiSubCopyDots(pool *parallel.Pool, r, p, b, ap []float64, nv int, bb, rr
 // fused into one coordinator handoff with one internal barrier. A converged
 // (frozen) lane passes alpha[v] = 0: its x/r stay untouched numerically and
 // its direction update degenerates to p = r + (rr/rr)·p, which is harmless
-// because the solver stops reading frozen lanes' directions. rrOld entries of
-// frozen lanes must stay nonzero (they hold the last live value).
+// because the solver stops reading frozen lanes' directions. A frozen lane's
+// rrOld may be 0 (an exact zero residual): its beta is then 0, not NaN.
 func MultiCGStep(pool *parallel.Pool, alpha, rrOld []float64, p, ap, x, r []float64, nv int, rrNew []float64) {
 	BindMultiCGStep(pool, p, ap, x, r, nv)(alpha, rrOld, rrNew)
 }
 
 // BindMultiCGStep returns MultiCGStep bound to its vectors (see BindDot).
 func BindMultiCGStep(pool *parallel.Pool, p, ap, x, r []float64, nv int) func(alpha, rrOld, rrNew []float64) {
-	np := pool.Size()
-	stride := 2*nv + pad // per thread: nv partial sums, then its nv betas
-	partial := make([]float64, np*stride)
-	var alpha, rrOld, rrNew []float64
-	n := len(r) / nv
+	m := newLanes(pool, nv, len(r)/nv, 2) // per thread: nv partial sums, then nv betas
+	m.p, m.ap, m.x, m.r = p, ap, x, r
 	l := opMultiCGStep.bind(
-		func(tid int) {
-			lo, hi := parallel.Chunk(n, np, tid)
-			sums := partial[tid*stride : tid*stride+nv]
-			clear(sums)
-			for i := lo; i < hi; i++ {
-				base := i * nv
-				for v := 0; v < nv; v++ {
-					x[base+v] += alpha[v] * p[base+v]
-					ri := r[base+v] - alpha[v]*ap[base+v]
-					r[base+v] = ri
-					sums[v] += ri * ri
-				}
-			}
-		},
-		func(tid int) {
-			beta := partial[tid*stride+nv : tid*stride+2*nv]
-			for v := 0; v < nv; v++ {
-				total := 0.0
-				for t := 0; t < np; t++ {
-					total += partial[t*stride+v]
-				}
-				beta[v] = total / rrOld[v]
-				if rrOld[v] == 0 {
-					// A lane frozen at an exact zero residual: 0/0 would
-					// poison p with NaN, and 0·NaN would then poison x on
-					// the next step. Its direction is never read again, so
-					// any finite beta does.
-					beta[v] = 0
-				}
-				if tid == 0 {
-					rrNew[v] = total
-				}
-			}
-			lo, hi := parallel.Chunk(n, np, tid)
-			for i := lo; i < hi; i++ {
-				base := i * nv
-				for v := 0; v < nv; v++ {
-					p[base+v] = r[base+v] + beta[v]*p[base+v]
-				}
-			}
-		},
+		m.cell(m.updateT, m.update2T, m.update4T, m.update8T),
+		m.cell(m.directionT, m.direction2T, m.direction4T, m.direction8T),
 	)
-	return func(a, rrO, rrN []float64) {
-		alpha, rrOld, rrNew = a, rrO, rrN
+	return func(alpha, rrOld, rrNew []float64) {
+		m.alpha, m.rrOld, m.rrNew = alpha, rrOld, rrNew
 		pool.RunPhaseList(l)
 	}
 }

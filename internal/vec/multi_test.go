@@ -1,55 +1,39 @@
 package vec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
-func TestInterleaveRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n, nv := 37, 5
-	cols := make([][]float64, nv)
-	for v := range cols {
-		cols[v] = make([]float64, n)
-		for i := range cols[v] {
-			cols[v][i] = rng.NormFloat64()
-		}
-	}
-	flat := make([]float64, n*nv)
-	Interleave(flat, cols)
-	for v := 0; v < nv; v++ {
-		for i := 0; i < n; i++ {
-			if flat[i*nv+v] != cols[v][i] {
-				t.Fatalf("flat[%d*%d+%d] != cols[%d][%d]", i, nv, v, v, i)
+// Every multi-vector kernel must be bitwise identical, per lane, to its
+// single-vector counterpart over the deinterleaved columns — the solver
+// relies on this to keep block-CG trajectories identical to nv separate CG
+// runs. The widths cover every generated cell (2, 4, 8) and the run-time
+// width (1, 3, 5); n < np leaves some threads an empty chunk.
+func TestMultiKernelsMatchSingleLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, nv := range []int{1, 2, 3, 4, 5, 8} {
+		for _, np := range []int{1, 2, 3} {
+			pool := parallel.NewPool(np)
+			for _, n := range []int{1, 2, 501} {
+				if err := multiMatchesSingleLane(rng, pool, n, nv); err != "" {
+					t.Errorf("nv=%d np=%d n=%d: %s", nv, np, n, err)
+				}
 			}
-		}
-	}
-	back := make([][]float64, nv)
-	for v := range back {
-		back[v] = make([]float64, n)
-	}
-	Deinterleave(back, flat)
-	for v := range back {
-		for i := range back[v] {
-			if back[v][i] != cols[v][i] {
-				t.Fatalf("round trip lost cols[%d][%d]", v, i)
-			}
+			pool.Close()
 		}
 	}
 }
 
-// Every multi-vector kernel must be bitwise identical, per lane, to its
-// single-vector counterpart over the deinterleaved columns — the solver
-// relies on this to keep block-CG trajectories identical to nv separate CG
-// runs.
-func TestMultiKernelsMatchSingleLane(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n, nv, np := 501, 4, 3
-	pool := parallel.NewPool(np)
-	defer pool.Close()
-
+// multiMatchesSingleLane runs the three multi-lane operations on random
+// vectors and returns what first differs from the scalar operations over
+// each lane, or "".
+func multiMatchesSingleLane(rng *rand.Rand, pool *parallel.Pool, n, nv int) string {
 	randVec := func(ln int) []float64 {
 		out := make([]float64, ln)
 		for i := range out {
@@ -70,7 +54,7 @@ func TestMultiKernelsMatchSingleLane(t *testing.T) {
 	MultiDots(pool, a, b, nv, dots)
 	for v := 0; v < nv; v++ {
 		if want := Dot(pool, lane(a, v), lane(b, v)); dots[v] != want {
-			t.Fatalf("MultiDots lane %d = %g, Dot = %g", v, dots[v], want)
+			return fmt.Sprintf("MultiDots lane %d = %g, Dot = %g", v, dots[v], want)
 		}
 	}
 
@@ -82,13 +66,10 @@ func TestMultiKernelsMatchSingleLane(t *testing.T) {
 		r1, p1 := make([]float64, n), make([]float64, n)
 		bb1, _, rr1 := SubCopyDots(pool, nil, r1, p1, lane(bv, v), lane(ap, v))
 		if bb[v] != bb1 || rr[v] != rr1 {
-			t.Fatalf("MultiSubCopyDots lane %d sums differ", v)
+			return fmt.Sprintf("MultiSubCopyDots lane %d sums differ", v)
 		}
-		gotR, gotP := lane(r, v), lane(p, v)
-		for i := 0; i < n; i++ {
-			if gotR[i] != r1[i] || gotP[i] != p1[i] {
-				t.Fatalf("MultiSubCopyDots lane %d row %d differs", v, i)
-			}
+		if !slices.Equal(lane(r, v), r1) || !slices.Equal(lane(p, v), p1) {
+			return fmt.Sprintf("MultiSubCopyDots lane %d vectors differ", v)
 		}
 	}
 
@@ -109,52 +90,59 @@ func TestMultiKernelsMatchSingleLane(t *testing.T) {
 	for v := 0; v < nv; v++ {
 		want := CGStep(pool, alpha[v], rrOld[v], laneP[v], laneAP[v], laneX[v], laneR[v])
 		if rrNew[v] != want {
-			t.Fatalf("MultiCGStep lane %d rr = %g, CGStep = %g", v, rrNew[v], want)
+			return fmt.Sprintf("MultiCGStep lane %d rr = %g, CGStep = %g", v, rrNew[v], want)
 		}
-		gx, gr, gp := lane(x, v), lane(r, v), lane(p, v)
-		for i := 0; i < n; i++ {
-			if gx[i] != laneX[v][i] || gr[i] != laneR[v][i] || gp[i] != laneP[v][i] {
-				t.Fatalf("MultiCGStep lane %d row %d differs from CGStep", v, i)
-			}
+		if !slices.Equal(lane(x, v), laneX[v]) || !slices.Equal(lane(r, v), laneR[v]) || !slices.Equal(lane(p, v), laneP[v]) {
+			return fmt.Sprintf("MultiCGStep lane %d vectors differ from CGStep", v)
 		}
 	}
+	return ""
 }
 
 // A lane frozen with alpha=0 must leave its x and r numerically intact, and
-// an exact-zero rrOld must not inject NaN through the beta division.
+// an exact-zero rrOld must not inject NaN through the beta division — at every
+// generated width, with the frozen lane last so that an unrolled cell's last
+// register is the one under test.
 func TestMultiCGStepFrozenLane(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	n, nv := 64, 2
-	p := make([]float64, n*nv)
-	ap := make([]float64, n*nv)
-	x := make([]float64, n*nv)
-	r := make([]float64, n*nv)
-	for i := range p {
-		p[i] = float64(i%7) - 3
-		ap[i] = float64(i%5) - 2
-		x[i] = float64(i % 3)
-		r[i] = float64(i%4) - 1.5
-	}
-	// Lane 1 is frozen with a zero residual history.
-	for i := 0; i < n; i++ {
-		r[i*nv+1] = 0
-	}
-	wantX := append([]float64(nil), x...)
-	rrNew := make([]float64, nv)
-	MultiCGStep(pool, []float64{0.5, 0}, []float64{2.0, 0}, p, ap, x, r, nv, rrNew)
-	for i := 0; i < n; i++ {
-		if x[i*nv+1] != wantX[i*nv+1] && !(x[i*nv+1] == 0 && wantX[i*nv+1] == 0) {
-			t.Fatalf("frozen lane x moved at row %d: %g -> %g", i, wantX[i*nv+1], x[i*nv+1])
+	const n = 64
+	for _, nv := range []int{2, 4, 8} {
+		p := make([]float64, n*nv)
+		ap := make([]float64, n*nv)
+		x := make([]float64, n*nv)
+		r := make([]float64, n*nv)
+		for i := range p {
+			p[i] = float64(i%7) - 3
+			ap[i] = float64(i%5) - 2
+			x[i] = float64(i % 3)
+			r[i] = float64(i%4) - 1.5
 		}
-		if r[i*nv+1] != 0 {
-			t.Fatalf("frozen lane r moved at row %d: %g", i, r[i*nv+1])
+		// The last lane is frozen with a zero residual history.
+		f := nv - 1
+		for i := 0; i < n; i++ {
+			r[i*nv+f] = 0
 		}
-		if p[i*nv+1] != p[i*nv+1] { // NaN check
-			t.Fatalf("frozen lane p went NaN at row %d", i)
+		alpha, rrOld := make([]float64, nv), make([]float64, nv)
+		for v := 0; v < f; v++ {
+			alpha[v], rrOld[v] = 0.5, 2
 		}
-	}
-	if rrNew[1] != 0 {
-		t.Fatalf("frozen lane rrNew = %g", rrNew[1])
+		wantX := slices.Clone(x)
+		rrNew := make([]float64, nv)
+		MultiCGStep(pool, alpha, rrOld, p, ap, x, r, nv, rrNew)
+		for i := 0; i < n; i++ {
+			if x[i*nv+f] != wantX[i*nv+f] {
+				t.Fatalf("nv=%d: frozen lane x moved at row %d: %g -> %g", nv, i, wantX[i*nv+f], x[i*nv+f])
+			}
+			if r[i*nv+f] != 0 {
+				t.Fatalf("nv=%d: frozen lane r moved at row %d: %g", nv, i, r[i*nv+f])
+			}
+			if math.IsNaN(p[i*nv+f]) {
+				t.Fatalf("nv=%d: frozen lane p went NaN at row %d", nv, i)
+			}
+		}
+		if rrNew[f] != 0 {
+			t.Fatalf("nv=%d: frozen lane rrNew = %g", nv, rrNew[f])
+		}
 	}
 }

@@ -55,16 +55,6 @@ func (o *op) bind(bodies ...func(tid int)) *parallel.PhaseList {
 	return l
 }
 
-// chunked executes a one-phase operation over parallel.Chunk ranges of
-// [0, n): fn(tid, lo, hi) per worker, empty chunks included.
-func (o *op) chunked(pool *parallel.Pool, n int, fn func(tid, lo, hi int)) {
-	np := pool.Size()
-	pool.RunPhaseList(o.bind(func(tid int) {
-		lo, hi := parallel.Chunk(n, np, tid)
-		fn(tid, lo, hi)
-	}))
-}
-
 // Dot computes aᵀb in parallel (per-worker partial sums, combined serially —
 // deterministic for a fixed pool size).
 func Dot(pool *parallel.Pool, a, b []float64) float64 { return BindDot(pool, a, b)() }
@@ -77,9 +67,11 @@ func BindDot(pool *parallel.Pool, a, b []float64) func() float64 {
 	partial := make([]float64, np*pad)
 	l := opDot.bind(func(tid int) {
 		lo, hi := parallel.Chunk(len(a), np, tid)
+		a := a[lo:hi]
+		b := b[lo:hi][:len(a)]
 		sum := 0.0
-		for i := lo; i < hi; i++ {
-			sum += a[i] * b[i]
+		for i, ai := range a {
+			sum += ai * b[i]
 		}
 		partial[tid*pad] = sum
 	})
@@ -101,11 +93,13 @@ func BindDot(pool *parallel.Pool, a, b []float64) func() float64 {
 func SubCopyDots(pool *parallel.Pool, d, r, p, b, ap []float64) (bb, rz, rr float64) {
 	np := pool.Size()
 	partial := make([]float64, 3*np*pad)
-	opSubCopyDots.chunked(pool, len(b), func(tid, lo, hi int) {
+	pool.RunPhaseList(opSubCopyDots.bind(func(tid int) {
+		lo, hi := parallel.Chunk(len(b), np, tid)
+		b := b[lo:hi]
+		r, p, ap := r[lo:hi][:len(b)], p[lo:hi][:len(b)], ap[lo:hi][:len(b)]
 		sb, sz, sr := 0.0, 0.0, 0.0
 		if d == nil {
-			for i := lo; i < hi; i++ {
-				bi := b[i]
+			for i, bi := range b {
 				ri := bi - ap[i]
 				r[i] = ri
 				p[i] = ri
@@ -114,8 +108,8 @@ func SubCopyDots(pool *parallel.Pool, d, r, p, b, ap []float64) (bb, rz, rr floa
 			}
 			sz = sr
 		} else {
-			for i := lo; i < hi; i++ {
-				bi := b[i]
+			d := d[lo:hi][:len(b)]
+			for i, bi := range b {
 				ri := bi - ap[i]
 				r[i] = ri
 				zi := ri * d[i]
@@ -128,7 +122,7 @@ func SubCopyDots(pool *parallel.Pool, d, r, p, b, ap []float64) (bb, rz, rr floa
 		partial[tid*pad] = sb
 		partial[(np+tid)*pad] = sz
 		partial[(2*np+tid)*pad] = sr
-	})
+	}))
 	for t := 0; t < np; t++ {
 		bb += partial[t*pad]
 		rz += partial[(np+t)*pad]
@@ -165,12 +159,16 @@ func BindCGStep(pool *parallel.Pool, d, p, ap, x, r []float64) func(alpha, rzOld
 	partial := make([]float64, 2*np*pad) // per thread: rᵀr, then rᵀz (Jacobi)
 	var alpha, rzOld, rzNew, rrNew float64
 	n := len(r)
+	// Every slice is cut to the chunk once, so one bounds proof covers each
+	// loop.
 	update := func(tid int) {
 		lo, hi := parallel.Chunk(n, np, tid)
+		r := r[lo:hi]
+		x, p, ap := x[lo:hi][:len(r)], p[lo:hi][:len(r)], ap[lo:hi][:len(r)]
 		sum := 0.0
-		for i := lo; i < hi; i++ {
+		for i, ri := range r {
 			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
+			ri -= alpha * ap[i]
 			r[i] = ri
 			sum += ri * ri
 		}
@@ -183,17 +181,16 @@ func BindCGStep(pool *parallel.Pool, d, p, ap, x, r []float64) func(alpha, rzOld
 		}
 		beta := total / rzOld
 		lo, hi := parallel.Chunk(n, np, tid)
-		for i := lo; i < hi; i++ {
-			p[i] = r[i] + beta*p[i]
+		p := p[lo:hi]
+		r := r[lo:hi][:len(p)]
+		for i, pi := range p {
+			p[i] = r[i] + beta*pi
 		}
 		if tid == 0 {
 			rzNew, rrNew = total, total
 		}
 	}
 	if d != nil {
-		// Every slice is cut to the chunk once, so one bounds proof covers
-		// each loop: with d's extra stream, the per-element checks were most
-		// of what separated Jacobi's iteration from plain CG's.
 		update = func(tid int) {
 			lo, hi := parallel.Chunk(n, np, tid)
 			r := r[lo:hi]
