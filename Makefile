@@ -43,13 +43,14 @@ vet:
 # hand-off, a two-phase list, a bare barrier round) plus the host SpM×V per
 # reduction method, the CG iteration (fused, unfused, Jacobi: ns/iter and
 # allocs), the CG vector operations in MB/s (scalar and at every block width),
-# and the two CSX decode kernels in ns per stored element with the unit mix
-# each ran over.
+# the two CSX decode kernels in ns per stored element with the unit mix each
+# ran over, and the two CSX encoders in ns per element and allocs per build.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGIteration' -benchtime 50x .
 	$(GO) test -run xxx -bench BenchmarkVecOps -benchtime 500x ./internal/vec
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
+	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three
 # stacked levels — SpM×V, CG solve, HTTP solve — on one workload per run, e.g.

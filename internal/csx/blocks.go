@@ -37,23 +37,9 @@ func (d *detector) rowRuns(r int32, buf []hrun) []hrun {
 
 // intersect returns the overlap [c0, c0+w) of two runs (w ≤ 0 when disjoint).
 func intersect(a, b hrun) (c0, w int32) {
-	lo := max32(a.col0, b.col0)
-	hi := min32(a.col0+a.w, b.col0+b.w)
+	lo := max(a.col0, b.col0)
+	hi := min(a.col0+a.w, b.col0+b.w)
 	return lo, hi - lo
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // detectBlocks greedily claims 3-row, then 2-row dense blocks anchored at
@@ -61,7 +47,12 @@ func min32(a, b int32) int32 {
 // (for CSX-Sym) must not straddle the write boundary.
 func (d *detector) detectBlocks() {
 	el := d.el
-	var bufA, bufB, bufC []hrun
+	// A row has at most as many runs as elements: size the buffers once.
+	longest := int32(0)
+	for i := range el.nRows {
+		longest = max(longest, el.rowPtr[i+1]-el.rowPtr[i])
+	}
+	bufA, bufB, bufC := make([]hrun, 0, longest), make([]hrun, 0, longest), make([]hrun, 0, longest)
 	for r := el.baseRow; r < el.baseRow+el.nRows; r++ {
 		bufA = d.rowRuns(r, bufA)
 		if len(bufA) == 0 {
@@ -99,20 +90,21 @@ func (d *detector) detectBlocks() {
 					}
 				}
 				if w3 >= 2 {
-					d.claimBlock(Block3, r, c03, w3, [3]hrun{ra, rb, rcBest})
+					d.claimBlock(Block3, c03, w3, [3]hrun{ra, rb, rcBest})
 				} else {
-					d.claimBlock(Block2, r, c0, w, [3]hrun{ra, rb, {}})
+					d.claimBlock(Block2, c0, w, [3]hrun{ra, rb, {}})
 				}
 			}
 		}
 	}
 }
 
-// claimBlock claims the elements of a dense block anchored at (r, c0) with
-// width w, spanning 2 or 3 rows, splitting over-wide blocks at the size cap.
+// claimBlock claims the elements of a dense block anchored at column c0 of
+// runs[0]'s row with width w, spanning 2 or 3 rows, splitting over-wide blocks
+// at the size cap.
 // Each per-row run is known to cover [c0, c0+w) with consecutive row-major
 // elements, so element indices are computed by offset.
-func (d *detector) claimBlock(pat Pattern, r, c0, w int32, runs [3]hrun) {
+func (d *detector) claimBlock(pat Pattern, c0, w int32, runs [3]hrun) {
 	if !d.legal(c0, c0+w-1) {
 		return
 	}
@@ -133,19 +125,16 @@ func (d *detector) claimBlock(pat Pattern, r, c0, w int32, runs [3]hrun) {
 	}
 	maxW := int32(maxUnitSize) / depth
 	for off := int32(0); off < w; off += maxW {
-		ww := min32(maxW, w-off)
+		ww := min(maxW, w-off)
 		if ww < 2 {
 			break
 		}
-		u := unit{pat: pat, row: r, col: c0 + off, width: ww}
-		u.elems = make([]int32, 0, depth*ww)
+		start := len(d.arena)
 		for k := int32(0); k < depth; k++ {
 			for j := int32(0); j < ww; j++ {
-				idx := base[k] + off + j
-				u.elems = append(u.elems, idx)
-				d.owner[idx] = uint8(pat)
+				d.arena = append(d.arena, base[k]+off+j)
 			}
 		}
-		d.units = append(d.units, u)
+		d.addUnit(pat, ww, start)
 	}
 }

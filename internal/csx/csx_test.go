@@ -212,6 +212,27 @@ func TestCSXCompressionBeatsCSROnStructured(t *testing.T) {
 	}
 }
 
+// TestEncodeKeepsColumnsPastTwoToThe30: a row's last delta chunk reaches every
+// column, and the detector's memory follows the elements, not the column
+// range.
+func TestEncodeKeepsColumnsPastTwoToThe30(t *testing.T) {
+	const row = 1<<30 + 10
+	el := &elements{
+		rows:    []int32{row, row, row},
+		cols:    []int32{3, 1 << 30, 1<<30 + 9},
+		rowPtr:  []int32{0, 3},
+		baseRow: row,
+		nRows:   1,
+	}
+	b := encodeRange(el, []float64{1, 2, 3}, DefaultOptions(), row)
+	if len(b.Vals) != b.NNZ {
+		t.Fatalf("blob declares %d elements but stores %d values", b.NNZ, len(b.Vals))
+	}
+	if err := ValidateSymBlob(b, row+1, row, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCSXSymLegalityRule(t *testing.T) {
 	// A long horizontal run crossing a partition boundary must not be
 	// encoded as one substructure in CSX-Sym. Verify via unit histogram:

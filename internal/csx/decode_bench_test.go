@@ -114,6 +114,41 @@ func BenchmarkDecodeUnits(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode times the two encoders, NewMatrix and NewSym, on the
+// bmwcra_1 and parabolic_fem analogs at p = 1 and 2 blobs, in nanoseconds per
+// encoded element, with the allocations of one build.
+func BenchmarkEncode(b *testing.B) {
+	for _, a := range analogs {
+		if a.name != "bmwcra_1" && a.name != "parabolic_fem" {
+			continue
+		}
+		b.Run(a.name, func(b *testing.B) {
+			m := a.build(b, 1)
+			s, err := core.FromCOO(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, p := range []int{1, 2} {
+				runEncode(b, fmt.Sprintf("csx/p%d", p), func() int { return NewMatrix(m, p, DefaultOptions()).NNZ() })
+				runEncode(b, fmt.Sprintf("csx-sym/p%d", p), func() int { return NewSym(s, p, core.Indexed, DefaultOptions()).NNZLower() })
+			}
+		})
+	}
+}
+
+// runEncode runs build, which returns the elements it encoded, as a
+// sub-benchmark.
+func runEncode(b *testing.B, name string, build func() int) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		elems := 0
+		for i := 0; i < b.N; i++ {
+			elems = build()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+	})
+}
+
 func runUnits(b *testing.B, name string, blobs []*Blob, elems int, product func()) {
 	var share [3]float64 // delta units, 1-D runs, blocks
 	for _, blob := range blobs {

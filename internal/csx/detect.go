@@ -31,7 +31,7 @@ type unit struct {
 	pat      Pattern
 	row, col int32   // anchor (first element)
 	width    int32   // block width (Block2/Block3 only)
-	elems    []int32 // element indices in decode (value) order
+	elems    []int32 // element indices in decode (value) order, in the arena
 }
 
 // endCol reports the column of the unit's last element on the anchor row.
@@ -59,6 +59,13 @@ type detector struct {
 	symBoundary int32
 
 	units []unit
+	// arena holds the element lists of all units: an element is claimed at
+	// most once, so it never outgrows its initial capacity.
+	arena []int32
+
+	// next and run are the scratch of runs: each element's successor, and
+	// the run being handed out.
+	next, run []int32
 
 	// coverage statistics per direction from the sampling pass
 	dirCoverage [numDirections]float64
@@ -70,6 +77,9 @@ func newDetector(el *elements, opts Options, symBoundary int32) *detector {
 		opts:        opts.withDefaults(),
 		owner:       make([]uint8, el.len()),
 		symBoundary: symBoundary,
+		arena:       make([]int32, 0, el.len()),
+		next:        make([]int32, el.len()),
+		run:         make([]int32, 0, maxUnitSize),
 	}
 	for i := range d.owner {
 		d.owner[i] = unassigned
@@ -128,173 +138,108 @@ func (d *detector) sortUnits() {
 	})
 }
 
-// directionPerm returns element indices sorted so that runs of the direction
-// are consecutive: key groups lines, pos orders along the line. Sorting is
-// two stable counting-sort passes, O(nnz + range) — the preprocessing phase
-// is dominated by these sorts, and comparator-based sorting here triples the
-// §V-E cost.
-func (d *detector) directionPerm(dir Direction) []int32 {
-	el := d.el
-	n := el.len()
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if dir == DirHorizontal {
-		return perm // row-major input is already (r asc, c asc)
-	}
-	key, pos := directionKeyPos(dir, el)
-	perm = countingSortBy(perm, pos) // secondary key first (stable passes)
-	perm = countingSortBy(perm, key)
-	return perm
-}
+// walked marks, in next, an element that runs has handed out in a run.
+const walked = -2
 
-// countingSortBy stably sorts the indices by the int32 key function.
-func countingSortBy(perm []int32, keyOf func(int32) int32) []int32 {
-	if len(perm) == 0 {
-		return perm
-	}
-	lo, hi := keyOf(perm[0]), keyOf(perm[0])
-	for _, i := range perm[1:] {
-		k := keyOf(i)
-		if k < lo {
-			lo = k
-		}
-		if k > hi {
-			hi = k
-		}
-	}
-	buckets := make([]int32, int(hi-lo)+2)
-	for _, i := range perm {
-		buckets[keyOf(i)-lo+1]++
-	}
-	for b := 1; b < len(buckets); b++ {
-		buckets[b] += buckets[b-1]
-	}
-	out := make([]int32, len(perm))
-	for _, i := range perm {
-		b := keyOf(i) - lo
-		out[buckets[b]] = i
-		buckets[b]++
-	}
-	return out
-}
-
-// directionKeyPos returns the line key and along-line position accessors.
-func directionKeyPos(dir Direction, el *elements) (key, pos func(int32) int32) {
+// runs calls fn with every maximal run of unassigned elements of rows
+// [rLo, rHi) in direction dir, in row-major order of the runs' first
+// elements: consecutive columns of one row (horizontal), or (r, c), (r+1, c+s),
+// (r+2, c+2s), … with shift s = 0, +1, −1 (vertical, diagonal, anti-diagonal).
+// A run lists its elements down the rows (along the row for horizontal): the
+// runs, and their element order, are those of the elements sorted by line and
+// position along the line. fn may claim the run's elements.
+//
+// One merge of each row with the next links every element to its successor,
+// so the cost is linear in the elements of the rows, whatever their columns.
+func (d *detector) runs(dir Direction, rLo, rHi int32, fn func(run []int32)) {
+	el, next, owner := d.el, d.next, d.owner
+	var s int32 // column step from an element to its successor: vertical
 	switch dir {
-	case DirHorizontal:
-		return func(i int32) int32 { return el.rows[i] }, func(i int32) int32 { return el.cols[i] }
-	case DirVertical:
-		return func(i int32) int32 { return el.cols[i] }, func(i int32) int32 { return el.rows[i] }
-	case DirDiagonal:
-		return func(i int32) int32 { return el.cols[i] - el.rows[i] }, func(i int32) int32 { return el.rows[i] }
+	case DirHorizontal, DirDiagonal:
+		s = 1
 	case DirAntiDiagonal:
-		return func(i int32) int32 { return el.rows[i] + el.cols[i] }, func(i int32) int32 { return el.rows[i] }
+		s = -1
 	}
-	panic("csx: bad direction")
-}
-
-// rowSample returns the element indices, ascending, that the statistics pass
-// looks at: every k-th window of 64 contiguous rows.
-func (d *detector) rowSample() []int32 {
-	el := d.el
-	const window = 64
-	k := int(1.0 / d.opts.SampleFraction)
-	if k < 1 {
-		k = 1
-	}
-	var sample []int32
-	for w := int32(0); w*window < el.nRows; w += int32(k) {
-		rLo := el.baseRow + w*window
-		rHi := rLo + window
-		if rHi > el.baseRow+el.nRows {
-			rHi = el.baseRow + el.nRows
+	for r := rLo; r < rHi; r++ {
+		lo, hi := el.rowSpan(r)
+		// The successors' row: r itself for horizontal, none after the last.
+		j, jHi := hi, hi
+		switch {
+		case dir == DirHorizontal:
+			j = lo
+		case r+1 < rHi:
+			j, jHi = el.rowSpan(r + 1)
 		}
-		lo, _ := el.rowSpan(rLo)
-		_, hi := el.rowSpan(rHi - 1)
 		for i := lo; i < hi; i++ {
-			sample = append(sample, i)
+			if owner[i] != unassigned {
+				continue
+			}
+			next[i] = -1
+			want := el.cols[i] + s
+			for j < jHi && el.cols[j] < want {
+				j++
+			}
+			if j < jHi && el.cols[j] == want && owner[j] == unassigned {
+				next[i] = j
+			}
 		}
 	}
-	// Degenerate sampling guard: matrices whose nonzeros concentrate in few
-	// rows can slip between the sampled windows. If the sample covers far
-	// less than the target fraction, fall back to exhaustive statistics —
-	// such matrices are small or sparse enough for that to stay cheap.
-	if target := int(d.opts.SampleFraction * float64(el.len()) / 4); len(sample) < target || len(sample) == 0 {
-		sample = sample[:0]
-		for i := int32(0); i < int32(el.len()); i++ {
-			sample = append(sample, i)
+	lo, hi := el.rowPtr[rLo-el.baseRow], el.rowPtr[rHi-el.baseRow]
+	for i := lo; i < hi; i++ {
+		if owner[i] != unassigned || next[i] == walked {
+			continue
 		}
+		run := d.run[:0]
+		for k := i; k >= 0; {
+			run = append(run, k)
+			succ := next[k]
+			next[k] = walked
+			k = succ
+		}
+		d.run = run
+		fn(run)
 	}
-	return sample
 }
 
 // sampleStats estimates per-direction coverage on a row sample: the fraction
 // of sampled elements that lie in runs of at least MinRunLength. This is the
 // statistics pass that drives substructure-type selection (and keeps the
-// preprocessing cost contained, §V-E): each direction's sample is ordered by
-// the two counting-sort passes directionPerm uses, never by a comparator.
+// preprocessing cost contained, §V-E). The sample is every k-th window of 64
+// contiguous rows, k = 1/SampleFraction (one window when k reaches past the
+// range); a run never leaves its window.
 func (d *detector) sampleStats() {
 	el := d.el
-	sample := d.rowSample()
+	rows := int(el.nRows)
+	width, stride := 64, 64*int(min(1/d.opts.SampleFraction, float64(rows)))
+	n := 0
+	for lo := 0; lo < rows; lo += stride {
+		n += int(el.rowPtr[min(lo+width, rows)] - el.rowPtr[lo])
+	}
+	// Degenerate sampling guard: matrices whose nonzeros concentrate in few
+	// rows can slip between the sampled windows. If the sample covers far
+	// less than the target fraction, fall back to exhaustive statistics —
+	// such matrices are small or sparse enough for that to stay cheap. A
+	// sample of every window is the whole range too.
+	if target := int(d.opts.SampleFraction * float64(el.len()) / 4); n < target || n == 0 || stride == width {
+		width, stride, n = rows, rows, el.len()
+	}
 	for _, dir := range d.opts.Directions {
-		key, pos := directionKeyPos(dir, el)
-		sub := sample // ascending element indices: row-major, the horizontal order
-		if dir != DirHorizontal {
-			sub = countingSortBy(countingSortBy(sample, pos), key)
-		}
 		covered := 0
-		runLen := 1
-		flush := func() {
-			if runLen >= d.opts.MinRunLength {
-				covered += runLen
-			}
-			runLen = 1
+		for lo := 0; lo < rows; lo += stride {
+			d.runs(dir, el.baseRow+int32(lo), el.baseRow+int32(min(lo+width, rows)), func(run []int32) {
+				if len(run) >= d.opts.MinRunLength {
+					covered += len(run)
+				}
+			})
 		}
-		for a := 1; a < len(sub); a++ {
-			i, j := sub[a-1], sub[a]
-			if key(i) == key(j) && pos(j) == pos(i)+1 {
-				runLen++
-			} else {
-				flush()
-			}
-		}
-		flush()
-		d.dirCoverage[dir] = float64(covered) / float64(len(sample))
+		d.dirCoverage[dir] = float64(covered) / float64(n)
 	}
 }
 
 // assignDirection claims maximal unassigned runs of the direction as units.
 func (d *detector) assignDirection(dir Direction) {
-	el := d.el
-	perm := d.directionPerm(dir)
-	key, pos := directionKeyPos(dir, el)
 	pat := dir.pattern()
-
-	n := len(perm)
-	a := 0
-	for a < n {
-		// Find the maximal geometric run starting at perm[a].
-		b := a + 1
-		for b < n && key(perm[b]) == key(perm[b-1]) && pos(perm[b]) == pos(perm[b-1])+1 {
-			b++
-		}
-		// Within the run, claim maximal unassigned segments.
-		s := a
-		for s < b {
-			for s < b && d.owner[perm[s]] != unassigned {
-				s++
-			}
-			t := s
-			for t < b && d.owner[perm[t]] == unassigned {
-				t++
-			}
-			d.claimSegment(pat, perm[s:t])
-			s = t
-		}
-		a = b
-	}
+	d.runs(dir, d.el.baseRow, d.el.baseRow+d.el.nRows, func(run []int32) { d.claimSegment(pat, run) })
 }
 
 // claimSegment turns one unassigned geometric segment into units if it is
@@ -319,23 +264,22 @@ func (d *detector) claimSegment(pat Pattern, seg []int32) {
 		return
 	}
 	for off := 0; off < len(seg); off += maxUnitSize {
-		end := off + maxUnitSize
-		if end > len(seg) {
-			end = len(seg)
-		}
+		end := min(off+maxUnitSize, len(seg))
 		if end-off < d.opts.MinRunLength {
 			break // tail too short to stand alone as a pattern unit
 		}
-		part := seg[off:end]
-		u := unit{
-			pat:   pat,
-			row:   el.rows[part[0]],
-			col:   el.cols[part[0]],
-			elems: append([]int32(nil), part...),
-		}
-		for _, i := range part {
-			d.owner[i] = uint8(pat)
-		}
-		d.units = append(d.units, u)
+		start := len(d.arena)
+		d.arena = append(d.arena, seg[off:end]...)
+		d.addUnit(pat, 0, start)
 	}
+}
+
+// addUnit makes the elements appended to the arena since start one unit of
+// pattern pat, anchored at the first of them, and claims them.
+func (d *detector) addUnit(pat Pattern, width int32, start int) {
+	elems := d.arena[start:len(d.arena):len(d.arena)]
+	for _, i := range elems {
+		d.owner[i] = uint8(pat)
+	}
+	d.units = append(d.units, unit{pat: pat, row: d.el.rows[elems[0]], col: d.el.cols[elems[0]], width: width, elems: elems})
 }

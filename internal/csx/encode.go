@@ -76,20 +76,16 @@ func emitRow(w *ctlWriter, b *Blob, el *elements, vals []float64, r int32, rowUn
 	// rowUnits are column-disjoint (each element has one owner) and arrive in
 	// column order: detect leaves the units sorted by (row, col).
 	li := 0
-	emitDeltaChunks := func(upTo int32) {
-		// Emit leftovers with col < upTo as delta units.
-		start := li
-		for li < len(leftovers) && el.cols[leftovers[li]] < upTo {
+	for ki := range rowUnits {
+		u := &rowUnits[ki]
+		start := li // the leftovers left of the unit's anchor
+		for li < len(leftovers) && el.cols[leftovers[li]] < u.col {
 			li++
 		}
 		emitDeltas(w, b, el, vals, r, leftovers[start:li], symBoundary)
-	}
-	for ki := range rowUnits {
-		u := &rowUnits[ki]
-		emitDeltaChunks(u.col)
 		emitPattern(w, b, el, vals, u)
 	}
-	emitDeltaChunks(int32(1) << 30) // the rest of the row
+	emitDeltas(w, b, el, vals, r, leftovers[li:], symBoundary) // the rest of the row, whatever its columns
 }
 
 // emitPattern writes one substructure unit.

@@ -2,7 +2,7 @@
 # Size metrics the ROADMAP says should go down, plus the structural counts
 # `make ci` gates on:
 #
-#   hand-written non-test Go lines outside      (limit 18 012: a ratchet,
+#   hand-written non-test Go lines outside      (limit `limit` below: a ratchet,
 #   benchmark/                                   not a target; files that open
 #                                                with the standard "Code generated
 #                                                ... DO NOT EDIT." line are counted
@@ -29,7 +29,8 @@
 #   method, its model pricing, the CSB-Sym       BCSR lost every host cell and were
 #   and BCSR packages                            never picked by the tuner; EXPERIMENTS.md)
 #   set-up path lines that sort nnz entries      (limit 0: sort.Slice in
-#   through a comparator or allocate per line    internal/matrix and csx/detect.go;
+#   through a comparator or allocate per line    internal/matrix and csx/detect.go,
+#                                                a counting sort in csx/detect.go;
 #                                                strings.Fields or .Text() in the
 #                                                Matrix Market reader's data loop)
 #   CG iteration loops in internal/cg            (limit 2: Solve's, which Jacobi
@@ -59,10 +60,15 @@ sources() { # non-test Go outside benchmark/ and build leftovers
 generated() { head -n 1 "$1" | grep -qE '^// Code generated .* DO NOT EDIT\.$'; }
 hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 
+# The ratchet on hand-written non-test lines: lowered when a change removes
+# lines, never raised.
+limit=17941
+
 lines=$(cat $hand | wc -l)
 genlines=$(( $(sources | xargs cat | wc -l) - lines ))
 corefiles=$(echo "$hand" | grep -E '^\./internal/core/[^/]*$')
 corelines=$(cat $corefiles | wc -l)
+csxlines=$(cat $(echo "$hand" | grep -E '^\./internal/csx/[^/]*$') | wc -l)
 tmpllines=$(cat $(echo "$hand" | grep '^\./internal/core/gen/') | wc -l)
 bodies=$(grep -hE '^func .*[a-z0-9]T\(' $corefiles | wc -l)
 cells=$(grep -hE '^func .*[a-z0-9]T\(' internal/core/lowerrow_gen.go | wc -l)
@@ -100,8 +106,8 @@ dropped=$(sources | xargs grep -nE 'core\.Atomic|multiplyAtomicT|internal/(bcsr|
 ndropped=$(printf '%s' "$dropped" | grep -c . || true)
 
 # The set-up path is linear and allocates per block: no comparator sort over
-# the entries (Normalize is a radix sort, the CSX statistics pass uses the
-# detector's counting sort), and the reader's data loop — parse, entry and
+# the entries (Normalize is a radix sort; the CSX detector sorts nothing, its
+# passes walk adjacent rows), and the reader's data loop — parse, entry and
 # mmSplit, everything from parse's signature to the comment of entries —
 # never goes back to a string and a strings.Fields slice per line. (The
 # allocation count itself is TestReadMatrixMarketAllocates' business.)
@@ -109,7 +115,8 @@ mmio=internal/matrix/mmio.go
 loop=$(awk '/^func \(p \*mmFormat\) parse\(/{on=1} /^\/\/ entries reads /{on=0} on' "$mmio")
 grep -q '^// entries reads ' "$mmio" && [ -n "$loop" ] ||
 	{ echo "loc: cannot find the data loop (parse .. entries) in $mmio" >&2; exit 1; }
-slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) internal/csx/detect.go /dev/null
+slow=$({ grep -nE 'sort\.Slice' $(ls internal/matrix/*.go | grep -v _test.go) /dev/null
+	grep -nE 'sort\.Slice|countingSort|directionPerm' internal/csx/detect.go /dev/null
 	printf '%s\n' "$loop" | grep -nE 'strings\.Fields|\.Text\(\)' | sed "s|^|$mmio (data loop):|"; } || true)
 nslow=$(printf '%s' "$slow" | grep -c . || true)
 
@@ -121,8 +128,9 @@ nloops=$(printf '%s' "$loops" | grep -c . || true)
 pcg=$(sources | xargs grep -nE 'SolvePCG|Preconditioner' || true)
 npcg=$(printf '%s' "$pcg" | grep -c . || true)
 
-printf 'hand-written non-test Go lines:            %6d  (limit 18012; outside benchmark/)\n' "$lines"
+printf 'hand-written non-test Go lines:            %6d  (limit %d; outside benchmark/)\n' "$lines" "$limit"
 printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
+printf '  of which package internal/csx:           %6d\n' "$csxlines"
 printf 'generated non-test Go lines:               %6d  (not gated)\n' "$genlines"
 printf 'hand-written ...T bodies in internal/core: %6d  (limit 12)\n' "$bodies"
 printf 'generated ...T cells in internal/core:     %6d\n' "$cells"
@@ -138,8 +146,8 @@ printf 'CG iteration loops in internal/cg:         %6d  (limit 2)\n' "$nloops"
 printf 'SolvePCG / Preconditioner back in the tree:%6d  (limit 0)\n' "$npcg"
 
 status=0
-if [ "$lines" -gt 18012 ]; then
-	echo "loc: $lines hand-written non-test Go lines, over the 18 012 ratchet (ROADMAP item 7)" >&2
+if [ "$lines" -gt "$limit" ]; then
+	echo "loc: $lines hand-written non-test Go lines, over the $limit ratchet (ROADMAP item 7)" >&2
 	status=1
 fi
 if [ "$bodies" -gt 12 ]; then
