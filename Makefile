@@ -44,13 +44,17 @@ vet:
 # reduction method, the CG iteration (fused, unfused, Jacobi: ns/iter and
 # allocs), the CG vector operations in MB/s (scalar and at every block width),
 # the two CSX decode kernels in ns per stored element with the unit mix each
-# ran over, and the two CSX encoders in ns per element and allocs per build.
+# ran over, the two CSX encoders in ns per element and allocs per build, and
+# the two doors: a solve body's decode and its response's encode (ns per
+# float, allocs) and the Matrix Market reader in MB/s.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGIteration' -benchtime 50x .
 	$(GO) test -run xxx -bench BenchmarkVecOps -benchtime 500x ./internal/vec
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx
+	$(GO) test -run xxx -bench 'BenchmarkDecodeSolve|BenchmarkEncodeSolve' -benchtime 20x ./internal/serve
+	$(GO) test -run xxx -bench BenchmarkReadMatrixMarket -benchtime 5x ./internal/matrix
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three
 # stacked levels — SpM×V, CG solve, HTTP solve — on one workload per run, e.g.
@@ -87,13 +91,16 @@ telemetry-smoke:
 # FuzzReadMatrixMarket holds the block reader to the line-oriented reader it
 # replaced, and its sibling in internal/matrix does the same with the block
 # size as a fuzz input, so that block edges fall inside the fuzzed bytes;
-# FuzzLoadPlan holds the tuning-cache parser to "a miss or a buildable plan".
+# FuzzParseFloat holds the decimal reader both doors share to strconv, bit
+# for bit; FuzzLoadPlan holds the tuning-cache parser to "a miss or a
+# buildable plan".
 fuzz-smoke:
 	$(GO) test -race -count=1 ./internal/fuzzcheck/
 	for t in FuzzReadMatrixMarket FuzzDecodeBlob FuzzSymDeserialize; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/fuzzcheck/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarketBlocks$$' -fuzztime 10s ./internal/matrix/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime 10s ./internal/atof/
 	for t in FuzzDecodeSolve FuzzDecodeSpMV; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/serve/ || exit 1; \
 	done
@@ -108,12 +115,13 @@ attrib-smoke:
 	./scripts/attrib_smoke.sh
 
 # generate-check reruns the body generator (internal/core/gen: the template of
-# the lower-row loop and the one of the block-CG vector bodies) and fails when
-# the checked-in internal/core/lowerrow_gen.go or internal/vec/multi_gen.go is
-# not what it prints.
+# the lower-row loop, the one of the block-CG vector bodies and the decimal
+# reader's power table) and fails when the checked-in
+# internal/core/lowerrow_gen.go, internal/vec/multi_gen.go or
+# internal/atof/pow10_gen.go is not what it prints.
 generate-check:
 	$(GO) generate ./internal/core/...
-	git diff --exit-code -- internal/core/lowerrow_gen.go internal/vec/multi_gen.go
+	git diff --exit-code -- internal/core/lowerrow_gen.go internal/vec/multi_gen.go internal/atof/pow10_gen.go
 
 # loc prints the size metrics the ROADMAP wants to go down (hand-written
 # non-test Go lines, hand-written per-thread kernel bodies; generated files are

@@ -1,10 +1,10 @@
 // Command gen writes internal/core/lowerrow_gen.go: the multiply bodies of
 // the symmetric kernel, every one an instantiation of the single lower-row
 // loop below. Its second template (vec.go) writes internal/vec/multi_gen.go,
-// the block-CG vector bodies at the same lane widths. Run by
-// `go generate ./internal/core/...` (the one directive lives in lowerrow.go);
-// `make ci` fails when either checked-in file differs from what this program
-// prints.
+// the block-CG vector bodies, and its third (pow10.go) internal/atof's table.
+// Run by `go generate ./internal/core/...` (the one directive lives in
+// lowerrow.go); `make ci` fails when a checked-in file differs from what this
+// program prints.
 //
 // The loop has three holes (DESIGN.md §17):
 //
@@ -304,6 +304,7 @@ func main() {
 	for _, err := range []error{
 		generate("lowerrow_gen.go", text, cells),
 		generate("../vec/multi_gen.go", vecText, vecCells()),
+		generate("../atof/pow10_gen.go", pow10Text, pow10Rows()),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gen:", err)

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/atof"
 )
 
 // Matrix Market exchange format support (the format the University of
@@ -284,7 +286,7 @@ func (p *mmFormat) parse(b *mmBlock, firstLine, room int) {
 }
 
 // entry checks the trimmed data line t and returns its 0-based coordinates
-// and its value.
+// and its value, read in place.
 func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error) {
 	r1, c1, val, plain := mmSplit(t, !p.pattern)
 	if !plain {
@@ -306,7 +308,7 @@ func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error
 	}
 	v = 1.0
 	if !p.pattern {
-		if v, err = strconv.ParseFloat(string(val), 64); err != nil {
+		if v, err = atof.Parse(val); err != nil {
 			return 0, 0, 0, fmt.Errorf("matrixmarket: line %d: bad value in %q", lineno, t)
 		}
 	}

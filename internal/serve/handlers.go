@@ -193,8 +193,8 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 }
 
 // inputVector validates the request vector against the matrix dimension,
-// synthesizing the ones-vector variants server-side.
-func (s *Server) inputVector(e *Entry, op opKind, v []float64, ones bool) ([]float64, error) {
+// synthesizing the ones-vector variants server-side (under ctx, the request's).
+func (s *Server) inputVector(ctx context.Context, e *Entry, op opKind, v []float64, ones bool) ([]float64, error) {
 	name := wireFields[op][0]
 	if ones {
 		if v != nil {
@@ -207,11 +207,11 @@ func (s *Server) inputVector(e *Entry, op opKind, v []float64, ones bool) ([]flo
 		if op == opSolve {
 			// b = A·1 through the registered kernel, so "converged" means
 			// the solver reproduced the all-ones solution.
-			req := newRequest("", e.ID, batchKey{op: opSpMV}, x, context.Background())
+			req := newRequest("", e.ID, batchKey{op: opSpMV}, x, ctx)
 			if err := e.batcher.Enqueue(req); err != nil {
 				return nil, err
 			}
-			out := <-req.done
+			out := awaitOutcome(req)
 			if out.err != nil {
 				return nil, out.err
 			}
@@ -269,11 +269,6 @@ func (s *Server) handleVector(op opKind) http.HandlerFunc {
 			writeError(w, err)
 			return
 		}
-		in, err := s.inputVector(e, op, req.vec, req.ones)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
 		key, ctx := batchKey{op: op}, r.Context()
 		if op == opSolve {
 			if req.tol < 0 || req.maxIter < 0 || req.timeoutMS < 0 {
@@ -289,6 +284,11 @@ func (s *Server) handleVector(op opKind) http.HandlerFunc {
 				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.timeoutMS)*time.Millisecond)
 				defer cancel()
 			}
+		}
+		in, err := s.inputVector(ctx, e, op, req.vec, req.ones)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
 		rq := newRequest(requestID(r.Header), e.ID, key, in, ctx)
 		w.Header().Set("X-Request-Id", rq.id)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -327,6 +328,59 @@ func TestHTTPBackpressure(t *testing.T) {
 		t.Fatalf("queue depth 1 with %d concurrent requests produced no 429s (ok=%d)", reqs, ok)
 	}
 	t.Logf("backpressure: %d ok, %d rejected (queue_full), %d other", ok, rejected, other)
+}
+
+// A b_ones solve computes b = A·1 through the matrix's queue under the
+// request's own deadline: behind a held dispatcher it answers 504 when
+// timeout_ms runs out, not when the queue drains, and leaves no goroutine
+// behind once the queued product is discarded.
+func TestBOnesHonoursTimeout(t *testing.T) {
+	_, reg, ts := testHTTPServer(t, Options{QueueDepth: 8}, ServerOptions{})
+	path, _ := testMatrixFile(t, 100, 25)
+	if resp, _ := postJSON(t, ts.URL+"/v1/matrices", loadRequest{ID: "to", Path: path, Format: "sss-idx", Threads: 2}); resp.StatusCode != http.StatusCreated {
+		t.Fatal("load failed")
+	}
+	e, err := reg.Get("to")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/matrices/to/solve"
+	if resp, body := postJSON(t, url, solveRequest{BOnes: true}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("unplugged solve: status %d body %v", resp.StatusCode, body)
+	}
+	baseline := runtime.NumGoroutine() // the keep-alive connection included
+
+	plug := plugDispatcher(t, e)
+	type answer struct {
+		status int
+		body   []byte
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", strings.NewReader(`{"b_ones":true,"timeout_ms":50}`))
+		if err != nil {
+			answered <- answer{}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, body}
+	}()
+	select {
+	case a := <-answered:
+		if a.status != http.StatusGatewayTimeout || !strings.Contains(string(a.body), `"deadline_exceeded"`) {
+			t.Fatalf("status %d body %s, want 504 deadline_exceeded", a.status, a.body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 50 ms b_ones solve was not answered while the dispatcher was held")
+	}
+	plug.open()
+	<-plug.done
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the plugged request", runtime.NumGoroutine(), baseline)
+		}
+	}
 }
 
 // Concurrent solves over HTTP coalesce (batch_lanes >= 2 for some request)

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"repro/internal/atof"
 )
 
 // The wire codec of the two vector endpoints. /spmv and /solve carry one
@@ -52,27 +54,6 @@ const (
 	msgTrailingData = "data after the closing }"
 	msgTooMany      = "has more entries than the matrix has rows"
 )
-
-// Byte classes for scanner.span.
-const (
-	isSpace  uint8 = 1 << iota // JSON whitespace
-	inNumber                   // any byte a number literal can contain
-	inKey                      // any byte a string holds unescaped
-)
-
-var class = func() (t [256]uint8) {
-	for c := 0x20; c < 256; c++ {
-		t[c] = inKey
-	}
-	t['"'], t['\\'] = 0, 0
-	for _, c := range " \t\r\n" {
-		t[c] |= isSpace
-	}
-	for _, c := range "0123456789+-.eE" {
-		t[c] |= inNumber
-	}
-	return t
-}()
 
 // scanner reads a body through one window. buf[pos:end] is unread; base is
 // the body offset of buf[0], for error messages.
@@ -119,20 +100,19 @@ func (s *scanner) token() byte {
 		if s.pos == s.end && !s.fill() {
 			return 0
 		}
-		c := s.buf[s.pos]
-		if class[c]&isSpace == 0 {
+		if c := s.buf[s.pos]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
 			return c
 		}
 		s.pos++
 	}
 }
 
-// span consumes the longest run of bytes in the given class and returns it,
-// valid until the next scanner call.
-func (s *scanner) span(in uint8) []byte {
+// keyText consumes a key's bytes up to a quote, a backslash or a control
+// character and returns them, valid until the next scanner call.
+func (s *scanner) keyText() []byte {
 	i := s.pos
 	for {
-		for i < s.end && class[s.buf[i]]&in != 0 {
+		for i < s.end && s.buf[i] >= 0x20 && s.buf[i] != '"' && s.buf[i] != '\\' {
 			i++
 		}
 		if i < s.end {
@@ -172,77 +152,34 @@ func (s *scanner) expect(c byte, where string) error {
 	return nil
 }
 
-// validNumber reports whether b is exactly one JSON number literal:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func validNumber(b []byte) bool {
-	digits := func(i int) int {
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch j := digits(i); {
-	case j == i, b[i] == '0' && j > i+1:
-		return false
-	default:
-		i = j
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(i + 1)
-		if j == i+1 {
-			return false
-		}
-		i = j
-	}
-	if i < len(b) && b[i]|0x20 == 'e' {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(i)
-		if j == i {
-			return false
-		}
-		i = j
-	}
-	return i == len(b)
-}
-
-// number consumes a number literal and returns its text. A null reads as
-// absent (ok false), as encoding/json reads it into any scalar.
-func (s *scanner) number() (text []byte, ok bool, err error) {
+// number consumes a number literal — checked and converted by atof.JSON in
+// one pass straight out of the window — and returns its text and value. A
+// null reads as absent (nil text), as encoding/json reads it into any scalar.
+func (s *scanner) number() (text []byte, f float64, err error) {
 	if s.token() == 'n' {
-		return nil, false, s.null()
+		return nil, 0, s.null()
 	}
-	tok := s.span(inNumber)
-	if !validNumber(tok) {
-		s.pos -= len(tok)
-		return nil, false, s.errorf("want a number")
+	for {
+		f, n, err := atof.JSON(s.buf[s.pos:s.end])
+		if s.pos+n == s.end && s.fill() {
+			continue // the pass ran into the window's end: the literal may go on
+		}
+		if err == atof.ErrSyntax {
+			return nil, 0, s.errorf("want a number")
+		}
+		text, s.pos = s.buf[s.pos:s.pos+n], s.pos+n
+		if err != nil {
+			return nil, 0, s.errorf("number %s does not fit a float64", text)
+		}
+		return text, f, nil
 	}
-	return tok, true, nil
-}
-
-func (s *scanner) float() (float64, error) {
-	tok, ok, err := s.number()
-	if !ok {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, s.errorf("number %s does not fit a float64", tok)
-	}
-	return f, nil
 }
 
 // integer takes only what encoding/json takes into an int: digits, no
 // fraction and no exponent.
 func (s *scanner) integer(into *int) error {
-	tok, ok, err := s.number()
-	if !ok {
+	tok, _, err := s.number()
+	if tok == nil {
 		return err
 	}
 	v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
@@ -305,7 +242,7 @@ func (s *scanner) vector(name string, n int) ([]float64, error) {
 		if len(vec) == n {
 			return nil, s.errorf("%s %s (%d)", name, msgTooMany, n)
 		}
-		f, err := s.float()
+		_, f, err := s.number()
 		if err != nil {
 			return nil, err
 		}
@@ -328,9 +265,9 @@ func (s *scanner) key(fields []string) (int, error) {
 	if err := s.expect('"', "to open a key"); err != nil {
 		return 0, err
 	}
-	key := s.span(inKey)
+	key := s.keyText()
 	switch {
-	case s.pos == s.end: // span stopped because reading did
+	case s.pos == s.end: // keyText stopped because reading did
 		return 0, s.errorf("unterminated key")
 	case s.buf[s.pos] == '\\':
 		return 0, s.errorf("%s", msgEscapedKey)
@@ -391,7 +328,7 @@ func (s *scanner) object(fields []string, n int, req *vectorRequest) error {
 		case 1:
 			err = s.boolean(&req.ones)
 		case 2:
-			req.tol, err = s.float()
+			_, req.tol, err = s.number()
 		case 3:
 			err = s.integer(&req.maxIter)
 		case 4:

@@ -332,15 +332,21 @@ func TestDispatcherBlocksAreReused(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeSolve scans a solve body the size the benchmark's stencil
-// workloads post, beside what encoding/json took for it.
-func BenchmarkDecodeSolve(b *testing.B) {
-	const n = 131456
+// benchVector is a vector the size of the benchmark's stencil workloads.
+func benchVector() []float64 {
 	rng := rand.New(rand.NewSource(1))
-	v := make([]float64, n)
+	v := make([]float64, 131456)
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
+	return v
+}
+
+// BenchmarkDecodeSolve scans a solve body the size the benchmark's stencil
+// workloads post, beside what encoding/json took for it.
+func BenchmarkDecodeSolve(b *testing.B) {
+	v := benchVector()
+	n := len(v)
 	body, err := json.Marshal(solveRequest{B: v, Tol: 1e-8})
 	if err != nil {
 		b.Fatal(err)
@@ -363,4 +369,25 @@ func BenchmarkDecodeSolve(b *testing.B) {
 			}
 		}
 	})
+}
+
+// discardResponse is an http.ResponseWriter that drops the body.
+type discardResponse struct{ header http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkEncodeSolve writes the solve response for the same vector: the
+// encode stage of an HTTP solve, in ns per float.
+func BenchmarkEncodeSolve(b *testing.B) {
+	out := outcome{y: benchVector(), lanes: 1, iterations: 300, converged: true, residual: 3.25e-11}
+	w := &discardResponse{header: http.Header{}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := writeVectorResponse(w, opSolve, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out.y)), "ns/float")
 }

@@ -36,6 +36,8 @@
 #   CG iteration loops in internal/cg            (limit 2: Solve's, which Jacobi
 #                                                shares, and SolveBlock's; and no
 #                                                SolvePCG or Preconditioner anywhere)
+#   files calling strconv.ParseFloat             (limit 1: internal/atof's fallback;
+#                                                both doors read numbers through it)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -61,8 +63,8 @@ generated() { head -n 1 "$1" | grep -qE '^// Code generated .* DO NOT EDIT\.$'; 
 hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 
 # The ratchet on hand-written non-test lines: lowered when a change removes
-# lines, never raised.
-limit=17941
+# lines, raised only by a reviewed exception (internal/atof, +150).
+limit=18091
 
 lines=$(cat $hand | wc -l)
 genlines=$(( $(sources | xargs cat | wc -l) - lines ))
@@ -128,6 +130,13 @@ nloops=$(printf '%s' "$loops" | grep -c . || true)
 pcg=$(sources | xargs grep -nE 'SolvePCG|Preconditioner' || true)
 npcg=$(printf '%s' "$pcg" | grep -c . || true)
 
+# One decimal reader: the JSON vector body and the Matrix Market reader turn
+# text into float64 through internal/atof, whose fallback is the one caller
+# of strconv.ParseFloat.
+atof=$(sources | xargs grep -lE 'strconv\.ParseFloat\(' || true)
+natof=$(printf '%s' "$atof" | grep -c . || true)
+strayatof=$(printf '%s' "$atof" | grep -v '^\./internal/atof/' || true)
+
 printf 'hand-written non-test Go lines:            %6d  (limit %d; outside benchmark/)\n' "$lines" "$limit"
 printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
 printf '  of which package internal/csx:           %6d\n' "$csxlines"
@@ -144,6 +153,7 @@ printf 'dropped comparators back in the tree:     %6d  (limit 0)\n' "$ndropped"
 printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
 printf 'CG iteration loops in internal/cg:         %6d  (limit 2)\n' "$nloops"
 printf 'SolvePCG / Preconditioner back in the tree:%6d  (limit 0)\n' "$npcg"
+printf 'files calling strconv.ParseFloat:          %6d  (limit 1, internal/atof)\n' "$natof"
 
 status=0
 if [ "$lines" -gt "$limit" ]; then
@@ -198,6 +208,11 @@ fi
 if [ "$npcg" -gt 0 ]; then
 	echo "loc: SolvePCG or a Preconditioner is back (Jacobi is SolveJacobi, Solve's loop):" >&2
 	echo "$pcg" >&2
+	status=1
+fi
+if [ "$natof" -gt 1 ] || [ -n "$strayatof" ]; then
+	echo "loc: strconv.ParseFloat called outside internal/atof's fallback (read decimals with atof.JSON or atof.Parse):" >&2
+	echo "$atof" | xargs grep -nE 'strconv\.ParseFloat\(' >&2
 	status=1
 fi
 exit $status
