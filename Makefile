@@ -92,15 +92,18 @@ telemetry-smoke:
 # replaced, and its sibling in internal/matrix does the same with the block
 # size as a fuzz input, so that block edges fall inside the fuzzed bytes;
 # FuzzParseFloat holds the decimal reader both doors share to strconv, bit
-# for bit; FuzzLoadPlan holds the tuning-cache parser to "a miss or a
-# buildable plan".
+# for bit, and FuzzAppendJSON the response's float writer to strconv's
+# digits in encoding/json's layout, byte for byte; FuzzLoadPlan holds the
+# tuning-cache parser to "a miss or a buildable plan".
 fuzz-smoke:
 	$(GO) test -race -count=1 ./internal/fuzzcheck/
 	for t in FuzzReadMatrixMarket FuzzDecodeBlob FuzzSymDeserialize; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/fuzzcheck/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarketBlocks$$' -fuzztime 10s ./internal/matrix/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime 10s ./internal/atof/
+	for t in FuzzParseFloat FuzzAppendJSON; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/atof/ || exit 1; \
+	done
 	for t in FuzzDecodeSolve FuzzDecodeSpMV; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/serve/ || exit 1; \
 	done

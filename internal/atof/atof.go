@@ -1,10 +1,18 @@
-// Package atof reads a decimal literal as a float64 in one pass, which checks
-// the JSON number grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and
-// gathers the digits into a uint64 and the power of ten that scales them.
-// Clinger's exact path converts when the digits fit 53 bits and |power| ≤ 22,
-// an Eisel–Lemire step otherwise, and strconv.ParseFloat what neither settles
-// (over 19 digits, a five-digit exponent, a subnormal or infinite result, a
-// product too near a halfway point): every value is strconv's, bit for bit.
+// Package atof converts between float64 and decimal text at both doors of
+// the service, each direction byte for byte or bit for bit what strconv does,
+// and both scale by the one generated table of 128-bit powers of ten.
+//
+// Reading (JSON, Parse) is one pass, which checks the JSON number grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and gathers the digits into
+// a uint64 and the power of ten that scales them. Clinger's exact path
+// converts when the digits fit 53 bits and |power| ≤ 22, an Eisel–Lemire step
+// otherwise, and strconv.ParseFloat what neither settles (over 19 digits, a
+// five-digit exponent, a subnormal or infinite result, a product too near a
+// halfway point): every value is strconv's, bit for bit.
+//
+// Writing (AppendJSON) is a Schubfach step, which finds the shortest digits
+// that read back as the float64 with three 64×128-bit products and no loop,
+// laid out as encoding/json lays out strconv's: every byte is theirs.
 package atof
 
 import (

@@ -239,8 +239,9 @@ func awaitOutcome(req *request) outcome {
 }
 
 // vectorBodyCap bounds a /spmv or /solve body for a matrix of n rows: a
-// float64 is at most 24 characters in JSON, so 32 a row leaves room for a
-// separator and indentation, and 4 KiB for everything that is not the vector.
+// float64 is at most 25 characters in JSON (-0.0000012345678901234567), so 32
+// a row leaves room for a separator and indentation, and 4 KiB for everything
+// that is not the vector.
 func (s *Server) vectorBodyCap(n int) int64 {
 	return min(s.maxBody, 32*int64(n)+4<<10)
 }

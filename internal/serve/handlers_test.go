@@ -383,6 +383,23 @@ func TestBOnesHonoursTimeout(t *testing.T) {
 	}
 }
 
+// The body cap allows 32 bytes a row; a compact body of the longest float64
+// literals, 25 bytes and a comma each, is taken, not answered 413. At 5000
+// rows the cap's fixed 4 KiB would not cover 24 bytes a row.
+func TestLongestLiteralsFitTheBodyCap(t *testing.T) {
+	const n, longest = 5000, "-0.0000012345678901234567"
+	_, _, ts := testHTTPServer(t, Options{QueueDepth: 8}, ServerOptions{})
+	path, _ := testMatrixFile(t, n, 26)
+	if resp, _ := postJSON(t, ts.URL+"/v1/matrices", loadRequest{ID: "long", Path: path, Format: "sss-idx", Threads: 2}); resp.StatusCode != http.StatusCreated {
+		t.Fatal("load failed")
+	}
+	body := []byte(`{"b":[` + strings.Repeat(longest+",", n-1) + longest + `]}`)
+	resp, out := postJSON(t, ts.URL+"/v1/matrices/long/solve", body)
+	if resp.StatusCode != http.StatusOK || len(out["x"].([]any)) != n {
+		t.Fatalf("a %d-byte body of %d literals of %d bytes: status %d", len(body), n, len(longest), resp.StatusCode)
+	}
+}
+
 // Concurrent solves over HTTP coalesce (batch_lanes >= 2 for some request)
 // and the batch-size histogram on /metrics records multi-lane dispatches.
 func TestHTTPCoalescingAndMetrics(t *testing.T) {

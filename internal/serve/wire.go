@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -349,32 +348,22 @@ func (s *scanner) object(fields []string, n int, req *vectorRequest) error {
 	}
 }
 
-// appendFloat writes f as encoding/json does: shortest digits that round-trip,
-// positional between 1e-6 and 1e21 and exponent form outside, with a
-// two-digit negative exponent's leading zero dropped.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
 // writeVectorResponse streams a 200 for out, byte for byte what
 // json.NewEncoder(w).Encode would write for the response struct. The outcome
 // is finite (request.finish saw to that), so nothing can fail after the
 // header but the connection.
 func writeVectorResponse(w http.ResponseWriter, op opKind, out outcome) error {
+	return writeVector(w, op, out, atof.AppendJSON)
+}
+
+// writeVector is writeVectorResponse with the float writer a parameter, so
+// that BenchmarkEncodeSolve can time strconv's beside it in one binary.
+func writeVector(w http.ResponseWriter, op opKind, out outcome, appendFloat func([]byte, float64) []byte) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	win := windowPool.Get().(*[windowSize]byte)
 	defer windowPool.Put(win)
-	const room = 256 // one float and a separator, or everything behind the vector
+	const room = 256 // a float (25 bytes at most) and a separator, or everything behind the vector
 	b := win[:0]
 	if op == opSpMV {
 		b = append(b, `{"y":[`...)

@@ -10,10 +10,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"repro/internal/atof"
 )
 
 // The streamed response is byte for byte what encoding/json writes for the
@@ -378,16 +381,39 @@ func (d *discardResponse) Header() http.Header         { return d.header }
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
-// BenchmarkEncodeSolve writes the solve response for the same vector: the
-// encode stage of an HTTP solve, in ns per float.
+// strconvFloat is the float writer the response path used before
+// atof.AppendJSON: strconv's shortest digits in encoding/json's layout.
+func strconvFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// BenchmarkEncodeSolve writes the solve response for the same vector — the
+// encode stage of an HTTP solve, in ns per float — with the response path's
+// writer and with the strconv one it replaced.
 func BenchmarkEncodeSolve(b *testing.B) {
 	out := outcome{y: benchVector(), lanes: 1, iterations: 300, converged: true, residual: 3.25e-11}
 	w := &discardResponse{header: http.Header{}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := writeVectorResponse(w, opSolve, out); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name        string
+		appendFloat func([]byte, float64) []byte
+	}{{"writer", atof.AppendJSON}, {"strconv", strconvFloat}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := writeVector(w, opSolve, out, c.appendFloat); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out.y)), "ns/float")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out.y)), "ns/float")
 }

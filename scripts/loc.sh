@@ -38,6 +38,8 @@
 #                                                SolvePCG or Preconditioner anywhere)
 #   files calling strconv.ParseFloat             (limit 1: internal/atof's fallback;
 #                                                both doors read numbers through it)
+#   internal/serve files calling                 (limit 0: the response path writes
+#   strconv.AppendFloat or FormatFloat           numbers through internal/atof)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -63,8 +65,9 @@ generated() { head -n 1 "$1" | grep -qE '^// Code generated .* DO NOT EDIT\.$'; 
 hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 
 # The ratchet on hand-written non-test lines: lowered when a change removes
-# lines, raised only by a reviewed exception (internal/atof, +150).
-limit=18091
+# lines, raised only by a reviewed exception (internal/atof's reader, +150;
+# its writer, atof.AppendJSON, +145).
+limit=18236
 
 lines=$(cat $hand | wc -l)
 genlines=$(( $(sources | xargs cat | wc -l) - lines ))
@@ -137,6 +140,11 @@ atof=$(sources | xargs grep -lE 'strconv\.ParseFloat\(' || true)
 natof=$(printf '%s' "$atof" | grep -c . || true)
 strayatof=$(printf '%s' "$atof" | grep -v '^\./internal/atof/' || true)
 
+# ... and one float writer: the vector responses format through
+# atof.AppendJSON, never strconv's float formatting.
+ftoa=$(sources | grep '^\./internal/serve/' | xargs grep -nE 'strconv\.(AppendFloat|FormatFloat)\(' || true)
+nftoa=$(printf '%s' "$ftoa" | grep -c . || true)
+
 printf 'hand-written non-test Go lines:            %6d  (limit %d; outside benchmark/)\n' "$lines" "$limit"
 printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
 printf '  of which package internal/csx:           %6d\n' "$csxlines"
@@ -154,6 +162,7 @@ printf 'comparator sorts / per-line allocs, set-up:%6d  (limit 0)\n' "$nslow"
 printf 'CG iteration loops in internal/cg:         %6d  (limit 2)\n' "$nloops"
 printf 'SolvePCG / Preconditioner back in the tree:%6d  (limit 0)\n' "$npcg"
 printf 'files calling strconv.ParseFloat:          %6d  (limit 1, internal/atof)\n' "$natof"
+printf 'internal/serve files formatting with strconv:%4d  (limit 0)\n' "$nftoa"
 
 status=0
 if [ "$lines" -gt "$limit" ]; then
@@ -213,6 +222,11 @@ fi
 if [ "$natof" -gt 1 ] || [ -n "$strayatof" ]; then
 	echo "loc: strconv.ParseFloat called outside internal/atof's fallback (read decimals with atof.JSON or atof.Parse):" >&2
 	echo "$atof" | xargs grep -nE 'strconv\.ParseFloat\(' >&2
+	status=1
+fi
+if [ "$nftoa" -gt 0 ]; then
+	echo "loc: internal/serve formats a float with strconv (write numbers with atof.AppendJSON):" >&2
+	echo "$ftoa" >&2
 	status=1
 fi
 exit $status

@@ -11,9 +11,11 @@
 # of a pair runs first. Per end-to-end metric of BENCHMARK.json it prints both
 # medians, both quartile pairs (Python's statistics.quantiles, like the
 # acceptance driver and benchmark/aa.go), in how many pairs the change read
-# better (identical readings counted apart, for neither side), and the
-# failed-operation totals of both sides. Nothing under
-# benchmark/ is edited: each side runs its own benchmark/run.sh.
+# better (identical readings counted apart, for neither side) with the
+# one-sided sign-test p-value of that count, the failed-operation totals of
+# both sides, and how many kernel functions the change moved within their
+# cache line. Nothing under benchmark/ is edited: each side runs its own
+# benchmark/run.sh.
 #
 # The checkouts are `git archive` extractions under ${TMPDIR:-/tmp}, not
 # registered worktrees: nothing is left behind in .git when the script is
@@ -66,15 +68,34 @@ jq -r '.end_to_end[] | [.name, .unit, .better] | @tsv' BENCHMARK.json |
 				}
 			}
 			function sorted(v, n,    i, j, t) { for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t } }
+			function signp(k, n,    i, c, p) { # P[X >= k] for X ~ Bin(n, 1/2); c is C(n, i)
+				for (c = 1; i <= n; i++) { if (i >= k) p += c; c = c * (n - i) / (i + 1) }
+				return p / 2 ^ n
+			}
 			{ p[NR] = $1; c[NR] = $2; if ($1 == $2) ties++; else if (better == "higher" ? $2 > $1 : $2 < $1) wins++ }
 			END {
 				sorted(p, NR); sorted(c, NR); quartiles(p, NR, pq); quartiles(c, NR, cq)
-				printf "%-12s %-8s %-34s %-34s %d/%d%s\n", name, unit,
+				printf "%-12s %-8s %-34s %-34s %d/%d p=%.3g%s\n", name, unit,
 					sprintf("%.4g [%.4g, %.4g]", pq[2], pq[1], pq[3]),
-					sprintf("%.4g [%.4g, %.4g]", cq[2], cq[1], cq[3]), wins, NR,
+					sprintf("%.4g [%.4g, %.4g]", cq[2], cq[1], cq[3]), wins, NR, signp(wins, NR - ties),
 					ties ? sprintf(" (%d identical)", ties) : ""
 			}'
 	done
 for side in parent change; do
 	printf 'ops_failed %-7s %d of %d\n' "$side" "$(jq -s 'map(.failed) | add' "$work/$side.jsonl")" "$(jq -s 'map(.attempted) | add' "$work/$side.jsonl")"
 done
+
+# The kernels' place in the binary: a change to any package linked before them
+# shifts every function, and one moved to the other half of its cache line can
+# read a few per cent slower with no kernel change (EXPERIMENTS.md records two).
+text() { go tool nm "$work/$1/.bench_build/benchmark" | awk '$2 ~ /^[Tt]$/ && $3 ~ /^repro\/internal\/(core|vec|cg|parallel)\./ { print $3, $1 }'; }
+awk 'function hex(s,    i, v) { for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return v }
+	NR == FNR { parent[$1] = hex($2); next }
+	$1 in parent {
+		n++; d = hex($2) - parent[$1]; shifts[d]++
+		if (d % 64) moved++
+	}
+	END {
+		for (d in shifts) if (shifts[d] > best) { best = shifts[d]; common = d }
+		printf "kernel layout: %d/%d internal/{core,vec,cg,parallel} text symbols moved mod 64; most common shift %+d bytes (%d symbols)\n", moved, n, common, best
+	}' <(text parent) <(text change)
