@@ -46,7 +46,10 @@ vet:
 # the two CSX decode kernels in ns per stored element with the unit mix each
 # ran over, the two CSX encoders in ns per element and allocs per build, and
 # the two doors: a solve body's decode and its response's encode (ns per
-# float, allocs) and the Matrix Market reader in MB/s.
+# float, allocs) and the Matrix Market reader in MB/s; then the sort every
+# permutation goes through (Normalize: sorted, permuted and column-major
+# input, and a block band as ToGeneral lays it out and permuted) and RCM
+# alone and with the Permute that applies it.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGIteration' -benchtime 50x .
@@ -54,7 +57,8 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx
 	$(GO) test -run xxx -bench 'BenchmarkDecodeSolve|BenchmarkEncodeSolve' -benchtime 20x ./internal/serve
-	$(GO) test -run xxx -bench BenchmarkReadMatrixMarket -benchtime 5x ./internal/matrix
+	$(GO) test -run xxx -bench 'BenchmarkReadMatrixMarket|BenchmarkNormalize' -benchtime 5x ./internal/matrix
+	$(GO) test -run xxx -bench BenchmarkRCM -benchtime 5x ./internal/reorder
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three
 # stacked levels — SpM×V, CG solve, HTTP solve — on one workload per run, e.g.

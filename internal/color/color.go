@@ -29,8 +29,9 @@
 package color
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/partition"
 )
@@ -459,7 +460,7 @@ func (sc *Schedule) assign(rowPtr []int32) {
 	for c := range byColor {
 		sc.Assign[c] = make([][]int32, sc.P)
 		blocks := byColor[c]
-		sort.SliceStable(blocks, func(a, b int) bool { return blocks[a].w > blocks[b].w })
+		slices.SortStableFunc(blocks, func(a, b wb) int { return cmp.Compare(b.w, a.w) })
 		for i := range load {
 			load[i] = 0
 		}
@@ -484,21 +485,14 @@ func Colors(n int, rowPtr, colIdx []int32, p int, opt Options) int {
 
 // sortDedup sorts ascending and removes duplicates in place.
 func sortDedup(v []int32) []int32 {
-	sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
-	w := 0
-	for i, c := range v {
-		if i == 0 || c != v[w-1] {
-			v[w] = c
-			w++
-		}
-	}
-	return v[:w]
+	slices.Sort(v)
+	return slices.Compact(v)
 }
 
 // rangeHits reports whether the ascending slice cols contains a value in
 // [lo, hi).
 func rangeHits(cols []int32, lo, hi int32) bool {
-	i := sort.Search(len(cols), func(k int) bool { return cols[k] >= lo })
+	i, _ := slices.BinarySearch(cols, lo)
 	return i < len(cols) && cols[i] < hi
 }
 

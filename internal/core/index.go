@@ -35,14 +35,7 @@ func TouchedColumns(s *SSS, part *partition.RowPartition, pool *parallel.Pool) [
 // sortDedup sorts ascending and removes duplicates in place.
 func sortDedup(v []int32) []int32 {
 	slices.Sort(v)
-	w := 0
-	for i, c := range v {
-		if i == 0 || c != v[w-1] {
-			v[w] = c
-			w++
-		}
-	}
-	return v[:w]
+	return slices.Compact(v)
 }
 
 // splitIndex computes p+1 boundaries into a sorted index so that slices are

@@ -3,18 +3,26 @@ package matrix
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// benchCOO is the symmetric band bandFile writes, in three entry orders.
+// benchCOO is the symmetric band bandFile writes, in three entry orders, or
+// the block band blockBand builds, in two more: rows of dozens of entries.
 func benchCOO(b *testing.B, order string) *COO {
-	m, err := ReadMatrixMarket(bytes.NewReader(bandFile(400000)))
-	if err != nil {
-		b.Fatal(err)
+	var m *COO
+	if strings.HasPrefix(order, "blocks") {
+		m = blockBand(18600)
+	} else {
+		var err error
+		if m, err = ReadMatrixMarket(bytes.NewReader(bandFile(400000))); err != nil {
+			b.Fatal(err)
+		}
 	}
 	switch order {
 	case "sorted":
-	case "permuted": // what Permute hands Normalize: a random relabelling
+	case "permuted", "blocks-permuted": // what Permute hands Normalize: a random relabelling
 		rng := rand.New(rand.NewSource(1))
 		perm := rng.Perm(m.Rows)
 		for k := range m.Val {
@@ -27,12 +35,56 @@ func benchCOO(b *testing.B, order string) *COO {
 		m.Normalize()
 		m.RowIdx, m.ColIdx = m.ColIdx, m.RowIdx
 		m.Symmetric = true
+	case "blocks-general": // what ToGeneral hands Normalize: each mirror after its original
+		g := NewCOO(m.Rows, m.Cols, 2*m.NNZ())
+		for k, v := range m.Val {
+			r, c := int(m.RowIdx[k]), int(m.ColIdx[k])
+			g.Add(r, c, v)
+			if r != c {
+				g.Add(c, r, v)
+			}
+		}
+		m = g
+	}
+	return m
+}
+
+// blockBand is shaped like the bmwcra_1 analog the fem-banded benchmark
+// workload runs at half its rows: dense 6×6 blocks, each block row coupled
+// to its predecessor and four more blocks drawn from the 62 before it —
+// about 34 stored entries a row, 66 once both triangles are stored.
+func blockBand(rows int) *COO {
+	const b, kb, window = 6, 5, 62
+	rng := rand.New(rand.NewSource(int64(rows)))
+	m := NewCOO(rows, rows, rows*(kb+1)*b)
+	m.Symmetric = true
+	for i := 0; i < rows/b; i++ {
+		var blocks []int
+		if i > 0 {
+			blocks = append(blocks, i-1)
+		}
+		for len(blocks) < min(kb, i) {
+			if j := i - 1 - rng.Intn(min(i, window)); !slices.Contains(blocks, j) {
+				blocks = append(blocks, j)
+			}
+		}
+		slices.Sort(blocks)
+		for r := i * b; r < i*b+b; r++ {
+			for _, j := range blocks {
+				for c := j * b; c < j*b+b; c++ {
+					m.Add(r, c, rng.NormFloat64())
+				}
+			}
+			for c := i * b; c <= r; c++ {
+				m.Add(r, c, rng.NormFloat64())
+			}
+		}
 	}
 	return m
 }
 
 func BenchmarkNormalize(b *testing.B) {
-	for _, order := range []string{"sorted", "permuted", "column-major"} {
+	for _, order := range []string{"sorted", "permuted", "column-major", "blocks-general", "blocks-permuted"} {
 		b.Run(order, func(b *testing.B) {
 			src := benchCOO(b, order)
 			work := src.Clone()

@@ -99,11 +99,12 @@ func (m *COO) Clone() *COO {
 // concern. An already normalized matrix is left untouched and nothing is
 // allocated. Normalize returns the receiver for chaining.
 //
-// The sort is an LSD radix sort on the packed key (row, col), linear in the
-// number of entries. Rows and columns are packed relative to their smallest
-// value into as few bits as their ranges need, so the scratch — two key arrays,
-// one value array and one digit's counters — is O(nnz) whatever Rows and Cols
-// are, and coordinates outside the declared shape still sort as themselves.
+// The sort deals the entries to their rows in one counting pass, the only
+// one that scatters, then sorts each row where it lies unless it is in order
+// already: by insertion, or past 32 entries by radixSort. Keys pack row and
+// column relative to their least values; when the row span needs s more bits
+// than the entry count, a bucket takes 2^s rows. So the scratch is O(nnz)
+// whatever Rows and Cols are, and out-of-shape coordinates sort as themselves.
 func (m *COO) Normalize() *COO {
 	if m.IsNormalized() {
 		return m
@@ -114,51 +115,104 @@ func (m *COO) Normalize() *COO {
 		rlo, rhi = min(rlo, m.RowIdx[k]), max(rhi, m.RowIdx[k])
 		clo, chi = min(clo, m.ColIdx[k]), max(chi, m.ColIdx[k])
 	}
+	rspan := uint64(int64(rhi) - int64(rlo))
 	cbits := bits.Len64(uint64(int64(chi) - int64(clo)))
-	keyBits := cbits + bits.Len64(uint64(int64(rhi)-int64(rlo)))
-	keys, vals := make([]uint64, n), m.Val
-	for k := range keys {
-		keys[k] = uint64(int64(m.RowIdx[k])-int64(rlo))<<cbits | uint64(int64(m.ColIdx[k])-int64(clo))
+	s := max(0, bits.Len64(rspan)-bits.Len(uint(n)))
+
+	// end[b+1] counts bucket b; after the prefix sum end[b] is where bucket b
+	// starts, and after the dealing, where it ends.
+	end := make([]int, rspan>>s+2)
+	for _, r := range m.RowIdx {
+		end[uint64(int64(r)-int64(rlo))>>s+1]++
+	}
+	big := 0 // the largest bucket: radixSort's scratch
+	for b := 1; b < len(end); b++ {
+		big = max(big, end[b])
+		end[b] += end[b-1]
+	}
+	sorted := make([]entry, n)
+	for k, v := range m.Val {
+		key := uint64(int64(m.RowIdx[k])-int64(rlo))<<cbits | uint64(int64(m.ColIdx[k])-int64(clo))
+		b := key >> (cbits + s)
+		sorted[end[b]] = entry{key, v}
+		end[b]++
+	}
+	var scratch []entry
+	lo := 0
+	for _, hi := range end[:len(end)-1] {
+		row, i := sorted[lo:hi], 1
+		for i < len(row) && row[i-1].key <= row[i].key {
+			i++ // the row's sorted prefix: all of it, when ToGeneral mirrors sorted input
+		}
+		if i < len(row) && len(row) > 32 {
+			if scratch == nil {
+				scratch = make([]entry, big)
+			}
+			radixSort(row, scratch)
+		} else {
+			for ; i < len(row); i++ {
+				e, j := row[i], i
+				for ; j > 0 && row[j-1].key > e.key; j-- {
+					row[j] = row[j-1]
+				}
+				row[j] = e
+			}
+		}
+		lo = hi
 	}
 
-	const digit = 11 // bits per pass: 2048 counters stay in L1
-	var count [1 << digit]int
-	keys2, vals2 := make([]uint64, n), make([]float64, n)
-	for shift := 0; shift < keyBits; shift += digit {
-		clear(count[:])
-		for _, k := range keys {
-			count[k>>shift&(1<<digit-1)]++
-		}
-		if count[keys[0]>>shift&(1<<digit-1)] == n {
-			continue // every key has the same digit here
-		}
-		at := 0
-		for d, c := range count {
-			count[d], at = at, at+c
-		}
-		for i, k := range keys {
-			d := k >> shift & (1<<digit - 1)
-			keys2[count[d]], vals2[count[d]] = k, vals[i]
-			count[d]++
-		}
-		keys, keys2, vals, vals2 = keys2, keys, vals2, vals
-	}
-
-	// Unpack in place, summing runs of one key. vals may be m.Val itself:
-	// the write index never passes the read index.
+	// Unpack, summing runs of one key.
 	w := 0
-	for i, k := range keys {
-		if w > 0 && k == keys[i-1] {
-			m.Val[w-1] += vals[i]
+	for i, e := range sorted {
+		if w > 0 && e.key == sorted[i-1].key {
+			m.Val[w-1] += e.val
 			continue
 		}
-		m.RowIdx[w] = int32(int64(k>>cbits) + int64(rlo))
-		m.ColIdx[w] = int32(int64(k&(1<<cbits-1)) + int64(clo))
-		m.Val[w] = vals[i]
+		m.RowIdx[w] = int32(int64(e.key>>cbits) + int64(rlo))
+		m.ColIdx[w] = int32(int64(e.key&(1<<cbits-1)) + int64(clo))
+		m.Val[w] = e.val
 		w++
 	}
 	m.RowIdx, m.ColIdx, m.Val = m.RowIdx[:w], m.ColIdx[:w], m.Val[:w]
 	return m
+}
+
+// entry is a packed coordinate and its value, as Normalize sorts them.
+type entry struct {
+	key uint64
+	val float64
+}
+
+// radixSort sorts entries by key, stably, in LSD passes through scratch over
+// the keys less their least, in even digits of at most 8 bits and of the
+// entry count's bit length: 64 counters a pass for a row of a few dozen.
+func radixSort(entries, scratch []entry) {
+	lo, hi := entries[0].key, entries[0].key
+	for _, e := range entries[1:] {
+		lo, hi = min(lo, e.key), max(hi, e.key)
+	}
+	width, widest := bits.Len64(hi-lo), min(8, bits.Len(uint(len(entries))))
+	passes := (width + widest - 1) / widest
+	digit := (width + passes - 1) / passes
+	var buf [1<<8 + 1]int
+	count, mask := buf[:1<<digit+1], uint64(1)<<digit-1
+	src, dst := entries, scratch[:len(entries)]
+	for shift := 0; shift < width; shift += digit {
+		clear(count)
+		for _, e := range src {
+			count[(e.key-lo)>>shift&mask+1]++
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, e := range src {
+			d := (e.key - lo) >> shift & mask
+			dst[count[d]] = e
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(entries, src)
 }
 
 // IsNormalized reports whether entries are strictly row-major sorted with no

@@ -80,29 +80,77 @@ func TestNormalizeMatchesStableSort(t *testing.T) {
 			if kind != "general" && sh.rows != sh.cols {
 				continue
 			}
-			name := sh.name + "/" + kind
 			m := randomCOO(rng, sh.rows, sh.cols, sh.nnz, sh.distinct, kind != "general", kind == "skew")
-			want := normalizeReference(m)
-			if got := m.Normalize(); got != m {
-				t.Fatalf("%s: Normalize did not return its receiver", name)
-			}
-			if err := sameCOO(m, want); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !m.IsNormalized() {
-				t.Fatalf("%s: not normalized after Normalize", name)
-			}
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			again := m.Clone()
-			if allocs := testing.AllocsPerRun(5, func() { again.Normalize() }); allocs != 0 {
-				t.Errorf("%s: normalizing a normalized matrix allocates %.0f times", name, allocs)
-			}
-			if err := sameCOO(again, want); err != nil {
-				t.Fatalf("%s: second Normalize changed the matrix: %v", name, err)
-			}
+			checkNormalize(t, sh.name+"/"+kind, m)
 		}
+	}
+
+	// Rows of hundreds of entries go through radixSort: one, two and three
+	// 8-bit digits as the columns widen, columns that all share their low
+	// byte, and — one far row stretching the span to 2^20 — buckets of 2^9
+	// rows, whose keys hold row bits too.
+	shared := randomCOO(rng, 4, 1<<8, 3000, 400, false, false)
+	for k := range shared.ColIdx {
+		shared.ColIdx[k] <<= 8
+	}
+	shared.Cols = 1 << 16
+	wide := randomCOO(rng, 4, 1<<16, 3000, 2500, false, false)
+	wide.Rows = 1<<20 + 1
+	wide.RowIdx, wide.ColIdx, wide.Val = append(wide.RowIdx, 1<<20), append(wide.ColIdx, 0), append(wide.Val, 1)
+	// Rows of about 40 entries over 13 column bits sort in three 5-bit
+	// digits; rows of 100 entries, each in its own 50-column window, in one
+	// pass over the key less the row's least; and ToGeneral's layout of
+	// sorted input, whose rows arrive in order, is left as it is dealt.
+	windows := randomCOO(rng, 8, 50, 800, 700, false, false)
+	for k, r := range windows.RowIdx {
+		windows.ColIdx[k] += r << 12
+	}
+	windows.Cols = 8 << 12
+	lower := randomCOO(rng, 60, 60, 3000, 1500, true, false).Normalize()
+	mirrored := &COO{Rows: 60, Cols: 60}
+	for k, v := range lower.Val {
+		r, c := lower.RowIdx[k], lower.ColIdx[k]
+		mirrored.RowIdx, mirrored.ColIdx, mirrored.Val = append(mirrored.RowIdx, r, c), append(mirrored.ColIdx, c, r), append(mirrored.Val, v, v)
+	}
+	for _, c := range []struct {
+		name string
+		m    *COO
+	}{
+		{"long rows, one pass", randomCOO(rng, 4, 200, 3000, 150, false, false)},
+		{"long rows, two passes", randomCOO(rng, 4, 1<<16, 3000, 2500, false, false)},
+		{"long rows, three passes", randomCOO(rng, 4, 1<<24, 3000, 2500, false, false)},
+		{"long rows, a shared low byte", shared},
+		{"long buckets of many rows", wide},
+		{"rows of 40, 5-bit digits", randomCOO(rng, 100, 1<<13, 4000, 3800, false, false)},
+		{"rows in narrow windows", windows},
+		{"mirrored sorted input", mirrored},
+	} {
+		checkNormalize(t, c.name, c.m)
+	}
+}
+
+// checkNormalize normalizes m and holds it to normalizeReference.
+func checkNormalize(t *testing.T, name string, m *COO) {
+	t.Helper()
+	want := normalizeReference(m)
+	if got := m.Normalize(); got != m {
+		t.Fatalf("%s: Normalize did not return its receiver", name)
+	}
+	if err := sameCOO(m, want); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !m.IsNormalized() {
+		t.Fatalf("%s: not normalized after Normalize", name)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	again := m.Clone()
+	if allocs := testing.AllocsPerRun(5, func() { again.Normalize() }); allocs != 0 {
+		t.Errorf("%s: normalizing a normalized matrix allocates %.0f times", name, allocs)
+	}
+	if err := sameCOO(again, want); err != nil {
+		t.Fatalf("%s: second Normalize changed the matrix: %v", name, err)
 	}
 }
 

@@ -6,7 +6,8 @@ package reorder
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/matrix"
 )
@@ -36,10 +37,7 @@ func buildAdjacency(m *matrix.COO) *adjacency {
 		deg[c]++
 		count += 2
 	}
-	a := &adjacency{
-		ptr: make([]int32, n+1),
-		adj: make([]int32, count),
-	}
+	a := &adjacency{ptr: make([]int32, n+1), adj: make([]int32, count)}
 	for i := 0; i < n; i++ {
 		a.ptr[i+1] = a.ptr[i] + deg[i]
 	}
@@ -56,138 +54,96 @@ func buildAdjacency(m *matrix.COO) *adjacency {
 		next[c]++
 	}
 	// Duplicated arcs (from a non-normalized or structurally symmetric
-	// general matrix) are tolerated: BFS and RCM are insensitive to parallel
-	// edges, and sorting neighbors by degree keeps output deterministic.
+	// general matrix) are tolerated: a search marks a vertex once, and the
+	// (degree, index) order keeps the output deterministic.
 	return a
 }
 
-func (a *adjacency) degree(v int32) int32 { return a.ptr[v+1] - a.ptr[v] }
-
-func (a *adjacency) neighbors(v int32) []int32 { return a.adj[a.ptr[v]:a.ptr[v+1]] }
-
-// bfsLevels runs a breadth-first search from root, returning the level of
-// every reached vertex (-1 for unreached), the vertices in visit order, and
-// the eccentricity (last level).
-func (a *adjacency) bfsLevels(root int32, level []int32, order []int32) (visited int, ecc int32) {
-	for i := range level {
-		level[i] = -1
-	}
-	order = order[:0]
-	level[root] = 0
-	order = append(order, root)
-	for head := 0; head < len(order); head++ {
-		v := order[head]
-		for _, w := range a.neighbors(v) {
-			if level[w] < 0 {
-				level[w] = level[v] + 1
-				order = append(order, w)
-			}
-		}
-	}
-	return len(order), level[order[len(order)-1]]
+// search runs the breadth-first searches of RCM. Every search visits
+// neighbours in Cuthill–McKee order, so the search from the root George–Liu
+// settles on is the component's CM order. A search clears only what the one
+// before it in the same component marked, and the marks of a finished
+// component stay set, so a search costs the size of its component.
+type search struct {
+	a    *adjacency
+	seen []uint64 // bit v: a search has reached v since its component's marks were last cleared
+	keys []uint64 // one vertex's unvisited neighbours as degree<<32 | index
 }
 
-// pseudoPeripheral finds a vertex of near-maximal eccentricity in the
-// component of seed, via the George–Liu iteration: repeatedly BFS and hop to
-// a minimum-degree vertex of the last level until the eccentricity stops
-// growing.
-func (a *adjacency) pseudoPeripheral(seed int32, level, order []int32) int32 {
-	root := seed
-	_, ecc := a.bfsLevels(root, level, order[:0])
-	for iter := 0; iter < 16; iter++ { // safety cap; converges in a few steps
-		// Collect the last level and pick its minimum-degree vertex.
-		var best int32 = -1
-		n := int32(len(level))
-		for v := int32(0); v < n; v++ {
-			if level[v] == ecc {
-				if best < 0 || a.degree(v) < a.degree(best) ||
-					(a.degree(v) == a.degree(best) && v < best) {
-					best = v
+// visit searches from root, appending the visit order to order[:0]. It returns
+// the order, the index in it where the last level starts, and the
+// eccentricity of root (the number of that level).
+func (s *search) visit(root int32, order []int32) ([]int32, int, int) {
+	seen, ptr, adj, keys := s.seen, s.a.ptr, s.a.adj, s.keys
+	seen[root>>6] |= 1 << (root & 63)
+	order = append(order[:0], root)
+	last, ecc := 0, -1
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(order) {
+		last, ecc = lo, ecc+1
+		for _, v := range order[lo:hi] {
+			keys = keys[:0]
+			for _, w := range adj[ptr[v]:ptr[v+1]] {
+				if bit := uint64(1) << (w & 63); seen[w>>6]&bit == 0 {
+					seen[w>>6] |= bit
+					keys = append(keys, uint64(ptr[w+1]-ptr[w])<<32|uint64(w))
 				}
 			}
+			slices.Sort(keys) // insertion sort below 13 keys, which is nearly always
+			for _, k := range keys {
+				order = append(order, int32(uint32(k)))
+			}
 		}
-		if best < 0 {
-			break
-		}
-		_, ecc2 := a.bfsLevels(best, level, order[:0])
-		if ecc2 <= ecc {
-			break
-		}
-		root, ecc = best, ecc2
 	}
-	return root
+	s.keys = keys
+	return order, last, ecc
 }
 
 // RCM computes the Reverse Cuthill–McKee permutation of a square matrix.
 // The result perm maps old index → new index (row i of A becomes row perm[i]
 // of P·A·Pᵀ). Disconnected components are processed in ascending order of
-// their lowest-numbered vertex, each from a pseudo-peripheral root.
+// their lowest-numbered vertex, each from a pseudo-peripheral root found by
+// the George–Liu iteration: search from the lowest vertex, hop to the
+// minimum-(degree, index) vertex of the last level while that lengthens the
+// eccentricity. Neighbours are placed in ascending (degree, index) order.
+// The cost is linear in n plus the stored entries, whatever the number of
+// components.
 func RCM(m *matrix.COO) ([]int32, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("reorder: RCM requires a square matrix, got %dx%d", m.Rows, m.Cols)
 	}
 	n := m.Rows
-	a := buildAdjacency(m)
-
-	cm := make([]int32, 0, n) // Cuthill–McKee visit order (old indices)
-	placed := make([]bool, n)
-	level := make([]int32, n)
-	scratch := make([]int32, 0, n)
+	s := &search{a: buildAdjacency(m), seen: make([]uint64, (n+63)/64)}
+	rootOrder, candOrder := make([]int32, 0, n), make([]int32, 0, n)
+	perm := make([]int32, n)
+	next := int32(n) // the new index the next visited vertex takes, plus one
 
 	for comp := int32(0); int(comp) < n; comp++ {
-		if placed[comp] {
+		if s.seen[comp>>6]&(1<<(comp&63)) != 0 {
 			continue
 		}
-		root := a.pseudoPeripheral(comp, level, scratch)
-		// Cuthill–McKee BFS: neighbors visited in ascending degree order.
-		head := len(cm)
-		cm = append(cm, root)
-		placed[root] = true
-		for head < len(cm) {
-			v := cm[head]
-			head++
-			nbr := nbrBuf(a, v, placed)
-			sort.Slice(nbr, func(i, j int) bool {
-				di, dj := a.degree(nbr[i]), a.degree(nbr[j])
-				if di != dj {
-					return di < dj
-				}
-				return nbr[i] < nbr[j]
-			})
-			for _, w := range nbr {
-				if !placed[w] {
-					placed[w] = true
-					cm = append(cm, w)
-				}
+		var last, ecc int
+		rootOrder, last, ecc = s.visit(comp, rootOrder)
+		for iter := 0; iter < 16; iter++ { // safety cap; converges in a few steps
+			best := uint64(math.MaxUint64) // the last level's least (degree, index)
+			for _, v := range rootOrder[last:] {
+				best = min(best, uint64(s.a.ptr[v+1]-s.a.ptr[v])<<32|uint64(v))
 			}
+			for _, v := range rootOrder { // the next search of this component starts unmarked
+				s.seen[v>>6] &^= 1 << (v & 63)
+			}
+			cand, cLast, cEcc := s.visit(int32(uint32(best)), candOrder)
+			if cEcc <= ecc {
+				break
+			}
+			rootOrder, candOrder = cand, rootOrder
+			last, ecc = cLast, cEcc
 		}
-	}
-
-	// Reverse to obtain RCM, then invert visit order into a permutation.
-	perm := make([]int32, n)
-	for newIdx, oldIdx := range cm {
-		perm[oldIdx] = int32(n - 1 - newIdx)
+		for _, v := range rootOrder {
+			next--
+			perm[v] = next
+		}
 	}
 	return perm, nil
-}
-
-// nbrBuf returns the not-yet-placed neighbors of v (deduplicated via the
-// placed array rules; parallel edges can still duplicate, the caller's
-// "if !placed" re-check handles that).
-func nbrBuf(a *adjacency, v int32, placed []bool) []int32 {
-	nb := a.neighbors(v)
-	out := make([]int32, 0, len(nb))
-	for _, w := range nb {
-		if !placed[w] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// Apply permutes a square matrix symmetrically: result = P·A·Pᵀ.
-func Apply(m *matrix.COO, perm []int32) (*matrix.COO, error) {
-	return m.Permute(perm)
 }
 
 // ValidatePermutation checks that perm is a bijection on [0, n).
