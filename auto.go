@@ -57,15 +57,17 @@ func AutoFormats(fs ...Format) AutoOption {
 
 // AutoReorder enables or disables the RCM-reordered plan variants (default:
 // enabled; the tuner only trials them when the locality model says
-// reordering could pay).
+// reordering could pay, and charges the reorder to their build cost). A
+// reordered plan's kernel runs on P·A·Pᵀ and permutes its operands once per
+// call — once per product, once per solve — so it offers every operation
+// the natural-order kernel does.
 func AutoReorder(enable bool) AutoOption {
 	return func(o *autoOpts) { o.tune.DisableReorder = !enable }
 }
 
 // AutoVectors tunes for the multi-RHS kernel (MulMat) with nv simultaneous
 // vectors instead of single-vector SpM×V. The plan space is restricted to
-// the SpMM-capable formats, reordered variants are dropped (the permutation
-// wrapper is single-vector), and the winning plan is cached per width.
+// the SpMM-capable formats, and the winning plan is cached per width.
 func AutoVectors(nv int) AutoOption {
 	return func(o *autoOpts) { o.tune.NV = nv }
 }
@@ -161,10 +163,10 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 	return k, d, nil
 }
 
-// planKernel builds the kernel an autotune plan describes. Reordered plans
-// build on the RCM-permuted matrix and wrap the kernel with the
-// permutation, so the returned Kernel still computes y = A·x in the
-// caller's original row order.
+// planKernel builds the kernel an autotune plan describes. A reordered plan
+// is the kernel on the RCM-permuted matrix plus its permutation, which every
+// operation applies once per call, so the returned Kernel still computes
+// y = A·x in the caller's original row order.
 func (a *Matrix) planKernel(plan autotune.Plan) (Kernel, error) {
 	if !plan.Format.Valid() {
 		return nil, fmt.Errorf("symspmv: plan format %v unknown", plan.Format)
@@ -176,10 +178,10 @@ func (a *Matrix) planKernel(plan autotune.Plan) (Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := rm.Kernel(plan.Format, Threads(plan.Threads))
+	k, err := rm.Kernel(plan.Format, Threads(plan.Threads))
 	if err != nil {
 		return nil, err
 	}
-	inner.(*boundKernel).b.Permute(perm)
-	return inner, nil
+	k.(*boundKernel).perm = perm
+	return k, nil
 }

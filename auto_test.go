@@ -231,8 +231,12 @@ func TestAutotunePlanSpaceConsistency(t *testing.T) {
 }
 
 // TestAutoKernelReorderedPlanSolves checks a reordered plan end to end
-// through CG: the permutation wrap must keep SolveCG (which type-asserts the
-// kernel and uses the fused mul-dot path) converging to the right answer.
+// through the three solves: SolveCG, SolveCGJacobi (whose diagonal is
+// permuted on entry) and SolveCGBlock (the reordered plan keeps its SpMM
+// kernel) converge to the right answer in the caller's row order. A
+// reordered solve permutes its operands once per call, so its iteration is
+// the natural-order plan's: the same pool handoffs for a fixed iteration
+// count, and no allocation the natural solve does not make.
 func TestAutoKernelReorderedPlanSolves(t *testing.T) {
 	A, err := GeneratePoisson2D(30)
 	if err != nil {
@@ -243,25 +247,78 @@ func TestAutoKernelReorderedPlanSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k.Close()
+	nat, err := A.planKernel(autotune.Plan{Format: SSSIndexed, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nat.Close()
+	if !SupportsMulMat(k) {
+		t.Fatal("SupportsMulMat is false for a reordered SSS-indexed plan")
+	}
 
 	n := A.N()
+	const nv = 3
 	ones := make([]float64, n)
 	for i := range ones {
 		ones[i] = 1
 	}
 	b := make([]float64, n)
 	A.MulVec(ones, b)
-	x := make([]float64, n)
-	res, err := SolveCG(k, b, x, CGOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("CG on the reordered kernel did not converge: %+v", res)
-	}
-	for i := range x {
-		if math.Abs(x[i]-1) > 1e-8 {
-			t.Fatalf("x[%d] = %g, want 1", i, x[i])
+	bm := make([]float64, n*nv) // lane v solves for x = (v+1)·1
+	for i := range b {
+		for v := 0; v < nv; v++ {
+			bm[i*nv+v] = float64(v+1) * b[i]
 		}
 	}
+	check := func(name string, x []float64, nv int) {
+		t.Helper()
+		for i := range x {
+			if want := float64(i%nv + 1); math.Abs(x[i]-want) > 1e-8 {
+				t.Fatalf("%s: x[%d] = %g, want %g", name, i, x[i], want)
+			}
+		}
+	}
+	opts := CGOptions{Tol: 1e-12}
+	x := make([]float64, n)
+	if res, err := SolveCG(k, b, x, opts); err != nil || !res.Converged {
+		t.Fatalf("SolveCG on the reordered kernel: %+v, %v", res, err)
+	}
+	check("SolveCG", x, 1)
+	clear(x)
+	if res, err := SolveCGJacobi(A, k, b, x, opts); err != nil || !res.Converged {
+		t.Fatalf("SolveCGJacobi on the reordered kernel: %+v, %v", res, err)
+	}
+	check("SolveCGJacobi", x, 1)
+	xm := make([]float64, n*nv)
+	if res, err := SolveCGBlock(k, bm, xm, nv, opts); err != nil || !res.AllConverged() {
+		t.Fatalf("SolveCGBlock on the reordered kernel: %+v, %v", res, err)
+	}
+	check("SolveCGBlock", xm, nv)
+
+	if got, want := cgHandoffs(t, k, b, 20), cgHandoffs(t, nat, b, 20); got != want {
+		t.Errorf("reordered SolveCG: %d handoffs over 20 iterations, natural order %d", got, want)
+	}
+	allocs := func(k Kernel) float64 {
+		return testing.AllocsPerRun(5, func() {
+			clear(x)
+			if _, err := SolveCG(k, b, x, CGOptions{MaxIter: 20, Tol: 1e-300}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got, want := allocs(k), allocs(nat); got != want {
+		t.Errorf("reordered SolveCG allocates %v times per solve, natural order %v", got, want)
+	}
+}
+
+// cgHandoffs runs SolveCG on k from x = 0 for exactly iters iterations (a
+// tolerance no solve reaches) and returns the pool handoffs it issued.
+func cgHandoffs(t *testing.T, k Kernel, b []float64, iters int) int64 {
+	t.Helper()
+	pool := k.(*boundKernel).pool
+	pool.ResetHandoffs()
+	if _, err := SolveCG(k, b, make([]float64, len(b)), CGOptions{MaxIter: iters, Tol: 1e-300}); err != nil {
+		t.Fatal(err)
+	}
+	return pool.Handoffs()
 }

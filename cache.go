@@ -14,12 +14,16 @@ import (
 // matrix and amortized across solver runs.
 
 // SaveKernel persists a CSX-Sym kernel's encoded matrix to path in the
-// library's versioned, checksummed binary format. Only CSXSym kernels can
-// be persisted (the other formats rebuild in O(nnz) anyway).
+// library's versioned, checksummed binary format. Only natural-order CSXSym
+// kernels can be persisted (the other formats rebuild in O(nnz) anyway; a
+// reordered plan's blob is in RCM order and would load as another operator).
 func SaveKernel(k Kernel, path string) error {
 	bk, ok := k.(*boundKernel)
 	if !ok || bk.b.Sym == nil {
 		return fmt.Errorf("symspmv: SaveKernel supports CSX-Sym kernels only (got %v)", k.Format())
+	}
+	if bk.perm != nil {
+		return fmt.Errorf("symspmv: SaveKernel: the %v kernel runs on an RCM-reordered matrix; save a kernel built by Matrix.Kernel", k.Format())
 	}
 	return bk.b.Sym.WriteFile(path)
 }
@@ -33,14 +37,5 @@ func LoadCSXSymKernel(path string) (Kernel, error) {
 		return nil, err
 	}
 	pool := parallel.NewPool(len(sm.Blobs))
-	return &boundKernel{
-		b: &format.Built{
-			ID:    CSXSym,
-			Mul:   func(x, y []float64) { sm.MulVec(pool, x, y) },
-			Bytes: sm.Bytes(),
-			Sym:   sm,
-		},
-		pool: pool,
-		n:    sm.N,
-	}, nil
+	return &boundKernel{b: format.BindSym(sm, pool), pool: pool, n: sm.N}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/autotune"
 	"repro/internal/format"
 )
 
@@ -120,23 +121,59 @@ func TestKernelCacheMissingFile(t *testing.T) {
 	}
 }
 
+// TestSaveKernelRejectsOtherFormats: only a natural-order CSX-Sym kernel is
+// saved. A reordered CSX-Sym plan keeps its encoded matrix, but that blob is
+// in RCM order and would load as another operator.
 func TestSaveKernelRejectsOtherFormats(t *testing.T) {
 	A, err := GeneratePoisson2D(12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := []autotune.Plan{{Format: CSXSym, Threads: 1, Reorder: true}}
 	for _, f := range Formats() {
-		if f.Desc().Caps&format.Serial != 0 {
-			continue
+		if f.Desc().Caps&format.Serial == 0 {
+			plans = append(plans, autotune.Plan{Format: f, Threads: 1})
 		}
-		k, err := A.Kernel(f, Threads(1))
+	}
+	for _, plan := range plans {
+		k, err := A.planKernel(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = SaveKernel(k, filepath.Join(t.TempDir(), "x.csxs"))
 		k.Close()
 		if err == nil {
-			t.Fatalf("SaveKernel accepted a %v kernel", f)
+			t.Fatalf("SaveKernel accepted a %v kernel", plan)
 		}
+	}
+}
+
+// TestLoadedCSXSymKernelFusesTheDot: a kernel loaded from a saved blob is the
+// built kernel's Built, fused dot included, so a CG solve over it takes the
+// built kernel's pool handoffs (two an iteration, not three).
+func TestLoadedCSXSymKernelFusesTheDot(t *testing.T) {
+	A := buildRandomSPD(t, rand.New(rand.NewSource(400)), 400, 3)
+	built, err := A.Kernel(CSXSym, Threads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	path := filepath.Join(t.TempDir(), "kernel.csxs")
+	if err := SaveKernel(built, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCSXSymKernel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+
+	n := A.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Sin(float64(i))
+	}
+	if got, want := cgHandoffs(t, loaded, b, 20), cgHandoffs(t, built, b, 20); got != want {
+		t.Fatalf("SolveCG on the loaded kernel: %d handoffs over 20 iterations, built kernel %d", got, want)
 	}
 }

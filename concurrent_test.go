@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/autotune"
 )
 
 // testSystem builds a small well-conditioned SPD matrix with a reference
@@ -48,8 +50,10 @@ func TestKernelConcurrentCallers(t *testing.T) {
 	const n, workers, opsPerWorker = 500, 8, 12
 	A, xin := testSystem(t, n)
 
-	for _, f := range []Format{SSSIndexed, SSSColored, CSR} {
-		k, err := A.Kernel(f, Threads(2))
+	// The reordered plan shares one permutation scratch among its callers.
+	for _, f := range []autotune.Plan{{Format: SSSIndexed, Threads: 2}, {Format: SSSColored, Threads: 2},
+		{Format: CSR, Threads: 2}, {Format: SSSIndexed, Threads: 2, Reorder: true}} {
+		k, err := A.planKernel(f)
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
@@ -78,7 +82,7 @@ func TestKernelConcurrentCallers(t *testing.T) {
 						}
 						if err := MulMat(k, x2, y2, 2); err != nil {
 							var me *MulMatError
-							if errors.As(err, &me) && f == CSR {
+							if errors.As(err, &me) && f.Format == CSR {
 								errs <- err
 								return
 							}

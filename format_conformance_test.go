@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/obs"
@@ -65,7 +66,8 @@ func waitGoroutines(t *testing.T, base int, what string) {
 }
 
 // TestFormatConformance walks the whole format table × the three symmetry
-// classes × p ∈ {1, 3} and holds every row to what its descriptor says: it
+// classes × p ∈ {1, 3}, plus every autotuned row's RCM-reordered plan on the
+// symmetric fixture, and holds every kernel to what its descriptor says: it
 // builds iff it runs the class (a typed error and a released pool
 // otherwise), it computes the dense reference's product, and its fused dot
 // and SpMM closures exist iff the capability bits say so and agree with
@@ -124,9 +126,17 @@ func TestFormatConformance(t *testing.T) {
 		denseMul(fx.dense, n, x, want)
 		for _, f := range Formats() {
 			d := f.Desc()
-			for _, p := range []int{1, 3} {
+			plans := []autotune.Plan{{Format: f, Threads: 1}, {Format: f, Threads: 3}}
+			if fx.kind == core.Sym && d.Caps&format.Tuned != 0 {
+				// A reordered plan is one more kernel: the same row on
+				// P·A·Pᵀ plus the permutation each call applies.
+				plans = append(plans, autotune.Plan{Format: f, Threads: 1, Reorder: true},
+					autotune.Plan{Format: f, Threads: 3, Reorder: true})
+			}
+			for _, plan := range plans {
+				p := plan.Threads
 				base := runtime.NumGoroutine()
-				k, err := fx.a.Kernel(f, Threads(p))
+				k, err := fx.a.planKernel(plan)
 				if !d.Has(0, fx.kind) {
 					var ue *UnsupportedFormatError
 					if err == nil || !errors.As(err, &ue) || ue.Format != f {
@@ -135,11 +145,11 @@ func TestFormatConformance(t *testing.T) {
 					if k != nil {
 						k.Close()
 					}
-					waitGoroutines(t, base, f.String()+" refused build")
+					waitGoroutines(t, base, plan.String()+" refused build")
 					continue
 				}
 				if err != nil {
-					t.Errorf("%v on a %v matrix p=%d: %v", f, fx.kind, p, err)
+					t.Errorf("%v on a %v matrix: %v", plan, fx.kind, err)
 					continue
 				}
 				bk := k.(*boundKernel)
@@ -147,7 +157,7 @@ func TestFormatConformance(t *testing.T) {
 				k.MulVec(x, y)
 				for i := range y {
 					if !near(y[i], want[i]) {
-						t.Errorf("%v %v p=%d: y[%d] = %g, dense reference %g", f, fx.kind, p, i, y[i], want[i])
+						t.Errorf("%v %v: y[%d] = %g, dense reference %g", plan, fx.kind, i, y[i], want[i])
 						break
 					}
 				}
@@ -160,29 +170,36 @@ func TestFormatConformance(t *testing.T) {
 				y2 := make([]float64, n)
 				k.MulVec(x, y2)
 				if i := sameBits(y, y2); i >= 0 {
-					t.Errorf("%v %v p=%d: second MulVec y[%d] = %x, first %x", f, fx.kind, p, i, math.Float64bits(y2[i]), math.Float64bits(y[i]))
+					t.Errorf("%v %v: second MulVec y[%d] = %x, first %x", plan, fx.kind, i, math.Float64bits(y2[i]), math.Float64bits(y[i]))
 				}
 
 				if has := bk.b.MulDot != nil; has != d.Has(format.FusedDot, fx.kind) {
 					t.Errorf("%v %v: MulDot present = %v, descriptor says %v", f, fx.kind, has, !has)
 				} else if has {
+					// The fused dot is the inner kernel's: it runs in the
+					// kernel's row order, as a reordered solve calls it.
+					kx, ky := x, y
+					if bk.perm != nil {
+						kx = permuteRows(make([]float64, n), x, bk.perm, 1, false)
+						ky = permuteRows(make([]float64, n), y, bk.perm, 1, false)
+					}
 					yd := make([]float64, n)
-					dot := bk.b.MulDot(x, yd)
-					if ref := vec.Dot(bk.pool, x, yd); dot != ref {
-						t.Errorf("%v %v p=%d: fused dot %g, vec.Dot %g", f, fx.kind, p, dot, ref)
+					dot := bk.b.MulDot(kx, yd)
+					if ref := vec.Dot(bk.pool, kx, yd); dot != ref {
+						t.Errorf("%v %v: fused dot %g, vec.Dot %g", plan, fx.kind, dot, ref)
 					}
 					for i := range yd {
-						if !near(yd[i], y[i]) {
-							t.Errorf("%v %v p=%d: fused y[%d] = %g, MulVec %g", f, fx.kind, p, i, yd[i], y[i])
+						if !near(yd[i], ky[i]) {
+							t.Errorf("%v %v: fused y[%d] = %g, MulVec %g", plan, fx.kind, i, yd[i], y[i])
 							break
 						}
 					}
 					yd2 := make([]float64, n)
-					if dot2 := bk.b.MulDot(x, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
-						t.Errorf("%v %v p=%d: second fused dot %x, first %x", f, fx.kind, p, math.Float64bits(dot2), math.Float64bits(dot))
+					if dot2 := bk.b.MulDot(kx, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
+						t.Errorf("%v %v: second fused dot %x, first %x", plan, fx.kind, math.Float64bits(dot2), math.Float64bits(dot))
 					}
 					if i := sameBits(yd, yd2); i >= 0 {
-						t.Errorf("%v %v p=%d: second fused y[%d] differs from the first", f, fx.kind, p, i)
+						t.Errorf("%v %v: second fused y[%d] differs from the first", plan, fx.kind, i)
 					}
 				}
 
@@ -191,13 +208,13 @@ func TestFormatConformance(t *testing.T) {
 				} else if has {
 					ym := make([]float64, n*nv)
 					if err := MulMat(k, xm, ym, nv); err != nil {
-						t.Errorf("%v %v p=%d: MulMat: %v", f, fx.kind, p, err)
+						t.Errorf("%v %v: MulMat: %v", plan, fx.kind, err)
 					}
 					ym2 := make([]float64, n*nv)
 					if err := MulMat(k, xm, ym2, nv); err != nil {
-						t.Errorf("%v %v p=%d: second MulMat: %v", f, fx.kind, p, err)
+						t.Errorf("%v %v: second MulMat: %v", plan, fx.kind, err)
 					} else if i := sameBits(ym, ym2); i >= 0 {
-						t.Errorf("%v %v p=%d: second MulMat differs from the first at %d", f, fx.kind, p, i)
+						t.Errorf("%v %v: second MulMat differs from the first at %d", plan, fx.kind, i)
 					}
 					col, ycol := make([]float64, n), make([]float64, n)
 					for v := 0; v < nv; v++ {
@@ -207,7 +224,7 @@ func TestFormatConformance(t *testing.T) {
 						k.MulVec(col, ycol)
 						for i := range ycol {
 							if !near(ym[i*nv+v], ycol[i]) {
-								t.Errorf("%v %v p=%d: MulMat lane %d row %d = %g, MulVec %g", f, fx.kind, p, v, i, ym[i*nv+v], ycol[i])
+								t.Errorf("%v %v: MulMat lane %d row %d = %g, MulVec %g", plan, fx.kind, v, i, ym[i*nv+v], ycol[i])
 								break
 							}
 						}
@@ -217,7 +234,7 @@ func TestFormatConformance(t *testing.T) {
 				// One sampled pipeline for every row: with sampling off no
 				// product allocates; with sampling and tracing on, each product
 				// is timed by the pool, whatever the format.
-				what := fmt.Sprintf("%v %v p=%d", f, fx.kind, p)
+				what := fmt.Sprintf("%v %v", plan, fx.kind)
 				ops := map[string]func(){"MulVec": func() { k.MulVec(x, y) }}
 				if bk.b.MulDot != nil {
 					ops["MulDot"] = func() { bk.b.MulDot(x, y) }
@@ -233,7 +250,7 @@ func TestFormatConformance(t *testing.T) {
 					checkSampledProduct(t, what+" "+name, p, product)
 				}
 				k.Close()
-				waitGoroutines(t, base, f.String()+" closed kernel")
+				waitGoroutines(t, base, plan.String()+" closed kernel")
 			}
 		}
 	}

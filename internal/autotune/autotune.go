@@ -9,13 +9,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
-	"repro/internal/reorder"
 )
 
 // Tuner telemetry: completed searches and individual timed trials.
@@ -30,7 +28,7 @@ var (
 type Plan struct {
 	Format  format.ID
 	Threads int
-	Reorder bool // build on the RCM-permuted matrix, permuting x/y around the kernel
+	Reorder bool // build on the RCM-permuted matrix; the kernel permutes once per call
 }
 
 // String renders the plan compactly, e.g. "SSS-indexed p=4 (RCM)".
@@ -150,11 +148,6 @@ func (o Options) withDefaults() Options {
 	if o.NV < 1 {
 		o.NV = 1
 	}
-	if o.NV > 1 {
-		// The permuted-vector wrappers are single-vector; reordered plans
-		// have no SpMM path.
-		o.DisableReorder = true
-	}
 	return o
 }
 
@@ -190,12 +183,10 @@ type tuner struct {
 	symStats  map[int][2]int64
 	colorMemo map[int][2]int // colored-schedule {colors, blocks} per thread count
 
-	// RCM permutation and the permuted matrix, built lazily on first
-	// reordered trial.
-	rcmDone bool
-	rcmErr  error
-	perm    []int32
-	rcm     format.Matrix
+	// The RCM-permuted matrix, built on the first reordered build, and what
+	// building it cost: every reordered candidate's preprocessing includes it.
+	rcm     *format.Matrix
+	rcmCost time.Duration
 }
 
 // planCaps is what a format must offer on the matrix's class to be in the
@@ -228,11 +219,6 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 		return nil, fmt.Errorf("autotune: no searched format supports %s matrices at nv=%d", pr.S.Kind, o.NV)
 	}
 	o.Formats = kept
-	if pr.S.Kind == core.Structural {
-		// Problem.M is a general COO for structural matrices; the RCM
-		// rebuild path assumes symmetric lower storage.
-		o.DisableReorder = true
-	}
 	if pr.Stats.Rows == 0 {
 		pr.Stats = matrix.ComputeStats(pr.M)
 	}
@@ -466,35 +452,25 @@ func (t *tuner) trialStage(survivors []int) error {
 	return nil
 }
 
-// reordered lazily computes the RCM permutation and the permuted
-// structures, shared by every reordered trial.
-func (t *tuner) reordered() error {
-	if t.rcmDone {
-		return t.rcmErr
+// reordered returns the RCM-permuted matrix every reordered trial builds
+// on, computing it and timing the computation once per search.
+func (t *tuner) reordered() (*format.Matrix, error) {
+	if t.rcm == nil {
+		t0 := time.Now()
+		rm, _, err := t.pr.Matrix.Reordered()
+		if err != nil {
+			return nil, err
+		}
+		t.rcm, t.rcmCost = rm, time.Since(t0)
 	}
-	t.rcmDone = true
-	perm, err := reorder.RCM(t.pr.M)
-	if err != nil {
-		t.rcmErr = err
-		return err
-	}
-	pm, err := t.pr.M.Permute(perm)
-	if err != nil {
-		t.rcmErr = err
-		return err
-	}
-	s, err := core.FromCOO(pm)
-	if err != nil {
-		t.rcmErr = err
-		return err
-	}
-	t.perm, t.rcm = perm, format.Matrix{S: s, M: pm}
-	return nil
+	return t.rcm, nil
 }
 
-// build constructs the real kernel for one plan on a shared warm pool.
-// Construction panics (malformed structures) are converted to errors so one
-// broken candidate cannot abort the search.
+// build constructs the real kernel for one plan on a shared warm pool: for a
+// reordered plan, the kernel on the permuted matrix — the product a
+// reordered solve runs — charged with the reorder's cost. Construction
+// panics (malformed structures) are converted to errors so one broken
+// candidate cannot abort the search.
 func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -504,19 +480,15 @@ func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 
 	src := &t.pr.Matrix
 	if plan.Reorder {
-		if err := t.reordered(); err != nil {
+		if src, err = t.reordered(); err != nil {
 			return nil, fmt.Errorf("autotune: RCM: %w", err)
 		}
-		src = &t.rcm
 	}
 	// Default build options: a trial must time the kernel AutoKernel will
 	// build from the winning plan, and that build passes no CSX overrides.
 	b, err = format.Build(src, plan.Format, t.pool(plan.Threads), format.Options{})
-	if err != nil {
-		return nil, err
+	if err == nil && plan.Reorder {
+		b.Preproc += t.rcmCost
 	}
-	if plan.Reorder {
-		b.Permute(t.perm)
-	}
-	return b, nil
+	return b, err
 }

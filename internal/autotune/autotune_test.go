@@ -141,13 +141,15 @@ func TestTuneFormatRestriction(t *testing.T) {
 
 // TestBuildEveryFormat builds every format the tuner can pick — including
 // the RCM-reordered variants — and checks each against the serial SSS
-// reference: the in-package half of the cross-format consistency net.
+// reference of the matrix it runs: A, or P·A·Pᵀ for a reordered plan, whose
+// kernel is what a reordered solve iterates on, SpMM included where the
+// format has one. A reordered build charges
+// the reorder, timed once per search, to its preprocessing cost. This is
+// the in-package half of the cross-format consistency net.
 func TestBuildEveryFormat(t *testing.T) {
 	m, s := poisson(t, 30)
 	n := s.N
 	x := perfmodel.InputVector(n)
-	ref := make([]float64, n)
-	s.MulVec(x, ref)
 
 	for _, reorderVariant := range []bool{false, true} {
 		tn := testTuner(t, problem(s, m))
@@ -160,6 +162,18 @@ func TestBuildEveryFormat(t *testing.T) {
 			if b.Bytes <= 0 {
 				t.Fatalf("build %v: bytes = %d", plan, b.Bytes)
 			}
+			if has := b.MulMat != nil; has != f.Desc().Has(format.MulMat, core.Sym) {
+				t.Fatalf("build %v: MulMat present = %v, descriptor says %v", plan, has, !has)
+			}
+			src := s
+			if reorderVariant {
+				src = tn.rcm.S
+				if tn.rcmCost <= 0 || b.Preproc < tn.rcmCost {
+					t.Fatalf("build %v: Preproc %v, reorder cost %v; want Preproc ≥ reorder cost > 0", plan, b.Preproc, tn.rcmCost)
+				}
+			}
+			ref := make([]float64, n)
+			src.MulVec(x, ref)
 			y := make([]float64, n)
 			b.Mul(x, y)
 			for i := range y {

@@ -49,18 +49,15 @@ func (t *tuner) colorStats(p int) (colors, blocks int) {
 }
 
 // modelCost builds the roofline account of one candidate: the format's
-// estimate plus the x-access span. For reordered variants the span
-// is assumed to shrink into the per-thread cache (the §V-D effect RCM exists
-// for) and the two permutation copies around the kernel are charged as extra
-// streamed traffic.
+// estimate plus the x-access span. For reordered variants the span is
+// assumed to shrink into the per-thread cache (the §V-D effect RCM exists
+// for); the permutation is paid once per solve, not per product, so the
+// product is priced alone, as the trials time it.
 func (t *tuner) modelCost(f format.ID, p int, reordered bool) perfmodel.SpMVCost {
 	c := f.Desc().Estimate(&t.shape, p)
 	c.XSpanBytes = t.feat.XSpanBytes
-	if reordered {
-		if cache := t.pl.XCachePerThreadBytes; c.XSpanBytes > cache {
-			c.XSpanBytes = cache
-		}
-		c.MultBytes += 4 * 8 * t.shape.N // read x, write x_p; read y_p, write y
+	if cache := t.pl.XCachePerThreadBytes; reordered && c.XSpanBytes > cache {
+		c.XSpanBytes = cache
 	}
 	return c
 }

@@ -22,9 +22,6 @@ func TestTuneMultiRHS(t *testing.T) {
 		if !c.Plan.Format.Desc().Has(format.MulMat, core.Sym) {
 			t.Fatalf("NV=4 examined %v, which has no SpMM kernel", c.Plan.Format)
 		}
-		if c.Plan.Reorder {
-			t.Fatalf("NV=4 generated a reordered plan (no SpMM path): %v", c.Plan)
-		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
+	"repro/internal/reorder"
 )
 
 // Matrix is what a format is built from. S and M describe the same operator:
@@ -29,6 +30,29 @@ func (m *Matrix) expanded() *csr.Matrix {
 		m.CSR = csr.FromCOO(m.M)
 	}
 	return m.CSR
+}
+
+// Reordered returns P·A·Pᵀ under the Reverse Cuthill–McKee permutation and
+// the permutation (perm[old] = new). A symmetric permutation keeps the
+// symmetry class, so the permuted matrix is built for m's class as it is.
+func (m *Matrix) Reordered() (*Matrix, []int32, error) {
+	perm, err := reorder.RCM(m.M)
+	if err != nil {
+		return nil, nil, err
+	}
+	pm, err := m.M.Permute(perm) // normalized
+	if err != nil {
+		return nil, nil, err
+	}
+	from := core.FromCOO
+	if m.S.Kind == core.Structural {
+		from = core.FromCOOStructural
+	}
+	s, err := from(pm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Matrix{S: s, M: pm}, perm, nil
 }
 
 // Options are the optional preprocessing products of a build.
@@ -67,7 +91,7 @@ type Built struct {
 	// Kernel is the SSS engine (SSS formats only): what attribution binds to
 	// and the phase-timing experiments drive.
 	Kernel *core.Kernel
-	// Sym is the encoded CSX-Sym matrix, set when it can be persisted.
+	// Sym is the encoded CSX-Sym matrix, what SaveKernel writes.
 	Sym *csx.SymMatrix
 }
 
@@ -130,49 +154,23 @@ func buildSSS(d *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built,
 }
 
 func buildCSXSym(_ *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built, error) {
-	smx := csx.NewSym(m.S, pool.Size(), core.Indexed, o.csx())
+	return BindSym(csx.NewSym(m.S, pool.Size(), core.Indexed, o.csx()), pool), nil
+}
+
+// BindSym binds an encoded CSX-Sym matrix, built or loaded, to pool.
+func BindSym(smx *csx.SymMatrix, pool *parallel.Pool) *Built {
 	return &Built{
+		ID:     CSXSym,
 		Mul:    func(x, y []float64) { smx.MulVec(pool, x, y) },
 		MulDot: func(x, y []float64) float64 { return smx.MulVecDot(pool, x, y) },
 		Bytes:  smx.Bytes(),
 		Cost:   func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSXSymCost(smx, m.S) },
 		Sym:    smx,
-	}, nil
+	}
 }
 
-// Permute rewraps a kernel built on P·A·Pᵀ (perm[old] = new) so Mul and
-// MulDot compute on A in the caller's row order; xᵀ·y is permutation-
-// invariant, so the fused dot survives. MulMat and Sym both assume the
-// kernel's row order is the matrix's and are dropped.
-func (b *Built) Permute(perm []int32) {
-	xp := make([]float64, len(perm))
-	yp := make([]float64, len(perm))
-	scatter := func(x []float64) {
-		for i, pi := range perm {
-			xp[pi] = x[i]
-		}
-	}
-	gather := func(y []float64) {
-		for i, pi := range perm {
-			y[i] = yp[pi]
-		}
-	}
-	mul := b.Mul
-	b.Mul = func(x, y []float64) { scatter(x); mul(xp, yp); gather(y) }
-	if md := b.MulDot; md != nil {
-		b.MulDot = func(x, y []float64) float64 {
-			scatter(x)
-			dot := md(xp, yp)
-			gather(y)
-			return dot
-		}
-	}
-	b.MulMat, b.Sym = nil, nil
-}
-
-// op adapts a Built to the cg operator interfaces through its current
-// closures; fusedOp adds cg.MulVecDotter so cg.Solve takes the two-handoff
-// fused iteration.
+// op adapts a Built to the cg operator interfaces; fusedOp adds
+// cg.MulVecDotter so cg.Solve takes the two-handoff fused iteration.
 type op struct{ b *Built }
 
 func (o op) MulVec(x, y []float64)               { o.b.Mul(x, y) }

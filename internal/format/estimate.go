@@ -35,8 +35,8 @@ type Shape struct {
 }
 
 // Estimate prices the unbuilt format at p threads. The caller owns what no
-// format decides: the x-access span and reordering traffic. Only formats in
-// the autotune plan space have an estimate.
+// format decides: the x-access span. Only formats in the autotune plan space
+// have an estimate.
 func (d *Descriptor) Estimate(sh *Shape, p int) perfmodel.SpMVCost {
 	c := perfmodel.SpMVCost{Name: d.Name, UsefulFlops: 2 * sh.LogicalNNZ}
 	return d.estimate(d, c, sh, p)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/perfmodel"
-	"repro/internal/reorder"
 )
 
 // Config selects the workload for an experiment run.
@@ -132,24 +131,21 @@ func newSuiteMatrix(sp gen.Spec, m *matrix.COO) (*SuiteMatrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", sp.Name, err)
 	}
-	return &SuiteMatrix{
-		Spec:   sp,
-		Matrix: format.Matrix{S: s, M: m, CSR: csr.FromCOO(m)},
-		Stats:  matrix.ComputeStats(m),
-	}, nil
+	return suiteMatrix(sp, &format.Matrix{S: s, M: m}), nil
+}
+
+func suiteMatrix(sp gen.Spec, fm *format.Matrix) *SuiteMatrix {
+	fm.CSR = csr.FromCOO(fm.M)
+	return &SuiteMatrix{Spec: sp, Matrix: *fm, Stats: matrix.ComputeStats(fm.M)}
 }
 
 // Reordered returns the RCM-permuted version of sm (§V-D).
 func (sm *SuiteMatrix) Reordered() (*SuiteMatrix, error) {
-	perm, err := reorder.RCM(sm.M)
+	rm, _, err := sm.Matrix.Reordered()
 	if err != nil {
 		return nil, err
 	}
-	pm, err := sm.M.Permute(perm)
-	if err != nil {
-		return nil, err
-	}
-	return newSuiteMatrix(sm.Spec, pm)
+	return suiteMatrix(sm.Spec, rm), nil
 }
 
 // Table is a printable experiment result.

@@ -44,8 +44,8 @@ func MulMat(k Kernel, x, y []float64, vecs int) error {
 }
 
 // SupportsMulMat reports whether the kernel can serve MulMat / SolveCGBlock:
-// it was built by Matrix.Kernel on an SpMM-capable format and is still open.
-// Reorder-wrapped autotune plans drop the SpMM path, so callers planning to
+// it was built by Matrix.Kernel or AutoKernel on a format with an SpMM
+// kernel for the matrix's class, and is still open. Callers planning to
 // batch (the serve registry does) probe here instead of trial-dispatching.
 func SupportsMulMat(k Kernel) bool {
 	bk, ok := k.(*boundKernel)
@@ -56,9 +56,6 @@ func checkMulMat(k Kernel, lenX, lenY, vecs int) (*boundKernel, error) {
 	bk, ok := k.(*boundKernel)
 	if !ok {
 		return nil, &MulMatError{NV: vecs, Reason: "requires a Kernel from Matrix.Kernel"}
-	}
-	if bk.isClosed() {
-		return nil, &MulMatError{Format: bk.b.ID, NV: vecs, Reason: "kernel is closed"}
 	}
 	if bk.b.MulMat == nil {
 		return nil, &MulMatError{Format: bk.b.ID, NV: vecs,
@@ -105,10 +102,10 @@ func SolveCGBlock(k Kernel, b, x []float64, nv int, opts CGOptions) (CGBlockResu
 	}
 	defer release()
 	// Raw closure, not the locked wrapper: the solve holds the kernel mutex
-	// for its whole run (see SolveCG).
-	return cg.SolveBlock(bk.b.BlockOp(), bk.pool, b, x, nv, cg.Options{
-		MaxIter: opts.MaxIter,
-		Tol:     opts.Tol,
-		Context: opts.Context,
-	})
+	// for its whole run, and a reordered kernel iterates in its own row
+	// order (see SolveCG).
+	kb, kx, _ := bk.operands(b, x, nil, nv, true)
+	res, err := cg.SolveBlock(bk.b.BlockOp(), bk.pool, kb, kx, nv, opts.cg())
+	bk.restore(x, kx, nv)
+	return res, err
 }

@@ -41,6 +41,10 @@
 #                                                both doors read numbers through it)
 #   internal/serve files calling                 (limit 0: the response path writes
 #   strconv.AppendFloat or FormatFloat           numbers through internal/atof)
+#   files outside internal/format and            (limit 0: format.Matrix.Reordered is
+#   internal/matrix calling .Permute(            the one RCM → permute → SSS path; a
+#                                                reordered kernel permutes its operands
+#                                                in the facade, not in a wrapper)
 #
 # "Constructing a format kernel" means calling one of the constructors
 # internal/format wraps. The packages that define those constructors, and the
@@ -68,13 +72,14 @@ hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 # The ratchet on hand-written non-test lines: lowered when a change removes
 # lines, raised only by a reviewed exception (internal/atof's reader, +150;
 # its writer, atof.AppendJSON, +145).
-limit=18233
+limit=18223
 
 lines=$(cat $hand | wc -l)
 genlines=$(( $(sources | xargs cat | wc -l) - lines ))
 corefiles=$(echo "$hand" | grep -E '^\./internal/core/[^/]*$')
 corelines=$(cat $corefiles | wc -l)
 csxlines=$(cat $(echo "$hand" | grep -E '^\./internal/csx/[^/]*$') | wc -l)
+formatlines=$(cat $(echo "$hand" | grep -E '^\./internal/format/[^/]*$') | wc -l)
 tmpllines=$(cat $(echo "$hand" | grep '^\./internal/core/gen/') | wc -l)
 bodies=$(grep -hE '^func .*[a-z0-9]T\(' $corefiles | wc -l)
 cells=$(grep -hE '^func .*[a-z0-9]T\(' internal/core/lowerrow_gen.go | wc -l)
@@ -148,9 +153,16 @@ strayatof=$(printf '%s' "$atof" | grep -v '^\./internal/atof/' || true)
 ftoa=$(sources | grep '^\./internal/serve/' | xargs grep -nE 'strconv\.(AppendFloat|FormatFloat)\(' || true)
 nftoa=$(printf '%s' "$ftoa" | grep -c . || true)
 
+# One reorder path: format.Matrix.Reordered runs RCM, COO.Permute and the SSS
+# build for the facade, the tuner and the harness, and a reordered kernel is
+# a kernel on P·A·Pᵀ plus the permutation the facade applies once per call.
+permuters=$(sources | grep -vE '^\./internal/(format|matrix)/' | xargs grep -lE '\.Permute\(' || true)
+npermuters=$(printf '%s' "$permuters" | grep -c . || true)
+
 printf 'hand-written non-test Go lines:            %6d  (limit %d; outside benchmark/)\n' "$lines" "$limit"
 printf '  of which package internal/core:          %6d  (+ %d in its generator, internal/core/gen)\n' "$corelines" "$tmpllines"
 printf '  of which package internal/csx:           %6d\n' "$csxlines"
+printf '  of which package internal/format:        %6d\n' "$formatlines"
 printf 'generated non-test Go lines:               %6d  (not gated)\n' "$genlines"
 printf 'hand-written ...T bodies in internal/core: %6d  (limit 12)\n' "$bodies"
 printf 'generated ...T cells in internal/core:     %6d\n' "$cells"
@@ -166,6 +178,7 @@ printf 'CG iteration loops in internal/cg:         %6d  (limit 2)\n' "$nloops"
 printf 'SolvePCG / Preconditioner back in the tree:%6d  (limit 0)\n' "$npcg"
 printf 'files calling strconv.ParseFloat:          %6d  (limit 1, internal/atof)\n' "$natof"
 printf 'internal/serve files formatting with strconv:%4d  (limit 0)\n' "$nftoa"
+printf 'files calling .Permute( outside format/matrix:%3d  (limit 0)\n' "$npermuters"
 
 status=0
 if [ "$lines" -gt "$limit" ]; then
@@ -230,6 +243,11 @@ fi
 if [ "$nftoa" -gt 0 ]; then
 	echo "loc: internal/serve formats a float with strconv (write numbers with atof.AppendJSON):" >&2
 	echo "$ftoa" >&2
+	status=1
+fi
+if [ "$npermuters" -gt 0 ]; then
+	echo "loc: .Permute( called outside internal/format and internal/matrix (reorder with format.Matrix.Reordered; a reordered kernel carries its permutation):" >&2
+	echo "$permuters" | xargs grep -nE '\.Permute\(' >&2
 	status=1
 fi
 exit $status

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/cg"
@@ -41,7 +42,6 @@ import (
 	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
-	"repro/internal/reorder"
 )
 
 // Format selects a storage format / kernel configuration. The formats, their
@@ -167,17 +167,8 @@ func fromCOO(c *matrix.COO) (*Matrix, error) {
 func fromGeneral(c *matrix.COO) (*Matrix, error) {
 	c.Normalize()
 	if c.PatternSymmetric() {
-		if s, err := core.FromCOOStructural(c); err == nil {
-			mirror := true
-			for j := range s.Val {
-				if s.Val[j] != s.UVal[j] {
-					mirror = false
-					break
-				}
-			}
-			if !mirror {
-				return &Matrix{coo: c, sss: s}, nil
-			}
+		if s, err := core.FromCOOStructural(c); err == nil && !slices.Equal(s.Val, s.UVal) {
+			return &Matrix{coo: c, sss: s}, nil
 		}
 	}
 	sym, err := c.ToLowerSymmetric()
@@ -227,26 +218,11 @@ func (a *Matrix) WriteMatrixMarket(w io.Writer) error {
 // the matrix bandwidth, which shrinks the symmetric kernels' reduction
 // index and increases CSX substructure coverage (§V-D of the paper).
 func (a *Matrix) ReorderRCM() (*Matrix, []int32, error) {
-	perm, err := reorder.RCM(a.coo)
+	rm, perm, err := (&format.Matrix{S: a.sss, M: a.coo}).Reordered()
 	if err != nil {
 		return nil, nil, err
 	}
-	pm, err := a.coo.Permute(perm)
-	if err != nil {
-		return nil, nil, err
-	}
-	// A structural matrix keeps general COO storage; re-classify the permuted
-	// pattern (a symmetric permutation preserves the class) instead of forcing
-	// it through the lower-triangle-only path.
-	build := fromCOO
-	if a.sss.Kind == core.Structural {
-		build = fromGeneral
-	}
-	out, err := build(pm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, perm, nil
+	return &Matrix{coo: rm.M, sss: rm.S}, perm, nil
 }
 
 // Kernel is a multithreaded y = A·x engine bound to a worker pool. Kernels
@@ -333,17 +309,66 @@ type boundKernel struct {
 	pool   *parallel.Pool
 	n      int
 	closed bool
+	// perm is the RCM permutation (perm[old] = new) of a kernel built on
+	// P·A·Pᵀ (a reordered autotune plan), nil in natural order. Every call
+	// moves its operands into the kernel's order and its result back, once.
+	perm    []int32
+	scratch []float64
 
 	// mu serializes every operation on the kernel. The underlying engines own
 	// per-call mutable state — operand slots the phase closures read, shared
-	// local vectors, dot partials, the reorder wrapper's permutation buffers —
-	// so two interleaved operations would corrupt each other. Holding mu for
+	// local vectors, dot partials, the permuted operands in scratch — so two
+	// interleaved operations would corrupt each other. Holding mu for
 	// the whole dispatch makes a Kernel safe to share across goroutines:
 	// concurrent callers queue, each operation runs alone, and long-lived
 	// services (internal/serve) hand one kernel to many request handlers
 	// without an external lock. closed is guarded by mu as well, so Close
 	// cannot release the pool under a running operation.
 	mu sync.Mutex
+}
+
+// permuteRows moves row i of src (nv interleaved values) to row perm[i] of
+// dst, or row perm[i] of src to row i of dst when back is set; returns dst.
+func permuteRows(dst, src []float64, perm []int32, nv int, back bool) []float64 {
+	for i, pi := range perm {
+		d, s := int(pi)*nv, i*nv
+		if back {
+			d, s = s, d
+		}
+		for v := 0; v < nv; v++ {
+			dst[d+v] = src[s+v]
+		}
+	}
+	return dst
+}
+
+// operands returns an operation's vectors in the kernel's row order: the
+// caller's own in natural order, otherwise stretches of scratch holding the
+// rows (nv values each) of in, of io when copyIO (a solve's x₀; a product's
+// y is only written) and of diag. Callers hold mu and restore io.
+func (k *boundKernel) operands(in, io, diag []float64, nv int, copyIO bool) (kin, kio, kdiag []float64) {
+	if k.perm == nil {
+		return in, io, diag
+	}
+	n := len(in)
+	s := slices.Grow(k.scratch[:0], 2*n+len(diag))[:2*n+len(diag)] // grown on demand
+	k.scratch = s
+	kin, kio = permuteRows(s[:n], in, k.perm, nv, false), s[n:2*n]
+	if copyIO {
+		permuteRows(kio, io, k.perm, nv, false)
+	}
+	if diag != nil {
+		kdiag = permuteRows(s[2*n:], diag, k.perm, 1, false)
+	}
+	return kin, kio, kdiag
+}
+
+// restore copies a kernel-order result ky back into the caller's y; a no-op
+// in natural order, where ky is y.
+func (k *boundKernel) restore(y, ky []float64, nv int) {
+	if k.perm != nil {
+		permuteRows(y, ky, k.perm, nv, true)
+	}
 }
 
 // mulVecLocked runs y = A·x alone on the kernel; it panics when the kernel
@@ -354,7 +379,9 @@ func (k *boundKernel) mulVecLocked(x, y []float64) {
 	if k.closed {
 		panic("symspmv: MulVec on closed Kernel")
 	}
-	k.b.Mul(x, y)
+	kx, ky, _ := k.operands(x, y, nil, 1, false)
+	k.b.Mul(kx, ky)
+	k.restore(y, ky, 1)
 }
 
 func (k *boundKernel) mulMatLocked(x, y []float64, vecs int) error {
@@ -363,7 +390,10 @@ func (k *boundKernel) mulMatLocked(x, y []float64, vecs int) error {
 	if k.closed {
 		return errors.New("kernel is closed")
 	}
-	return k.b.MulMat(x, y, vecs)
+	kx, ky, _ := k.operands(x, y, nil, vecs, false)
+	err := k.b.MulMat(kx, ky, vecs)
+	k.restore(y, ky, vecs)
+	return err
 }
 
 func (k *boundKernel) isClosed() bool {
@@ -433,24 +463,7 @@ type CGOptions struct {
 // iteration costs two coordinator handoffs (three for the formats without
 // the fused dot). The iterates are bitwise identical either way.
 func SolveCG(k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
-	bk, err := checkKernel(k, b, x, "SolveCG")
-	if err != nil {
-		return CGResult{}, err
-	}
-	release, err := bk.acquire("SolveCG")
-	if err != nil {
-		return CGResult{}, err
-	}
-	defer release()
-	// The operator calls the kernel's raw closures, not the locked wrappers:
-	// the solve holds the mutex for its entire run (it also drives vector
-	// operations on the kernel's pool, which a per-call lock would not
-	// cover), so locking again per inner dispatch would self-deadlock.
-	return cg.Solve(bk.b.Op(), bk.pool, b, x, cg.Options{
-		MaxIter: opts.MaxIter,
-		Tol:     opts.Tol,
-		Context: opts.Context,
-	})
+	return solveCG("SolveCG", nil, k, b, x, opts)
 }
 
 // SolveCGJacobi solves A·x = b with Jacobi-(diagonal-)preconditioned CG.
@@ -460,23 +473,46 @@ func SolveCG(k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
 // path and handoff count — with z = D⁻¹·r folded into its vector sweeps: one
 // multiply per element more. A must be the matrix the kernel was built from.
 func SolveCGJacobi(a *Matrix, k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
-	bk, err := checkKernel(k, b, x, "SolveCGJacobi")
+	return solveCG("SolveCGJacobi", a.sss, k, b, x, opts)
+}
+
+// solveCG runs SolveCG, or SolveCGJacobi on the diagonal of a when a is set.
+func solveCG(op string, a *core.SSS, k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
+	bk, err := checkKernel(k, b, x, op)
 	if err != nil {
 		return CGResult{}, err
 	}
-	if a.sss.N != bk.n {
-		return CGResult{}, fmt.Errorf("symspmv: SolveCGJacobi: matrix N=%d, kernel N=%d", a.sss.N, bk.n)
+	var diag []float64
+	if a != nil {
+		if a.N != bk.n {
+			return CGResult{}, fmt.Errorf("symspmv: %s: matrix N=%d, kernel N=%d", op, a.N, bk.n)
+		}
+		diag = a.DValues
 	}
-	release, err := bk.acquire("SolveCGJacobi")
+	release, err := bk.acquire(op)
 	if err != nil {
 		return CGResult{}, err
 	}
 	defer release()
-	return cg.SolveJacobi(bk.b.Op(), a.sss.DValues, bk.pool, b, x, cg.Options{
-		MaxIter: opts.MaxIter,
-		Tol:     opts.Tol,
-		Context: opts.Context,
-	})
+	// The operator calls the kernel's raw closures, not the locked wrappers:
+	// the solve holds the mutex for its entire run (it also drives vector
+	// operations on the kernel's pool, which a per-call lock would not
+	// cover), so locking again per inner dispatch would self-deadlock. A
+	// reordered kernel iterates in its own row order: b, x₀ and the diagonal
+	// are permuted once here and x once on the way out.
+	kb, kx, kd := bk.operands(b, x, diag, 1, true)
+	var res CGResult
+	if a == nil {
+		res, err = cg.Solve(bk.b.Op(), bk.pool, kb, kx, opts.cg())
+	} else {
+		res, err = cg.SolveJacobi(bk.b.Op(), kd, bk.pool, kb, kx, opts.cg())
+	}
+	bk.restore(x, kx, 1)
+	return res, err
+}
+
+func (o CGOptions) cg() cg.Options {
+	return cg.Options{MaxIter: o.MaxIter, Tol: o.Tol, Context: o.Context}
 }
 
 func checkKernel(k Kernel, b, x []float64, op string) (*boundKernel, error) {
@@ -491,9 +527,6 @@ func checkKernel(k Kernel, b, x []float64, op string) (*boundKernel, error) {
 		// with the class instead of letting the recurrence break down (or the
 		// Jacobi preconditioner read the absent diagonal).
 		return nil, fmt.Errorf("symspmv: %s requires a symmetric positive definite operator, got a %s matrix", op, bk.kind)
-	}
-	if bk.isClosed() {
-		return nil, fmt.Errorf("symspmv: %s on closed Kernel", op)
 	}
 	if len(b) != bk.n || len(x) != bk.n {
 		return nil, fmt.Errorf("symspmv: %s dims: N=%d, len(b)=%d, len(x)=%d", op, bk.n, len(b), len(x))
