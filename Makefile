@@ -32,9 +32,11 @@ race-color:
 # race-pool runs the pool and the code that lives on its hand-off at three
 # GOMAXPROCS values, so the spinning path (workers with a processor each), the
 # yield path and the oversubscribed park-at-once path all meet the race
-# detector.
+# detector; and the wire codec's tests at the same three, so its serial path
+# (one processor, no helpers) and its oversubscribed block pipeline do too.
 race-pool:
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel ./internal/vec ./internal/cg
+	$(GO) test -race -cpu 1,2,4 -run 'Wire|Decode|Encode|Tokens|RoundTrip|Blocks' ./internal/serve
 
 vet:
 	$(GO) vet ./...
@@ -46,8 +48,9 @@ vet:
 # the two CSX decode kernels in ns per stored element with the unit mix each
 # ran over, the two CSX encoders in ns per element and allocs per build, and
 # the two doors: a solve body's decode and its response's encode (ns per
-# float, allocs) and the Matrix Market reader in MB/s; then the sort every
-# permutation goes through (Normalize: sorted, permuted and column-major
+# float, allocs; at one processor and at two, so that one binary times the
+# serial codec and its block pipeline) and the Matrix Market reader in MB/s;
+# then the sort every permutation goes through (Normalize: sorted, permuted and column-major
 # input, and a block band as ToGeneral lays it out and permuted) and RCM
 # alone and with the Permute that applies it.
 bench:
@@ -56,7 +59,7 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkVecOps -benchtime 500x ./internal/vec
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx
-	$(GO) test -run xxx -bench 'BenchmarkDecodeSolve|BenchmarkEncodeSolve' -benchtime 20x ./internal/serve
+	$(GO) test -run xxx -bench 'BenchmarkDecodeSolve|BenchmarkEncodeSolve' -benchtime 20x -cpu 1,2 ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkReadMatrixMarket|BenchmarkNormalize' -benchtime 5x ./internal/matrix
 	$(GO) test -run xxx -bench BenchmarkRCM -benchtime 5x ./internal/reorder
 
@@ -92,6 +95,8 @@ telemetry-smoke:
 # checked-in regression corpora under internal/fuzzcheck/testdata/ and
 # internal/serve/testdata/ also run on every plain `go test`. The two serve
 # targets hold the request scanner of /spmv and /solve to encoding/json;
+# FuzzDecodeBlocks does the same with the scanner's block size as a fuzz
+# input, so that block edges fall inside the fuzzed bytes;
 # FuzzReadMatrixMarket holds the block reader to the line-oriented reader it
 # replaced, and its sibling in internal/matrix does the same with the block
 # size as a fuzz input, so that block edges fall inside the fuzzed bytes;
@@ -108,7 +113,7 @@ fuzz-smoke:
 	for t in FuzzParseFloat FuzzAppendJSON; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/atof/ || exit 1; \
 	done
-	for t in FuzzDecodeSolve FuzzDecodeSpMV; do \
+	for t in FuzzDecodeSolve FuzzDecodeSpMV FuzzDecodeBlocks; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./internal/serve/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime 10s ./internal/autotune/

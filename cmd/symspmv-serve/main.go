@@ -33,6 +33,12 @@ import (
 	"repro/internal/serve"
 )
 
+// newHTTPServer cuts off a client that never finishes its headers, which
+// would hold a connection and a goroutine out of -max-inflight's sight.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8723", "listen address")
 	window := flag.Duration("window", 2*time.Millisecond, "coalescing window: how long a batch stays open once a second compatible request is waiting (0 = only opportunistic queue draining)")
@@ -85,7 +91,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen %s: %v", *addr, err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	log.Printf("symspmv-serve %s listening on http://%s", buildinfo.Commit(), ln.Addr())
 
 	done := make(chan error, 1)

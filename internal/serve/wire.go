@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -18,14 +19,103 @@ import (
 // than the solve behind it. The schema is fixed — one number array and a few
 // scalars — so the body is scanned through a fixed window straight into a
 // vector of exactly N, and the response is streamed out of the same kind of
-// window. Request memory is 8N plus one window whatever the body's size.
-// DESIGN.md §13 ("Wire format") states the grammar and the float format.
+// window, both on up to GOMAXPROCS goroutines. Request memory is 8N plus
+// 2·GOMAXPROCS+2 windows at most whatever the body's size. DESIGN.md §13
+// ("Wire format") states the grammar, the float format and the pipeline.
 
 // windowSize bounds both the read and the write side's buffering, and with it
 // the longest single token (a key or a number literal) a request may carry.
 const windowSize = 64 << 10
 
-var windowPool = sync.Pool{New: func() any { return new([windowSize]byte) }}
+var (
+	windowPool           = sync.Pool{New: func() any { return new([windowSize]byte) }}
+	getWindow, putWindow = windowPool.Get, windowPool.Put // variables, as spawn, for tests to count
+	spawn                = func(f func()) { go f() }      // starts a codec helper
+	decBlockSize         = windowSize                     // the bytes a decode read takes; tests set it lower
+)
+
+// pipe runs a request's codec jobs, one per block, on GOMAXPROCS-1 helpers
+// (from the first job with a successor on) and the handler, settling in order.
+type pipe struct {
+	work      chan func()
+	wg        sync.WaitGroup
+	queue     []*block // run and not yet settled, oldest first
+	all, free []*[windowSize]byte
+}
+
+// block is a job's window, holding win[:n], and its first element's index; a
+// decode block is at body offset base, cut after a comma, parsed to clean.
+type block struct {
+	win                      *[windowSize]byte
+	n, off, cut, clean, base int
+	done                     chan struct{} // closed when the job is done
+}
+
+func (p *pipe) window() (w *[windowSize]byte) {
+	if n := len(p.free); n > 0 {
+		w, p.free = p.free[n-1], p.free[:n-1]
+		return w
+	}
+	p.all = append(p.all, getWindow().(*[windowSize]byte))
+	return p.all[len(p.all)-1]
+}
+
+// run runs job on b, on a helper if more blocks follow and one is free, then
+// settles to 2·GOMAXPROCS behind b, a job running and one waiting per goroutine.
+func (p *pipe) run(b *block, job func(*block), more bool, each func(*block) bool) bool {
+	procs := runtime.GOMAXPROCS(0)
+	if more && p.work == nil && procs > 1 {
+		p.work = make(chan func(), procs-1) // a job waiting for each helper, so none parks between jobs
+		p.wg.Add(procs - 1)
+		for range procs - 1 {
+			spawn(func() {
+				defer p.wg.Done()
+				for f := range p.work {
+					f()
+				}
+			})
+		}
+	}
+	p.queue, b.done = append(p.queue, b), make(chan struct{})
+	if f := func() { job(b); close(b.done) }; !more || len(p.work) == cap(p.work) {
+		f()
+	} else {
+		p.work <- f
+	}
+	return p.settle(2*procs, each)
+}
+
+// settle hands the oldest blocks to each while more than ahead are queued,
+// waiting for their jobs, and then while their jobs are done, keeping the
+// newest unless ahead is 0; a block each refuses stays.
+func (p *pipe) settle(ahead int, each func(*block) bool) bool {
+	for ; len(p.queue) > min(ahead, 1); p.queue = p.queue[1:] {
+		select {
+		case <-p.queue[0].done:
+		default:
+			if len(p.queue) <= ahead {
+				return true
+			}
+			<-p.queue[0].done
+		}
+		if !each(p.queue[0]) {
+			return false
+		}
+		p.free = append(p.free, p.queue[0].win)
+	}
+	return true
+}
+
+// release ends the helpers, once their jobs are done, and returns p's windows.
+func (p *pipe) release() {
+	if p.work != nil {
+		close(p.work)
+		p.wg.Wait()
+	}
+	for _, w := range p.all {
+		putWindow(w)
+	}
+}
 
 // wireFields names the request keys of each operation. The positions are the
 // schema: 0 the vector, 1 the "use the ones vector" flag, then (solve only)
@@ -62,13 +152,15 @@ type scanner struct {
 	pos, end int
 	base     int64
 	rerr     error // what ended reading: io.EOF, the body cap, a transport error
+	p        pipe
 }
 
 var errTokenTooLong = fmt.Errorf("a key or number longer than %d bytes", windowSize)
 
-// fill slides the unread bytes to the front of the window and reads behind
-// them, reporting whether any arrived. A caller in the middle of a token
-// leaves pos at the token's start, so the token stays in one piece.
+// fill slides the unread bytes to the front of the window and reads a block
+// behind them, or what is left of the body, reporting whether any arrived:
+// what ends the body comes with the bytes before it. A caller in the middle
+// of a token leaves pos at the token's start, so the token stays in one piece.
 func (s *scanner) fill() bool {
 	if s.rerr != nil {
 		return false
@@ -82,50 +174,39 @@ func (s *scanner) fill() bool {
 		s.rerr = errTokenTooLong
 		return false
 	}
-	for {
-		n, err := s.r.Read(s.buf[s.end:])
-		s.end += n
-		s.rerr = err
-		if n > 0 || err != nil {
-			return n > 0
-		}
+	n, err := io.ReadFull(s.r, s.buf[s.end:min(len(s.buf), s.end+decBlockSize)])
+	if s.end, s.rerr = s.end+n, err; err == io.ErrUnexpectedEOF {
+		s.rerr = io.EOF
 	}
+	return n > 0
 }
 
 // token skips whitespace and returns the next byte without consuming it; 0
 // at the end of the body, which no JSON position accepts.
 func (s *scanner) token() byte {
 	for {
-		if s.pos == s.end && !s.fill() {
+		if s.pos = skipSpace(s.buf[:s.end], s.pos); s.pos < s.end {
+			return s.buf[s.pos]
+		}
+		if !s.fill() {
 			return 0
 		}
-		if c := s.buf[s.pos]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			return c
-		}
-		s.pos++
 	}
 }
 
 // keyText consumes a key's bytes up to a quote, a backslash or a control
 // character and returns them, valid until the next scanner call.
 func (s *scanner) keyText() []byte {
-	i := s.pos
+	i := 0 // past s.pos, which fill keeps at the key's start
 	for {
-		for i < s.end && s.buf[i] >= 0x20 && s.buf[i] != '"' && s.buf[i] != '\\' {
-			i++
+		for t := s.buf[s.pos:s.end]; i < len(t) && t[i] >= 0x20 && t[i] != '"' && t[i] != '\\'; i++ {
 		}
-		if i < s.end {
-			break
-		}
-		i -= s.pos // fill may move the run to the front of the window
-		more := s.fill()
-		i += s.pos
-		if !more {
+		if s.pos+i < s.end || !s.fill() {
 			break
 		}
 	}
-	tok := s.buf[s.pos:i]
-	s.pos = i
+	tok := s.buf[s.pos : s.pos+i]
+	s.pos += i
 	return tok
 }
 
@@ -237,6 +318,9 @@ func (s *scanner) vector(name string, n int) ([]float64, error) {
 		s.pos++
 		return vec, nil
 	}
+	if s.rerr == nil { // more of the body than the window holds
+		vec = s.blocks(vec)
+	}
 	for {
 		if len(vec) == n {
 			return nil, s.errorf("%s %s (%d)", name, msgTooMany, n)
@@ -256,6 +340,62 @@ func (s *scanner) vector(name string, n int) ([]float64, error) {
 			return nil, s.errorf("want , or ] in %s", name)
 		}
 	}
+}
+
+func skipSpace(t []byte, i int) int {
+	for i < len(t) && (t[i] == ' ' || t[i] == '\t' || t[i] == '\r' || t[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// stuck is a body that has ended: every read returns err.
+type stuck struct{ err error }
+
+func (e stuck) Read([]byte) (int, error) { return 0, e.err }
+
+// blocks reads an open vector from its first element on in blocks parsed on
+// s.p. At the first that did not parse cleanly, one with no comma, or the
+// body's end, the serial scan takes over at its last clean comma, over the
+// blocks read behind it, and vec comes back with the elements before that.
+func (s *scanner) blocks(vec []float64) []float64 {
+	full, src := vec[:cap(vec)], io.MultiReader(bytes.NewReader(s.buf[s.pos:s.end]), s.r)
+	parse := func(b *block) { // whitespace, a number, whitespace, a comma, again
+		t := b.win[:b.cut]
+		for i, k := 0, b.off; k < len(full); k++ {
+			i = skipSpace(t, i)
+			f, m, err := atof.JSON(t[i:])
+			if i = skipSpace(t, i+m); err != nil || i == len(t) || t[i] != ',' {
+				return
+			}
+			full[k], i, b.clean = f, i+1, i+1
+		}
+	}
+	parsed := func(b *block) bool { return b.clean == b.cut }
+	for b := (&block{win: s.p.window(), base: int(s.base) + s.pos}); ; {
+		m, err := io.ReadFull(src, b.win[b.n:decBlockSize])
+		if b.n, s.rerr = b.n+m, err; err == io.ErrUnexpectedEOF {
+			s.rerr = io.EOF
+		}
+		b.cut = bytes.LastIndexByte(b.win[:b.n], ',') + 1
+		if more := b.cut > 0 && s.rerr == nil; !s.p.run(b, parse, more, parsed) || !more {
+			break
+		}
+		next := &block{win: s.p.window(), base: b.base + b.cut, off: b.off + bytes.Count(b.win[:b.cut], []byte{','})}
+		b, next.n = next, copy(next.win[:], b.win[b.cut:b.n])
+	}
+	s.p.settle(1, parsed) // the serial scan starts at the oldest block left
+	q := s.p.queue
+	if s.rerr != nil && len(q) > 1 { // fill reads it with the last block's bytes
+		src, s.rerr = stuck{s.rerr}, nil
+	}
+	for i := len(q) - 1; i > 0; i-- { // past what q[i-1] carried over, once q[i] is off vec
+		<-q[i].done
+		src = io.MultiReader(bytes.NewReader(q[i].win[q[i-1].n-q[i-1].cut:q[i].n]), src)
+	}
+	s.r = src
+	s.buf, s.pos, s.end, s.base = q[0].win[:], q[0].clean, q[0].n, int64(q[0].base)
+	return vec[:q[0].off+bytes.Count(q[0].win[:q[0].clean], []byte{','})]
 }
 
 // key consumes a quoted key and returns its position in fields, matched as
@@ -284,9 +424,9 @@ func (s *scanner) key(fields []string) (int, error) {
 
 // decodeVectorRequest reads one /spmv or /solve body for a matrix of n rows.
 func decodeVectorRequest(r io.Reader, op opKind, n int) (vectorRequest, error) {
-	win := windowPool.Get().(*[windowSize]byte)
-	defer windowPool.Put(win)
-	s := scanner{r: r, buf: win[:]}
+	s := scanner{r: r}
+	defer s.p.release()
+	s.buf = s.p.window()[:]
 	var req vectorRequest
 	if err := s.object(wireFields[op], n, &req); err != nil {
 		return vectorRequest{}, err
@@ -348,39 +488,43 @@ func (s *scanner) object(fields []string, n int, req *vectorRequest) error {
 	}
 }
 
-// writeVectorResponse streams a 200 for out, byte for byte what
-// json.NewEncoder(w).Encode would write for the response struct. The outcome
-// is finite (request.finish saw to that), so nothing can fail after the
-// header but the connection.
-func writeVectorResponse(w http.ResponseWriter, op opKind, out outcome) error {
-	return writeVector(w, op, out, atof.AppendJSON)
-}
+const segFloats = 2048 // the floats of a response a window takes, 26 bytes each at most
 
-// writeVector is writeVectorResponse with the float writer a parameter, so
-// that BenchmarkEncodeSolve can time strconv's beside it in one binary.
-func writeVector(w http.ResponseWriter, op opKind, out outcome, appendFloat func([]byte, float64) []byte) error {
+// writeVectorResponse streams a 200 for out in segments formatted on a pipe,
+// byte for byte what json.NewEncoder(w).Encode would write for the response
+// struct. The outcome is finite (request.finish saw to that), so nothing can
+// fail after the header but the connection.
+func writeVectorResponse(w http.ResponseWriter, op opKind, out outcome) (err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	win := windowPool.Get().(*[windowSize]byte)
-	defer windowPool.Put(win)
-	const room = 256 // a float (25 bytes at most) and a separator, or everything behind the vector
-	b := win[:0]
-	if op == opSpMV {
-		b = append(b, `{"y":[`...)
-	} else {
-		b = append(b, `{"x":[`...)
-	}
-	for i, f := range out.y {
-		if len(b) > windowSize-room {
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			b = b[:0]
+	var p pipe
+	defer p.release()
+	format := func(b *block) { b.n = len(appendSegment(b.win[:0], op, out, b.off)) }
+	write := func(b *block) bool { _, err = w.Write(b.win[:b.n]); return err == nil }
+	for off := 0; off == 0 || off < len(out.y); off += segFloats {
+		if !p.run(&block{win: p.window(), off: off}, format, off+segFloats < len(out.y), write) {
+			return err
 		}
-		if i > 0 {
+	}
+	p.settle(0, write)
+	return err
+}
+
+// appendSegment appends the segment of out.y from off on: the opening before
+// the first, and what follows the vector after the last.
+func appendSegment(b []byte, op opKind, out outcome, off int) []byte {
+	if off == 0 {
+		b = append(b, [...]string{opSpMV: `{"y":[`, opSolve: `{"x":[`}[op]...)
+	}
+	end := min(off+segFloats, len(out.y))
+	for i, f := range out.y[off:end] {
+		if i+off > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(b, f)
+		b = atof.AppendJSON(b, f)
+	}
+	if end < len(out.y) {
+		return b
 	}
 	b = append(b, ']')
 	if op == opSolve {
@@ -389,11 +533,9 @@ func writeVector(w http.ResponseWriter, op opKind, out outcome, appendFloat func
 		b = append(b, `,"converged":`...)
 		b = strconv.AppendBool(b, out.converged)
 		b = append(b, `,"residual":`...)
-		b = appendFloat(b, out.residual)
+		b = atof.AppendJSON(b, out.residual)
 	}
 	b = append(b, `,"batch_lanes":`...)
 	b = strconv.AppendInt(b, int64(out.lanes), 10)
-	b = append(b, "}\n"...)
-	_, err := w.Write(b)
-	return err
+	return append(b, "}\n"...)
 }

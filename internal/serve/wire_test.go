@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -10,13 +12,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
-
-	"repro/internal/atof"
 )
 
 // The streamed response is byte for byte what encoding/json writes for the
@@ -201,6 +201,34 @@ func FuzzDecodeSpMV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstJSON(t, opSpMV, data) })
 }
 
+// withDecBlockSize runs f with blocks of n bytes, clamped to 1 .. windowSize.
+func withDecBlockSize(n int, f func()) {
+	defer func(old int) { decBlockSize = old }(decBlockSize)
+	decBlockSize = min(max(n, 1), windowSize)
+	f()
+}
+
+// FuzzDecodeBlocks holds the block path to encoding/json with the block size
+// a fuzz input, so that block edges fall inside the fuzzed bytes, and to the
+// same body read as one block: value, error text and offset alike.
+func FuzzDecodeBlocks(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bs uint8) {
+		for _, op := range []opKind{opSolve, opSpMV} {
+			whole, werr := decodeVectorRequest(bytes.NewReader(data), op, fuzzRows)
+			withDecBlockSize(int(bs)+1, func() {
+				checkAgainstJSON(t, op, data)
+				got, err := decodeVectorRequest(bytes.NewReader(data), op, fuzzRows)
+				if fmt.Sprint(err) != fmt.Sprint(werr) || !sameBits(got.vec, whole.vec) || math.Float64bits(got.tol) != math.Float64bits(whole.tol) {
+					t.Fatalf("%v body %q in %d-byte blocks: %+v, %v; in one block: %+v, %v", op, data, int(bs)+1, got, err, whole, werr)
+				}
+			})
+		}
+	})
+}
+
 // A token that straddles the end of the 64 KiB window — a number, a key, a
 // literal — decodes the same at every offset the boundary can cut it, and so
 // does a body that arrives one byte per read.
@@ -225,9 +253,142 @@ func TestTokensSplitAcrossTheWindow(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("one byte per read: got %+v, %v", got, err)
 	}
+	// The number again as the second element, with a block edge at every
+	// byte of it: the first block ends inside it and carries it over. A
+	// block takes a window beside the scanner's, so the count shows the
+	// vector went through the block path.
+	var taken int
+	defer func(g func() any) { getWindow = g }(getWindow)
+	getWindow = func() any { taken++; return windowPool.Get() }
+	for size := 1; size <= len(`2, -1.2345678901234567e-100,`); size++ {
+		withDecBlockSize(size, func() {
+			body := `{"b_ones":true,"b":[2, -1.2345678901234567e-100,2],"timeout_ms":1234567}`
+			taken = 0
+			got, err := decodeVectorRequest(strings.NewReader(body), opSolve, 3)
+			if want := []float64{2, -1.2345678901234567e-100, 2}; err != nil || !reflect.DeepEqual(got.vec, want) || taken < 2 {
+				t.Fatalf("%d-byte blocks: got %+v, %v, %d windows taken", size, got, err, taken)
+			}
+		})
+	}
 	long := `{"b":[0.` + strings.Repeat("0", windowSize) + `1]}`
 	if _, err := decodeVectorRequest(strings.NewReader(long), opSolve, 2); !IsBadRequest(err) {
 		t.Fatalf("a number longer than the window: err = %v, want a bad request", err)
+	}
+}
+
+// hangUp is a response writer whose client goes away after the first write.
+type hangUp struct {
+	discardResponse
+	writes int
+}
+
+func (h *hangUp) Write(p []byte) (int, error) {
+	if h.writes++; h.writes > 1 {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
+
+// hiccup is a body whose transport fails once, after head, and then reads
+// on as if nothing happened: an error that only the first read reports.
+type hiccup struct {
+	head, tail []byte
+	failed     bool
+}
+
+func (h *hiccup) Read(p []byte) (int, error) {
+	switch {
+	case len(h.head) > 0:
+		n := copy(p, h.head)
+		h.head = h.head[n:]
+		return n, nil
+	case !h.failed:
+		h.failed = true
+		return 0, io.ErrClosedPipe
+	case len(h.tail) > 0:
+		n := copy(p, h.tail)
+		h.tail = h.tail[n:]
+		return n, nil
+	}
+	return 0, io.EOF
+}
+
+// The codec's helpers end with the request and its windows go back to the
+// pool, on a refusal and a hang-up as on success, at one processor (no
+// helpers) and at four; a body of one block starts none. A fault the read
+// that hit the body cap brought is the cap's 413, as the serial scan has it.
+func TestWireHelpersEndWithTheRequest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var started, out atomic.Int32
+	defer func(s func(func()), g func() any, p func(any)) { spawn, getWindow, putWindow = s, g, p }(spawn, getWindow, putWindow)
+	spawn = func(f func()) { started.Add(1); go f() }
+	getWindow = func() any { out.Add(1); return windowPool.Get() }
+	putWindow = func(w any) { out.Add(-1); windowPool.Put(w) }
+	v := benchVector()[:20000]
+	body, err := json.Marshal(solveRequest{B: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(body)
+	at := len(bad)/2 + bytes.IndexByte(bad[len(bad)/2:], ',') + 1
+	bad[at] = 'x'
+	limit := len(body) / 2 // and a fault among the last bytes it lets through
+	late := bytes.Clone(body)
+	late[bytes.LastIndexByte(late[:limit-2], ',')+1] = 'x'
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct {
+			name string
+			run  func() error
+			want func(error) bool
+			many bool // more than one block or segment
+		}{
+			{"a fault in a middle block", func() error {
+				_, err := decodeVectorRequest(bytes.NewReader(bad), opSolve, len(v))
+				return err
+			}, func(err error) bool {
+				return IsBadRequest(err) && strings.Contains(err.Error(), fmt.Sprintf("offset %d: want a number", at))
+			}, true},
+			{"a body over the cap", func() error {
+				_, err := decodeVectorRequest(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), int64(len(body)/2)), opSolve, len(v))
+				return err
+			}, func(err error) bool { return errors.Is(err, ErrBodyTooLarge) }, true},
+			{"a fault in the bytes that reach the cap", func() error {
+				_, err := decodeVectorRequest(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(late)), int64(limit)), opSolve, len(v))
+				return err
+			}, func(err error) bool { return errors.Is(err, ErrBodyTooLarge) }, true},
+			{"a read error the body does not repeat", func() error {
+				r := &hiccup{head: body[:len(body)/2], tail: body[len(body)/2:]}
+				_, err := decodeVectorRequest(r, opSolve, len(v))
+				return err
+			}, func(err error) bool {
+				return IsBadRequest(err) && strings.Contains(err.Error(), io.ErrClosedPipe.Error())
+			}, true},
+			{"a hang-up mid-response", func() error {
+				return writeVectorResponse(&hangUp{discardResponse: discardResponse{header: http.Header{}}}, opSolve, outcome{y: v, lanes: 1})
+			}, func(err error) bool { return errors.Is(err, io.ErrClosedPipe) }, true},
+			{"one block", func() error {
+				_, err := decodeVectorRequest(strings.NewReader(`{"b":[1,2,3]}`), opSolve, 3)
+				return err
+			}, func(err error) bool { return err == nil }, false},
+		} {
+			baseline := runtime.NumGoroutine()
+			started.Store(0)
+			if err := c.run(); !c.want(err) {
+				t.Fatalf("GOMAXPROCS=%d, %s: err = %v", procs, c.name, err)
+			}
+			if n := out.Load(); n != 0 {
+				t.Errorf("GOMAXPROCS=%d, %s: %d windows out of the pool", procs, c.name, n)
+			}
+			if n := started.Load(); (n > 0) != (procs > 1 && c.many) {
+				t.Errorf("GOMAXPROCS=%d, %s: %d helpers started", procs, c.name, n)
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("GOMAXPROCS=%d, %s: %d goroutines, %d before", procs, c.name, runtime.NumGoroutine(), baseline)
+				}
+			}
+		}
 	}
 }
 
@@ -381,39 +542,19 @@ func (d *discardResponse) Header() http.Header         { return d.header }
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
-// strconvFloat is the float writer the response path used before
-// atof.AppendJSON: strconv's shortest digits in encoding/json's layout.
-func strconvFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
 // BenchmarkEncodeSolve writes the solve response for the same vector — the
-// encode stage of an HTTP solve, in ns per float — with the response path's
-// writer and with the strconv one it replaced.
+// encode stage of an HTTP solve, in ns per float. Run at -cpu 1,2 it times
+// the serial writer and the segment pipeline in one binary.
 func BenchmarkEncodeSolve(b *testing.B) {
 	out := outcome{y: benchVector(), lanes: 1, iterations: 300, converged: true, residual: 3.25e-11}
 	w := &discardResponse{header: http.Header{}}
-	for _, c := range []struct {
-		name        string
-		appendFloat func([]byte, float64) []byte
-	}{{"writer", atof.AppendJSON}, {"strconv", strconvFloat}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := writeVector(w, opSolve, out, c.appendFloat); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("writer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := writeVectorResponse(w, opSolve, out); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out.y)), "ns/float")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out.y)), "ns/float")
+	})
 }

@@ -71,8 +71,9 @@ hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 
 # The ratchet on hand-written non-test lines: lowered when a change removes
 # lines, raised only by a reviewed exception (internal/atof's reader, +150;
-# its writer, atof.AppendJSON, +145).
-limit=18223
+# its writer, atof.AppendJSON, +145; the wire codec's block pipeline in
+# internal/serve/wire.go and the serve command's header timeout, +148 together).
+limit=18371
 
 lines=$(cat $hand | wc -l)
 genlines=$(( $(sources | xargs cat | wc -l) - lines ))
