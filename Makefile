@@ -43,8 +43,10 @@ vet:
 
 # Quick benchmark smoke: the execution-engine microbenchmarks (the pool's
 # hand-off, a two-phase list, a bare barrier round) plus the host SpM×V per
-# reduction method, the CG iteration (fused, unfused, Jacobi: ns/iter and
-# allocs), the CG vector operations in MB/s (scalar and at every block width),
+# reduction method, every multiply cell and reduction of internal/core run
+# serially on the four workload matrices (ns per stored non-zero, and the
+# reduction phase alone in µs per operation), the CG iteration (fused,
+# unfused, Jacobi: ns/iter and allocs), the CG vector operations in MB/s (scalar and at every block width),
 # the two CSX decode kernels in ns per stored element with the unit mix each
 # ran over, the two CSX encoders in ns per element and allocs per build, and
 # the two doors: a solve body's decode and its response's encode (ns per
@@ -56,6 +58,7 @@ vet:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGIteration' -benchtime 50x .
+	$(GO) test -run xxx -bench BenchmarkLowerRowBodies -benchtime 50x -cpu 1 ./internal/core
 	$(GO) test -run xxx -bench BenchmarkVecOps -benchtime 500x ./internal/vec
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx

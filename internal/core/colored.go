@@ -19,58 +19,66 @@ import (
 // its rows. Seeding y[r] = d_r·x_r up front turns every later write into a
 // plain accumulation.
 
-// assembleColored assembles the init → color₀ → … → colorₖ₋₁ phase list as
-// closures over k.curX/k.curY (see Kernel.assemble); with dot non-nil a
-// final phase leaves the xᵀy partials in dot[tid*DotStride], computed over
-// the same uniform chunks as vec.Dot so the combined sum is bitwise
-// identical to a dot of the finished output. Every phase is compute work —
-// zero reduction by construction, which sampling makes directly observable —
-// and every color has its own span name, so the perfetto view shows the
-// schedule's full phase structure.
-func (k *Kernel) assembleColored(dot []float64) []parallel.Phase {
-	name := k.Method.String()
+// assembleColored assembles the nv-lane init → color₀ → … → colorₖ₋₁ phase
+// list as closures over k.curX/k.curY (see Kernel.assemble); with dot
+// non-nil (nv = 1) a final phase leaves the xᵀy partials in
+// dot[tid*DotStride], computed over the same uniform chunks as vec.Dot so the
+// combined sum is bitwise identical to a dot of the finished output. Every
+// phase is compute work — zero reduction by construction, at any width,
+// which sampling makes directly observable — and every color has its own
+// span name, so the perfetto view shows the schedule's full phase structure.
+func (k *Kernel) assembleColored(name string, dot []float64, nv int) []parallel.Phase {
 	phases := make([]parallel.Phase, 0, k.sched.NumColors+2)
 	phases = append(phases, parallel.ComputePhase(name+"/init",
-		func(tid int) { k.diagInitT(tid, k.curX, k.curY) }))
+		func(tid int) { k.diagInitT(tid, nv) }))
 	for c := 0; c < k.sched.NumColors; c++ {
 		assign := k.sched.Assign[c]
-		ph := func(tid int) { k.colorBlocksT(assign[tid], k.curX, k.curY) }
-		if k.S.Kind != Sym {
+		var ph func(tid int)
+		switch {
+		case nv > 1:
+			cell := laneCell(nv, k.colorBlocksMat2T, k.colorBlocksMat4T, k.colorBlocksMat8T, k.colorBlocksMatT)
+			ph = func(tid int) { cell(assign[tid]) }
+		case k.S.Kind != Sym:
 			ph = func(tid int) { k.colorBlocksKindT(assign[tid], k.curX, k.curY) }
+		default:
+			ph = func(tid int) { k.colorBlocksT(assign[tid], k.curX, k.curY) }
 		}
 		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c), ph))
 	}
 	if dot != nil {
 		phases = append(phases, parallel.ComputePhase(name+"/dot",
-			func(tid int) { dot[tid*DotStride] = k.dotChunkColoredT(tid, k.curX, k.curY) }))
+			func(tid int) { dot[tid*DotStride] = dotChunkT(k.initPart, tid, k.curX, k.curY) }))
 	}
 	return phases
 }
 
-// diagInitT seeds thread tid's uniform row chunk with the diagonal
-// contribution, overwriting whatever the previous operation left in y. A
-// Skew matrix has no DValues array at all — its diagonal is identically
-// zero — so the init writes plain zeros instead of reading through nil.
-func (k *Kernel) diagInitT(tid int, x, y []float64) {
-	s := k.S
-	if s.DValues == nil {
-		for r := k.initPart.Start[tid]; r < k.initPart.End[tid]; r++ {
-			y[r] = 0
+// diagInitT seeds thread tid's uniform row chunk of the nv-lane output with
+// the diagonal contribution, overwriting whatever the previous operation left
+// in y. A Skew matrix has no DValues array at all — its diagonal is
+// identically zero — so the init writes plain zeros instead of reading
+// through nil. The chunk's slices are cut once, so the single-lane loop runs
+// unchecked.
+func (k *Kernel) diagInitT(tid, nv int) {
+	lo, hi := int(k.initPart.Start[tid]), int(k.initPart.End[tid])
+	y := k.curY[lo*nv : hi*nv]
+	if k.S.DValues == nil {
+		clear(y)
+		return
+	}
+	x, dv := k.curX[lo*nv:hi*nv], k.S.DValues[lo:hi]
+	if nv == 1 {
+		x, y = x[:len(dv)], y[:len(dv)]
+		for r, d := range dv {
+			y[r] = d * x[r]
 		}
 		return
 	}
-	for r := k.initPart.Start[tid]; r < k.initPart.End[tid]; r++ {
-		y[r] = s.DValues[r] * x[r]
+	for r, d := range dv {
+		xr, yr := x[r*nv:r*nv+nv], y[r*nv:r*nv+nv]
+		for v := range yr {
+			yr[v] = d * xr[v]
+		}
 	}
-}
-
-// dotChunkColoredT computes the xᵀy partial over thread tid's uniform chunk.
-func (k *Kernel) dotChunkColoredT(tid int, x, y []float64) float64 {
-	sum := 0.0
-	for r := k.initPart.Start[tid]; r < k.initPart.End[tid]; r++ {
-		sum += x[r] * y[r]
-	}
-	return sum
 }
 
 // Colors reports the number of color phases of the schedule; zero for
@@ -80,46 +88,4 @@ func (k *Kernel) Colors() int {
 		return 0
 	}
 	return k.sched.NumColors
-}
-
-// assembleColoredMat assembles the cached nv-wide SpMM phase list over the
-// same schedule: the colored method needs no wide local vectors at all,
-// each phase writes the interleaved output directly (multi-RHS costs zero
-// extra reduction). nv ∈ {2, 4, 8} run the template's register-blocked
-// direct-write cells (lowerrow_gen.go); other widths run its nv-wide cell.
-func (k *Kernel) assembleColoredMat(nv int) []parallel.Phase {
-	name := k.Method.String() + "-spmm"
-	phases := make([]parallel.Phase, 0, k.sched.NumColors+1)
-	phases = append(phases, parallel.ComputePhase(name+"/init",
-		func(tid int) { k.diagInitMatT(tid, nv) }))
-	for c := 0; c < k.sched.NumColors; c++ {
-		assign := k.sched.Assign[c]
-		var ph func(int)
-		switch nv {
-		case 2:
-			ph = func(tid int) { k.colorBlocksMat2T(assign[tid]) }
-		case 4:
-			ph = func(tid int) { k.colorBlocksMat4T(assign[tid]) }
-		case 8:
-			ph = func(tid int) { k.colorBlocksMat8T(assign[tid]) }
-		default:
-			ph = func(tid int) { k.colorBlocksMatT(assign[tid], nv) }
-		}
-		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c), ph))
-	}
-	return phases
-}
-
-// diagInitMatT seeds thread tid's uniform row chunk of the interleaved
-// output with the diagonal contribution.
-func (k *Kernel) diagInitMatT(tid, nv int) {
-	s := k.S
-	x, y := k.curX, k.curY
-	for r := k.initPart.Start[tid]; r < k.initPart.End[tid]; r++ {
-		d := s.DValues[r]
-		ri := int(r) * nv
-		for v := 0; v < nv; v++ {
-			y[ri+v] = d * x[ri+v]
-		}
-	}
 }

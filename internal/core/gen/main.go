@@ -44,7 +44,7 @@ type cell struct {
 	To    string // scatter target of the loop being emitted (set by Into)
 }
 
-// cells lists the 18 bodies under the names phases() and mulmat.go dispatch on.
+// cells lists the 18 bodies under the names Kernel.phases and assembleColored dispatch on.
 var cells = []cell{
 	{Name: "multiplyNaiveT", Write: "local", Lanes: 1},
 	{Name: "multiplyEffectiveT", Write: "split", Lanes: 1},
@@ -183,11 +183,7 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 	for _, b := range blocks {
 		lo, hi := int(part.Start[b]), int(part.End[b])
 	{{- else}}
-	{{- if .Scalar}}
-	local := k.LV.Vecs[tid]{{if .Local}}[:n]{{end}}
-	{{- else}}
-	local := k.wide.vecs[tid]
-	{{- end}}
+	local := k.LV.Vecs[tid]{{if and .Scalar .Local}}[:n]{{end}}
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	{{- end}}
 		{{- if and .Split .Scalar}}

@@ -78,24 +78,17 @@ type Kernel struct {
 	// apart, allocated on first use.
 	dotPart []float64
 
-	// wide holds the nv-wide local vectors of MulMat, sized lazily.
-	wide *wideLocals
-
 	// curX/curY are the operands of the operation in flight. The phase lists
-	// are assembled once (plain in NewKernel, dot on the first MulVecDot, mat
-	// on the first MulMat of a given nv) as closures that read these fields,
-	// so repeated operations reuse the same closures and the hot path
-	// allocates nothing. A Kernel has never supported concurrent operations —
-	// it owns per-thread local vectors — so a single operand slot is safe.
-	// Every phase carries the span name and kind the pool's sampler files its
-	// time under (parallel.Phase).
+	// are assembled once (plain in NewKernel, dot on the first MulVecDot,
+	// mat[nv] on the first MulMat at width nv) as closures that read these
+	// fields, so repeated operations — at any mix of widths — reuse the same
+	// closures and the hot path allocates nothing. A Kernel has never
+	// supported concurrent operations — it owns per-thread local vectors — so
+	// a single operand slot is safe. Every phase carries the span name and
+	// kind the pool's sampler files its time under (parallel.Phase).
 	curX, curY []float64
 	plain, dot *parallel.PhaseList
-
-	// SpMM state: the phase list of the most recent MulMat vector count.
-	// Switching nv reassembles; steady-state block solvers reuse it.
-	mat   *parallel.PhaseList
-	matNV int
+	mat        []*parallel.PhaseList
 
 	// sampleHook, when set, receives every sampled operation of the three
 	// lists (sample.go).
@@ -133,7 +126,7 @@ func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
 		}
 		k.LV = NewLocalVectors(s.N, part, method, touched)
 	}
-	k.plain = k.assemble(nil, OpSpMV)
+	k.plain = k.assemble(nil, OpSpMV, 1)
 	return k
 }
 
@@ -160,7 +153,7 @@ func (k *Kernel) MulVecDot(x, y []float64) float64 {
 	k.checkDims(x, y)
 	if k.dot == nil {
 		k.dotPart = make([]float64, k.p*DotStride)
-		k.dot = k.assemble(k.dotPart, OpSpMVDot)
+		k.dot = k.assemble(k.dotPart, OpSpMVDot, 1)
 	}
 	k.curX, k.curY = x, y
 	k.pool.RunPhaseList(k.dot)
@@ -179,38 +172,64 @@ func (k *Kernel) checkDims(x, y []float64) {
 	}
 }
 
-// assemble builds the SpM×V list for this kernel as closures over
-// k.curX/k.curY, the operand slots MulVec sets per call. The list is built
-// once and reused for every operation, which is what keeps the hot path
-// allocation-free. With dot non-nil the chain additionally leaves xᵀy partial
-// sums in dot[tid*DotStride].
-func (k *Kernel) assemble(dot []float64, op OpClass) *parallel.PhaseList {
-	return k.newList(k.phases(dot), phaseObs[k.Method], op, 1)
+// assemble builds the list of the operation (op, nv) for this kernel as
+// closures over k.curX/k.curY, the operand slots MulVec and MulMat set per
+// call. The list is built once and reused for every operation, which is what
+// keeps the hot path allocation-free. With dot non-nil the chain additionally
+// leaves xᵀy partial sums in dot[tid*DotStride].
+func (k *Kernel) assemble(dot []float64, op OpClass, nv int) *parallel.PhaseList {
+	mo := phaseObs[k.Method]
+	if op == OpSpMM {
+		mo = spmmObs[k.Method]
+	}
+	return k.newList(k.phases(dot, nv), mo, op, nv)
 }
 
-// phases labels the chain: multiply (compute) → reduce (reduction), with the
-// Indexed fused-dot variant's trailing sweep again compute.
-func (k *Kernel) phases(dot []float64) []parallel.Phase {
+// phases labels the nv-lane chain: multiply (compute) → reduce (reduction),
+// with the Indexed fused-dot variant's trailing sweep again compute; the
+// colored schedule's init → colours instead. The multiply is the template
+// cell for the method, the symmetry class and the lane width.
+func (k *Kernel) phases(dot []float64, nv int) []parallel.Phase {
 	name := k.Method.String()
-	var mult func(tid int)
-	switch k.Method {
-	case Naive:
-		mult = func(tid int) { k.multiplyNaiveT(tid, k.curX) }
-		if k.S.Kind != Sym {
-			mult = func(tid int) { k.multiplyNaiveKindT(tid, k.curX) }
-		}
-	case EffectiveRanges, Indexed:
-		mult = func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
-		if k.S.Kind != Sym {
-			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
-		}
-	case Colored:
-		return k.assembleColored(dot)
-	default:
-		panic("core: unknown reduction method " + name)
+	if nv > 1 {
+		name += "-spmm"
 	}
+	if k.Method == Colored {
+		return k.assembleColored(name, dot, nv)
+	}
+	naive, kind := k.Method == Naive, k.S.Kind != Sym
+	var mult func(tid int)
+	switch {
+	case nv == 1 && naive && kind:
+		mult = func(tid int) { k.multiplyNaiveKindT(tid, k.curX) }
+	case nv == 1 && naive:
+		mult = func(tid int) { k.multiplyNaiveT(tid, k.curX) }
+	case nv == 1 && kind:
+		mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
+	case nv == 1:
+		mult = func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
+	case naive:
+		mult = laneCell(nv, k.mulMatNaive2T, k.mulMatNaive4T, k.mulMatNaive8T, k.mulMatNaiveT)
+	default:
+		mult = laneCell(nv, k.mulMatEffective2T, k.mulMatEffective4T, k.mulMatEffective8T, k.mulMatEffectiveT)
+	}
+	k.LV.Lanes(nv)
 	return append([]parallel.Phase{parallel.ComputePhase(name+"/multiply", mult)},
-		k.LV.ReducePhases(name, &k.curX, &k.curY, dot)...)
+		k.LV.ReducePhases(name, &k.curX, &k.curY, dot, nv)...)
+}
+
+// laneCell picks the SpMM cell of lane width nv: the template's
+// register-blocked cell for nv ∈ {2, 4, 8}, its any-width cell otherwise.
+func laneCell[R any](nv int, w2, w4, w8 func(R), anyNV func(R, int)) func(R) {
+	switch nv {
+	case 2:
+		return w2
+	case 4:
+		return w4
+	case 8:
+		return w8
+	}
+	return func(rows R) { anyNV(rows, nv) }
 }
 
 // IndexLen reports the number of conflict-index entries; zero for

@@ -94,7 +94,7 @@ func TestLocalVectorsIndexedReduceExact(t *testing.T) {
 	y := []float64{1, 1, 1, 1, 0, 0, 0, 0}
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	pool.RunPhaseList(&parallel.PhaseList{Phases: lv.ReducePhases("test", nil, &y, nil)})
+	pool.RunPhaseList(&parallel.PhaseList{Phases: lv.ReducePhases("test", nil, &y, nil, 1)})
 	want := []float64{1, 11, 1, 21, 0, 0, 0, 0}
 	for i := range want {
 		if y[i] != want[i] {

@@ -6,8 +6,8 @@ package core
 // three symmetry classes and every SpMM lane width — are one loop over a
 // lower row, instantiated 18 times by gen/main.go into lowerrow_gen.go (the
 // holes and the loop's shape are described there and in DESIGN.md §17).
-// What stays hand-written is what is not that loop: the reductions
-// (localvec.go, mulmat.go) and the diagonal-init and dot sweeps (colored.go).
+// What stays hand-written is what is not that loop: the reductions and dot
+// sweep (localvec.go) and the colored diagonal-init (colored.go).
 
 // rowPtrOverrun is what a generated body panics with when a row's end pointer
 // lies past the column array — the check that lets the inner loops index

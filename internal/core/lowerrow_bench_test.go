@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -65,14 +66,16 @@ func workloadAnalogs(tb testing.TB) (names []string, mats []*SSS) {
 }
 
 // BenchmarkLowerRowBodies times every multiply cell of the lower-row template
-// (lowerrow_gen.go) on the four workload matrices, reporting nanoseconds per
-// stored non-zero. A cell runs inside its operation's phase list — multiply,
-// then the reduction that re-zeroes the local vectors it wrote — and the list
-// runs serially over all thread ids on the benchmark's goroutine: no pool, so
-// no hand-off or barrier noise, and the same work whatever the host's core
-// count. The partition is the benchmark's (two threads). Kind cells run on a
-// structural copy of the matrix (UVal = Val), lane cells at nv = 2, 4, 8 and,
-// for the generic body, 3.
+// (lowerrow_gen.go) and every reduction on the four workload matrices,
+// reporting nanoseconds per stored non-zero for the whole list and, apart,
+// microseconds per operation in its reduction phase. A cell runs inside its
+// operation's phase list — multiply, then the reduction that re-zeroes the
+// local vectors it wrote — and the list runs serially over all thread ids on
+// the benchmark's goroutine: no pool, so no hand-off or barrier noise, and the
+// same work whatever the host's core count. The partition is the benchmark's
+// (two threads). Kind cells run on a structural copy of the matrix
+// (UVal = Val), lane cells at nv = 2, 4, 8 and, for the generic body, 3, and
+// the -dot rows are MulVecDot's list, whose reduction carries the fused dot.
 func BenchmarkLowerRowBodies(b *testing.B) {
 	const p = 2
 	pool := parallel.NewPool(p)
@@ -81,7 +84,7 @@ func BenchmarkLowerRowBodies(b *testing.B) {
 	for i, s := range mats {
 		structural := *s
 		structural.Kind, structural.UVal = Structural, append([]float64(nil), s.Val...)
-		for _, method := range []ReductionMethod{Naive, Indexed, Colored} {
+		for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 			for _, kind := range []*SSS{s, &structural} {
 				k := NewKernel(kind, method, pool)
 				label := fmt.Sprintf("%s/%s", names[i], method)
@@ -92,6 +95,8 @@ func BenchmarkLowerRowBodies(b *testing.B) {
 				if kind.Kind != Sym {
 					continue
 				}
+				k.MulVecDot(make([]float64, k.S.N), make([]float64, k.S.N)) // assembles k.dot
+				runSerially(b, label+"-dot", k, k.dot, 1)
 				for _, nv := range []int{2, 3, 4, 8} {
 					runSerially(b, fmt.Sprintf("%s-nv%d", label, nv), k, k.matList(nv), nv)
 				}
@@ -111,13 +116,21 @@ func runSerially(b *testing.B, name string, k *Kernel, list *parallel.PhaseList,
 	b.Run(name, func(b *testing.B) {
 		k.curX, k.curY = x, y
 		defer func() { k.curX, k.curY = nil, nil }()
+		var reduce time.Duration
 		for i := 0; i < b.N; i++ {
 			for _, ph := range list.Phases {
+				start := time.Now()
 				for tid := 0; tid < k.p; tid++ {
 					ph.Fn(tid)
+				}
+				if ph.Kind == parallel.PhaseReduction {
+					reduce += time.Since(start)
 				}
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.S.NNZLower()), "ns/nnz")
+		if reduce > 0 {
+			b.ReportMetric(float64(reduce.Nanoseconds())/1e3/float64(b.N), "reduce-us/op")
+		}
 	})
 }

@@ -236,7 +236,7 @@ func (k *Kernel) mulMatNaiveT(tid, nv int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
 	for r := lo; r < hi; r++ {
@@ -276,7 +276,7 @@ func (k *Kernel) mulMatNaive2T(tid int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
 	for r := lo; r < hi; r++ {
@@ -319,7 +319,7 @@ func (k *Kernel) mulMatNaive4T(tid int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
 	for r := lo; r < hi; r++ {
@@ -372,7 +372,7 @@ func (k *Kernel) mulMatNaive8T(tid int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
 	for r := lo; r < hi; r++ {
@@ -445,7 +445,7 @@ func (k *Kernel) mulMatEffectiveT(tid, nv int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	startT := lo
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
@@ -502,7 +502,7 @@ func (k *Kernel) mulMatEffective2T(tid int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	startT := lo
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
@@ -562,7 +562,7 @@ func (k *Kernel) mulMatEffective4T(tid int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	startT := lo
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
@@ -636,7 +636,7 @@ func (k *Kernel) mulMatEffective8T(tid int) {
 	colIdx := s.ColIdx
 	val := s.Val[:len(colIdx)]
 	dv := s.DValues[:n]
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	startT := lo
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins

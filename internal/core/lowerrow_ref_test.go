@@ -138,7 +138,7 @@ func refColorBlocksKind(k *Kernel, blocks []int32, x, y []float64) {
 func refMulMatNaive(k *Kernel, tid, nv int) {
 	s := k.S
 	x := k.curX
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
 		ri := int(r) * nv
 		d := s.DValues[r]
@@ -159,7 +159,7 @@ func refMulMatNaive(k *Kernel, tid, nv int) {
 func refMulMatEffective(k *Kernel, tid, nv int) {
 	s := k.S
 	x, y := k.curX, k.curY
-	local := k.wide.vecs[tid]
+	local := k.LV.Vecs[tid]
 	startT := int(k.Part.Start[tid])
 	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
 		ri := int(r) * nv
@@ -441,7 +441,7 @@ func kernelOver(s *SSS, method ReductionMethod, pool *parallel.Pool, part *parti
 		touched = TouchedColumns(s, part, pool)
 	}
 	k.LV = NewLocalVectors(s.N, part, method, touched)
-	k.plain = k.assemble(nil, OpSpMV)
+	k.plain = k.assemble(nil, OpSpMV, 1)
 	return k
 }
 

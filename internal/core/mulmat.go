@@ -14,16 +14,18 @@ import (
 // index is reused unchanged (one entry covers nv lanes).
 //
 // The parallel path is a first-class kernel, not a per-call dispatch: the
-// multiply→reduce chain is assembled once per vector count as a labelled
-// phase list over the kernel's operand slots and handed to the pool, exactly
-// like MulVec — one coordinator handoff, zero allocation in steady state. For
-// nv ∈ {2, 4, 8} the multiply runs the lower-row template's lane-width 2, 4
-// and 8 cells (lowerrow_gen.go): fully unrolled lanes with scalar accumulators
-// over fixed-width windows (x[ci:ci+4:ci+4]), so the lane values stay in
-// registers; per lane they perform the same additions in the same order as
-// the scalar cell, so each output column is bitwise identical to a MulVec of
-// the corresponding input column. Only the multiply is specialized: the
-// reductions are streaming passes and stay generic.
+// chain is assembled once per vector count by the same assembler as MulVec's
+// (Kernel.phases, with nv a parameter) and handed to the pool — one
+// coordinator handoff, zero allocation in steady state, whatever mix of widths
+// runs. For nv ∈ {2, 4, 8} the multiply runs the lower-row template's lane-
+// width 2, 4 and 8 cells (lowerrow_gen.go): fully unrolled lanes with scalar
+// accumulators over fixed-width windows (x[ci:ci+4:ci+4]), so the lane values
+// stay in registers; other widths run its any-width cell. The local vectors
+// are the kernel's one store (LocalVectors.Lanes), and the reduction is
+// LocalVectors' own with the lane count as a parameter. Per lane, multiply
+// and reduction perform the same additions in the same order as MulVec, so
+// each output column is bitwise identical to a MulVec of the corresponding
+// input column.
 
 // MulMat computes Y = A·X serially for nv interleaved vectors. Only
 // Kind=Sym matrices are supported: the SpMM bodies are specialized to the
@@ -93,156 +95,14 @@ func (k *Kernel) checkMat(x, y []float64, nv int) error {
 	return nil
 }
 
-// matList returns the cached SpMM list for vector count nv — multiply→reduce
-// for the local-vector methods, init→colors for the colored schedule —
-// rebuilding it only when nv changes.
+// matList returns the SpMM list for vector count nv, assembling it the first
+// time that width runs; every width keeps its own list.
 func (k *Kernel) matList(nv int) *parallel.PhaseList {
-	if k.mat != nil && k.matNV == nv {
-		return k.mat
+	if nv >= len(k.mat) {
+		k.mat = append(k.mat, make([]*parallel.PhaseList, nv+1-len(k.mat))...)
 	}
-	var phases []parallel.Phase
-	if k.Method == Colored {
-		phases = k.assembleColoredMat(nv)
-	} else {
-		k.ensureWideLocals(nv)
-		var mult, red func(int)
-		switch k.Method {
-		case Naive:
-			mult = k.matMultNaive(nv)
-			red = func(tid int) { k.reduceMatNaiveT(tid, nv) }
-		case Indexed:
-			mult = k.matMultEffective(nv)
-			red = func(tid int) { k.reduceMatIndexedT(tid, nv) }
-		default: // EffectiveRanges
-			mult = k.matMultEffective(nv)
-			red = func(tid int) { k.reduceMatEffectiveT(tid, nv) }
-		}
-		name := k.Method.String() + "-spmm"
-		phases = []parallel.Phase{
-			parallel.ComputePhase(name+"/multiply", mult),
-			parallel.ReductionPhase(name+"/reduce", red),
-		}
+	if k.mat[nv] == nil {
+		k.mat[nv] = k.assemble(nil, OpSpMM, nv)
 	}
-	k.mat, k.matNV = k.newList(phases, spmmObs[k.Method], OpSpMM, nv), nv
-	return k.mat
-}
-
-// matMultNaive picks the naive multiply body: register-blocked for
-// nv ∈ {2, 4, 8}, generic otherwise.
-func (k *Kernel) matMultNaive(nv int) func(int) {
-	switch nv {
-	case 2:
-		return k.mulMatNaive2T
-	case 4:
-		return k.mulMatNaive4T
-	case 8:
-		return k.mulMatNaive8T
-	default:
-		return func(tid int) { k.mulMatNaiveT(tid, nv) }
-	}
-}
-
-// matMultEffective picks the effective-ranges multiply body (shared by the
-// Indexed method).
-func (k *Kernel) matMultEffective(nv int) func(int) {
-	switch nv {
-	case 2:
-		return k.mulMatEffective2T
-	case 4:
-		return k.mulMatEffective4T
-	case 8:
-		return k.mulMatEffective8T
-	default:
-		return func(tid int) { k.mulMatEffectiveT(tid, nv) }
-	}
-}
-
-// wideLocals holds the nv-wide local vectors, sized lazily per kernel.
-type wideLocals struct {
-	nv   int
-	vecs [][]float64
-}
-
-func (k *Kernel) ensureWideLocals(nv int) {
-	if k.wide != nil && k.wide.nv == nv {
-		return
-	}
-	w := &wideLocals{nv: nv, vecs: make([][]float64, k.p)}
-	for t := 0; t < k.p; t++ {
-		switch k.Method {
-		case Naive:
-			w.vecs[t] = make([]float64, k.S.N*nv)
-		default:
-			w.vecs[t] = make([]float64, int(k.Part.Start[t])*nv)
-		}
-	}
-	k.wide = w
-}
-
-// reduceMatNaiveT folds the p full-length wide locals into y over thread
-// tid's uniform row chunk, re-zeroing the locals in the same pass; per lane
-// the summation order matches reduceNaiveT exactly.
-func (k *Kernel) reduceMatNaiveT(tid, nv int) {
-	y := k.curY
-	lo, hi := k.LV.redPart.Start[tid], k.LV.redPart.End[tid]
-	for r := lo; r < hi; r++ {
-		ri := int(r) * nv
-		for v := 0; v < nv; v++ {
-			sum := 0.0
-			for t := 0; t < k.p; t++ {
-				sum += k.wide.vecs[t][ri+v]
-				k.wide.vecs[t][ri+v] = 0
-			}
-			y[ri+v] = sum
-		}
-	}
-}
-
-// reduceMatEffectiveT folds the wide effective regions into y with the same
-// owner-cursor walk (and per-lane summation order) as reduceEffectiveT.
-func (k *Kernel) reduceMatEffectiveT(tid, nv int) {
-	y := k.curY
-	lv := k.LV
-	lo, hi := lv.redPart.Start[tid], lv.redPart.End[tid]
-	if lo >= hi {
-		return
-	}
-	own := lv.Part.Owner(lo)
-	for r := lo; r < hi; r++ {
-		for r >= lv.Part.End[own] {
-			own++
-		}
-		ri := int(r) * nv
-		for t := own + 1; t < k.p; t++ {
-			local := k.wide.vecs[t]
-			if len(local) <= ri {
-				continue
-			}
-			for v := 0; v < nv; v++ {
-				y[ri+v] += local[ri+v]
-				local[ri+v] = 0
-			}
-		}
-	}
-}
-
-// reduceMatIndexedT walks worker tid's slice of the reduction-ordered
-// conflict index — one entry covers nv lanes — streaming each wide local
-// sequentially like reduceIndexedT.
-func (k *Kernel) reduceMatIndexedT(tid, nv int) {
-	y := k.curY
-	entries := k.LV.redEntries[k.LV.redSplit[tid]:k.LV.redSplit[tid+1]]
-	for e := 0; e < len(entries); {
-		vid := entries[e].Vid
-		local := k.wide.vecs[vid]
-		for ; e < len(entries) && entries[e].Vid == vid; e++ {
-			base := int(entries[e].Idx) * nv
-			yb := y[base : base+nv : base+nv]
-			lb := local[base : base+nv : base+nv]
-			for v := range yb {
-				yb[v] += lb[v]
-				lb[v] = 0
-			}
-		}
-	}
+	return k.mat[nv]
 }

@@ -83,42 +83,75 @@ func TestKernelMulMatMatchesReference(t *testing.T) {
 	}
 }
 
+// widthSweep is the order in which the width tests below switch one kernel
+// between lane counts: up to the widest, back down, through the any-width
+// cell, and back to a single vector.
+var widthSweep = []int{1, 8, 2, 4, 3, 1}
+
+// mulAt runs one product of width nv on k (MulVec at nv = 1).
+func mulAt(t *testing.T, k *Kernel, x, y []float64, nv int) {
+	t.Helper()
+	if err := k.MulMat(x, y, nv); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One kernel switched between widths shares one local-vector store: every
+// product must be bitwise what a fresh kernel gives at that width, so no
+// width may leave anything behind for the next.
 func TestKernelMulMatInterleavesWithMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
-	m := randomSymmetric(t, rng, 200, 3)
+	const n = 200
+	m := randomSymmetric(t, rng, n, 3)
 	s, err := FromCOO(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	k := NewKernel(s, Indexed, pool)
-	x1 := make([]float64, 200)
-	for i := range x1 {
-		x1[i] = rng.NormFloat64()
+	for _, p := range []int{2, 5} {
+		pool := parallel.NewPool(p)
+		for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
+			k := NewKernel(s, method, pool)
+			for step, nv := range widthSweep {
+				x := randomVector(rng, n*nv)
+				got, want := make([]float64, n*nv), make([]float64, n*nv)
+				mulAt(t, k, x, got, nv)
+				mulAt(t, NewKernel(s, method, pool), x, want, nv)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("p=%d %v step %d (nv=%d): [%d] = %v, a fresh kernel gives %v",
+						p, method, step, nv, i, got[i], want[i])
+				}
+			}
+		}
+		pool.Close()
 	}
-	want1 := make([]float64, 200)
-	m.MulVec(x1, want1)
+}
 
-	// Alternate single- and multi-vector calls on the same kernel; the
-	// shared and wide local state must never leak between them.
-	x3 := make([]float64, 200*3)
-	for i := range x3 {
-		x3[i] = rng.NormFloat64()
+// Once every width has run, switching between them allocates nothing: the
+// local-vector store only grows, and each width keeps its phase list.
+func TestMulMatWidthSwitchZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(504))
+	const n = 300
+	m := randomSymmetric(t, rng, n, 4)
+	s, err := FromCOO(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want3 := refMulMat(s, x3, 3)
-	for rep := 0; rep < 3; rep++ {
-		got1 := make([]float64, 200)
-		k.MulVec(x1, got1)
-		if d := maxRelDiff(want1, got1); d > 1e-12 {
-			t.Fatalf("rep %d: MulVec differs by %g", rep, d)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	widths := []int{1, 2, 4, 8, 3}
+	x, y := randomVector(rng, n*8), make([]float64, n*8)
+	for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
+		k := NewKernel(s, method, pool)
+		pass := func() {
+			for _, nv := range widths {
+				if err := k.MulMat(x[:n*nv], y[:n*nv], nv); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		got3 := make([]float64, 200*3)
-		if err := k.MulMat(x3, got3, 3); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxRelDiff(want3, got3); d > 1e-12 {
-			t.Fatalf("rep %d: MulMat differs by %g", rep, d)
+		pass()
+		if a := testing.AllocsPerRun(10, pass); a != 0 {
+			t.Errorf("%v: a pass through widths %v allocates %v times, want 0", method, widths, a)
 		}
 	}
 }

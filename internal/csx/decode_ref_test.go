@@ -297,7 +297,7 @@ func refSymProduct(sm *SymMatrix, x, y []float64, wantDot bool) float64 {
 	if wantDot {
 		dot = make([]float64, len(sm.Blobs)*core.DotStride)
 	}
-	for _, ph := range sm.LV.ReducePhases("ref", &x, &y, dot) {
+	for _, ph := range sm.LV.ReducePhases("ref", &x, &y, dot, 1) {
 		for tid := range sm.Blobs {
 			ph.Fn(tid)
 		}

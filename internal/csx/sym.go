@@ -115,9 +115,9 @@ func (sm *SymMatrix) assemble() {
 	mult := parallel.ComputePhase("csx-sym/multiply", func(tid int) { sm.multiplyT(tid, sm.curX, sm.curY) })
 	sm.dot = make([]float64, len(sm.Blobs)*core.DotStride)
 	sm.plain = parallel.PhaseList{Metrics: symMetrics,
-		Phases: append([]parallel.Phase{mult}, sm.LV.ReducePhases("csx-sym", &sm.curX, &sm.curY, nil)...)}
+		Phases: append([]parallel.Phase{mult}, sm.LV.ReducePhases("csx-sym", &sm.curX, &sm.curY, nil, 1)...)}
 	sm.fused = parallel.PhaseList{Metrics: symMetrics,
-		Phases: append([]parallel.Phase{mult}, sm.LV.ReducePhases("csx-sym", &sm.curX, &sm.curY, sm.dot)...)}
+		Phases: append([]parallel.Phase{mult}, sm.LV.ReducePhases("csx-sym", &sm.curX, &sm.curY, sm.dot, 1)...)}
 }
 
 // MulVec computes y = A·x on pool: the CSX-Sym multiplication phase (dual
