@@ -51,8 +51,10 @@ vet:
 # ran over, the two CSX encoders in ns per element and allocs per build, and
 # the two doors: a solve body's decode and its response's encode (ns per
 # float, allocs; at one processor and at two, so that one binary times the
-# serial codec and its block pipeline) and the Matrix Market reader in MB/s;
-# then the sort every permutation goes through (Normalize: sorted, permuted and column-major
+# serial codec and its block pipeline), the SSS-indexed kernel's set-up (the
+# conflict index) on the scattered and banded analogs at p = 2 and 4, and the
+# Matrix Market reader in MB/s at one processor and at two (its banded file
+# carries 17-digit values, its stencil file short ones); then the sort every permutation goes through (Normalize: sorted, permuted and column-major
 # input, and a block band as ToGeneral lays it out and permuted) and RCM
 # alone and with the Permute that applies it.
 bench:
@@ -63,7 +65,9 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx
 	$(GO) test -run xxx -bench 'BenchmarkDecodeSolve|BenchmarkEncodeSolve' -benchtime 20x -cpu 1,2 ./internal/serve
-	$(GO) test -run xxx -bench 'BenchmarkReadMatrixMarket|BenchmarkNormalize' -benchtime 5x ./internal/matrix
+	$(GO) test -run xxx -bench BenchmarkKernelBuild -benchtime 20x ./internal/core
+	$(GO) test -run xxx -bench BenchmarkReadMatrixMarket -benchtime 5x -cpu 1,2 ./internal/matrix
+	$(GO) test -run xxx -bench BenchmarkNormalize -benchtime 5x ./internal/matrix
 	$(GO) test -run xxx -bench BenchmarkRCM -benchtime 5x ./internal/reorder
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -10,32 +10,41 @@ import (
 // TouchedColumns runs the symbolic analysis of the Indexed method for an SSS
 // matrix: per thread, the distinct columns below the partition start that
 // the thread's rows reference — exactly the local-vector elements the
-// multiplication phase will write. Results are ascending and deduplicated.
+// multiplication phase will write — marked in a bitset in one pass and read
+// back ascending.
 func TouchedColumns(s *SSS, part *partition.RowPartition, pool *parallel.Pool) [][]int32 {
-	p := part.P()
-	perThread := make([][]int32, p)
+	perThread := make([][]int32, part.P())
 	pool.Run(func(tid int) {
-		startT := part.Start[tid]
-		if startT == 0 {
+		if part.Start[tid] == 0 {
 			return // no effective region
 		}
-		var touched []int32
-		for r := part.Start[tid]; r < part.End[tid]; r++ {
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				if c := s.ColIdx[j]; c < startT {
-					touched = append(touched, c)
-				}
+		seen := make([]uint64, (part.Start[tid]+63)/64)
+		cols := make([]int32, 0, markBelow(seen, s, part, tid))
+		for w, word := range seen {
+			for ; word != 0; word &= word - 1 {
+				cols = append(cols, int32(w<<6|bits.TrailingZeros64(word)))
 			}
 		}
-		perThread[tid] = sortDedup(touched)
+		perThread[tid] = cols
 	})
 	return perThread
 }
 
-// sortDedup sorts ascending and removes duplicates in place.
-func sortDedup(v []int32) []int32 {
-	slices.Sort(v)
-	return slices.Compact(v)
+// markBelow sets in seen, a clear bitset over [0, part.Start[tid]), the bit
+// of every column below that start which thread tid's rows reference, and
+// returns how many bits are set.
+func markBelow(seen []uint64, s *SSS, part *partition.RowPartition, tid int) int {
+	startT := part.Start[tid]
+	for _, c := range s.ColIdx[s.RowPtr[startT]:s.RowPtr[part.End[tid]]] {
+		if c < startT {
+			seen[c>>6] |= 1 << (c & 63)
+		}
+	}
+	n := 0
+	for _, word := range seen {
+		n += bits.OnesCount64(word)
+	}
+	return n
 }
 
 // splitIndex computes p+1 boundaries into a sorted index so that slices are
@@ -62,28 +71,24 @@ func splitIndex(index []IndexEntry, p int) []int32 {
 
 // ConflictIndexDensity computes the effective-region density for an SSS
 // matrix at an arbitrary thread count p without materializing local vectors:
-// it is the symbolic analysis alone, used by the Fig. 4 sweep up to p = 256.
+// it is the symbolic analysis alone — TouchedColumns' bitset pass, counted
+// instead of read back — used by the tuner's model and the Fig. 4 sweep up
+// to p = 256.
 func ConflictIndexDensity(s *SSS, p int) (entries int64, regionSize int64, density float64) {
 	part := partition.ByNNZ(s.RowPtr, p)
-	touchedTotal := int64(0)
+	buf := make([]uint64, (part.Start[p-1]+63)/64) // starts ascend: room for every thread's
 	for t := 0; t < p; t++ {
 		startT := part.Start[t]
 		if startT == 0 {
 			continue
 		}
-		seen := make(map[int32]struct{})
-		for r := part.Start[t]; r < part.End[t]; r++ {
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				if c := s.ColIdx[j]; c < startT {
-					seen[c] = struct{}{}
-				}
-			}
-		}
-		touchedTotal += int64(len(seen))
+		seen := buf[:(startT+63)/64]
+		clear(seen)
+		entries += int64(markBelow(seen, s, part, t))
 		regionSize += int64(startT)
 	}
 	if regionSize == 0 {
 		return 0, 0, 0
 	}
-	return touchedTotal, regionSize, float64(touchedTotal) / float64(regionSize)
+	return entries, regionSize, float64(entries) / float64(regionSize)
 }

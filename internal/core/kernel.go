@@ -248,11 +248,3 @@ func (k *Kernel) EffectiveRegionSize() int64 {
 	}
 	return k.LV.EffectiveRegionSize()
 }
-
-// EffectiveDensity reports the density d of the effective regions (Fig. 4).
-func (k *Kernel) EffectiveDensity() float64 {
-	if k.LV == nil {
-		return 0
-	}
-	return k.LV.EffectiveDensity()
-}

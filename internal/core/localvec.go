@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/parallel"
 	"repro/internal/partition"
 )
@@ -56,8 +54,8 @@ type LocalVectors struct {
 
 // NewLocalVectors allocates single-lane local vectors for partition part
 // under method. For the Indexed method, touched[t] must list the distinct
-// columns c < part.Start[t] that thread t's multiply phase writes, in
-// ascending order; it is ignored otherwise (may be nil).
+// columns c < part.Start[t] that thread t's multiply phase writes, in any
+// order; it is ignored otherwise (may be nil).
 func NewLocalVectors(n int, part *partition.RowPartition, method ReductionMethod, touched [][]int32) *LocalVectors {
 	p := part.P()
 	lv := &LocalVectors{
@@ -70,26 +68,34 @@ func NewLocalVectors(n int, part *partition.RowPartition, method ReductionMethod
 	}
 	lv.Lanes(1)
 	if method == Indexed {
-		total := 0
-		for _, cols := range touched {
-			total += len(cols)
-		}
-		lv.index = make([]IndexEntry, 0, total)
-		for t, cols := range touched {
-			for _, c := range cols {
-				lv.index = append(lv.index, IndexEntry{Vid: int32(t), Idx: c})
-			}
-		}
-		sort.Slice(lv.index, func(a, b int) bool {
-			if lv.index[a].Idx != lv.index[b].Idx {
-				return lv.index[a].Idx < lv.index[b].Idx
-			}
-			return lv.index[a].Vid < lv.index[b].Vid
-		})
+		lv.index = conflictIndex(touched, int(part.Start[p-1]))
 		lv.redSplit = splitIndex(lv.index, p)
 		lv.redEntries = groupByVid(lv.index, lv.redSplit)
 	}
 	return lv
+}
+
+// conflictIndex sorts the (thread, column) pairs of touched, all columns
+// below bound, by (Idx, Vid) in one counting pass over Idx: the threads are
+// dealt in ascending order, so each Idx's entries land in ascending Vid.
+func conflictIndex(touched [][]int32, bound int) []IndexEntry {
+	at := make([]int32, bound+1) // counts, then where each Idx's next entry goes
+	for _, cols := range touched {
+		for _, c := range cols {
+			at[c+1]++
+		}
+	}
+	for c := range bound {
+		at[c+1] += at[c]
+	}
+	index := make([]IndexEntry, at[bound])
+	for t, cols := range touched {
+		for _, c := range cols {
+			index[at[c]] = IndexEntry{Vid: int32(t), Idx: c}
+			at[c]++
+		}
+	}
+	return index
 }
 
 // Lanes makes room in every local vector for nv interleaved lanes. The store
@@ -112,18 +118,25 @@ func (lv *LocalVectors) Lanes(nv int) {
 
 // groupByVid reorders each worker slice of the (Idx, Vid)-sorted index into
 // (Vid, Idx) order, producing per-worker per-Vid runs: the reduction then
-// reads every Vecs[Vid] as an ascending sequential stream.
+// reads every Vecs[Vid] as an ascending sequential stream. A stable counting
+// pass on Vid keeps each Vid's entries in ascending Idx.
 func groupByVid(index []IndexEntry, split []int32) []IndexEntry {
 	out := make([]IndexEntry, len(index))
-	copy(out, index)
+	at := make([]int32, len(split)) // Vids are the p workers
 	for w := 0; w+1 < len(split); w++ {
-		s := out[split[w]:split[w+1]]
-		sort.Slice(s, func(a, b int) bool {
-			if s[a].Vid != s[b].Vid {
-				return s[a].Vid < s[b].Vid
-			}
-			return s[a].Idx < s[b].Idx
-		})
+		s := index[split[w]:split[w+1]]
+		clear(at)
+		for _, e := range s {
+			at[e.Vid+1]++
+		}
+		at[0] = split[w]
+		for v := range len(split) - 1 {
+			at[v+1] += at[v]
+		}
+		for _, e := range s {
+			out[at[e.Vid]] = e
+			at[e.Vid]++
+		}
 	}
 	return out
 }
@@ -302,15 +315,4 @@ func (lv *LocalVectors) EffectiveRegionSize() int64 {
 		sum += int64(lv.Part.Start[t])
 	}
 	return sum
-}
-
-// EffectiveDensity reports the fraction of effective-region elements the
-// multiply phase actually writes (Fig. 4); zero when there are no effective
-// regions (p == 1) or the method is not Indexed.
-func (lv *LocalVectors) EffectiveDensity() float64 {
-	size := lv.EffectiveRegionSize()
-	if size == 0 {
-		return 0
-	}
-	return float64(len(lv.index)) / float64(size)
 }

@@ -10,22 +10,6 @@ import (
 	"repro/internal/partition"
 )
 
-func TestSortDedup(t *testing.T) {
-	got := sortDedup([]int32{5, 1, 5, 3, 1, 1, 9})
-	want := []int32{1, 3, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("sortDedup = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sortDedup = %v, want %v", got, want)
-		}
-	}
-	if out := sortDedup(nil); len(out) != 0 {
-		t.Fatalf("sortDedup(nil) = %v", out)
-	}
-}
-
 func TestSplitIndexProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -86,7 +70,7 @@ func TestLocalVectorsIndexedReduceExact(t *testing.T) {
 	if lv.IndexLen() != 2 {
 		t.Fatalf("IndexLen = %d", lv.IndexLen())
 	}
-	if d := lv.EffectiveDensity(); d != 0.5 {
+	if d := float64(lv.IndexLen()) / float64(lv.EffectiveRegionSize()); d != 0.5 {
 		t.Fatalf("density = %g, want 0.5 (2 of 4)", d)
 	}
 	lv.Vecs[1][1] = 10

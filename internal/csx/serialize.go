@@ -25,7 +25,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/partition"
@@ -347,7 +346,7 @@ func (sm *SymMatrix) validateAndRebuild() error {
 			for c := range seen {
 				cols = append(cols, c)
 			}
-			touched[t] = sortCols(cols)
+			touched[t] = cols
 		}
 	}
 	if total != sm.nnzLower {
@@ -355,11 +354,6 @@ func (sm *SymMatrix) validateAndRebuild() error {
 	}
 	sm.LV = core.NewLocalVectors(sm.N, sm.Part, sm.Method, touched)
 	return nil
-}
-
-func sortCols(v []int32) []int32 {
-	sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
-	return v
 }
 
 // WriteFile persists the matrix to path.

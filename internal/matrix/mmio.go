@@ -288,10 +288,11 @@ func (p *mmFormat) parse(b *mmBlock, firstLine, room int) {
 // entry checks the trimmed data line t and returns its 0-based coordinates
 // and its value, read in place.
 func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error) {
-	r1, c1, val, plain := mmSplit(t, !p.pattern)
+	r1, c1, v, plain := mmSplit(t, !p.pattern)
 	if !plain {
-		// Signed or long indices, white space beyond ASCII, a fault: split and
-		// convert as the line-oriented reader did. Rare, so it may allocate.
+		// Signed or long indices, a value outside JSON's number form, white
+		// space beyond ASCII, a fault: split and convert as the line-oriented
+		// reader did. Rare, so it may allocate.
 		f := bytes.Fields(t)
 		if len(f) < 2 || (len(f) < 3 && !p.pattern) {
 			return 0, 0, 0, fmt.Errorf("matrixmarket: line %d: short line %q", lineno, t)
@@ -303,14 +304,14 @@ func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error
 			return 0, 0, 0, fmt.Errorf("matrixmarket: line %d: bad indices in %q", lineno, t)
 		}
 		if !p.pattern {
-			val = f[2]
+			v, err = atof.Parse(f[2])
 		}
 	}
-	v = 1.0
-	if !p.pattern {
-		if v, err = atof.Parse(val); err != nil {
-			return 0, 0, 0, fmt.Errorf("matrixmarket: line %d: bad value in %q", lineno, t)
-		}
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("matrixmarket: line %d: bad value in %q", lineno, t)
+	}
+	if p.pattern {
+		v = 1.0
 	}
 	r0, c0 = r1-1, c1-1 // Matrix Market is 1-based
 	if r0 < 0 || r0 >= p.rows || c0 < 0 || c0 >= p.cols {
@@ -325,44 +326,39 @@ func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error
 }
 
 // mmSplit reads the plain form of a data line in one pass: two indices of one
-// to nine decimal digits and, if wantValue, a value token, separated by ASCII
-// white space — fields bytes.Fields and strconv.Atoi would read the same way.
-// plain=false means t is anything else.
-func mmSplit(t []byte, wantValue bool) (r1, c1 int, val []byte, plain bool) {
-	isSpace := func(c byte) bool { return c == ' ' || c-'\t' < 5 } // \t \n \v \f \r
-	var x [2]int
-	i := 0
-	for k := range x {
-		start := i
-		for i < len(t) && t[i]-'0' <= 9 {
-			x[k] = x[k]*10 + int(t[i]-'0')
-			i++
-		}
-		if d := i - start; d == 0 || d > 9 {
-			return
-		}
-		start = i
-		for i < len(t) && isSpace(t[i]) {
-			i++
-		}
-		if i == start && i < len(t) {
-			return // the digits run into something else
-		}
+// to nine decimal digits and, if wantValue, a value, separated by ASCII white
+// space — fields bytes.Fields and strconv.Atoi would read the same way. The
+// value is converted where it starts, by atof.JSON, and must be followed by
+// ASCII white space or the line's end. plain=false means t is anything else.
+func mmSplit(t []byte, wantValue bool) (r1, c1 int, v float64, plain bool) {
+	r1, i, ok := mmIndex(t, 0)
+	if !ok {
+		return
 	}
-	if wantValue {
-		start := i
-		for i < len(t) && !isSpace(t[i]) {
-			if t[i] >= 0x80 {
-				return // may be Unicode white space
-			}
-			i++
-		}
-		if val = t[start:i]; len(val) == 0 {
-			return
-		}
+	if c1, i, ok = mmIndex(t, i); !ok || !wantValue {
+		return r1, c1, 0, ok
 	}
-	return x[0], x[1], val, true
+	if f, n, err := atof.JSON(t[i:]); err == nil && (i+n == len(t) || mmSpace(t[i+n])) {
+		return r1, c1, f, true
+	}
+	return
 }
+
+// mmIndex reads an index of one to nine decimal digits at t[i:] and the ASCII
+// white space (or end of t) behind it; ok is false if t[i:] does not start so.
+func mmIndex(t []byte, i int) (x, next int, ok bool) {
+	start := i
+	for ; i < len(t) && t[i]-'0' <= 9; i++ {
+		x = x*10 + int(t[i]-'0')
+	}
+	d := i - start
+	for start = i; i < len(t) && mmSpace(t[i]); i++ {
+	}
+	return x, i, d > 0 && d <= 9 && (i > start || i == len(t))
+}
+
+// mmSpace reports whether c is ASCII white space: \t \n \v \f \r or a space.
+func mmSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
 
 // entries reads and parses every block after the size line and returns them
 // in file order. The caller reads, and parses a block itself when that block

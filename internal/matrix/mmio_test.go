@@ -273,12 +273,60 @@ func TestReadMatrixMarketBlockEdges(t *testing.T) {
 	}
 }
 
+// valueCases are data lines whose value literal runs into something other
+// than ASCII white space or the end of the line — where the reader leaves
+// atof.JSON's one pass for bytes.Fields and atof.Parse — and values out of
+// float64's range, each on LF and on CRLF lines.
+var valueCases = func() map[string]string {
+	cases := map[string]string{}
+	for name, lit := range map[string]string{
+		"letter after":    "2.5x",
+		"bare exponent":   "2.5e",
+		"plus sign":       "+2.5",
+		"bare point":      ".5",
+		"hex":             "0x1p3",
+		"accent after":    "2.5\u00e9",
+		"no-break space":  "2.5\u00a0",
+		"no-break then 3": "2.5\u00a03",
+		"overflow":        "1e400",
+		"underflow":       "1e-400",
+		"leading zeros":   "007.5",
+		"exponent plus":   "2.5e+2",
+		"lone minus":      "-",
+	} {
+		for _, eol := range []string{"\n", "\r\n"} {
+			key := name
+			if eol != "\n" {
+				key += " crlf"
+			}
+			cases[key] = strings.ReplaceAll("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 1 "+lit+"\n2 2 -0.5 tail\n", "\n", eol)
+		}
+	}
+	return cases
+}()
+
+// TestReadMatrixMarketValueLiterals reads every valueCases file at every
+// block size against readReference: the same value bit for bit, or the same
+// error text, line number included.
+func TestReadMatrixMarketValueLiterals(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for name, in := range valueCases {
+		for bs := 1; bs <= len(in)+1; bs++ {
+			withBlockSize(bs, func() {
+				checkAgainstReference(t, fmt.Sprintf("%s/block=%d", name, bs), func() io.Reader { return strings.NewReader(in) })
+			})
+		}
+	}
+}
+
 // FuzzReadMatrixMarketBlocks is FuzzReadMatrixMarket of internal/fuzzcheck
 // with the one thing that target cannot reach: block edges. A fuzz input is
 // smaller than a block, so here the block size is an input too.
 func FuzzReadMatrixMarketBlocks(f *testing.F) {
-	for _, in := range edgeCases {
-		f.Add([]byte(in), uint8(7))
+	for _, cases := range []map[string]string{edgeCases, valueCases} {
+		for _, in := range cases {
+			f.Add([]byte(in), uint8(7))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, bs uint8) {
 		withBlockSize(int(bs)+1, func() {
