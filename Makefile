@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-color race-colored race-pool vet bench benchmark bench-spmm bench-smoke loc generate-check ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-colored race-pool vet bench benchmark bench-spmm bench-smoke loc generate-check ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -16,18 +16,13 @@ race:
 # race-colored focuses the race detector on the conflict-free colored
 # schedule: its correctness claim is precisely "no two concurrent blocks
 # write the same element", which -race verifies directly against the real
-# interleavings.
+# interleavings — the schedule builder's property tests, repeated so the
+# scheduler sees varied interleavings, and the colored kernels (symmetric and
+# kind-generalized) that execute the schedules.
 race-colored:
-	$(GO) test -race -run Color ./internal/color ./internal/core .
-
-# race-color stresses the recursive algebraic coloring specifically: the
-# level-set construction, the recursive split, the greedy-vs-recursive
-# comparison on the scattered suite, and the colored kernels (symmetric and
-# kind-generalized) that execute the resulting schedule, repeated so the
-# scheduler sees varied interleavings.
-race-color:
-	$(GO) test -race -count=3 -run 'Color|Recursive|Level' ./internal/color
+	$(GO) test -race -count=3 -run Color ./internal/color
 	$(GO) test -race -run 'Color|Kind' ./internal/core ./internal/fuzzcheck
+	$(GO) test -race -run Color .
 
 # race-pool runs the pool and the code that lives on its hand-off at three
 # GOMAXPROCS values, so the spinning path (workers with a processor each), the

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/color"
 	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -181,7 +182,7 @@ type tuner struct {
 
 	pools     map[int]*parallel.Pool // by thread count
 	symStats  map[int][2]int64
-	colorMemo map[int][2]int // colored-schedule {colors, blocks} per thread count
+	colorMemo map[int]*color.Schedule // colored schedule per thread count
 
 	// The RCM-permuted matrix, built on the first reordered build, and what
 	// building it cost: every reordered candidate's preprocessing includes it.
@@ -245,7 +246,7 @@ func newTuner(pr Problem, o Options) *tuner {
 		d:         &Decision{},
 		pools:     make(map[int]*parallel.Pool),
 		symStats:  make(map[int][2]int64),
-		colorMemo: make(map[int][2]int),
+		colorMemo: make(map[int]*color.Schedule),
 	}
 	t.shape = format.Shape{
 		N:          int64(t.feat.N),
@@ -255,7 +256,7 @@ func newTuner(pr Problem, o Options) *tuner {
 		SSSBytes:   t.feat.SSSBytes,
 		Kind:       pr.S.Kind,
 		Conflict:   t.symbolic,
-		Colors:     t.colorCount,
+		Colored:    t.colored,
 	}
 	if o.Platform != nil {
 		t.pl = *o.Platform
@@ -301,21 +302,19 @@ func (t *tuner) modelStage() []int {
 		t.d.Candidates = append(t.d.Candidates, best)
 	}
 
-	// Colored blow-up guard: on a near-complete conflict graph (power-law
-	// matrices, where every block's write set reaches the hub columns) the
-	// coloring degenerates to O(blocks) colors and the plan serializes into a
-	// barrier chain with almost no concurrency inside each phase. The model's
-	// per-barrier charge underprices that collapse badly enough to let such a
-	// plan survive to trials, so candidates whose schedule burns a large
-	// fraction of the block count as colors are rejected outright.
+	// Colored guard: the schedule keeps only the row blocks whose rows stay
+	// within the band of the block before them, so on a matrix far from a
+	// banded order (power-law hubs, a scrambled stencil) the blocks merge to
+	// a handful and one or two threads do all the work. The model's
+	// per-barrier charge does not see that, so a parallel colored candidate
+	// with fewer than two blocks per thread is rejected outright.
 	for i := range t.d.Candidates {
 		c := &t.d.Candidates[i]
 		if c.Format != format.SSSColored || c.Threads <= 1 {
 			continue
 		}
-		colors, blocks := t.colorStats(c.Threads)
-		if colors > 8 && 3*colors > blocks {
-			c.Status = fmt.Sprintf("rejected (colored blow-up: %d colors over %d blocks)", colors, blocks)
+		if blocks := t.colored(c.Threads).NumBlocks; blocks < 2*c.Threads {
+			c.Status = fmt.Sprintf("rejected (colored: %d blocks at %d threads; reorder first)", blocks, c.Threads)
 		}
 	}
 
@@ -347,7 +346,7 @@ func (t *tuner) modelStage() []int {
 		var pruned []pair
 		for i := range t.d.Candidates {
 			// Only model-pruned candidates come back; guard-rejected ones
-			// (colored blow-up) stay out no matter how thin the field is.
+			// (colored, too few blocks) stay out no matter how thin the field is.
 			if strings.HasPrefix(t.d.Candidates[i].Status, "pruned") {
 				pruned = append(pruned, pair{i, t.d.Candidates[i].ModeledSeconds})
 			}

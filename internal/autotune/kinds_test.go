@@ -21,12 +21,12 @@ func copyFile(src, dst string) error {
 	return os.WriteFile(dst, data, 0o644)
 }
 
-// TestColoredBlowUpGuard is the pricing-bugfix regression: on a power-law
-// graph every block's write set reaches the hub columns, the conflict graph
-// is essentially complete, and the colored schedule degenerates to one color
-// per block. The model stage must reject that candidate outright instead of
-// letting the underpriced barrier chain reach the trials.
-func TestColoredBlowUpGuard(t *testing.T) {
+// TestColoredGuardRejectsPowerLaw is the pricing-bugfix regression: on a
+// power-law graph every row reaches back to the hub columns, so the colored
+// schedule's blocks merge to a handful and one or two threads do all the
+// work. The model stage must reject that candidate outright instead of
+// letting the underpriced plan reach the trials.
+func TestColoredGuardRejectsPowerLaw(t *testing.T) {
 	sp, err := gen.SpecByName("powerlaw-s")
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestColoredBlowUpGuard(t *testing.T) {
 		if c.Format != format.SSSColored {
 			continue
 		}
-		if strings.HasPrefix(c.Status, "rejected (colored blow-up") {
+		if strings.HasPrefix(c.Status, "rejected (colored:") {
 			rejected = true
 		}
 		if c.Status == "chosen" || c.Status == "trialed" || strings.HasPrefix(c.Status, "eliminated") {
@@ -65,7 +65,7 @@ func TestColoredBlowUpGuard(t *testing.T) {
 		}
 	}
 	if !rejected {
-		t.Fatalf("no colored candidate was rejected by the blow-up guard; candidates:\n%s", d.Report())
+		t.Fatalf("no colored candidate was rejected by the colored guard; candidates:\n%s", d.Report())
 	}
 	if d.Plan.Format == format.SSSColored {
 		t.Fatalf("chosen plan is the degenerate colored schedule: %v", d.Plan)
@@ -73,7 +73,7 @@ func TestColoredBlowUpGuard(t *testing.T) {
 }
 
 // TestColoredGuardSparesBanded: the guard must not fire where coloring works
-// — a banded matrix colors with a handful of colors at any thread count.
+// — a banded matrix keeps two blocks per thread at any thread count.
 func TestColoredGuardSparesBanded(t *testing.T) {
 	m, s := poisson(t, 60)
 	d, err := Tune(problem(s, m), Options{
@@ -87,7 +87,7 @@ func TestColoredGuardSparesBanded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range d.Candidates {
-		if strings.HasPrefix(c.Status, "rejected (colored blow-up") {
+		if strings.HasPrefix(c.Status, "rejected (colored:") {
 			t.Errorf("guard fired on a banded matrix: %v %q", c.Plan, c.Status)
 		}
 	}

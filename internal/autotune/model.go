@@ -24,28 +24,21 @@ func (t *tuner) symbolic(p int) (entries, region int64) {
 	return entries, region
 }
 
-// colorCount returns the phase count of the conflict-free colored schedule
-// at p threads. Like symbolic, it is a purely symbolic scan of the
-// unreordered structure; reordered colored variants are priced with the same
-// count, which is conservative (RCM can only shrink it) — the micro-trials
-// make the final call.
-func (t *tuner) colorCount(p int) int {
-	c, _ := t.colorStats(p)
-	return c
-}
-
-// colorStats returns the color and block counts of the conflict-free
-// schedule at p threads, memoized per thread count. The block count is what
-// the blow-up guard compares the colors against: colors near the block count
-// mean the "parallel" phases are nearly empty.
-func (t *tuner) colorStats(p int) (colors, blocks int) {
-	if v, ok := t.colorMemo[p]; ok {
-		return v[0], v[1]
+// colored returns the conflict-free colored schedule at p threads,
+// memoized per thread count. Like symbolic, it is a purely symbolic scan of
+// the unreordered structure; reordered colored variants are priced with the
+// same schedule. Its colors are two in either order whenever more than one
+// block survives, but RCM changes how many blocks survive, and so how many
+// threads the phases keep busy; the micro-trials make the final call. The
+// model stage's colored guard reads the block count.
+func (t *tuner) colored(p int) *color.Schedule {
+	sc, ok := t.colorMemo[p]
+	if !ok {
+		s := t.pr.S
+		sc = color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
+		t.colorMemo[p] = sc
 	}
-	s := t.pr.S
-	sc := color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
-	t.colorMemo[p] = [2]int{sc.NumColors, sc.NumBlocks}
-	return sc.NumColors, sc.NumBlocks
+	return sc
 }
 
 // modelCost builds the roofline account of one candidate: the format's

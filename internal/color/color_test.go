@@ -6,6 +6,8 @@ import (
 	"repro/internal/color"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/matrix"
+	"repro/internal/partition"
 	"repro/internal/reorder"
 )
 
@@ -44,18 +46,68 @@ func writeSet(sc *color.Schedule, rowPtr, colIdx []int32, b int) map[int32]bool 
 	return ws
 }
 
-// TestColorScheduleProperty is the coloring-validity property test: for suite
-// matrices and several thread counts, every pair of same-color blocks must
-// have disjoint write sets (verified by claiming rows in a bitmap), and the
+// ordered is one suite matrix in one row order.
+type ordered struct {
+	name, order string
+	s           *core.SSS
+}
+
+// suiteOrders generates every gen spec at (up to) rows rows and returns its
+// strict-lower-triangle structure in natural and in RCM order.
+func suiteOrders(t *testing.T, rows int) []ordered {
+	t.Helper()
+	var out []ordered
+	for _, suite := range [][]gen.Spec{gen.PaperSuite, gen.HubSuite, gen.ScatterSuite} {
+		for _, sp := range suite {
+			m, err := gen.Generate(sp, min(1, float64(rows)/float64(sp.Rows)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm, err := reorder.RCM(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, err := m.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range []struct {
+				order string
+				m     *matrix.COO
+			}{{"natural", m}, {"rcm", rm}} {
+				s, err := core.FromCOO(o.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, ordered{sp.Name, o.order, s})
+			}
+		}
+	}
+	return out
+}
+
+// TestColorScheduleProperty is the coloring-validity property test: for every
+// suite matrix in natural and RCM order and several thread counts, the
+// schedule must pass Verify, every pair of same-color blocks must have
+// disjoint write sets (verified by claiming rows in a bitmap), and the
 // per-color assignment must execute every block exactly once under its own
-// color.
+// color. At 6000 rows a p = 8 block (≈ 94 rows) is wider than the RCM
+// bandwidth of the 2-D stencils and the scattered band, so their RCM order
+// must keep at least two blocks per thread; thermal2's 3-D band is wider
+// than a block, and its blocks must still number at least 2p.
 func TestColorScheduleProperty(t *testing.T) {
-	for _, name := range []string{"parabolic_fem", "consph", "offshore"} {
-		n, rowPtr, colIdx := lowerCSR(t, name, 0.004)
-		for _, algo := range []color.Algorithm{color.Auto, color.Greedy, color.Recursive} {
-			for _, p := range []int{2, 4, 8} {
-				sc := color.Build(n, rowPtr, colIdx, p, color.Options{Algorithm: algo})
-				checkScheduleProperty(t, sc, name+"/"+algo.String(), n, rowPtr, colIdx, p)
+	banded := map[string]bool{"parabolic_fem": true, "G3_circuit": true, "thermal2": true, "scattered-band": true}
+	for _, c := range suiteOrders(t, 6000) {
+		s := c.s
+		for _, p := range []int{2, 4, 8} {
+			name := c.name + "/" + c.order
+			sc := color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
+			if err := sc.Verify(s.RowPtr, s.ColIdx); err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+			checkScheduleProperty(t, sc, name, s.N, s.RowPtr, s.ColIdx, p)
+			if c.order == "rcm" && banded[c.name] && sc.NumBlocks < 2*p {
+				t.Errorf("%s p=%d: %d blocks, want ≥ %d on a banded order", name, p, sc.NumBlocks, 2*p)
 			}
 		}
 	}
@@ -66,7 +118,7 @@ func checkScheduleProperty(t *testing.T, sc *color.Schedule, name string, n int,
 	if err := sc.Part.Validate(n); err != nil {
 		t.Fatalf("%s p=%d: %v", name, p, err)
 	}
-	if sc.NumColors < 1 || sc.NumBlocks < p {
+	if sc.NumColors < 1 || sc.NumBlocks < 1 {
 		t.Fatalf("%s p=%d: degenerate schedule: %d colors, %d blocks",
 			name, p, sc.NumColors, sc.NumBlocks)
 	}
@@ -116,9 +168,9 @@ func checkScheduleProperty(t *testing.T, sc *color.Schedule, name string, n int,
 	}
 }
 
-// TestColorBandedFewColors: on a narrow-band matrix the conflict graph is
-// nearly an interval graph, so the bandwidth-aware greedy coloring must stay
-// near the local clique size instead of growing with the thread count.
+// TestColorBandedFewColors: on a narrow-band matrix every carved block is
+// wider than the band, so none merges: two colors over all p·8 blocks at any
+// thread count.
 func TestColorBandedFewColors(t *testing.T) {
 	const n = 4000
 	rowPtr := make([]int32, n+1)
@@ -134,8 +186,9 @@ func TestColorBandedFewColors(t *testing.T) {
 	rowPtr[n] = int32(len(colIdx))
 	for _, p := range []int{2, 4, 8, 16} {
 		sc := color.Build(n, rowPtr, colIdx, p, color.Options{})
-		if sc.NumColors > 3 {
-			t.Errorf("p=%d: banded matrix colored with %d colors, want ≤ 3", p, sc.NumColors)
+		if sc.NumColors != 2 || sc.NumBlocks != 8*p {
+			t.Errorf("p=%d: banded matrix scheduled as %d colors over %d blocks, want 2 over %d",
+				p, sc.NumColors, sc.NumBlocks, 8*p)
 		}
 	}
 }
@@ -150,20 +203,19 @@ func TestColorSingleThread(t *testing.T) {
 	if err := sc.Part.Validate(n); err != nil {
 		t.Fatal(err)
 	}
-	if got := color.Colors(n, rowPtr, colIdx, 1, color.Options{}); got != 1 {
-		t.Fatalf("Colors = %d", got)
-	}
 }
 
-// TestColorRCMShrinksColors: RCM reordering lowers the bandwidth, and the
-// color count must follow it down (the schedule's synergy with §V-D).
+// TestColorRCMShrinksColors: RCM reordering lowers the bandwidth, and that
+// is what lets the schedule keep its blocks (the synergy with §V-D). The
+// scrambled parabolic_fem merges to fewer than two blocks per thread in
+// natural order, where its phases keep about one thread busy, and keeps at
+// least two after RCM, where they keep most of the p threads busy.
 func TestColorRCMShrinksColors(t *testing.T) {
-	// parabolic_fem is generated scrambled: high bandwidth, many colors.
 	sp, err := gen.SpecByName("parabolic_fem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gen.Generate(sp, 0.004)
+	m, err := gen.Generate(sp, 0.012)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +224,7 @@ func TestColorRCMShrinksColors(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 8
-	before := color.Colors(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
+	before := color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
 
 	perm, err := reorder.RCM(m)
 	if err != nil {
@@ -186,66 +238,49 @@ func TestColorRCMShrinksColors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := color.Colors(sr.N, sr.RowPtr, sr.ColIdx, p, color.Options{})
-	if after >= before {
-		t.Fatalf("RCM did not shrink the coloring: %d -> %d colors", before, after)
+	after := color.Build(sr.N, sr.RowPtr, sr.ColIdx, p, color.Options{})
+	if before.NumBlocks >= 2*p || after.NumBlocks < 2*p {
+		t.Fatalf("RCM took the schedule from %d to %d blocks, want < %d to ≥ %d",
+			before.NumBlocks, after.NumBlocks, 2*p, 2*p)
+	}
+	if before.Busy > 1.5 || after.Busy < p/2 {
+		t.Fatalf("RCM took the busy threads from %.2f to %.2f, want ≤ 1.5 to ≥ %d", before.Busy, after.Busy, p/2)
 	}
 }
 
-// TestColorRecursiveBeatsGreedyScattered is the ROADMAP item 3 acceptance
-// regression: on the scattered-band suite matrix — banded structure behind a
-// segment shuffle, NO RCM applied — the recursive algebraic coloring must
-// emit strictly fewer colors than the greedy first-fit baseline, and the
-// recursive schedule must still satisfy the write-set disjointness property.
-// Greedy's weakness here is order dependence: the shuffled block order makes
-// first-fit burn extra colors even though the conflict graph is a sparse
-// quotient of the original band chain, whose level sets the recursive
-// algorithm recovers without any reordering pass.
-func TestColorRecursiveBeatsGreedyScattered(t *testing.T) {
-	n, rowPtr, colIdx := lowerCSR(t, "scattered-band", 0.25)
-	wonSomewhere := false
-	for _, p := range []int{2, 4, 8, 16} {
-		g := color.Build(n, rowPtr, colIdx, p, color.Options{Algorithm: color.Greedy})
-		r := color.Build(n, rowPtr, colIdx, p, color.Options{Algorithm: color.Recursive})
-		t.Logf("p=%d: greedy=%d recursive=%d", p, g.NumColors, r.NumColors)
-		if r.NumColors < g.NumColors {
-			wonSomewhere = true
-		}
-		if r.NumColors > g.NumColors {
-			t.Errorf("p=%d: recursive coloring used MORE colors (%d) than greedy (%d) on its home turf",
-				p, r.NumColors, g.NumColors)
-		}
-		checkScheduleProperty(t, r, "scattered-band/recursive", n, rowPtr, colIdx, p)
-	}
-	if !wonSomewhere {
-		t.Fatal("recursive coloring never strictly beat greedy on the scattered-band matrix")
-	}
-}
-
-// TestColorAutoNeverWorse: the Auto algorithm builds both colorings and keeps
-// the shorter barrier chain, so it can never use more colors than either.
-func TestColorAutoNeverWorse(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		scale float64
-	}{
-		{"scattered-band", 0.25},
-		{"consph", 0.004},
-		{"parabolic_fem", 0.004},
-	} {
-		n, rowPtr, colIdx := lowerCSR(t, tc.name, tc.scale)
-		for _, p := range []int{2, 4, 8} {
-			a := color.Build(n, rowPtr, colIdx, p, color.Options{})
-			g := color.Colors(n, rowPtr, colIdx, p, color.Options{Algorithm: color.Greedy})
-			r := color.Colors(n, rowPtr, colIdx, p, color.Options{Algorithm: color.Recursive})
-			if a.NumColors > g || a.NumColors > r {
-				t.Errorf("%s p=%d: auto=%d exceeds greedy=%d or recursive=%d",
-					tc.name, p, a.NumColors, g, r)
-			}
-			if a.Algo == color.Auto {
-				t.Errorf("%s p=%d: Auto did not resolve to a concrete algorithm", tc.name, p)
+// TestColorVerifyRejectsConflicts: Verify is the proof the schedule is
+// conflict-free, so it must fail on a schedule whose same-color blocks can
+// write the same element — here a band of width 2 cut into one-row blocks,
+// where row r's transpose write reaches row r−2 — and on colors that do not
+// alternate.
+func TestColorVerifyRejectsConflicts(t *testing.T) {
+	const n = 64
+	rowPtr := make([]int32, n+1)
+	var colIdx []int32
+	for r := 0; r < n; r++ {
+		rowPtr[r] = int32(len(colIdx))
+		for d := 2; d >= 1; d-- {
+			if r-d >= 0 {
+				colIdx = append(colIdx, int32(r-d))
 			}
 		}
+	}
+	rowPtr[n] = int32(len(colIdx))
+	sc := color.Build(n, rowPtr, colIdx, 2, color.Options{})
+	if err := sc.Verify(rowPtr, colIdx); err != nil {
+		t.Fatal(err)
+	}
+	oneRow := &color.Schedule{P: 2, NumBlocks: n, NumColors: 2,
+		Part: &partition.RowPartition{Start: make([]int32, n), End: make([]int32, n)}, Color: make([]int32, n)}
+	for b := range n {
+		oneRow.Part.Start[b], oneRow.Part.End[b], oneRow.Color[b] = int32(b), int32(b+1), int32(b%2)
+	}
+	if err := oneRow.Verify(rowPtr, colIdx); err == nil {
+		t.Fatal("Verify accepted one-row blocks on a width-2 band")
+	}
+	sc.Color[1] = 0
+	if err := sc.Verify(rowPtr, colIdx); err == nil {
+		t.Fatal("Verify accepted two adjacent blocks of one color")
 	}
 }
 

@@ -32,6 +32,10 @@ type Traffic struct {
 	// boundaries of the conflict-free schedule, plus the init→color one).
 	// The platform model prices them by Platform.BarrierSeconds.
 	ExtraBarriers int64
+	// Busy is how many threads the colored schedule's phases keep busy
+	// (color.Schedule.Busy); zero for the reduction methods, which split the
+	// rows evenly.
+	Busy float64
 }
 
 // TotalBytes reports the summed traffic of both phases.
@@ -101,6 +105,7 @@ func (k *Kernel) Traffic() Traffic {
 		t.RedFlops = 0
 		t.WorkingSetOverhead = 0
 		t.ExtraBarriers = int64(k.sched.NumColors)
+		t.Busy = k.sched.Busy
 	}
 	return t
 }

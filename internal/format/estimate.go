@@ -1,6 +1,7 @@
 package format
 
 import (
+	"repro/internal/color"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 )
@@ -30,8 +31,8 @@ type Shape struct {
 	// Conflict returns the conflict-index length and effective-region size
 	// of the local-vector reduction at p threads.
 	Conflict func(p int) (entries, region int64)
-	// Colors returns the phase count of the colored schedule at p threads.
-	Colors func(p int) int
+	// Colored returns the colored schedule at p threads.
+	Colored func(p int) *color.Schedule
 }
 
 // Estimate prices the unbuilt format at p threads. The caller owns what no
@@ -80,9 +81,11 @@ func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p int) perfmode
 	case core.Colored:
 		// Conflict-free: zero reduction bytes; y moves twice (init write +
 		// color-sweep read-modify-write) and each color beyond the multiply
-		// phase's own barrier costs one more crossing.
+		// phase's own barrier costs one more crossing. Priced as if every
+		// thread stays busy — optimistic, like the CSX-Sym size; the tuner
+		// rejects a schedule with fewer than two blocks per thread outright.
 		c.MultBytes = matBytes + 8*n + 24*n
-		c.ExtraBarriers = int64(sh.Colors(p))
+		c.ExtraBarriers = int64(sh.Colored(p).NumColors)
 	case core.Naive:
 		c.MultBytes = matBytes + 8*n + 8*pp*n
 		c.RedBytes = 8*pp*n + 8*n

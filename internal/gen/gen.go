@@ -44,10 +44,9 @@ const (
 	// ScatteredBand is a banded matrix whose rows have been cut into
 	// contiguous segments and the segments shuffled: locally banded, globally
 	// scattered. RCM recovers the band, but the point of the class is what
-	// happens without RCM — the block conflict graph stays sparse (a quotient
-	// of the segment chain) while the block order is scrambled, which is
-	// exactly where first-fit coloring degenerates and the recursive
-	// algebraic coloring does not. Not part of Table I — see ScatterSuite.
+	// happens without RCM: every segment is banded while the row order jumps
+	// between them, so the colored schedule's blocks merge to a few until
+	// the matrix is reordered. Not part of Table I — see ScatterSuite.
 	ScatteredBand
 )
 
@@ -112,18 +111,17 @@ var PaperSuite = []Spec{
 // HubSuite lists synthetic power-law matrices beyond Table I. Their hub
 // vertices (the oldest in the attachment process) are touched by nearly
 // every row, so every thread's transposed writes reach the same few columns:
-// a stress of the conflict index and of the colored schedule, whose conflict
-// graph goes near-complete. The Table I matrices have no such skew.
+// a stress of the conflict index and of the colored schedule, whose blocks
+// merge to a few in either order. The Table I matrices have no such skew.
 var HubSuite = []Spec{
 	{Name: "powerlaw-s", Problem: "Graph", Rows: 100000, NNZ: 900000, Kind: PowerLawGraph},
 	{Name: "powerlaw-m", Problem: "Graph", Rows: 400000, NNZ: 5200000, Kind: PowerLawGraph},
 }
 
 // ScatterSuite lists synthetic scattered matrices beyond Table I: banded
-// structure hidden behind a segment shuffle. They are the coloring stress
-// class — greedy first-fit depends on block order and degenerates here,
-// while the recursive algebraic coloring recovers the band's level structure
-// from the conflict graph alone.
+// structure hidden behind a segment shuffle. They are the reordering stress
+// class: natural order merges the colored schedule to three blocks, and RCM
+// restores all of them.
 var ScatterSuite = []Spec{
 	{Name: "scattered-band", Problem: "Synthetic", Rows: 50000, NNZ: 450000, Kind: ScatteredBand, SegmentLen: 400},
 	{Name: "scattered-band-l", Problem: "Synthetic", Rows: 200000, NNZ: 1800000, Kind: ScatteredBand, SegmentLen: 1600},

@@ -41,6 +41,12 @@ type SpMVCost struct {
 	// on top of the multiply phase's own — the traffic-free cost the model
 	// weighs against eliminating RedBytes entirely.
 	ExtraBarriers int64
+
+	// Busy, when set, is how many threads the multiply phase keeps busy on
+	// average: the colored schedule's phases run only as wide as their
+	// blocks allow, so a schedule merged down to a few blocks runs nearly
+	// serially whatever p is. Zero means all p.
+	Busy float64
 }
 
 // xExtraBytes is the modeled extra traffic from x accesses missing the
@@ -62,6 +68,9 @@ func (c SpMVCost) Seconds(pl Platform, p int) float64 {
 
 // MultSeconds predicts the multiplication phase alone (Fig. 10).
 func (c SpMVCost) MultSeconds(pl Platform, p int) float64 {
+	if c.Busy > 0 && c.Busy < float64(p) {
+		p = max(1, int(c.Busy+0.5))
+	}
 	return pl.PhaseSeconds(p, c.MultFlops, c.MultBytes+c.xExtraBytes(pl))
 }
 
@@ -202,6 +211,7 @@ func SSSCost(k *core.Kernel) SpMVCost {
 		XAccesses:     acc,
 		XSpanBytes:    span,
 		ExtraBarriers: t.ExtraBarriers,
+		Busy:          t.Busy,
 	}
 }
 

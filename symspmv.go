@@ -65,10 +65,9 @@ const (
 	// (highest compression; pays a preprocessing cost).
 	CSXSym = format.CSXSym
 	// SSSColored is SSS under the conflict-free colored schedule (RACE-style
-	// block coloring): threads write y directly, one phase per color — no
-	// local vectors and no reduction phase at all. Strongest on
-	// low-bandwidth (e.g. RCM-reordered) matrices, where the schedule
-	// collapses to very few colors.
+	// level groups): threads write y directly, even row blocks then odd — no
+	// local vectors and no reduction phase at all. It needs a low-bandwidth
+	// (e.g. RCM-reordered) matrix, where the schedule keeps every block.
 	SSSColored = format.SSSColored
 )
 
