@@ -12,8 +12,9 @@ type hrun struct {
 	w    int32 // width
 }
 
-// rowRuns lists the maximal unassigned horizontal runs of row r.
-func (d *detector) rowRuns(r int32, buf []hrun) []hrun {
+// rowRuns lists the maximal unassigned horizontal runs of row r that are at
+// least minW columns wide.
+func (d *detector) rowRuns(r, minW int32, buf []hrun) []hrun {
 	buf = buf[:0]
 	el := d.el
 	lo, hi := el.rowSpan(r)
@@ -29,7 +30,9 @@ func (d *detector) rowRuns(r int32, buf []hrun) []hrun {
 		for j < hi && d.owner[j] == unassigned && el.cols[j] == el.cols[j-1]+1 {
 			j++
 		}
-		buf = append(buf, hrun{col0: el.cols[i], idx0: i, w: j - i})
+		if j-i >= minW {
+			buf = append(buf, hrun{col0: el.cols[i], idx0: i, w: j - i})
+		}
 		i = j
 	}
 	return buf
@@ -42,9 +45,11 @@ func intersect(a, b hrun) (c0, w int32) {
 	return lo, hi - lo
 }
 
-// detectBlocks greedily claims 3-row, then 2-row dense blocks anchored at
-// each row in top-down order. A block must be at least 2 columns wide and
-// (for CSX-Sym) must not straddle the write boundary.
+// detectBlocks claims 3-row, then 2-row dense blocks anchored at each row in
+// top-down order, in two sweeps: the first takes only overlaps at least 3
+// columns wide, the second the 2-column ones that are left, so that a narrow
+// overlap met first never splinters a wide block into 2-column slivers. A
+// block must not straddle the CSX-Sym write boundary.
 func (d *detector) detectBlocks() {
 	el := d.el
 	// A row has at most as many runs as elements: size the buffers once.
@@ -53,46 +58,42 @@ func (d *detector) detectBlocks() {
 		longest = max(longest, el.rowPtr[i+1]-el.rowPtr[i])
 	}
 	bufA, bufB, bufC := make([]hrun, 0, longest), make([]hrun, 0, longest), make([]hrun, 0, longest)
-	for r := el.baseRow; r < el.baseRow+el.nRows; r++ {
-		bufA = d.rowRuns(r, bufA)
-		if len(bufA) == 0 {
-			continue
-		}
-		var runsB, runsC []hrun
-		if r+1 < el.baseRow+el.nRows {
-			bufB = d.rowRuns(r+1, bufB)
-			runsB = bufB
-		}
-		if r+2 < el.baseRow+el.nRows {
-			bufC = d.rowRuns(r+2, bufC)
-			runsC = bufC
-		}
-		if len(runsB) == 0 {
-			continue
-		}
-		for _, ra := range bufA {
-			if ra.w < 2 {
+	for _, minW := range [...]int32{3, 2} {
+		for r := el.baseRow; r < el.baseRow+el.nRows; r++ {
+			bufA = d.rowRuns(r, minW, bufA)
+			if len(bufA) == 0 {
 				continue
 			}
-			// Best 2-row overlap with any run of row r+1.
-			for _, rb := range runsB {
-				c0, w := intersect(ra, rb)
-				if w < 2 {
-					continue
-				}
-				// Try to deepen to 3 rows.
-				var rcBest hrun
-				var c03, w3 int32
-				for _, rc := range runsC {
-					cc, wc := intersect(hrun{col0: c0, w: w}, rc)
-					if wc >= 2 && wc > w3 {
-						rcBest, c03, w3 = rc, cc, wc
+			var runsB, runsC []hrun
+			if r+1 < el.baseRow+el.nRows {
+				bufB = d.rowRuns(r+1, minW, bufB)
+				runsB = bufB
+			}
+			if r+2 < el.baseRow+el.nRows {
+				bufC = d.rowRuns(r+2, minW, bufC)
+				runsC = bufC
+			}
+			for _, ra := range bufA {
+				// Every overlap with a run of row r+1, deepened to 3 rows
+				// by the widest overlap with a run of row r+2.
+				for _, rb := range runsB {
+					c0, w := intersect(ra, rb)
+					if w < minW {
+						continue
 					}
-				}
-				if w3 >= 2 {
-					d.claimBlock(Block3, c03, w3, [3]hrun{ra, rb, rcBest})
-				} else {
-					d.claimBlock(Block2, c0, w, [3]hrun{ra, rb, {}})
+					var rcBest hrun
+					var c03, w3 int32
+					for _, rc := range runsC {
+						cc, wc := intersect(hrun{col0: c0, w: w}, rc)
+						if wc >= minW && wc > w3 {
+							rcBest, c03, w3 = rc, cc, wc
+						}
+					}
+					if w3 >= minW {
+						d.claimBlock(Block3, c03, w3, [3]hrun{ra, rb, rcBest})
+					} else {
+						d.claimBlock(Block2, c0, w, [3]hrun{ra, rb, {}})
+					}
 				}
 			}
 		}

@@ -27,6 +27,7 @@ func suiteMatrix(tb testing.TB, name string, scale float64) *matrix.COO {
 // analog is one benchmark matrix, generated when asked for.
 type analog struct {
 	name  string
+	rows  int // at scale 1
 	build func(tb testing.TB, scale float64) *matrix.COO
 }
 
@@ -36,8 +37,8 @@ type analog struct {
 // consph, which stands for the suite's 3×3-block family (DESIGN.md §17.2
 // decides a cell on it).
 var analogs = []analog{
-	{"parabolic_fem", func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "parabolic_fem", 0.25*scale) }},
-	{"parabolic_fem-rcm", func(tb testing.TB, scale float64) *matrix.COO {
+	{"parabolic_fem", 131456, func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "parabolic_fem", 0.25*scale) }},
+	{"parabolic_fem-rcm", 131456, func(tb testing.TB, scale float64) *matrix.COO {
 		fem := suiteMatrix(tb, "parabolic_fem", 0.25*scale)
 		perm, err := reorder.RCM(fem)
 		if err != nil {
@@ -49,8 +50,8 @@ var analogs = []analog{
 		}
 		return rcm
 	}},
-	{"bmwcra_1", func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "bmwcra_1", 0.25*scale) }},
-	{"poisson144", func(tb testing.TB, scale float64) *matrix.COO {
+	{"bmwcra_1", 37192, func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "bmwcra_1", 0.25*scale) }},
+	{"poisson144", 144 * 144, func(tb testing.TB, scale float64) *matrix.COO {
 		side := int(144 * scale)
 		grid := matrix.NewCOO(side*side, side*side, 3*side*side)
 		grid.Symmetric = true
@@ -68,13 +69,13 @@ var analogs = []analog{
 		}
 		return grid.Normalize()
 	}},
-	{"consph", func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "consph", 0.25*scale) }},
+	{"consph", 20834, func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "consph", 0.25*scale) }},
 }
 
 // BenchmarkDecodeUnits times the two decode kernels on the analogs at p = 1
 // and 2 blobs, in nanoseconds per stored element, and reports the unit mix
 // each ran over as the share of stored elements in delta units, in 1-D runs
-// and in 2-D blocks. Like BenchmarkLowerRowBodies the blobs run one after the
+// and in 2-D blocks, and the mean elements per unit (per dispatch). Like BenchmarkLowerRowBodies the blobs run one after the
 // other on the benchmark's goroutine (for CSX-Sym the whole phase list, so
 // that the reduction re-zeroes the local vectors): no pool, no hand-off noise,
 // the same work whatever the host's core count.
@@ -151,7 +152,11 @@ func runEncode(b *testing.B, name string, build func() int) {
 
 func runUnits(b *testing.B, name string, blobs []*Blob, elems int, product func()) {
 	var share [3]float64 // delta units, 1-D runs, blocks
+	units := int64(0)
 	for _, blob := range blobs {
+		for _, n := range blob.UnitCount {
+			units += n
+		}
 		mix, err := mixOf(blob)
 		if err != nil {
 			b.Fatal(err)
@@ -177,5 +182,6 @@ func runUnits(b *testing.B, name string, blobs []*Blob, elems int, product func(
 		b.ReportMetric(share[0], "%delta")
 		b.ReportMetric(share[1], "%runs")
 		b.ReportMetric(share[2], "%blocks")
+		b.ReportMetric(float64(elems)/float64(units), "elem/unit")
 	})
 }

@@ -96,10 +96,10 @@ func (d *detector) legal(minCol, maxCol int32) bool {
 }
 
 // detect runs the full pipeline: sampling statistics, direction selection,
-// block pass, directional passes. After detect, d.units holds all pattern
-// units and d.owner marks claimed elements; the rest become delta units at
-// encode time.
-func (d *detector) detect() {
+// the block pass blocks (d.detectBlocks, or the tests' one-sweep oracle),
+// directional passes. After detect, d.units holds all pattern units and
+// d.owner marks claimed elements; the rest become delta units at encode time.
+func (d *detector) detect(blocks func()) {
 	if d.el.len() == 0 {
 		return
 	}
@@ -123,7 +123,7 @@ func (d *detector) detect() {
 	// horizontal runs it is built from. Only worthwhile when horizontal
 	// structure exists at all.
 	if d.opts.EnableBlocks && d.dirCoverage[DirHorizontal] >= d.opts.MinCoverage {
-		d.detectBlocks()
+		blocks()
 	}
 	for _, s := range enabled {
 		d.assignDirection(s.dir)

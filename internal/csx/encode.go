@@ -24,8 +24,13 @@ func (b *Blob) Bytes() int64 { return int64(len(b.Ctl)) + int64(8*len(b.Vals)) }
 // units are split at the boundary.
 func encodeRange(el *elements, vals []float64, opts Options, symBoundary int32) *Blob {
 	det := newDetector(el, opts, symBoundary)
-	det.detect()
+	det.detect(det.detectBlocks)
+	return det.encode(vals)
+}
 
+// encode writes the detected units and the leftover elements as delta units.
+func (d *detector) encode(vals []float64) *Blob {
+	el, symBoundary := d.el, d.symBoundary
 	b := &Blob{
 		StartRow: el.baseRow,
 		EndRow:   el.baseRow + el.nRows,
@@ -37,7 +42,7 @@ func encodeRange(el *elements, vals []float64, opts Options, symBoundary int32) 
 	// Units are sorted by anchor (row, col). Walk rows; merge pattern units
 	// anchored in the row with delta chunks built from leftover elements.
 	ui := 0
-	units := det.units
+	units := d.units
 	var leftovers []int32 // reused across rows
 	for r := el.baseRow; r < b.EndRow; r++ {
 		lo, hi := el.rowSpan(r)
@@ -56,7 +61,7 @@ func encodeRange(el *elements, vals []float64, opts Options, symBoundary int32) 
 		// input keeps them sorted already.
 		leftovers = leftovers[:0]
 		for i := lo; i < hi; i++ {
-			if det.owner[i] == unassigned {
+			if d.owner[i] == unassigned {
 				leftovers = append(leftovers, i)
 			}
 		}

@@ -148,12 +148,17 @@ func TestSampleStatsMatchesComparatorSort(t *testing.T) {
 // TestSymBlobBytesPinned pins the serialized CSX-Sym matrix of two suite
 // matrices to the bytes the encoder produced before the set-up path was
 // rewritten: the reader, Normalize and the statistics pass may get faster,
-// the encoding may not move. The second table pins plain CSX and CSX-Sym at
+// the encoding may not move. It moved once, on purpose: when the block pass
+// began claiming every block three or more columns wide before any 2-column
+// one, the four block-enabled pins that meet a narrow overlap first (bmwcra_1
+// here and bmwcra_1, consph and scattered-band under the defaults) were
+// re-pinned; TestWideBlocksFirstNeverGrows holds that change to the old pass
+// kept in blocks_ref_test.go. The second table pins plain CSX and CSX-Sym at
 // three thread counts, under the defaults and under option sets that force
 // every direction pass, on four suite matrices.
 func TestSymBlobBytesPinned(t *testing.T) {
 	pinned := map[string]string{
-		"bmwcra_1":      "7783fe4e6d0baa6ba40f3ae9a0ee9de8105ac03ca636dd1934192934622f0b67",
+		"bmwcra_1":      "00e2e1ecc1d66ea190dcd2a70ec152d1cdc8c0ee7c5b23b299f30022ffaca579",
 		"parabolic_fem": "c364409a133c9f3ee84e85d3b42651ba93d11e6f21cf22b3f63a15b3df51145c",
 	}
 	for name, want := range pinned {
@@ -172,7 +177,7 @@ func TestSymBlobBytesPinned(t *testing.T) {
 	encoded := map[string]string{
 		"bmwcra_1/anti-diagonal/run2":       "7379024a5fb18c2cefa7e6066af0ddb29df025106437d1d551e86d7a8d4eb9f6",
 		"bmwcra_1/anti-diagonal/run3":       "f8e7fda360c7e148850bed8901cba90d9787a57cab426eedf6c8698dadd3441d",
-		"bmwcra_1/default":                  "83298aa41461460200c185e518afc4591e4cb5e2ebe8d4dcd9458b3ca75f2fbd",
+		"bmwcra_1/default":                  "470e4ecf6f4e24272919c07162c895f8206e56692bc45660147b92d323edbc60",
 		"bmwcra_1/diagonal/run2":            "2ce8c5ee8578863d77f096f15fa124a3aae479fa84d85844b9a8eb8a6c660eae",
 		"bmwcra_1/diagonal/run3":            "c148d75b4b52db815990e9f474704b6d9b343389ae6426c45f8bf19edd3b2dbd",
 		"bmwcra_1/horizontal/run2":          "945fb8de161f0975c7f771df4bfb5f5c490b7a9ac0b27229c9aa282a5db0913d",
@@ -181,7 +186,7 @@ func TestSymBlobBytesPinned(t *testing.T) {
 		"bmwcra_1/vertical/run3":            "6522aab846627ffbd5044e69fae5c1d15a461003a8ba8079bb3881b13a0e77c7",
 		"consph/anti-diagonal/run2":         "7567d2ed28d9b535b9a66d96d742d1c52a89c7591fd446e21204d3f2df880475",
 		"consph/anti-diagonal/run3":         "0c7a4bd8069ba4a49f5493da0ab0a37de651e081f365c19d1b055629dca52462",
-		"consph/default":                    "1e6aa2a87deb17475b12594f96df532dd95ce74978e90b2474aea0cc7462fd50",
+		"consph/default":                    "9331c3688d6440aff75b0b1b3c1fded076ab9889fb93f1f96c67fc3ed7ae0b71",
 		"consph/diagonal/run2":              "c445965cd8db45b1f0c2e67b806bebbaf41576eae56745de0cf83c78b55205bd",
 		"consph/diagonal/run3":              "92782af0bad97b432aaa4eea481ff02401c3820a0d50919ffd9cd8d3cd2e3e8f",
 		"consph/horizontal/run2":            "9e325c45230c8a026e94790221edd33c2a55fe5ae3a3c39ac992d178e21ae1ab",
@@ -199,7 +204,7 @@ func TestSymBlobBytesPinned(t *testing.T) {
 		"parabolic_fem/vertical/run3":       "080ea10ff67964e6ffff3e6daaa27a560100ffdc3b89f2231df40699574fb0b9",
 		"scattered-band/anti-diagonal/run2": "5072a048a2681f6052d78349ec7aa7810c4771d9a8f41ce8112f7d1cbcaafe11",
 		"scattered-band/anti-diagonal/run3": "9b6027ea4ca0371f1c6abe2a5a3083ba6f59a7bb971ae8f746c2d0c3f73d55ad",
-		"scattered-band/default":            "791550dab467301480d6a5a6711e5add83db4686620d6d7e7cd13a9fd1f99b67",
+		"scattered-band/default":            "cdbbcf2d2914bb05db21c42f7ed5da5fbedae00cf6b95b9ed062ea82a82d6e8c",
 		"scattered-band/diagonal/run2":      "fa4ed59973513d9d395b6c20ae531e0b9ebab45961bc128b72881a845144cd81",
 		"scattered-band/diagonal/run3":      "fa57fafa2d88599ef4826656c1d7169c73bd00632832cfd5b0177b6f82ff835e",
 		"scattered-band/horizontal/run2":    "43b698bd86e72b306606fa11946aaa20ac9cb202b9ecfdf75055b5c2803d2a21",

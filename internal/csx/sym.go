@@ -322,12 +322,6 @@ func mulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 				tw[4] = ((tw[4] + a[4]*xr0) + a[10]*xr1) + a[16]*xr2
 				s0, s1, s2 = s0+a[5]*xw[5], s1+a[11]*xw[5], s2+a[17]*xw[5]
 				tw[5] = ((tw[5] + a[5]*xr0) + a[11]*xr1) + a[17]*xr2
-			case 6:
-				a, xw, tw := (*[6]float64)(vv), (*[2]float64)(x[col:]), (*[2]float64)(target[col:])
-				s0, s1, s2 = s0+a[0]*xw[0], s1+a[2]*xw[0], s2+a[4]*xw[0]
-				tw[0] = ((tw[0] + a[0]*xr0) + a[2]*xr1) + a[4]*xr2
-				s0, s1, s2 = s0+a[1]*xw[1], s1+a[3]*xw[1], s2+a[5]*xw[1]
-				tw[1] = ((tw[1] + a[1]*xr0) + a[3]*xr1) + a[5]*xr2
 			default:
 				a0, a1, a2 := vv[:w], vv[w:][:w], vv[2*w:][:w]
 				xw, tw := x[col:][:w], target[col:][:w]
