@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	symspmv "repro"
@@ -47,7 +48,7 @@ func main() {
 		st := A.Stats()
 		fmt.Printf("%s:\n  %s\n  class: %s\n", path, st, A.SymmetryClass())
 		if *dump > 0 {
-			if err := dumpUnits(path, *dump); err != nil {
+			if err := dumpUnits(path, *dump, *threads); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -125,9 +126,10 @@ func rooflineTable(path string, threads int) error {
 	return nil
 }
 
-// dumpUnits re-reads the matrix at the internal level and prints the head
-// of its serially encoded CSX-Sym ctl stream.
-func dumpUnits(path string, n int) error {
+// dumpUnits re-reads the matrix at the internal level and prints the unit
+// mix of each CSX-Sym blob, serial and at the given thread count, and the
+// head of the serially encoded ctl stream.
+func dumpUnits(path string, n, threads int) error {
 	c, err := matrix.ReadMatrixMarketFile(path)
 	if err != nil {
 		return err
@@ -144,9 +146,13 @@ func dumpUnits(path string, n int) error {
 	if s.Kind != core.Sym {
 		return fmt.Errorf("-dump: CSX-Sym encodes only symmetric matrices, got a %s one", s.Kind)
 	}
+	for _, p := range slices.Compact([]int{1, threads}) {
+		fmt.Printf("  unit mix the CSX-Sym kernel runs over (%d-thread encoding, per blob):\n", p)
+		for _, b := range csx.NewSym(s, p, core.Indexed, csx.DefaultOptions()).Blobs {
+			fmt.Print(indent(csx.UnitMix(b)))
+		}
+	}
 	sm := csx.NewSym(s, 1, core.Indexed, csx.DefaultOptions())
-	fmt.Println("  unit mix the CSX-Sym kernel runs over (serial encoding):")
-	fmt.Print(indent(csx.UnitMix(sm.Blobs[0])))
 	fmt.Printf("  first %d ctl units (serial encoding):\n", n)
 	fmt.Print(indent(csx.UnitDump(sm.Blobs[0], n)))
 	return nil

@@ -1,141 +1,98 @@
 package csx
 
-// Block detection: dense 2×w and 3×w blocks assembled from column-aligned
-// horizontal runs on consecutive rows. FEM/structural matrices consist of
-// dense b×b node-coupling blocks, and encoding them two- or three-rows-deep
-// removes even the per-row unit heads that plain horizontal encoding keeps.
+import "slices"
 
-// hrun is a maximal run of consecutive-column unassigned elements in one row.
-type hrun struct {
-	col0 int32 // first column
-	idx0 int32 // element index of first element (row-major ⇒ consecutive)
-	w    int32 // width
+// Strips: the rows of a fundamental supernode (each row is the row above it
+// plus, in lower storage, that row's own column) share every column left of
+// the supernode, so two or three of them encode as one unit — a strip, whose
+// runs are its first row's dense column runs and which its diagonal triangle
+// closes. Whether a row continues a supernode depends on it and the row above
+// alone, so a row range that starts anywhere, or writes behind any boundary,
+// finds the strips of the whole matrix from its first supernode on.
+
+// stripRun is one run of a strip: columns [col, col+w) of every strip row.
+type stripRun struct{ col, w int32 }
+
+// continues reports whether row r extends the supernode of row r-1: its
+// columns are row r-1's, followed in CSX-Sym by column r-1.
+func (d *detector) continues(r int32) bool {
+	el := d.el
+	lo0, hi0 := el.rowSpan(r - 1)
+	lo1, hi1 := el.rowSpan(r)
+	n := hi0 - lo0
+	if d.symBoundary >= 0 {
+		if hi1-lo1 != n+1 || el.cols[hi1-1] != r-1 {
+			return false
+		}
+	} else if hi1-lo1 != n || n == 0 {
+		return false
+	}
+	return slices.Equal(el.cols[lo0:hi0], el.cols[lo1:lo1+n])
 }
 
-// rowRuns lists the maximal unassigned horizontal runs of row r that are at
-// least minW columns wide.
-func (d *detector) rowRuns(r, minW int32, buf []hrun) []hrun {
-	buf = buf[:0]
+// detectStrips cuts every supernode of two or more rows into strips from its
+// first row down: three rows each, and two for the last two or four.
+func (d *detector) detectStrips() {
+	end := d.el.baseRow + d.el.nRows
+	for g0 := d.el.baseRow; g0 < end; {
+		g1 := g0 + 1
+		for g1 < end && d.continues(g1) {
+			g1++
+		}
+		for r := g0; g1-r >= 2; {
+			h := int32(3)
+			if n := g1 - r; n == 2 || n == 4 {
+				h = 2
+			}
+			d.claimStrip(r, h)
+			r += h
+		}
+		g0 = g1
+	}
+}
+
+// claimStrip claims rows [r0, r0+h) of a supernode as one strip: the runs of
+// row r0, cut at the CSX-Sym boundary and at maxUnitSize columns, and in
+// CSX-Sym the triangle. A strip of more than maxUnitSize runs is left to the
+// other passes.
+func (d *detector) claimStrip(r0, h int32) {
 	el := d.el
-	lo, hi := el.rowSpan(r)
-	i := lo
-	for i < hi {
-		for i < hi && d.owner[i] != unassigned {
-			i++
-		}
-		if i >= hi {
-			break
-		}
+	lo, hi := el.rowSpan(r0)
+	first := len(d.stripRuns)
+	for i := lo; i < hi; {
 		j := i + 1
-		for j < hi && d.owner[j] == unassigned && el.cols[j] == el.cols[j-1]+1 {
+		for j < hi && el.cols[j] == el.cols[j-1]+1 && el.cols[j] != d.symBoundary && j-i < maxUnitSize {
 			j++
 		}
-		if j-i >= minW {
-			buf = append(buf, hrun{col0: el.cols[i], idx0: i, w: j - i})
-		}
+		d.stripRuns = append(d.stripRuns, stripRun{el.cols[i], j - i})
 		i = j
 	}
-	return buf
-}
-
-// intersect returns the overlap [c0, c0+w) of two runs (w ≤ 0 when disjoint).
-func intersect(a, b hrun) (c0, w int32) {
-	lo := max(a.col0, b.col0)
-	hi := min(a.col0+a.w, b.col0+b.w)
-	return lo, hi - lo
-}
-
-// detectBlocks claims 3-row, then 2-row dense blocks anchored at each row in
-// top-down order, in two sweeps: the first takes only overlaps at least 3
-// columns wide, the second the 2-column ones that are left, so that a narrow
-// overlap met first never splinters a wide block into 2-column slivers. A
-// block must not straddle the CSX-Sym write boundary.
-func (d *detector) detectBlocks() {
-	el := d.el
-	// A row has at most as many runs as elements: size the buffers once.
-	longest := int32(0)
-	for i := range el.nRows {
-		longest = max(longest, el.rowPtr[i+1]-el.rowPtr[i])
-	}
-	bufA, bufB, bufC := make([]hrun, 0, longest), make([]hrun, 0, longest), make([]hrun, 0, longest)
-	for _, minW := range [...]int32{3, 2} {
-		for r := el.baseRow; r < el.baseRow+el.nRows; r++ {
-			bufA = d.rowRuns(r, minW, bufA)
-			if len(bufA) == 0 {
-				continue
-			}
-			var runsB, runsC []hrun
-			if r+1 < el.baseRow+el.nRows {
-				bufB = d.rowRuns(r+1, minW, bufB)
-				runsB = bufB
-			}
-			if r+2 < el.baseRow+el.nRows {
-				bufC = d.rowRuns(r+2, minW, bufC)
-				runsC = bufC
-			}
-			for _, ra := range bufA {
-				// Every overlap with a run of row r+1, deepened to 3 rows
-				// by the widest overlap with a run of row r+2.
-				for _, rb := range runsB {
-					c0, w := intersect(ra, rb)
-					if w < minW {
-						continue
-					}
-					var rcBest hrun
-					var c03, w3 int32
-					for _, rc := range runsC {
-						cc, wc := intersect(hrun{col0: c0, w: w}, rc)
-						if wc >= minW && wc > w3 {
-							rcBest, c03, w3 = rc, cc, wc
-						}
-					}
-					if w3 >= minW {
-						d.claimBlock(Block3, c03, w3, [3]hrun{ra, rb, rcBest})
-					} else {
-						d.claimBlock(Block2, c0, w, [3]hrun{ra, rb, {}})
-					}
-				}
-			}
-		}
-	}
-}
-
-// claimBlock claims the elements of a dense block anchored at column c0 of
-// runs[0]'s row with width w, spanning 2 or 3 rows, splitting over-wide blocks
-// at the size cap.
-// Each per-row run is known to cover [c0, c0+w) with consecutive row-major
-// elements, so element indices are computed by offset.
-func (d *detector) claimBlock(pat Pattern, c0, w int32, runs [3]hrun) {
-	if !d.legal(c0, c0+w-1) {
+	runs := d.stripRuns[first:len(d.stripRuns):len(d.stripRuns)]
+	if len(runs) > maxUnitSize {
+		d.stripRuns = d.stripRuns[:first]
 		return
 	}
-	depth := int32(2)
-	if pat == Block3 {
-		depth = 3
-	}
-	// Re-check every element is still unassigned (earlier blocks of this
-	// same sweep may have claimed parts of the fresher rows' runs).
-	base := [3]int32{}
-	for k := int32(0); k < depth; k++ {
-		base[k] = runs[k].idx0 + (c0 - runs[k].col0)
-		for j := int32(0); j < w; j++ {
-			if d.owner[base[k]+j] != unassigned {
-				return
+	start := len(d.arena)
+	off := int32(0) // the run's first element within its row
+	for _, run := range runs {
+		for k := int32(0); k < h; k++ {
+			base := el.rowPtr[r0+k-el.baseRow] + off
+			for j := int32(0); j < run.w; j++ {
+				d.arena = append(d.arena, base+j)
 			}
 		}
+		off += run.w
 	}
-	maxW := int32(maxUnitSize) / depth
-	for off := int32(0); off < w; off += maxW {
-		ww := min(maxW, w-off)
-		if ww < 2 {
-			break
+	tri := d.symBoundary >= 0
+	for k := int32(1); tri && k < h; k++ { // row r0+k's last k columns: r0 … r0+k-1
+		base := el.rowPtr[r0+k-el.baseRow] + off
+		for j := int32(0); j < k; j++ {
+			d.arena = append(d.arena, base+j)
 		}
-		start := len(d.arena)
-		for k := int32(0); k < depth; k++ {
-			for j := int32(0); j < ww; j++ {
-				d.arena = append(d.arena, base[k]+off+j)
-			}
-		}
-		d.addUnit(pat, ww, start)
+	}
+	u := d.addUnit(Strip2+Pattern(h-2), start)
+	u.row, u.col, u.runs, u.tri = r0, r0, runs, tri
+	if len(runs) > 0 {
+		u.col = runs[0].col
 	}
 }

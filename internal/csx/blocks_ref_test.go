@@ -10,34 +10,67 @@ import (
 	"repro/internal/partition"
 )
 
-// The block pass as it was before it claimed wide blocks first, kept as the
-// oracle (its name changed, and it asks rowRuns for runs of any width): one
-// sweep that claims, at each row, the first overlap at least 2 columns wide it
-// meets. TestWideBlocksFirstNeverGrows holds detectBlocks to it.
+// The block pass as it was before strips, kept as the oracle (its name
+// changed, and a block is now a strip of one run and no triangle): one sweep
+// that claims, at each row, the first overlap at least 2 columns wide it
+// meets with the rows below, so a range's blocks depend on the row it starts
+// at. TestSupernodeStripsNeverGrow holds detectStrips to it.
+
+// hrun is a maximal run of consecutive-column unassigned elements in one row.
+type hrun struct {
+	col0 int32 // first column
+	idx0 int32 // element index of first element (row-major ⇒ consecutive)
+	w    int32 // width
+}
+
+// rowRuns lists the maximal unassigned horizontal runs of row r.
+func (d *detector) rowRuns(r int32, buf []hrun) []hrun {
+	buf = buf[:0]
+	el := d.el
+	lo, hi := el.rowSpan(r)
+	i := lo
+	for i < hi {
+		for i < hi && d.owner[i] != unassigned {
+			i++
+		}
+		if i >= hi {
+			break
+		}
+		j := i + 1
+		for j < hi && d.owner[j] == unassigned && el.cols[j] == el.cols[j-1]+1 {
+			j++
+		}
+		buf = append(buf, hrun{col0: el.cols[i], idx0: i, w: j - i})
+		i = j
+	}
+	return buf
+}
+
+// intersect returns the overlap [c0, c0+w) of two runs (w ≤ 0 when disjoint).
+func intersect(a, b hrun) (c0, w int32) {
+	lo := max(a.col0, b.col0)
+	hi := min(a.col0+a.w, b.col0+b.w)
+	return lo, hi - lo
+}
 
 // detectBlocksReference greedily claims 3-row, then 2-row dense blocks
 // anchored at each row in top-down order. A block must be at least 2 columns
 // wide and (for CSX-Sym) must not straddle the write boundary.
 func (d *detector) detectBlocksReference() {
 	el := d.el
-	// A row has at most as many runs as elements: size the buffers once.
-	longest := int32(0)
-	for i := range el.nRows {
-		longest = max(longest, el.rowPtr[i+1]-el.rowPtr[i])
-	}
-	bufA, bufB, bufC := make([]hrun, 0, longest), make([]hrun, 0, longest), make([]hrun, 0, longest)
+	var bufA, bufB, bufC []hrun
 	for r := el.baseRow; r < el.baseRow+el.nRows; r++ {
-		bufA = d.rowRuns(r, 1, bufA)
+		bufA = d.rowRuns(r, bufA)
 		if len(bufA) == 0 {
 			continue
 		}
 		var runsB, runsC []hrun
 		if r+1 < el.baseRow+el.nRows {
-			bufB = d.rowRuns(r+1, 1, bufB)
+			bufB = d.rowRuns(r+1, bufB)
 			runsB = bufB
 		}
 		if r+2 < el.baseRow+el.nRows {
-			bufC = d.rowRuns(r+2, 1, bufC)
+			bufC = d.rowRuns(r+2, bufC)
 			runsC = bufC
 		}
 		if len(runsB) == 0 {
@@ -63,12 +96,48 @@ func (d *detector) detectBlocksReference() {
 					}
 				}
 				if w3 >= 2 {
-					d.claimBlock(Block3, c03, w3, [3]hrun{ra, rb, rcBest})
+					d.claimBlock(Strip3, c03, w3, [3]hrun{ra, rb, rcBest})
 				} else {
-					d.claimBlock(Block2, c0, w, [3]hrun{ra, rb, {}})
+					d.claimBlock(Strip2, c0, w, [3]hrun{ra, rb, {}})
 				}
 			}
 		}
+	}
+}
+
+// claimBlock claims the elements of a dense block anchored at column c0 of
+// runs[0]'s row with width w, spanning 2 or 3 rows, splitting over-wide blocks
+// at the size cap. Each per-row run is known to cover [c0, c0+w) with
+// consecutive row-major elements, so element indices are computed by offset.
+func (d *detector) claimBlock(pat Pattern, c0, w int32, runs [3]hrun) {
+	if !d.legal(c0, c0+w-1) {
+		return
+	}
+	depth := pat.depth()
+	// Re-check every element is still unassigned (earlier blocks of this
+	// same sweep may have claimed parts of the fresher rows' runs).
+	base := [3]int32{}
+	for k := int32(0); k < depth; k++ {
+		base[k] = runs[k].idx0 + (c0 - runs[k].col0)
+		for j := int32(0); j < w; j++ {
+			if d.owner[base[k]+j] != unassigned {
+				return
+			}
+		}
+	}
+	maxW := int32(maxUnitSize) / depth
+	for off := int32(0); off < w; off += maxW {
+		ww := min(maxW, w-off)
+		if ww < 2 {
+			break
+		}
+		start := len(d.arena)
+		for k := int32(0); k < depth; k++ {
+			for j := int32(0); j < ww; j++ {
+				d.arena = append(d.arena, base[k]+off+j)
+			}
+		}
+		d.addUnit(pat, start).runs = []stripRun{{c0 + off, ww}}
 	}
 }
 
@@ -115,12 +184,12 @@ func blobCensus(t *testing.T, blobs []*Blob, n int, symmetric bool) (units, byte
 	return units, bytes, m.NNZ(), m.Normalize()
 }
 
-// TestWideBlocksFirstNeverGrows: claiming every block three or more columns
-// wide before any 2-column one encodes no more units and no more bytes than
-// the one-sweep pass, and the same triplets, in CSX-Sym and plain CSX at
-// p = 1, 2, 3 under the default options, on the eight block-structured suite
-// matrices and the benchmark analogs, all at 6000 rows or fewer.
-func TestWideBlocksFirstNeverGrows(t *testing.T) {
+// TestSupernodeStripsNeverGrow: cutting supernodes into strips encodes no
+// more units and no more bytes than the greedy block pass, and the same
+// triplets, in CSX-Sym and plain CSX at p = 1, 2, 3 under the default
+// options, on the eight block-structured suite matrices and the benchmark
+// analogs, all at 6000 rows or fewer.
+func TestSupernodeStripsNeverGrow(t *testing.T) {
 	cases := map[string]*matrix.COO{}
 	for _, name := range []string{"consph", "bmw7st_1", "bmwcra_1", "hood", "crankseg_2", "nd12k", "inline_1", "ldoor"} {
 		cases[name] = suiteCOO(t, name, 2000)
@@ -152,10 +221,10 @@ func TestWideBlocksFirstNeverGrows(t *testing.T) {
 				units, bytes, elems, got := blobCensus(t, c.got, s.N, c.symmetric)
 				refUnits, refBytes, refElems, want := blobCensus(t, c.ref, s.N, c.symmetric)
 				if units > refUnits || bytes > refBytes {
-					t.Errorf("%s %s p=%d: %d units in %d bytes, the one-sweep pass %d units in %d bytes", name, c.format, p, units, bytes, refUnits, refBytes)
+					t.Errorf("%s %s p=%d: %d units in %d bytes, the greedy block pass %d units in %d bytes", name, c.format, p, units, bytes, refUnits, refBytes)
 				}
 				if elems != refElems {
-					t.Errorf("%s %s p=%d: %d elements decoded, the one-sweep pass %d", name, c.format, p, elems, refElems)
+					t.Errorf("%s %s p=%d: %d elements decoded, the greedy block pass %d", name, c.format, p, elems, refElems)
 				}
 				assertSameTriplets(t, fmt.Sprintf("%s %s p=%d", name, c.format, p), got, want)
 				if units < refUnits {
@@ -165,6 +234,6 @@ func TestWideBlocksFirstNeverGrows(t *testing.T) {
 		}
 	}
 	if shrunk == 0 {
-		t.Error("no encoding lost a unit: the comparison never met a narrow overlap before a wide one")
+		t.Error("no encoding lost a unit: the comparison never met a supernode")
 	}
 }

@@ -1,11 +1,14 @@
 package csx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/csr"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
@@ -165,14 +168,14 @@ func TestCSXDetectsPatterns(t *testing.T) {
 
 	mx := NewMatrix(ms["banded"], 1, DefaultOptions())
 	b := mx.Blobs[0]
-	if b.UnitCount[Horizontal]+b.UnitCount[Diagonal]+b.UnitCount[Block2]+b.UnitCount[Block3] == 0 {
-		t.Errorf("banded: no horizontal/diagonal/block units detected: %+v", b.UnitCount)
+	if b.UnitCount[Horizontal]+b.UnitCount[Diagonal]+b.UnitCount[Strip2]+b.UnitCount[Strip3] == 0 {
+		t.Errorf("banded: no horizontal/diagonal/strip units detected: %+v", b.UnitCount)
 	}
 
 	mxB := NewMatrix(ms["blocked"], 1, DefaultOptions())
 	bb := mxB.Blobs[0]
-	if bb.UnitCount[Block2]+bb.UnitCount[Block3]+bb.UnitCount[Horizontal] == 0 {
-		t.Errorf("blocked: no block/horizontal units detected: %+v", bb.UnitCount)
+	if bb.UnitCount[Strip2]+bb.UnitCount[Strip3]+bb.UnitCount[Horizontal] == 0 {
+		t.Errorf("blocked: no strip/horizontal units detected: %+v", bb.UnitCount)
 	}
 	if frac := float64(bb.DeltaElems) / float64(bb.NNZ); frac > 0.5 {
 		t.Errorf("blocked: %.0f%% of elements fell to delta units, structure not exploited", 100*frac)
@@ -278,4 +281,86 @@ func TestCSXSymLegalityRule(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStripsDoNotDependOnTheBlobStart: the rows more than one bandwidth past a
+// row a — whose columns all lie past a — encode into the same strips whether
+// they are encoded as a blob that starts at a (CSX-Sym: writing behind the
+// boundary a), inside [0, N) with the boundary at a, or inside [0, N) with no
+// boundary; and in plain CSX as a blob from a or inside [0, N). The starts
+// fall at every phase of the suite matrices' 3- and 6-row node blocks.
+func TestStripsDoNotDependOnTheBlobStart(t *testing.T) {
+	opts := DefaultOptions()
+	for _, name := range []string{"bmwcra_1", "consph"} {
+		m := suiteCOO(t, name, 3000)
+		s, err := core.FromCOO(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := csr.FromCOO(m)
+		n := int32(s.N)
+		bw := int32(0)
+		for r := int32(0); r < n; r++ {
+			if lo := s.RowPtr[r]; lo < s.RowPtr[r+1] {
+				bw = max(bw, r-s.ColIdx[lo])
+			}
+		}
+		encode := func(rowPtr, colIdx []int32, vals []float64, a, boundary int32) *Blob {
+			el, lo, _ := buildElements(rowPtr, colIdx, a, n)
+			return encodeRange(el, vals[lo:], opts, boundary)
+		}
+		symWhole := encode(s.RowPtr, s.ColIdx, s.Val, 0, 0)
+		plainWhole := encode(full.RowPtr, full.ColIdx, full.Val, 0, -1)
+		for a := n / 3; a < n/3+6; a++ {
+			from := a + bw + 1
+			want := stripsFrom(t, symWhole, from)
+			if len(want) < int(n-from)/4 {
+				t.Fatalf("%s: %d strips past row %d of %d: the matrix has no supernodes to compare", name, len(want), from, n)
+			}
+			for what, b := range map[string]*Blob{
+				"its own blob":           encode(s.RowPtr, s.ColIdx, s.Val, a, a),
+				"[0, N) with boundary a": encode(s.RowPtr, s.ColIdx, s.Val, 0, a),
+			} {
+				if got := stripsFrom(t, b, from); !slices.Equal(got, want) {
+					t.Errorf("%s CSX-Sym from row %d as %s: %d strips past row %d, [0, N) has %d (first difference at %d)", name, a, what, len(got), from, len(want), firstDiff(got, want))
+				}
+			}
+			want = stripsFrom(t, plainWhole, from)
+			if got := stripsFrom(t, encode(full.RowPtr, full.ColIdx, full.Val, a, -1), from); !slices.Equal(got, want) || len(want) == 0 {
+				t.Errorf("%s CSX from row %d: %d strips past row %d, [0, N) has %d (first difference at %d)", name, a, len(got), from, len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// stripKey is one strip as the ctl stream has it.
+type stripKey struct {
+	pat  Pattern
+	row  int32
+	tri  bool
+	runs string
+}
+
+// stripsFrom lists the strips of a blob anchored at row from or below.
+func stripsFrom(t *testing.T, b *Blob, from int32) []stripKey {
+	t.Helper()
+	var out []stripKey
+	if err := walkUnits(b, func(u *walkedUnit) error {
+		if u.pat >= Strip2 && u.row >= from {
+			out = append(out, stripKey{u.pat, u.row, u.tri, fmt.Sprint(u.runs)})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func firstDiff(a, b []stripKey) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

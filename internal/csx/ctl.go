@@ -6,10 +6,9 @@ import "fmt"
 // cursor (current row, current column) so callers only supply absolute unit
 // anchors.
 type ctlWriter struct {
-	buf     []byte
-	row     int32 // last emitted row; decoder starts at startRow-1
-	col     int32 // column cursor within the current row
-	started bool
+	buf []byte
+	row int32 // last emitted row; decoder starts at startRow-1
+	col int32 // column cursor within the current row
 }
 
 func newCtlWriter(startRow int32) *ctlWriter {
@@ -33,28 +32,53 @@ func (w *ctlWriter) beginUnit(p Pattern, size int, anchorRow, anchorCol, endCol 
 	if size < 1 || size > maxUnitSize {
 		panic(fmt.Sprintf("csx: unit size %d out of [1,%d]", size, maxUnitSize))
 	}
+	w.head(byte(p), size, anchorRow)
+	w.column(anchorCol, endCol)
+}
+
+// strip emits a strip: its head (the run count as second byte), then each
+// run's column delta and width.
+func (w *ctlWriter) strip(p Pattern, row int32, runs []stripRun, tri bool) {
 	flags := byte(p)
+	if tri {
+		flags |= flagTri
+	}
+	w.head(flags, len(runs), row)
+	for _, r := range runs {
+		w.column(r.col, r.col+r.w-1)
+		w.buf = append(w.buf, byte(r.w))
+	}
+}
+
+// head emits flags and the second head byte, with NR and the row jump that
+// take the cursor to row.
+func (w *ctlWriter) head(flags byte, second int, row int32) {
 	var rjmp uint32
-	if anchorRow != w.row {
-		if anchorRow < w.row {
-			panic(fmt.Sprintf("csx: unit anchor row %d before cursor row %d", anchorRow, w.row))
+	if row != w.row {
+		if row < w.row {
+			panic(fmt.Sprintf("csx: unit anchor row %d before cursor row %d", row, w.row))
 		}
 		flags |= flagNR
-		if d := anchorRow - w.row; d > 1 {
+		if d := row - w.row; d > 1 {
 			flags |= flagRJMP
 			rjmp = uint32(d - 1)
 		}
 		w.col = 0
 	}
-	w.buf = append(w.buf, flags, byte(size))
+	w.buf = append(w.buf, flags, byte(second))
 	if flags&flagRJMP != 0 {
 		w.putUvarint(rjmp)
 	}
-	if anchorCol < w.col {
-		panic(fmt.Sprintf("csx: unit anchor col %d before cursor col %d (row %d)", anchorCol, w.col, anchorRow))
+	w.row = row
+}
+
+// column emits the delta from the column cursor to col and leaves the cursor
+// on endCol.
+func (w *ctlWriter) column(col, endCol int32) {
+	if col < w.col {
+		panic(fmt.Sprintf("csx: unit anchor col %d before cursor col %d (row %d)", col, w.col, w.row))
 	}
-	w.putUvarint(uint32(anchorCol - w.col))
-	w.row = anchorRow
+	w.putUvarint(uint32(col - w.col))
 	w.col = endCol
 }
 

@@ -9,31 +9,48 @@ import (
 	"repro/internal/matrix"
 )
 
+// The errors a strip the kernels must not run is refused with.
+var (
+	ErrEmptyStrip      = errors.New("csx: strip with no runs and no triangle")
+	ErrTriangleRows    = errors.New("csx: strip triangle outside the blob's rows")
+	ErrTriangleInPlain = errors.New("csx: triangle flag in a plain CSX blob")
+	ErrStraddle        = errors.New("csx: run straddles the write boundary")
+)
+
 // blobWalk is the shared ctl-stream walker behind DecodeToCOO and
 // ValidateSymBlob: it decodes unit heads and bodies exactly like the hot
 // multiply kernels but checks every byte it consumes, so malformed streams
-// (truncated heads or varints, zero-size units, unknown patterns, wild jumps)
-// surface as errors instead of panics or out-of-range accesses. emit is
-// called once per element in ctl order; unitDone, if non-nil, once per unit
-// whose body decoded, with its pattern, size, anchor and column extremes (the
-// hook the CSX-Sym boundary-legality validation, UnitDump and UnitMix hang
-// off). ctl bytes reach this walker from disk, so it is the untrusted-input
-// gate in front of the kernels, which may then assume validated streams.
-func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone func(u walkedUnit) error) error {
-	ctl := b.Ctl
-	row := b.StartRow - 1
-	col := int32(0)
-	i := 0
+// (truncated heads or varints, zero-size units, unknown patterns, wild jumps,
+// empty strips, triangles outside the blob or in a plain blob) surface as
+// errors instead of panics or out-of-range accesses. emit is called once per
+// element in ctl order; unitDone, if non-nil, once per unit whose body
+// decoded, with its pattern, size, anchor and column extremes or strip runs
+// (the hook the CSX-Sym boundary-legality validation, UnitDump and UnitMix
+// hang off; the unit is the walker's, valid for the call). ctl bytes reach
+// this walker from disk, so it is the untrusted-input gate in front of the
+// kernels, which may then assume validated streams.
+func blobWalk(b *Blob, rows, cols int, sym bool, emit func(r, c int32) error, unitDone func(u *walkedUnit) error) error {
+	ctl, row, col, i := b.Ctl, b.StartRow-1, int32(0), 0
+	var u walkedUnit
+	// column reads the next column delta and moves col by it.
+	column := func() error {
+		d, n := uvarint(ctl[i:])
+		if n <= 0 {
+			return fmt.Errorf("csx: truncated or oversized column-delta varint at byte %d", i)
+		}
+		if d > uint32(cols) {
+			return fmt.Errorf("csx: column delta %d beyond %d columns at byte %d", d, cols, i)
+		}
+		i += n
+		col += int32(d)
+		return nil
+	}
 	for i < len(ctl) {
 		if i+2 > len(ctl) {
 			return fmt.Errorf("csx: truncated unit head at byte %d", i)
 		}
-		flags := ctl[i]
-		size := int(ctl[i+1])
+		flags, size := ctl[i], int(ctl[i+1])
 		i += 2
-		if size == 0 {
-			return fmt.Errorf("csx: zero-size unit at byte %d", i-2)
-		}
 		if flags&flagNR != 0 {
 			if flags&flagRJMP != 0 {
 				jump, n := uvarint(ctl[i:])
@@ -50,26 +67,21 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 			}
 			col = 0
 		}
-		d, n := uvarint(ctl[i:])
-		if n <= 0 {
-			return fmt.Errorf("csx: truncated or oversized column-delta varint at byte %d", i)
-		}
-		i += n
-		if d > uint32(cols) {
-			return fmt.Errorf("csx: column delta %d beyond %d columns at byte %d", d, cols, i-n)
-		}
-		col += int32(d)
 		pat := Pattern(flags & patternMask)
-		u := walkedUnit{pat: pat, size: size, row: row, col: col, minCol: col, maxCol: col}
+		tri := flags&flagTri != 0
+		u = walkedUnit{pat: pat, size: size, row: row, col: row, runs: u.runs[:0], tri: tri}
+		if pat != Strip2 && pat != Strip3 {
+			if size == 0 {
+				return fmt.Errorf("csx: zero-size unit at byte %d", i-2)
+			}
+			if err := column(); err != nil {
+				return err
+			}
+			u.col, u.minCol, u.maxCol = col, col, col
+		}
 		switch pat {
 		case Delta8, Delta16, Delta32:
-			width := 1
-			switch pat {
-			case Delta16:
-				width = 2
-			case Delta32:
-				width = 4
-			}
+			width := 1 << (pat - Delta8) // 1, 2 or 4 bytes
 			if err := emit(row, col); err != nil {
 				return err
 			}
@@ -78,25 +90,15 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 					return fmt.Errorf("csx: truncated delta body at byte %d", i)
 				}
 				var dd uint32
-				switch width {
-				case 1:
-					dd = uint32(ctl[i])
-				case 2:
-					dd = uint32(ctl[i]) | uint32(ctl[i+1])<<8
-				default:
-					dd = uint32(ctl[i]) | uint32(ctl[i+1])<<8 | uint32(ctl[i+2])<<16 | uint32(ctl[i+3])<<24
+				for j := width - 1; j >= 0; j-- {
+					dd = dd<<8 | uint32(ctl[i+j])
 				}
 				i += width
 				col += int32(dd)
 				if err := emit(row, col); err != nil {
 					return err
 				}
-				if col < u.minCol {
-					u.minCol = col
-				}
-				if col > u.maxCol {
-					u.maxCol = col
-				}
+				u.minCol, u.maxCol = min(u.minCol, col), max(u.maxCol, col)
 			}
 		case Horizontal:
 			for k := 0; k < size; k++ {
@@ -119,36 +121,56 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 				}
 			}
 			u.maxCol = col + int32(size) - 1
-		case AntiDiagonal:
+		case Strip2, Strip3:
+			h := pat.depth()
+			switch {
+			case tri && !sym:
+				return fmt.Errorf("%w at byte %d", ErrTriangleInPlain, i-2)
+			case size == 0 && !tri:
+				return fmt.Errorf("%w at byte %d", ErrEmptyStrip, i-2)
+			case tri && (row < b.StartRow || row+h > b.EndRow):
+				return fmt.Errorf("%w: rows [%d,%d) at byte %d, blob rows [%d,%d)", ErrTriangleRows, row, row+h, i-2, b.StartRow, b.EndRow)
+			}
+			u.size = 0
 			for k := 0; k < size; k++ {
-				if err := emit(row+int32(k), col-int32(k)); err != nil {
+				if err := column(); err != nil {
 					return err
 				}
+				if i >= len(ctl) || ctl[i] == 0 {
+					return fmt.Errorf("csx: truncated or zero-width strip run at byte %d", i)
+				}
+				w := int32(ctl[i])
+				i++
+				if k == 0 {
+					u.col = col
+				}
+				u.runs = append(u.runs, stripRun{col, w})
+				for rr := int32(0); rr < h; rr++ {
+					for j := int32(0); j < w; j++ {
+						if err := emit(row+rr, col+j); err != nil {
+							return err
+						}
+					}
+				}
+				u.size += int(h * w)
+				col += w - 1
 			}
-			u.minCol = col - int32(size) + 1
-		case Block2, Block3:
-			depth := int32(2)
-			if pat == Block3 {
-				depth = 3
-			}
-			if size%int(depth) != 0 {
-				return fmt.Errorf("csx: block unit size %d not divisible by %d", size, depth)
-			}
-			w := int32(size) / depth
-			for rr := int32(0); rr < depth; rr++ {
-				for k := int32(0); k < w; k++ {
-					if err := emit(row+rr, col+k); err != nil {
+			for k := int32(1); tri && k < h; k++ {
+				for j := int32(0); j < k; j++ {
+					if err := emit(row+k, row+j); err != nil {
 						return err
 					}
 				}
+				u.size += int(k)
 			}
-			col += w - 1
-			u.maxCol = col
 		default:
 			return fmt.Errorf("csx: unknown pattern %d at byte %d", pat, i)
 		}
+		if tri && pat < Strip2 {
+			return fmt.Errorf("csx: triangle flag on a %s unit before byte %d", pat, i)
+		}
 		if unitDone != nil {
-			if err := unitDone(u); err != nil {
+			if err := unitDone(&u); err != nil {
 				return err
 			}
 		}
@@ -157,12 +179,16 @@ func blobWalk(b *Blob, rows, cols int, emit func(r, c int32) error, unitDone fun
 }
 
 // walkedUnit is what blobWalk hands its per-unit hook: the unit's pattern and
-// element count, its anchor, and the extremes of the columns it covers.
+// element count, its anchor (a strip's first row and first run's column, or
+// its row when it has no runs), the extremes of the columns a unit other than
+// a strip covers, and a strip's runs and triangle flag.
 type walkedUnit struct {
 	pat            Pattern
 	size           int
 	row, col       int32
 	minCol, maxCol int32
+	runs           []stripRun
+	tri            bool
 }
 
 // DecodeToCOO reconstructs the exact (row, col, value) triplets a blob
@@ -194,7 +220,7 @@ func DecodeToCOO(b *Blob, rows, cols int, symmetric bool) (*matrix.COO, error) {
 		pos++
 		return nil
 	}
-	if err := blobWalk(b, rows, cols, emit, nil); err != nil {
+	if err := blobWalk(b, rows, cols, symmetric, emit, nil); err != nil {
 		return nil, err
 	}
 	if pos != len(vals) {
@@ -210,9 +236,11 @@ func DecodeToCOO(b *Blob, rows, cols int, symmetric bool) (*matrix.COO, error) {
 //   - the ctl stream decodes cleanly (no truncation, unknown patterns, …),
 //   - every element sits in the strict lower triangle, inside the blob's
 //     declared row range [StartRow, EndRow),
-//   - no unit straddles the local/direct write boundary (the Fig. 8 legality
-//     rule): all of a unit's columns lie on one side of `boundary`, since the
-//     kernel routes the whole unit through one target vector,
+//   - no unit or strip run straddles the local/direct write boundary (the
+//     Fig. 8 legality rule): all of its columns lie on one side of
+//     `boundary`, since the kernel routes it through one target vector,
+//   - a strip has runs or a triangle, and its triangle, which the kernel
+//     writes into y, lies inside the blob's rows,
 //   - the value array length matches both the elements the ctl stream emits
 //     and the blob's declared NNZ.
 //
@@ -244,13 +272,24 @@ func ValidateSymBlob(b *Blob, n int, boundary int32, touched map[int32]struct{})
 		}
 		return nil
 	}
-	unitDone := func(u walkedUnit) error {
-		if u.minCol < boundary && u.maxCol >= boundary {
-			return fmt.Errorf("csx: unit columns [%d,%d] straddle the write boundary %d", u.minCol, u.maxCol, boundary)
+	straddles := func(lo, hi int32) error {
+		if lo < boundary && hi >= boundary {
+			return fmt.Errorf("%w: columns [%d,%d] across %d", ErrStraddle, lo, hi, boundary)
 		}
 		return nil
 	}
-	if err := blobWalk(b, n, n, emit, unitDone); err != nil {
+	unitDone := func(u *walkedUnit) error {
+		if u.pat < Strip2 {
+			return straddles(u.minCol, u.maxCol)
+		}
+		for _, r := range u.runs {
+			if err := straddles(r.col, r.col+r.w-1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := blobWalk(b, n, n, true, emit, unitDone); err != nil {
 		return err
 	}
 	if count != len(b.Vals) {
@@ -300,8 +339,8 @@ func DecodeSymMatrix(sm *SymMatrix) (*matrix.COO, error) {
 
 // walkUnits runs blobWalk for its per-unit hook alone: no element callback
 // and no matrix dimensions to hold the jumps to.
-func walkUnits(b *Blob, unitDone func(u walkedUnit) error) error {
-	return blobWalk(b, math.MaxInt32, math.MaxInt32, func(r, c int32) error { return nil }, unitDone)
+func walkUnits(b *Blob, unitDone func(u *walkedUnit) error) error {
+	return blobWalk(b, math.MaxInt32, math.MaxInt32, true, func(r, c int32) error { return nil }, unitDone)
 }
 
 var errDumpFull = errors.New("csx: unit dump full")
@@ -312,11 +351,15 @@ var errDumpFull = errors.New("csx: unit dump full")
 func UnitDump(b *Blob, maxUnits int) string {
 	var out strings.Builder
 	count := 0
-	err := walkUnits(b, func(u walkedUnit) error {
+	err := walkUnits(b, func(u *walkedUnit) error {
 		if count >= maxUnits {
 			return errDumpFull
 		}
-		fmt.Fprintf(&out, "unit %3d: row=%d col=%d pat=%s size=%d\n", count, u.row, u.col, u.pat, u.size)
+		fmt.Fprintf(&out, "unit %3d: row=%d col=%d pat=%s size=%d", count, u.row, u.col, u.pat, u.size)
+		if u.pat >= Strip2 {
+			fmt.Fprintf(&out, " runs=%d tri=%v", len(u.runs), u.tri)
+		}
+		out.WriteByte('\n')
 		count++
 		return nil
 	})
@@ -326,57 +369,60 @@ func UnitDump(b *Blob, maxUnits int) string {
 	return out.String()
 }
 
-// unitMix counts a blob's units by pattern and size: what the decode kernels
-// will run, and the table their fixed-width cells are admitted on (DESIGN.md
-// §17.2). A block unit of size s is 2 or 3 rows of s/2 or s/3 columns.
-type unitMix [numPatterns][maxUnitSize + 1]int64
+// unitMix counts a blob's units and stored elements by pattern, and its
+// strips' runs and triangles: what the decode kernels will run.
+type unitMix struct {
+	units, elems [numPatterns]int64
+	runs, tri    int64 // strip runs; strips closed by a triangle
+}
 
 func mixOf(b *Blob) (m unitMix, err error) {
-	err = walkUnits(b, func(u walkedUnit) error {
-		m[u.pat][u.size]++
+	err = walkUnits(b, func(u *walkedUnit) error {
+		m.units[u.pat]++
+		m.elems[u.pat] += int64(u.size)
+		m.runs += int64(len(u.runs))
+		if u.tri {
+			m.tri++
+		}
 		return nil
 	})
 	return m, err
 }
 
-// totals reports the units and stored elements of pattern p.
-func (m *unitMix) totals(p Pattern) (units, elems int64) {
-	for size, n := range m[p] {
+// census reports the units, the strips, the mean runs per strip and the
+// per-cent of strips a triangle closes.
+func (m *unitMix) census() (units, strips int64, runsPerStrip, triShare float64) {
+	for _, n := range m.units {
 		units += n
-		elems += n * int64(size)
 	}
-	return units, elems
+	strips = m.units[Strip2] + m.units[Strip3]
+	d := float64(max(strips, 1))
+	return units, strips, float64(m.runs) / d, 100 * float64(m.tri) / d
 }
 
-// UnitMix renders the unit mix of a blob: per pattern the units, the stored
-// elements, their share of the blob and the mean unit size, and for the block
-// patterns the same by block width. mtx-info -dump prints it before the unit
-// listing; a stream blobWalk refuses is counted up to the error, printed last.
+// UnitMix renders the unit mix of a blob: its units and strips, the mean runs
+// per strip and the share closed by a triangle, then per pattern the units,
+// the stored elements, their share of the blob and the mean unit size.
+// mtx-info -dump prints it before the unit listing; a stream blobWalk refuses
+// is counted up to the error, printed last.
 func UnitMix(b *Blob) string {
 	m, err := mixOf(b)
 	var all int64
-	for p := Pattern(0); p < numPatterns; p++ {
-		_, elems := m.totals(p)
-		all += elems
+	for _, n := range m.elems {
+		all += n
 	}
 	share := func(elems int64) float64 { return 100 * float64(elems) / float64(max(all, 1)) }
 	var out strings.Builder
+	units, strips, runs, tri := m.census()
+	fmt.Fprintf(&out, "rows [%d,%d): %d units, %d strips, %.2f runs per strip, %.1f%% closed by a triangle\n",
+		b.StartRow, b.EndRow, units, strips, runs, tri)
 	fmt.Fprintf(&out, "%-14s %9s %10s %7s %10s\n", "pattern", "units", "elements", "share", "mean size")
 	for p := Pattern(0); p < numPatterns; p++ {
-		units, elems := m.totals(p)
+		units, elems := m.units[p], m.elems[p]
 		if units == 0 {
 			continue
 		}
 		fmt.Fprintf(&out, "%-14s %9d %10d %6.1f%% %10.1f\n", p, units, elems, share(elems), float64(elems)/float64(units))
-		if p != Block2 && p != Block3 {
-			continue
-		}
-		depth := int(p-Block2) + 2
-		for size, n := range m[p] {
-			if n > 0 {
-				fmt.Fprintf(&out, "  %-12s %9d %10d %6.1f%%\n", fmt.Sprintf("width %d", size/depth), n, n*int64(size), share(n*int64(size)))
-			}
-		}
 	}
 	if err != nil {
 		fmt.Fprintf(&out, "<%v>\n", err)

@@ -13,15 +13,14 @@ import (
 // TestElementLoopsCheckOnlyMarkedLines compiles this package with the
 // compiler's bounds-check report switched on and holds the element loops of
 // the two decode kernels to DESIGN.md §17.2: every window is cut before the
-// loop, so inside a loop nested in the unit loop the compiler keeps a bounds
-// check only on the lines a delta arm marks — `// gather` and `// scatter`,
-// the data-dependent x[col] and target[col], and `// delta`, the next column
-// step read from the ctl stream — and none at all in a run or block arm. (The
-// two unrolled Block3 cells have no loop to scan: they index array pointers
-// with constants, which the compiler checks at compile time.) The
-// anti-diagonal arm, whose columns run backwards, indexes unwindowed and is
-// the one arm left out. The loops this replaced kept three checks per element
-// in a block (vals[pos], x[c], target[c]) and five in a delta unit.
+// loop, so inside an element loop (one that ranges over a window) the
+// compiler keeps a bounds check only on the lines a delta arm marks —
+// `// gather` and `// scatter`, the data-dependent x[col] and target[col],
+// and `// delta`, the next column step read from the ctl stream — and none at
+// all in a run or strip arm. A strip's loop over its runs cuts each run's
+// windows, so its checks are per run, not per element. The loops this
+// replaced kept three checks per element in a block (vals[pos], x[c],
+// target[c]) and five in a delta unit.
 func TestElementLoopsCheckOnlyMarkedLines(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -35,7 +34,7 @@ func TestElementLoopsCheckOnlyMarkedLines(t *testing.T) {
 	}
 	for file, want := range map[string]struct {
 		fn    string
-		loops int // element loops outside the anti-diagonal arm
+		loops int // element loops
 	}{
 		"sym.go":    {"func mulBlobSym(", 8},
 		"matrix.go": {"func mulBlob(", 8},
@@ -71,7 +70,7 @@ func TestElementLoopsCheckOnlyMarkedLines(t *testing.T) {
 			case strings.HasPrefix(code, "case ") || code == "default:":
 				arm = code
 			case depth == 0:
-				if strings.HasPrefix(code, "for ") && strings.HasPrefix(text, "\t\t\t") && arm != "case AntiDiagonal:" {
+				if strings.HasPrefix(code, "for ") && strings.Contains(code, ":= range ") {
 					depth = 1
 					loops++
 				}

@@ -34,8 +34,7 @@ type analog struct {
 // analogs are the four matrices of the repository benchmark
 // (benchmark/workloads.go) at scale times its sizes — the scattered stencil in
 // natural and RCM order, the block-banded FEM matrix, the Poisson grid — and
-// consph, which stands for the suite's 3×3-block family (DESIGN.md §17.2
-// decides a cell on it).
+// consph, which stands for the suite's 3×3-block family.
 var analogs = []analog{
 	{"parabolic_fem", 131456, func(tb testing.TB, scale float64) *matrix.COO { return suiteMatrix(tb, "parabolic_fem", 0.25*scale) }},
 	{"parabolic_fem-rcm", 131456, func(tb testing.TB, scale float64) *matrix.COO {
@@ -74,8 +73,7 @@ var analogs = []analog{
 
 // BenchmarkDecodeUnits times the two decode kernels on the analogs at p = 1
 // and 2 blobs, in nanoseconds per stored element, and reports the unit mix
-// each ran over as the share of stored elements in delta units, in 1-D runs
-// and in 2-D blocks, and the mean elements per unit (per dispatch). Like BenchmarkLowerRowBodies the blobs run one after the
+// each ran over (runUnits). Like BenchmarkLowerRowBodies the blobs run one after the
 // other on the benchmark's goroutine (for CSX-Sym the whole phase list, so
 // that the reduction re-zeroes the local vectors): no pool, no hand-off noise,
 // the same work whatever the host's core count.
@@ -150,27 +148,31 @@ func runEncode(b *testing.B, name string, build func() int) {
 	})
 }
 
+// runUnits runs product as a sub-benchmark over the blobs, in nanoseconds
+// per stored element, with the unit mix: the shares of stored elements in
+// delta units, 1-D runs and strips, the mean elements per unit, and per blob
+// its units, strips, mean runs per strip and per-cent of strips a triangle
+// closes — a blob that encodes worse than its neighbour shows here.
 func runUnits(b *testing.B, name string, blobs []*Blob, elems int, product func()) {
-	var share [3]float64 // delta units, 1-D runs, blocks
+	var share [3]float64 // delta units, 1-D runs, strips
 	units := int64(0)
-	for _, blob := range blobs {
-		for _, n := range blob.UnitCount {
-			units += n
-		}
+	mixes := make([]unitMix, len(blobs))
+	for t, blob := range blobs {
 		mix, err := mixOf(blob)
 		if err != nil {
 			b.Fatal(err)
 		}
+		mixes[t] = mix
 		for p := Pattern(0); p < numPatterns; p++ {
-			_, n := mix.totals(p)
 			kind := 2
 			switch {
 			case p <= Delta32:
 				kind = 0
-			case p < Block2:
+			case p < Strip2:
 				kind = 1
 			}
-			share[kind] += 100 * float64(n) / float64(elems)
+			share[kind] += 100 * float64(mix.elems[p]) / float64(elems)
+			units += mix.units[p]
 		}
 	}
 	b.Run(name, func(b *testing.B) {
@@ -181,7 +183,14 @@ func runUnits(b *testing.B, name string, blobs []*Blob, elems int, product func(
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
 		b.ReportMetric(share[0], "%delta")
 		b.ReportMetric(share[1], "%runs")
-		b.ReportMetric(share[2], "%blocks")
+		b.ReportMetric(share[2], "%strips")
 		b.ReportMetric(float64(elems)/float64(units), "elem/unit")
+		for t := range mixes {
+			units, strips, runs, tri := mixes[t].census()
+			b.ReportMetric(float64(units), fmt.Sprintf("units/b%d", t))
+			b.ReportMetric(float64(strips), fmt.Sprintf("strips/b%d", t))
+			b.ReportMetric(runs, fmt.Sprintf("runs/strip/b%d", t))
+			b.ReportMetric(tri, fmt.Sprintf("%%tri/b%d", t))
+		}
 	})
 }

@@ -12,9 +12,10 @@ import (
 	"repro/internal/parallel"
 )
 
-// The row-major decode kernels of PR 23, kept verbatim as the oracle (only
-// the names changed): mulBlobSym and mulBlob must produce bitwise what these
-// produce, sign of zero included.
+// The row-major decode kernels, kept as the oracle: mulBlobSym and mulBlob
+// must produce bitwise what these produce, sign of zero included. A strip is
+// read run by run, row by row, into one sum per strip row that also takes the
+// triangle's two halves, element by element, and lands in y at the end.
 
 func refMulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 	ctl := b.Ctl
@@ -36,6 +37,44 @@ func refMulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 				row++
 			}
 			col = 0
+		}
+		if pat := Pattern(flags & patternMask); pat == Strip2 || pat == Strip3 {
+			h := pat.depth()
+			var sums [3]float64
+			for run := 0; run < size; run++ {
+				d, n := readUvarint(ctl, i)
+				i += n
+				col += int32(d)
+				w := int32(ctl[i])
+				i++
+				target := y // run-level routing
+				if col < boundary {
+					target = local
+				}
+				for rr := int32(0); rr < h; rr++ {
+					xr := x[row+rr]
+					for k := int32(0); k < w; k++ {
+						v := vals[pos]
+						c := col + k
+						sums[rr] += v * x[c]
+						target[c] += v * xr
+						pos++
+					}
+				}
+				col += w - 1
+			}
+			for k := int32(1); flags&flagTri != 0 && k < h; k++ {
+				for j := int32(0); j < k; j++ {
+					v := vals[pos]
+					sums[k] += v * x[row+j]
+					sums[j] += v * x[row+k]
+					pos++
+				}
+			}
+			for rr := int32(0); rr < h; rr++ {
+				y[row+rr] += sums[rr]
+			}
+			continue
 		}
 		d, n := readUvarint(ctl, i)
 		i += n
@@ -122,47 +161,6 @@ func refMulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 				target[c] += v * x[r]
 			}
 			pos += size
-		case AntiDiagonal:
-			for k := 0; k < size; k++ {
-				v := vals[pos+k]
-				r := row + int32(k)
-				c := col - int32(k)
-				y[r] += v * x[c]
-				target[c] += v * x[r]
-			}
-			pos += size
-		case Block2:
-			w := size / 2
-			for rr := 0; rr < 2; rr++ {
-				r := row + int32(rr)
-				xr := x[r]
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					v := vals[pos]
-					c := col + int32(k)
-					sum += v * x[c]
-					target[c] += v * xr
-					pos++
-				}
-				y[r] += sum
-			}
-			col += int32(w) - 1
-		case Block3:
-			w := size / 3
-			for rr := 0; rr < 3; rr++ {
-				r := row + int32(rr)
-				xr := x[r]
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					v := vals[pos]
-					c := col + int32(k)
-					sum += v * x[c]
-					target[c] += v * xr
-					pos++
-				}
-				y[r] += sum
-			}
-			col += int32(w) - 1
 		default:
 			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", flags&patternMask))
 		}
@@ -189,6 +187,28 @@ func refMulBlob(b *Blob, x, y []float64) {
 				row++
 			}
 			col = 0
+		}
+		if pat := Pattern(flags & patternMask); pat == Strip2 || pat == Strip3 {
+			h := pat.depth()
+			var sums [3]float64
+			for run := 0; run < size; run++ {
+				d, n := readUvarint(ctl, i)
+				i += n
+				col += int32(d)
+				w := int32(ctl[i])
+				i++
+				for rr := int32(0); rr < h; rr++ {
+					for k := int32(0); k < w; k++ {
+						sums[rr] += vals[pos] * x[col+k]
+						pos++
+					}
+				}
+				col += w - 1
+			}
+			for rr := int32(0); rr < h; rr++ {
+				y[row+rr] += sums[rr]
+			}
+			continue
 		}
 		d, n := readUvarint(ctl, i)
 		i += n
@@ -241,33 +261,6 @@ func refMulBlob(b *Blob, x, y []float64) {
 				y[row+int32(k)] += vals[pos+k] * x[col+int32(k)]
 			}
 			pos += size
-		case AntiDiagonal:
-			for k := 0; k < size; k++ {
-				y[row+int32(k)] += vals[pos+k] * x[col-int32(k)]
-			}
-			pos += size
-		case Block2:
-			w := size / 2
-			for rr := 0; rr < 2; rr++ {
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					sum += vals[pos] * x[col+int32(k)]
-					pos++
-				}
-				y[row+int32(rr)] += sum
-			}
-			col += int32(w) - 1
-		case Block3:
-			w := size / 3
-			for rr := 0; rr < 3; rr++ {
-				sum := 0.0
-				for k := 0; k < w; k++ {
-					sum += vals[pos] * x[col+int32(k)]
-					pos++
-				}
-				y[row+int32(rr)] += sum
-			}
-			col += int32(w) - 1
 		default:
 			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", flags&patternMask))
 		}
@@ -403,12 +396,29 @@ func testSuiteMatchesReference(t *testing.T) {
 }
 
 // unitSpec is one unit of a hand-assembled blob: its pattern, anchor and
-// element count, and for a delta unit the size−1 column steps of its body.
+// element count, for a delta unit the size−1 column steps of its body, and
+// for a strip its runs and triangle flag (its size is then derived).
 type unitSpec struct {
 	pat      Pattern
 	row, col int32
 	size     int
 	deltas   []uint32
+	runs     []stripRun
+	tri      bool
+}
+
+// strip is the unitSpec of a strip of pattern pat at row with the runs (col,
+// w) given pairwise.
+func strip(pat Pattern, row int32, tri bool, runs ...int32) unitSpec {
+	u := unitSpec{pat: pat, row: row, tri: tri}
+	for k := 0; k < len(runs); k += 2 {
+		u.runs = append(u.runs, stripRun{runs[k], runs[k+1]})
+		u.size += int(pat.depth() * runs[k+1])
+	}
+	if tri {
+		u.size += int(pat.depth() * (pat.depth() - 1) / 2)
+	}
+	return u
 }
 
 // assembleBlob writes units (sorted by anchor, as the encoder emits them)
@@ -418,14 +428,14 @@ func assembleBlob(rng *rand.Rand, startRow, endRow int32, units []unitSpec) *Blo
 	w := newCtlWriter(startRow)
 	b := &Blob{StartRow: startRow, EndRow: endRow}
 	for _, u := range units {
+		b.Vals = append(b.Vals, signedOperand(rng, u.size)...)
+		if u.pat == Strip2 || u.pat == Strip3 {
+			w.strip(u.pat, u.row, u.runs, u.tri)
+			continue
+		}
 		endCol := u.col
-		switch u.pat {
-		case Horizontal:
+		if u.pat == Horizontal {
 			endCol += int32(u.size) - 1
-		case Block2:
-			endCol += int32(u.size/2) - 1
-		case Block3:
-			endCol += int32(u.size/3) - 1
 		}
 		for _, d := range u.deltas {
 			endCol += int32(d)
@@ -441,7 +451,6 @@ func assembleBlob(rng *rand.Rand, startRow, endRow int32, units []unitSpec) *Blo
 				w.putDelta32(d)
 			}
 		}
-		b.Vals = append(b.Vals, signedOperand(rng, u.size)...)
 	}
 	b.Ctl, b.NNZ = w.buf, len(b.Vals)
 	return b
@@ -457,19 +466,18 @@ func steps(n int, d uint32) []uint32 {
 
 func testUnitsMatchReference(t *testing.T) {
 	const n = 140000 // room for a 32-bit delta and a three-byte column varint
-	var blocks []unitSpec
-	for w := 1; w <= 85; w++ { // every Block3 width the size byte can carry
-		blocks = append(blocks, unitSpec{pat: Block3, row: int32(300 + 3*(w-1)), col: int32(w * 7 % 50), size: 3 * w})
+	var strips []unitSpec
+	for w := int32(1); w <= maxUnitSize; w++ { // every run width, with and without a triangle
+		strips = append(strips, strip(Strip3, 300+3*(w-1), w%2 == 0, w*7%50, w))
 	}
-	for w := 1; w <= 127; w++ { // and every Block2 width
-		blocks = append(blocks, unitSpec{pat: Block2, row: int32(600 + 2*(w-1)), col: int32(w * 5 % 40), size: 2 * w})
+	for w := int32(1); w <= maxUnitSize; w++ {
+		strips = append(strips, strip(Strip2, 1100+2*(w-1), w%3 == 0, w*5%40, w))
 	}
 	cases := []struct {
 		name     string
 		boundary int32 // a legal boundary strictly inside the blob's columns, 0 for none
 		units    []unitSpec
 	}{
-		{"anti-diagonal", 0, []unitSpec{{pat: AntiDiagonal, row: 40, col: 30, size: 12}, {pat: AntiDiagonal, row: 60, col: 58, size: 3}}},
 		{"wide deltas", 0, []unitSpec{
 			{pat: Delta8, row: 500, col: 2, size: 4, deltas: []uint32{1, 255, 3}},
 			{pat: Delta16, row: 70000, col: 5, size: 4, deltas: []uint32{300, 1000, 65535}},
@@ -479,14 +487,18 @@ func testUnitsMatchReference(t *testing.T) {
 		{"row jump", 0, []unitSpec{{pat: Delta8, row: 3, col: 1, size: 2, deltas: []uint32{1}}, {pat: Horizontal, row: 500, col: 17, size: 5},
 			{pat: Delta8, row: 501, col: 0, size: 1}, {pat: Vertical, row: 100000, col: 9, size: 4}}},
 		{"multi-byte column delta", 600, []unitSpec{{pat: Horizontal, row: 138000, col: 5, size: 3}, {pat: Horizontal, row: 138000, col: 700, size: 3},
-			{pat: Block3, row: 138000, col: 70000, size: 18}, {pat: Delta8, row: 138000, col: 137000, size: 2, deltas: []uint32{9}}}},
+			strip(Strip3, 138000, true, 70000, 6, 70010, 2), {pat: Delta8, row: 138003, col: 137000, size: 2, deltas: []uint32{9}}}},
 		{"sub-diagonal runs", 0, []unitSpec{{pat: Diagonal, row: 10, col: 9, size: 40}, {pat: Diagonal, row: 60, col: 55, size: 30},
 			{pat: Diagonal, row: 100, col: 0, size: 7}}},
 		{"vertical", 8, []unitSpec{{pat: Vertical, row: 100, col: 7, size: 30}, {pat: Vertical, row: 100, col: 99, size: 1}}},
-		{"blocks of every width", 0, blocks},
+		{"strips of every run width", 0, strips},
+		{"strips of many runs", 500, []unitSpec{strip(Strip3, 900, true, 3, 6, 20, 1, 495, 5, 500, 9, 600, 255, 855, 12),
+			strip(Strip3, 903, false, 0, 2, 498, 2, 500, 2), strip(Strip2, 906, true, 10, 3, 499, 1, 500, 1, 904, 2),
+			strip(Strip3, 908, true), strip(Strip2, 911, true), {pat: Delta8, row: 913, col: 1, size: 2, deltas: []uint32{7}},
+			strip(Strip2, 914, false, 1, 1)}},
 		{"size cap", 300, []unitSpec{{pat: Horizontal, row: 400, col: 10, size: 255}, {pat: Delta8, row: 401, col: 0, size: 255, deltas: steps(254, 1)},
 			{pat: Delta16, row: 402, col: 0, size: 255, deltas: steps(254, 1)}, {pat: Vertical, row: 403, col: 350, size: 255},
-			{pat: Diagonal, row: 700, col: 300, size: 255}, {pat: AntiDiagonal, row: 1000, col: 999, size: 255}}},
+			{pat: Diagonal, row: 700, col: 300, size: 255}}},
 	}
 	rng := rand.New(rand.NewSource(7))
 	zeros := make([]float64, n) // every product a zero of either sign
@@ -494,9 +506,10 @@ func testUnitsMatchReference(t *testing.T) {
 		zeros[i] = math.Copysign(0, float64(i%3)-1)
 	}
 	for _, c := range cases {
-		endRow := int32(0) // generous: no unit spans more rows than it has elements
+		endRow, plain := int32(0), true // generous: no unit spans more rows than it has elements, plus three
 		for _, u := range c.units {
-			endRow = max(endRow, u.row+int32(u.size))
+			endRow = max(endRow, u.row+int32(u.size)+3)
+			plain = plain && !u.tri
 		}
 		b := assembleBlob(rng, c.units[0].row, endRow, c.units)
 		boundaries := []int32{0, n + 1}
@@ -524,6 +537,9 @@ func testUnitsMatchReference(t *testing.T) {
 					label := fmt.Sprintf("%s, boundary %d, local is y: %v", c.name, boundary, aliased)
 					sameBits(t, label+": y", gotY, wantY)
 					sameBits(t, label+": local", gotL, wantL)
+				}
+				if !plain { // a triangle belongs to CSX-Sym
+					continue
 				}
 				gotY, wantY := append([]float64(nil), y0...), append([]float64(nil), y0...)
 				mulBlob(b, x, gotY)
@@ -556,36 +572,32 @@ func testBrokenBlobsPanic(t *testing.T) {
 		}
 	}
 	refused("a run across the write boundary", "straddle", 15, unitSpec{pat: Horizontal, row: 50, col: 10, size: 10})
-	refused("a block across the write boundary", "straddle", 12, unitSpec{pat: Block3, row: 50, col: 10, size: 18})
+	refused("a strip run across the write boundary", "straddle", 12, strip(Strip3, 50, true, 2, 3, 10, 6))
 	refused("a run that leaves the triangle", "strict lower triangle", 0, unitSpec{pat: Horizontal, row: 50, col: 45, size: 10})
-	refused("a block that reaches its own rows", "strict lower triangle", 0, unitSpec{pat: Block3, row: 50, col: 46, size: 18})
-	refused("a block of seven elements", "not divisible", 0, unitSpec{pat: Block3, row: 50, col: 10, size: 7})
+	refused("a strip that reaches its own rows", "strict lower triangle", 0, strip(Strip3, 50, false, 46, 6))
+	refused("a strip of nothing", "no runs and no triangle", 0, strip(Strip2, 50, false))
+	refused("a triangle past the blob", "triangle outside", 0, strip(Strip3, 62, true, 10, 2))
 
 	x, y, local := signedOperand(rng, n), make([]float64, n), make([]float64, n)
-	for _, pat := range []Pattern{Delta8, Horizontal, Vertical, Diagonal, Block2, Block3} {
-		u := unitSpec{pat: pat, row: 50, col: 10, size: 18}
-		if pat == Delta8 {
-			u.deltas = steps(17, 1)
-		}
-		if pat == Vertical || pat == Diagonal {
-			u.row, u.size = 40, 12
-		}
+	for _, u := range []unitSpec{{pat: Delta8, row: 50, col: 10, size: 18, deltas: steps(17, 1)}, {pat: Horizontal, row: 50, col: 10, size: 18},
+		{pat: Vertical, row: 40, col: 10, size: 12}, {pat: Diagonal, row: 40, col: 10, size: 12},
+		strip(Strip2, 50, false, 2, 3, 10, 6), strip(Strip3, 50, false, 2, 3, 10, 6), strip(Strip3, 50, true, 2, 3, 10, 6)} {
 		short := assembleBlob(rng, u.row, n, []unitSpec{u})
 		short.Vals = short.Vals[:len(short.Vals)-1]
 		if panicOf(func() { mulBlobSym(short, 0, x, y, local) }) == nil {
-			t.Errorf("%s: mulBlobSym ran past a value array one short of its ctl stream", pat)
+			t.Errorf("%s: mulBlobSym ran past a value array one short of its ctl stream", u.pat)
 		}
-		if panicOf(func() { mulBlob(short, x, y) }) == nil {
-			t.Errorf("%s: mulBlob ran past a value array one short of its ctl stream", pat)
+		if panicOf(func() { mulBlob(short, x, y) }) == nil && !u.tri {
+			t.Errorf("%s: mulBlob ran past a value array one short of its ctl stream", u.pat)
 		}
 	}
-	for pat, size := range map[Pattern]int{Horizontal: 6, Block2: 12, Block3: 18} {
-		out := assembleBlob(rng, 50, n, []unitSpec{{pat: pat, row: 50, col: 60, size: size}}) // columns [60, 66) of 64
+	for _, u := range []unitSpec{{pat: Horizontal, row: 50, col: 60, size: 6}, strip(Strip2, 50, false, 60, 6), strip(Strip3, 50, false, 60, 6)} {
+		out := assembleBlob(rng, 50, n, []unitSpec{u}) // columns [60, 66) of 64
 		if panicOf(func() { mulBlobSym(out, 0, x, y, local) }) == nil {
-			t.Errorf("%s: mulBlobSym accepted a column window past len(x)", pat)
+			t.Errorf("%s: mulBlobSym accepted a column window past len(x)", u.pat)
 		}
 		if panicOf(func() { mulBlob(out, x, y) }) == nil {
-			t.Errorf("%s: mulBlob accepted a column window past len(x)", pat)
+			t.Errorf("%s: mulBlob accepted a column window past len(x)", u.pat)
 		}
 	}
 }

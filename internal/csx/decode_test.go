@@ -1,6 +1,7 @@
 package csx
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -161,7 +162,7 @@ func TestUnitDump(t *testing.T) {
 }
 
 // UnitMix counts what the encoder counted (Blob.UnitCount, DeltaElems), from
-// the ctl stream alone, and its block widths add up to the block patterns.
+// the ctl stream alone, and its census line counts the strips.
 func TestUnitMixAgreesWithTheEncoder(t *testing.T) {
 	ms := testMatrices(t)
 	for name, m := range ms {
@@ -172,7 +173,7 @@ func TestUnitMixAgreesWithTheEncoder(t *testing.T) {
 		}
 		var elems, delta int64
 		for p := Pattern(0); p < numPatterns; p++ {
-			units, n := mix.totals(p)
+			units, n := mix.units[p], mix.elems[p]
 			if units != b.UnitCount[p] {
 				t.Errorf("%s: %d %s units in the stream, the encoder counted %d", name, units, p, b.UnitCount[p])
 			}
@@ -184,8 +185,8 @@ func TestUnitMixAgreesWithTheEncoder(t *testing.T) {
 		if elems != int64(b.NNZ) || delta != b.DeltaElems {
 			t.Errorf("%s: %d elements (%d in delta units) in the stream, the blob holds %d (%d)", name, elems, delta, b.NNZ, b.DeltaElems)
 		}
-		if out := UnitMix(b); b.UnitCount[Block3] > 0 && !strings.Contains(out, "width ") {
-			t.Errorf("%s: no width histogram under the block patterns:\n%s", name, out)
+		if out := UnitMix(b); b.UnitCount[Strip3] > 0 && !strings.Contains(out, fmt.Sprintf(" %d strips,", b.UnitCount[Strip2]+b.UnitCount[Strip3])) {
+			t.Errorf("%s: the strip count is not in the unit mix:\n%s", name, out)
 		}
 	}
 }

@@ -29,21 +29,10 @@ const unassigned = 0xff
 // unit is one detected substructure occurrence, pre-encoding.
 type unit struct {
 	pat      Pattern
-	row, col int32   // anchor (first element)
-	width    int32   // block width (Block2/Block3 only)
-	elems    []int32 // element indices in decode (value) order, in the arena
-}
-
-// endCol reports the column of the unit's last element on the anchor row.
-func (u *unit) endCol() int32 {
-	switch u.pat {
-	case Horizontal:
-		return u.col + int32(len(u.elems)) - 1
-	case Block2, Block3:
-		return u.col + u.width - 1
-	default: // vertical, diagonal, anti-diagonal anchor one element per row
-		return u.col
-	}
+	row, col int32      // anchor (first element; a strip's first row)
+	runs     []stripRun // a strip's runs
+	tri      bool       // a strip closed by its triangle
+	elems    []int32    // element indices in decode (value) order, in the arena
 }
 
 // detector runs substructure detection over one row range.
@@ -60,8 +49,10 @@ type detector struct {
 
 	units []unit
 	// arena holds the element lists of all units: an element is claimed at
-	// most once, so it never outgrows its initial capacity.
-	arena []int32
+	// most once, so it never outgrows its initial capacity. stripRuns holds
+	// the strips' runs.
+	arena     []int32
+	stripRuns []stripRun
 
 	// next and run are the scratch of runs: each element's successor, and
 	// the run being handed out.
@@ -96,7 +87,7 @@ func (d *detector) legal(minCol, maxCol int32) bool {
 }
 
 // detect runs the full pipeline: sampling statistics, direction selection,
-// the block pass blocks (d.detectBlocks, or the tests' one-sweep oracle),
+// the strip pass blocks (d.detectStrips, or the tests' greedy block oracle),
 // directional passes. After detect, d.units holds all pattern units and
 // d.owner marks claimed elements; the rest become delta units at encode time.
 func (d *detector) detect(blocks func()) {
@@ -119,9 +110,9 @@ func (d *detector) detect(blocks func()) {
 		return cmp.Or(cmp.Compare(b.cov, a.cov), cmp.Compare(a.dir, b.dir))
 	})
 
-	// Blocks first: a dense 2-D block covers strictly more than the
-	// horizontal runs it is built from. Only worthwhile when horizontal
-	// structure exists at all.
+	// Strips first: a strip covers strictly more than the horizontal runs
+	// it is built from. Only worthwhile when horizontal structure exists at
+	// all.
 	if d.opts.EnableBlocks && d.dirCoverage[DirHorizontal] >= d.opts.MinCoverage {
 		blocks()
 	}
@@ -144,7 +135,7 @@ const walked = -2
 // runs calls fn with every maximal run of unassigned elements of rows
 // [rLo, rHi) in direction dir, in row-major order of the runs' first
 // elements: consecutive columns of one row (horizontal), or (r, c), (r+1, c+s),
-// (r+2, c+2s), … with shift s = 0, +1, −1 (vertical, diagonal, anti-diagonal).
+// (r+2, c+2s), … with shift s = 0, +1 (vertical, diagonal).
 // A run lists its elements down the rows (along the row for horizontal): the
 // runs, and their element order, are those of the elements sorted by line and
 // position along the line. fn may claim the run's elements.
@@ -154,11 +145,8 @@ const walked = -2
 func (d *detector) runs(dir Direction, rLo, rHi int32, fn func(run []int32)) {
 	el, next, owner := d.el, d.next, d.owner
 	var s int32 // column step from an element to its successor: vertical
-	switch dir {
-	case DirHorizontal, DirDiagonal:
+	if dir != DirVertical {
 		s = 1
-	case DirAntiDiagonal:
-		s = -1
 	}
 	for r := rLo; r < rHi; r++ {
 		lo, hi := el.rowSpan(r)
@@ -270,16 +258,17 @@ func (d *detector) claimSegment(pat Pattern, seg []int32) {
 		}
 		start := len(d.arena)
 		d.arena = append(d.arena, seg[off:end]...)
-		d.addUnit(pat, 0, start)
+		d.addUnit(pat, start)
 	}
 }
 
 // addUnit makes the elements appended to the arena since start one unit of
 // pattern pat, anchored at the first of them, and claims them.
-func (d *detector) addUnit(pat Pattern, width int32, start int) {
+func (d *detector) addUnit(pat Pattern, start int) *unit {
 	elems := d.arena[start:len(d.arena):len(d.arena)]
 	for _, i := range elems {
 		d.owner[i] = uint8(pat)
 	}
-	d.units = append(d.units, unit{pat: pat, row: d.el.rows[elems[0]], col: d.el.cols[elems[0]], width: width, elems: elems})
+	d.units = append(d.units, unit{pat: pat, row: d.el.rows[elems[0]], col: d.el.cols[elems[0]], elems: elems})
+	return &d.units[len(d.units)-1]
 }

@@ -135,7 +135,7 @@ func longRuns(t *testing.T) *core.SSS {
 // TestAssignDirectionMatchesSortedReference: walking adjacent rows claims
 // what the sorted claim pass claimed — the same units with the same pattern,
 // anchor and element order, and the same owners — for each direction forced
-// alone and for all four in turn, after the block pass or without it, in CSX
+// alone and for all three in turn, after the strip pass or without it, in CSX
 // and CSX-Sym ranges (the boundary at the range's first row and at its middle
 // row; at row 0 the boundary is no boundary), on testMatrices, the suite
 // matrices and longRuns.
@@ -151,8 +151,8 @@ func TestAssignDirectionMatchesSortedReference(t *testing.T) {
 	for _, name := range []string{"bmwcra_1", "parabolic_fem", "consph", "scattered-band"} {
 		cases[name] = suiteSSS(t, name, 1500)
 	}
-	all := []Direction{DirHorizontal, DirVertical, DirDiagonal, DirAntiDiagonal}
-	orders := [][]Direction{all[:1], all[1:2], all[2:3], all[3:], all}
+	all := []Direction{DirHorizontal, DirVertical, DirDiagonal}
+	orders := [][]Direction{all[:1], all[1:2], all[2:], all}
 	var claimed [numPatterns]int
 	for name, s := range cases {
 		for _, p := range []int{1, 3} {
@@ -177,8 +177,8 @@ func TestAssignDirectionMatchesSortedReference(t *testing.T) {
 								opts := Options{MinRunLength: run}
 								walk, ref := newDetector(el, opts, boundary), newDetector(el, opts, boundary)
 								if blocks {
-									walk.detectBlocks()
-									ref.detectBlocks()
+									walk.detectStrips()
+									ref.detectStrips()
 								}
 								for _, dir := range order {
 									walk.assignDirection(dir)
@@ -214,9 +214,9 @@ func sameUnits(walk, ref *detector) error {
 	}
 	for k, u := range walk.units {
 		v := ref.units[k]
-		if u.pat != v.pat || u.row != v.row || u.col != v.col || u.width != v.width || !slices.Equal(u.elems, v.elems) {
-			return fmt.Errorf("unit %d is %v at (%d,%d) width %d over %v, the sorted pass has %v at (%d,%d) width %d over %v",
-				k, u.pat, u.row, u.col, u.width, u.elems, v.pat, v.row, v.col, v.width, v.elems)
+		if u.pat != v.pat || u.row != v.row || u.col != v.col || !slices.Equal(u.runs, v.runs) || !slices.Equal(u.elems, v.elems) {
+			return fmt.Errorf("unit %d is %v at (%d,%d) runs %v over %v, the sorted pass has %v at (%d,%d) runs %v over %v",
+				k, u.pat, u.row, u.col, u.runs, u.elems, v.pat, v.row, v.col, v.runs, v.elems)
 		}
 	}
 	if !slices.Equal(walk.owner, ref.owner) {

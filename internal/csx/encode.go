@@ -24,7 +24,7 @@ func (b *Blob) Bytes() int64 { return int64(len(b.Ctl)) + int64(8*len(b.Vals)) }
 // units are split at the boundary.
 func encodeRange(el *elements, vals []float64, opts Options, symBoundary int32) *Blob {
 	det := newDetector(el, opts, symBoundary)
-	det.detect(det.detectBlocks)
+	det.detect(det.detectStrips)
 	return det.encode(vals)
 }
 
@@ -95,7 +95,14 @@ func emitRow(w *ctlWriter, b *Blob, el *elements, vals []float64, r int32, rowUn
 
 // emitPattern writes one substructure unit.
 func emitPattern(w *ctlWriter, b *Blob, el *elements, vals []float64, u *unit) {
-	w.beginUnit(u.pat, len(u.elems), u.row, u.col, u.endCol())
+	switch u.pat {
+	case Strip2, Strip3:
+		w.strip(u.pat, u.row, u.runs, u.tri)
+	case Horizontal: // the cursor ends on the run's last column
+		w.beginUnit(u.pat, len(u.elems), u.row, u.col, u.col+int32(len(u.elems))-1)
+	default: // vertical and diagonal anchor one element per row
+		w.beginUnit(u.pat, len(u.elems), u.row, u.col, u.col)
+	}
 	for _, i := range u.elems {
 		b.Vals = append(b.Vals, vals[i])
 	}
@@ -125,17 +132,11 @@ func emitDeltas(w *ctlWriter, b *Blob, el *elements, vals []float64, r int32, el
 		}
 	}
 	for off := 0; off < len(elems); off += maxUnitSize {
-		end := off + maxUnitSize
-		if end > len(elems) {
-			end = len(elems)
-		}
-		chunk := elems[off:end]
+		chunk := elems[off:min(off+maxUnitSize, len(elems))]
 		// Narrowest width that fits every body delta of the chunk.
 		var maxD int32
 		for i := 1; i < len(chunk); i++ {
-			if d := el.cols[chunk[i]] - el.cols[chunk[i-1]]; d > maxD {
-				maxD = d
-			}
+			maxD = max(maxD, el.cols[chunk[i]]-el.cols[chunk[i-1]])
 		}
 		pat := Delta8
 		switch {

@@ -2,6 +2,8 @@ package csx
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -254,5 +256,58 @@ func TestReadSymMatrixLyingHeader(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dvalues") {
 		t.Errorf("error %q does not point at the dvalues read", err)
+	}
+}
+
+// TestStripsAreUntrustedInput: each strip the kernels must not run is refused
+// with its typed error — by ValidateSymBlob, and for a triangle in a plain
+// blob by DecodeToCOO — and the same bytes with the fault taken out pass.
+func TestStripsAreUntrustedInput(t *testing.T) {
+	strip3, strip2 := byte(Strip3), byte(Strip2)
+	cases := []struct {
+		name      string
+		bad, good *Blob
+		boundary  int32
+		want      error
+	}{
+		{"strip with no runs and no triangle", mkBlob(4, 8, []byte{0x80 | strip3, 0}, nil),
+			mkBlob(4, 8, []byte{0x80 | flagTri | strip3, 0}, make([]float64, 3)), 0, ErrEmptyStrip},
+		{"triangle past EndRow", mkBlob(4, 6, []byte{0x80 | flagTri | strip3, 0}, make([]float64, 3)),
+			mkBlob(4, 7, []byte{0x80 | flagTri | strip3, 0}, make([]float64, 3)), 0, ErrTriangleRows},
+		{"triangle before StartRow", mkBlob(4, 8, []byte{flagTri | strip2, 0}, make([]float64, 1)),
+			mkBlob(4, 8, []byte{0x80 | flagTri | strip2, 0}, make([]float64, 1)), 0, ErrTriangleRows},
+		{"run across the write boundary", mkBlob(8, 10, []byte{0x80 | strip2, 1, 2, 4}, make([]float64, 8)),
+			mkBlob(8, 10, []byte{0x80 | strip2, 2, 2, 2, 1, 2}, make([]float64, 8)), 4, ErrStraddle},
+	}
+	for _, c := range cases {
+		if err := ValidateSymBlob(c.bad, 10, c.boundary, nil); !errors.Is(err, c.want) {
+			t.Errorf("%s: ValidateSymBlob returned %v, want %v", c.name, err, c.want)
+		}
+		if err := ValidateSymBlob(c.good, 10, c.boundary, nil); err != nil {
+			t.Errorf("%s, mended: %v", c.name, err)
+		}
+	}
+	if err := ValidateSymBlob(mkBlob(4, 8, []byte{0x80 | flagTri | byte(Delta8), 1, 0}, make([]float64, 1)), 10, 0, nil); err == nil || !strings.Contains(err.Error(), "triangle flag") {
+		t.Errorf("a triangle flag on a delta unit: %v", err)
+	}
+	// A strip of rows 4 and 5 with a run over columns 0..1 and its triangle:
+	// CSX-Sym's, never plain CSX's.
+	b := mkBlob(4, 6, []byte{0x80 | flagTri | strip2, 1, 0, 2}, make([]float64, 5))
+	if _, err := DecodeToCOO(b, 6, 6, false); !errors.Is(err, ErrTriangleInPlain) {
+		t.Errorf("plain DecodeToCOO of a triangle returned %v, want %v", err, ErrTriangleInPlain)
+	}
+	if _, err := DecodeToCOO(b, 6, 6, true); err != nil {
+		t.Errorf("symmetric DecodeToCOO of the same strip: %v", err)
+	}
+}
+
+// TestReadSymMatrixNamesBothVersions: a file of the previous serialize
+// version is refused with an error that names its version and this reader's.
+func TestReadSymMatrixNamesBothVersions(t *testing.T) {
+	data := serializeSym(t, nil)
+	data[4] = serialVersion - 1
+	_, err := ReadSymMatrix(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", serialVersion-1)) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", serialVersion)) {
+		t.Fatalf("a version-%d file: %v, want an error naming versions %d and %d", serialVersion-1, err, serialVersion-1, serialVersion)
 	}
 }

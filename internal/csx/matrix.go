@@ -111,10 +111,10 @@ func (mx *Matrix) MulVecSerial(x, y []float64) {
 
 // mulBlob is the unsymmetric decode-multiply kernel: a dispatch over unit
 // types with a specialized inner loop per pattern (the JIT substitute), built
-// like mulBlobSym's (DESIGN.md §17.2): windows cut once per unit, blocks read
-// column by column with one accumulator per block row. y rows [StartRow,
-// EndRow) must be zeroed by the caller; all unit writes accumulate, and
-// cross-row units never leave the blob's row range.
+// like mulBlobSym's (DESIGN.md §17.2): windows cut once per unit or strip run,
+// a strip read column by column with one accumulator per row across its runs.
+// y rows [StartRow, EndRow) must be zeroed by the caller; all unit writes
+// accumulate, and cross-row units never leave the blob's row range.
 func mulBlob(b *Blob, x, y []float64) {
 	// As in mulBlobSym: windows are checked against the length.
 	ctl, vals := b.Ctl, b.Vals[:len(b.Vals):len(b.Vals)]
@@ -131,6 +131,48 @@ func mulBlob(b *Blob, x, y []float64) {
 				row += int(jump)
 			}
 			col = 0
+		}
+		switch Pattern(flags & patternMask) {
+		case Strip3:
+			yw := (*[3]float64)(y[row:])
+			s0, s1, s2 := 0.0, 0.0, 0.0
+			for range size {
+				d, n := readUvarint(ctl, i) // column delta
+				col += int(d)
+				w := int(ctl[i+n])
+				i += n + 1
+				a0, a1, a2 := vals[:w], vals[w:][:w], vals[2*w:][:w]
+				vals = vals[3*w:]
+				for k, xc := range x[col:][:w] {
+					s0 += a0[k] * xc
+					s1 += a1[k] * xc
+					s2 += a2[k] * xc
+				}
+				col += w - 1
+			}
+			yw[0] += s0
+			yw[1] += s1
+			yw[2] += s2
+			continue
+		case Strip2:
+			yw := (*[2]float64)(y[row:])
+			s0, s1 := 0.0, 0.0
+			for range size {
+				d, n := readUvarint(ctl, i) // column delta
+				col += int(d)
+				w := int(ctl[i+n])
+				i += n + 1
+				a0, a1 := vals[:w], vals[w:][:w]
+				vals = vals[2*w:]
+				for k, xc := range x[col:][:w] {
+					s0 += a0[k] * xc
+					s1 += a1[k] * xc
+				}
+				col += w - 1
+			}
+			yw[0] += s0
+			yw[1] += s1
+			continue
 		}
 		d, n := readUvarint(ctl, i)
 		i += n
@@ -181,58 +223,22 @@ func mulBlob(b *Blob, x, y []float64) {
 			for k, v := range vv {
 				yw[k] += v * xw[k]
 			}
-		case AntiDiagonal:
-			for k, v := range vv {
-				y[row+k] += v * x[col-k]
-			}
-		case Block2:
-			w := size / 2
-			a0, a1, yw := vv[:w], vv[w:][:w], (*[2]float64)(y[row:])
-			s0, s1 := 0.0, 0.0
-			for k, xc := range x[col:][:w] {
-				s0 += a0[k] * xc
-				s1 += a1[k] * xc
-			}
-			yw[0] += s0
-			yw[1] += s1
-			col += w - 1
-		case Block3:
-			w := size / 3
-			yw := (*[3]float64)(y[row:])
-			s0, s1, s2 := 0.0, 0.0, 0.0
-			a0, a1, a2 := vv[:w], vv[w:][:w], vv[2*w:][:w]
-			for k, xc := range x[col:][:w] {
-				s0 += a0[k] * xc
-				s1 += a1[k] * xc
-				s2 += a2[k] * xc
-			}
-			yw[0] += s0
-			yw[1] += s1
-			yw[2] += s2
-			col += w - 1
 		default:
 			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", pat))
 		}
 	}
 }
 
-// readUvarint decodes a LEB128 value at ctl[i:]; hot-path variant returning
-// byte count.
+// readUvarint decodes a LEB128 value at ctl[i:], returning it and its byte
+// count: the hot-path variant, small enough to inline into the kernels.
 func readUvarint(ctl []byte, i int) (uint32, int) {
-	c := ctl[i]
-	if c < 0x80 {
-		return uint32(c), 1
-	}
 	var v uint32
-	var shift uint
-	n := 0
-	for {
-		c = ctl[i+n]
+	for n, shift := 0, uint(0); ; shift += 7 {
+		c := ctl[i+n]
 		v |= uint32(c&0x7f) << shift
 		n++
 		if c < 0x80 {
 			return v, n
 		}
-		shift += 7
 	}
 }

@@ -3,10 +3,10 @@
 //
 // CSX abandons CSR's rowptr/colind arrays for a single byte stream (ctl)
 // describing a sequence of units: either substructure units (horizontal,
-// vertical, diagonal, anti-diagonal runs and small 2-D blocks) that need no
-// per-element indexing at all, or delta units that store per-element column
-// deltas in the narrowest of 8/16/32 bits. The values array holds the
-// nonzeros in unit order.
+// vertical and diagonal runs, and strips: two or three rows of dense column
+// runs) that need no per-element indexing at all, or delta units that store
+// per-element column deltas in the narrowest of 8/16/32 bits. The values
+// array holds the nonzeros in unit order.
 //
 // The original system JIT-compiles a specialized multiply routine per matrix
 // with LLVM. Go has no runtime code generation, so this package substitutes
@@ -17,7 +17,7 @@ package csx
 
 import "fmt"
 
-// Pattern identifies the encoding of one ctl unit (low 6 bits of the flags
+// Pattern identifies the encoding of one ctl unit (low 5 bits of the flags
 // byte).
 type Pattern uint8
 
@@ -33,14 +33,12 @@ const (
 	Vertical
 	// Diagonal is a run of size elements at (r, c), (r+1, c+1), …
 	Diagonal
-	// AntiDiagonal is a run of size elements at (r, c), (r+1, c-1), …
-	AntiDiagonal
-	// Block2 is a dense 2×w block anchored at (r, c), stored row-major
-	// (size = 2w elements).
-	Block2
-	// Block3 is a dense 3×w block anchored at (r, c), stored row-major
-	// (size = 3w elements).
-	Block3
+	// Strip2 and Strip3 are strips of rows r, r+1 (and r+2): a list of
+	// column runs, each dense across the strip's rows and stored row-major,
+	// optionally closed by the strip's diagonal triangle (flagTri). Their
+	// second head byte counts runs, not elements (DESIGN.md §17).
+	Strip2
+	Strip3
 
 	numPatterns = iota
 )
@@ -60,27 +58,26 @@ func (p Pattern) String() string {
 		return "vertical"
 	case Diagonal:
 		return "diagonal"
-	case AntiDiagonal:
-		return "anti-diagonal"
-	case Block2:
-		return "block2"
-	case Block3:
-		return "block3"
+	case Strip2:
+		return "strip2"
+	case Strip3:
+		return "strip3"
 	default:
 		return fmt.Sprintf("Pattern(%d)", uint8(p))
 	}
 }
 
-// Direction is a substructure search direction for the detector. Block
-// patterns are derived from aligned horizontal runs, so they are not
-// independent directions.
+// depth reports the rows a strip of pattern p spans.
+func (p Pattern) depth() int32 { return int32(p-Strip2) + 2 }
+
+// Direction is a substructure search direction for the detector. Strips
+// are cut from runs of identical rows, so they are not a direction.
 type Direction int
 
 const (
 	DirHorizontal Direction = iota
 	DirVertical
 	DirDiagonal
-	DirAntiDiagonal
 	numDirections
 )
 
@@ -93,8 +90,6 @@ func (d Direction) String() string {
 		return "vertical"
 	case DirDiagonal:
 		return "diagonal"
-	case DirAntiDiagonal:
-		return "anti-diagonal"
 	default:
 		return fmt.Sprintf("Direction(%d)", int(d))
 	}
@@ -108,8 +103,6 @@ func (d Direction) pattern() Pattern {
 		return Vertical
 	case DirDiagonal:
 		return Diagonal
-	case DirAntiDiagonal:
-		return AntiDiagonal
 	}
 	panic("csx: bad direction")
 }
@@ -128,10 +121,10 @@ type Options struct {
 	// pass that selects directions (the paper's matrix sampling, §V-E).
 	// Detection itself is exact for the selected directions. Default 0.25.
 	SampleFraction float64
-	// Directions restricts the candidate search. Empty means all four.
+	// Directions restricts the candidate search. Empty means all three.
 	Directions []Direction
-	// EnableBlocks turns on 2-D block detection (Block2/Block3) from
-	// aligned horizontal runs. Default true.
+	// EnableBlocks turns on strips (Strip2/Strip3) over runs of identical
+	// rows. Default true.
 	EnableBlocks bool
 }
 
@@ -156,17 +149,19 @@ func (o Options) withDefaults() Options {
 		o.SampleFraction = 0.25
 	}
 	if len(o.Directions) == 0 {
-		o.Directions = []Direction{DirHorizontal, DirVertical, DirDiagonal, DirAntiDiagonal}
+		o.Directions = []Direction{DirHorizontal, DirVertical, DirDiagonal}
 	}
 	return o
 }
 
-// flags byte layout: NR | RJMP | 6-bit pattern.
+// flags byte layout: NR | RJMP | TRI | 5-bit pattern.
 const (
 	flagNR      = 0x80 // unit starts a new row
 	flagRJMP    = 0x40 // row jump > 1: a uvarint row-delta follows the size byte
-	patternMask = 0x3f
+	flagTri     = 0x20 // a strip closes with its diagonal triangle (CSX-Sym)
+	patternMask = 0x1f
 )
 
-// maxUnitSize caps unit element counts at what the size byte can carry.
+// maxUnitSize caps unit element counts, a strip's runs and a run's width at
+// what one byte carries.
 const maxUnitSize = 255

@@ -30,9 +30,12 @@ import (
 	"repro/internal/partition"
 )
 
+// serialVersion 2 is the strip grammar: Strip2/Strip3 units of runs and a
+// triangle, and no anti-diagonal pattern (so unitCount has eight entries).
+// A version-1 file is refused by name; re-encode its matrix.
 const (
 	serialMagic   = "CSXS"
-	serialVersion = 1
+	serialVersion = 2
 )
 
 type countingWriter struct {
@@ -50,71 +53,26 @@ func (sm *SymMatrix) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw, crc: crc32.NewIEEE()}
 	var written int64
-	put := func(v any) error {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return err
+	var err error
+	put := func(vs ...any) { // the first error sticks; later puts write nothing
+		for _, v := range vs {
+			if err == nil {
+				if err = binary.Write(cw, binary.LittleEndian, v); err == nil {
+					written += int64(binary.Size(v))
+				}
+			}
 		}
-		written += int64(binary.Size(v))
-		return nil
 	}
-	if _, err := cw.Write([]byte(serialMagic)); err != nil {
-		return written, err
-	}
-	written += 4
-	if err := put(uint32(serialVersion)); err != nil {
-		return written, err
-	}
-	if err := put(uint64(sm.N)); err != nil {
-		return written, err
-	}
-	if err := put(uint64(sm.nnzLower)); err != nil {
-		return written, err
-	}
-	if err := put(uint32(len(sm.Blobs))); err != nil {
-		return written, err
-	}
-	if err := put(sm.DValues); err != nil {
-		return written, err
-	}
+	put([]byte(serialMagic), uint32(serialVersion), uint64(sm.N), uint64(sm.nnzLower), uint32(len(sm.Blobs)), sm.DValues)
 	for _, b := range sm.Blobs {
-		if err := put(uint32(b.StartRow)); err != nil {
-			return written, err
-		}
-		if err := put(uint32(b.EndRow)); err != nil {
-			return written, err
-		}
-		if err := put(uint64(b.NNZ)); err != nil {
-			return written, err
-		}
-		if err := put(uint64(len(b.Ctl))); err != nil {
-			return written, err
-		}
-		if _, err := cw.Write(b.Ctl); err != nil {
-			return written, err
-		}
-		written += int64(len(b.Ctl))
-		if err := put(uint64(len(b.Vals))); err != nil {
-			return written, err
-		}
-		if err := put(b.Vals); err != nil {
-			return written, err
-		}
-		if err := put(b.UnitCount[:]); err != nil {
-			return written, err
-		}
-		if err := put(b.DeltaElems); err != nil {
-			return written, err
-		}
+		put(uint32(b.StartRow), uint32(b.EndRow), uint64(b.NNZ), uint64(len(b.Ctl)), b.Ctl,
+			uint64(len(b.Vals)), b.Vals, b.UnitCount[:], b.DeltaElems)
 	}
 	for i := range sm.Part.Start {
-		if err := put(uint32(sm.Part.Start[i])); err != nil {
-			return written, err
-		}
-		if err := put(uint32(sm.Part.End[i])); err != nil {
-			return written, err
-		}
+		put(uint32(sm.Part.Start[i]), uint32(sm.Part.End[i]))
 	}
-	if err := put(uint32(sm.Method)); err != nil {
+	put(uint32(sm.Method))
+	if err != nil {
 		return written, err
 	}
 	sum := cw.crc.Sum32()
@@ -136,30 +94,14 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readBytes and readFloats grow their result incrementally while reading, so
-// a lying length field in an untrusted header costs at most one chunk of
-// allocation before the stream runs dry — a 16 GiB claimed ctl stream in a
-// 100-byte file fails at the first short read instead of attempting a 16 GiB
-// make().
-func readBytes(r io.Reader, total uint64, what string) ([]byte, error) {
-	const chunk = 1 << 20
-	out := make([]byte, 0, min(total, chunk))
-	tmp := make([]byte, min(total, chunk))
-	for total > 0 {
-		c := int(min(total, chunk))
-		if _, err := io.ReadFull(r, tmp[:c]); err != nil {
-			return nil, fmt.Errorf("csx: reading %s: %w", what, err)
-		}
-		out = append(out, tmp[:c]...)
-		total -= uint64(c)
-	}
-	return out, nil
-}
-
-func readFloats(r io.Reader, total uint64, what string) ([]float64, error) {
+// readSlice grows its result incrementally while reading, so a lying length
+// field in an untrusted header costs at most one chunk of allocation before
+// the stream runs dry — a 16 GiB claimed ctl stream in a 100-byte file fails
+// at the first short read instead of attempting a 16 GiB make().
+func readSlice[T byte | float64](r io.Reader, total uint64, what string) ([]T, error) {
 	const chunk = 1 << 16
-	out := make([]float64, 0, min(total, chunk))
-	tmp := make([]float64, min(total, chunk))
+	out := make([]T, 0, min(total, chunk))
+	tmp := make([]T, min(total, chunk))
 	for total > 0 {
 		c := int(min(total, chunk))
 		if err := binary.Read(r, binary.LittleEndian, tmp[:c]); err != nil {
@@ -183,7 +125,14 @@ func readFloats(r io.Reader, total uint64, what string) ([]float64, error) {
 // make MulVec panic or write out of bounds.
 func ReadSymMatrix(r io.Reader) (*SymMatrix, error) {
 	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<20), crc: crc32.NewIEEE()}
-	get := func(v any) error { return binary.Read(cr, binary.LittleEndian, v) }
+	get := func(vs ...any) error {
+		for _, v := range vs {
+			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(cr, magic); err != nil {
@@ -197,17 +146,11 @@ func ReadSymMatrix(r io.Reader) (*SymMatrix, error) {
 		return nil, err
 	}
 	if version != serialVersion {
-		return nil, fmt.Errorf("csx: unsupported version %d", version)
+		return nil, fmt.Errorf("csx: file has serialize version %d, this reader reads version %d only (re-encode the matrix)", version, serialVersion)
 	}
 	var n64, nnz64 uint64
 	var p32 uint32
-	if err := get(&n64); err != nil {
-		return nil, err
-	}
-	if err := get(&nnz64); err != nil {
-		return nil, err
-	}
-	if err := get(&p32); err != nil {
+	if err := get(&n64, &nnz64, &p32); err != nil {
 		return nil, err
 	}
 	const limit = 1 << 34
@@ -220,30 +163,21 @@ func ReadSymMatrix(r io.Reader) (*SymMatrix, error) {
 		Blobs:    make([]*Blob, p32),
 	}
 	var err error
-	if sm.DValues, err = readFloats(cr, n64, "dvalues"); err != nil {
+	if sm.DValues, err = readSlice[float64](cr, n64, "dvalues"); err != nil {
 		return nil, err
 	}
 	for i := range sm.Blobs {
 		b := &Blob{}
 		var sr, er uint32
 		var nnz, ctlLen, valLen uint64
-		if err := get(&sr); err != nil {
-			return nil, err
-		}
-		if err := get(&er); err != nil {
-			return nil, err
-		}
-		if err := get(&nnz); err != nil {
-			return nil, err
-		}
-		if err := get(&ctlLen); err != nil {
+		if err := get(&sr, &er, &nnz, &ctlLen); err != nil {
 			return nil, err
 		}
 		if ctlLen > limit {
 			return nil, fmt.Errorf("csx: implausible ctl length %d", ctlLen)
 		}
 		b.StartRow, b.EndRow, b.NNZ = int32(sr), int32(er), int(nnz)
-		if b.Ctl, err = readBytes(cr, ctlLen, "ctl"); err != nil {
+		if b.Ctl, err = readSlice[byte](cr, ctlLen, "ctl"); err != nil {
 			return nil, err
 		}
 		if err := get(&valLen); err != nil {
@@ -252,13 +186,10 @@ func ReadSymMatrix(r io.Reader) (*SymMatrix, error) {
 		if valLen > limit {
 			return nil, fmt.Errorf("csx: implausible value count %d", valLen)
 		}
-		if b.Vals, err = readFloats(cr, valLen, "values"); err != nil {
+		if b.Vals, err = readSlice[float64](cr, valLen, "values"); err != nil {
 			return nil, err
 		}
-		if err := get(b.UnitCount[:]); err != nil {
-			return nil, err
-		}
-		if err := get(&b.DeltaElems); err != nil {
+		if err := get(b.UnitCount[:], &b.DeltaElems); err != nil {
 			return nil, err
 		}
 		sm.Blobs[i] = b
@@ -269,10 +200,7 @@ func ReadSymMatrix(r io.Reader) (*SymMatrix, error) {
 	}
 	for i := 0; i < int(p32); i++ {
 		var s, e uint32
-		if err := get(&s); err != nil {
-			return nil, err
-		}
-		if err := get(&e); err != nil {
+		if err := get(&s, &e); err != nil {
 			return nil, err
 		}
 		part.Start[i], part.End[i] = int32(s), int32(e)

@@ -11,10 +11,10 @@ import (
 // SymMatrix is a CSX-Sym matrix: the strict lower triangle encoded as
 // per-thread CSX blobs (substructures detected only in the lower half, each
 // implying its symmetric counterpart), plus a dense diagonal array exactly
-// like SSS. Units whose symmetric writes would straddle the thread's
-// local/direct boundary are never encoded as substructures — the legality
-// rule of Fig. 8 — so the multiply kernel decides local-vs-direct once per
-// unit instead of once per element.
+// like SSS. Runs whose symmetric writes would straddle the thread's
+// local/direct boundary are never encoded as substructures, and a strip cuts
+// its runs there — the legality rule of Fig. 8 — so the multiply kernel
+// decides local-vs-direct once per unit or strip run, not once per element.
 type SymMatrix struct {
 	N       int
 	DValues []float64
@@ -121,7 +121,7 @@ func (sm *SymMatrix) assemble() {
 }
 
 // MulVec computes y = A·x on pool: the CSX-Sym multiplication phase (dual
-// writes per stored element, unit-level local/direct routing) followed by
+// writes per stored element, run-level local/direct routing) followed by
 // the configured local-vectors reduction, one prebuilt phase list the pool
 // runs in one coordinator handoff.
 func (sm *SymMatrix) MulVec(pool *parallel.Pool, x, y []float64) {
@@ -183,15 +183,16 @@ func (sm *SymMatrix) multiplyT(tid int, x, y []float64) {
 	mulBlobSym(b, sm.Part.Start[tid], x, y, local)
 }
 
-// mulBlobSym is the CSX-Sym decode-multiply kernel. For every unit the
-// symmetric (transposed) writes go either to the local vector (unit columns
-// < boundary) or directly to y (unit columns ≥ boundary); the encoder
-// guarantees no unit straddles. The bodies follow DESIGN.md §17.2: a unit's
-// values and its x, y and target windows are cut once, by checked slice
-// expressions, and the element loops range over slices of proved length; a
-// block is read column by column with one accumulator per block row, its
-// scatter terms folded into one read-modify-write per column. Results are
-// bitwise those of the row-major loops in decode_ref_test.go.
+// mulBlobSym is the CSX-Sym decode-multiply kernel. Every unit, and every run
+// of a strip, sends its symmetric (transposed) writes either to the local
+// vector (columns < boundary) or directly to y (columns ≥ boundary); the
+// encoder guarantees no unit or run straddles, and a strip's triangle always
+// lands in y. The bodies follow DESIGN.md §17.2: a unit's values and its x, y
+// and target windows are cut once, by checked slice expressions, and the
+// element loops range over slices of proved length; a strip keeps one
+// accumulator per row across its runs and its triangle, and folds each run's
+// scatter terms into one read-modify-write per column. Results are bitwise
+// those of the row-major loops in decode_ref_test.go.
 func mulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 	// A slice expression is checked against the capacity: clamp it to the
 	// length, so that a window past len panics instead of reading on.
@@ -209,6 +210,74 @@ func mulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 				row += int(jump)
 			}
 			col = 0
+		}
+		switch Pattern(flags & patternMask) {
+		case Strip3:
+			xr, yw := (*[3]float64)(x[row:]), (*[3]float64)(y[row:])
+			xr0, xr1, xr2 := xr[0], xr[1], xr[2]
+			s0, s1, s2 := 0.0, 0.0, 0.0
+			for range size {
+				d, n := readUvarint(ctl, i) // column delta
+				col += int(d)
+				w := int(ctl[i+n])
+				i += n + 1
+				target := y // run-level routing
+				if col < bound {
+					target = local
+				}
+				a0, a1, a2 := vals[:w], vals[w:][:w], vals[2*w:][:w]
+				vals = vals[3*w:]
+				xw, tw := x[col:][:w], target[col:][:w]
+				for k, xc := range xw {
+					s0 += a0[k] * xc
+					s1 += a1[k] * xc
+					s2 += a2[k] * xc
+					tw[k] = ((tw[k] + a0[k]*xr0) + a1[k]*xr1) + a2[k]*xr2
+				}
+				col += w - 1
+			}
+			if flags&flagTri != 0 { // (1,0), (2,0), (2,1), both halves
+				t := (*[3]float64)(vals)
+				vals = vals[3:]
+				s1, s0 = s1+t[0]*xr0, s0+t[0]*xr1
+				s2, s0 = s2+t[1]*xr0, s0+t[1]*xr2
+				s2, s1 = s2+t[2]*xr1, s1+t[2]*xr2
+			}
+			yw[0] += s0
+			yw[1] += s1
+			yw[2] += s2
+			continue
+		case Strip2:
+			xr, yw := (*[2]float64)(x[row:]), (*[2]float64)(y[row:])
+			xr0, xr1 := xr[0], xr[1]
+			s0, s1 := 0.0, 0.0
+			for range size {
+				d, n := readUvarint(ctl, i) // column delta
+				col += int(d)
+				w := int(ctl[i+n])
+				i += n + 1
+				target := y // run-level routing
+				if col < bound {
+					target = local
+				}
+				a0, a1 := vals[:w], vals[w:][:w]
+				vals = vals[2*w:]
+				xw, tw := x[col:][:w], target[col:][:w]
+				for k, xc := range xw {
+					s0 += a0[k] * xc
+					s1 += a1[k] * xc
+					tw[k] = (tw[k] + a0[k]*xr0) + a1[k]*xr1
+				}
+				col += w - 1
+			}
+			if flags&flagTri != 0 { // (1,0), both halves
+				t := vals[0]
+				vals = vals[1:]
+				s1, s0 = s1+t*xr0, s0+t*xr1
+			}
+			yw[0] += s0
+			yw[1] += s1
+			continue
 		}
 		d, n := readUvarint(ctl, i)
 		i += n
@@ -282,60 +351,6 @@ func mulBlobSym(b *Blob, boundary int32, x, y, local []float64) {
 				yw[k] += v * xc[k]
 				tw[k] += v * xw[k]
 			}
-		case AntiDiagonal:
-			for k, v := range vv {
-				r, c := row+k, col-k
-				y[r] += v * x[c]
-				target[c] += v * x[r]
-			}
-		case Block2:
-			w := size / 2
-			a0, a1 := vv[:w], vv[w:][:w]
-			xw, tw := x[col:][:w], target[col:][:w]
-			xr, yw := (*[2]float64)(x[row:]), (*[2]float64)(y[row:])
-			s0, s1 := 0.0, 0.0
-			for k, xc := range xw {
-				s0 += a0[k] * xc
-				s1 += a1[k] * xc
-				tw[k] = (tw[k] + a0[k]*xr[0]) + a1[k]*xr[1]
-			}
-			yw[0] += s0
-			yw[1] += s1
-			col += w - 1
-		case Block3:
-			w := size / 3
-			xr, yw := (*[3]float64)(x[row:]), (*[3]float64)(y[row:])
-			xr0, xr1, xr2 := xr[0], xr[1], xr[2]
-			s0, s1, s2 := 0.0, 0.0, 0.0
-			switch size {
-			case 18:
-				a, xw, tw := (*[18]float64)(vv), (*[6]float64)(x[col:]), (*[6]float64)(target[col:])
-				s0, s1, s2 = s0+a[0]*xw[0], s1+a[6]*xw[0], s2+a[12]*xw[0]
-				tw[0] = ((tw[0] + a[0]*xr0) + a[6]*xr1) + a[12]*xr2
-				s0, s1, s2 = s0+a[1]*xw[1], s1+a[7]*xw[1], s2+a[13]*xw[1]
-				tw[1] = ((tw[1] + a[1]*xr0) + a[7]*xr1) + a[13]*xr2
-				s0, s1, s2 = s0+a[2]*xw[2], s1+a[8]*xw[2], s2+a[14]*xw[2]
-				tw[2] = ((tw[2] + a[2]*xr0) + a[8]*xr1) + a[14]*xr2
-				s0, s1, s2 = s0+a[3]*xw[3], s1+a[9]*xw[3], s2+a[15]*xw[3]
-				tw[3] = ((tw[3] + a[3]*xr0) + a[9]*xr1) + a[15]*xr2
-				s0, s1, s2 = s0+a[4]*xw[4], s1+a[10]*xw[4], s2+a[16]*xw[4]
-				tw[4] = ((tw[4] + a[4]*xr0) + a[10]*xr1) + a[16]*xr2
-				s0, s1, s2 = s0+a[5]*xw[5], s1+a[11]*xw[5], s2+a[17]*xw[5]
-				tw[5] = ((tw[5] + a[5]*xr0) + a[11]*xr1) + a[17]*xr2
-			default:
-				a0, a1, a2 := vv[:w], vv[w:][:w], vv[2*w:][:w]
-				xw, tw := x[col:][:w], target[col:][:w]
-				for k, xc := range xw {
-					s0 += a0[k] * xc
-					s1 += a1[k] * xc
-					s2 += a2[k] * xc
-					tw[k] = ((tw[k] + a0[k]*xr0) + a1[k]*xr1) + a2[k]*xr2
-				}
-			}
-			yw[0] += s0
-			yw[1] += s1
-			yw[2] += s2
-			col += w - 1
 		default:
 			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", pat))
 		}

@@ -139,7 +139,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if o.MinRunLength != 3 || o.MinCoverage != 0.05 || o.SampleFraction != 0.25 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if len(o.Directions) != 4 {
+	if len(o.Directions) != 3 {
 		t.Fatalf("default directions = %v", o.Directions)
 	}
 	o2 := Options{MinRunLength: 5, SampleFraction: 2.5}.withDefaults()

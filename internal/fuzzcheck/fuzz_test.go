@@ -2,6 +2,8 @@ package fuzzcheck
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -128,12 +130,12 @@ func FuzzDecodeBlob(f *testing.F) {
 // memory first — the resulting file always carries a valid CRC, so these
 // inputs exercise the structural validation behind the checksum.
 func symBytes(f testing.TB, method core.ReductionMethod, mutate func(sm *csx.SymMatrix)) []byte {
-	m := matrix.NewCOO(24, 24, 24*3)
+	m := matrix.NewCOO(24, 24, 24*6)
 	m.Symmetric = true
-	for r := 0; r < 24; r++ {
-		m.Add(r, r, 6)
-		for d := 1; d <= 2 && r-d >= 0; d++ {
-			m.Add(r, r-d, -1)
+	for r := 0; r < 24; r++ { // 3-row node blocks coupled to the node before: strips
+		m.Add(r, r, 10)
+		for c := max(0, r/3*3-3); c < r; c++ {
+			m.Add(r, c, -1)
 		}
 	}
 	m.Normalize()
@@ -215,5 +217,59 @@ func TestCorruptMethodSeedIsStillRejected(t *testing.T) {
 	}
 	if _, err := csx.ReadSymMatrix(bytes.NewReader([]byte(seed))); err == nil || !strings.Contains(err.Error(), "unsupported reduction method 3") {
 		t.Fatalf("ReadSymMatrix(corrupt-method) = %v, want the unsupported-method error", err)
+	}
+}
+
+// corpusValues reads the value lines of a checked-in corpus file of target.
+func corpusValues(t *testing.T, target, name string) []string {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(file), "go test fuzz v1\n")
+	if !ok {
+		t.Fatalf("%s/%s is not a corpus file", target, name)
+	}
+	return strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+}
+
+// TestStripSeedsAreRefused: the strip seeds gencorpus writes for
+// FuzzDecodeBlob are refused with their typed errors, as the fuzz target runs
+// them, and the kept version-1 file is refused by both version numbers.
+func TestStripSeedsAreRefused(t *testing.T) {
+	for name, want := range map[string]error{
+		"strip-no-runs-no-triangle": csx.ErrEmptyStrip,
+		"strip-triangle-past-end":   csx.ErrTriangleRows,
+		"strip-triangle-in-plain":   csx.ErrTriangleInPlain,
+		"strip-run-straddles":       csx.ErrStraddle,
+	} {
+		v := corpusValues(t, "FuzzDecodeBlob", name)
+		ctl, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(v[0], "[]byte("), ")"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nvals, rows uint16
+		var sym bool
+		if _, err := fmt.Sscanf(strings.Join(v[1:], " "), "uint16(%d) uint16(%d) bool(%t)", &nvals, &rows, &sym); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := int(rows%512) + 1
+		b := &csx.Blob{StartRow: 0, EndRow: int32(n), Ctl: []byte(ctl), Vals: make([]float64, nvals), NNZ: int(nvals)}
+		err = csx.ValidateSymBlob(b, n, int32(n/2), nil)
+		if !sym {
+			_, err = csx.DecodeToCOO(b, n, n, false)
+		}
+		if !errors.Is(err, want) {
+			t.Errorf("%s: %v, want %v", name, err, want)
+		}
+	}
+	v := corpusValues(t, "FuzzSymDeserialize", "v1-indexed")
+	seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(v[0], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := csx.ReadSymMatrix(bytes.NewReader([]byte(seed))); err == nil || !strings.Contains(err.Error(), "version 1,") || !strings.Contains(err.Error(), "version 2 ") {
+		t.Fatalf("ReadSymMatrix(v1-indexed) = %v, want an error naming versions 1 and 2", err)
 	}
 }
