@@ -84,7 +84,9 @@ func main() {
 // the measured STREAM triad bandwidth of a threads-wide pool. The same
 // numbers the live attribution engine uses as denominators, computed without
 // a solve — offline triage for "how fast could this matrix possibly go here,
-// and in which phase would the time sit".
+// and in which phase would the time sit". Below the effective-ranges and
+// indexed rows it prints, per thread, the rows the split cells run with the
+// local loop, out of the thread's rows.
 func rooflineTable(path string, threads int) error {
 	c, err := matrix.ReadMatrixMarketFile(path)
 	if err != nil {
@@ -122,6 +124,13 @@ func rooflineTable(path string, threads int) error {
 	for _, m := range []core.ReductionMethod{core.Naive, core.EffectiveRanges, core.Indexed, core.Colored} {
 		k := core.NewKernel(s, m, pool)
 		row(perfmodel.SSSCost(k))
+		if split := k.SplitRows(); split != nil {
+			cells := make([]string, len(split))
+			for t, n := range split {
+				cells[t] = fmt.Sprintf("%d/%d", n, k.Part.End[t]-k.Part.Start[t])
+			}
+			fmt.Printf("  %-22s split rows %s\n", "", strings.Join(cells, " · "))
+		}
 	}
 	return nil
 }

@@ -13,7 +13,9 @@
 //	                       thread's full-length local vector (naive);
 //	              split  — columns below the thread's first row go to its local
 //	                       vector, the rest and the row sum to y (effective
-//	                       ranges, indexed);
+//	                       ranges, indexed); rows past the thread's local
+//	                       frontier (Kernel.splitEnd) store no such column and
+//	                       run a second row loop, the y loop alone;
 //	              direct — everything goes to y, rows come from the colour's
 //	                       blocks and the diagonal from the init phase (colored).
 //	value policy  sym — the stored value both ways; kind — sign·uval[j] on the
@@ -42,6 +44,7 @@ type cell struct {
 	Kind  bool   // value policy: false = sym, true = kind
 	Lanes int    // 1, 2, 4, 8, or 0 for the run-time width nv
 	To    string // scatter target of the loop being emitted (set by Into)
+	Past  bool   // the split row loop past the local frontier (set by PastFrontier)
 }
 
 // cells lists the 18 bodies under the names Kernel.phases and assembleColored dispatch on.
@@ -74,6 +77,10 @@ func (c cell) AnyNV() bool  { return c.Lanes == 0 }
 
 // Into returns the cell with its scatter target set, for the nonzero template.
 func (c cell) Into(target string) cell { c.To = target; return c }
+
+// PastFrontier returns the split cell's row body for rows that write no local
+// vector entry, for the row template.
+func (c cell) PastFrontier() cell { c.Past = true; return c }
 
 // Params is the signature today's dispatch calls: SpM×V cells take their
 // operands, SpMM cells read the kernel's operand slots.
@@ -192,7 +199,24 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 		startT := lo
 		{{- end}}
 		j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
-		for r := lo; r < hi; r++ {
+		{{- if .Split}}
+		mid := int(k.splitEnd[tid])
+		{{- end}}
+		for r := lo; r < {{if .Split}}mid{{else}}hi{{end}}; r++ {
+			{{- template "row" .}}
+		}
+		{{- if .Split}}
+		// Past the frontier no row stores a column below startT: the y loop alone.
+		for r := mid; r < hi; r++ {
+			{{- template "row" .PastFrontier}}
+		}
+		{{- end}}
+	{{- if .Direct}}
+	}
+	{{- end}}
+}
+{{end}}
+{{- define "row"}}
 			// The one proof per row: below jhi, colIdx[j] and val[j] need no check.
 			jhi := uint(rowPtr[r+1])
 			if jhi > uint(len(colIdx)) {
@@ -235,7 +259,7 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			{{- end}}
 			{{- end}}
 			{{- end}}
-			{{- if .Split}}
+			{{- if and .Split (not .Past)}}
 			// Columns ascend within a row, so the effective-range boundary is a
 			// point in the row: local writes up to it, y writes after it.
 			for ; j < jhi; j++ {
@@ -258,12 +282,7 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			row[{{.}}] {{$.RowOp}} acc{{.}}
 			{{- end}}
 			{{- end}}
-		}
-	{{- if .Direct}}
-	}
-	{{- end}}
-}
-{{end}}
+{{- end}}
 {{- define "nonzero"}}
 				{{- if .Scalar}}
 				{{- if .Kind}}

@@ -69,6 +69,10 @@ type Kernel struct {
 	pool *parallel.Pool
 	p    int
 
+	// splitEnd is each thread's local frontier (effective ranges and
+	// indexed): the split cells run rows from there on without the local loop.
+	splitEnd []int32
+
 	// Colored-method state: the conflict-free block schedule and the uniform
 	// row split used by the diagonal-init and fused-dot phases.
 	sched    *color.Schedule
@@ -124,10 +128,41 @@ func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
 		if method == Indexed {
 			touched = TouchedColumns(s, part, pool)
 		}
+		if method != Naive {
+			k.splitEnd = splitEnds(s, part)
+		}
 		k.LV = NewLocalVectors(s.N, part, method, touched)
 	}
 	k.plain = k.assemble(nil, OpSpMV, 1)
 	return k
+}
+
+// splitEnds returns each thread's local frontier: one past the last row of its
+// range whose first stored column lies below the range's first row, or that
+// first row when none does. Columns ascend, so rows past it write only y.
+func splitEnds(s *SSS, part *partition.RowPartition) []int32 {
+	ends := make([]int32, part.P())
+	for t := range ends {
+		lo, r := part.Start[t], part.End[t]
+		for r > lo && (s.RowPtr[r-1] == s.RowPtr[r] || s.ColIdx[s.RowPtr[r-1]] >= lo) {
+			r--
+		}
+		ends[t] = r
+	}
+	return ends
+}
+
+// SplitRows reports, per thread, how many rows the split cells run with the
+// local loop; nil for the naive and colored methods.
+func (k *Kernel) SplitRows() []int {
+	if k.splitEnd == nil {
+		return nil
+	}
+	rows := make([]int, k.p)
+	for t := range rows {
+		rows[t] = int(k.splitEnd[t] - k.Part.Start[t])
+	}
+	return rows
 }
 
 // MulVec computes y = A·x: the parallel multiplication phase followed by the

@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
+	"repro/internal/reorder"
 )
 
 // randomSymmetric builds a random symmetric lower-stored COO with ~avgRow
@@ -345,5 +347,68 @@ func TestKernelMoreThreadsThanRows(t *testing.T) {
 		if d := maxRelDiff(want, got); d > 1e-12 {
 			t.Errorf("method=%v with p>N: differs by %g", method, d)
 		}
+	}
+}
+
+// TestSplitEndMatchesScan holds each thread's local frontier to a row-by-row
+// scan over every internal/gen matrix at ≤ 6000 rows, in generated and RCM
+// order: one past the last row with a column below the thread's first row,
+// that first row when none has one, and no such column from there on.
+func TestSplitEndMatchesScan(t *testing.T) {
+	var mats []*SSS
+	var names []string
+	for _, suite := range [][]gen.Spec{gen.PaperSuite, gen.HubSuite, gen.ScatterSuite} {
+		for _, sp := range suite {
+			m, err := gen.Generate(sp, math.Min(0.01, 6000/float64(sp.Rows)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm, err := reorder.RCM(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, err := m.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []*matrix.COO{m, rm} {
+				s, err := FromCOO(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mats = append(mats, s)
+			}
+			names = append(names, sp.Name, sp.Name+"/rcm")
+		}
+	}
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		pool := parallel.NewPool(p)
+		for i, s := range mats {
+			k := NewKernel(s, EffectiveRanges, pool)
+			start, end := k.Part.Start, k.Part.End
+			if k.splitEnd[0] != start[0] {
+				t.Errorf("%s/p=%d: thread 0's frontier is %d, not its first row %d", names[i], p, k.splitEnd[0], start[0])
+			}
+			for tid := range start {
+				want := start[tid]
+				for r := start[tid]; r < end[tid]; r++ {
+					for _, c := range s.ColIdx[s.RowPtr[r]:s.RowPtr[r+1]] {
+						if c < start[tid] {
+							want = r + 1
+						}
+					}
+				}
+				if got := k.splitEnd[tid]; got != want {
+					t.Errorf("%s/p=%d: thread %d's frontier is %d, the scan finds %d", names[i], p, tid, got, want)
+				}
+				for r := k.splitEnd[tid]; r < end[tid]; r++ {
+					if lo := s.RowPtr[r]; lo < s.RowPtr[r+1] && s.ColIdx[lo] < start[tid] {
+						t.Errorf("%s/p=%d: row %d past thread %d's frontier stores column %d below %d",
+							names[i], p, r, tid, s.ColIdx[lo], start[tid])
+					}
+				}
+			}
+		}
+		pool.Close()
 	}
 }

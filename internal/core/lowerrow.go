@@ -5,7 +5,9 @@ package core
 // The multiply bodies — naive, effective-ranges/indexed and colored, for the
 // three symmetry classes and every SpMM lane width — are one loop over a
 // lower row, instantiated 18 times by gen/main.go into lowerrow_gen.go (the
-// holes and the loop's shape are described there and in DESIGN.md §17).
+// holes and the loop's shape are described there and in DESIGN.md §17). A
+// split cell is two row loops over one running j: the split row up to the
+// thread's local frontier (splitEnds), the y loop alone after it.
 // What stays hand-written is what is not that loop: the reductions and dot
 // sweep (localvec.go) and the colored diagonal-init (colored.go).
 

@@ -18,8 +18,9 @@ import (
 // Val[j] and UVal[j] are covered by the one proof per row; the lane loops by
 // the windows' lengths. The textbook loop this replaced had six check sites
 // inside its inner loop (RowPtr[r+1] among them, reloaded per non-zero); the
-// scalar split cell has two in its local loop and one in its y loop, where
-// x and y share a length and so a check.
+// scalar split cell has two in its local loop and one in each of its y loops
+// (the split row's and the one past the local frontier), where x and y share
+// a length and so a check.
 func TestInnerLoopsCheckOnlyGatherAndScatter(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -80,11 +81,12 @@ func TestInnerLoopsCheckOnlyGatherAndScatter(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// 18 cells, the six split ones with two loops a row.
-	if loops != 24 {
-		t.Errorf("found %d inner loops in lowerrow_gen.go, want 24: the scan no longer matches the template", loops)
+	// 18 cells, the six split ones with two loops a row and a third, the y
+	// loop alone, for the rows past the local frontier.
+	if loops != 30 {
+		t.Errorf("found %d inner loops in lowerrow_gen.go, want 30: the scan no longer matches the template", loops)
 	}
-	if got := perFn["multiplyEffectiveT"]; len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Errorf("multiplyEffectiveT keeps %v checks in its [local, y] loops, want [2 1]", got)
+	if got := perFn["multiplyEffectiveT"]; len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 1 {
+		t.Errorf("multiplyEffectiveT keeps %v checks in its [local, y, y past the frontier] loops, want [2 1 1]", got)
 	}
 }

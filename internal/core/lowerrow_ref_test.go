@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/parallel"
@@ -440,6 +441,9 @@ func kernelOver(s *SSS, method ReductionMethod, pool *parallel.Pool, part *parti
 	if method == Indexed {
 		touched = TouchedColumns(s, part, pool)
 	}
+	if method != Naive {
+		k.splitEnd = splitEnds(s, part)
+	}
 	k.LV = NewLocalVectors(s.N, part, method, touched)
 	k.plain = k.assemble(nil, OpSpMV, 1)
 	return k
@@ -457,8 +461,15 @@ func kernelOver(s *SSS, method ReductionMethod, pool *parallel.Pool, part *parti
 //	thread 3 rows [7,10)  row 7 {}      an empty row at the partition's edge
 //	                      row 8 {1,2,7} split before the last element
 //	                      row 9 {}      an empty last row
+//	thread 4 rows [10,14) row 11 {10}   no local write between two rows with
+//	                                    them: it stays on the split loop
+//	                      row 13 {11,12} the one row past the frontier
+//	thread 5 rows [14,17) row 16 {0,15} the only local write, in the last row
+//
+// The local frontiers are therefore 0, 4, 6, 9, 13 and 17.
 func TestSplitPointEdgeCases(t *testing.T) {
-	rows := [][]int32{{}, {0}, {}, {0, 2}, {0, 1, 3}, {3, 4}, {4, 5}, {}, {1, 2, 7}, {}}
+	rows := [][]int32{{}, {0}, {}, {0, 2}, {0, 1, 3}, {3, 4}, {4, 5}, {}, {1, 2, 7}, {},
+		{3}, {10}, {4, 11}, {11, 12}, {}, {14}, {0, 15}}
 	rng := rand.New(rand.NewSource(24))
 	s := &SSS{N: len(rows), DValues: randomVector(rng, len(rows)), RowPtr: []int32{0}}
 	for _, cols := range rows {
@@ -466,9 +477,12 @@ func TestSplitPointEdgeCases(t *testing.T) {
 		s.RowPtr = append(s.RowPtr, int32(len(s.ColIdx)))
 	}
 	s.Val = randomVector(rng, len(s.ColIdx))
-	part := &partition.RowPartition{Start: []int32{0, 4, 4, 7}, End: []int32{4, 4, 7, 10}}
+	part := &partition.RowPartition{Start: []int32{0, 4, 4, 7, 10, 14}, End: []int32{4, 4, 7, 10, 14, 17}}
 	if err := part.Validate(s.N); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := splitEnds(s, part), []int32{0, 4, 6, 9, 13, 17}; !slices.Equal(got, want) {
+		t.Fatalf("local frontiers %v, want %v", got, want)
 	}
 	pool := parallel.NewPool(part.P())
 	defer pool.Close()

@@ -27,41 +27,6 @@ import (
 // each output column is bitwise identical to a MulVec of the corresponding
 // input column.
 
-// MulMat computes Y = A·X serially for nv interleaved vectors. Only
-// Kind=Sym matrices are supported: the SpMM bodies are specialized to the
-// symmetric scatter.
-func (s *SSS) MulMat(x, y []float64, nv int) {
-	if s.Kind != Sym {
-		panic(fmt.Sprintf("core: MulMat supports only symmetric matrices, got %s", s.Kind))
-	}
-	if nv < 1 {
-		panic(fmt.Sprintf("core: MulMat with %d vectors", nv))
-	}
-	if len(x) != s.N*nv || len(y) != s.N*nv {
-		panic(fmt.Sprintf("core: MulMat dims: N=%d nv=%d, len(x)=%d, len(y)=%d", s.N, nv, len(x), len(y)))
-	}
-	for r := 0; r < s.N; r++ {
-		d := s.DValues[r]
-		for v := 0; v < nv; v++ {
-			y[r*nv+v] = d * x[r*nv+v]
-		}
-	}
-	for r := 0; r < s.N; r++ {
-		xr := x[r*nv : r*nv+nv]
-		yr := y[r*nv : r*nv+nv]
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := int(s.ColIdx[j])
-			a := s.Val[j]
-			xc := x[c*nv : c*nv+nv]
-			yc := y[c*nv : c*nv+nv]
-			for v := 0; v < nv; v++ {
-				yr[v] += a * xc[v]
-				yc[v] += a * xr[v]
-			}
-		}
-	}
-}
-
 // MulMat computes Y = A·X on the kernel's pool for nv interleaved vectors.
 // Supported for every reduction method on symmetric matrices; other classes
 // and bad dimensions return an error instead of panicking inside the pool.

@@ -27,27 +27,6 @@ func refMulMat(s *SSS, x []float64, nv int) []float64 {
 	return y
 }
 
-func TestSerialMulMatMatchesColumns(t *testing.T) {
-	rng := rand.New(rand.NewSource(501))
-	for _, nv := range []int{1, 2, 4, 7} {
-		m := randomSymmetric(t, rng, 300, 4)
-		s, err := FromCOO(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, s.N*nv)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := refMulMat(s, x, nv)
-		got := make([]float64, s.N*nv)
-		s.MulMat(x, got, nv)
-		if d := maxRelDiff(want, got); d > 1e-12 {
-			t.Errorf("nv=%d: serial MulMat differs by %g", nv, d)
-		}
-	}
-}
-
 func TestKernelMulMatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	for _, n := range []int{5, 120, 700} {

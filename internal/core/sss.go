@@ -102,21 +102,27 @@ func FromCOO(m *matrix.COO) (*SSS, error) {
 			lower++
 		}
 	}
+	s.fillLower(src, lower)
+	return s, nil
+}
+
+// fillLower stores the lower strict entries of the normalized src, lower of
+// them, in s's CSR arrays.
+func (s *SSS) fillLower(src *matrix.COO, lower int) {
 	s.ColIdx = make([]int32, 0, lower)
 	s.Val = make([]float64, 0, lower)
 	for k := range src.Val {
 		r, c := src.RowIdx[k], src.ColIdx[k]
-		if r == c {
+		if r <= c {
 			continue
 		}
 		s.RowPtr[r+1]++
 		s.ColIdx = append(s.ColIdx, c)
 		s.Val = append(s.Val, src.Val[k])
 	}
-	for r := 0; r < n; r++ {
+	for r := 0; r < s.N; r++ {
 		s.RowPtr[r+1] += s.RowPtr[r]
 	}
-	return s, nil
 }
 
 // FromCOOStructural builds a Kind=Structural SSS from a general COO whose
@@ -152,20 +158,7 @@ func FromCOOStructural(m *matrix.COO) (*SSS, error) {
 			lower++
 		}
 	}
-	s.ColIdx = make([]int32, 0, lower)
-	s.Val = make([]float64, 0, lower)
-	for k := range src.Val {
-		r, c := src.RowIdx[k], src.ColIdx[k]
-		if r <= c {
-			continue
-		}
-		s.RowPtr[r+1]++
-		s.ColIdx = append(s.ColIdx, c)
-		s.Val = append(s.Val, src.Val[k])
-	}
-	for r := 0; r < n; r++ {
-		s.RowPtr[r+1] += s.RowPtr[r]
-	}
+	s.fillLower(src, lower)
 	// Second pass: place every strictly upper entry at its mirror's slot.
 	s.UVal = make([]float64, lower)
 	filled := 0
@@ -307,51 +300,23 @@ func (s *SSS) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("core: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			s.N, s.N, len(x), len(y)))
 	}
-	if s.Kind == Skew {
-		for r := range y {
-			y[r] = 0
-		}
-	} else {
-		for r := range y {
-			y[r] = s.DValues[r] * x[r]
-		}
+	uval, sign := s.Val, 1.0
+	if s.Kind != Sym {
+		uval, sign = s.kindUval()
 	}
-	switch s.Kind {
-	case Skew:
-		for r := 0; r < s.N; r++ {
-			xr := x[r]
-			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
-				acc += v * x[c]
-				y[c] -= v * xr
-			}
-			y[r] += acc
+	clear(y) // Skew stores no diagonal
+	for r, d := range s.DValues {
+		y[r] = d * x[r]
+	}
+	for r := 0; r < s.N; r++ {
+		xr := x[r]
+		acc := 0.0
+		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
+			c := s.ColIdx[j]
+			acc += s.Val[j] * x[c]
+			y[c] += sign * uval[j] * xr // sign is ±1, so the product is exact
 		}
-	case Structural:
-		for r := 0; r < s.N; r++ {
-			xr := x[r]
-			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				acc += s.Val[j] * x[c]
-				y[c] += s.UVal[j] * xr
-			}
-			y[r] += acc
-		}
-	default:
-		for r := 0; r < s.N; r++ {
-			xr := x[r]
-			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
-				acc += v * x[c]
-				y[c] += v * xr
-			}
-			y[r] += acc
-		}
+		y[r] += acc
 	}
 }
 
