@@ -14,7 +14,7 @@ race:
 	$(GO) test -race ./...
 
 # race-colored focuses the race detector on the conflict-free colored
-# schedule: its correctness claim is precisely "no two concurrent blocks
+# schedule: its correctness claim is precisely "no two ranges in one phase
 # write the same element", which -race verifies directly against the real
 # interleavings — the schedule builder's property tests, repeated so the
 # scheduler sees varied interleavings, and the colored kernels (symmetric and

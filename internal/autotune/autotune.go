@@ -180,9 +180,8 @@ type tuner struct {
 	pl    perfmodel.Platform
 	d     *Decision
 
-	pools     map[int]*parallel.Pool // by thread count
-	symStats  map[int][2]int64
-	colorMemo map[int]*color.Schedule // colored schedule per thread count
+	pools    map[int]*parallel.Pool // by thread count
+	symStats map[int][2]int64
 
 	// The RCM-permuted matrix, built on the first reordered build, and what
 	// building it cost: every reordered candidate's preprocessing includes it.
@@ -240,14 +239,14 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 // in and options that went through withDefaults.
 func newTuner(pr Problem, o Options) *tuner {
 	t := &tuner{
-		pr:        pr,
-		o:         o,
-		feat:      ExtractFeatures(pr.Stats),
-		d:         &Decision{},
-		pools:     make(map[int]*parallel.Pool),
-		symStats:  make(map[int][2]int64),
-		colorMemo: make(map[int]*color.Schedule),
+		pr:       pr,
+		o:        o,
+		feat:     ExtractFeatures(pr.Stats),
+		d:        &Decision{},
+		pools:    make(map[int]*parallel.Pool),
+		symStats: make(map[int][2]int64),
 	}
+	s := pr.S
 	t.shape = format.Shape{
 		N:          int64(t.feat.N),
 		NNZLower:   int64(t.feat.NNZLower),
@@ -256,7 +255,10 @@ func newTuner(pr Problem, o Options) *tuner {
 		SSSBytes:   t.feat.SSSBytes,
 		Kind:       pr.S.Kind,
 		Conflict:   t.symbolic,
-		Colored:    t.colored,
+		// The unreordered structure's schedule, built once per thread count:
+		// the model stage prices each (format, p) once and reuses the price
+		// for a reordered variant.
+		Colored: func(p int) *color.Schedule { return color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{}) },
 	}
 	if o.Platform != nil {
 		t.pl = *o.Platform
@@ -288,34 +290,40 @@ func (t *tuner) closePools() {
 // format at its modeled-best thread count, prunes the clearly hopeless
 // formats, and appends RCM variants when the x-locality model says
 // reordering could pay. Returns the indices of the surviving candidates.
+//
+// Colored guard: on a matrix far from a banded order (power-law hubs, a
+// scrambled stencil) the colored schedule's ranges merge until one or two
+// threads do all the work. A parallel colored pricing whose schedule keeps
+// fewer than (p+1)/2 threads busy is no choice, and a colored candidate left
+// with no parallel choice is rejected at the last such p: serially it is any
+// SSS method.
 func (t *tuner) modelStage() []int {
 	ps := threadCandidates(t.o.MaxThreads)
+	costs := make([]perfmodel.SpMVCost, 0, len(t.o.Formats)) // each candidate's, at its threads
 	for _, f := range t.o.Formats {
 		best := Candidate{Plan: Plan{Format: f}, ModeledSeconds: -1}
+		var bestCost perfmodel.SpMVCost
+		var rejected Candidate // the last parallel colored pricing the guard refused
+		survives := false
 		for _, p := range ps {
-			sec := t.modelCost(f, p, false).SpMM(t.o.NV).Seconds(t.pl, p)
+			c := t.modelCost(f, p)
+			sec := c.SpMM(t.o.NV).Seconds(t.pl, p)
+			if f == format.SSSColored && p > 1 {
+				if c.Busy < float64(p+1)/2 {
+					rejected = Candidate{Plan: Plan{Format: f, Threads: p}, ModeledSeconds: sec,
+						Status: fmt.Sprintf("rejected (colored: %.2f of %d threads busy; reorder first)", c.Busy, p)}
+					continue
+				}
+				survives = true
+			}
 			if best.ModeledSeconds < 0 || sec < best.ModeledSeconds {
-				best.Plan.Threads = p
-				best.ModeledSeconds = sec
+				best.Plan.Threads, best.ModeledSeconds, bestCost = p, sec, c
 			}
 		}
-		t.d.Candidates = append(t.d.Candidates, best)
-	}
-
-	// Colored guard: the schedule keeps only the row blocks whose rows stay
-	// within the band of the block before them, so on a matrix far from a
-	// banded order (power-law hubs, a scrambled stencil) the blocks merge to
-	// a handful and one or two threads do all the work. The model's
-	// per-barrier charge does not see that, so a parallel colored candidate
-	// with fewer than two blocks per thread is rejected outright.
-	for i := range t.d.Candidates {
-		c := &t.d.Candidates[i]
-		if c.Format != format.SSSColored || c.Threads <= 1 {
-			continue
+		if rejected.Status != "" && !survives {
+			best = rejected
 		}
-		if blocks := t.colored(c.Threads).NumBlocks; blocks < 2*c.Threads {
-			c.Status = fmt.Sprintf("rejected (colored: %d blocks at %d threads; reorder first)", blocks, c.Threads)
-		}
+		t.d.Candidates, costs = append(t.d.Candidates, best), append(costs, bestCost)
 	}
 
 	bestSec := -1.0
@@ -346,7 +354,7 @@ func (t *tuner) modelStage() []int {
 		var pruned []pair
 		for i := range t.d.Candidates {
 			// Only model-pruned candidates come back; guard-rejected ones
-			// (colored, too few blocks) stay out no matter how thin the field is.
+			// (colored, too few threads busy) stay out no matter how thin the field is.
 			if strings.HasPrefix(t.d.Candidates[i].Status, "pruned") {
 				pruned = append(pruned, pair{i, t.d.Candidates[i].ModeledSeconds})
 			}
@@ -368,7 +376,7 @@ func (t *tuner) modelStage() []int {
 		for _, i := range append([]int(nil), survivors...) {
 			c := t.d.Candidates[i]
 			rc := Candidate{Plan: Plan{Format: c.Format, Threads: c.Threads, Reorder: true}}
-			rc.ModeledSeconds = t.modelCost(c.Format, c.Threads, true).Seconds(t.pl, c.Threads)
+			rc.ModeledSeconds = t.reorderedCost(costs[i]).Seconds(t.pl, c.Threads)
 			t.d.Candidates = append(t.d.Candidates, rc)
 			survivors = append(survivors, len(t.d.Candidates)-1)
 		}

@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"repro/internal/color"
 	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/perfmodel"
@@ -24,33 +23,19 @@ func (t *tuner) symbolic(p int) (entries, region int64) {
 	return entries, region
 }
 
-// colored returns the conflict-free colored schedule at p threads,
-// memoized per thread count. Like symbolic, it is a purely symbolic scan of
-// the unreordered structure; reordered colored variants are priced with the
-// same schedule. Its colors are two in either order whenever more than one
-// block survives, but RCM changes how many blocks survive, and so how many
-// threads the phases keep busy; the micro-trials make the final call. The
-// model stage's colored guard reads the block count.
-func (t *tuner) colored(p int) *color.Schedule {
-	sc, ok := t.colorMemo[p]
-	if !ok {
-		s := t.pr.S
-		sc = color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
-		t.colorMemo[p] = sc
-	}
-	return sc
-}
-
 // modelCost builds the roofline account of one candidate: the format's
-// estimate plus the x-access span. For reordered variants the span is
-// assumed to shrink into the per-thread cache (the §V-D effect RCM exists
-// for); the permutation is paid once per solve, not per product, so the
-// product is priced alone, as the trials time it.
-func (t *tuner) modelCost(f format.ID, p int, reordered bool) perfmodel.SpMVCost {
+// estimate plus the x-access span.
+func (t *tuner) modelCost(f format.ID, p int) perfmodel.SpMVCost {
 	c := f.Desc().Estimate(&t.shape, p)
 	c.XSpanBytes = t.feat.XSpanBytes
-	if cache := t.pl.XCachePerThreadBytes; reordered && c.XSpanBytes > cache {
-		c.XSpanBytes = cache
-	}
+	return c
+}
+
+// reorderedCost is the account of a candidate's RCM variant: the span is assumed
+// to shrink into the per-thread cache (the §V-D effect RCM exists for); the
+// permutation is paid once per solve, not per product, so the product is
+// priced alone, as the trials time it.
+func (t *tuner) reorderedCost(c perfmodel.SpMVCost) perfmodel.SpMVCost {
+	c.XSpanBytes = min(c.XSpanBytes, t.pl.XCachePerThreadBytes)
 	return c
 }

@@ -7,81 +7,51 @@ import (
 )
 
 // The Colored method executes the symmetric SpM×V without any reduction
-// phase: a conflict-free block schedule (internal/color) guarantees that all
-// blocks running concurrently have disjoint write sets, so every thread
-// updates y in place. One phase list chains a diagonal-init phase and
-// one phase per color through the pool's spin barrier — the whole operation
-// still costs a single coordinator handoff, like the reduction methods.
-//
-// The init phase exists because, unlike the effective-ranges multiply, a
-// colored block cannot assume y[r] is untouched when it runs: transpose
-// contributions from blocks of *earlier* colors may already have landed in
-// its rows. Seeding y[r] = d_r·x_r up front turns every later write into a
-// plain accumulation.
+// phase, on the two-phase schedule of internal/color: each thread runs its
+// range of the nnz partition without the elements whose column lies below
+// the range's first row (phase 1, which assigns every y[r] as the
+// effective-ranges cell does), then those deferred elements alone (phase 2),
+// whose write sets the schedule keeps disjoint. One phase list chains the
+// phases through the pool's spin barrier, so the whole operation still costs
+// a single coordinator handoff, like the reduction methods.
 
-// assembleColored assembles the nv-lane init → color₀ → … → colorₖ₋₁ phase
-// list as closures over k.curX/k.curY (see Kernel.assemble); with dot
-// non-nil (nv = 1) a final phase leaves the xᵀy partials in
-// dot[tid*DotStride], computed over the same uniform chunks as vec.Dot so the
-// combined sum is bitwise identical to a dot of the finished output. Every
-// phase is compute work — zero reduction by construction, at any width,
-// which sampling makes directly observable — and every color has its own
-// span name, so the perfetto view shows the schedule's full phase structure.
+// assembleColored assembles the nv-lane phase-1 → phase-2 list as closures
+// over k.curX/k.curY (see Kernel.assemble); a schedule that defers nothing
+// has phase 1 alone. With dot non-nil (nv = 1) a final phase leaves the xᵀy
+// partials in dot[tid*DotStride], computed over the same uniform chunks as
+// vec.Dot so the combined sum is bitwise identical to a dot of the finished
+// output. Every phase is compute work — zero reduction by construction, at
+// any width, which sampling makes directly observable — and every phase has
+// its own span name.
 func (k *Kernel) assembleColored(name string, dot []float64, nv int) []parallel.Phase {
-	phases := make([]parallel.Phase, 0, k.sched.NumColors+2)
-	phases = append(phases, parallel.ComputePhase(name+"/init",
-		func(tid int) { k.diagInitT(tid, nv) }))
-	for c := 0; c < k.sched.NumColors; c++ {
-		assign := k.sched.Assign[c]
-		var ph func(tid int)
-		switch {
-		case nv > 1:
-			cell := laneCell(nv, k.colorBlocksMat2T, k.colorBlocksMat4T, k.colorBlocksMat8T, k.colorBlocksMatT)
-			ph = func(tid int) { cell(assign[tid]) }
-		case k.S.Kind != Sym:
-			ph = func(tid int) { k.colorBlocksKindT(assign[tid], k.curX, k.curY) }
-		default:
-			ph = func(tid int) { k.colorBlocksT(assign[tid], k.curX, k.curY) }
-		}
-		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c), ph))
+	var cell func(tid int, cross bool)
+	switch {
+	case nv == 2:
+		cell = k.mulMatColored2T
+	case nv == 4:
+		cell = k.mulMatColored4T
+	case nv == 8:
+		cell = k.mulMatColored8T
+	case nv > 1:
+		cell = func(tid int, cross bool) { k.mulMatColoredT(tid, cross, nv) }
+	case k.S.Kind != Sym:
+		cell = func(tid int, cross bool) { k.multiplyColoredKindT(tid, cross, k.curX, k.curY) }
+	default:
+		cell = func(tid int, cross bool) { k.multiplyColoredT(tid, cross, k.curX, k.curY) }
+	}
+	phases := make([]parallel.Phase, 0, k.sched.NumColors+1)
+	for c := range k.sched.NumColors {
+		phases = append(phases, parallel.ComputePhase(fmt.Sprintf("%s/color%d", name, c),
+			func(tid int) { cell(tid, c == 1) }))
 	}
 	if dot != nil {
 		phases = append(phases, parallel.ComputePhase(name+"/dot",
-			func(tid int) { dot[tid*DotStride] = dotChunkT(k.initPart, tid, k.curX, k.curY) }))
+			func(tid int) { dot[tid*DotStride] = dotChunkT(k.dotRows, tid, k.curX, k.curY) }))
 	}
 	return phases
 }
 
-// diagInitT seeds thread tid's uniform row chunk of the nv-lane output with
-// the diagonal contribution, overwriting whatever the previous operation left
-// in y. A Skew matrix has no DValues array at all — its diagonal is
-// identically zero — so the init writes plain zeros instead of reading
-// through nil. The chunk's slices are cut once, so the single-lane loop runs
-// unchecked.
-func (k *Kernel) diagInitT(tid, nv int) {
-	lo, hi := int(k.initPart.Start[tid]), int(k.initPart.End[tid])
-	y := k.curY[lo*nv : hi*nv]
-	if k.S.DValues == nil {
-		clear(y)
-		return
-	}
-	x, dv := k.curX[lo*nv:hi*nv], k.S.DValues[lo:hi]
-	if nv == 1 {
-		x, y = x[:len(dv)], y[:len(dv)]
-		for r, d := range dv {
-			y[r] = d * x[r]
-		}
-		return
-	}
-	for r, d := range dv {
-		xr, yr := x[r*nv:r*nv+nv], y[r*nv:r*nv+nv]
-		for v := range yr {
-			yr[v] = d * xr[v]
-		}
-	}
-}
-
-// Colors reports the number of color phases of the schedule; zero for
+// Colors reports the number of phases of the colored schedule; zero for
 // non-Colored kernels.
 func (k *Kernel) Colors() int {
 	if k.sched == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,8 +62,8 @@ func TestColoredMatchesReferenceSuite(t *testing.T) {
 				pool := parallel.NewPool(p)
 				k := NewKernel(v.s, Colored, pool)
 				got := make([]float64, n)
-				// Run twice: the diagonal-init phase must fully overwrite
-				// whatever the first operation left in y.
+				// Run twice: phase 1 must assign every y[r], whatever the
+				// first operation left in y.
 				k.MulVec(x, got)
 				k.MulVec(x, got)
 				if d := maxRelDiff(want, got); d > 1e-12 {
@@ -75,9 +76,9 @@ func TestColoredMatchesReferenceSuite(t *testing.T) {
 }
 
 // TestColoredZeroReductionPhases asserts the acceptance criterion through the
-// phase-timing instrumentation: the colored kernel runs 1 + colors phases
-// with zero time attributed to reduction, while the indexed kernel on the
-// same matrix reports real reduction work.
+// phase-timing instrumentation: the colored kernel runs its two phases with
+// zero time attributed to reduction, while the indexed kernel on the same
+// matrix reports real reduction work.
 func TestColoredZeroReductionPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := randomSymmetric(t, rng, 3000, 6)
@@ -99,8 +100,8 @@ func TestColoredZeroReductionPhases(t *testing.T) {
 	if pt.Reduction != 0 {
 		t.Errorf("colored: %v attributed to reduction, want zero by construction", pt.Reduction)
 	}
-	if want := kc.Colors() + 1; pt.Phases != want {
-		t.Errorf("colored: %d phases, want 1+colors = %d", pt.Phases, want)
+	if want := kc.Colors(); pt.Phases != want {
+		t.Errorf("colored: %d phases, want colors = %d", pt.Phases, want)
 	}
 	if pt.Compute <= 0 || pt.Wall < pt.Compute {
 		t.Errorf("colored: implausible breakdown %+v", pt)
@@ -123,8 +124,10 @@ func TestColoredZeroReductionPhases(t *testing.T) {
 }
 
 // TestColoredTrafficAccount: the cost account must show the eliminated
-// reduction (zero bytes, zero flops, zero working-set overhead) and price the
-// barrier chain instead.
+// reduction (zero bytes, zero flops, zero working-set overhead), move y once
+// plus a read-modify-write per deferred element — counted here from the
+// kernel's ranges, independently of the schedule — and price the second
+// phase's barrier instead.
 func TestColoredTrafficAccount(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randomSymmetric(t, rng, 2000, 5)
@@ -139,8 +142,22 @@ func TestColoredTrafficAccount(t *testing.T) {
 	if tr.RedBytes != 0 || tr.RedFlops != 0 || tr.WorkingSetOverhead != 0 {
 		t.Errorf("colored traffic carries reduction terms: %+v", tr)
 	}
-	if tr.ExtraBarriers != int64(k.Colors()) {
-		t.Errorf("ExtraBarriers = %d, want colors = %d", tr.ExtraBarriers, k.Colors())
+	if k.Colors() != 2 || tr.ExtraBarriers != 1 {
+		t.Errorf("ExtraBarriers = %d over %d colors, want 1 over 2", tr.ExtraBarriers, k.Colors())
+	}
+	var deferred int64
+	for tid := range k.Part.P() {
+		for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
+			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
+				if s.ColIdx[j] < k.Part.Start[tid] {
+					deferred++
+				}
+			}
+		}
+	}
+	n := int64(s.N)
+	if want := 16*n + 16*deferred; deferred == 0 || tr.MultVectorBytes != want {
+		t.Errorf("MultVectorBytes = %d, want 8n (x) + 8n (y) + 16·%d deferred = %d", tr.MultVectorBytes, deferred, want)
 	}
 	ki := NewKernel(s, Indexed, pool)
 	if tri := ki.Traffic(); tri.ExtraBarriers != 0 {
@@ -178,6 +195,56 @@ func TestColoredRaceStress(t *testing.T) {
 				k.MulMat(xw, yw, nv)
 			}
 			pool.Close()
+		}
+	}
+}
+
+// TestColoredEveryWidthAndThreadCount holds the colored kernel to the serial
+// kernel, per lane, within 1e-12 at every lane width nv ∈ {1, 2, 3, 4, 8}
+// (the register-blocked cells and the any-width one) and p ∈ {1, 2, 3, 4, 8},
+// on a scrambled order whose ranges merge and deferred elements abound and on
+// its RCM order, in every symmetry class (SpMM is symmetric-only). Each
+// product runs three times over a y full of NaNs, and the repeats must agree
+// bitwise: phase 1 assigns every element, and the schedule fixes the order.
+func TestColoredEveryWidthAndThreadCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	plain, rcm := suiteSSS(t, "parabolic_fem")
+	for _, base := range []*SSS{plain, rcm} {
+		for _, kind := range []SymKind{Sym, Skew, Structural} {
+			s := asKind(t, base, kind)
+			widths := []int{1, 2, 3, 4, 8}
+			if kind != Sym {
+				widths = widths[:1]
+			}
+			for _, p := range []int{1, 2, 3, 4, 8} {
+				pool := parallel.NewPool(p)
+				k := NewKernel(s, Colored, pool)
+				for _, nv := range widths {
+					x := randomVector(rng, s.N*nv)
+					want := refMulMat(s, x, nv)
+					var first []float64
+					for rep := 0; rep < 3; rep++ {
+						got := make([]float64, s.N*nv)
+						for i := range got {
+							got[i] = math.NaN()
+						}
+						if nv == 1 {
+							k.MulVec(x, got)
+						} else if err := k.MulMat(x, got, nv); err != nil {
+							t.Fatal(err)
+						}
+						if d := maxRelDiff(want, got); !(d <= 1e-12) {
+							t.Fatalf("%v p=%d nv=%d: colored differs from serial by %g", kind, p, nv, d)
+						}
+						if first == nil {
+							first = got
+						} else if i := firstBitDiff(first, got); i >= 0 {
+							t.Fatalf("%v p=%d nv=%d: repeat %d differs at %d: %v vs %v", kind, p, nv, rep, i, got[i], first[i])
+						}
+					}
+				}
+				pool.Close()
+			}
 		}
 	}
 }

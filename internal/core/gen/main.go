@@ -16,8 +16,11 @@
 //	                       ranges, indexed); rows past the thread's local
 //	                       frontier (Kernel.splitEnd) store no such column and
 //	                       run a second row loop, the y loop alone;
-//	              direct — everything goes to y, rows come from the colour's
-//	                       blocks and the diagonal from the init phase (colored).
+//	              direct — every write goes to y, in two phases on the
+//	                       colored schedule's ranges (internal/color): phase 1
+//	                       runs the split rows without the columns below the
+//	                       range's first row, phase 2 (cross) runs those deferred
+//	                       columns alone, seeding each row sum with y[r].
 //	value policy  sym — the stored value both ways; kind — sign·uval[j] on the
 //	              transpose write and an optional diagonal (skew, structural).
 //	lane width    1 (SpM×V over the x, y arguments), 2, 4, 8 (register-blocked
@@ -45,16 +48,17 @@ type cell struct {
 	Lanes int    // 1, 2, 4, 8, or 0 for the run-time width nv
 	To    string // scatter target of the loop being emitted (set by Into)
 	Past  bool   // the split row loop past the local frontier (set by PastFrontier)
+	Defer bool   // the direct cell's phase-2 row loop (set by Deferred)
 }
 
 // cells lists the 18 bodies under the names Kernel.phases and assembleColored dispatch on.
 var cells = []cell{
 	{Name: "multiplyNaiveT", Write: "local", Lanes: 1},
 	{Name: "multiplyEffectiveT", Write: "split", Lanes: 1},
-	{Name: "colorBlocksT", Write: "direct", Lanes: 1},
+	{Name: "multiplyColoredT", Write: "direct", Lanes: 1},
 	{Name: "multiplyNaiveKindT", Write: "local", Kind: true, Lanes: 1},
 	{Name: "multiplyEffectiveKindT", Write: "split", Kind: true, Lanes: 1},
-	{Name: "colorBlocksKindT", Write: "direct", Kind: true, Lanes: 1},
+	{Name: "multiplyColoredKindT", Write: "direct", Kind: true, Lanes: 1},
 	{Name: "mulMatNaiveT", Write: "local"},
 	{Name: "mulMatNaive2T", Write: "local", Lanes: 2},
 	{Name: "mulMatNaive4T", Write: "local", Lanes: 4},
@@ -63,10 +67,10 @@ var cells = []cell{
 	{Name: "mulMatEffective2T", Write: "split", Lanes: 2},
 	{Name: "mulMatEffective4T", Write: "split", Lanes: 4},
 	{Name: "mulMatEffective8T", Write: "split", Lanes: 8},
-	{Name: "colorBlocksMatT", Write: "direct"},
-	{Name: "colorBlocksMat2T", Write: "direct", Lanes: 2},
-	{Name: "colorBlocksMat4T", Write: "direct", Lanes: 4},
-	{Name: "colorBlocksMat8T", Write: "direct", Lanes: 8},
+	{Name: "mulMatColoredT", Write: "direct"},
+	{Name: "mulMatColored2T", Write: "direct", Lanes: 2},
+	{Name: "mulMatColored4T", Write: "direct", Lanes: 4},
+	{Name: "mulMatColored8T", Write: "direct", Lanes: 8},
 }
 
 func (c cell) Local() bool  { return c.Write == "local" }
@@ -82,12 +86,15 @@ func (c cell) Into(target string) cell { c.To = target; return c }
 // vector entry, for the row template.
 func (c cell) PastFrontier() cell { c.Past = true; return c }
 
+// Deferred returns the direct cell's phase-2 row body, for the row template.
+func (c cell) Deferred() cell { c.Defer = true; return c }
+
 // Params is the signature today's dispatch calls: SpM×V cells take their
 // operands, SpMM cells read the kernel's operand slots.
 func (c cell) Params() string {
 	rows := "tid int"
 	if c.Direct() {
-		rows = "blocks []int32"
+		rows = "tid int, cross bool"
 	}
 	switch {
 	case c.Scalar() && c.Local():
@@ -129,9 +136,9 @@ func (c cell) Idx() []int {
 }
 
 // Row is where a finished row sum goes, RowOp how: the local policy adds into
-// the (zeroed) local vector, split assigns — transpose writes only reach
-// earlier rows, so y[r] is untouched until its own row stores it — and direct
-// adds onto the init phase's diagonal and earlier colours' writes.
+// the (zeroed) local vector; split and direct assign — transpose writes only
+// reach earlier rows, so y[r] is untouched until its own row stores it, and
+// a deferred row sum starts from the y[r] phase 1 stored.
 func (c cell) Row() string {
 	if c.Local() {
 		return "local"
@@ -140,10 +147,10 @@ func (c cell) Row() string {
 }
 
 func (c cell) RowOp() string {
-	if c.Split() {
-		return "="
+	if c.Local() {
+		return "+="
 	}
-	return "+="
+	return "="
 }
 
 // Slice spells v[at : at+W : at+W], the lane window of one row or column.
@@ -179,39 +186,39 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 	{{- if .Kind}}
 	uval, sign := s.kindUval()
 	uval = uval[:len(colIdx)]
-	{{- if not .Direct}}
 	dv := s.DValues
-	{{- end}}
-	{{- else if not .Direct}}
+	{{- else}}
 	dv := s.DValues[:n]
 	{{- end}}
-	{{- if .Direct}}
-	part := k.sched.Part
-	for _, b := range blocks {
-		lo, hi := int(part.Start[b]), int(part.End[b])
-	{{- else}}
+	{{- if not .Direct}}
 	local := k.LV.Vecs[tid]{{if and .Scalar .Local}}[:n]{{end}}
-	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
 	{{- end}}
-		{{- if and .Split .Scalar}}
-		startT := int32(lo)
-		{{- else if .Split}}
-		startT := lo
-		{{- end}}
-		j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
-		{{- if .Split}}
-		mid := int(k.splitEnd[tid])
-		{{- end}}
-		for r := lo; r < {{if .Split}}mid{{else}}hi{{end}}; r++ {
-			{{- template "row" .}}
-		}
-		{{- if .Split}}
-		// Past the frontier no row stores a column below startT: the y loop alone.
-		for r := mid; r < hi; r++ {
-			{{- template "row" .PastFrontier}}
-		}
-		{{- end}}
+	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
+	{{- if .Local}}
+	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
+	for r := lo; r < hi; r++ {
+		{{- template "row" .}}
+	}
+	{{- else}}
+	startT := {{if .Scalar}}int32(lo){{else}}lo{{end}}
+	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
+	mid := int(k.splitEnd[tid])
 	{{- if .Direct}}
+	if cross {
+		// Phase 2: the frontier rows' columns below startT, which phase 1 skipped.
+		for r := lo; r < mid; r++ {
+			j = uint(rowPtr[r])
+			{{- template "row" .Deferred}}
+		}
+		return
+	}
+	{{- end}}
+	for r := lo; r < mid; r++ {
+		{{- template "row" .}}
+	}
+	// Past the frontier no row stores a column below startT: the y loop alone.
+	for r := mid; r < hi; r++ {
+		{{- template "row" .PastFrontier}}
 	}
 	{{- end}}
 }
@@ -224,15 +231,13 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			}
 			{{- if .Scalar}}
 			xr := x[r]
-			{{- if .Kind}}
+			{{- if .Defer}}
+			acc := y[r]
+			{{- else if .Kind}}
 			acc := 0.0
-			{{- if not .Direct}}
 			if dv != nil {
 				acc = dv[r] * xr
 			}
-			{{- end}}
-			{{- else if .Direct}}
-			acc := 0.0
 			{{- else}}
 			acc := dv[r] * xr
 			{{- end}}
@@ -241,7 +246,7 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			xr := {{.Slice "x" "ri"}}
 			{{- if .AnyNV}}
 			row := {{.Slice .Row "ri"}}
-			{{- if not .Direct}}
+			{{- if not .Defer}}
 			d := dv[r]
 			for v := range xr {
 				row[v] {{.RowOp}} d * xr[v]
@@ -251,14 +256,25 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			{{- range .Idx}}
 			xr{{.}} := xr[{{.}}]
 			{{- end}}
-			{{- if not .Direct}}
+			{{- if .Defer}}
+			row := {{.Slice .Row "ri"}}
+			{{- else}}
 			d := dv[r]
 			{{- end}}
 			{{- range .Idx}}
-			acc{{.}} := {{if $.Direct}}0.0{{else}}d * xr{{.}}{{end}}
+			acc{{.}} := {{if $.Defer}}row[{{.}}]{{else}}d * xr{{.}}{{end}}
 			{{- end}}
 			{{- end}}
 			{{- end}}
+			{{- if .Defer}}
+			for ; j < jhi; j++ {
+				c := {{.Col}}
+				if c >= startT {
+					break
+				}
+				{{- template "nonzero" .Into "y"}}
+			}
+			{{- else}}
 			{{- if and .Split (not .Past)}}
 			// Columns ascend within a row, so the effective-range boundary is a
 			// point in the row: local writes up to it, y writes after it.
@@ -269,15 +285,23 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 				}
 				{{- template "nonzero" .Into "local"}}
 			}
+			{{- else if and .Direct (not .Past)}}
+			// The columns below startT are phase 2's.
+			for j < jhi && {{.Col}} < startT {
+				j++
+			}
 			{{- end}}
 			for ; j < jhi; j++ {
 				c := {{.Col}}
 				{{- template "nonzero" .Into .Row}}
 			}
+			{{- end}}
 			{{- if .Scalar}}
 			{{.Row}}[r] {{.RowOp}} acc
 			{{- else if not .AnyNV}}
+			{{- if not .Defer}}
 			row := {{.Slice .Row "ri"}}
+			{{- end}}
 			{{- range .Idx}}
 			row[{{.}}] {{$.RowOp}} acc{{.}}
 			{{- end}}

@@ -25,11 +25,12 @@ const (
 	// local-vector entries that are written, and the reduction touches only
 	// those (Fig. 3d).
 	Indexed
-	// Colored prevents write conflicts instead of repairing them (RACE-style
-	// block coloring, internal/color): row blocks whose write sets are
-	// disjoint share a color, execution runs one spin-barrier phase per
-	// color, and every thread writes y directly — no local vectors and no
-	// reduction phase at all, at the price of colors−1 extra barriers.
+	// Colored prevents write conflicts instead of repairing them
+	// (internal/color): each thread runs its range without the elements
+	// whose column lies below the range's first row, then, after a barrier,
+	// those deferred elements, whose write sets the schedule keeps disjoint.
+	// Every thread writes y directly — no local vectors and no reduction
+	// phase at all, at the price of a second barrier.
 	Colored
 )
 
@@ -69,14 +70,15 @@ type Kernel struct {
 	pool *parallel.Pool
 	p    int
 
-	// splitEnd is each thread's local frontier (effective ranges and
-	// indexed): the split cells run rows from there on without the local loop.
+	// splitEnd is each thread's local frontier (every method but naive): the
+	// split and direct cells run rows from there on as the y loop alone.
 	splitEnd []int32
 
-	// Colored-method state: the conflict-free block schedule and the uniform
-	// row split used by the diagonal-init and fused-dot phases.
-	sched    *color.Schedule
-	initPart *partition.RowPartition
+	// Colored-method state: the two-phase schedule, whose ranges and
+	// frontiers are Part and splitEnd, and the uniform row split of the
+	// fused-dot phase.
+	sched   *color.Schedule
+	dotRows *partition.RowPartition
 
 	// dotPart holds the per-thread partial sums of MulVecDot, one cache line
 	// apart, allocated on first use.
@@ -111,49 +113,40 @@ func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
 		panic(err)
 	}
 	p := pool.Size()
-	part := partition.ByNNZ(s.RowPtr, p)
-	k := &Kernel{
-		S:      s,
-		Method: method,
-		Part:   part,
-		pool:   pool,
-		p:      p,
-	}
+	k := &Kernel{S: s, Method: method, pool: pool, p: p}
 	switch method {
 	case Colored:
 		k.sched = color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{})
-		k.initPart = partition.Uniform(s.N, p)
+		k.Part, k.splitEnd = k.sched.Part, k.sched.Frontier
+		k.dotRows = partition.Uniform(s.N, p)
 	default:
+		k.Part = partition.ByNNZ(s.RowPtr, p)
 		var touched [][]int32
 		if method == Indexed {
-			touched = TouchedColumns(s, part, pool)
+			touched = TouchedColumns(s, k.Part, pool)
 		}
 		if method != Naive {
-			k.splitEnd = splitEnds(s, part)
+			k.splitEnd = splitEnds(s, k.Part)
 		}
-		k.LV = NewLocalVectors(s.N, part, method, touched)
+		k.LV = NewLocalVectors(s.N, k.Part, method, touched)
 	}
 	k.plain = k.assemble(nil, OpSpMV, 1)
 	return k
 }
 
-// splitEnds returns each thread's local frontier: one past the last row of its
-// range whose first stored column lies below the range's first row, or that
-// first row when none does. Columns ascend, so rows past it write only y.
+// splitEnds returns each thread's local frontier (partition.Frontier): rows
+// past it write only y.
 func splitEnds(s *SSS, part *partition.RowPartition) []int32 {
 	ends := make([]int32, part.P())
 	for t := range ends {
-		lo, r := part.Start[t], part.End[t]
-		for r > lo && (s.RowPtr[r-1] == s.RowPtr[r] || s.ColIdx[s.RowPtr[r-1]] >= lo) {
-			r--
-		}
-		ends[t] = r
+		ends[t], _ = partition.Frontier(s.RowPtr, s.ColIdx, part.Start[t], part.End[t])
 	}
 	return ends
 }
 
-// SplitRows reports, per thread, how many rows the split cells run with the
-// local loop; nil for the naive and colored methods.
+// SplitRows reports, per thread, how many rows run before its local frontier:
+// with the local loop (effective ranges, indexed) or with deferred elements
+// in phase 2 (colored); nil for the naive method.
 func (k *Kernel) SplitRows() []int {
 	if k.splitEnd == nil {
 		return nil
@@ -222,7 +215,7 @@ func (k *Kernel) assemble(dot []float64, op OpClass, nv int) *parallel.PhaseList
 
 // phases labels the nv-lane chain: multiply (compute) → reduce (reduction),
 // with the Indexed fused-dot variant's trailing sweep again compute; the
-// colored schedule's init → colours instead. The multiply is the template
+// colored schedule's phase 1 → phase 2 instead. The multiply is the template
 // cell for the method, the symmetry class and the lane width.
 func (k *Kernel) phases(dot []float64, nv int) []parallel.Phase {
 	name := k.Method.String()

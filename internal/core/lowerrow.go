@@ -6,10 +6,11 @@ package core
 // three symmetry classes and every SpMM lane width — are one loop over a
 // lower row, instantiated 18 times by gen/main.go into lowerrow_gen.go (the
 // holes and the loop's shape are described there and in DESIGN.md §17). A
-// split cell is two row loops over one running j: the split row up to the
-// thread's local frontier (splitEnds), the y loop alone after it.
-// What stays hand-written is what is not that loop: the reductions and dot
-// sweep (localvec.go) and the colored diagonal-init (colored.go).
+// split or direct cell is two row loops over one running j: the split row up
+// to the thread's local frontier (splitEnds, or the colored schedule's), the
+// y loop alone after it; a direct cell's phase 2 is a third, over the
+// frontier rows' deferred columns. What stays hand-written is what is not
+// that loop: the reductions and dot sweep (localvec.go).
 
 // rowPtrOverrun is what a generated body panics with when a row's end pointer
 // lies past the column array — the check that lets the inner loops index

@@ -20,7 +20,8 @@ import (
 // inside its inner loop (RowPtr[r+1] among them, reloaded per non-zero); the
 // scalar split cell has two in its local loop and one in each of its y loops
 // (the split row's and the one past the local frontier), where x and y share
-// a length and so a check.
+// a length and so a check; the scalar direct cell has one in each of its
+// three (phase 2's deferred loop, phase 1's two y loops).
 func TestInnerLoopsCheckOnlyGatherAndScatter(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -81,12 +82,17 @@ func TestInnerLoopsCheckOnlyGatherAndScatter(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// 18 cells, the six split ones with two loops a row and a third, the y
-	// loop alone, for the rows past the local frontier.
-	if loops != 30 {
-		t.Errorf("found %d inner loops in lowerrow_gen.go, want 30: the scan no longer matches the template", loops)
+	// 18 cells: the six local ones with one loop; the six split ones with
+	// two loops a row and a third, the y loop alone, for the rows past the
+	// local frontier; the six direct ones with phase 2's deferred loop and
+	// phase 1's two y loops (its skip over the deferred columns has no body).
+	if loops != 42 {
+		t.Errorf("found %d inner loops in lowerrow_gen.go, want 42: the scan no longer matches the template", loops)
 	}
 	if got := perFn["multiplyEffectiveT"]; len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 1 {
 		t.Errorf("multiplyEffectiveT keeps %v checks in its [local, y, y past the frontier] loops, want [2 1 1]", got)
+	}
+	if got := perFn["multiplyColoredT"]; len(got) != 3 || got[0] != 1 || got[1] != 1 || got[2] != 1 {
+		t.Errorf("multiplyColoredT keeps %v checks in its [deferred, y, y past the frontier] loops, want [1 1 1]", got)
 	}
 }

@@ -14,9 +14,12 @@ import (
 
 // The textbook lower-row loops the generated cells replaced, kept verbatim
 // from PR 21 as the oracle: the six SpM×V bodies and the three generic-width
-// SpMM bodies. Every generated cell must produce bitwise what these produce.
-// (The register-blocked widths never had a reference of their own: their
-// contract is "per lane, the SpM×V body", which is how they are held here.)
+// SpMM bodies. The colored ones are written in the two-phase schedule's term
+// order: phase 1 assigns each row sum from the diagonal over the columns at or
+// past the range's first row, phase 2 adds the columns below it onto y[r].
+// Every generated cell must produce bitwise what these produce. (The
+// register-blocked widths never had a reference of their own: their contract
+// is "per lane, the SpM×V body", which is how they are held here.)
 
 func refMultiplyNaive(k *Kernel, tid int, x []float64) {
 	s := k.S
@@ -55,21 +58,24 @@ func refMultiplyEffective(k *Kernel, tid int, x, y []float64) {
 	}
 }
 
-func refColorBlocks(k *Kernel, blocks []int32, x, y []float64) {
+func refColored(k *Kernel, tid int, cross bool, x, y []float64) {
 	s := k.S
-	part := k.sched.Part
-	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
-			xr := x[r]
-			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
+	startT := k.Part.Start[tid]
+	for r := startT; r < k.Part.End[tid]; r++ {
+		xr := x[r]
+		acc := s.DValues[r] * xr
+		if cross {
+			acc = y[r]
+		}
+		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
+			c := s.ColIdx[j]
+			v := s.Val[j]
+			if (c < startT) == cross {
 				acc += v * x[c]
 				y[c] += v * xr
 			}
-			y[r] += acc
 		}
+		y[r] = acc
 	}
 }
 
@@ -118,21 +124,27 @@ func refMultiplyEffectiveKind(k *Kernel, tid int, x, y []float64) {
 	}
 }
 
-func refColorBlocksKind(k *Kernel, blocks []int32, x, y []float64) {
+func refColoredKind(k *Kernel, tid int, cross bool, x, y []float64) {
 	s := k.S
 	uval, sign := s.kindUval()
-	part := k.sched.Part
-	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
-			xr := x[r]
-			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
+	dv := s.DValues
+	startT := k.Part.Start[tid]
+	for r := startT; r < k.Part.End[tid]; r++ {
+		xr := x[r]
+		acc := 0.0
+		if cross {
+			acc = y[r]
+		} else if dv != nil {
+			acc = dv[r] * xr
+		}
+		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
+			c := s.ColIdx[j]
+			if (c < startT) == cross {
 				acc += s.Val[j] * x[c]
 				y[c] += sign * uval[j] * xr
 			}
-			y[r] += acc
 		}
+		y[r] = acc
 	}
 }
 
@@ -187,34 +199,40 @@ func refMulMatEffective(k *Kernel, tid, nv int) {
 	}
 }
 
-func refColorBlocksMat(k *Kernel, blocks []int32, nv int) {
+func refMulMatColored(k *Kernel, tid int, cross bool, nv int) {
 	s := k.S
 	x, y := k.curX, k.curY
-	part := k.sched.Part
-	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
-			ri := int(r) * nv
-			xr := x[ri : ri+nv]
-			yr := y[ri : ri+nv]
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				ci := int(s.ColIdx[j]) * nv
-				a := s.Val[j]
-				xc := x[ci : ci+nv]
-				yc := y[ci : ci+nv]
-				for v := 0; v < nv; v++ {
-					yr[v] += a * xc[v]
-					yc[v] += a * xr[v]
-				}
+	startT := k.Part.Start[tid]
+	for r := startT; r < k.Part.End[tid]; r++ {
+		ri := int(r) * nv
+		xr := x[ri : ri+nv]
+		yr := y[ri : ri+nv]
+		if !cross {
+			for v := 0; v < nv; v++ {
+				yr[v] = s.DValues[r] * xr[v]
+			}
+		}
+		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
+			if (s.ColIdx[j] < startT) != cross {
+				continue
+			}
+			ci := int(s.ColIdx[j]) * nv
+			a := s.Val[j]
+			xc := x[ci : ci+nv]
+			yc := y[ci : ci+nv]
+			for v := 0; v < nv; v++ {
+				yr[v] += a * xc[v]
+				yc[v] += a * xr[v]
 			}
 		}
 	}
 }
 
 // A multiply is what stands in for the multiply phases of a list: a call per
-// thread id (local-vector methods) or per thread id and colour (colored).
+// thread id (local-vector methods) or per thread id and phase (colored).
 type multiply struct {
 	rows   func(tid int)
-	colour func(blocks []int32)
+	colour func(tid int, cross bool)
 }
 
 // refCell returns the oracle of the cell k's list dispatches to at width nv
@@ -224,11 +242,11 @@ func refCell(k *Kernel, nv int) multiply {
 	kind := k.S.Kind != Sym
 	switch {
 	case k.Method == Colored && nv > 1:
-		return multiply{colour: func(b []int32) { refColorBlocksMat(k, b, nv) }}
+		return multiply{colour: func(tid int, cross bool) { refMulMatColored(k, tid, cross, nv) }}
 	case k.Method == Colored && kind:
-		return multiply{colour: func(b []int32) { refColorBlocksKind(k, b, k.curX, k.curY) }}
+		return multiply{colour: func(tid int, cross bool) { refColoredKind(k, tid, cross, k.curX, k.curY) }}
 	case k.Method == Colored:
-		return multiply{colour: func(b []int32) { refColorBlocks(k, b, k.curX, k.curY) }}
+		return multiply{colour: func(tid int, cross bool) { refColored(k, tid, cross, k.curX, k.curY) }}
 	case k.Method == Naive && nv > 1:
 		return multiply{rows: func(tid int) { refMulMatNaive(k, tid, nv) }}
 	case k.Method == Naive && kind:
@@ -246,7 +264,7 @@ func refCell(k *Kernel, nv int) multiply {
 func generatedAnyNV(k *Kernel, nv int) multiply {
 	switch k.Method {
 	case Colored:
-		return multiply{colour: func(b []int32) { k.colorBlocksMatT(b, nv) }}
+		return multiply{colour: func(tid int, cross bool) { k.mulMatColoredT(tid, cross, nv) }}
 	case Naive:
 		return multiply{rows: func(tid int) { k.mulMatNaiveT(tid, nv) }}
 	}
@@ -255,16 +273,16 @@ func generatedAnyNV(k *Kernel, nv int) multiply {
 
 // runWith runs list serially — phase by phase, thread ids ascending — with m
 // in place of the multiply phases: the first phase of a local-vector list,
-// the colour phases (1..NumColors, after the init) of a colored one. Every
-// method here is deterministic, so a serial run is bitwise a pool run.
+// the NumColors phases (phase 1, then phase 2) of a colored one. Every method
+// here is deterministic, so a serial run is bitwise a pool run.
 func runWith(k *Kernel, list *parallel.PhaseList, m multiply, x, y []float64) {
 	k.curX, k.curY = x, y
 	defer func() { k.curX, k.curY = nil, nil }()
 	for i, ph := range list.Phases {
 		for tid := 0; tid < k.p; tid++ {
 			switch {
-			case m.colour != nil && i >= 1 && i <= k.sched.NumColors:
-				m.colour(k.sched.Assign[i-1][tid])
+			case m.colour != nil && i < k.sched.NumColors:
+				m.colour(tid, i == 1)
 			case m.rows != nil && i == 0:
 				m.rows(tid)
 			default:

@@ -28,9 +28,9 @@ type Traffic struct {
 	WorkingSetOverhead int64
 
 	// ExtraBarriers counts barrier crossings beyond the one closing each
-	// priced phase (Colored method only: the colors−1 additional phase
-	// boundaries of the conflict-free schedule, plus the init→color one).
-	// The platform model prices them by Platform.BarrierSeconds.
+	// priced phase (Colored method only: the phase-1 → phase-2 boundary of a
+	// schedule that defers anything). The platform model prices them by
+	// Platform.BarrierSeconds.
 	ExtraBarriers int64
 	// Busy is how many threads the colored schedule's phases keep busy
 	// (color.Schedule.Busy); zero for the reduction methods, which split the
@@ -96,15 +96,14 @@ func (k *Kernel) Traffic() Traffic {
 		t.WorkingSetOverhead = 16 * e
 	case Colored:
 		// Conflict prevention: zero reduction traffic and zero working-set
-		// overhead. y moves twice through the multiply — written by the
-		// diagonal-init pass, then read-modify-written by the color sweep —
-		// and the phase chain costs one barrier per color on top of the
-		// multiply phase's own closing barrier.
-		t.MultVectorBytes = xBytes + yBytes + 2*yBytes
+		// overhead. y is written once, by phase 1, and each deferred element
+		// read-modify-writes one more y element in phase 2; the second phase
+		// costs one barrier on top of the first phase's own.
+		t.MultVectorBytes = xBytes + yBytes + 16*k.sched.Deferred
 		t.RedBytes = 0
 		t.RedFlops = 0
 		t.WorkingSetOverhead = 0
-		t.ExtraBarriers = int64(k.sched.NumColors)
+		t.ExtraBarriers = int64(k.sched.NumColors - 1)
 		t.Busy = k.sched.Busy
 	}
 	return t

@@ -79,13 +79,14 @@ func estimateSym(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p int) perfmode
 	}
 	switch method {
 	case core.Colored:
-		// Conflict-free: zero reduction bytes; y moves twice (init write +
-		// color-sweep read-modify-write) and each color beyond the multiply
-		// phase's own barrier costs one more crossing. Priced as if every
-		// thread stays busy — optimistic, like the CSX-Sym size; the tuner
-		// rejects a schedule with fewer than two blocks per thread outright.
-		c.MultBytes = matBytes + 8*n + 24*n
-		c.ExtraBarriers = int64(sh.Colored(p).NumColors)
+		// Conflict-free: zero reduction bytes; y is written once, plus a
+		// read-modify-write per deferred element, and the second phase costs
+		// one more barrier crossing. The multiply runs as wide as the
+		// schedule keeps threads busy.
+		sc := sh.Colored(p)
+		c.MultBytes = matBytes + 16*n + 16*sc.Deferred
+		c.ExtraBarriers = int64(sc.NumColors - 1)
+		c.Busy = sc.Busy
 	case core.Naive:
 		c.MultBytes = matBytes + 8*n + 8*pp*n
 		c.RedBytes = 8*pp*n + 8*n

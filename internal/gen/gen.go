@@ -45,7 +45,7 @@ const (
 	// contiguous segments and the segments shuffled: locally banded, globally
 	// scattered. RCM recovers the band, but the point of the class is what
 	// happens without RCM: every segment is banded while the row order jumps
-	// between them, so the colored schedule's blocks merge to a few until
+	// between them, so the colored schedule's ranges merge to a few until
 	// the matrix is reordered. Not part of Table I — see ScatterSuite.
 	ScatteredBand
 )
@@ -111,7 +111,7 @@ var PaperSuite = []Spec{
 // HubSuite lists synthetic power-law matrices beyond Table I. Their hub
 // vertices (the oldest in the attachment process) are touched by nearly
 // every row, so every thread's transposed writes reach the same few columns:
-// a stress of the conflict index and of the colored schedule, whose blocks
+// a stress of the conflict index and of the colored schedule, whose ranges
 // merge to a few in either order. The Table I matrices have no such skew.
 var HubSuite = []Spec{
 	{Name: "powerlaw-s", Problem: "Graph", Rows: 100000, NNZ: 900000, Kind: PowerLawGraph},
@@ -120,8 +120,8 @@ var HubSuite = []Spec{
 
 // ScatterSuite lists synthetic scattered matrices beyond Table I: banded
 // structure hidden behind a segment shuffle. They are the reordering stress
-// class: natural order merges the colored schedule to three blocks, and RCM
-// restores all of them.
+// class: natural order merges the colored schedule's ranges to two, and RCM
+// keeps all of them.
 var ScatterSuite = []Spec{
 	{Name: "scattered-band", Problem: "Synthetic", Rows: 50000, NNZ: 450000, Kind: ScatteredBand, SegmentLen: 400},
 	{Name: "scattered-band-l", Problem: "Synthetic", Rows: 200000, NNZ: 1800000, Kind: ScatteredBand, SegmentLen: 1600},

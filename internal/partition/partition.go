@@ -132,3 +132,18 @@ func (rp *RowPartition) Imbalance(rowPtr []int32) float64 {
 	mean := float64(sum) / float64(p)
 	return float64(max) / mean
 }
+
+// Frontier scans rows [lo, hi) of a strict-lower CSR structure with ascending
+// columns for the rows whose first stored column lies below lo. It returns the
+// local frontier, one past the last such row (lo when there is none): rows
+// from there on write only inside [lo, hi). It also returns the lowest first
+// column of those rows (lo when there is none).
+func Frontier(rowPtr, colIdx []int32, lo, hi int32) (front, low int32) {
+	front, low = lo, lo
+	for r := lo; r < hi; r++ {
+		if j := rowPtr[r]; j < rowPtr[r+1] && colIdx[j] < lo {
+			front, low = r+1, min(low, colIdx[j])
+		}
+	}
+	return front, low
+}

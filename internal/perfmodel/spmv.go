@@ -36,16 +36,16 @@ type SpMVCost struct {
 	XSpanBytes int64
 
 	// ExtraBarriers counts barrier crossings beyond the one ending each
-	// priced phase. The colored (conflict-free) schedule runs 1 + colors
-	// phases with no reduction at all, so it carries colors extra barriers
-	// on top of the multiply phase's own — the traffic-free cost the model
-	// weighs against eliminating RedBytes entirely.
+	// priced phase. The colored (conflict-free) schedule runs its deferred
+	// elements in a second phase with no reduction at all, so it carries one
+	// extra barrier on top of the multiply phase's own — the traffic-free
+	// cost the model weighs against eliminating RedBytes entirely.
 	ExtraBarriers int64
 
 	// Busy, when set, is how many threads the multiply phase keeps busy on
-	// average: the colored schedule's phases run only as wide as their
-	// blocks allow, so a schedule merged down to a few blocks runs nearly
-	// serially whatever p is. Zero means all p.
+	// average: the colored schedule's phases run only as wide as its ranges
+	// allow, so a schedule merged down to one or two ranges, or deferring a
+	// whole range, runs nearly serially whatever p is. Zero means all p.
 	Busy float64
 }
 

@@ -64,10 +64,11 @@ const (
 	// CSXSym is the compressed symmetric format with indexed reduction
 	// (highest compression; pays a preprocessing cost).
 	CSXSym = format.CSXSym
-	// SSSColored is SSS under the conflict-free colored schedule (RACE-style
-	// level groups): threads write y directly, even row blocks then odd — no
-	// local vectors and no reduction phase at all. It needs a low-bandwidth
-	// (e.g. RCM-reordered) matrix, where the schedule keeps every block.
+	// SSSColored is SSS under the conflict-free two-phase schedule: threads
+	// write y directly, first each range without the elements below its
+	// first row, then those deferred elements — no local vectors and no
+	// reduction phase at all. It needs a low-bandwidth (e.g. RCM-reordered)
+	// matrix, where the schedule keeps every thread busy.
 	SSSColored = format.SSSColored
 )
 
