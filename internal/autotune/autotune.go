@@ -376,7 +376,7 @@ func (t *tuner) modelStage() []int {
 		for _, i := range append([]int(nil), survivors...) {
 			c := t.d.Candidates[i]
 			rc := Candidate{Plan: Plan{Format: c.Format, Threads: c.Threads, Reorder: true}}
-			rc.ModeledSeconds = t.reorderedCost(costs[i]).Seconds(t.pl, c.Threads)
+			rc.ModeledSeconds = t.reorderedCost(costs[i]).SpMM(t.o.NV).Seconds(t.pl, c.Threads)
 			t.d.Candidates = append(t.d.Candidates, rc)
 			survivors = append(survivors, len(t.d.Candidates)-1)
 		}

@@ -87,42 +87,38 @@ func FromCOO(m *matrix.COO) (*SSS, error) {
 	} else {
 		s.DValues = make([]float64, n)
 	}
-	lower := 0
-	for k := range src.Val {
-		if src.RowIdx[k] == src.ColIdx[k] {
-			if s.Kind == Skew {
-				if src.Val[k] != 0 {
-					return nil, fmt.Errorf("core: skew-symmetric matrix has nonzero diagonal entry (%d,%d)=%g",
-						src.RowIdx[k], src.ColIdx[k], src.Val[k])
-				}
-				continue
-			}
-			s.DValues[src.RowIdx[k]] = src.Val[k]
-		} else {
-			lower++
-		}
+	// Room for as many lower entries as a matrix with all its diagonal has.
+	if _, err := s.fillLower(src, max(0, len(src.Val)-len(s.DValues))); err != nil {
+		return nil, err
 	}
-	s.fillLower(src, lower)
 	return s, nil
 }
 
-// fillLower stores the lower strict entries of the normalized src, lower of
-// them, in s's CSR arrays.
-func (s *SSS) fillLower(src *matrix.COO, lower int) {
-	s.ColIdx = make([]int32, 0, lower)
-	s.Val = make([]float64, 0, lower)
-	for k := range src.Val {
+// fillLower stores the normalized src in s in one pass: the diagonal in DValues
+// (where DValues is nil, as for Skew, it must be zero) and the strict lower
+// entries in the CSR arrays, made with room for capacity of them (more
+// grow them); an upper entry is skipped. It returns how many it stored.
+func (s *SSS) fillLower(src *matrix.COO, capacity int) (lower int, err error) {
+	ptr, diag := s.RowPtr, s.DValues
+	cols, vals := make([]int32, 0, capacity), make([]float64, 0, capacity)
+	for k, v := range src.Val {
 		r, c := src.RowIdx[k], src.ColIdx[k]
-		if r <= c {
-			continue
+		switch {
+		case r > c:
+			ptr[r+1]++
+			cols, vals = append(cols, c), append(vals, v)
+		case r < c: // Structural's upper triangle, placed by its own pass
+		case diag != nil:
+			diag[r] = v
+		case v != 0:
+			return 0, fmt.Errorf("core: skew-symmetric matrix has nonzero diagonal entry (%d,%d)=%g", r, c, v)
 		}
-		s.RowPtr[r+1]++
-		s.ColIdx = append(s.ColIdx, c)
-		s.Val = append(s.Val, src.Val[k])
 	}
 	for r := 0; r < s.N; r++ {
-		s.RowPtr[r+1] += s.RowPtr[r]
+		ptr[r+1] += ptr[r]
 	}
+	s.ColIdx, s.Val = cols, vals
+	return len(vals), nil
 }
 
 // FromCOOStructural builds a Kind=Structural SSS from a general COO whose
@@ -148,17 +144,8 @@ func FromCOOStructural(m *matrix.COO) (*SSS, error) {
 		DValues: make([]float64, n),
 		RowPtr:  make([]int32, n+1),
 	}
-	lower := 0
-	for k := range src.Val {
-		r, c := src.RowIdx[k], src.ColIdx[k]
-		switch {
-		case r == c:
-			s.DValues[r] = src.Val[k]
-		case r > c:
-			lower++
-		}
-	}
-	s.fillLower(src, lower)
+	// Room for half the off-diagonal entries, as a symmetric pattern has.
+	lower, _ := s.fillLower(src, max(0, len(src.Val)-n)/2)
 	// Second pass: place every strictly upper entry at its mirror's slot.
 	s.UVal = make([]float64, lower)
 	filled := 0

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csx"
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
@@ -88,6 +89,48 @@ func FuzzReadMatrixMarket(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGenFilesReadAsReference holds the path set-up takes,
+// matrix.ReadMatrixMarketFile with its COO sized from the file's length, to
+// the line-oriented reference on every internal/gen matrix: the same COO,
+// entry for entry and bit for bit.
+func TestGenFilesReadAsReference(t *testing.T) {
+	dir := t.TempDir()
+	for _, suite := range [][]gen.Spec{gen.PaperSuite, gen.HubSuite, gen.ScatterSuite} {
+		for _, sp := range suite {
+			m, err := gen.Generate(sp, 0.005)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, sp.Name+".mtx")
+			if err := matrix.WriteMatrixMarketFile(path, m); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := readReference(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := matrix.ReadMatrixMarketFile(path)
+			if err != nil {
+				t.Fatalf("%s: %v", sp.Name, err)
+			}
+			if got.Rows != want.Rows || got.Symmetric != want.Symmetric || got.NNZ() != want.NNZ() {
+				t.Fatalf("%s: %dx%d nnz=%d sym=%v, reference %dx%d nnz=%d sym=%v", sp.Name,
+					got.Rows, got.Cols, got.NNZ(), got.Symmetric, want.Rows, want.Cols, want.NNZ(), want.Symmetric)
+			}
+			for k := range want.Val {
+				if got.RowIdx[k] != want.RowIdx[k] || got.ColIdx[k] != want.ColIdx[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+					t.Fatalf("%s: entry %d is (%d,%d,%v), reference (%d,%d,%v)", sp.Name, k,
+						got.RowIdx[k], got.ColIdx[k], got.Val[k], want.RowIdx[k], want.ColIdx[k], want.Val[k])
+				}
+			}
+		}
+	}
 }
 
 // FuzzDecodeBlob drives raw ctl bytes through the blob walker — the decoder

@@ -3,6 +3,8 @@ package matrix
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -125,15 +127,28 @@ func stencilFile(rows int) []byte {
 }
 
 func BenchmarkReadMatrixMarket(b *testing.B) {
+	banded := bandFile(400000)
+	path := filepath.Join(b.TempDir(), "banded.mtx")
+	if err := os.WriteFile(path, banded, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	fromBytes := func(file []byte) (*COO, error) { return ReadMatrixMarket(bytes.NewReader(file)) }
 	for _, shape := range []struct {
 		name string
 		file []byte
-	}{{"stencil", stencilFile(150000)}, {"banded", bandFile(400000)}} {
+		read func([]byte) (*COO, error)
+	}{
+		{"stencil", stencilFile(150000), fromBytes},
+		{"banded", banded, fromBytes},
+		// The banded file again, by the path set-up reads a matrix: the COO
+		// sized from the file's length.
+		{"file", banded, func([]byte) (*COO, error) { return ReadMatrixMarketFile(path) }},
+	} {
 		b.Run(shape.name, func(b *testing.B) {
 			b.SetBytes(int64(len(shape.file)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReadMatrixMarket(bytes.NewReader(shape.file)); err != nil {
+				if _, err := shape.read(shape.file); err != nil {
 					b.Fatal(err)
 				}
 			}

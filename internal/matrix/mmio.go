@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -33,13 +34,15 @@ import (
 // carries the unfinished line into the next, so a block is whole lines. The
 // calling goroutine reads the banner and the size line, then reads blocks and
 // parses them; up to GOMAXPROCS-1 helper goroutines, started only when more
-// blocks follow, parse blocks beside it. Tokens are cut from the bytes in place and
-// memory is allocated per block, never per line. The invariants:
+// blocks follow, parse blocks beside it. A data line is read in one pass over
+// the block's bytes, where it lies. The invariants:
 //
-//   - Bounded memory: beyond the entries read so far the reader holds at most
-//     mmAhead+2 blocks (those awaiting settling, the one just read, the one
-//     being filled). Neither the declared dimensions nor the declared entry
-//     count sizes an allocation, so a lying size line costs nothing.
+//   - Bounded memory: beyond the COO the reader holds at most mmAhead+2 blocks
+//     (those awaiting settling, the one just read, the one being filled); a
+//     settled block's entries go into the COO and its buffers to the blocks
+//     after it. The declared entry count sizes the COO only within what a
+//     file's Stat size holds (four bytes a line; other streams grow it), and
+//     the declared dimensions size nothing, so a lying size line costs nothing.
 //   - The line limit: a line of mmMaxLine bytes or more is bufio.ErrTooLong,
 //     the limit and the error of the bufio.Scanner reader this one replaced.
 //   - The earliest error wins, byte for byte. A helper parses a block without
@@ -69,9 +72,11 @@ type mmReader struct {
 	r      io.Reader
 	buf    []byte // the block being filled; buf[:n] is the line carried over
 	n      int
-	err    error  // why the stream ended: io.EOF, a read error or bufio.ErrTooLong
-	text   []byte // rest of the current block, while scanning line by line
-	lineno int    // lines consumed so far
+	err    error      // why the stream ended: io.EOF, a read error or bufio.ErrTooLong
+	text   []byte     // rest of the current block, while scanning line by line
+	block  []byte     // the current block: the buffer text lies in
+	lineno int        // lines consumed so far
+	spare  []*mmBlock // settled blocks: buffers for next to fill, triplets to refill
 }
 
 // next returns the next block: whole lines, the last of them unterminated
@@ -82,7 +87,7 @@ func (rd *mmReader) next() []byte {
 		return nil
 	}
 	if rd.buf == nil {
-		rd.buf = make([]byte, mmBlockSize)
+		rd.buf = rd.fresh(0)
 	}
 	for {
 		for empty := 0; rd.n < len(rd.buf) && rd.err == nil; {
@@ -110,7 +115,7 @@ func (rd *mmReader) next() []byte {
 		}
 		if i := bytes.LastIndexByte(rd.buf, '\n'); i >= 0 {
 			block, carry := rd.buf[:i+1], rd.buf[i+1:]
-			rd.buf = make([]byte, max(mmBlockSize, len(carry)))
+			rd.buf = rd.fresh(len(carry))
 			rd.n = copy(rd.buf, carry)
 			return block
 		}
@@ -123,6 +128,18 @@ func (rd *mmReader) next() []byte {
 		copy(grown, rd.buf)
 		rd.buf = grown
 	}
+}
+
+// fresh returns a buffer for the next block, one that holds carry bytes or
+// mmBlockSize, whichever is more: the spare block's on top, if as large.
+func (rd *mmReader) fresh(carry int) []byte {
+	n := max(mmBlockSize, carry)
+	if k := len(rd.spare) - 1; k >= 0 && cap(rd.spare[k].buf) >= n {
+		b := rd.spare[k].buf
+		rd.spare[k].buf = nil
+		return b[:n]
+	}
+	return make([]byte, n)
 }
 
 // failure is the error that ended the stream, nil for a clean end.
@@ -144,6 +161,7 @@ func (rd *mmReader) line(what string) (line string, err error) {
 			}
 			return "", fmt.Errorf("matrixmarket: %s: %w", what, err)
 		}
+		rd.block = rd.text
 	}
 	var l []byte
 	l, rd.text = cutLine(rd.text)
@@ -235,6 +253,7 @@ func (rd *mmReader) header() (*mmFormat, error) {
 // mmBlock is one block of data lines and the entries parsed from it.
 type mmBlock struct {
 	text   []byte
+	buf    []byte        // the buffer text lies in, refilled once the block settles
 	done   chan struct{} // closed by the helper that parsed the block; nil if the caller did
 	ri, ci []int32
 	v      []float64
@@ -247,16 +266,24 @@ type mmBlock struct {
 // a helper knows neither and passes 0 and math.MaxInt.
 func (p *mmFormat) parse(b *mmBlock, firstLine, room int) {
 	text := b.text
-	n := bytes.Count(text, []byte{'\n'}) + 1
-	ri, ci, vv := make([]int32, 0, n), make([]int32, 0, n), make([]float64, 0, n)
+	if n := bytes.Count(text, []byte{'\n'}) + 1; cap(b.v) < n {
+		n += n / 8 // room for the longer blocks that may refill these
+		b.ri, b.ci, b.v = make([]int32, 0, n), make([]int32, 0, n), make([]float64, 0, n)
+	}
+	ri, ci, vv := b.ri[:0], b.ci[:0], b.v[:0]
 	lineno := firstLine
 	b.err = nil
 	for len(text) > 0 {
-		var t []byte
-		t, text = cutLine(text)
 		lineno++
-		if t = bytes.TrimSpace(t); len(t) == 0 || t[0] == '%' {
-			continue
+		r1, c1, v, n, plain := mmSplit(text, !p.pattern)
+		var t []byte
+		if plain {
+			text = text[n:]
+		} else {
+			t, text = cutLine(text)
+			if t = bytes.TrimSpace(t); len(t) == 0 || t[0] == '%' {
+				continue
+			}
 		}
 		if len(vv) == room {
 			// More data lines than the size line declares: for symmetric
@@ -265,7 +292,7 @@ func (p *mmFormat) parse(b *mmBlock, firstLine, room int) {
 			b.err = fmt.Errorf("matrixmarket: line %d: data after the %d declared entries", lineno, p.nnz)
 			break
 		}
-		r0, c0, v, err := p.entry(t, lineno)
+		r0, c0, v, err := p.entry(t, r1, c1, v, lineno)
 		if err != nil {
 			b.err = err
 			break
@@ -285,11 +312,11 @@ func (p *mmFormat) parse(b *mmBlock, firstLine, room int) {
 	b.ri, b.ci, b.v, b.lines = ri, ci, vv, lineno-firstLine
 }
 
-// entry checks the trimmed data line t and returns its 0-based coordinates
-// and its value, read in place.
-func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error) {
-	r1, c1, v, plain := mmSplit(t, !p.pattern)
-	if !plain {
+// entry checks a data line and returns its 0-based coordinates and its value:
+// r1, c1 and v as mmSplit read them, or, if t is not nil, read from the
+// trimmed line t, which mmSplit refused.
+func (p *mmFormat) entry(t []byte, r1, c1 int, v float64, lineno int) (r0, c0 int, _ float64, err error) {
+	if t != nil {
 		// Signed or long indices, a value outside JSON's number form, white
 		// space beyond ASCII, a fault: split and convert as the line-oriented
 		// reader did. Rare, so it may allocate.
@@ -325,66 +352,81 @@ func (p *mmFormat) entry(t []byte, lineno int) (r0, c0 int, v float64, err error
 	return r0, c0, v, nil
 }
 
-// mmSplit reads the plain form of a data line in one pass: two indices of one
-// to nine decimal digits and, if wantValue, a value, separated by ASCII white
-// space — fields bytes.Fields and strconv.Atoi would read the same way. The
-// value is converted where it starts, by atof.JSON, and must be followed by
-// ASCII white space or the line's end. plain=false means t is anything else.
-func mmSplit(t []byte, wantValue bool) (r1, c1 int, v float64, plain bool) {
-	r1, i, ok := mmIndex(t, 0)
+// mmSplit reads the plain form of a data line in one pass over the untrimmed
+// line at the start of t: two indices of one to nine decimal digits and, if
+// wantValue, a value, apart and around them only blanks (ASCII white space
+// but the newline) — fields bytes.Fields and strconv.Atoi would read the same
+// way. The value is converted where it starts, by atof.JSON. n is the line's
+// length, its newline included. plain=false means the line is anything else:
+// blank, a comment, a form only bytes.Fields reads, or a fault.
+func mmSplit(t []byte, wantValue bool) (r1, c1 int, v float64, n int, plain bool) {
+	r1, i, ok := mmIndex(t, mmSkip(t, 0))
 	if !ok {
 		return
 	}
-	if c1, i, ok = mmIndex(t, i); !ok || !wantValue {
-		return r1, c1, 0, ok
+	if c1, i, ok = mmIndex(t, i); !ok {
+		return
 	}
-	if f, n, err := atof.JSON(t[i:]); err == nil && (i+n == len(t) || mmSpace(t[i+n])) {
-		return r1, c1, f, true
+	if wantValue {
+		f, m, err := atof.JSON(t[i:])
+		if err != nil {
+			return
+		}
+		v, i = f, mmSkip(t, i+m)
 	}
-	return
+	if i < len(t) && t[i] != '\n' {
+		return
+	}
+	return r1, c1, v, min(i+1, len(t)), true
 }
 
-// mmIndex reads an index of one to nine decimal digits at t[i:] and the ASCII
-// white space (or end of t) behind it; ok is false if t[i:] does not start so.
+// mmIndex reads an index of one to nine decimal digits at t[i:] and the blanks
+// behind it; ok is false unless a blank, the newline or the end of t follows
+// the digits.
 func mmIndex(t []byte, i int) (x, next int, ok bool) {
 	start := i
 	for ; i < len(t) && t[i]-'0' <= 9; i++ {
 		x = x*10 + int(t[i]-'0')
 	}
 	d := i - start
-	for start = i; i < len(t) && mmSpace(t[i]); i++ {
-	}
-	return x, i, d > 0 && d <= 9 && (i > start || i == len(t))
+	next = mmSkip(t, i)
+	return x, next, d > 0 && d <= 9 && (next > i || next == len(t) || t[next] == '\n')
 }
 
-// mmSpace reports whether c is ASCII white space: \t \n \v \f \r or a space.
-func mmSpace(c byte) bool { return c == ' ' || c-'\t' < 5 }
+// mmSkip returns the index of the first byte from t[i] on that is not a
+// blank: \t \v \f \r or a space. It never passes a newline.
+func mmSkip(t []byte, i int) int {
+	for i < len(t) && (t[i] == ' ' || t[i] == '\t' || t[i]-'\v' < 3) {
+		i++
+	}
+	return i
+}
 
-// entries reads and parses every block after the size line and returns them
-// in file order. The caller reads, and parses a block itself when that block
-// is the last (so a one-block file wakes nobody) or when GOMAXPROCS-1 blocks
-// are already out with helper goroutines.
-func (rd *mmReader) entries(p *mmFormat) ([]*mmBlock, error) {
+// entries reads and parses every block after the size line and appends their
+// entries to m in file order. The caller reads, and parses a block itself
+// when that block is the last (so a one-block file wakes nobody) or when
+// GOMAXPROCS-1 blocks are already out with helper goroutines.
+func (rd *mmReader) entries(p *mmFormat, m *COO) error {
 	var (
-		blocks  []*mmBlock // in file order; blocks[:settled] are numbered and counted
-		settled int
+		pending []*mmBlock // read and not yet settled, in file order
 		room    = p.nnz
 		out     atomic.Int32 // blocks helpers are parsing right now
 	)
 	defer func() { // on an early return, let the helpers finish
-		for _, b := range blocks[settled:] {
+		for _, b := range pending {
 			if b.done != nil {
 				<-b.done
 			}
 		}
 	}()
-	// settle numbers and counts parsed blocks in file order, waiting for a
-	// helper only while more than ahead blocks are unsettled.
+	// settle numbers and counts parsed blocks in file order and moves their
+	// entries into m, waiting for a helper only while more than ahead blocks
+	// are unsettled.
 	settle := func(ahead int) error {
-		for ; settled < len(blocks); settled++ {
-			b := blocks[settled]
+		for len(pending) > 0 {
+			b := pending[0]
 			if b.done != nil {
-				if len(blocks)-settled > ahead {
+				if len(pending) > ahead {
 					<-b.done
 				}
 				select {
@@ -399,21 +441,30 @@ func (rd *mmReader) entries(p *mmFormat) ([]*mmBlock, error) {
 			}
 			rd.lineno += b.lines
 			room -= len(b.v)
-			b.text = nil
+			if k := len(m.Val) + len(b.v); k > cap(m.Val) { // a stream: twice the room, within the declared count
+				k = min(max(k, 2*len(m.Val)), p.nnz) - len(m.Val)
+				m.RowIdx, m.ColIdx, m.Val = slices.Grow(m.RowIdx, k), slices.Grow(m.ColIdx, k), slices.Grow(m.Val, k)
+			}
+			m.RowIdx, m.ColIdx, m.Val = append(m.RowIdx, b.ri...), append(m.ColIdx, b.ci...), append(m.Val, b.v...)
+			pending, rd.spare = pending[1:], append(rd.spare, b)
 		}
 		return nil
 	}
 
-	text := rd.text // what the size line's block holds after it
+	text, buf := rd.text, rd.block // what the size line's block holds after it
 	for {
 		if len(text) == 0 {
 			if text = rd.next(); text == nil {
 				break
 			}
+			buf = text
 		}
-		b := &mmBlock{text: text}
-		text = nil
-		blocks = append(blocks, b)
+		b := &mmBlock{}
+		if k := len(rd.spare); k > 0 { // the block whose buffer next just took, if it did
+			b, rd.spare = rd.spare[k-1], rd.spare[:k-1]
+		}
+		b.text, b.buf, b.done, text = text, buf[:cap(buf)], nil, nil
+		pending = append(pending, b)
 		if rd.err == nil && int(out.Load()) < runtime.GOMAXPROCS(0)-1 { // more follows: share the work
 			out.Add(1)
 			b.done = make(chan struct{})
@@ -426,19 +477,19 @@ func (rd *mmReader) entries(p *mmFormat) ([]*mmBlock, error) {
 			p.parse(b, 0, math.MaxInt)
 		}
 		if err := settle(mmAhead); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := settle(0); err != nil {
-		return nil, err
+		return err
 	}
 	if err := rd.failure(); err != nil {
-		return nil, fmt.Errorf("matrixmarket: line %d: %w", rd.lineno+1, err)
+		return fmt.Errorf("matrixmarket: line %d: %w", rd.lineno+1, err)
 	}
 	if room != 0 {
-		return nil, fmt.Errorf("matrixmarket: expected %d entries, got %d", p.nnz, p.nnz-room)
+		return fmt.Errorf("matrixmarket: expected %d entries, got %d", p.nnz, p.nnz-room)
 	}
-	return blocks, nil
+	return nil
 }
 
 // ReadMatrixMarket parses a Matrix Market stream into a normalized COO. The
@@ -450,16 +501,16 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := rd.entries(p)
-	if err != nil {
-		return nil, err
+	var size int64 // an os.File's length: the entries it can hold get their room at once
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil {
+			size = fi.Size()
+		}
 	}
-	m := NewCOO(p.rows, p.cols, p.nnz) // the blocks hold exactly p.nnz entries
+	m := NewCOO(p.rows, p.cols, int(min(int64(p.nnz), (size+1)/4)))
 	m.Symmetric, m.Skew = p.symmetric, p.skew
-	for _, b := range blocks {
-		m.RowIdx = append(m.RowIdx, b.ri...)
-		m.ColIdx = append(m.ColIdx, b.ci...)
-		m.Val = append(m.Val, b.v...)
+	if err := rd.entries(p, m); err != nil {
+		return nil, err
 	}
 	return m.Normalize(), nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -259,6 +260,15 @@ var edgeCases = map[string]string{
 	"lying nnz":      "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1.0\n",
 	"huge dims":      "%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 2\n2000000000 1 1\n1 2000000000 2\n",
 	"dims overflow":  "%%MatrixMarket matrix coordinate real general\n4294967296 4294967296 1\n1 1 1.0\n",
+	// A line is read where it lies, so no field may be taken from the next one.
+	"value on next line": "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 2 1.5\n1\n2 3.0\n",
+	"split value":        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n3.0\n",
+	"split pattern":      "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n2 1\n1\n2\n",
+	"cr before lf":       "%%MatrixMarket matrix coordinate pattern general\n2 2 3\n1 2\r\n2 1 \r\n2 2\t\r\n",
+	"cr ends value":      "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\r\n2 2 5\r\r\n",
+	"blank kinds":        "%%MatrixMarket matrix coordinate real general\n3 3 3\n1\t1\t1.5\n2\v2\f2.5\n\t3 \f3\v\t3.5\t\n",
+	"blanks at eof":      "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0 \t\v",
+	"pattern blank eof":  "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 1\f ",
 }
 
 func TestReadMatrixMarketBlockEdges(t *testing.T) {
@@ -466,6 +476,30 @@ func TestReadMatrixMarketAllocates(t *testing.T) {
 		if limit := uint64(2*mmBlockSize + 1<<18); size > limit {
 			t.Errorf("%s: %d bytes allocated for a %d-byte file, want at most %d", name, size, len(in), limit)
 		}
+	}
+
+	// From a file the COO is sized once, from the size line within what the
+	// file's length can hold: the entries, and blocks refilled as they settle
+	// — 64 KiB blocks here, so that the file takes as many as the benchmark's
+	// fem-banded matrix takes of 1 MiB.
+	defer func(old int) { mmBlockSize = old }(mmBlockSize)
+	mmBlockSize = 1 << 16
+	dir := t.TempDir()
+	band, lying := filepath.Join(dir, "band.mtx"), filepath.Join(dir, "lying.mtx")
+	if err := errors.Join(os.WriteFile(band, file, 0o644), os.WriteFile(lying, []byte(edgeCases["lying nnz"]), 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	var m *COO
+	_, size := allocated(func() { m, _ = ReadMatrixMarketFile(band) })
+	if m == nil {
+		t.Fatal("the band file does not read")
+	}
+	if limit := uint64(24*m.NNZ() + (mmAhead+3)*mmBlockSize); size > limit { // 1.5 × 16 bytes an entry
+		t.Errorf("band file: %d bytes allocated for %d entries, want at most %d", size, m.NNZ(), limit)
+	}
+	_, size = allocated(func() { ReadMatrixMarketFile(lying) })
+	if limit := uint64(2*mmBlockSize + 1<<18); size > limit {
+		t.Errorf("lying nnz file: %d bytes allocated, want at most %d", size, limit)
 	}
 }
 

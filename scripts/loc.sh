@@ -93,8 +93,11 @@ hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 # The ratchet on hand-written non-test lines: lowered when a change removes
 # lines, raised only by a reviewed exception (internal/atof's reader, +150;
 # its writer, atof.AppendJSON, +145; the wire codec's block pipeline in
-# internal/serve/wire.go and the serve command's header timeout, +148 together).
-limit=17780
+# internal/serve/wire.go and the serve command's header timeout, +148 together;
+# the Matrix Market reader's one-pass lines and recycled block buffers, +38 net
+# of the SSS build's one pass, for ≈ 35 ms of a 120 ms read of the bmwcra_1
+# analog and 54 MB less garbage).
+limit=17818
 csxlimit=2226
 
 lines=$(cat $hand | wc -l)
