@@ -183,8 +183,15 @@ func TestFormatConformance(t *testing.T) {
 						kx = permuteRows(make([]float64, n), x, bk.perm, 1, false)
 						ky = permuteRows(make([]float64, n), y, bk.perm, 1, false)
 					}
+					mulDot := func(x, y []float64) float64 {
+						dots := []float64{0}
+						if err := bk.b.MulDot(x, y, 1, dots); err != nil {
+							t.Fatal(err)
+						}
+						return dots[0]
+					}
 					yd := make([]float64, n)
-					dot := bk.b.MulDot(kx, yd)
+					dot := mulDot(kx, yd)
 					if ref := vec.Dot(bk.pool, kx, yd); dot != ref {
 						t.Errorf("%v %v: fused dot %g, vec.Dot %g", plan, fx.kind, dot, ref)
 					}
@@ -195,7 +202,7 @@ func TestFormatConformance(t *testing.T) {
 						}
 					}
 					yd2 := make([]float64, n)
-					if dot2 := bk.b.MulDot(kx, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
+					if dot2 := mulDot(kx, yd2); math.Float64bits(dot2) != math.Float64bits(dot) {
 						t.Errorf("%v %v: second fused dot %x, first %x", plan, fx.kind, math.Float64bits(dot2), math.Float64bits(dot))
 					}
 					if i := sameBits(yd, yd2); i >= 0 {
@@ -237,7 +244,8 @@ func TestFormatConformance(t *testing.T) {
 				what := fmt.Sprintf("%v %v", plan, fx.kind)
 				ops := map[string]func(){"MulVec": func() { k.MulVec(x, y) }}
 				if bk.b.MulDot != nil {
-					ops["MulDot"] = func() { bk.b.MulDot(x, y) }
+					dots := []float64{0}
+					ops["MulDot"] = func() { _ = bk.b.MulDot(x, y, 1, dots) }
 				}
 				if SupportsMulMat(k) {
 					ym := make([]float64, n*nv)

@@ -134,21 +134,22 @@ func (e *Engine) Bind(k *core.Kernel) error {
 // updated. Runs on the coordinating goroutine after the workers have parked.
 func (b *binding) observe(s core.PhaseSample) {
 	c := b.cost
-	if s.Op == core.OpSpMM {
+	if s.NV > 1 {
 		c = c.SpMM(s.NV)
 	}
 	computeBytes, redBytes := c.MultBytes, c.RedBytes
-	if s.Op == core.OpSpMVDot {
-		// The fused inner product adds vector traffic the plain SpMV cost
-		// does not carry: Indexed and Colored run a trailing full sweep
-		// reading x and y (compute work), the other methods fold the dot
-		// into the reduction, which then reads x alongside the y stream it
-		// already touches.
+	if s.Op == core.OpSpMVDot || s.Op == core.OpSpMMDot {
+		// The fused inner product adds vector traffic the plain product's
+		// cost does not carry, NV lanes of it: Indexed and Colored run a
+		// trailing full sweep reading x and y (compute work), the other
+		// methods fold the dot into the reduction, which then reads x
+		// alongside the y stream it already touches.
+		lanes := b.nBytes * int64(s.NV)
 		switch b.method {
 		case core.Indexed.String(), core.Colored.String():
-			computeBytes += 2 * b.nBytes
+			computeBytes += 2 * lanes
 		default:
-			redBytes += b.nBytes
+			redBytes += lanes
 		}
 	}
 	modelMultNs := c.MultSeconds(b.pl, b.p) * 1e9

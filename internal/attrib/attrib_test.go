@@ -10,6 +10,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/perfmodel"
 	"repro/internal/stream"
 )
 
@@ -175,4 +176,38 @@ func TestCalibrateMemoizes(t *testing.T) {
 	if a.Triad <= 0 || a != b {
 		t.Fatalf("Calibrate did not memoize per pool size: %+v then %+v", a, b)
 	}
+}
+
+// TestFusedDotPricedPerLane: a fused product at nv lanes is priced as the
+// SpMM plus its dot's x and y streams once per lane — the indexed method's
+// trailing sweep is compute work.
+func TestFusedDotPricedPerLane(t *testing.T) {
+	smallCalibration(t)
+	eng := newEngine()
+	k, _ := testKernel(t, core.Indexed, 2)
+	obs.SetSampling(true)
+	t.Cleanup(func() { obs.SetSampling(false) })
+	if err := eng.Bind(k); err != nil {
+		t.Fatal(err)
+	}
+	const nv = 4
+	x, y, dots := make([]float64, k.S.N*nv), make([]float64, k.S.N*nv), make([]float64, nv)
+	for i := range x {
+		x[i] = 1
+	}
+	for i := 0; i < 3; i++ {
+		if err := k.MulMatDot(x, y, nv, dots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := float64(perfmodel.SSSCost(k).SpMM(nv).MultBytes + 2*8*int64(k.S.N)*nv)
+	for _, e := range eng.Snapshot().Entries {
+		if e.Method == "indexed" && e.Phase == "compute" {
+			if e.PredictedBytesPerOp != want {
+				t.Fatalf("compute bytes per fused nv=%d product %g, want %g", nv, e.PredictedBytesPerOp, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no indexed compute entry")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -142,7 +143,9 @@ func TestSolveBlockFreezesConvergedLanes(t *testing.T) {
 }
 
 func TestSolveBlockBreakdown(t *testing.T) {
-	// An indefinite operator must produce a typed breakdown, not NaN output.
+	// An indefinite operator must produce a typed breakdown, not NaN output,
+	// naming the lane that broke: lane 0's zero right-hand side is solved
+	// before the first iteration, so lane 1 is the first to break.
 	rng := rand.New(rand.NewSource(84))
 	const n, nv = 40, 2
 	s := indefiniteSSS(t, n)
@@ -150,14 +153,17 @@ func TestSolveBlockBreakdown(t *testing.T) {
 	defer pool.Close()
 	k := core.NewKernel(s, core.Indexed, pool)
 	b := make([]float64, n*nv)
-	for i := range b {
-		b[i] = rng.NormFloat64()
+	for i := 0; i < n; i++ {
+		b[i*nv+1] = rng.NormFloat64()
 	}
 	x := make([]float64, n*nv)
 	_, err := SolveBlock(kernelMulMater{k}, pool, b, x, nv, Options{})
 	var bd *BreakdownError
 	if !errors.As(err, &bd) {
 		t.Fatalf("expected *BreakdownError, got %v", err)
+	}
+	if bd.Lane != 1 || bd.Quantity != "pAp" || !strings.Contains(bd.Error(), "lane 1:") {
+		t.Fatalf("breakdown %+v (%q), want lane 1's pAp named", bd, bd)
 	}
 	for i := range x {
 		if math.IsNaN(x[i]) {

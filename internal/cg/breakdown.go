@@ -16,10 +16,16 @@ import "fmt"
 // poisoned it is never applied).
 type BreakdownError struct {
 	Iteration int     // 0-based iteration at which the breakdown was detected
+	Lane      int     // the first offending lane of a block solve; 0 for one right-hand side
 	Quantity  string  // the offending scalar: "pAp", "rz", "residual"
 	Value     float64 // its value
+
+	lanes int // the solve's lane count: the text names the lane only when it is > 1
 }
 
 func (e *BreakdownError) Error() string {
+	if e.lanes > 1 {
+		return fmt.Sprintf("cg: breakdown at iteration %d, lane %d: %s = %g", e.Iteration, e.Lane, e.Quantity, e.Value)
+	}
 	return fmt.Sprintf("cg: breakdown at iteration %d: %s = %g", e.Iteration, e.Quantity, e.Value)
 }

@@ -2,6 +2,7 @@ package cg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,6 +79,11 @@ func TestSolveBreakdownOnIndefinite(t *testing.T) {
 	}
 	if be.Quantity != "pAp" || be.Value > 0 {
 		t.Errorf("breakdown = %v, want non-positive pAp", be)
+	}
+	// One right-hand side: no lane in the text, which serve's error bodies
+	// carry verbatim (a block solve's names the lane).
+	if want := fmt.Sprintf("cg: breakdown at iteration %d: pAp = %g", be.Iteration, be.Value); be.Lane != 0 || err.Error() != want {
+		t.Errorf("lane %d, text %q, want lane 0 and %q", be.Lane, err, want)
 	}
 	for i, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -233,9 +233,9 @@ func TestSolveFusedMatchesUnfused(t *testing.T) {
 
 // A fused CG iteration must execute with at most two hand-offs: one for the
 // fused SpM×V+dot, one for the fused vector-update chain; without the
-// kernel's fused dot, three. Jacobi rides the same iteration. A block-CG
-// iteration takes three: the SpMM, the per-lane dots and the fused step.
-// Asserted through the pool's instrumented dispatch counter.
+// kernel's fused dot, three. Jacobi rides the same iteration, and so does a
+// block-CG iteration at nv lanes: the SpMM with its per-lane dots, then the
+// fused step. Asserted through the pool's instrumented dispatch counter.
 func TestSolveFusedIterationHandoffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	const n = 400
@@ -268,7 +268,10 @@ func TestSolveFusedIterationHandoffs(t *testing.T) {
 			{"jacobi-unfused", 1, 3, func(x []float64, opts Options) {
 				_, _ = SolveJacobi(MulVecFunc(k.MulVec), s.DValues, pool, b, x, opts)
 			}},
-			{"block", nv, 3, func(x []float64, opts Options) { _, _ = SolveBlock(kernelMulMater{k}, pool, b4, x, nv, opts) }},
+			{"block", nv, 2, func(x []float64, opts Options) {
+				_, _ = SolveBlock(Operator{Mul: k.MulMat, MulDot: k.MulMatDot}, pool, b4, x, nv, opts)
+			}},
+			{"block-unfused", nv, 3, func(x []float64, opts Options) { _, _ = SolveBlock(kernelMulMater{k}, pool, b4, x, nv, opts) }},
 		} {
 			x := make([]float64, n*tc.lanes)
 			const iters = 25

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,13 +13,15 @@ import (
 	"repro/internal/parallel"
 )
 
-// TestSolveTraceRoundTrip runs a sampled fused CG solve (two coordinator
-// handoffs per iteration: the fused SpM×V+dot and the CGStep chain) and
-// checks the recorded trace is valid Chrome trace_event JSON with both the
-// coordinator's CG spans and the workers' kernel phase spans.
+// TestSolveTraceRoundTrip runs sampled fused CG solves — one right-hand side
+// and a block of four, both the one loop with two coordinator handoffs per
+// iteration: the fused product+dot and the step chain — and checks each
+// recorded trace is valid Chrome trace_event JSON with both the coordinator's
+// CG spans and the workers' kernel phase spans, an iteration-seconds sample
+// per iteration, and a residual gauge holding the worst lane's last residual.
 func TestSolveTraceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	const n = 400
+	const n, nv = 400, 4
 	m := spdMatrix(rng, n, 4)
 	s, err := core.FromCOO(m)
 	if err != nil {
@@ -29,62 +32,85 @@ func TestSolveTraceRoundTrip(t *testing.T) {
 	k := core.NewKernel(s, core.Indexed, pool)
 
 	obs.SetSampling(true)
-	obs.EnableTracing(pool.Size(), 1<<10)
 	t.Cleanup(func() {
 		obs.SetSampling(false)
 		obs.DisableTracing()
 	})
 
-	b := make([]float64, n)
+	b := make([]float64, n*nv)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x := make([]float64, n)
-	res, _ := Solve(k, pool, b, x, Options{MaxIter: 20, FixedIterations: true})
-	if res.Iterations != 20 {
-		t.Fatalf("ran %d iterations, want 20", res.Iterations)
-	}
+	opts := Options{MaxIter: 20, FixedIterations: true}
+	for _, tc := range []struct {
+		name   string
+		kernel string // the prefix of the kernel's phase spans
+		solve  func() (iters int, residuals []float64)
+	}{
+		{"Solve", "indexed", func() (int, []float64) {
+			res, _ := Solve(k, pool, b[:n], make([]float64, n), opts)
+			return res.Iterations, []float64{res.Residual}
+		}},
+		{"SolveBlock", "indexed-spmm", func() (int, []float64) {
+			res, _ := SolveBlock(Operator{Mul: k.MulMat, MulDot: k.MulMatDot}, pool, b, make([]float64, n*nv), nv, opts)
+			return res.Iterations, res.Residuals
+		}},
+	} {
+		obs.EnableTracing(pool.Size(), 1<<10)
+		samples := cgIterSeconds.Count()
+		iters, residuals := tc.solve()
+		if iters != 20 {
+			t.Fatalf("%s: ran %d iterations, want 20", tc.name, iters)
+		}
+		if got := cgIterSeconds.Count() - samples; got != 20 {
+			t.Errorf("%s: %d iteration-seconds samples, want 20", tc.name, got)
+		}
+		if worst := slices.Max(residuals); cgResidual.Value() != worst {
+			t.Errorf("%s: residual gauge %g, want the worst lane's %g", tc.name, cgResidual.Value(), worst)
+		}
 
-	var buf bytes.Buffer
-	if err := obs.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Dur  float64        `json:"dur"`
-			TID  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace does not round-trip through encoding/json: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace is empty after a sampled 20-iteration solve")
-	}
-	byName := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" {
-			byName[e.Name]++
-			if e.Dur < 0 {
-				t.Fatalf("span %q has negative duration %g", e.Name, e.Dur)
+		var buf bytes.Buffer
+		if err := obs.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Ph   string         `json:"ph"`
+				Dur  float64        `json:"dur"`
+				TID  int            `json:"tid"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: trace does not round-trip through encoding/json: %v", tc.name, err)
+		}
+		if len(doc.TraceEvents) == 0 {
+			t.Fatalf("%s: trace is empty after a sampled 20-iteration solve", tc.name)
+		}
+		byName := map[string]int{}
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "X" {
+				byName[e.Name]++
+				if e.Dur < 0 {
+					t.Fatalf("%s: span %q has negative duration %g", tc.name, e.Name, e.Dur)
+				}
 			}
 		}
-	}
-	// 20 iteration/spmv/vector triples on the coordinator lane.
-	for _, want := range []string{"cg/iteration", "cg/spmv", "cg/vector"} {
-		if byName[want] != 20 {
-			t.Errorf("%d %q spans, want 20 (all: %v)", byName[want], want, byName)
+		// 20 iteration/spmv/vector triples on the coordinator lane.
+		for _, want := range []string{"cg/iteration", "cg/spmv", "cg/vector"} {
+			if byName[want] != 20 {
+				t.Errorf("%s: %d %q spans, want 20 (all: %v)", tc.name, byName[want], want, byName)
+			}
 		}
-	}
-	// The fused kernel runs multiply→reduce→dot per iteration on every
-	// worker lane (plus the initial r₀ MulVec).
-	for _, want := range []string{"indexed/multiply", "indexed/reduce", "indexed/dot"} {
-		if byName[want] == 0 {
-			t.Errorf("no %q spans recorded (all: %v)", want, byName)
+		// The fused kernel runs multiply→reduce→dot per iteration on every
+		// worker lane.
+		for _, phase := range []string{"multiply", "reduce", "dot"} {
+			if want := tc.kernel + "/" + phase; byName[want] == 0 {
+				t.Errorf("%s: no %q spans recorded (all: %v)", tc.name, want, byName)
+			}
 		}
+		obs.DisableTracing()
 	}
 }
 

@@ -17,12 +17,12 @@ import (
 
 // assembleColored assembles the nv-lane phase-1 → phase-2 list as closures
 // over k.curX/k.curY (see Kernel.assemble); a schedule that defers nothing
-// has phase 1 alone. With dot non-nil (nv = 1) a final phase leaves the xᵀy
-// partials in dot[tid*DotStride], computed over the same uniform chunks as
-// vec.Dot so the combined sum is bitwise identical to a dot of the finished
-// output. Every phase is compute work — zero reduction by construction, at
-// any width, which sampling makes directly observable — and every phase has
-// its own span name.
+// has phase 1 alone. With dot non-nil a final phase leaves each lane's xᵀy
+// partials in dot (dotLanes), computed over the same uniform chunks as
+// vec.MultiDots so each lane's combined sum is bitwise identical to a dot of
+// the finished output. Every phase is compute work — zero reduction by
+// construction, at any width, which sampling makes directly observable — and
+// every phase has its own span name.
 func (k *Kernel) assembleColored(name string, dot []float64, nv int) []parallel.Phase {
 	var cell func(tid int, cross bool)
 	switch {
@@ -46,7 +46,7 @@ func (k *Kernel) assembleColored(name string, dot []float64, nv int) []parallel.
 	}
 	if dot != nil {
 		phases = append(phases, parallel.ComputePhase(name+"/dot",
-			func(tid int) { dot[tid*DotStride] = dotChunkT(k.dotRows, tid, k.curX, k.curY) }))
+			func(tid int) { dotChunkT(k.dotRows, tid, nv, k.curX, k.curY, dotLanes(dot, tid, nv)) }))
 	}
 	return phases
 }

@@ -7,54 +7,77 @@ import (
 	"strings"
 )
 
-// The second template writes internal/vec/multi_gen.go: the block-CG vector
-// bodies, methods of vec's lanes type, at lane widths nv, 2, 4 and 8. An
-// operation is written once, as its nv cell's lane body over lane v of the
-// row's windows (aw[v]) and of per-lane slices (sum s[v], α a[v]). A
-// fixed-width cell unrolls it — per-lane elements and the body's temporaries
-// become scalar locals (s[v] → s2, ri → ri2) — and writes its sums to the
+// The second template writes internal/vec/multi_gen.go: every vector body of
+// the CG loop, methods of vec's lanes type, at lane widths 1, nv, 2, 4 and 8,
+// and the lane dot the kernel's fused dot shares with them. An operation is
+// written once, as its nv cell's lane body over lane v of the row's windows
+// (aw[v]) and of per-lane slices (sum s[v], α a[v]). Width 1 spells it as a
+// plain element loop over the chunk (aw[v] → a[i]); a fixed width unrolls it
+// — per-lane elements and the body's temporaries become scalar locals
+// (s[v] → s2, ri → ri2) — and every cell but nv's writes its sums to the
 // thread's partials once per chunk. Per lane, every cell adds the same terms
-// in the same row order (multi_test.go holds each lane to the scalar op).
+// in the same row order (multi_test.go holds each lane to a serial loop).
 
 // vecOp is one operation: the vectors it streams (the first bounds the row
 // loop), its per-lane sums in partials order, its per-lane coefficient and
-// where that comes from, and its lane body.
+// where that comes from, its lane body and the widths it is needed at (nil:
+// every width). A Free operation is a serial function of its operands, not a
+// thread's body.
 type vecOp struct {
 	Op, Doc, Coef, From, Body string
 	Vecs, Sums                []string
+	Widths                    []int
+	Free                      bool
 }
 
 var vecOps = []vecOp{
-	{Op: "dots", Doc: "MultiDots' body, per-lane partial sums of a∘b,",
-		Vecs: []string{"a", "b"}, Sums: []string{"s"},
-		Body: "s[v] += aw[v] * bw[v]"},
-	{Op: "subCopyDots", Doc: "MultiSubCopyDots' body, r = b − ap, p = r and per-lane\n// partial bᵀb and rᵀr,",
+	{Op: "subCopyDots", Doc: "the set-up's body, r = b − ap, p = r and per-lane\n// partial bᵀb and rᵀr,",
 		Vecs: []string{"r", "p", "b", "ap"}, Sums: []string{"sb", "sr"},
 		Body: "bi := bw[v]\nri := bi - apw[v]\nrw[v] = ri\npw[v] = ri\nsb[v] += bi * bi\nsr[v] += ri * ri"},
-	{Op: "update", Doc: "MultiCGStep's first phase, x += α·p, r −= α·ap and\n// per-lane partial rᵀr,",
+	{Op: "jacobiSubCopyDots", Doc: "the Jacobi set-up's body, r = b − ap, p = z = d∘r\n// and partial bᵀb, rᵀr and rᵀz,",
+		Vecs: []string{"r", "p", "b", "ap", "d"}, Sums: []string{"sb", "sr", "sz"}, Widths: []int{1},
+		Body: "bi := bw[v]\nri := bi - apw[v]\nrw[v] = ri\nzi := ri * dw[v]\npw[v] = zi\nsb[v] += bi * bi\nsz[v] += ri * zi\nsr[v] += ri * ri"},
+	{Op: "update", Doc: "the step's first phase, x += α·p, r −= α·ap and\n// per-lane partial rᵀr,",
 		Vecs: []string{"r", "x", "p", "ap"}, Sums: []string{"s"}, Coef: "a", From: "m.alpha",
 		Body: "xw[v] += a[v] * pw[v]\nri := rw[v] - a[v]*apw[v]\nrw[v] = ri\ns[v] += ri * ri"},
-	{Op: "direction", Doc: "MultiCGStep's second phase, p = r + β·p,",
+	{Op: "jacobiUpdate", Doc: "the Jacobi step's first phase, x += α·p, r −= α·ap\n// and partial rᵀz and rᵀr for z = d∘r,",
+		Vecs: []string{"r", "x", "p", "ap", "d"}, Sums: []string{"sz", "sr"}, Coef: "a", From: "m.alpha", Widths: []int{1},
+		Body: "xw[v] += a[v] * pw[v]\nri := rw[v] - a[v]*apw[v]\nrw[v] = ri\nsz[v] += ri * (ri * dw[v])\nsr[v] += ri * ri"},
+	{Op: "direction", Doc: "the step's second phase, p = r + β·p,",
 		Vecs: []string{"p", "r"}, Coef: "b", From: "m.betas(tid)",
 		Body: "pw[v] = rw[v] + b[v]*pw[v]"},
+	{Op: "jacobiDirection", Doc: "the Jacobi step's second phase, p = d∘r + β·p,",
+		Vecs: []string{"p", "r", "d"}, Coef: "b", From: "m.betas(tid)", Widths: []int{1},
+		Body: "pw[v] = rw[v]*dw[v] + b[v]*pw[v]"},
+	// The lane dot of MultiDots and of the kernel's fused dot (internal/core).
+	{Op: "laneDots", Vecs: []string{"a", "b"}, Sums: []string{"s"}, Free: true,
+		Body: "s[v] += aw[v] * bw[v]"},
 }
 
-// vecCell is one operation at one lane width (the cell's Lanes: 2, 4, 8, or
-// 0 for nv), spelt with the lower-row cell's helpers.
+// vecCell is one operation at one lane width (the cell's Lanes: 1, 2, 4, 8,
+// or 0 for nv), spelt with the lower-row cell's helpers.
 type vecCell struct {
 	cell
 	*vecOp
 }
 
-// vecCells lists the 16 cells under the names multi.go dispatches on.
+// vecCells lists the cells under the names vec.go dispatches on: op<w>T,
+// opT at nv, without the T for a free operation.
 func vecCells() (cs []vecCell) {
-	for i := range vecOps {
-		for _, w := range []int{0, 2, 4, 8} {
-			c := vecCell{cell{Name: vecOps[i].Op + "T", Lanes: w}, &vecOps[i]}
+	for i, op := range vecOps {
+		widths := op.Widths
+		if widths == nil {
+			widths = []int{1, 0, 2, 4, 8}
+		}
+		for _, w := range widths {
+			name := op.Op
 			if w > 0 {
-				c.Name = fmt.Sprintf("%s%dT", c.Op, w)
+				name += fmt.Sprint(w)
 			}
-			cs = append(cs, c)
+			if !op.Free {
+				name += "T"
+			}
+			cs = append(cs, vecCell{cell{Name: name, Lanes: w}, &vecOps[i]})
 		}
 	}
 	return cs
@@ -93,7 +116,7 @@ var (
 )
 
 // Row is one row's work: the lane body in a loop over v in the nv cell,
-// unrolled once per lane otherwise.
+// unrolled once per lane otherwise, on the row's elements at width 1.
 func (c vecCell) Row() string {
 	if c.AnyNV() {
 		return fmt.Sprintf("for v := range %sw {\n%s\n}", c.Vecs[0], c.Body)
@@ -102,10 +125,13 @@ func (c vecCell) Row() string {
 	for _, i := range c.Idx() {
 		lane := laneElem.ReplaceAllStringFunc(c.Body, func(e string) string {
 			name := strings.TrimSuffix(e, "[v]")
-			if slices.Contains(c.Vecs, strings.TrimSuffix(name, "w")) {
-				return fmt.Sprintf("%s[%d]", name, i) // a window element
+			switch vec := strings.TrimSuffix(name, "w"); {
+			case !slices.Contains(c.Vecs, vec):
+				return fmt.Sprint(name, i)
+			case c.Scalar():
+				return vec + "[i]" // the row's element
 			}
-			return fmt.Sprint(name, i)
+			return fmt.Sprintf("%s[%d]", name, i) // a window element
 		})
 		for _, d := range declared.FindAllStringSubmatch(c.Body, -1) {
 			lane = regexp.MustCompile(`\b`+d[1]+`\b`).ReplaceAllString(lane, fmt.Sprint(d[1], i))
@@ -121,6 +147,18 @@ package vec
 
 import "repro/internal/parallel"
 {{range $c := .}}
+{{- $v0 := index .Vecs 0}}
+{{- if .Free}}
+// {{.Name}} adds each lane's a∘b terms to s[v], row by row, at lane width {{.W}}.
+func {{.Name}}(a, b, s []float64) {
+	{{- if .AnyNV}}
+	nv := len(s)
+	{{- else}}
+	s = s[:{{.W}}]
+	{{.Regs}} := {{.Seq "%s[%d]" "s"}}
+	{{- end}}
+	b = b[:len(a)]
+{{- else}}
 // {{.Name}} is {{.Doc}} at lane width {{.W}}.
 func (m *lanes) {{.Name}}(tid int) {
 	{{- if .AnyNV}}
@@ -141,18 +179,27 @@ func (m *lanes) {{.Name}}(tid int) {
 	var {{.Regs}} float64
 	{{- end}}
 	lo, hi := parallel.Chunk(m.n, m.np, tid)
-	{{- $v0 := index .Vecs 0}}
 	{{$v0}} := m.{{$v0}}[lo*{{.W}} : hi*{{.W}}]
 	{{- range slice .Vecs 1}}
 	{{.}} := m.{{.}}[lo*{{$c.W}} : hi*{{$c.W}}][:len({{$v0}})]
 	{{- end}}
+{{- end}}
+	{{- if .Scalar}}
+	for i := range {{$v0}} {
+		{{.Row}}
+	}
+	{{- else}}
 	for i := 0; i+{{.W}} <= len({{$v0}}); i += {{.W}} {
 		{{- range .Vecs}}
 		{{.}}w := {{$c.Slice . "i"}} // lane window
 		{{- end}}
 		{{.Row}}
 	}
-	{{- if and .Sums (not .AnyNV)}}
+	{{- end}}
+	{{- if .AnyNV}}
+	{{- else if .Free}}
+	{{.Seq "%s[%d]" "s"}} = {{.Regs}}
+	{{- else if .Sums}}
 	ps := m.partial[tid*m.stride : tid*m.stride+{{.Parts}}]
 	{{.Slots}} = {{.Regs}}
 	{{- end}}

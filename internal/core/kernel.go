@@ -80,21 +80,19 @@ type Kernel struct {
 	sched   *color.Schedule
 	dotRows *partition.RowPartition
 
-	// dotPart holds the per-thread partial sums of MulVecDot, one cache line
-	// apart, allocated on first use.
-	dotPart []float64
-
 	// curX/curY are the operands of the operation in flight. The phase lists
-	// are assembled once (plain in NewKernel, dot on the first MulVecDot,
-	// mat[nv] on the first MulMat at width nv) as closures that read these
+	// are assembled once (plain in NewKernel, mat[nv] on the first MulMat and
+	// dot[nv] on the first fused dot at width nv) as closures that read these
 	// fields, so repeated operations — at any mix of widths — reuse the same
 	// closures and the hot path allocates nothing. A Kernel has never
 	// supported concurrent operations — it owns per-thread local vectors — so
 	// a single operand slot is safe. Every phase carries the span name and
-	// kind the pool's sampler files its time under (parallel.Phase).
+	// kind the pool's sampler files its time under (parallel.Phase). dotPart[nv]
+	// holds dot[nv]'s per-thread lane partials, dotStride(nv) apart.
 	curX, curY []float64
-	plain, dot *parallel.PhaseList
-	mat        []*parallel.PhaseList
+	plain      *parallel.PhaseList
+	mat, dot   []*parallel.PhaseList
+	dotPart    [][]float64
 
 	// sampleHook, when set, receives every sampled operation of the three
 	// lists (sample.go).
@@ -171,26 +169,56 @@ func (k *Kernel) MulVec(x, y []float64) {
 }
 
 // MulVecDot computes y = A·x and returns xᵀ·y, the pᵀ·(A·p) inner product a
-// CG iteration needs right after its SpM×V. The dot rides inside the
-// reduction phase as per-thread partial sums combined after the barrier, so
-// the pair costs the same single coordinator handoff as MulVec alone. The
-// partials are combined in ascending thread order over parallel.Chunk
-// ranges, making the result bitwise identical to vec.Dot(x, y) on the
-// finished output.
+// CG iteration needs right after its SpM×V: MulMatDot at one lane.
 func (k *Kernel) MulVecDot(x, y []float64) float64 {
-	k.checkDims(x, y)
-	if k.dot == nil {
-		k.dotPart = make([]float64, k.p*DotStride)
-		k.dot = k.assemble(k.dotPart, OpSpMVDot, 1)
+	var dot [1]float64
+	_ = k.MulMatDot(x, y, 1, dot[:])
+	return dot[0]
+}
+
+// MulMatDot computes Y = A·X for nv interleaved vectors, as MulMat does, and
+// sets dots[v] to lane v's xᵀy. The dots ride inside the reduction phase as
+// per-thread lane partials combined after the barrier, so the pair costs the
+// same single coordinator handoff as MulMat alone. The partials are summed by
+// vec.LaneDots over parallel.Chunk ranges and combined in ascending thread
+// order, making each lane bitwise vec.MultiDots(x, y) on the finished output.
+// At nv = 1 it runs every symmetry class and panics on bad dimensions, as
+// MulVec does.
+func (k *Kernel) MulMatDot(x, y []float64, nv int, dots []float64) error {
+	if nv == 1 {
+		k.checkDims(x, y)
+	} else if err := k.checkMat(x, y, nv); err != nil {
+		return err
+	}
+	l, part := grow(&k.dot, nv), grow(&k.dotPart, nv)
+	if *l == nil {
+		*part = make([]float64, k.p*dotStride(nv))
+		op := OpSpMVDot
+		if nv > 1 {
+			op = OpSpMMDot
+		}
+		*l = k.assemble(*part, op, nv)
 	}
 	k.curX, k.curY = x, y
-	k.pool.RunPhaseList(k.dot)
+	k.pool.RunPhaseList(*l)
 	k.curX, k.curY = nil, nil
-	total := 0.0
-	for t := 0; t < k.p; t++ {
-		total += k.dotPart[t*DotStride]
+	dots = dots[:nv]
+	clear(dots)
+	for t := range k.p {
+		for v, s := range (*part)[t*dotStride(nv):][:nv] {
+			dots[v] += s
+		}
 	}
-	return total
+	return nil
+}
+
+// grow returns the slot of width nv in a per-width store, growing the store
+// to hold it.
+func grow[T any](store *[]T, nv int) *T {
+	if nv >= len(*store) {
+		*store = append(*store, make([]T, nv+1-len(*store))...)
+	}
+	return &(*store)[nv]
 }
 
 func (k *Kernel) checkDims(x, y []float64) {
@@ -204,10 +232,10 @@ func (k *Kernel) checkDims(x, y []float64) {
 // closures over k.curX/k.curY, the operand slots MulVec and MulMat set per
 // call. The list is built once and reused for every operation, which is what
 // keeps the hot path allocation-free. With dot non-nil the chain additionally
-// leaves xᵀy partial sums in dot[tid*DotStride].
+// leaves each lane's xᵀy partial sums in dot (dotLanes).
 func (k *Kernel) assemble(dot []float64, op OpClass, nv int) *parallel.PhaseList {
 	mo := phaseObs[k.Method]
-	if op == OpSpMM {
+	if nv > 1 {
 		mo = spmmObs[k.Method]
 	}
 	return k.newList(k.phases(dot, nv), mo, op, nv)

@@ -3,11 +3,37 @@ package core
 import (
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/vec"
 )
 
 // DotStride spaces per-thread dot partials eight float64s (one cache line)
-// apart so concurrent writers never share a line.
+// apart so concurrent writers never share a line: a one-lane dot's thread tid
+// writes dot[tid*DotStride], an nv-lane dot's the nv from
+// dot[tid*dotStride(nv)] on.
 const DotStride = 8
+
+// dotStride is a thread's block of nv-lane dot partials, in whole lines.
+func dotStride(nv int) int { return (nv + DotStride - 1) / DotStride * DotStride }
+
+// dotLanes is thread tid's lane partials of a fused dot; nil without one.
+func dotLanes(dot []float64, tid, nv int) []float64 {
+	if dot == nil {
+		return nil
+	}
+	return dot[tid*dotStride(nv):][:nv]
+}
+
+// dotBlock is how many rows a reduction finishes before a fused dot adds
+// their xᵀy, while they are still in cache.
+const dotBlock = 256
+
+// addDots adds each lane's xᵀy over rows [lo, hi) to dot, the sweep of
+// vec.MultiDots; nothing without a dot.
+func addDots(lo, hi int32, nv int, x, y, dot []float64) {
+	if dot != nil {
+		vec.LaneDots(x[int(lo)*nv:int(hi)*nv], y[int(lo)*nv:int(hi)*nv], dot)
+	}
+}
 
 // LocalVectors owns the per-thread local output vectors of a multithreaded
 // symmetric SpM×V and performs the reduction phase under any of the three
@@ -149,27 +175,21 @@ func groupByVid(index []IndexEntry, split []int32) []IndexEntry {
 // re-zeroed. Per lane, every method adds the same terms in the same order at
 // every width, so each lane is bitwise the single-vector reduction.
 //
-// With dot non-nil (nv = 1 only) the reduction is fused with the dot product
-// xᵀy: after the phases have run, dot[tid*DotStride] holds thread tid's
-// contribution over its reduction range. The caller combines the partials in
-// ascending tid order; the per-thread ranges equal parallel.Chunk(N, p), so
-// the combined sum is bitwise identical to vec.Dot over the finished y. Span
-// names are prefix/reduce and prefix/dot.
+// With dot non-nil the reduction is fused with each lane's dot product xᵀy:
+// after the phases have run, thread tid's lane partials (dotLanes) hold its
+// contribution over its reduction range. The caller combines them in
+// ascending tid order; the per-thread ranges equal parallel.Chunk(N, p) and
+// each is summed by vec.LaneDots in row order, so each lane's combined sum is
+// bitwise vec.MultiDots over the finished y. Span names are prefix/reduce and
+// prefix/dot.
 func (lv *LocalVectors) ReducePhases(prefix string, x, y *[]float64, dot []float64, nv int) []parallel.Phase {
-	if dot != nil && nv != 1 {
-		panic("core: a fused dot reduces one lane")
-	}
 	var red func(tid int)
-	switch {
-	case lv.Method == Naive && dot != nil:
-		red = func(tid int) { dot[tid*DotStride] = lv.reduceNaiveDotT(tid, *x, *y) }
-	case lv.Method == Naive:
-		red = func(tid int) { lv.reduceNaiveT(tid, nv, *y) }
-	case lv.Method == EffectiveRanges && dot != nil:
-		red = func(tid int) { dot[tid*DotStride] = lv.reduceEffectiveDotT(tid, *x, *y) }
-	case lv.Method == EffectiveRanges:
-		red = func(tid int) { lv.reduceEffectiveT(tid, nv, *y) }
-	case lv.Method == Indexed:
+	switch lv.Method {
+	case Naive:
+		red = func(tid int) { lv.reduceNaiveT(tid, nv, *x, *y, dotLanes(dot, tid, nv)) }
+	case EffectiveRanges:
+		red = func(tid int) { lv.reduceEffectiveT(tid, nv, *x, *y, dotLanes(dot, tid, nv)) }
+	case Indexed:
 		red = func(tid int) { lv.reduceIndexedT(tid, nv, *y) }
 	default:
 		panic("core: no local-vector reduction for method " + lv.Method.String())
@@ -179,82 +199,57 @@ func (lv *LocalVectors) ReducePhases(prefix string, x, y *[]float64, dot []float
 		// The indexed reduction touches only conflicted elements, so the dot
 		// needs a separate full sweep of y once the reduction has finished.
 		phases = append(phases, parallel.ComputePhase(prefix+"/dot",
-			func(tid int) { dot[tid*DotStride] = dotChunkT(lv.redPart, tid, *x, *y) }))
+			func(tid int) { dotChunkT(lv.redPart, tid, nv, *x, *y, dotLanes(dot, tid, nv)) }))
 	}
 	return phases
 }
 
 // reduceNaiveT sums the p full-length local vectors into y over thread tid's
 // uniform row chunk (Alg. 3 lines 12–15), one flat span of nv·rows floats,
-// re-zeroing the locals in the same pass.
-func (lv *LocalVectors) reduceNaiveT(tid, nv int, y []float64) {
-	lo, hi := int(lv.redPart.Start[tid])*nv, int(lv.redPart.End[tid])*nv
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for _, local := range lv.Vecs {
-			sum += local[i]
-			local[i] = 0
+// re-zeroing the locals in the same pass, dotBlock rows at a time. With dot
+// non-nil it sets dot to each lane's xᵀy over the chunk.
+func (lv *LocalVectors) reduceNaiveT(tid, nv int, x, y, dot []float64) {
+	clear(dot)
+	for lo, hi := lv.redPart.Start[tid], lv.redPart.End[tid]; lo < hi; lo += dotBlock {
+		end := min(hi, lo+dotBlock)
+		for i := int(lo) * nv; i < int(end)*nv; i++ {
+			sum := 0.0
+			for _, local := range lv.Vecs {
+				sum += local[i]
+				local[i] = 0
+			}
+			y[i] = sum
 		}
-		y[i] = sum
+		addDots(lo, end, nv, x, y, dot)
 	}
-}
-
-func (lv *LocalVectors) reduceNaiveDotT(tid int, x, y []float64) float64 {
-	lo, hi := lv.redPart.Start[tid], lv.redPart.End[tid]
-	dot := 0.0
-	for r := lo; r < hi; r++ {
-		sum := 0.0
-		for _, local := range lv.Vecs {
-			sum += local[r]
-			local[r] = 0
-		}
-		y[r] = sum
-		dot += x[r] * sum
-	}
-	return dot
 }
 
 // reduceEffectiveT folds the effective regions into y over thread tid's
 // uniform row chunk, one owner's rows at a time: row r receives the locals of
 // every thread after its owner (their effective ranges all cover r, since
 // partition starts are non-decreasing), and rows of the last owner receive
-// none. One binary search at the chunk start seeds the owner cursor; each
-// owner's rows are one flat span of nv·rows floats.
-func (lv *LocalVectors) reduceEffectiveT(tid, nv int, y []float64) {
-	lo, hi := lv.redPart.Start[tid], lv.redPart.End[tid]
-	for own := lv.Part.Owner(lo); lo < hi && own+1 < lv.p; own++ {
-		end := min(hi, lv.Part.End[own])
-		later := lv.Vecs[own+1:]
-		for i := int(lo) * nv; i < int(end)*nv; i++ {
-			sum := y[i]
-			for _, local := range later {
-				sum += local[i]
-				local[i] = 0
+// none. A binary search per dotBlock rows seeds the owner cursor; each
+// owner's rows are one flat span of nv·rows floats. With dot non-nil it sets
+// dot to each lane's xᵀy over the chunk.
+func (lv *LocalVectors) reduceEffectiveT(tid, nv int, x, y, dot []float64) {
+	clear(dot)
+	for lo, hi := lv.redPart.Start[tid], lv.redPart.End[tid]; lo < hi; lo += dotBlock {
+		end := min(hi, lo+dotBlock)
+		for own, at := lv.Part.Owner(lo), lo; at < end && own+1 < lv.p; own++ {
+			stop := min(end, lv.Part.End[own])
+			later := lv.Vecs[own+1:]
+			for i := int(at) * nv; i < int(stop)*nv; i++ {
+				sum := y[i]
+				for _, local := range later {
+					sum += local[i]
+					local[i] = 0
+				}
+				y[i] = sum
 			}
-			y[i] = sum
+			at = stop
 		}
-		lo = end
+		addDots(lo, end, nv, x, y, dot)
 	}
-}
-
-func (lv *LocalVectors) reduceEffectiveDotT(tid int, x, y []float64) float64 {
-	lo, hi := lv.redPart.Start[tid], lv.redPart.End[tid]
-	dot := 0.0
-	for own := lv.Part.Owner(lo); lo < hi; own++ {
-		end := min(hi, lv.Part.End[own])
-		later := lv.Vecs[own+1:]
-		for r := lo; r < end; r++ {
-			sum := y[r]
-			for _, local := range later {
-				sum += local[r]
-				local[r] = 0
-			}
-			y[r] = sum
-			dot += x[r] * sum
-		}
-		lo = end
-	}
-	return dot
 }
 
 // reduceIndexedT walks worker tid's slice of the reduction-ordered conflict
@@ -291,13 +286,10 @@ func (lv *LocalVectors) reduceIndexedT(tid, nv int, y []float64) {
 	}
 }
 
-// dotChunkT computes the xᵀy partial over thread tid's chunk of part.
-func dotChunkT(part *partition.RowPartition, tid int, x, y []float64) float64 {
-	sum := 0.0
-	for r := part.Start[tid]; r < part.End[tid]; r++ {
-		sum += x[r] * y[r]
-	}
-	return sum
+// dotChunkT sets dot to each lane's xᵀy over thread tid's chunk of part.
+func dotChunkT(part *partition.RowPartition, tid, nv int, x, y, dot []float64) {
+	clear(dot)
+	addDots(part.Start[tid], part.End[tid], nv, x, y, dot)
 }
 
 // IndexLen reports the number of conflict-index entries (touched

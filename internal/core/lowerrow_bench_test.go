@@ -95,8 +95,8 @@ func BenchmarkLowerRowBodies(b *testing.B) {
 				if kind.Kind != Sym {
 					continue
 				}
-				k.MulVecDot(make([]float64, k.S.N), make([]float64, k.S.N)) // assembles k.dot
-				runSerially(b, label+"-dot", k, k.dot, 1)
+				k.MulVecDot(make([]float64, k.S.N), make([]float64, k.S.N)) // assembles k.dot[1]
+				runSerially(b, label+"-dot", k, k.dot[1], 1)
 				for _, nv := range []int{2, 3, 4, 8} {
 					runSerially(b, fmt.Sprintf("%s-nv%d", label, nv), k, k.matList(nv), nv)
 				}

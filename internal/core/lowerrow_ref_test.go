@@ -384,10 +384,10 @@ func checkCells(t *testing.T, rng *rand.Rand, k *Kernel, label string) {
 	}
 
 	gotDot := k.MulVecDot(x, got)
-	runWith(k, k.dot, refCell(k, 1), x, want)
+	runWith(k, k.dot[1], refCell(k, 1), x, want)
 	wantDot := 0.0
 	for tid := 0; tid < k.p; tid++ {
-		wantDot += k.dotPart[tid*DotStride]
+		wantDot += k.dotPart[1][tid*DotStride]
 	}
 	if i := firstBitDiff(got, want); i >= 0 || math.Float64bits(gotDot) != math.Float64bits(wantDot) {
 		t.Fatalf("%s: MulVecDot = %v (first differing element %d), the textbook loop gives %v", label, gotDot, i, wantDot)
@@ -535,14 +535,14 @@ func TestTrajectoriesMatchTextbookLoop(t *testing.T) {
 		b := randomVector(rng, s.N)
 		for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
 			k := NewKernel(s, method, pool)
-			k.MulVecDot(b, make([]float64, s.N)) // assembles k.dot
+			k.MulVecDot(b, make([]float64, s.N)) // assembles k.dot[1]
 			ref := refCell(k, 1)
 			generated := cgIterates(b, 16, k.MulVecDot)
 			textbook := cgIterates(b, 16, func(x, y []float64) float64 {
-				runWith(k, k.dot, ref, x, y)
+				runWith(k, k.dot[1], ref, x, y)
 				dot := 0.0
 				for tid := 0; tid < k.p; tid++ {
-					dot += k.dotPart[tid*DotStride]
+					dot += k.dotPart[1][tid*DotStride]
 				}
 				return dot
 			})

@@ -34,13 +34,8 @@ func (k *Kernel) MulMat(x, y []float64, nv int) error {
 	if err := k.checkMat(x, y, nv); err != nil {
 		return err
 	}
-	if nv == 1 {
-		k.MulVec(x, y)
-		return nil
-	}
-	l := k.matList(nv)
 	k.curX, k.curY = x, y
-	k.pool.RunPhaseList(l)
+	k.pool.RunPhaseList(k.matList(nv))
 	k.curX, k.curY = nil, nil
 	return nil
 }
@@ -61,13 +56,14 @@ func (k *Kernel) checkMat(x, y []float64, nv int) error {
 }
 
 // matList returns the SpMM list for vector count nv, assembling it the first
-// time that width runs; every width keeps its own list.
+// time that width runs; every width keeps its own list, MulVec's at one.
 func (k *Kernel) matList(nv int) *parallel.PhaseList {
-	if nv >= len(k.mat) {
-		k.mat = append(k.mat, make([]*parallel.PhaseList, nv+1-len(k.mat))...)
+	if nv == 1 {
+		return k.plain
 	}
-	if k.mat[nv] == nil {
-		k.mat[nv] = k.assemble(nil, OpSpMM, nv)
+	l := grow(&k.mat, nv)
+	if *l == nil {
+		*l = k.assemble(nil, OpSpMM, nv)
 	}
-	return k.mat[nv]
+	return *l
 }

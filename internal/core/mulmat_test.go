@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/parallel"
+	"repro/internal/vec"
 )
 
 // refMulMat computes the reference SpMM by column-wise single multiplies.
@@ -233,5 +234,54 @@ func TestQuickMulMat(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// MulMatDot is MulMat with each lane's xᵀy fused in: the product bitwise
+// MulMat's (MulVec's at one lane), every lane's dot bitwise vec.MultiDots over
+// the finished output, at every width in any order, and no allocation once a
+// width has run.
+func TestMulMatDotMatchesMultiDots(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{5, 257, 1000} {
+		s, err := FromCOO(randomSymmetric(t, rng, n, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 3} {
+			pool := parallel.NewPool(p)
+			for _, method := range []ReductionMethod{Naive, EffectiveRanges, Indexed, Colored} {
+				k := NewKernel(s, method, pool)
+				for _, nv := range []int{8, 1, 3, 4, 2, 8} {
+					x := make([]float64, n*nv)
+					for i := range x {
+						x[i] = rng.NormFloat64()
+					}
+					y, yd := make([]float64, n*nv), make([]float64, n*nv)
+					if err := k.MulMat(x, y, nv); err != nil {
+						t.Fatal(err)
+					}
+					dots, want := make([]float64, nv), make([]float64, nv)
+					if err := k.MulMatDot(x, yd, nv, dots); err != nil {
+						t.Fatal(err)
+					}
+					vec.MultiDots(pool, x, y, nv, want)
+					for i := range y {
+						if math.Float64bits(y[i]) != math.Float64bits(yd[i]) {
+							t.Fatalf("n=%d p=%d %v nv=%d: y[%d] = %g, MulMat %g", n, p, method, nv, i, yd[i], y[i])
+						}
+					}
+					for v := range want {
+						if math.Float64bits(dots[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("n=%d p=%d %v nv=%d: lane %d dot %g, vec.MultiDots %g", n, p, method, nv, v, dots[v], want[v])
+						}
+					}
+					if a := testing.AllocsPerRun(3, func() { _ = k.MulMatDot(x, yd, nv, dots) }); a != 0 {
+						t.Errorf("n=%d p=%d %v nv=%d: MulMatDot allocates %v times", n, p, method, nv, a)
+					}
+				}
+			}
+			pool.Close()
+		}
 	}
 }

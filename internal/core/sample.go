@@ -28,14 +28,16 @@ func init() {
 }
 
 // OpClass says which kernel entry point produced a PhaseSample, because the
-// per-phase byte accounting differs: MulVecDot adds a fused (or trailing) dot
-// sweep, and SpMM amortizes the matrix stream over NV vectors.
+// per-phase byte accounting differs: MulVecDot and MulMatDot add a fused (or
+// trailing) dot sweep over NV lanes, and SpMM amortizes the matrix stream
+// over NV vectors.
 type OpClass int
 
 const (
 	OpSpMV OpClass = iota
 	OpSpMVDot
 	OpSpMM
+	OpSpMMDot
 )
 
 // PhaseSample is one sampled operation as fed to the sample hook: the pool's
@@ -81,9 +83,6 @@ func (k *Kernel) TimedMulVec(x, y []float64) PhaseTimes {
 func (k *Kernel) TimedMulMat(x, y []float64, nv int) (PhaseTimes, error) {
 	if err := k.checkMat(x, y, nv); err != nil {
 		return PhaseTimes{}, err
-	}
-	if nv == 1 {
-		return k.TimedMulVec(x, y), nil
 	}
 	k.curX, k.curY = x, y
 	pt := k.pool.RunSampled(k.matList(nv))

@@ -1,6 +1,7 @@
 package format
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cg"
@@ -73,9 +74,10 @@ type Built struct {
 	ID ID
 	// Mul computes y = A·x.
 	Mul func(x, y []float64)
-	// MulDot computes y = A·x and returns xᵀ·y in the same dispatch; nil
-	// unless the format has FusedDot.
-	MulDot func(x, y []float64) float64
+	// MulDot computes y = A·x over nv interleaved vectors and sets dots[v]
+	// to lane v's xᵀy in the same dispatch; nil unless the format has
+	// FusedDot. Beyond one lane it runs where MulMat does.
+	MulDot func(x, y []float64, nv int, dots []float64) error
 	// MulMat computes Y = A·X over nv interleaved vectors; nil unless the
 	// format has MulMat on this matrix's class.
 	MulMat func(x, y []float64, nv int) error
@@ -142,7 +144,7 @@ func buildSSS(d *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built,
 	k := core.NewKernel(m.S, sssMethod[d.ID], pool)
 	b := &Built{
 		Mul:    k.MulVec,
-		MulDot: k.MulVecDot,
+		MulDot: k.MulMatDot,
 		Bytes:  m.S.Bytes(),
 		Cost:   func(*Matrix) perfmodel.SpMVCost { return perfmodel.SSSCost(k) },
 		Kernel: k,
@@ -160,35 +162,33 @@ func buildCSXSym(_ *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Bui
 // BindSym binds an encoded CSX-Sym matrix, built or loaded, to pool.
 func BindSym(smx *csx.SymMatrix, pool *parallel.Pool) *Built {
 	return &Built{
-		ID:     CSXSym,
-		Mul:    func(x, y []float64) { smx.MulVec(pool, x, y) },
-		MulDot: func(x, y []float64) float64 { return smx.MulVecDot(pool, x, y) },
-		Bytes:  smx.Bytes(),
-		Cost:   func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSXSymCost(smx, m.S) },
-		Sym:    smx,
+		ID:  CSXSym,
+		Mul: func(x, y []float64) { smx.MulVec(pool, x, y) },
+		MulDot: func(x, y []float64, nv int, dots []float64) error {
+			if nv != 1 {
+				return &UnsupportedError{CSXSym, fmt.Sprintf("the %v format has no %s", CSXSym, capList(MulMat))}
+			}
+			dots[0] = smx.MulVecDot(pool, x, y)
+			return nil
+		},
+		Bytes: smx.Bytes(),
+		Cost:  func(m *Matrix) perfmodel.SpMVCost { return perfmodel.CSXSymCost(smx, m.S) },
+		Sym:   smx,
 	}
 }
 
-// op adapts a Built to the cg operator interfaces; fusedOp adds
-// cg.MulVecDotter so cg.Solve takes the two-handoff fused iteration.
-type op struct{ b *Built }
-
-func (o op) MulVec(x, y []float64)               { o.b.Mul(x, y) }
-func (o op) MulMat(x, y []float64, nv int) error { return o.b.MulMat(x, y, nv) }
-
-type fusedOp struct{ op }
-
-func (o fusedOp) MulVecDot(x, y []float64) float64 { return o.b.MulDot(x, y) }
-
-// Op returns the kernel as a cg operator; it implements cg.MulVecDotter when
-// the kernel has a fused dot.
-func (b *Built) Op() cg.MulVecer {
-	if b.MulDot != nil {
-		return fusedOp{op{b}}
+// Op returns the kernel as the CG loop's operator at any lane width, fused
+// to its dot when the format has one. Beyond one lane the caller has checked
+// MulMat is non-nil.
+func (b *Built) Op() cg.Operator {
+	return cg.Operator{
+		Mul: func(x, y []float64, nv int) error {
+			if nv == 1 {
+				b.Mul(x, y)
+				return nil
+			}
+			return b.MulMat(x, y, nv)
+		},
+		MulDot: b.MulDot,
 	}
-	return op{b}
 }
-
-// BlockOp returns the kernel as the block solver's SpMM operator; the caller
-// has checked MulMat is non-nil.
-func (b *Built) BlockOp() cg.MulMater { return op{b} }

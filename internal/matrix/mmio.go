@@ -41,8 +41,9 @@ import (
 //     (those awaiting settling, the one just read, the one being filled); a
 //     settled block's entries go into the COO and its buffers to the blocks
 //     after it. The declared entry count sizes the COO only within what a
-//     file's Stat size holds (four bytes a line; other streams grow it), and
-//     the declared dimensions size nothing, so a lying size line costs nothing.
+//     file's Stat size holds (four bytes a line; other streams grow it, to the
+//     declared count once a quarter of it has arrived), and the declared
+//     dimensions size nothing, so a lying size line costs little.
 //   - The line limit: a line of mmMaxLine bytes or more is bufio.ErrTooLong,
 //     the limit and the error of the bufio.Scanner reader this one replaced.
 //   - The earliest error wins, byte for byte. A helper parses a block without
@@ -441,8 +442,16 @@ func (rd *mmReader) entries(p *mmFormat, m *COO) error {
 			}
 			rd.lineno += b.lines
 			room -= len(b.v)
-			if k := len(m.Val) + len(b.v); k > cap(m.Val) { // a stream: twice the room, within the declared count
-				k = min(max(k, 2*len(m.Val)), p.nnz) - len(m.Val)
+			if k := len(m.Val) + len(b.v); k > cap(m.Val) {
+				// A stream: twice the room, and the whole declared count once
+				// a quarter of it has arrived, so a lying count costs at most
+				// four times what the stream has proved.
+				if 4*k >= p.nnz {
+					k = p.nnz
+				} else {
+					k = max(k, 2*len(m.Val))
+				}
+				k -= len(m.Val)
 				m.RowIdx, m.ColIdx, m.Val = slices.Grow(m.RowIdx, k), slices.Grow(m.ColIdx, k), slices.Grow(m.Val, k)
 			}
 			m.RowIdx, m.ColIdx, m.Val = append(m.RowIdx, b.ri...), append(m.ColIdx, b.ci...), append(m.Val, b.v...)

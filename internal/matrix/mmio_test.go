@@ -501,6 +501,13 @@ func TestReadMatrixMarketAllocates(t *testing.T) {
 	if limit := uint64(2*mmBlockSize + 1<<18); size > limit {
 		t.Errorf("lying nnz file: %d bytes allocated, want at most %d", size, limit)
 	}
+
+	// A stream grows its COO, doubling until a quarter of the declared count
+	// has arrived and then to the whole of it: at most twice the COO.
+	_, size = allocated(func() { m, _ = ReadMatrixMarket(bytes.NewReader(file)) })
+	if limit := uint64(32*m.NNZ() + (mmAhead+4)*mmBlockSize); size > limit {
+		t.Errorf("band stream: %d bytes allocated for %d entries, want at most %d", size, m.NNZ(), limit)
+	}
 }
 
 func TestWriteMatrixMarketMatchesFmt(t *testing.T) {

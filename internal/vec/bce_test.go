@@ -11,13 +11,13 @@ import (
 )
 
 // TestElementLoopsCheckOnlyLaneWindows compiles this package with the
-// compiler's bounds-check report switched on and holds the bodies to one
-// bounds proof per chunk: every body cuts its vectors to the chunk's rows
-// once, so
+// compiler's bounds-check report switched on and holds the cells of
+// multi_gen.go to one bounds proof per chunk: every cell cuts its vectors to
+// the chunk's rows once, so
 //
-//   - the element loops of vec.go (Dot, SubCopyDots and CGStep, plain and
-//     Jacobi: `for i, v := range s`) keep no check at all, and
-//   - inside the loops of multi_gen.go's fixed-width cells the only checks
+//   - the element loops of the width-1 cells (the single-vector operations,
+//     Jacobi's included: `for i := range r`) keep no check at all, and
+//   - inside the loops of the fixed-width cells (2, 4, 8) the only checks
 //     left are on the lines the template marks `// lane window`, at most one
 //     per loop: windows of equal-length vectors share it.
 func TestElementLoopsCheckOnlyLaneWindows(t *testing.T) {
@@ -38,24 +38,25 @@ func TestElementLoopsCheckOnlyLaneWindows(t *testing.T) {
 		}
 		reported[m[1]][line]++
 	}
-	if len(reported["multi_gen.go"]) == 0 {
+	checked := reported["multi_gen.go"]
+	if len(checked) == 0 {
 		t.Fatalf("the compiler reported no bounds check at all in multi_gen.go; is -d=ssa/check_bce still its flag?\n%s", out)
 	}
 
-	element := regexp.MustCompile(`^for i, \w+ := range \w+ \{$`)
-	loops, checks := scanLoops(t, "vec.go", reported["vec.go"], func(fn, header string) bool {
-		return (fn == "BindDot" || fn == "SubCopyDots" || fn == "BindCGStep") && element.MatchString(header)
+	one := regexp.MustCompile(`(1T|laneDots1)$`)
+	loops, checks := scanLoops(t, "multi_gen.go", checked, func(fn, header string) bool {
+		return one.MatchString(fn)
 	})
 	for _, c := range checks {
-		t.Errorf("vec.go:%d (%s): %d bounds check(s) inside an element loop:\n\t%s", c.line, c.fn, c.n, c.text)
+		t.Errorf("multi_gen.go:%d (%s): %d bounds check(s) inside an element loop:\n\t%s", c.line, c.fn, c.n, c.text)
 	}
-	// BindDot 1, SubCopyDots 2 and BindCGStep 4 (plain and Jacobi, two phases).
+	// subCopyDots, update and direction, their Jacobi forms, and the lane dot.
 	if loops != 7 {
-		t.Errorf("found %d element loops in vec.go, want 7: the scan no longer matches the bodies", loops)
+		t.Errorf("found %d element loops in multi_gen.go's width-1 cells, want 7: the scan no longer matches the template", loops)
 	}
 
-	fixed := regexp.MustCompile(`[0-9]T$`)
-	loops, checks = scanLoops(t, "multi_gen.go", reported["multi_gen.go"], func(fn, header string) bool {
+	fixed := regexp.MustCompile(`[248]T?$`)
+	loops, checks = scanLoops(t, "multi_gen.go", checked, func(fn, header string) bool {
 		return fixed.MatchString(fn)
 	})
 	type loop struct {
@@ -74,7 +75,8 @@ func TestElementLoopsCheckOnlyLaneWindows(t *testing.T) {
 			t.Errorf("multi_gen.go: a loop of %s keeps %d bounds checks, want at most 1", l.fn, n)
 		}
 	}
-	// One row loop per operation and width.
+	// One row loop per operation and width: subCopyDots, update, direction
+	// and the lane dot at 2, 4 and 8.
 	if loops != 4*3 {
 		t.Errorf("found %d loops in multi_gen.go's fixed-width cells, want 12: the scan no longer matches the template", loops)
 	}

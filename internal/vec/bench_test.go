@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkVecOps times the bound vector operations a CG iteration runs, on
-// the poisson-multirhs grid (144² rows) over two threads: the scalar Dot and
-// CGStep, and the block solver's MultiDots and MultiCGStep at every width the
-// serve batcher dispatches plus nv = 1 (the run-time-width cell). MB/s counts
+// the poisson-multirhs grid (144² rows) over two threads: the dot and the
+// step at nv = 1 (the single-vector CG's) and at every width the serve
+// batcher dispatches. MB/s counts
 // every vector stream once per pass: two reads for a dot; for a CG step,
 // x, p, r, ap read and x, r written by the update, then r, p read and p
 // written by the direction.
@@ -43,11 +43,6 @@ func BenchmarkVecOps(b *testing.B) {
 		})
 	}
 
-	p, ap, x, r := vecs(1)
-	dot := BindDot(pool, p, ap)
-	run("Dot", 16*n, func() { _ = dot() })
-	step := BindCGStep(pool, nil, p, ap, x, r)
-	run("CGStep", 72*n, func() { _, _ = step(1e-9, 1e30) })
 	for _, nv := range []int{1, 2, 4, 8} {
 		p, ap, x, r := vecs(nv)
 		out, alpha, rrOld := make([]float64, nv), make([]float64, nv), make([]float64, nv)
@@ -56,7 +51,7 @@ func BenchmarkVecOps(b *testing.B) {
 		}
 		dots := BindMultiDots(pool, p, ap, nv)
 		run(fmt.Sprintf("MultiDots/nv=%d", nv), 16*n*nv, func() { dots(out) })
-		step := BindMultiCGStep(pool, p, ap, x, r, nv)
-		run(fmt.Sprintf("MultiCGStep/nv=%d", nv), 72*n*nv, func() { step(alpha, rrOld, out) })
+		step := BindStep(pool, nil, p, ap, x, r, nv)
+		run(fmt.Sprintf("MultiCGStep/nv=%d", nv), 72*n*nv, func() { step(alpha, rrOld, out, out) })
 	}
 }

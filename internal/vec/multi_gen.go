@@ -4,80 +4,28 @@ package vec
 
 import "repro/internal/parallel"
 
-// dotsT is MultiDots' body, per-lane partial sums of a∘b, at lane width nv.
-func (m *lanes) dotsT(tid int) {
-	nv := m.nv
-	s := m.partial[tid*m.stride:][:nv]
-	clear(s)
+// subCopyDots1T is the set-up's body, r = b − ap, p = r and per-lane
+// partial bᵀb and rᵀr, at lane width 1.
+func (m *lanes) subCopyDots1T(tid int) {
+	var sb0, sr0 float64
 	lo, hi := parallel.Chunk(m.n, m.np, tid)
-	a := m.a[lo*nv : hi*nv]
-	b := m.b[lo*nv : hi*nv][:len(a)]
-	for i := 0; i+nv <= len(a); i += nv {
-		aw := a[i : i+nv : i+nv] // lane window
-		bw := b[i : i+nv : i+nv] // lane window
-		for v := range aw {
-			s[v] += aw[v] * bw[v]
-		}
-	}
-}
-
-// dots2T is MultiDots' body, per-lane partial sums of a∘b, at lane width 2.
-func (m *lanes) dots2T(tid int) {
-	var s0, s1 float64
-	lo, hi := parallel.Chunk(m.n, m.np, tid)
-	a := m.a[lo*2 : hi*2]
-	b := m.b[lo*2 : hi*2][:len(a)]
-	for i := 0; i+2 <= len(a); i += 2 {
-		aw := a[i : i+2 : i+2] // lane window
-		bw := b[i : i+2 : i+2] // lane window
-		s0 += aw[0] * bw[0]
-		s1 += aw[1] * bw[1]
+	r := m.r[lo*1 : hi*1]
+	p := m.p[lo*1 : hi*1][:len(r)]
+	b := m.b[lo*1 : hi*1][:len(r)]
+	ap := m.ap[lo*1 : hi*1][:len(r)]
+	for i := range r {
+		bi0 := b[i]
+		ri0 := bi0 - ap[i]
+		r[i] = ri0
+		p[i] = ri0
+		sb0 += bi0 * bi0
+		sr0 += ri0 * ri0
 	}
 	ps := m.partial[tid*m.stride : tid*m.stride+2]
-	ps[0], ps[1] = s0, s1
+	ps[0], ps[1] = sb0, sr0
 }
 
-// dots4T is MultiDots' body, per-lane partial sums of a∘b, at lane width 4.
-func (m *lanes) dots4T(tid int) {
-	var s0, s1, s2, s3 float64
-	lo, hi := parallel.Chunk(m.n, m.np, tid)
-	a := m.a[lo*4 : hi*4]
-	b := m.b[lo*4 : hi*4][:len(a)]
-	for i := 0; i+4 <= len(a); i += 4 {
-		aw := a[i : i+4 : i+4] // lane window
-		bw := b[i : i+4 : i+4] // lane window
-		s0 += aw[0] * bw[0]
-		s1 += aw[1] * bw[1]
-		s2 += aw[2] * bw[2]
-		s3 += aw[3] * bw[3]
-	}
-	ps := m.partial[tid*m.stride : tid*m.stride+4]
-	ps[0], ps[1], ps[2], ps[3] = s0, s1, s2, s3
-}
-
-// dots8T is MultiDots' body, per-lane partial sums of a∘b, at lane width 8.
-func (m *lanes) dots8T(tid int) {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
-	lo, hi := parallel.Chunk(m.n, m.np, tid)
-	a := m.a[lo*8 : hi*8]
-	b := m.b[lo*8 : hi*8][:len(a)]
-	for i := 0; i+8 <= len(a); i += 8 {
-		aw := a[i : i+8 : i+8] // lane window
-		bw := b[i : i+8 : i+8] // lane window
-		s0 += aw[0] * bw[0]
-		s1 += aw[1] * bw[1]
-		s2 += aw[2] * bw[2]
-		s3 += aw[3] * bw[3]
-		s4 += aw[4] * bw[4]
-		s5 += aw[5] * bw[5]
-		s6 += aw[6] * bw[6]
-		s7 += aw[7] * bw[7]
-	}
-	ps := m.partial[tid*m.stride : tid*m.stride+8]
-	ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7] = s0, s1, s2, s3, s4, s5, s6, s7
-}
-
-// subCopyDotsT is MultiSubCopyDots' body, r = b − ap, p = r and per-lane
+// subCopyDotsT is the set-up's body, r = b − ap, p = r and per-lane
 // partial bᵀb and rᵀr, at lane width nv.
 func (m *lanes) subCopyDotsT(tid int) {
 	nv := m.nv
@@ -106,7 +54,7 @@ func (m *lanes) subCopyDotsT(tid int) {
 	}
 }
 
-// subCopyDots2T is MultiSubCopyDots' body, r = b − ap, p = r and per-lane
+// subCopyDots2T is the set-up's body, r = b − ap, p = r and per-lane
 // partial bᵀb and rᵀr, at lane width 2.
 func (m *lanes) subCopyDots2T(tid int) {
 	var sb0, sb1, sr0, sr1 float64
@@ -137,7 +85,7 @@ func (m *lanes) subCopyDots2T(tid int) {
 	ps[0], ps[1], ps[2], ps[3] = sb0, sb1, sr0, sr1
 }
 
-// subCopyDots4T is MultiSubCopyDots' body, r = b − ap, p = r and per-lane
+// subCopyDots4T is the set-up's body, r = b − ap, p = r and per-lane
 // partial bᵀb and rᵀr, at lane width 4.
 func (m *lanes) subCopyDots4T(tid int) {
 	var sb0, sb1, sb2, sb3, sr0, sr1, sr2, sr3 float64
@@ -180,7 +128,7 @@ func (m *lanes) subCopyDots4T(tid int) {
 	ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7] = sb0, sb1, sb2, sb3, sr0, sr1, sr2, sr3
 }
 
-// subCopyDots8T is MultiSubCopyDots' body, r = b − ap, p = r and per-lane
+// subCopyDots8T is the set-up's body, r = b − ap, p = r and per-lane
 // partial bᵀb and rᵀr, at lane width 8.
 func (m *lanes) subCopyDots8T(tid int) {
 	var sb0, sb1, sb2, sb3, sb4, sb5, sb6, sb7, sr0, sr1, sr2, sr3, sr4, sr5, sr6, sr7 float64
@@ -247,7 +195,52 @@ func (m *lanes) subCopyDots8T(tid int) {
 	ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7], ps[8], ps[9], ps[10], ps[11], ps[12], ps[13], ps[14], ps[15] = sb0, sb1, sb2, sb3, sb4, sb5, sb6, sb7, sr0, sr1, sr2, sr3, sr4, sr5, sr6, sr7
 }
 
-// updateT is MultiCGStep's first phase, x += α·p, r −= α·ap and
+// jacobiSubCopyDots1T is the Jacobi set-up's body, r = b − ap, p = z = d∘r
+// and partial bᵀb, rᵀr and rᵀz, at lane width 1.
+func (m *lanes) jacobiSubCopyDots1T(tid int) {
+	var sb0, sr0, sz0 float64
+	lo, hi := parallel.Chunk(m.n, m.np, tid)
+	r := m.r[lo*1 : hi*1]
+	p := m.p[lo*1 : hi*1][:len(r)]
+	b := m.b[lo*1 : hi*1][:len(r)]
+	ap := m.ap[lo*1 : hi*1][:len(r)]
+	d := m.d[lo*1 : hi*1][:len(r)]
+	for i := range r {
+		bi0 := b[i]
+		ri0 := bi0 - ap[i]
+		r[i] = ri0
+		zi0 := ri0 * d[i]
+		p[i] = zi0
+		sb0 += bi0 * bi0
+		sz0 += ri0 * zi0
+		sr0 += ri0 * ri0
+	}
+	ps := m.partial[tid*m.stride : tid*m.stride+3]
+	ps[0], ps[1], ps[2] = sb0, sr0, sz0
+}
+
+// update1T is the step's first phase, x += α·p, r −= α·ap and
+// per-lane partial rᵀr, at lane width 1.
+func (m *lanes) update1T(tid int) {
+	a := m.alpha[:1]
+	a0 := a[0]
+	var s0 float64
+	lo, hi := parallel.Chunk(m.n, m.np, tid)
+	r := m.r[lo*1 : hi*1]
+	x := m.x[lo*1 : hi*1][:len(r)]
+	p := m.p[lo*1 : hi*1][:len(r)]
+	ap := m.ap[lo*1 : hi*1][:len(r)]
+	for i := range r {
+		x[i] += a0 * p[i]
+		ri0 := r[i] - a0*ap[i]
+		r[i] = ri0
+		s0 += ri0 * ri0
+	}
+	ps := m.partial[tid*m.stride : tid*m.stride+1]
+	ps[0] = s0
+}
+
+// updateT is the step's first phase, x += α·p, r −= α·ap and
 // per-lane partial rᵀr, at lane width nv.
 func (m *lanes) updateT(tid int) {
 	nv := m.nv
@@ -273,7 +266,7 @@ func (m *lanes) updateT(tid int) {
 	}
 }
 
-// update2T is MultiCGStep's first phase, x += α·p, r −= α·ap and
+// update2T is the step's first phase, x += α·p, r −= α·ap and
 // per-lane partial rᵀr, at lane width 2.
 func (m *lanes) update2T(tid int) {
 	a := m.alpha[:2]
@@ -302,7 +295,7 @@ func (m *lanes) update2T(tid int) {
 	ps[0], ps[1] = s0, s1
 }
 
-// update4T is MultiCGStep's first phase, x += α·p, r −= α·ap and
+// update4T is the step's first phase, x += α·p, r −= α·ap and
 // per-lane partial rᵀr, at lane width 4.
 func (m *lanes) update4T(tid int) {
 	a := m.alpha[:4]
@@ -339,7 +332,7 @@ func (m *lanes) update4T(tid int) {
 	ps[0], ps[1], ps[2], ps[3] = s0, s1, s2, s3
 }
 
-// update8T is MultiCGStep's first phase, x += α·p, r −= α·ap and
+// update8T is the step's first phase, x += α·p, r −= α·ap and
 // per-lane partial rᵀr, at lane width 8.
 func (m *lanes) update8T(tid int) {
 	a := m.alpha[:8]
@@ -392,7 +385,42 @@ func (m *lanes) update8T(tid int) {
 	ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
-// directionT is MultiCGStep's second phase, p = r + β·p, at lane width nv.
+// jacobiUpdate1T is the Jacobi step's first phase, x += α·p, r −= α·ap
+// and partial rᵀz and rᵀr for z = d∘r, at lane width 1.
+func (m *lanes) jacobiUpdate1T(tid int) {
+	a := m.alpha[:1]
+	a0 := a[0]
+	var sz0, sr0 float64
+	lo, hi := parallel.Chunk(m.n, m.np, tid)
+	r := m.r[lo*1 : hi*1]
+	x := m.x[lo*1 : hi*1][:len(r)]
+	p := m.p[lo*1 : hi*1][:len(r)]
+	ap := m.ap[lo*1 : hi*1][:len(r)]
+	d := m.d[lo*1 : hi*1][:len(r)]
+	for i := range r {
+		x[i] += a0 * p[i]
+		ri0 := r[i] - a0*ap[i]
+		r[i] = ri0
+		sz0 += ri0 * (ri0 * d[i])
+		sr0 += ri0 * ri0
+	}
+	ps := m.partial[tid*m.stride : tid*m.stride+2]
+	ps[0], ps[1] = sz0, sr0
+}
+
+// direction1T is the step's second phase, p = r + β·p, at lane width 1.
+func (m *lanes) direction1T(tid int) {
+	b := m.betas(tid)[:1]
+	b0 := b[0]
+	lo, hi := parallel.Chunk(m.n, m.np, tid)
+	p := m.p[lo*1 : hi*1]
+	r := m.r[lo*1 : hi*1][:len(p)]
+	for i := range p {
+		p[i] = r[i] + b0*p[i]
+	}
+}
+
+// directionT is the step's second phase, p = r + β·p, at lane width nv.
 func (m *lanes) directionT(tid int) {
 	nv := m.nv
 	b := m.betas(tid)[:nv]
@@ -408,7 +436,7 @@ func (m *lanes) directionT(tid int) {
 	}
 }
 
-// direction2T is MultiCGStep's second phase, p = r + β·p, at lane width 2.
+// direction2T is the step's second phase, p = r + β·p, at lane width 2.
 func (m *lanes) direction2T(tid int) {
 	b := m.betas(tid)[:2]
 	b0, b1 := b[0], b[1]
@@ -423,7 +451,7 @@ func (m *lanes) direction2T(tid int) {
 	}
 }
 
-// direction4T is MultiCGStep's second phase, p = r + β·p, at lane width 4.
+// direction4T is the step's second phase, p = r + β·p, at lane width 4.
 func (m *lanes) direction4T(tid int) {
 	b := m.betas(tid)[:4]
 	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
@@ -440,7 +468,7 @@ func (m *lanes) direction4T(tid int) {
 	}
 }
 
-// direction8T is MultiCGStep's second phase, p = r + β·p, at lane width 8.
+// direction8T is the step's second phase, p = r + β·p, at lane width 8.
 func (m *lanes) direction8T(tid int) {
 	b := m.betas(tid)[:8]
 	b0, b1, b2, b3, b4, b5, b6, b7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
@@ -459,4 +487,91 @@ func (m *lanes) direction8T(tid int) {
 		pw[6] = rw[6] + b6*pw[6]
 		pw[7] = rw[7] + b7*pw[7]
 	}
+}
+
+// jacobiDirection1T is the Jacobi step's second phase, p = d∘r + β·p, at lane width 1.
+func (m *lanes) jacobiDirection1T(tid int) {
+	b := m.betas(tid)[:1]
+	b0 := b[0]
+	lo, hi := parallel.Chunk(m.n, m.np, tid)
+	p := m.p[lo*1 : hi*1]
+	r := m.r[lo*1 : hi*1][:len(p)]
+	d := m.d[lo*1 : hi*1][:len(p)]
+	for i := range p {
+		p[i] = r[i]*d[i] + b0*p[i]
+	}
+}
+
+// laneDots1 adds each lane's a∘b terms to s[v], row by row, at lane width 1.
+func laneDots1(a, b, s []float64) {
+	s = s[:1]
+	s0 := s[0]
+	b = b[:len(a)]
+	for i := range a {
+		s0 += a[i] * b[i]
+	}
+	s[0] = s0
+}
+
+// laneDots adds each lane's a∘b terms to s[v], row by row, at lane width nv.
+func laneDots(a, b, s []float64) {
+	nv := len(s)
+	b = b[:len(a)]
+	for i := 0; i+nv <= len(a); i += nv {
+		aw := a[i : i+nv : i+nv] // lane window
+		bw := b[i : i+nv : i+nv] // lane window
+		for v := range aw {
+			s[v] += aw[v] * bw[v]
+		}
+	}
+}
+
+// laneDots2 adds each lane's a∘b terms to s[v], row by row, at lane width 2.
+func laneDots2(a, b, s []float64) {
+	s = s[:2]
+	s0, s1 := s[0], s[1]
+	b = b[:len(a)]
+	for i := 0; i+2 <= len(a); i += 2 {
+		aw := a[i : i+2 : i+2] // lane window
+		bw := b[i : i+2 : i+2] // lane window
+		s0 += aw[0] * bw[0]
+		s1 += aw[1] * bw[1]
+	}
+	s[0], s[1] = s0, s1
+}
+
+// laneDots4 adds each lane's a∘b terms to s[v], row by row, at lane width 4.
+func laneDots4(a, b, s []float64) {
+	s = s[:4]
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	b = b[:len(a)]
+	for i := 0; i+4 <= len(a); i += 4 {
+		aw := a[i : i+4 : i+4] // lane window
+		bw := b[i : i+4 : i+4] // lane window
+		s0 += aw[0] * bw[0]
+		s1 += aw[1] * bw[1]
+		s2 += aw[2] * bw[2]
+		s3 += aw[3] * bw[3]
+	}
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+}
+
+// laneDots8 adds each lane's a∘b terms to s[v], row by row, at lane width 8.
+func laneDots8(a, b, s []float64) {
+	s = s[:8]
+	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	b = b[:len(a)]
+	for i := 0; i+8 <= len(a); i += 8 {
+		aw := a[i : i+8 : i+8] // lane window
+		bw := b[i : i+8 : i+8] // lane window
+		s0 += aw[0] * bw[0]
+		s1 += aw[1] * bw[1]
+		s2 += aw[2] * bw[2]
+		s3 += aw[3] * bw[3]
+		s4 += aw[4] * bw[4]
+		s5 += aw[5] * bw[5]
+		s6 += aw[6] * bw[6]
+		s7 += aw[7] * bw[7]
+	}
+	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }

@@ -10,11 +10,12 @@ import (
 	"repro/internal/parallel"
 )
 
-// Every multi-vector kernel must be bitwise identical, per lane, to its
-// single-vector counterpart over the deinterleaved columns — the solver
-// relies on this to keep block-CG trajectories identical to nv separate CG
-// runs. The widths cover every generated cell (2, 4, 8) and the run-time
-// width (1, 3, 5); n < np leaves some threads an empty chunk.
+// Every lane of every multi-vector kernel must be bitwise the serial loop
+// over that lane: per thread the terms of its parallel.Chunk rows in row
+// order, the threads' sums combined in thread order — the solver relies on
+// this to keep block-CG trajectories identical to nv separate CG runs. The
+// widths cover every generated cell (1, 2, 4, 8) and the run-time width
+// (3, 5); n < np leaves some threads an empty chunk.
 func TestMultiKernelsMatchSingleLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, nv := range []int{1, 2, 3, 4, 5, 8} {
@@ -30,21 +31,30 @@ func TestMultiKernelsMatchSingleLane(t *testing.T) {
 	}
 }
 
+// chunked is the reference sum of term(i) over rows 0..n-1: serial per
+// thread's chunk, then over the threads in order.
+func chunked(n, np int, term func(i int) float64) float64 {
+	total := 0.0
+	for t := range np {
+		lo, hi := parallel.Chunk(n, np, t)
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += term(i)
+		}
+		total += s
+	}
+	return total
+}
+
 // multiMatchesSingleLane runs the three multi-lane operations on random
-// vectors and returns what first differs from the scalar operations over
-// each lane, or "".
+// vectors and returns what first differs from serial loops over each lane,
+// or "".
 func multiMatchesSingleLane(rng *rand.Rand, pool *parallel.Pool, n, nv int) string {
+	np := pool.Size()
 	randVec := func(ln int) []float64 {
 		out := make([]float64, ln)
 		for i := range out {
 			out[i] = rng.NormFloat64()
-		}
-		return out
-	}
-	lane := func(flat []float64, v int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = flat[i*nv+v]
 		}
 		return out
 	}
@@ -53,8 +63,20 @@ func multiMatchesSingleLane(rng *rand.Rand, pool *parallel.Pool, n, nv int) stri
 	dots := make([]float64, nv)
 	MultiDots(pool, a, b, nv, dots)
 	for v := 0; v < nv; v++ {
-		if want := Dot(pool, lane(a, v), lane(b, v)); dots[v] != want {
-			return fmt.Sprintf("MultiDots lane %d = %g, Dot = %g", v, dots[v], want)
+		if want := chunked(n, np, func(i int) float64 { return a[i*nv+v] * b[i*nv+v] }); dots[v] != want {
+			return fmt.Sprintf("MultiDots lane %d = %g, serial %g", v, dots[v], want)
+		}
+	}
+	// LaneDots adds to what its sums hold, serially over every row.
+	sums := slices.Clone(dots)
+	LaneDots(a, b, sums)
+	for v := 0; v < nv; v++ {
+		want := dots[v]
+		for i := 0; i < n; i++ {
+			want += a[i*nv+v] * b[i*nv+v]
+		}
+		if sums[v] != want {
+			return fmt.Sprintf("LaneDots lane %d = %g, serial %g", v, sums[v], want)
 		}
 	}
 
@@ -62,14 +84,16 @@ func multiMatchesSingleLane(rng *rand.Rand, pool *parallel.Pool, n, nv int) stri
 	r, p := make([]float64, n*nv), make([]float64, n*nv)
 	bb, rr := make([]float64, nv), make([]float64, nv)
 	MultiSubCopyDots(pool, r, p, bv, ap, nv, bb, rr)
+	for i := range r {
+		if ri := bv[i] - ap[i]; r[i] != ri || p[i] != ri {
+			return fmt.Sprintf("MultiSubCopyDots element %d: r %g, p %g, want %g", i, r[i], p[i], ri)
+		}
+	}
 	for v := 0; v < nv; v++ {
-		r1, p1 := make([]float64, n), make([]float64, n)
-		bb1, _, rr1 := SubCopyDots(pool, nil, r1, p1, lane(bv, v), lane(ap, v))
+		bb1 := chunked(n, np, func(i int) float64 { return bv[i*nv+v] * bv[i*nv+v] })
+		rr1 := chunked(n, np, func(i int) float64 { return r[i*nv+v] * r[i*nv+v] })
 		if bb[v] != bb1 || rr[v] != rr1 {
 			return fmt.Sprintf("MultiSubCopyDots lane %d sums differ", v)
-		}
-		if !slices.Equal(lane(r, v), r1) || !slices.Equal(lane(p, v), p1) {
-			return fmt.Sprintf("MultiSubCopyDots lane %d vectors differ", v)
 		}
 	}
 
@@ -80,21 +104,26 @@ func multiMatchesSingleLane(rng *rand.Rand, pool *parallel.Pool, n, nv int) stri
 		alpha[v] = rng.Float64()
 		rrOld[v] = 1 + rng.Float64()
 	}
-	// Single-lane copies before the in-place update.
-	laneP, laneAP, laneX, laneR := make([][]float64, nv), make([][]float64, nv), make([][]float64, nv), make([][]float64, nv)
-	for v := 0; v < nv; v++ {
-		laneP[v], laneAP[v], laneX[v], laneR[v] = lane(p, v), lane(ap, v), lane(x, v), lane(r, v)
+	// The serial step on copies.
+	xw, rw, pw := slices.Clone(x), slices.Clone(r), slices.Clone(p)
+	for i := range xw {
+		xw[i] += alpha[i%nv] * pw[i]
+		rw[i] = rw[i] - alpha[i%nv]*ap[i]
+	}
+	rrWant := make([]float64, nv)
+	for v := range rrWant {
+		rrWant[v] = chunked(n, np, func(i int) float64 { return rw[i*nv+v] * rw[i*nv+v] })
+	}
+	for i := range pw {
+		pw[i] = rw[i] + rrWant[i%nv]/rrOld[i%nv]*pw[i]
 	}
 	rrNew := make([]float64, nv)
 	MultiCGStep(pool, alpha, rrOld, p, ap, x, r, nv, rrNew)
-	for v := 0; v < nv; v++ {
-		want := CGStep(pool, alpha[v], rrOld[v], laneP[v], laneAP[v], laneX[v], laneR[v])
-		if rrNew[v] != want {
-			return fmt.Sprintf("MultiCGStep lane %d rr = %g, CGStep = %g", v, rrNew[v], want)
-		}
-		if !slices.Equal(lane(x, v), laneX[v]) || !slices.Equal(lane(r, v), laneR[v]) || !slices.Equal(lane(p, v), laneP[v]) {
-			return fmt.Sprintf("MultiCGStep lane %d vectors differ from CGStep", v)
-		}
+	if !slices.Equal(rrNew, rrWant) {
+		return fmt.Sprintf("MultiCGStep rr = %v, serial %v", rrNew, rrWant)
+	}
+	if !slices.Equal(x, xw) || !slices.Equal(r, rw) || !slices.Equal(p, pw) {
+		return "MultiCGStep vectors differ from the serial step"
 	}
 	return ""
 }

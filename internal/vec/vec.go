@@ -1,15 +1,18 @@
 // Package vec provides the parallel dense-vector kernels the CG solver
-// performs between SpM×V operations, chunked over a worker pool: the dot
-// product, and fused kernels (SubCopyDots, CGStep) that run a CG iteration's
-// whole axpy/dot/copy sequence — Jacobi's z = D⁻¹·r included — as one phase
-// list: the per-thread partial sums cross phase boundaries through a padded
-// scratch array, and every thread combines the partials itself after the
-// barrier, so the chain costs one coordinator handoff instead of one per
-// operation.
+// performs between SpM×V operations, chunked over a worker pool, on nv
+// lane-interleaved right-hand sides (component v of row i at x[i*nv+v],
+// matching the SpMM kernels): the per-lane dot product, and fused kernels
+// (SetUp, BindStep) that run a CG iteration's whole axpy/dot/copy sequence —
+// Jacobi's z = D⁻¹·r included — as one phase list: the per-thread
+// partial sums cross phase boundaries through a padded scratch array, and
+// every thread combines the partials itself after the barrier, so the chain
+// costs one coordinator handoff instead of one per operation.
 //
-// The operations a solver repeats per iteration also come bound to their
-// vectors (BindDot, BindCGStep, BindMultiDots, BindMultiCGStep): partial sums
-// and phase list are built once, so the iterations allocate nothing.
+// Every body is a cell of one template (internal/core/gen), at lane width 1,
+// 2, 4, 8 or any nv (cell picks it); the single-vector operations are
+// the width-1 cells. The operations a solver repeats per iteration come bound
+// to their vectors (BindMultiDots, BindStep): partial sums and phase list are
+// built once, so the iterations allocate nothing.
 //
 // Every operation reaches the pool as a labelled phase list (op), so with
 // sampling on the pool times it like any kernel: symspmv_vec_* metrics per
@@ -17,6 +20,7 @@
 package vec
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/parallel"
@@ -37,6 +41,8 @@ func newOp(name string, spans ...string) *op {
 	return o
 }
 
+// The labels, one lane and nv lanes: an operation at one lane files under
+// the single-vector label.
 var (
 	opDot              = newOp("dot", "vec/dot")
 	opSubCopyDots      = newOp("subcopydots", "vec/subcopydots")
@@ -46,188 +52,216 @@ var (
 	opMultiCGStep      = newOp("multicgstep", "vec/multicgstep-update", "vec/multicgstep-direction")
 )
 
+// label picks the one-lane or the nv-lane label.
+func label(nv int, one, multi *op) *op {
+	if nv == 1 {
+		return one
+	}
+	return multi
+}
+
 // bind returns the operation's phase list with the given phase bodies.
 func (o *op) bind(bodies ...func(tid int)) *parallel.PhaseList {
 	l := &parallel.PhaseList{Metrics: o.Metrics, Phases: slices.Clone(o.Phases)}
-	for i, fn := range bodies {
-		l.Phases[i].Fn = fn
+	for k, fn := range bodies {
+		l.Phases[k].Fn = fn
 	}
 	return l
 }
 
 // Dot computes aᵀb in parallel (per-worker partial sums, combined serially —
 // deterministic for a fixed pool size).
-func Dot(pool *parallel.Pool, a, b []float64) float64 { return BindDot(pool, a, b)() }
-
-// BindDot returns Dot bound to its operands: the partial sums and the phase
-// list are built here, once, so the calls a solver makes per iteration
-// allocate nothing. Like the pool, the result serves one call at a time.
-func BindDot(pool *parallel.Pool, a, b []float64) func() float64 {
-	np := pool.Size()
-	partial := make([]float64, np*pad)
-	l := opDot.bind(func(tid int) {
-		lo, hi := parallel.Chunk(len(a), np, tid)
-		a := a[lo:hi]
-		b := b[lo:hi][:len(a)]
-		sum := 0.0
-		for i, ai := range a {
-			sum += ai * b[i]
-		}
-		partial[tid*pad] = sum
-	})
-	return func() float64 {
-		pool.RunPhaseList(l)
-		total := 0.0
-		for t := 0; t < np; t++ {
-			total += partial[t*pad]
-		}
-		return total
-	}
+func Dot(pool *parallel.Pool, a, b []float64) float64 {
+	var s [1]float64
+	MultiDots(pool, a, b, 1, s[:])
+	return s[0]
 }
 
-// SubCopyDots fuses the CG set-up chain into one coordinator handoff:
-// r = b − ap, p = d∘r, returning bᵀb, rᵀz and rᵀr for z = d∘r. d is Jacobi's
-// inverse diagonal; with d nil (plain CG) z is r and rz is rr. Partial sums
-// are combined serially in thread order, so each result is bitwise the Dot
-// of its two vectors.
-func SubCopyDots(pool *parallel.Pool, d, r, p, b, ap []float64) (bb, rz, rr float64) {
-	np := pool.Size()
-	partial := make([]float64, 3*np*pad)
-	pool.RunPhaseList(opSubCopyDots.bind(func(tid int) {
-		lo, hi := parallel.Chunk(len(b), np, tid)
-		b := b[lo:hi]
-		r, p, ap := r[lo:hi][:len(b)], p[lo:hi][:len(b)], ap[lo:hi][:len(b)]
-		sb, sz, sr := 0.0, 0.0, 0.0
-		if d == nil {
-			for i, bi := range b {
-				ri := bi - ap[i]
-				r[i] = ri
-				p[i] = ri
-				sb += bi * bi
-				sr += ri * ri
-			}
-			sz = sr
-		} else {
-			d := d[lo:hi][:len(b)]
-			for i, bi := range b {
-				ri := bi - ap[i]
-				r[i] = ri
-				zi := ri * d[i]
-				p[i] = zi
-				sb += bi * bi
-				sz += ri * zi
-				sr += ri * ri
-			}
-		}
-		partial[tid*pad] = sb
-		partial[(np+tid)*pad] = sz
-		partial[(2*np+tid)*pad] = sr
-	}))
-	for t := 0; t < np; t++ {
-		bb += partial[t*pad]
-		rz += partial[(np+t)*pad]
-		rr += partial[(2*np+t)*pad]
-	}
-	return bb, rz, rr
-}
-
-// CGStep fuses the vector-operation tail of one CG iteration (Alg. 1) into a
-// single coordinator handoff with one barrier inside:
-//
-//	phase 1: x += alpha·p,  r −= alpha·ap,  partial rrNew per thread
-//	phase 2: every thread combines the partials (same serial order →
-//	         deterministic), derives beta = rrNew/rrOld, and applies
-//	         p = r + beta·p over its chunk
-//
-// It returns rrNew. The unfused equivalent costs four barriers (two axpys,
-// a dot and an xpay); the arithmetic and summation order are identical, so
-// the results match the unfused sequence bitwise.
+// CGStep is MultiCGStep on one right-hand side (Alg. 1's vector tail in one
+// coordinator handoff, where the unfused axpy, axpy, dot and xpay cost four
+// barriers, with the same arithmetic in the same order). It returns rrNew.
 func CGStep(pool *parallel.Pool, alpha, rrOld float64, p, ap, x, r []float64) float64 {
-	_, rr := BindCGStep(pool, nil, p, ap, x, r)(alpha, rrOld)
-	return rr
+	s := []float64{alpha, rrOld, 0}
+	BindStep(pool, nil, p, ap, x, r, 1)(s[0:1], s[1:2], s[2:3], s[2:3])
+	return s[2]
 }
 
-// BindCGStep returns CGStep bound to its vectors, as BindDot does for Dot,
-// with Jacobi preconditioning folded in when d (the inverse diagonal) is
-// non-nil: phase 1 also sums the partials of rᵀz for z = d∘r, and phase 2
-// sets beta = rzNew/rzOld and p = z + beta·p, recomputing z rather than
-// storing it. The step returns rᵀz and rᵀr; with d nil, z is r and both are
-// rᵀr. The nil test picks the phase bodies here, once: plain CG runs
-// CGStep's loops unchanged.
-func BindCGStep(pool *parallel.Pool, d, p, ap, x, r []float64) func(alpha, rzOld float64) (rz, rr float64) {
-	np := pool.Size()
-	partial := make([]float64, 2*np*pad) // per thread: rᵀr, then rᵀz (Jacobi)
-	var alpha, rzOld, rzNew, rrNew float64
-	n := len(r)
-	// Every slice is cut to the chunk once, so one bounds proof covers each
-	// loop.
-	update := func(tid int) {
-		lo, hi := parallel.Chunk(n, np, tid)
-		r := r[lo:hi]
-		x, p, ap := x[lo:hi][:len(r)], p[lo:hi][:len(r)], ap[lo:hi][:len(r)]
-		sum := 0.0
-		for i, ri := range r {
-			x[i] += alpha * p[i]
-			ri -= alpha * ap[i]
-			r[i] = ri
-			sum += ri * ri
-		}
-		partial[tid*pad] = sum
+// lanes is one nv-lane operation bound to its vectors, its per-thread
+// partial sums and its per-call α and β inputs. Its phase bodies are the
+// cells of multi_gen.go, generated with the kernel's multiply bodies by
+// internal/core/gen: at nv ∈ {1, 2, 4, 8} every lane's sum, α and β is a
+// register, and the partials are written once per chunk.
+type lanes struct {
+	nv, n, np                  int // lanes, rows, threads
+	stride                     int // a thread's block of partials: nv per sum, padded apart
+	partial                    []float64
+	b, ap, p, r, x, d          []float64
+	alpha, rzOld, rzNew, rrNew []float64
+}
+
+func newLanes(pool *parallel.Pool, nv, rows, sums int) *lanes {
+	m := &lanes{nv: nv, n: rows, np: pool.Size(), stride: sums*nv + pad}
+	m.partial = make([]float64, m.np*m.stride)
+	return m
+}
+
+// cell picks an operation's body by lane width: the register-blocked cell
+// for nv ∈ {1, 2, 4, 8}, the nv cell otherwise.
+func cell[F any](nv int, w1, anyNV, w2, w4, w8 F) F {
+	switch nv {
+	case 1:
+		return w1
+	case 2:
+		return w2
+	case 4:
+		return w4
+	case 8:
+		return w8
 	}
-	direction := func(tid int) {
-		total := 0.0
-		for t := 0; t < np; t++ {
-			total += partial[t*pad]
-		}
-		beta := total / rzOld
-		lo, hi := parallel.Chunk(n, np, tid)
-		p := p[lo:hi]
-		r := r[lo:hi][:len(p)]
-		for i, pi := range p {
-			p[i] = r[i] + beta*pi
-		}
-		if tid == 0 {
-			rzNew, rrNew = total, total
-		}
+	return anyNV
+}
+
+// jacobi picks the Jacobi body, which exists at one lane only: no solver
+// preconditions nv > 1 lanes.
+func (m *lanes) jacobi(plain, jacobi func(int)) func(int) {
+	if m.d == nil {
+		return plain
 	}
-	if d != nil {
-		update = func(tid int) {
-			lo, hi := parallel.Chunk(n, np, tid)
-			r := r[lo:hi]
-			x, p, ap, d := x[lo:hi][:len(r)], p[lo:hi][:len(r)], ap[lo:hi][:len(r)], d[lo:hi][:len(r)]
-			sz, sr := 0.0, 0.0
-			for i, ri := range r {
-				x[i] += alpha * p[i]
-				ri -= alpha * ap[i]
-				r[i] = ri
-				sz += ri * (ri * d[i])
-				sr += ri * ri
-			}
-			partial[tid*pad] = sr
-			partial[(np+tid)*pad] = sz
-		}
-		direction = func(tid int) {
-			rz, rr := 0.0, 0.0
-			for t := 0; t < np; t++ {
-				rr += partial[t*pad]
-				rz += partial[(np+t)*pad]
-			}
-			beta := rz / rzOld
-			lo, hi := parallel.Chunk(n, np, tid)
-			p := p[lo:hi]
-			r, d := r[lo:hi][:len(p)], d[lo:hi][:len(p)]
-			for i, pi := range p {
-				p[i] = r[i]*d[i] + beta*pi
-			}
-			if tid == 0 {
-				rzNew, rrNew = rz, rr
-			}
+	if m.nv != 1 {
+		panic(fmt.Sprintf("vec: Jacobi at nv=%d lanes", m.nv))
+	}
+	return jacobi
+}
+
+// total sets out[v] to lane v of sum k over every thread's partials,
+// combined in thread order.
+func (m *lanes) total(out []float64, k int) {
+	out = out[:m.nv]
+	clear(out)
+	for t := range m.np {
+		for v, s := range m.partial[t*m.stride+k*m.nv:][:m.nv] {
+			out[v] += s
 		}
 	}
-	l := opCGStep.bind(update, direction)
-	return func(a, rz float64) (float64, float64) {
-		alpha, rzOld = a, rz
+}
+
+// betas is the direction phase's prologue: lane v's rᵀz (sum 0 of the
+// update, rᵀr in plain CG) over every thread's partials, combined in thread
+// order into this thread's slots, handed out with rᵀr (sum 1 under Jacobi)
+// by thread 0, and returned as β = rzNew/rzOld. A lane frozen at an exact
+// zero residual has rzOld = 0: 0/0 would poison p with NaN, and 0·NaN would
+// then poison x on the next step. Its direction is never read again, so any
+// finite β does.
+func (m *lanes) betas(tid int) []float64 {
+	b := m.partial[tid*m.stride+2*m.nv:][:m.nv]
+	m.total(b, 0)
+	if tid == 0 {
+		copy(m.rzNew, b)
+		if m.d == nil {
+			copy(m.rrNew, b)
+		} else {
+			m.total(m.rrNew, 1)
+		}
+	}
+	for v, old := range m.rzOld[:m.nv] {
+		b[v] /= old
+		if old == 0 {
+			b[v] = 0
+		}
+	}
+	return b
+}
+
+// LaneDots adds each lane's a∘b terms to s[v] (len(s) lanes, interleaved in
+// a and b), row by row: the serial sweep of MultiDots, which the kernel's
+// fused dot runs over its own rows.
+func LaneDots(a, b, s []float64) {
+	cell(len(s), laneDots1, laneDots, laneDots2, laneDots4, laneDots8)(a, b, s)
+}
+
+// MultiDots computes the nv per-lane dot products out[v] = Σ_i a[i*nv+v]·b[i*nv+v]
+// in parallel. Partials are combined serially in thread order, so each lane's
+// result is bitwise identical to the single-vector Dot over that lane.
+func MultiDots(pool *parallel.Pool, a, b []float64, nv int, out []float64) {
+	BindMultiDots(pool, a, b, nv)(out)
+}
+
+// BindMultiDots returns MultiDots bound to its vectors: the partial sums and
+// the phase list are built here, once, so the calls a solver makes per
+// iteration allocate nothing. Like the pool, the result serves one call at a
+// time.
+func BindMultiDots(pool *parallel.Pool, a, b []float64, nv int) func(out []float64) {
+	m := newLanes(pool, nv, len(a)/nv, 1)
+	dots := cell(nv, laneDots1, laneDots, laneDots2, laneDots4, laneDots8)
+	l := label(nv, opDot, opMultiDots).bind(func(tid int) {
+		lo, hi := parallel.Chunk(m.n, m.np, tid)
+		s := m.partial[tid*m.stride:][:nv]
+		clear(s)
+		dots(a[lo*nv:hi*nv], b[lo*nv:hi*nv], s)
+	})
+	return func(out []float64) {
 		pool.RunPhaseList(l)
-		return rzNew, rrNew
+		m.total(out, 0)
+	}
+}
+
+// MultiSubCopyDots is the plain CG set-up at nv lanes: r = b − ap, p = r,
+// filling bb[v] = Σ b²-lane-v and rr[v] = Σ r²-lane-v, in one coordinator
+// handoff.
+func MultiSubCopyDots(pool *parallel.Pool, r, p, b, ap []float64, nv int, bb, rr []float64) {
+	SetUp(pool, nil, r, p, b, ap, nv, bb, rr, rr)
+}
+
+// SetUp is the CG set-up at nv lanes, with Jacobi's inverse diagonal d (nil:
+// plain CG, where z is r; non-nil at one lane only): r = b − ap, p = z = d∘r,
+// filling per lane bᵀb, rᵀz and rᵀr, in one coordinator handoff. Partial
+// sums are combined serially in thread order, so each is bitwise the Dot of
+// its two vectors.
+func SetUp(pool *parallel.Pool, d, r, p, b, ap []float64, nv int, bb, rz, rr []float64) {
+	m := newLanes(pool, nv, len(b)/nv, 3)
+	m.r, m.p, m.b, m.ap, m.d = r, p, b, ap, d
+	pool.RunPhaseList(label(nv, opSubCopyDots, opMultiSubCopyDots).bind(m.jacobi(
+		cell(nv, m.subCopyDots1T, m.subCopyDotsT, m.subCopyDots2T, m.subCopyDots4T, m.subCopyDots8T),
+		m.jacobiSubCopyDots1T)))
+	m.total(bb, 0)
+	m.total(rr, 1)
+	if d != nil {
+		m.total(rz, 2)
+	} else {
+		copy(rz, rr)
+	}
+}
+
+// MultiCGStep is the nv-lane CGStep: for every lane v,
+//
+//	x_v += alpha[v]·p_v,  r_v −= alpha[v]·ap_v,  rrNew[v] = r_vᵀr_v
+//	beta[v] = rrNew[v]/rrOld[v],  p_v = r_v + beta[v]·p_v
+//
+// fused into one coordinator handoff with one internal barrier. A converged
+// (frozen) lane passes alpha[v] = 0: its x/r stay untouched numerically and
+// its direction update degenerates to p = r + (rr/rr)·p, which is harmless
+// because the solver stops reading frozen lanes' directions. A frozen lane's
+// rrOld may be 0 (an exact zero residual): its beta is then 0, not NaN.
+func MultiCGStep(pool *parallel.Pool, alpha, rrOld []float64, p, ap, x, r []float64, nv int, rrNew []float64) {
+	BindStep(pool, nil, p, ap, x, r, nv)(alpha, rrOld, rrNew, rrNew)
+}
+
+// BindStep returns the CG step at nv lanes bound to its vectors, as
+// BindMultiDots does for MultiDots: MultiCGStep, with Jacobi preconditioning
+// folded in when d (the inverse diagonal) is non-nil, at one lane only — the
+// update also sums the partials of rᵀz for z = d∘r, and the direction sets
+// β = rzNew/rzOld and p = z + β·p, recomputing z rather than storing it. Per
+// lane the step reads alpha and rzOld and fills rz and rr; with d nil, z is r
+// and both are rᵀr.
+func BindStep(pool *parallel.Pool, d, p, ap, x, r []float64, nv int) func(alpha, rzOld, rz, rr []float64) {
+	m := newLanes(pool, nv, len(r)/nv, 3) // per thread: nv partials of each sum, then nv betas
+	m.p, m.ap, m.x, m.r, m.d = p, ap, x, r, d
+	l := label(nv, opCGStep, opMultiCGStep).bind(
+		m.jacobi(cell(nv, m.update1T, m.updateT, m.update2T, m.update4T, m.update8T), m.jacobiUpdate1T),
+		m.jacobi(cell(nv, m.direction1T, m.directionT, m.direction2T, m.direction4T, m.direction8T), m.jacobiDirection1T),
+	)
+	return func(alpha, rzOld, rz, rr []float64) {
+		m.alpha, m.rzOld, m.rzNew, m.rrNew = alpha, rzOld, rz, rr
+		pool.RunPhaseList(l)
 	}
 }

@@ -106,7 +106,7 @@ func precondition(d, r []float64) []float64 {
 	return z
 }
 
-// SubCopyDots must be bitwise identical to the unfused set-up sequence it
+// SetUp must be bitwise identical to the unfused set-up sequence it
 // replaces — r = b − ap, z = d∘r, p = z, then Dot for bᵀb, rᵀz and rᵀr.
 func TestSubCopyDotsMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -123,7 +123,9 @@ func TestSubCopyDotsMatchesUnfused(t *testing.T) {
 				bbWant, rzWant, rrWant := Dot(pool, b, b), Dot(pool, rWant, zWant), Dot(pool, rWant, rWant)
 
 				rGot, pGot := make([]float64, n), make([]float64, n)
-				bb, rz, rr := SubCopyDots(pool, d, rGot, pGot, b, ap)
+				s := make([]float64, 3)
+				SetUp(pool, d, rGot, pGot, b, ap, 1, s[0:1], s[1:2], s[2:3])
+				bb, rz, rr := s[0], s[1], s[2]
 				pool.Close()
 				if bb != bbWant || rz != rzWant || rr != rrWant {
 					t.Fatalf("%s n=%d p=%d: dots (%g,%g,%g), want (%g,%g,%g)", name, n, p, bb, rz, rr, bbWant, rzWant, rrWant)
@@ -168,7 +170,9 @@ func TestCGStepMatchesUnfused(t *testing.T) {
 						rrGot = CGStep(pool, alpha, rzOld, pv, ap, x, r)
 						rzGot = rrGot
 					} else {
-						rzGot, rrGot = BindCGStep(pool, d, pv, ap, x, r)(alpha, rzOld)
+						s := []float64{alpha, rzOld, 0, 0}
+						BindStep(pool, d, pv, ap, x, r, 1)(s[0:1], s[1:2], s[2:3], s[3:4])
+						rzGot, rrGot = s[2], s[3]
 					}
 					pool.Close()
 					runtime.GOMAXPROCS(prev)

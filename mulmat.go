@@ -105,7 +105,7 @@ func SolveCGBlock(k Kernel, b, x []float64, nv int, opts CGOptions) (CGBlockResu
 	// for its whole run, and a reordered kernel iterates in its own row
 	// order (see SolveCG).
 	kb, kx, _ := bk.operands(b, x, nil, nv, true)
-	res, err := cg.SolveBlock(bk.b.BlockOp(), bk.pool, kb, kx, nv, opts.cg())
+	res, err := cg.SolveBlock(bk.b.Op(), bk.pool, kb, kx, nv, opts.cg())
 	bk.restore(x, kx, nv)
 	return res, err
 }
