@@ -50,8 +50,9 @@ vet:
 # conflict index) on the scattered and banded analogs at p = 2 and 4, and the
 # Matrix Market reader in MB/s at one processor and at two (its banded file
 # carries 17-digit values, its stencil file short ones); then the sort every permutation goes through (Normalize: sorted, permuted and column-major
-# input, and a block band as ToGeneral lays it out and permuted) and RCM
-# alone and with the Permute that applies it.
+# input, and a block band as ToGeneral lays it out and permuted), RCM
+# alone and with the COO Permute that applies it, and the reorder set-up
+# runs (format.Matrix.Reordered: RCM, then the SSS permuted where it lies).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPoolRun|BenchmarkRunPhases|BenchmarkSpinBarrier' -benchtime 200x ./internal/parallel
 	$(GO) test -run xxx -bench 'BenchmarkSpMVDispatch|BenchmarkCGIteration' -benchtime 50x .
@@ -64,6 +65,7 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkReadMatrixMarket -benchtime 5x -cpu 1,2 ./internal/matrix
 	$(GO) test -run xxx -bench BenchmarkNormalize -benchtime 5x ./internal/matrix
 	$(GO) test -run xxx -bench BenchmarkRCM -benchtime 5x ./internal/reorder
+	$(GO) test -run xxx -bench BenchmarkReordered -benchtime 5x ./internal/format
 
 # benchmark runs the repository's perf benchmark (BENCHMARK.json): three
 # stacked levels — SpM×V, CG solve, HTTP solve — on one workload per run, e.g.

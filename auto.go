@@ -121,10 +121,10 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 	}
 
 	key := autotune.Key{
-		Fingerprint: autotune.Fingerprint(a.sss),
+		Fingerprint: autotune.Fingerprint(a.fm.S),
 		Machine:     autotune.MachineSignature(),
 		NV:          o.tune.NV,
-		Kind:        a.sss.Kind,
+		Kind:        a.fm.S.Kind,
 	}
 	store := autotune.Store{Dir: o.cacheDir}
 	if !o.noCache {
@@ -141,7 +141,7 @@ func AutoKernel(a *Matrix, options ...AutoOption) (Kernel, *Decision, error) {
 		}
 	}
 
-	d, err := autotune.Tune(autotune.Problem{Matrix: format.Matrix{S: a.sss, M: a.coo}, Stats: a.Stats()}, o.tune)
+	d, err := autotune.Tune(autotune.Problem{Matrix: a.fm, Stats: a.Stats()}, o.tune)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -81,9 +81,9 @@ func (d *Decision) Report() string {
 	return b.String()
 }
 
-// Problem is the matrix under tuning. S and M are required; CSR and Stats
-// are reused when the caller already has them (the harness does) and built
-// on demand otherwise.
+// Problem is the matrix under tuning. S and its COO form are required; CSR
+// and Stats are reused when the caller already has them (the harness does)
+// and built on demand otherwise.
 type Problem struct {
 	format.Matrix
 	Stats matrix.Stats
@@ -183,10 +183,12 @@ type tuner struct {
 	pools    map[int]*parallel.Pool // by thread count
 	symStats map[int][2]int64
 
-	// The RCM-permuted matrix, built on the first reordered build, and what
-	// building it cost: every reordered candidate's preprocessing includes it.
-	rcm     *format.Matrix
-	rcmCost time.Duration
+	// The RCM-permuted matrix and its COO form, each built by the first
+	// reordered build that needs it, and what each cost: every reordered
+	// candidate's preprocessing includes the first, one reading the COO both.
+	rcm              *format.Matrix
+	coo              *matrix.COO
+	rcmCost, cooCost time.Duration
 }
 
 // planCaps is what a format must offer on the matrix's class to be in the
@@ -200,8 +202,8 @@ func planCaps(nv int) format.Caps {
 
 // Tune runs the two-stage search and returns the full decision record.
 func Tune(pr Problem, o Options) (*Decision, error) {
-	if pr.S == nil || pr.M == nil {
-		return nil, errors.New("autotune: Problem needs S and M")
+	if pr.S == nil || pr.COO() == nil {
+		return nil, errors.New("autotune: Problem needs S and its COO form")
 	}
 	o = o.withDefaults()
 	// The plan space is what the format table says runs this symmetry class
@@ -220,7 +222,7 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 	}
 	o.Formats = kept
 	if pr.Stats.Rows == 0 {
-		pr.Stats = matrix.ComputeStats(pr.M)
+		pr.Stats = matrix.ComputeStats(pr.COO())
 	}
 	t := newTuner(pr, o)
 	defer t.closePools()
@@ -460,17 +462,25 @@ func (t *tuner) trialStage(survivors []int) error {
 }
 
 // reordered returns the RCM-permuted matrix every reordered trial builds
-// on, computing it and timing the computation once per search.
-func (t *tuner) reordered() (*format.Matrix, error) {
+// on, computing it and timing the computation once per search, and what a
+// trial is charged for it: with coo, its COO form too, built and timed once.
+func (t *tuner) reordered(coo bool) (*format.Matrix, time.Duration, error) {
 	if t.rcm == nil {
 		t0 := time.Now()
 		rm, _, err := t.pr.Matrix.Reordered()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t.rcm, t.rcmCost = rm, time.Since(t0)
 	}
-	return t.rcm, nil
+	if !coo {
+		return t.rcm, t.rcmCost, nil
+	}
+	if t.coo == nil {
+		t0 := time.Now()
+		t.coo, t.cooCost = t.rcm.COO(), time.Since(t0)
+	}
+	return t.rcm, t.rcmCost + t.cooCost, nil
 }
 
 // build constructs the real kernel for one plan on a shared warm pool: for a
@@ -485,17 +495,17 @@ func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 		}
 	}()
 
-	src := &t.pr.Matrix
+	src, charge := &t.pr.Matrix, time.Duration(0)
 	if plan.Reorder {
-		if src, err = t.reordered(); err != nil {
+		if src, charge, err = t.reordered(plan.Format.Desc().Caps&format.General != 0); err != nil {
 			return nil, fmt.Errorf("autotune: RCM: %w", err)
 		}
 	}
 	// Default build options: a trial must time the kernel AutoKernel will
 	// build from the winning plan, and that build passes no CSX overrides.
 	b, err = format.Build(src, plan.Format, t.pool(plan.Threads), format.Options{})
-	if err == nil && plan.Reorder {
-		b.Preproc += t.rcmCost
+	if err == nil {
+		b.Preproc += charge
 	}
 	return b, err
 }

@@ -39,14 +39,14 @@ func poisson(t testing.TB, side int) (*matrix.COO, *core.SSS) {
 
 // problem wraps a matrix pair for Tune.
 func problem(s *core.SSS, m *matrix.COO) Problem {
-	return Problem{Matrix: format.Matrix{S: s, M: m}}
+	return Problem{Matrix: format.NewMatrix(s, m)}
 }
 
 // testTuner assembles a tuner the way Tune does, for tests that drive
 // build() and modelStage() directly. Callers must closePools.
 func testTuner(t testing.TB, pr Problem) *tuner {
 	t.Helper()
-	pr.Stats = matrix.ComputeStats(pr.M)
+	pr.Stats = matrix.ComputeStats(pr.COO())
 	return newTuner(pr, Options{}.withDefaults())
 }
 
@@ -183,6 +183,32 @@ func TestBuildEveryFormat(t *testing.T) {
 			}
 		}
 		tn.closePools()
+	}
+}
+
+// TestReorderedCOOChargedToEveryCSR: the permuted COO form is built once, by
+// the first reordered candidate whose format reads it (none of the SSS ones),
+// and every such candidate carries its cost with the reorder's, whatever the
+// build order.
+func TestReorderedCOOChargedToEveryCSR(t *testing.T) {
+	m, s := poisson(t, 30)
+	tn := testTuner(t, problem(s, m))
+	defer tn.closePools()
+	if _, err := tn.build(Plan{Format: format.SSSIndexed, Threads: 1, Reorder: true}); err != nil {
+		t.Fatal(err)
+	}
+	if tn.coo != nil {
+		t.Fatal("a reordered SSS candidate built the permuted COO")
+	}
+	for _, p := range []int{1, 2} {
+		plan := Plan{Format: format.CSR, Threads: p, Reorder: true}
+		b, err := tn.build(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tn.rcmCost + tn.cooCost; tn.cooCost <= 0 || b.Preproc < want {
+			t.Fatalf("build %v: Preproc %v, reorder + COO cost %v (COO %v); want Preproc ≥ both > 0", plan, b.Preproc, want, tn.cooCost)
+		}
 	}
 }
 

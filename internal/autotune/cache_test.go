@@ -265,7 +265,8 @@ func FuzzLoadPlan(f *testing.F) {
 				continue
 			}
 			pool := parallel.NewPool(plan.Threads)
-			_, err = format.Build(&format.Matrix{S: s, M: m}, plan.Format, pool, format.Options{})
+			fm := format.NewMatrix(s, m)
+			_, err = format.Build(&fm, plan.Format, pool, format.Options{})
 			pool.Close()
 			if err != nil {
 				t.Fatalf("loaded plan %v does not build: %v", plan, err)

@@ -8,8 +8,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/matrix"
+	"repro/internal/reorder"
 )
 
 // SymKind labels the symmetry class an SSS matrix represents. All three
@@ -165,6 +167,79 @@ func FromCOOStructural(m *matrix.COO) (*SSS, error) {
 		return nil, fmt.Errorf("core: pattern not structurally symmetric: %d lower entries lack upper mirrors", lower-filled)
 	}
 	return s, nil
+}
+
+// Permute returns P·A·Pᵀ for perm (perm[old] = new), built from s and
+// bitwise what FromCOO (FromCOOStructural) makes of matrix.COO.Permute's.
+func (s *SSS) Permute(perm []int32) (*SSS, error) {
+	if err := reorder.ValidatePermutation(perm, s.N); err != nil {
+		return nil, fmt.Errorf("core: Permute: %w", err)
+	}
+	out := &SSS{N: s.N, Kind: s.Kind, RowPtr: make([]int32, s.N+1)}
+	if s.DValues != nil {
+		out.DValues = make([]float64, s.N)
+	}
+	for i, d := range s.DValues {
+		out.DValues[perm[i]] = d
+	}
+	mirror, sign := s.Val, 1.0 // what an entry crossing the diagonal stores, ×sign
+	switch s.Kind {
+	case Skew:
+		sign = -1
+	case Structural: // columns are distinct in a row: UVal sorts to Val's slots
+		mirror = s.UVal
+		_, out.UVal = s.permuted(perm, make([]int32, s.N+1), s.UVal, s.Val, 1)
+	}
+	out.ColIdx, out.Val = s.permuted(perm, out.RowPtr, s.Val, mirror, sign)
+	return out, nil
+}
+
+// permuted places s's entries under perm in the rows of ptr (zero on entry),
+// with val, or sign·mirror where one crosses the diagonal: a count by new
+// row, a back-to-front scatter leaving ptr[r] at row r's start, then each row
+// sorted in place, by insertion up to 32 entries, past that by packed keys.
+func (s *SSS) permuted(perm, ptr []int32, val, mirror []float64, sign float64) ([]int32, []float64) {
+	n := s.N
+	cols, vals := make([]int32, len(val)), make([]float64, len(val))
+	for r := range n {
+		for _, c := range s.ColIdx[s.RowPtr[r]:s.RowPtr[r+1]] {
+			ptr[max(perm[r], perm[c])]++
+		}
+	}
+	for r := 1; r <= n; r++ {
+		ptr[r] += ptr[r-1]
+	}
+	for r := n - 1; r >= 0; r-- {
+		for j := s.RowPtr[r+1] - 1; j >= s.RowPtr[r]; j-- {
+			row, col, v := perm[r], perm[s.ColIdx[j]], val[j]
+			if col > row {
+				row, col, v = col, row, sign*mirror[j]
+			}
+			ptr[row]--
+			cols[ptr[row]], vals[ptr[row]] = col, v
+		}
+	}
+	keys, scratch := []uint64(nil), []float64(nil)
+	for r := range n {
+		lo, hi := ptr[r], ptr[r+1]
+		if hi-lo <= 32 {
+			for i := lo + 1; i < hi; i++ {
+				for j := i; j > lo && cols[j-1] > cols[j]; j-- {
+					cols[j-1], cols[j], vals[j-1], vals[j] = cols[j], cols[j-1], vals[j], vals[j-1]
+				}
+			}
+			continue
+		}
+		keys, scratch = keys[:0], append(scratch[:0], vals[lo:hi]...)
+		for k, c := range cols[lo:hi] {
+			keys = append(keys, uint64(c)<<32|uint64(k))
+		}
+		slices.Sort(keys)
+		for i, key := range keys {
+			cols[lo+int32(i)], vals[lo+int32(i)] = int32(key>>32), scratch[uint32(key)]
+		}
+	}
+	return cols, vals
 }
 
 // invalidSSS is the error of Validate: what is wrong and, when the fault

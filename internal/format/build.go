@@ -2,6 +2,7 @@ package format
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cg"
@@ -14,46 +15,56 @@ import (
 	"repro/internal/reorder"
 )
 
-// Matrix is what a format is built from. S and M describe the same operator:
-// M is symmetric lower-triangular storage for symmetric and skew matrices and
-// the general matrix for structural ones.
+// Matrix is what a format is built from: S and its COO form describe the
+// same operator. Build one with NewMatrix or Reordered.
 type Matrix struct {
 	S *core.SSS
-	M *matrix.COO
 	// CSR is the expanded operator the unsymmetric formats run and price. A
 	// caller that already has it sets it; otherwise the first build that needs
 	// it fills it in, so building several formats from one Matrix expands once.
-	CSR *csr.Matrix
+	CSR      *csr.Matrix
+	coo      *matrix.COO        // the COO form, nil on a reordered matrix,
+	permuted func() *matrix.COO // whose COO builds on first call, once
+}
+
+// NewMatrix returns the Matrix of s and its COO form c: symmetric
+// lower-triangular storage for symmetric and skew matrices and the general
+// matrix for structural ones.
+func NewMatrix(s *core.SSS, c *matrix.COO) Matrix { return Matrix{S: s, coo: c} }
+
+// COO returns the COO form (safe for concurrent use): the CSR and CSX
+// builds, statistics and writers read it, never an SSS kernel.
+func (m *Matrix) COO() *matrix.COO {
+	if m.permuted != nil {
+		return m.permuted()
+	}
+	return m.coo
 }
 
 func (m *Matrix) expanded() *csr.Matrix {
 	if m.CSR == nil {
-		m.CSR = csr.FromCOO(m.M)
+		m.CSR = csr.FromCOO(m.COO())
 	}
 	return m.CSR
 }
 
-// Reordered returns P·A·Pᵀ under the Reverse Cuthill–McKee permutation and
-// the permutation (perm[old] = new). A symmetric permutation keeps the
-// symmetry class, so the permuted matrix is built for m's class as it is.
+// Reordered returns P·A·Pᵀ under the Reverse Cuthill–McKee permutation of
+// the COO form and the permutation (perm[old] = new). The SSS is permuted
+// where it lies, for its own class; the COO form waits for its first reader.
 func (m *Matrix) Reordered() (*Matrix, []int32, error) {
-	perm, err := reorder.RCM(m.M)
+	src := m.COO()
+	perm, err := reorder.RCM(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	pm, err := m.M.Permute(perm) // normalized
+	s, err := m.S.Permute(perm)
 	if err != nil {
 		return nil, nil, err
 	}
-	from := core.FromCOO
-	if m.S.Kind == core.Structural {
-		from = core.FromCOOStructural
-	}
-	s, err := from(pm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Matrix{S: s, M: pm}, perm, nil
+	return &Matrix{S: s, permuted: sync.OnceValue(func() *matrix.COO {
+		pm, _ := src.Permute(perm) // RCM's permutation of src: cannot fail
+		return pm
+	})}, perm, nil
 }
 
 // Options are the optional preprocessing products of a build.
@@ -126,7 +137,7 @@ func buildCSR(_ *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built,
 }
 
 func buildCSX(_ *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built, error) {
-	mx := csx.NewMatrix(m.M, pool.Size(), o.csx())
+	mx := csx.NewMatrix(m.COO(), pool.Size(), o.csx())
 	return &Built{
 		Mul:   func(x, y []float64) { mx.MulVec(pool, x, y) },
 		Bytes: mx.Bytes(),

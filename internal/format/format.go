@@ -60,8 +60,8 @@ const (
 	Serial
 	// Tuned: the format is in the autotuner's plan space.
 	Tuned
-	// General: the format stores the expanded general operator, so MulMat
-	// holds on every class it runs. The symmetric-storage formats have
+	// General: the format stores the expanded general operator, built from
+	// the COO form, so MulMat holds on every class it runs. The symmetric-storage formats have
 	// skew/structural bodies for MulVec and the fused dot only; their MulMat
 	// exists for symmetric matrices alone.
 	General

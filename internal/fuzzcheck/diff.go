@@ -23,35 +23,7 @@ import (
 // which move whole entries rather than low-order bits. A zero scale_i means
 // row i has no contributions at all, so y_i must be exactly ±0.
 func Reference(m *matrix.COO, x []float64) (y, scale []float64) {
-	n := m.Rows
-	dense := make([]float64, n*n)
-	for k := range m.Val {
-		r, c, v := int(m.RowIdx[k]), int(m.ColIdx[k]), m.Val[k]
-		dense[r*n+c] += v
-		if m.Symmetric && r != c {
-			if m.Skew {
-				dense[c*n+r] -= v
-			} else {
-				dense[c*n+r] += v
-			}
-		}
-	}
-	y = make([]float64, n)
-	scale = make([]float64, n)
-	for r := 0; r < n; r++ {
-		row := dense[r*n : (r+1)*n]
-		var sum, mag float64
-		for c, v := range row {
-			if v == 0 {
-				continue
-			}
-			sum += v * x[c]
-			mag += math.Abs(v) * math.Abs(x[c])
-		}
-		y[r] = sum
-		scale[r] = mag
-	}
-	return y, scale
+	return ReferenceMat(m, x, 1)
 }
 
 // ReferenceMat is the multi-RHS analog of Reference: Y = A·X for nv

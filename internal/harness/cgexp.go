@@ -127,7 +127,7 @@ func HostCG(cfg Config, suite []*SuiteMatrix, threads, iters int) *Table {
 		n := sm.S.N
 		xstar := perfmodel.InputVector(n)
 		b := make([]float64, n)
-		sm.M.MulVec(xstar, b)
+		sm.COO().MulVec(xstar, b)
 		for _, f := range []format.ID{format.CSR, format.SSSIndexed, format.CSXSym} {
 			cfg.logf("hostcg/%s: %s", sm.Spec.Name, f)
 			built := Build(sm, f, pool)

@@ -85,8 +85,8 @@ func (c Config) threadsFor(pl perfmodel.Platform) []int {
 }
 
 // SuiteMatrix bundles one suite entry with its prebuilt representations:
-// M (symmetric lower-triangular storage), S, and CSR (the full expanded
-// operator) of the embedded format.Matrix.
+// the COO form (symmetric lower-triangular storage), S, and CSR (the full
+// expanded operator) of the embedded format.Matrix.
 type SuiteMatrix struct {
 	Spec gen.Spec
 	format.Matrix
@@ -114,10 +114,11 @@ func LoadSuite(cfg Config) ([]*SuiteMatrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		sm, err := newSuiteMatrix(sp, m)
+		s, err := core.FromCOO(m)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: %s: %w", sp.Name, err)
 		}
+		sm := suiteMatrix(sp, format.NewMatrix(s, m))
 		cfg.logf("generated %-14s N=%-8d nnz=%-9d bw=%-8d in %v",
 			sp.Name, sm.Stats.Rows, sm.Stats.LogicalNNZ, sm.Stats.Bandwidth,
 			time.Since(t0).Round(time.Millisecond))
@@ -126,17 +127,9 @@ func LoadSuite(cfg Config) ([]*SuiteMatrix, error) {
 	return out, nil
 }
 
-func newSuiteMatrix(sp gen.Spec, m *matrix.COO) (*SuiteMatrix, error) {
-	s, err := core.FromCOO(m)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", sp.Name, err)
-	}
-	return suiteMatrix(sp, &format.Matrix{S: s, M: m}), nil
-}
-
-func suiteMatrix(sp gen.Spec, fm *format.Matrix) *SuiteMatrix {
-	fm.CSR = csr.FromCOO(fm.M)
-	return &SuiteMatrix{Spec: sp, Matrix: *fm, Stats: matrix.ComputeStats(fm.M)}
+func suiteMatrix(sp gen.Spec, fm format.Matrix) *SuiteMatrix {
+	fm.CSR = csr.FromCOO(fm.COO())
+	return &SuiteMatrix{Spec: sp, Matrix: fm, Stats: matrix.ComputeStats(fm.COO())}
 }
 
 // Reordered returns the RCM-permuted version of sm (§V-D).
@@ -145,7 +138,7 @@ func (sm *SuiteMatrix) Reordered() (*SuiteMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return suiteMatrix(sm.Spec, rm), nil
+	return suiteMatrix(sm.Spec, *rm), nil
 }
 
 // Table is a printable experiment result.

@@ -54,7 +54,7 @@ func TestBuildAllFormatsAgree(t *testing.T) {
 	n := sm.S.N
 	x := perfmodel.InputVector(n)
 	want := make([]float64, n)
-	sm.M.MulVec(x, want)
+	sm.COO().MulVec(x, want)
 	for _, p := range []int{1, 3} {
 		pool := parallel.NewPool(p)
 		for _, f := range format.All() {

@@ -91,26 +91,25 @@ type UnsupportedFormatError = format.UnsupportedError
 // structure, two value arrays). SymmetryClass reports which; the class
 // decides which formats Kernel accepts and whether the CG solves apply.
 type Matrix struct {
-	coo *matrix.COO
-	sss *core.SSS
+	fm format.Matrix // a reordered one builds its COO form on first read
 }
 
 // N returns the matrix dimension.
-func (a *Matrix) N() int { return a.sss.N }
+func (a *Matrix) N() int { return a.fm.S.N }
 
 // SymmetryClass reports the matrix's symmetry class: "symmetric",
 // "skew-symmetric", or "structurally-symmetric".
-func (a *Matrix) SymmetryClass() string { return a.sss.Kind.String() }
+func (a *Matrix) SymmetryClass() string { return a.fm.S.Kind.String() }
 
 // NNZ returns the logical nonzeros of the full operator.
-func (a *Matrix) NNZ() int { return a.sss.LogicalNNZ() }
+func (a *Matrix) NNZ() int { return a.fm.S.LogicalNNZ() }
 
 // Stats returns structural statistics (bandwidth, per-row counts, sizes).
-func (a *Matrix) Stats() matrix.Stats { return matrix.ComputeStats(a.coo) }
+func (a *Matrix) Stats() matrix.Stats { return matrix.ComputeStats(a.fm.COO()) }
 
 // MulVec computes y = A·x serially with the reference kernel. For
 // multithreaded or compressed execution, build a Kernel.
-func (a *Matrix) MulVec(x, y []float64) { a.sss.MulVec(x, y) }
+func (a *Matrix) MulVec(x, y []float64) { a.fm.S.MulVec(x, y) }
 
 // Builder accumulates entries of a symmetric matrix.
 type Builder struct {
@@ -154,7 +153,7 @@ func fromCOO(c *matrix.COO) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix{coo: c, sss: s}, nil
+	return &Matrix{format.NewMatrix(s, c)}, nil
 }
 
 // fromGeneral classifies a general (non-Symmetric) COO. A structurally
@@ -168,7 +167,7 @@ func fromGeneral(c *matrix.COO) (*Matrix, error) {
 	c.Normalize()
 	if c.PatternSymmetric() {
 		if s, err := core.FromCOOStructural(c); err == nil && !slices.Equal(s.Val, s.UVal) {
-			return &Matrix{coo: c, sss: s}, nil
+			return &Matrix{format.NewMatrix(s, c)}, nil
 		}
 	}
 	sym, err := c.ToLowerSymmetric()
@@ -210,7 +209,7 @@ func ReadMatrixMarketFile(path string) (*Matrix, error) {
 
 // WriteMatrixMarket writes the matrix in symmetric coordinate format.
 func (a *Matrix) WriteMatrixMarket(w io.Writer) error {
-	return matrix.WriteMatrixMarket(w, a.coo)
+	return matrix.WriteMatrixMarket(w, a.fm.COO())
 }
 
 // ReorderRCM returns P·A·Pᵀ under the Reverse Cuthill–McKee permutation,
@@ -218,11 +217,11 @@ func (a *Matrix) WriteMatrixMarket(w io.Writer) error {
 // the matrix bandwidth, which shrinks the symmetric kernels' reduction
 // index and increases CSX substructure coverage (§V-D of the paper).
 func (a *Matrix) ReorderRCM() (*Matrix, []int32, error) {
-	rm, perm, err := (&format.Matrix{S: a.sss, M: a.coo}).Reordered()
+	rm, perm, err := a.fm.Reordered()
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Matrix{coo: rm.M, sss: rm.S}, perm, nil
+	return &Matrix{*rm}, perm, nil
 }
 
 // Kernel is a multithreaded y = A·x engine bound to a worker pool. Kernels
@@ -281,7 +280,7 @@ func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 	}
 	// Refuse a class the format's table row does not run before spawning
 	// workers.
-	if err := f.Desc().Check(0, a.sss.Kind); err != nil {
+	if err := f.Desc().Check(0, a.fm.S.Kind); err != nil {
 		return nil, fmt.Errorf("symspmv: %w", err)
 	}
 	pool := parallel.NewPool(o.threads)
@@ -294,12 +293,13 @@ func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 			pool.Close()
 		}
 	}()
-	b, err := format.Build(&format.Matrix{S: a.sss, M: a.coo}, f, pool, o.build)
+	src := a.fm // a copy: the build may fill in its CSR
+	b, err := format.Build(&src, f, pool, o.build)
 	if err != nil {
 		return nil, fmt.Errorf("symspmv: %w", err)
 	}
 	built = true
-	return &boundKernel{b: b, pool: pool, n: a.sss.N, kind: a.sss.Kind}, nil
+	return &boundKernel{b: b, pool: pool, n: a.fm.S.N, kind: a.fm.S.Kind}, nil
 }
 
 // boundKernel is a format.Built bound to the pool the facade owns for it.
@@ -473,7 +473,7 @@ func SolveCG(k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
 // path and handoff count — with z = D⁻¹·r folded into its vector sweeps: one
 // multiply per element more. A must be the matrix the kernel was built from.
 func SolveCGJacobi(a *Matrix, k Kernel, b, x []float64, opts CGOptions) (CGResult, error) {
-	return solveCG("SolveCGJacobi", a.sss, k, b, x, opts)
+	return solveCG("SolveCGJacobi", a.fm.S, k, b, x, opts)
 }
 
 // solveCG runs SolveCG, or SolveCGJacobi on the diagonal of a when a is set.
