@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-colored race-pool vet bench benchmark bench-spmm bench-smoke loc generate-check ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-colored race-pool vet bench benchmark loc generate-check ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -73,18 +73,6 @@ bench:
 # or `ARGS=-aa` for the A/A gate. See benchmark/README.md.
 benchmark:
 	bash benchmark/run.sh $(ARGS)
-
-# bench-spmm sweeps multi-RHS widths (scalar, spmm2/4/8) over a paper-suite
-# subset and prints the table. Scale 0.15 keeps the run short.
-bench-spmm:
-	$(GO) run ./cmd/spmv-bench -exp spmm-bench -scale 0.15 -iters 24 -matrices consph,bmw7st_1
-
-# bench-smoke is the cheap CI gate for the SpMM fast path: it checks the
-# deterministic traffic model — matrix bytes per useful flop must fall
-# strictly as the RHS width grows — and runs each blocked width once.
-# Wall-clock is deliberately not asserted (CI machines are too noisy).
-bench-smoke:
-	$(GO) run ./cmd/spmv-bench -exp spmm-smoke -scale 0.01 -matrices consph
 
 # telemetry-smoke runs cg-solve with the metrics endpoint and trace writer
 # enabled, scrapes /metrics for the kernel phase histograms, and validates
@@ -162,11 +150,10 @@ serve-smoke:
 # the generated kernel and vector bodies up to date, the colored-schedule and pool (three
 # GOMAXPROCS values) race focuses, the full test suite under the race detector (the execution engine's hand-off,
 # spin barrier and phase fusion are exactly the kind of code -race exists
-# for), the telemetry smoke, the fuzz smoke
-# (differential checking plus a short run of each fuzz target), the SpMM
-# traffic-model smoke, the serving-path and attribution smokes, and the
-# one-format-table gate (loc).
-ci: vet build generate-check loc race-colored race-pool race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke
+# for; the SpMM traffic-model test is among it), the telemetry smoke, the fuzz
+# smoke (differential checking plus a short run of each fuzz target), the
+# serving-path and attribution smokes, and the one-format-table gate (loc).
+ci: vet build generate-check loc race-colored race-pool race telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 # tune-demo runs the empirical autotuner on a small slice of the paper suite
 # and prints one decision table per matrix: every candidate plan with its

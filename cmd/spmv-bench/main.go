@@ -32,7 +32,7 @@ func main() {
 		scale    = flag.Float64("scale", 0.1, "suite scale: 1.0 = the paper's matrix sizes")
 		matrices = flag.String("matrices", "", "comma-separated subset of suite matrices (default all 12)")
 		iters    = flag.Int("iters", 128, "SpM×V operations per measurement (§V-A protocol)")
-		nv       = flag.Int("nv", 0, "multi-RHS width: autotune tunes for it, spmm-bench restricts its sweep to it (0 = defaults)")
+		nv       = flag.Int("nv", 0, "multi-RHS width: autotune tunes for it, host times MulMat and the SSS phases at it (0 = defaults)")
 		cgIters  = flag.Int("cg-iters", 2048, "CG iterations for fig14")
 		csvDir   = flag.String("csv", "", "also write each result table as CSV into this directory")
 		list     = flag.Bool("list", false, "list experiments and suite matrices, then exit")

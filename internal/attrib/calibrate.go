@@ -23,9 +23,9 @@ var (
 	calCache = map[int]stream.Result{} // by pool size
 )
 
-// Calibrate measures (or returns the memoized) STREAM bandwidth for a pool's
-// size: on one machine every pool of the same size sees the same memory
-// system, so a bind never re-runs the ~hundred-millisecond measurement. Runs
+// Calibrate measures (or returns the memoized) STREAM triad bandwidth for a
+// pool's size: on one machine every pool of the same size sees the same memory
+// system, so a bind never re-runs the tens-of-milliseconds measurement. Runs
 // the pool, so call it only while no kernel operation is in flight (Bind
 // time, never from the sample hook).
 func Calibrate(pool *parallel.Pool) stream.Result {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/color"
+	"repro/internal/csr"
 	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -189,6 +190,9 @@ type tuner struct {
 	rcm              *format.Matrix
 	coo              *matrix.COO
 	rcmCost, cooCost time.Duration
+	// What the CSR expansion of each order (natural, reordered) cost, timed
+	// by the first CSR build of the order and charged to every CSR candidate.
+	csrCost [2]time.Duration
 }
 
 // planCaps is what a format must offer on the matrix's class to be in the
@@ -485,7 +489,8 @@ func (t *tuner) reordered(coo bool) (*format.Matrix, time.Duration, error) {
 
 // build constructs the real kernel for one plan on a shared warm pool: for a
 // reordered plan, the kernel on the permuted matrix — the product a
-// reordered solve runs — charged with the reorder's cost. Construction
+// reordered solve runs — charged with the reorder's cost; for CSR, charged
+// with the expansion's too. Construction
 // panics (malformed structures) are converted to errors so one broken
 // candidate cannot abort the search.
 func (t *tuner) build(plan Plan) (b *format.Built, err error) {
@@ -495,11 +500,22 @@ func (t *tuner) build(plan Plan) (b *format.Built, err error) {
 		}
 	}()
 
-	src, charge := &t.pr.Matrix, time.Duration(0)
+	src, charge, order := &t.pr.Matrix, time.Duration(0), 0
 	if plan.Reorder {
 		if src, charge, err = t.reordered(plan.Format.Desc().Caps&format.General != 0); err != nil {
 			return nil, fmt.Errorf("autotune: RCM: %w", err)
 		}
+		order = 1
+	}
+	// The expansion is cached on the Matrix every candidate of the order
+	// shares, so it is timed here, not in the first build's Preproc alone.
+	if plan.Format == format.CSR {
+		if src.CSR == nil {
+			t0 := time.Now()
+			src.CSR = csr.FromCOO(src.COO())
+			t.csrCost[order] = time.Since(t0)
+		}
+		charge += t.csrCost[order]
 	}
 	// Default build options: a trial must time the kernel AutoKernel will
 	// build from the winning plan, and that build passes no CSX overrides.

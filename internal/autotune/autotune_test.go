@@ -188,26 +188,36 @@ func TestBuildEveryFormat(t *testing.T) {
 
 // TestReorderedCOOChargedToEveryCSR: the permuted COO form is built once, by
 // the first reordered candidate whose format reads it (none of the SSS ones),
-// and every such candidate carries its cost with the reorder's, whatever the
+// and the CSR expansion once per order, by the first CSR candidate of it;
+// every CSR candidate carries what both cost with the reorder's, whatever the
 // build order.
 func TestReorderedCOOChargedToEveryCSR(t *testing.T) {
-	m, s := poisson(t, 30)
-	tn := testTuner(t, problem(s, m))
-	defer tn.closePools()
-	if _, err := tn.build(Plan{Format: format.SSSIndexed, Threads: 1, Reorder: true}); err != nil {
-		t.Fatal(err)
-	}
-	if tn.coo != nil {
-		t.Fatal("a reordered SSS candidate built the permuted COO")
-	}
-	for _, p := range []int{1, 2} {
-		plan := Plan{Format: format.CSR, Threads: p, Reorder: true}
-		b, err := tn.build(plan)
-		if err != nil {
+	m, s := poisson(t, 120)
+	for _, threads := range [][]int{{1, 2}, {2, 1}} {
+		tn := testTuner(t, problem(s, m))
+		defer tn.closePools()
+		if _, err := tn.build(Plan{Format: format.SSSIndexed, Threads: 1, Reorder: true}); err != nil {
 			t.Fatal(err)
 		}
-		if want := tn.rcmCost + tn.cooCost; tn.cooCost <= 0 || b.Preproc < want {
-			t.Fatalf("build %v: Preproc %v, reorder + COO cost %v (COO %v); want Preproc ≥ both > 0", plan, b.Preproc, want, tn.cooCost)
+		if tn.coo != nil {
+			t.Fatal("a reordered SSS candidate built the permuted COO")
+		}
+		for order, reorder := range []bool{false, true} {
+			for _, p := range threads {
+				plan := Plan{Format: format.CSR, Threads: p, Reorder: reorder}
+				b, err := tn.build(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := tn.csrCost[order]
+				if reorder {
+					want += tn.rcmCost + tn.cooCost
+				}
+				if tn.csrCost[order] <= 0 || reorder && tn.cooCost <= 0 || b.Preproc < want {
+					t.Fatalf("build %v after %v: Preproc %v, expansion %v, reorder + COO %v; want Preproc ≥ their sum, each > 0",
+						plan, threads, b.Preproc, tn.csrCost[order], tn.rcmCost+tn.cooCost)
+				}
+			}
 		}
 	}
 }

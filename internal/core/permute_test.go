@@ -164,9 +164,10 @@ func TestPermuteRejectsANonPermutation(t *testing.T) {
 	}
 }
 
-// TestPermuteAllocates: on a symmetric and a skew matrix Permute allocates
-// the permuted matrix and the permutation check's seen flags, +10 %: no
-// negated copy of Val for Skew, no copy of the diagonal it overwrites.
+// TestPermuteAllocates: on a symmetric, a skew and a structural matrix
+// Permute allocates the permuted matrix and the permutation check's seen
+// flags, +10 %: no negated copy of Val for Skew, no copy of the diagonal it
+// overwrites, no second placement of the columns for Structural's UVal.
 func TestPermuteAllocates(t *testing.T) {
 	sym := poissonSSS(t, 60)
 	n := sym.N
@@ -174,9 +175,9 @@ func TestPermuteAllocates(t *testing.T) {
 	for k := range reversal {
 		reversal[k] = int32(n - 1 - k)
 	}
-	for _, kind := range []SymKind{Sym, Skew} {
+	for _, kind := range []SymKind{Sym, Skew, Structural} {
 		s := asKind(t, sym, kind)
-		bound := int64(8*len(s.DValues)+4*(n+1)+12*len(s.Val)+n) * 11 / 10
+		bound := int64(8*len(s.DValues)+4*(n+1)+12*len(s.Val)+8*len(s.UVal)+n) * 11 / 10
 		got := int64(math.MaxInt64) // the least of three readings
 		for range 3 {
 			var before, after runtime.MemStats

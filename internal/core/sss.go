@@ -182,25 +182,29 @@ func (s *SSS) Permute(perm []int32) (*SSS, error) {
 	for i, d := range s.DValues {
 		out.DValues[perm[i]] = d
 	}
-	mirror, sign := s.Val, 1.0 // what an entry crossing the diagonal stores, ×sign
+	sign := 1.0 // an entry crossing the diagonal stores sign × its mirror
 	switch s.Kind {
 	case Skew:
 		sign = -1
-	case Structural: // columns are distinct in a row: UVal sorts to Val's slots
-		mirror = s.UVal
-		_, out.UVal = s.permuted(perm, make([]int32, s.N+1), s.UVal, s.Val, 1)
+	case Structural: // UVal is placed beside Val, each the other's mirror
+		out.UVal = make([]float64, len(s.UVal))
 	}
-	out.ColIdx, out.Val = s.permuted(perm, out.RowPtr, s.Val, mirror, sign)
+	s.permuted(perm, out, sign)
 	return out, nil
 }
 
-// permuted places s's entries under perm in the rows of ptr (zero on entry),
-// with val, or sign·mirror where one crosses the diagonal: a count by new
-// row, a back-to-front scatter leaving ptr[r] at row r's start, then each row
+// permuted places s's entries under perm in out's rows (RowPtr zero on
+// entry), with Val, or sign × the mirror (Val, UVal for Structural) where one
+// crosses the diagonal, and a Structural UVal beside them: a count by new row,
+// a back-to-front scatter leaving RowPtr[r] at row r's start, then each row
 // sorted in place, by insertion up to 32 entries, past that by packed keys.
-func (s *SSS) permuted(perm, ptr []int32, val, mirror []float64, sign float64) ([]int32, []float64) {
-	n := s.N
-	cols, vals := make([]int32, len(val)), make([]float64, len(val))
+func (s *SSS) permuted(perm []int32, out *SSS, sign float64) {
+	n, ptr, uval := s.N, out.RowPtr, out.UVal
+	cols, vals := make([]int32, len(s.Val)), make([]float64, len(s.Val))
+	mirror := s.Val
+	if uval != nil {
+		mirror = s.UVal
+	}
 	for r := range n {
 		for _, c := range s.ColIdx[s.RowPtr[r]:s.RowPtr[r+1]] {
 			ptr[max(perm[r], perm[c])]++
@@ -211,12 +215,15 @@ func (s *SSS) permuted(perm, ptr []int32, val, mirror []float64, sign float64) (
 	}
 	for r := n - 1; r >= 0; r-- {
 		for j := s.RowPtr[r+1] - 1; j >= s.RowPtr[r]; j-- {
-			row, col, v := perm[r], perm[s.ColIdx[j]], val[j]
+			row, col, v, u := perm[r], perm[s.ColIdx[j]], s.Val[j], mirror[j]
 			if col > row {
-				row, col, v = col, row, sign*mirror[j]
+				row, col, v, u = col, row, sign*u, v
 			}
 			ptr[row]--
 			cols[ptr[row]], vals[ptr[row]] = col, v
+			if uval != nil {
+				uval[ptr[row]] = u
+			}
 		}
 	}
 	keys, scratch := []uint64(nil), []float64(nil)
@@ -226,20 +233,31 @@ func (s *SSS) permuted(perm, ptr []int32, val, mirror []float64, sign float64) (
 			for i := lo + 1; i < hi; i++ {
 				for j := i; j > lo && cols[j-1] > cols[j]; j-- {
 					cols[j-1], cols[j], vals[j-1], vals[j] = cols[j], cols[j-1], vals[j], vals[j-1]
+					if uval != nil {
+						uval[j-1], uval[j] = uval[j], uval[j-1]
+					}
 				}
 			}
 			continue
 		}
-		keys, scratch = keys[:0], append(scratch[:0], vals[lo:hi]...)
+		keys = keys[:0]
 		for k, c := range cols[lo:hi] {
 			keys = append(keys, uint64(c)<<32|uint64(k))
 		}
 		slices.Sort(keys)
 		for i, key := range keys {
-			cols[lo+int32(i)], vals[lo+int32(i)] = int32(key>>32), scratch[uint32(key)]
+			cols[lo+int32(i)] = int32(key >> 32)
+		}
+		for _, vs := range [2][]float64{vals, uval} {
+			if vs != nil {
+				scratch = append(scratch[:0], vs[lo:hi]...)
+				for i, key := range keys {
+					vs[lo+int32(i)] = scratch[uint32(key)]
+				}
+			}
 		}
 	}
-	return cols, vals
+	out.ColIdx, out.Val = cols, vals
 }
 
 // invalidSSS is the error of Validate: what is wrong and, when the fault

@@ -58,13 +58,28 @@ func TestHostMeasuredAndHostCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm := HostMeasured(cfg, suite, 2)
-	if len(hm.Rows) != 1 || len(hm.Rows[0]) != len(format.All())+1 {
-		t.Fatalf("HostMeasured shape: %v", hm.Rows)
-	}
-	for _, cell := range hm.Rows[0][1:] {
-		if v, err := strconv.ParseFloat(cell, 64); err != nil || v <= 0 {
-			t.Fatalf("non-positive Gflop/s cell %q", cell)
+	// At nv = 4 the formats without MulMat (CSX, CSX-Sym) print "-"; the
+	// phase table has one row per SSS method, colored's reduction zero.
+	for _, nv := range []int{1, 4} {
+		cfg.NV = nv
+		hm := HostMeasured(cfg, suite, 2)
+		if len(hm) != 2 || len(hm[0].Rows) != 1 || len(hm[0].Rows[0]) != len(format.All())+1 || len(hm[1].Rows) != 4 {
+			t.Fatalf("nv=%d: HostMeasured shape: %v", nv, hm)
+		}
+		for i, cell := range hm[0].Rows[0][1:] {
+			f := format.All()[i]
+			if nv > 1 && !f.Desc().Has(format.MulMat, suite[0].S.Kind) {
+				if cell != "-" {
+					t.Errorf("nv=%d: %v has no MulMat but reads %q", nv, f, cell)
+				}
+			} else if v, err := strconv.ParseFloat(cell, 64); err != nil || v <= 0 {
+				t.Fatalf("nv=%d: %v: non-positive Gflop/s cell %q", nv, f, cell)
+			}
+		}
+		for _, row := range hm[1].Rows {
+			if row[1] == format.SSSColored.String() && row[4] != "0.0" {
+				t.Errorf("nv=%d: colored reduction %s µs, want 0", nv, row[4])
+			}
 		}
 	}
 	hc := HostCG(cfg, suite, 2, 4)

@@ -42,7 +42,8 @@ type Config struct {
 	// clipped per platform.
 	Threads []int
 	// NV is the multi-RHS width: the autotune experiment tunes for it, and
-	// spmm-bench restricts its width sweep to it. 0/1 = single-vector.
+	// the host experiment times every format's MulMat and the SSS phases at
+	// it. 0/1 = single-vector.
 	NV int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer

@@ -142,7 +142,7 @@ func TestExperimentRegistry(t *testing.T) {
 
 func TestRunFastExperiments(t *testing.T) {
 	cfg := tinyCfg()
-	for _, exp := range []string{"table1", "fig4", "fig5", "fig9", "fig10", "fig12", "preproc", "colored", "phases"} {
+	for _, exp := range []string{"table1", "fig4", "fig5", "fig9", "fig10", "fig12", "preproc"} {
 		var sb strings.Builder
 		if err := Run(exp, cfg, &sb); err != nil {
 			t.Fatalf("%s: %v", exp, err)
@@ -238,5 +238,40 @@ func TestTablesUseCanonicalLabels(t *testing.T) {
 	}
 	if !sawIndexed {
 		t.Errorf("no SSS-indexed label among %v", labels)
+	}
+}
+
+// TestSpMMTrafficFallsWithWidth: streaming the matrix once for nv right-hand
+// sides divides its bytes per useful flop by nv. For every format with MulMat
+// on a symmetric matrix, on the consph analog at scale 0.01 and p = 2, the
+// exact matrix bytes per useful flop fall strictly over nv ∈ {1, 2, 4, 8}
+// (TestDifferentialSpMM checks what each width computes).
+func TestSpMMTrafficFallsWithWidth(t *testing.T) {
+	suite, err := LoadSuite(Config{Scale: 0.01, Matrices: []string{"consph"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := suite[0]
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	var tested []string
+	for _, f := range format.All() {
+		b := Build(sm, f, pool)
+		if b.MulMat == nil {
+			continue
+		}
+		tested = append(tested, f.String())
+		prev := math.Inf(1)
+		for _, nv := range []int{1, 2, 4, 8} {
+			c := b.Cost(&sm.Matrix).SpMM(nv)
+			perFlop := float64(c.MatrixBytes) / float64(c.UsefulFlops)
+			if !(perFlop < prev) {
+				t.Errorf("%v: matrix bytes per flop %.4f at nv=%d, not below %.4f", f, perFlop, nv, prev)
+			}
+			prev = perFlop
+		}
+	}
+	if len(tested) != 5 {
+		t.Errorf("MulMat on a symmetric matrix: %v, want CSR and the four SSS methods", tested)
 	}
 }

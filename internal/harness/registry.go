@@ -61,33 +61,8 @@ var experiments = map[string]func(cfg Config, suite []*SuiteMatrix) ([]*Table, e
 	"ablation-csx": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
 		return []*Table{AblationCSX(cfg, suite)}, nil
 	},
-	"colored": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		tables := ColoredSpeedup(cfg, suite)
-		rcm, err := ColoredRCM(cfg, suite)
-		if err != nil {
-			return nil, err
-		}
-		return append(tables, rcm), nil
-	},
-	"phases": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		return []*Table{PhaseBreakdown(cfg, suite)}, nil
-	},
-	"spmm-bench": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		t, err := SpMMBench(cfg, suite)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	},
-	"spmm-smoke": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		t, err := SpMMSmoke(cfg, suite)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	},
 	"host": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
-		return []*Table{HostMeasured(cfg, suite, 0)}, nil
+		return HostMeasured(cfg, suite, 0), nil
 	},
 	"autotune": Autotune,
 	"hostcg": func(cfg Config, suite []*SuiteMatrix) ([]*Table, error) {
@@ -109,7 +84,7 @@ func ExperimentNames() []string {
 var paperOrder = []string{
 	"table1", "table2", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12",
 	"table3", "fig13", "preproc", "fig14",
-	"ablation-csx", "colored", "phases",
+	"ablation-csx",
 }
 
 // Run executes one experiment (or "all") against a freshly loaded suite,

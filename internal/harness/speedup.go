@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
@@ -97,9 +99,10 @@ func labels(formats []format.ID) []string {
 }
 
 // Fig9 reproduces Fig. 9: symmetric SpM×V speedup under the three
-// local-vector reduction methods versus CSR, on both platforms.
+// local-vector reduction methods versus CSR, on both platforms, beside the
+// colored schedule that prevents the conflicts they repair.
 func Fig9(cfg Config, suite []*SuiteMatrix) []*Table {
-	formats := []format.ID{format.CSR, format.SSSNaive, format.SSSEffective, format.SSSIndexed}
+	formats := []format.ID{format.CSR, format.SSSNaive, format.SSSEffective, format.SSSIndexed, format.SSSColored}
 	return speedupTables(cfg, suite, formats, "Fig. 9")
 }
 
@@ -176,22 +179,31 @@ func perMatrixGflops(cfg Config, suite []*SuiteMatrix, pl perfmodel.Platform, p 
 }
 
 // HostMeasured runs the real §V-A measurement protocol on the host machine
-// for every format in the table at the host's thread count, reporting
-// wall-clock Gflop/s (one sample per cell: a smoke of the real kernels, not a
-// record — benchmark/ is the measured record).
-func HostMeasured(cfg Config, suite []*SuiteMatrix, threads int) *Table {
+// for every format in the table at the host's thread count over cfg.NV
+// right-hand sides, reporting wall-clock Gflop/s ("-" for a format with no
+// MulMat at nv > 1), and the compute, reduction and barrier time per
+// operation of the four SSS methods at the same width — the colored rows
+// read zero reduction by construction. One sample per cell: a smoke of the
+// real kernels, not a record (benchmark/ is the measured record).
+func HostMeasured(cfg Config, suite []*SuiteMatrix, threads int) []*Table {
 	cfg = cfg.withDefaults()
 	if threads <= 0 {
 		threads = parallel.DefaultThreads()
 	}
+	nv := max(cfg.NV, 1)
 	t := &Table{
-		Title: fmt.Sprintf("Host-measured SpM×V at %d thread(s) — %d iterations of the §V-A protocol (Gflop/s)",
-			threads, cfg.Iterations),
+		Title: fmt.Sprintf("Host-measured SpM×V at %d thread(s), nv=%d — %d iterations of the §V-A protocol (Gflop/s)",
+			threads, nv, cfg.Iterations),
 		Header: []string{"Matrix"},
+	}
+	phases := &Table{
+		Title:  fmt.Sprintf("Host-measured phases at %d thread(s), nv=%d (µs/op)", threads, nv),
+		Header: []string{"Matrix", "Method", "colors", "compute", "reduction", "barrier", "wall"},
 	}
 	for _, f := range format.All() {
 		t.Header = append(t.Header, f.String())
 	}
+	us := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1e3) }
 	pool := parallel.NewPool(threads)
 	defer pool.Close()
 	for _, sm := range suite {
@@ -199,10 +211,46 @@ func HostMeasured(cfg Config, suite []*SuiteMatrix, threads int) *Table {
 		for _, f := range format.All() {
 			cfg.logf("host/%s: %s", sm.Spec.Name, f)
 			b := Build(sm, f, pool)
-			per := perfmodel.MeasureSpMV(b.Mul, sm.S.N, cfg.Iterations)
-			row = append(row, fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost(&sm.Matrix).UsefulFlops, per.Seconds())))
+			mul := b.Mul
+			if nv > 1 {
+				if b.MulMat == nil {
+					row = append(row, "-")
+					continue
+				}
+				mul = func(x, y []float64) { must(b.MulMat(x, y, nv)) }
+			}
+			per := perfmodel.MeasureSpMV(mul, sm.S.N*nv, cfg.Iterations)
+			row = append(row, fmt.Sprintf("%.3f", perfmodel.Gflops(b.Cost(&sm.Matrix).SpMM(nv).UsefulFlops, per.Seconds())))
+			if k := b.Kernel; k != nil {
+				per := measureSpMM(k, sm.S.N, nv, cfg.Iterations).PerOp()
+				phases.Rows = append(phases.Rows, []string{sm.Spec.Name, f.String(), fmt.Sprintf("%d", k.Colors()),
+					us(per.Compute), us(per.Reduction), us(per.Barrier), us(per.Wall)})
+			}
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []*Table{t, phases}
+}
+
+// measureSpMM runs perfmodel.MeasureSpMV's protocol over nv-wide sampled
+// operations and returns the phase breakdown accumulated over the timed ones.
+func measureSpMM(k *core.Kernel, n, nv, iters int) core.PhaseTimes {
+	var pt core.PhaseTimes
+	ops := 0
+	perfmodel.MeasureSpMV(func(x, y []float64) {
+		p, err := k.TimedMulMat(x, y, nv)
+		must(err)
+		if ops++; ops > 1 { // the first is the protocol's untimed warm-up
+			pt.Add(p)
+		}
+	}, n*nv, iters)
+	return pt
+}
+
+// must panics on an SpMM error: the suite is symmetric and the harness sizes
+// the vectors, so one is a bug, as a failed Build is.
+func must(err error) {
+	if err != nil {
+		panic("harness: " + err.Error())
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -451,8 +450,7 @@ func (rd *mmReader) entries(p *mmFormat, m *COO) error {
 				} else {
 					k = max(k, 2*len(m.Val))
 				}
-				k -= len(m.Val)
-				m.RowIdx, m.ColIdx, m.Val = slices.Grow(m.RowIdx, k), slices.Grow(m.ColIdx, k), slices.Grow(m.Val, k)
+				m.RowIdx, m.ColIdx, m.Val = regrown(m.RowIdx, k), regrown(m.ColIdx, k), regrown(m.Val, k)
 			}
 			m.RowIdx, m.ColIdx, m.Val = append(m.RowIdx, b.ri...), append(m.ColIdx, b.ci...), append(m.Val, b.v...)
 			pending, rd.spare = pending[1:], append(rd.spare, b)
@@ -500,6 +498,11 @@ func (rd *mmReader) entries(p *mmFormat, m *COO) error {
 	}
 	return nil
 }
+
+// regrown returns s moved into a new array of capacity k. A make and a copy
+// allocate the same bytes in every build mode; slices.Grow's append of a make
+// also allocates the make under -race.
+func regrown[E any](s []E, k int) []E { return append(make([]E, 0, k), s...) }
 
 // ReadMatrixMarket parses a Matrix Market stream into a normalized COO. The
 // input is untrusted; the notes at the top of this file say what is rejected
