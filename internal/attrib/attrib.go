@@ -93,12 +93,12 @@ var Default = newEngine()
 // and the calibrated bandwidth.
 type binding struct {
 	eng      *Engine
-	method   string
+	method   core.ReductionMethod
 	p        int
 	cost     perfmodel.SpMVCost
 	pl       perfmodel.Platform // CalibratedHost, the independent model
 	triadGBs float64            // the machine roofline
-	nBytes   int64              // 8·n, one full-vector stream
+	n        int64              // vector elements
 }
 
 // Bind attaches the default engine to a kernel: computes the kernel's
@@ -119,11 +119,11 @@ func (e *Engine) Bind(k *core.Kernel) error {
 	}
 	b := &binding{
 		eng:      e,
-		method:   k.Method.String(),
+		method:   k.Method,
 		p:        pool.Size(),
 		cost:     perfmodel.SSSCost(k),
 		triadGBs: stream.GB(Calibrate(pool).Triad),
-		nBytes:   int64(8 * k.S.N),
+		n:        int64(k.S.N),
 	}
 	b.pl = perfmodel.CalibratedHost(b.p, b.triadGBs)
 	k.SetSampleHook(b.observe)
@@ -140,32 +140,25 @@ func (b *binding) observe(s core.PhaseSample) {
 	computeBytes, redBytes := c.MultBytes, c.RedBytes
 	if s.Op == core.OpSpMVDot || s.Op == core.OpSpMMDot {
 		// The fused inner product adds vector traffic the plain product's
-		// cost does not carry, NV lanes of it: Indexed and Colored run a
-		// trailing full sweep reading x and y (compute work), the other
-		// methods fold the dot into the reduction, which then reads x
-		// alongside the y stream it already touches.
-		lanes := b.nBytes * int64(s.NV)
-		switch b.method {
-		case core.Indexed.String(), core.Colored.String():
-			computeBytes += 2 * lanes
-		default:
-			redBytes += lanes
-		}
+		// cost does not carry, NV lanes of it (core.ReductionMethod.DotBytes).
+		mult, red := b.method.DotBytes(b.n, s.NV)
+		computeBytes, redBytes = computeBytes+mult, redBytes+red
 	}
 	modelMultNs := c.MultSeconds(b.pl, b.p) * 1e9
 	modelRedNs := c.RedSeconds(b.pl, b.p) * 1e9
 
+	method := b.method.String()
 	e := b.eng
 	e.mu.Lock()
-	e.observeLocked(b.method, "compute", b.triadGBs,
+	e.observeLocked(method, "compute", b.triadGBs,
 		float64(computeBytes), float64(s.PT.Compute.Nanoseconds()), modelMultNs)
-	e.observeLocked(b.method, "reduction", b.triadGBs,
+	e.observeLocked(method, "reduction", b.triadGBs,
 		float64(redBytes), float64(s.PT.Reduction.Nanoseconds()), modelRedNs)
 	frac := 0.0
 	if wallNs := float64(s.EndNs - s.StartNs); wallNs > 0 && b.triadGBs > 0 {
 		frac = (float64(computeBytes+redBytes) / wallNs) / b.triadGBs
 	}
-	name := e.traceNameLocked(b.method, frac)
+	name := e.traceNameLocked(method, frac)
 	arg := e.argName
 	e.mu.Unlock()
 

@@ -1,3 +1,28 @@
+// Package autotune selects the best SpM×V execution plan — storage format,
+// reduction method, thread count, and optionally an RCM reorder — for a
+// given matrix on the machine running the process.
+//
+// The paper's evaluation (§V) shows the winning configuration varies per
+// matrix and per platform: SSS-indexed wins where the reduction dominates,
+// CSX-Sym where bandwidth starves the multiply, and CSR at low thread
+// counts. OSKI-style systems turn such a pile of kernels into a library by
+// empirical autotuning: a model-guided pruning pass followed by timed
+// micro-trials. This package implements that two-stage search:
+//
+//  1. Model stage — every (format, threads) candidate is priced with the
+//     account the built kernels report (core.Account), fed by the SSS's own
+//     counts, matrix.Stats and the symbolic conflict scans. Candidates
+//     far off the modeled optimum are pruned without ever being built.
+//  2. Trial stage — the survivors are built for real and timed with the
+//     paper's vector-swapping protocol under successive halving: every
+//     round doubles the trial length and keeps the faster half, so the
+//     expensive long measurements are spent only on the close contenders.
+//     Preprocessing cost (CSX-Sym encoding) is amortized into the score
+//     over a fixed number of expected operations.
+//
+// Decisions are persisted in a versioned, checksummed on-disk cache keyed by
+// a structure fingerprint of the matrix plus a machine signature, so repeat
+// solves of the same system skip the search entirely (see cache.go).
 package autotune
 
 import (
@@ -9,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/color"
 	"repro/internal/csr"
 	"repro/internal/format"
 	"repro/internal/matrix"
@@ -58,7 +82,6 @@ type Decision struct {
 	Plan       Plan
 	CacheHit   bool // plan came from the tuning cache; no candidates were timed
 	Trials     int  // timed micro-trials executed (0 on a cache hit)
-	Features   Features
 	Candidates []Candidate
 	Elapsed    time.Duration
 }
@@ -176,13 +199,12 @@ func threadCandidates(max int) []int {
 type tuner struct {
 	pr    Problem
 	o     Options
-	feat  Features
-	shape format.Shape // feat plus the symbolic scans, as the format estimates read them
+	shape *format.Shape // what the format estimates read
+	span  int64         // the x-access span every candidate is priced with
 	pl    perfmodel.Platform
 	d     *Decision
 
-	pools    map[int]*parallel.Pool // by thread count
-	symStats map[int][2]int64
+	pools map[int]*parallel.Pool // by thread count
 
 	// The RCM-permuted matrix and its COO form, each built by the first
 	// reordered build that needs it, and what each cost: every reordered
@@ -245,33 +267,20 @@ func Tune(pr Problem, o Options) (*Decision, error) {
 // in and options that went through withDefaults.
 func newTuner(pr Problem, o Options) *tuner {
 	t := &tuner{
-		pr:       pr,
-		o:        o,
-		feat:     ExtractFeatures(pr.Stats),
-		d:        &Decision{},
-		pools:    make(map[int]*parallel.Pool),
-		symStats: make(map[int][2]int64),
-	}
-	s := pr.S
-	t.shape = format.Shape{
-		N:          int64(t.feat.N),
-		NNZLower:   int64(t.feat.NNZLower),
-		LogicalNNZ: int64(t.feat.LogicalNNZ),
-		CSRBytes:   t.feat.CSRBytes,
-		SSSBytes:   t.feat.SSSBytes,
-		Kind:       pr.S.Kind,
-		Conflict:   t.symbolic,
-		// The unreordered structure's schedule, built once per thread count:
-		// the model stage prices each (format, p) once and reuses the price
-		// for a reordered variant.
-		Colored: func(p int) *color.Schedule { return color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{}) },
+		pr:    pr,
+		o:     o,
+		shape: format.NewShape(pr.S, pr.Stats),
+		// One span for every format, from the mean |r−c| over the stored
+		// entries, the statistic the RCM gate in modelStage reads.
+		span:  perfmodel.XSpan(pr.Stats.AvgBandwidth, pr.Stats.Rows),
+		d:     &Decision{},
+		pools: make(map[int]*parallel.Pool),
 	}
 	if o.Platform != nil {
 		t.pl = *o.Platform
 	} else {
 		t.pl = perfmodel.Host()
 	}
-	t.d.Features = t.feat
 	return t
 }
 
@@ -378,7 +387,7 @@ func (t *tuner) modelStage() []int {
 
 	// RCM variants: only worth trialing when the model charges x-miss
 	// traffic at the current span (§V-D reason 1).
-	if !t.o.DisableReorder && t.pl.XMissFraction(t.feat.XSpanBytes) > 0.02 {
+	if !t.o.DisableReorder && t.pl.XMissFraction(t.span) > 0.02 {
 		for _, i := range append([]int(nil), survivors...) {
 			c := t.d.Candidates[i]
 			rc := Candidate{Plan: Plan{Format: c.Format, Threads: c.Threads, Reorder: true}}
@@ -431,7 +440,7 @@ func (t *tuner) trialStage(survivors []int) error {
 		return errors.New("autotune: every candidate failed to build")
 	}
 
-	n := t.feat.N * t.o.NV // NV>1 trials time the interleaved SpMM sweep
+	n := t.pr.S.N * t.o.NV // NV>1 trials time the interleaved SpMM sweep
 	iters := t.o.TrialIters
 	for round := 1; ; round++ {
 		for _, tr := range live {

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/color"
+
 // Traffic is the exact per-iteration memory-traffic and flop account of one
 // symmetric SpM×V under a given kernel configuration. The platform
 // performance model (internal/perfmodel) converts these byte/flop counts into
@@ -46,41 +48,39 @@ func (t Traffic) TotalBytes() int64 {
 // TotalFlops reports the summed useful flops of both phases.
 func (t Traffic) TotalFlops() int64 { return t.MultFlops + t.RedFlops }
 
-// Traffic computes the exact per-iteration account for this kernel.
-func (k *Kernel) Traffic() Traffic {
-	s := k.S
-	n := int64(s.N)
-	nnzLower := int64(len(s.Val))
-	p := int64(k.p)
-
-	var t Traffic
-	// Matrix stream: lower values (8B) + column indices (4B) + row pointers
-	// (4B per row) + dense diagonal (8B per stored slot — absent for Skew) +
-	// upper values (8B per stored slot — Structural only).
-	t.MultMatrixBytes = 12*nnzLower + 4*n + 8*int64(len(s.DValues)) + 8*int64(len(s.UVal))
-	// Useful flops: diagonal contributes 2 flops per stored slot (mul+add
-	// folded as 2), every stored lower element contributes 4 (two mul-add
-	// pairs; the skew sign flip and the structural UVal read cost no flops).
-	t.MultFlops = 2*int64(len(s.DValues)) + 4*nnzLower
-
+// Account is the one per-method byte account: the paper's working-set
+// equations (3)–(6) for a kernel of method m at p threads whose matrix stream
+// is matrixBytes over the stored elements st, with the conflict counts cf.
+// The built kernels, CSX-Sym's cost and the tuner's pre-build estimate all
+// price through it; they differ only in where matrixBytes and cf come from.
+func Account(m ReductionMethod, p int, matrixBytes int64, st Stored, cf Conflicts) Traffic {
+	n, pp := st.N, int64(p)
+	t := Traffic{
+		MultMatrixBytes: matrixBytes,
+		// Useful flops: diagonal contributes 2 flops per stored slot (mul+add
+		// folded as 2), every stored lower element contributes 4 (two mul-add
+		// pairs; the skew sign flip and the structural UVal read cost no
+		// flops).
+		MultFlops: 2*st.Diag + 4*st.Lower,
+	}
 	// Vector traffic common to all methods: x is read (streamed once, n
 	// elements — reuse beyond that is the cache's job, which the platform
 	// model handles via its bandwidth term), y is written once per row.
 	xBytes := 8 * n
 	yBytes := 8 * n
 
-	switch k.Method {
+	switch m {
 	case Naive:
 		// All output writes land in p full-length local vectors: working-set
 		// overhead ws = 8pN (Eq. 3). Reduction streams p locals + y.
-		t.MultVectorBytes = xBytes + 8*p*n
-		t.RedBytes = 8*p*n + yBytes
-		t.RedFlops = p * n
-		t.WorkingSetOverhead = 8 * p * n
+		t.MultVectorBytes = xBytes + 8*pp*n
+		t.RedBytes = 8*pp*n + yBytes
+		t.RedFlops = pp * n
+		t.WorkingSetOverhead = 8 * pp * n
 	case EffectiveRanges:
 		// Own rows write y directly; effective regions total Σ start_t
 		// elements ≈ (p-1)N/2, ws = 8·Σ start_t ≈ 4(p-1)N (Eq. 4).
-		eff := k.EffectiveRegionSize()
+		eff := cf.Region
 		t.MultVectorBytes = xBytes + yBytes + 8*eff
 		t.RedBytes = 8*eff + yBytes
 		t.RedFlops = eff
@@ -89,7 +89,7 @@ func (k *Kernel) Traffic() Traffic {
 		// Only touched local elements and the (vid, idx) pairs move:
 		// ws = 8·E (touched locals) + 8·E (index pairs) with E = |index|,
 		// the exact form of Eq. (5).
-		e := int64(k.LV.IndexLen())
+		e := cf.IndexLen
 		t.MultVectorBytes = xBytes + yBytes + 8*e
 		t.RedBytes = 8*e /* locals */ + 8*e /* index */ + 8*e /* y updates */
 		t.RedFlops = e
@@ -99,24 +99,85 @@ func (k *Kernel) Traffic() Traffic {
 		// overhead. y is written once, by phase 1, and each deferred element
 		// read-modify-writes one more y element in phase 2; the second phase
 		// costs one barrier on top of the first phase's own.
-		t.MultVectorBytes = xBytes + yBytes + 16*k.sched.Deferred
-		t.RedBytes = 0
-		t.RedFlops = 0
-		t.WorkingSetOverhead = 0
-		t.ExtraBarriers = int64(k.sched.NumColors - 1)
-		t.Busy = k.sched.Busy
+		t.MultVectorBytes = xBytes + yBytes + 16*cf.Deferred
+		t.ExtraBarriers = int64(cf.Colors - 1)
+		t.Busy = cf.Busy
 	}
 	return t
 }
 
-// SerialTraffic reports the traffic of the serial SSS kernel (Alg. 2), the
-// baseline of Fig. 5's overhead ratios.
-func SerialTraffic(s *SSS) Traffic {
-	n := int64(s.N)
-	nnzLower := int64(len(s.Val))
-	return Traffic{
-		MultMatrixBytes: 12*nnzLower + 4*n + 8*int64(len(s.DValues)) + 8*int64(len(s.UVal)),
-		MultVectorBytes: 16 * n, // x streamed + y written
-		MultFlops:       2*int64(len(s.DValues)) + 4*nnzLower,
+// Stored counts what a symmetric-storage matrix holds: N rows, Lower stored
+// strict-lower elements, Diag dense diagonal slots (none for Skew) and Upper
+// upper values (Structural only).
+type Stored struct{ N, Lower, Diag, Upper int64 }
+
+// StoredOf counts s.
+func StoredOf(s *SSS) Stored {
+	return Stored{int64(s.N), int64(len(s.Val)), int64(len(s.DValues)), int64(len(s.UVal))}
+}
+
+// SSSBytes is the SSS matrix stream: lower values (8B) + column indices (4B)
+// + row pointers (4B per row) + dense diagonal (8B per stored slot) + upper
+// values (8B per stored slot).
+func (st Stored) SSSBytes() int64 { return 12*st.Lower + 4*st.N + 8*st.Diag + 8*st.Upper }
+
+// Conflicts are the counts a reduction method's traffic depends on beyond the
+// matrix itself; each method reads its own and ignores the rest.
+type Conflicts struct {
+	IndexLen int64 // Indexed: conflict-index entries
+	Region   int64 // EffectiveRanges: Σ start_t, the effective regions' total
+	// Colored: the schedule's deferred elements, phases and busy threads.
+	Deferred int64
+	Colors   int
+	Busy     float64
+}
+
+func scheduleConflicts(sc *color.Schedule) Conflicts {
+	return Conflicts{Deferred: sc.Deferred, Colors: sc.NumColors, Busy: sc.Busy}
+}
+
+// ScanConflicts returns the conflict counts a kernel of method m on s at p
+// threads will have, from the symbolic scans alone (ConflictIndexDensity,
+// color.Build): what the tuner prices a format with before building it.
+func ScanConflicts(s *SSS, m ReductionMethod, p int) Conflicts {
+	switch m {
+	case Naive:
+		return Conflicts{}
+	case Colored:
+		return scheduleConflicts(color.Build(s.N, s.RowPtr, s.ColIdx, p, color.Options{}))
 	}
+	e, region, _ := ConflictIndexDensity(s, p)
+	return Conflicts{IndexLen: e, Region: region}
+}
+
+// Traffic computes the exact per-iteration account for this kernel.
+func (k *Kernel) Traffic() Traffic {
+	cf := Conflicts{IndexLen: int64(k.IndexLen()), Region: k.EffectiveRegionSize()}
+	if k.sched != nil {
+		cf = scheduleConflicts(k.sched)
+	}
+	st := StoredOf(k.S)
+	return Account(k.Method, k.p, st.SSSBytes(), st, cf)
+}
+
+// SerialTraffic reports the traffic of the serial SSS kernel (Alg. 2), the
+// baseline of Fig. 5's overhead ratios: the one-colour schedule at p = 1,
+// which writes y once and defers nothing.
+func SerialTraffic(s *SSS) Traffic {
+	st := StoredOf(s)
+	return Account(Colored, 1, st.SSSBytes(), st, Conflicts{Colors: 1})
+}
+
+// DotBytes is the vector traffic the fused inner product adds to one
+// operation over nv lanes of n elements, by phase: Indexed and Colored run a
+// trailing full sweep reading x and y (multiply-phase work); the other
+// methods fold the dot into the reduction, which then reads x alongside the
+// y stream it already touches.
+func (m ReductionMethod) DotBytes(n int64, nv int) (mult, red int64) {
+	lanes := 8 * n * int64(nv)
+	switch m {
+	case Indexed, Colored:
+		return 2 * lanes, 0
+	}
+	return 0, lanes
 }

@@ -94,7 +94,7 @@ type Descriptor struct {
 	build func(d *Descriptor, m *Matrix, pool *parallel.Pool, o Options) (*Built, error)
 	// estimate finishes the model-stage cost of the unbuilt format at p
 	// threads (see Estimate); nil outside the autotune plan space.
-	estimate func(d *Descriptor, c perfmodel.SpMVCost, sh *Shape, p int) perfmodel.SpMVCost
+	estimate func(d *Descriptor, sh *Shape, p int) perfmodel.SpMVCost
 }
 
 // table is the registry, indexed by ID.

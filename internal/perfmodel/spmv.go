@@ -115,8 +115,15 @@ func (c SpMVCost) SpMM(nv int) SpMVCost {
 	return out
 }
 
+// XSpan is the span statistic of irregular x accesses whose mean distance
+// from the diagonal is avg: 8·(2·avg + 1) bytes, capped at the n-element
+// vector and never below one element.
+func XSpan(avg float64, n int) int64 {
+	return max(8, min(int64(8*(2*avg+1)), int64(8*n)))
+}
+
 // xProfile computes the irregular-access span statistic of a CSR-layout
-// structure: 8·(2·avg|r−c| + 1) bytes, capped at the full vector.
+// structure over its stored elements.
 func xProfile(rowPtr, colIdx []int32, n int) (spanBytes int64) {
 	var sum float64
 	for r := 0; r+1 < len(rowPtr); r++ {
@@ -128,91 +135,62 @@ func xProfile(rowPtr, colIdx []int32, n int) (spanBytes int64) {
 			sum += float64(d)
 		}
 	}
-	nnz := int64(rowPtr[len(rowPtr)-1])
-	if nnz == 0 {
-		return 8
+	if nnz := rowPtr[len(rowPtr)-1]; nnz > 0 {
+		return XSpan(sum/float64(nnz), n)
 	}
-	span := int64(8 * (2*sum/float64(nnz) + 1))
-	if cap := int64(8 * n); span > cap {
-		span = cap
-	}
-	return span
+	return 8
 }
 
-// CSRCost accounts the baseline CSR kernel: the matrix stream (Eq. 1), x
-// read once, y written once; no reduction phase.
-func CSRCost(a *csr.Matrix) SpMVCost {
-	nnz := int64(a.NNZ())
-	n := int64(a.Rows)
+// cost is the one conversion of an exact traffic account into the model's:
+// MultBytes is both multiply-phase streams, the matrix stream alone is what an
+// SpMM sweep pays once, and the useful flops are the multiply's.
+func cost(name string, t core.Traffic, xAccesses, span int64) SpMVCost {
 	return SpMVCost{
-		Name:        "CSR",
-		MultFlops:   2 * nnz,
-		MultBytes:   a.Bytes() + 8*n /* x */ + 8*n, /* y */
-		MatrixBytes: a.Bytes(),
-		UsefulFlops: 2 * nnz,
-		XAccesses:   nnz,
-		XSpanBytes:  xProfile(a.RowPtr, a.ColIdx, a.Cols),
-	}
-}
-
-// CSXCost accounts the unsymmetric CSX kernel: the compressed stream
-// replaces the CSR arrays; vector traffic and x locality are those of the
-// same operator (orig supplies the access profile).
-func CSXCost(mx *csx.Matrix, orig *csr.Matrix) SpMVCost {
-	nnz := int64(mx.NNZ())
-	n := int64(mx.Rows)
-	return SpMVCost{
-		Name:        "CSX",
-		MultFlops:   2 * nnz,
-		MultBytes:   mx.Bytes() + 8*n + 8*n,
-		MatrixBytes: mx.Bytes(),
-		UsefulFlops: 2 * nnz,
-		XAccesses:   nnz,
-		XSpanBytes:  xProfile(orig.RowPtr, orig.ColIdx, orig.Cols),
-	}
-}
-
-// symXProfile computes the x-access statistics of a symmetric kernel over
-// the strict lower triangle: every stored element reads both x[c] (span
-// |r−c|) and x[r] (local), plus the diagonal pass.
-func symXProfile(s *core.SSS) (accesses, spanBytes int64) {
-	var sum float64
-	for r := 0; r+1 < len(s.RowPtr); r++ {
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			d := r - int(s.ColIdx[j])
-			sum += float64(d)
-		}
-	}
-	nnz := int64(len(s.Val))
-	accesses = 2*nnz + int64(s.N)
-	if nnz == 0 {
-		return accesses, 8
-	}
-	span := int64(8 * (2*sum/float64(nnz) + 1))
-	if cap := int64(8 * s.N); span > cap {
-		span = cap
-	}
-	return accesses, span
-}
-
-// SSSCost accounts the symmetric SSS kernel under its configured reduction
-// method, straight from the kernel's exact Traffic counters.
-func SSSCost(k *core.Kernel) SpMVCost {
-	t := k.Traffic()
-	acc, span := symXProfile(k.S)
-	return SpMVCost{
-		Name:          "SSS-" + k.Method.String(),
+		Name:          name,
 		MultFlops:     t.MultFlops,
 		MultBytes:     t.MultMatrixBytes + t.MultVectorBytes,
 		MatrixBytes:   t.MultMatrixBytes,
 		RedFlops:      t.RedFlops,
 		RedBytes:      t.RedBytes,
 		UsefulFlops:   t.MultFlops,
-		XAccesses:     acc,
+		XAccesses:     xAccesses,
 		XSpanBytes:    span,
 		ExtraBarriers: t.ExtraBarriers,
 		Busy:          t.Busy,
 	}
+}
+
+// GeneralCost accounts an unsymmetric kernel (CSR, CSX) of nnz stored
+// elements on n rows: the matrix stream (Eq. 1 for CSR), x read once per
+// element, y written once; no reduction phase.
+func GeneralCost(name string, n, nnz, matrixBytes, span int64) SpMVCost {
+	return cost(name, core.Traffic{MultMatrixBytes: matrixBytes, MultVectorBytes: 16 * n, MultFlops: 2 * nnz}, nnz, span)
+}
+
+// SymCost accounts a symmetric kernel from its core account over the stored
+// elements st: every stored lower element reads x[c] (span |r−c|) and x[r],
+// plus the diagonal pass.
+func SymCost(name string, t core.Traffic, st core.Stored, span int64) SpMVCost {
+	return cost(name, t, 2*st.Lower+st.N, span)
+}
+
+// CSRCost accounts the baseline CSR kernel.
+func CSRCost(a *csr.Matrix) SpMVCost {
+	return GeneralCost("CSR", int64(a.Rows), int64(a.NNZ()), a.Bytes(), xProfile(a.RowPtr, a.ColIdx, a.Cols))
+}
+
+// CSXCost accounts the unsymmetric CSX kernel: the compressed stream
+// replaces the CSR arrays; x locality is that of the same operator (orig
+// supplies the access profile).
+func CSXCost(mx *csx.Matrix, orig *csr.Matrix) SpMVCost {
+	return GeneralCost("CSX", int64(mx.Rows), int64(mx.NNZ()), mx.Bytes(), xProfile(orig.RowPtr, orig.ColIdx, orig.Cols))
+}
+
+// SSSCost accounts the symmetric SSS kernel under its configured reduction
+// method, straight from the kernel's exact Traffic counters.
+func SSSCost(k *core.Kernel) SpMVCost {
+	s := k.S
+	return SymCost("SSS-"+k.Method.String(), k.Traffic(), core.StoredOf(s), xProfile(s.RowPtr, s.ColIdx, s.N))
 }
 
 // CSXSymCost accounts the CSX-Sym kernel: the compressed lower-triangle
@@ -221,53 +199,15 @@ func SSSCost(k *core.Kernel) SpMVCost {
 // shared machinery — core.LocalVectors). orig supplies the x profile.
 func CSXSymCost(sm *csx.SymMatrix, orig *core.SSS) SpMVCost {
 	n := int64(sm.N)
-	nnzLower := int64(sm.NNZLower())
-	flops := 2*n + 4*nnzLower
-	p := int64(sm.Part.P())
-	acc, span := symXProfile(orig)
-
-	c := SpMVCost{
-		Name:        "CSX-Sym-" + sm.Method.String(),
-		MultFlops:   flops,
-		UsefulFlops: flops,
-		MatrixBytes: sm.Bytes(),
-		XAccesses:   acc,
-		XSpanBytes:  span,
-	}
-	xBytes := 8 * n
-	yBytes := 8 * n
-	switch sm.Method {
-	case core.Naive:
-		c.MultBytes = sm.Bytes() + xBytes + 8*p*n
-		c.RedBytes = 8*p*n + yBytes
-		c.RedFlops = p * n
-	case core.EffectiveRanges:
-		eff := sm.LV.EffectiveRegionSize()
-		c.MultBytes = sm.Bytes() + xBytes + yBytes + 8*eff
-		c.RedBytes = 8*eff + yBytes
-		c.RedFlops = eff
-	case core.Indexed:
-		e := int64(sm.LV.IndexLen())
-		c.MultBytes = sm.Bytes() + xBytes + yBytes + 8*e
-		c.RedBytes = 8*e + 8*e + 8*e
-		c.RedFlops = e
-	}
-	return c
+	st := core.Stored{N: n, Lower: int64(sm.NNZLower()), Diag: n}
+	cf := core.Conflicts{IndexLen: int64(sm.LV.IndexLen()), Region: sm.LV.EffectiveRegionSize()}
+	t := core.Account(sm.Method, sm.Part.P(), sm.Bytes(), st, cf)
+	return SymCost("CSX-Sym-"+sm.Method.String(), t, st, xProfile(orig.RowPtr, orig.ColIdx, orig.N))
 }
 
 // SerialSSSCost accounts the serial symmetric kernel (Alg. 2) — the
 // baseline of the Fig. 5 overhead ratios and the unit of the §V-E
 // preprocessing cost.
 func SerialSSSCost(s *core.SSS) SpMVCost {
-	t := core.SerialTraffic(s)
-	acc, span := symXProfile(s)
-	return SpMVCost{
-		Name:        "SSS-serial",
-		MultFlops:   t.MultFlops,
-		MultBytes:   t.MultMatrixBytes + t.MultVectorBytes,
-		MatrixBytes: t.MultMatrixBytes,
-		UsefulFlops: t.MultFlops,
-		XAccesses:   acc,
-		XSpanBytes:  span,
-	}
+	return SymCost("SSS-serial", core.SerialTraffic(s), core.StoredOf(s), xProfile(s.RowPtr, s.ColIdx, s.N))
 }
