@@ -61,6 +61,7 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkDecodeUnits -benchtime 20x -cpu 1 ./internal/csx
 	$(GO) test -run xxx -bench BenchmarkEncode -benchtime 5x ./internal/csx
 	$(GO) test -run xxx -bench 'BenchmarkDecodeSolve|BenchmarkEncodeSolve' -benchtime 20x -cpu 1,2 ./internal/serve
+	$(GO) test -run xxx -bench BenchmarkBurstSolve -benchtime 5x ./internal/serve
 	$(GO) test -run xxx -bench BenchmarkKernelBuild -benchtime 20x ./internal/core
 	$(GO) test -run xxx -bench BenchmarkReadMatrixMarket -benchtime 5x -cpu 1,2 ./internal/matrix
 	$(GO) test -run xxx -bench BenchmarkNormalize -benchtime 5x ./internal/matrix

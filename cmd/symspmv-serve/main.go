@@ -41,9 +41,10 @@ func newHTTPServer(h http.Handler) *http.Server {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8723", "listen address")
-	window := flag.Duration("window", 2*time.Millisecond, "coalescing window: how long a batch stays open once a second compatible request is waiting (0 = only opportunistic queue draining)")
-	maxBatch := flag.Int("max-batch", 8, "max real request lanes per dispatch (clamped to 8, the widest SpMM fast path)")
-	queue := flag.Int("queue", 64, "per-matrix request queue depth; a full queue returns 429")
+	def := serve.DefaultOptions()
+	window := flag.Duration("window", def.Window, "coalescing window: the longest a batch stays open while another request to its matrix is in the server (0 = only coalesce what is already queued)")
+	maxBatch := flag.Int("max-batch", def.MaxBatch, "max real request lanes per dispatch (clamped to 8, the widest SpMM fast path)")
+	queue := flag.Int("queue", def.QueueDepth, "per-matrix request queue depth; a full queue returns 429")
 	maxInflight := flag.Int("max-inflight", 256, "server-wide in-flight request cap; beyond it requests get 503")
 	threads := flag.Int("threads", 0, "default worker-thread cap per kernel (0 = facade default)")
 	tuneCache := flag.String("tune-cache", "", "tuning-cache directory for autotuned loads (default: the user cache dir; \"off\" disables)")

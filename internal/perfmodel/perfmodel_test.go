@@ -127,14 +127,6 @@ func TestCostOrderingOnBandedMatrix(t *testing.T) {
 	}
 }
 
-func TestSerialSSSCost(t *testing.T) {
-	_, s, _, _, _ := buildSuite(t)
-	c := SerialSSSCost(s)
-	if c.MultBytes <= 0 || c.MultFlops <= 0 || c.RedBytes != 0 {
-		t.Fatalf("bad serial cost: %+v", c)
-	}
-}
-
 func TestGflops(t *testing.T) {
 	if g := Gflops(2e9, 1.0); g != 2.0 {
 		t.Fatalf("Gflops = %g", g)

@@ -204,10 +204,3 @@ func CSXSymCost(sm *csx.SymMatrix, orig *core.SSS) SpMVCost {
 	t := core.Account(sm.Method, sm.Part.P(), sm.Bytes(), st, cf)
 	return SymCost("CSX-Sym-"+sm.Method.String(), t, st, xProfile(orig.RowPtr, orig.ColIdx, orig.N))
 }
-
-// SerialSSSCost accounts the serial symmetric kernel (Alg. 2) — the
-// baseline of the Fig. 5 overhead ratios and the unit of the §V-E
-// preprocessing cost.
-func SerialSSSCost(s *core.SSS) SpMVCost {
-	return SymCost("SSS-serial", core.SerialTraffic(s), core.StoredOf(s), xProfile(s.RowPtr, s.ColIdx, s.N))
-}

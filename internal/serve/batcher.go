@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	symspmv "repro"
@@ -104,13 +105,13 @@ func allFinite(v []float64) bool {
 }
 
 // Batcher owns one matrix's request stream. A single dispatcher goroutine
-// pops requests from a bounded queue, opportunistically gathers compatible
-// requests that arrived while the previous dispatch ran (plus a short
-// coalescing window once a second request shows up), and issues ONE kernel
-// operation — MulMat or SolveCGBlock at nv ∈ {2,4,8} — whose lanes are then
-// demultiplexed back to the waiting callers. A request that arrives alone is
-// dispatched immediately through the scalar path, so solo traffic pays no
-// window latency.
+// pops requests from a bounded queue, gathers the compatible ones already
+// queued, holds the batch open while another request to the matrix is still
+// in the server (up to the window), and issues ONE kernel operation —
+// MulMat or SolveCGBlock at nv ∈ {2,4,8} — whose lanes are then
+// demultiplexed back to the waiting callers. A request with no other
+// request to its matrix in the server is dispatched at once through the
+// scalar path, so solo traffic pays no window latency.
 type Batcher struct {
 	kern     symspmv.Kernel
 	n        int
@@ -119,6 +120,11 @@ type Batcher struct {
 	spmm     bool // kernel supports MulMat (probed once at load)
 
 	in chan *request
+
+	// held counts the vector requests in the server for this matrix: each
+	// handler holds one, its b_ones product included, from admission until
+	// its response is written.
+	held atomic.Int64
 
 	// The interleaved operand and result blocks of a multi-lane dispatch.
 	// Only the dispatcher goroutine touches them, and each grows once to the
@@ -175,6 +181,12 @@ func (b *Batcher) Enqueue(r *request) error {
 	}
 }
 
+// canGrow: the batch has room and a held request is in neither it nor
+// pending, so might still join; a request no handler holds only ends it sooner.
+func (b *Batcher) canGrow(batch, pending []*request) bool {
+	return len(batch) < b.maxBatch && b.held.Load() > int64(len(batch)+len(pending))
+}
+
 // Stop shuts the dispatcher down and fails queued requests with ErrUnloaded.
 // It returns only after the dispatcher has exited, so the caller may close
 // the kernel immediately afterwards.
@@ -215,12 +227,14 @@ func (b *Batcher) run() {
 		}
 		batch := []*request{first}
 		pending = b.gather(&batch, pending)
-		// A companion arrived while we were idle: hold the window open for
-		// more, up to the fast-path cap. Solo requests skip this entirely.
-		if b.spmm && len(batch) > 1 && b.window > 0 && len(batch) < b.maxBatch {
+		// Hold the batch open while another request in the server could join
+		// it, up to the window. The count is read as the batch changes, not as
+		// handlers leave: a closed-loop client's next request comes a few ms
+		// after its response, and a hold ended there would go out short.
+		if b.spmm && b.window > 0 && b.canGrow(batch, pending) {
 			timer := time.NewTimer(b.window)
 		collect:
-			for len(batch) < b.maxBatch {
+			for b.canGrow(batch, pending) {
 				select {
 				case r := <-b.in:
 					b.admitOrHold(r, &batch, &pending)

@@ -263,6 +263,8 @@ func (s *Server) handleVector(op opKind) http.HandlerFunc {
 			writeError(w, err)
 			return
 		}
+		e.batcher.held.Add(1)
+		defer e.batcher.held.Add(-1)
 		decStart := obs.Now()
 		req, err := decodeVectorRequest(http.MaxBytesReader(w, r.Body, s.vectorBodyCap(e.N)), op, e.N)
 		decEnd := obs.Now()

@@ -6,14 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	symspmv "repro"
 )
 
 func testHTTPServer(t *testing.T, regOpts Options, srvOpts ServerOptions) (*Server, *Registry, *httptest.Server) {
@@ -479,4 +483,228 @@ func TestHTTPCoalescingAndMetrics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gatedBody is a request body that sends its first byte at once and the rest
+// only once open runs, so its handler is admitted and decoding until then.
+// A failed test opens it too, so no handler outlives the test server.
+func gatedBody(t *testing.T, body []byte) (r io.Reader, open func()) {
+	gate := make(chan struct{})
+	open = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
+	return io.MultiReader(bytes.NewReader(body[:1]), gateReader(gate), bytes.NewReader(body[1:])), open
+}
+
+type gateReader <-chan struct{}
+
+func (g gateReader) Read([]byte) (int, error) {
+	<-g
+	return 0, io.EOF
+}
+
+// postSolve posts a solve body and parses the answer.
+func postSolve(t *testing.T, url string, body io.Reader) (int, solveResponse) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Error(err)
+		return 0, solveResponse{}
+	}
+	defer resp.Body.Close()
+	var out solveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Errorf("status %d: %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, out
+}
+
+// onesRHS is b = A·1 through e's kernel, so a solve's answer is all ones.
+func onesRHS(e *Entry) []float64 {
+	x, b := make([]float64, e.N), make([]float64, e.N)
+	for i := range x {
+		x[i] = 1
+	}
+	e.kern.MulVec(x, b)
+	return b
+}
+
+// waitHeld waits until n vector requests to e are in the server.
+func waitHeld(t *testing.T, e *Entry, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); e.batcher.held.Load() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests held, want %d", e.batcher.held.Load(), n)
+		}
+	}
+}
+
+// A request with no other request to its matrix in the server never waits
+// for the window, whatever its length — the b_ones product it runs first
+// counts as the same request, not a second one.
+func TestLoneRequestNeverHolds(t *testing.T) {
+	_, reg, ts := testHTTPServer(t, Options{Window: 10 * time.Second, QueueDepth: 8}, ServerOptions{})
+	loadEntry(t, reg, "lone", 250, 27)
+	start := time.Now()
+	status, out := postSolve(t, ts.URL+"/v1/matrices/lone/solve", strings.NewReader(`{"b_ones":true}`))
+	if elapsed := time.Since(start); status != http.StatusOK || !out.Converged || out.BatchLanes != 1 || elapsed > time.Second {
+		t.Fatalf("status %d, converged %v, batch_lanes %d after %v; want 200, true, 1 in under 1 s",
+			status, out.Converged, out.BatchLanes, elapsed)
+	}
+}
+
+// Four solves admitted before the first is dispatched go out as one 4-lane
+// block as soon as the fourth is queued, not when the window closes: each
+// body holds back until all four handlers are decoding.
+func TestBurstDispatchesAsOneBlock(t *testing.T) {
+	_, reg, ts := testHTTPServer(t, Options{Window: 10 * time.Second, QueueDepth: 8}, ServerOptions{})
+	e := loadEntry(t, reg, "burst", 250, 28)
+	body, err := json.Marshal(solveRequest{B: onesRHS(e), Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const reqs = 4
+	outs := make([]solveResponse, reqs)
+	opens := make([]func(), reqs)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for r := range reqs {
+		var gated io.Reader
+		gated, opens[r] = gatedBody(t, body)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, outs[r] = postSolve(t, ts.URL+"/v1/matrices/burst/solve", gated)
+		}()
+	}
+	waitHeld(t, e, reqs)
+	for _, open := range opens {
+		open()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("the burst took %v against a 10 s window", elapsed)
+	}
+	for r, out := range outs {
+		if out.BatchLanes != reqs || !out.Converged || len(out.X) != e.N {
+			t.Fatalf("request %d: batch_lanes %d, converged %v, %d entries; want %d, true, %d",
+				r, out.BatchLanes, out.Converged, len(out.X), reqs, e.N)
+		}
+		for i, v := range out.X {
+			if d := math.Abs(v - 1); d > 1e-8 {
+				t.Fatalf("request %d: x[%d] off by %g", r, i, d)
+			}
+		}
+	}
+}
+
+// A request in the server whose key is not yet known holds a batch open, but
+// only until the window closes: the batch goes out then, alone, while the
+// other request (a different tolerance, so it could not have joined) is still
+// decoding.
+func TestIncompatibleRequestEndsHoldAtWindow(t *testing.T) {
+	const window = 300 * time.Millisecond
+	_, reg, ts := testHTTPServer(t, Options{Window: window, QueueDepth: 8}, ServerOptions{})
+	e := loadEntry(t, reg, "other", 250, 29)
+	url := ts.URL + "/v1/matrices/other/solve"
+
+	gated, open := gatedBody(t, []byte(`{"b_ones":true,"tol":1e-6}`))
+	other := make(chan solveResponse, 1)
+	go func() {
+		_, out := postSolve(t, url, gated)
+		other <- out
+	}()
+	waitHeld(t, e, 1)
+
+	body, err := json.Marshal(solveRequest{B: onesRHS(e)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	status, out := postSolve(t, url, bytes.NewReader(body))
+	elapsed := time.Since(start)
+	open()
+	o := <-other
+	if status != http.StatusOK || out.BatchLanes != 1 || !out.Converged {
+		t.Fatalf("held request: status %d, batch_lanes %d, converged %v", status, out.BatchLanes, out.Converged)
+	}
+	if elapsed < window || elapsed > window+time.Second {
+		t.Fatalf("held request answered after %v, want the %v window and no more", elapsed, window)
+	}
+	if o.BatchLanes != 1 || !o.Converged {
+		t.Fatalf("incompatible request: batch_lanes %d, converged %v", o.BatchLanes, o.Converged)
+	}
+}
+
+// BenchmarkBurstSolve drives the poisson-multirhs matrix of the benchmark's
+// throughput phase through an httptest server with the default options: per
+// iteration, 4 closed-loop clients each post 8 explicit-b solves back to
+// back. It reports requests per second and the mean batch_lanes of the
+// responses, 4 when every burst goes out as one block. Unlike the phase's
+// windows of 8 requests the loop never pauses, so a client's next request
+// can miss the batch its response left.
+func BenchmarkBurstSolve(b *testing.B) {
+	const clients, solves = 4, 8
+	a, err := symspmv.GeneratePoisson2D(144)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.TuneCacheDir = "off"
+	reg := NewRegistry(opts)
+	defer reg.Close()
+	defer SetLogger(reqLogger.Load())
+	SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(NewServer(reg, ServerOptions{}))
+	defer ts.Close()
+	e, err := reg.Load("poisson", LoadSpec{Path: writeMatrixFile(b, a), Format: "sss-idx", Threads: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(solveRequest{B: onesRHS(e), Tol: 1e-8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	url := ts.URL + "/v1/matrices/poisson/solve"
+	var lanes atomic.Int64
+	burst := func() {
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range solves {
+					resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					// The tail alone, as a load generator reads it: decoding x
+					// here would hold the client, not the server, and space
+					// the requests of a burst apart.
+					raw, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					tail := raw[max(len(raw)-128, 0):]
+					i := bytes.LastIndex(tail, []byte(`"batch_lanes":`))
+					if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(tail, []byte(`"converged":true`)) || i < 0 {
+						b.Errorf("status %d, %v, response ends %q", resp.StatusCode, err, tail)
+						return
+					}
+					lanes.Add(int64(tail[i+len(`"batch_lanes":`)] - '0'))
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	burst() // warm every connection
+	lanes.Store(0)
+	b.ResetTimer()
+	for range b.N {
+		burst()
+	}
+	reqs := float64(b.N * clients * solves)
+	b.ReportMetric(reqs/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(float64(lanes.Load())/reqs, "lanes/req")
 }

@@ -46,18 +46,24 @@ func testMatrixFile(t *testing.T, n int, seed int64) (string, *symspmv.Matrix) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "m.mtx")
+	return writeMatrixFile(t, a), a
+}
+
+// writeMatrixFile writes a to a temp Matrix Market file and returns its path.
+func writeMatrixFile(tb testing.TB, a *symspmv.Matrix) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "m.mtx")
 	f, err := os.Create(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := a.WriteMatrixMarket(f); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return path, a
+	return path
 }
 
 func testRegistry(t *testing.T, opts Options) *Registry {

@@ -107,20 +107,24 @@ generated() { head -n 1 "$1" | grep -qE '^// Code generated .* DO NOT EDIT\.$'; 
 hand=$(sources | while read -r f; do generated "$f" || echo "$f"; done)
 
 # The ratchet on hand-written non-test lines: lowered when a change removes
-# lines, raised only by a reviewed exception (internal/atof's reader, +150;
-# its writer, atof.AppendJSON, +145; the wire codec's block pipeline in
+# lines, raised only by a reviewed exception (internal/atof's reader, +150; its
+# writer, atof.AppendJSON, +145; the wire codec's block pipeline in
 # internal/serve/wire.go and the serve command's header timeout, +148 together;
 # the Matrix Market reader's one-pass lines and recycled block buffers, +38 net
 # of the SSS build's one pass, for ≈ 35 ms of a 120 ms read of the bmwcra_1
 # analog and 54 MB less garbage; SSS.Permute and the reordered COO built on
 # first read, +61 net of fuzzcheck.Reference becoming the one-lane
 # ReferenceMat, for ≈ 21 ms of the 47 ms COO.Permute + FromCOO took on the
-# stencil analog at 0.25 and 18 MB less garbage a reorder). Lowered by the
-# cull that kept one harness experiment per paper table or figure (no colored,
-# phases, spmm-bench or spmm-smoke experiment; the host experiment takes -nv)
-# and a triad-only bandwidth probe with no cmd/stream-bench, and by one
-# per-method traffic account in internal/core for every pricer.
-limit=17447
+# stencil analog at 0.25 and 18 MB less garbage a reorder; the batcher's one
+# hold rule, +16, for req_per_s 36.0 → 48.2 on poisson-multirhs, with
+# stream.Run's warm-up, +5, and the serve flags' defaults read from
+# serve.DefaultOptions, +1). Lowered by the cull that kept one harness
+# experiment per paper table or figure (no colored, phases, spmm-bench or
+# spmm-smoke experiment; the host experiment takes -nv) and a triad-only
+# bandwidth probe with no cmd/stream-bench, by one per-method traffic account
+# in internal/core for every pricer, and by perfmodel.SerialSSSCost, which had
+# no caller (−7).
+limit=17462
 csxlimit=2226
 designlimit=108075
 explimit=83038
