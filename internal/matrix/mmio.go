@@ -7,12 +7,11 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/atof"
+	"repro/internal/blocks"
 )
 
 // Matrix Market exchange format support (the format the University of
@@ -32,9 +31,9 @@ import (
 // bytes from the stream at a time, cuts the block after its last newline and
 // carries the unfinished line into the next, so a block is whole lines. The
 // calling goroutine reads the banner and the size line, then reads blocks and
-// parses them; up to GOMAXPROCS-1 helper goroutines, started only when more
-// blocks follow, parse blocks beside it. A data line is read in one pass over
-// the block's bytes, where it lies. The invariants:
+// runs them through a blocks.Pipe, whose helpers parse them beside it. A data
+// line is read in one pass over the block's bytes, where it lies. The
+// invariants:
 //
 //   - Bounded memory: beyond the COO the reader holds at most mmAhead+2 blocks
 //     (those awaiting settling, the one just read, the one being filled); a
@@ -253,8 +252,7 @@ func (rd *mmReader) header() (*mmFormat, error) {
 // mmBlock is one block of data lines and the entries parsed from it.
 type mmBlock struct {
 	text   []byte
-	buf    []byte        // the buffer text lies in, refilled once the block settles
-	done   chan struct{} // closed by the helper that parsed the block; nil if the caller did
+	buf    []byte // the buffer text lies in, refilled once the block settles
 	ri, ci []int32
 	v      []float64
 	lines  int
@@ -402,60 +400,38 @@ func mmSkip(t []byte, i int) int {
 	return i
 }
 
-// entries reads and parses every block after the size line and appends their
-// entries to m in file order. The caller reads, and parses a block itself
-// when that block is the last (so a one-block file wakes nobody) or when
-// GOMAXPROCS-1 blocks are already out with helper goroutines.
+// entries reads and parses every block after the size line on a blocks.Pipe
+// and appends their entries to m in file order.
 func (rd *mmReader) entries(p *mmFormat, m *COO) error {
-	var (
-		pending []*mmBlock // read and not yet settled, in file order
-		room    = p.nnz
-		out     atomic.Int32 // blocks helpers are parsing right now
-	)
-	defer func() { // on an early return, let the helpers finish
-		for _, b := range pending {
-			if b.done != nil {
-				<-b.done
-			}
+	var pipe blocks.Pipe[*mmBlock]
+	defer pipe.Close()
+	room := p.nnz // entries the size line still allows
+	parse := func(b *mmBlock) { p.parse(b, 0, math.MaxInt) }
+	// settle numbers and counts a parsed block and moves its entries into m.
+	// The first that failed or overran the declared count is parsed again
+	// with both known, for the line-by-line reader's diagnostic, and stays
+	// the oldest block in the pipe.
+	settle := func(b *mmBlock) bool {
+		if b.err != nil || len(b.v) > room {
+			p.parse(b, rd.lineno, room)
+			return false
 		}
-	}()
-	// settle numbers and counts parsed blocks in file order and moves their
-	// entries into m, waiting for a helper only while more than ahead blocks
-	// are unsettled.
-	settle := func(ahead int) error {
-		for len(pending) > 0 {
-			b := pending[0]
-			if b.done != nil {
-				if len(pending) > ahead {
-					<-b.done
-				}
-				select {
-				case <-b.done:
-				default:
-					return nil
-				}
+		rd.lineno += b.lines
+		room -= len(b.v)
+		if k := len(m.Val) + len(b.v); k > cap(m.Val) {
+			// A stream: twice the room, and the whole declared count once
+			// a quarter of it has arrived, so a lying count costs at most
+			// four times what the stream has proved.
+			if 4*k >= p.nnz {
+				k = p.nnz
+			} else {
+				k = max(k, 2*len(m.Val))
 			}
-			if b.err != nil || len(b.v) > room {
-				p.parse(b, rd.lineno, room)
-				return b.err
-			}
-			rd.lineno += b.lines
-			room -= len(b.v)
-			if k := len(m.Val) + len(b.v); k > cap(m.Val) {
-				// A stream: twice the room, and the whole declared count once
-				// a quarter of it has arrived, so a lying count costs at most
-				// four times what the stream has proved.
-				if 4*k >= p.nnz {
-					k = p.nnz
-				} else {
-					k = max(k, 2*len(m.Val))
-				}
-				m.RowIdx, m.ColIdx, m.Val = regrown(m.RowIdx, k), regrown(m.ColIdx, k), regrown(m.Val, k)
-			}
-			m.RowIdx, m.ColIdx, m.Val = append(m.RowIdx, b.ri...), append(m.ColIdx, b.ci...), append(m.Val, b.v...)
-			pending, rd.spare = pending[1:], append(rd.spare, b)
+			m.RowIdx, m.ColIdx, m.Val = regrown(m.RowIdx, k), regrown(m.ColIdx, k), regrown(m.Val, k)
 		}
-		return nil
+		m.RowIdx, m.ColIdx, m.Val = append(m.RowIdx, b.ri...), append(m.ColIdx, b.ci...), append(m.Val, b.v...)
+		rd.spare = append(rd.spare, b)
+		return true
 	}
 
 	text, buf := rd.text, rd.block // what the size line's block holds after it
@@ -470,25 +446,13 @@ func (rd *mmReader) entries(p *mmFormat, m *COO) error {
 		if k := len(rd.spare); k > 0 { // the block whose buffer next just took, if it did
 			b, rd.spare = rd.spare[k-1], rd.spare[:k-1]
 		}
-		b.text, b.buf, b.done, text = text, buf[:cap(buf)], nil, nil
-		pending = append(pending, b)
-		if rd.err == nil && int(out.Load()) < runtime.GOMAXPROCS(0)-1 { // more follows: share the work
-			out.Add(1)
-			b.done = make(chan struct{})
-			go func() {
-				p.parse(b, 0, math.MaxInt)
-				out.Add(-1)
-				close(b.done)
-			}()
-		} else {
-			p.parse(b, 0, math.MaxInt)
-		}
-		if err := settle(mmAhead); err != nil {
-			return err
+		b.text, b.buf, text = text, buf[:cap(buf)], nil
+		if !pipe.Run(b, parse, rd.err == nil, mmAhead, settle) {
+			return pipe.Close()[0].err
 		}
 	}
-	if err := settle(0); err != nil {
-		return err
+	if !pipe.Settle(0, settle) {
+		return pipe.Close()[0].err
 	}
 	if err := rd.failure(); err != nil {
 		return fmt.Errorf("matrixmarket: line %d: %w", rd.lineno+1, err)

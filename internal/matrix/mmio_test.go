@@ -13,8 +13,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
+	"time"
+
+	"repro/internal/blocks"
 )
 
 func TestReadMatrixMarketGeneral(t *testing.T) {
@@ -444,6 +448,52 @@ func TestReadMatrixMarketReaderFails(t *testing.T) {
 	}
 	checkAgainstReference(t, "no progress", func() io.Reader { return &failAfter{data: in, n: 0, err: nil} })
 	checkAgainstReference(t, "timeout", func() io.Reader { return iotest.TimeoutReader(bytes.NewReader(in)) })
+}
+
+// The reader's helpers end with the read, on a fault, a surplus line and a
+// read error as on success, at one processor (no helpers) and at four; a file
+// of one block starts none.
+func TestReadMatrixMarketHelpersEndWithTheRead(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var started atomic.Int32
+	defer func(s func(func())) { blocks.Spawn = s }(blocks.Spawn)
+	blocks.Spawn = func(f func()) { started.Add(1); go f() }
+	file := bandFile(20000)
+	mid := bytes.LastIndexByte(file[:len(file)/2], '\n') + 1
+	bad := append(append(append([]byte(nil), file[:mid]...), "1 1 oops\n"...), file[mid:]...)
+	surplus := append(append([]byte(nil), file...), "1 1 1\n"...)
+	boom := errors.New("disk on fire")
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct {
+			name  string
+			open  func() io.Reader
+			fails bool
+			many  bool // more than one block
+		}{
+			{"clean", func() io.Reader { return bytes.NewReader(file) }, false, true},
+			{"a fault in a middle block", func() io.Reader { return bytes.NewReader(bad) }, true, true},
+			{"surplus", func() io.Reader { return bytes.NewReader(surplus) }, true, true},
+			{"a read error mid-file", func() io.Reader { return &failAfter{data: file, n: mid, err: boom} }, true, true},
+			{"one block", func() io.Reader { return strings.NewReader(edgeCases["general"]) }, false, false},
+		} {
+			withBlockSize(1<<12, func() {
+				baseline := runtime.NumGoroutine()
+				started.Store(0)
+				if _, err := ReadMatrixMarket(c.open()); (err != nil) != c.fails {
+					t.Fatalf("GOMAXPROCS=%d, %s: err = %v", procs, c.name, err)
+				}
+				if n := started.Load(); (n > 0) != (procs > 1 && c.many) {
+					t.Errorf("GOMAXPROCS=%d, %s: %d helpers started", procs, c.name, n)
+				}
+				for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("GOMAXPROCS=%d, %s: %d goroutines, %d before", procs, c.name, runtime.NumGoroutine(), baseline)
+					}
+				}
+			})
+		}
+	}
 }
 
 // allocated reports the objects and bytes one call of f allocates.

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/atof"
+	"repro/internal/blocks"
 )
 
 // The wire codec of the two vector endpoints. /spmv and /solve carry one
@@ -19,9 +20,9 @@ import (
 // than the solve behind it. The schema is fixed — one number array and a few
 // scalars — so the body is scanned through a fixed window straight into a
 // vector of exactly N, and the response is streamed out of the same kind of
-// window, both on up to GOMAXPROCS goroutines. Request memory is 8N plus
-// 2·GOMAXPROCS+2 windows at most whatever the body's size. DESIGN.md §13
-// ("Wire format") states the grammar, the float format and the pipeline.
+// window, both on a blocks.Pipe. Request memory is 8N plus 2·GOMAXPROCS+2
+// windows at most whatever the body's size. DESIGN.md §13 ("Wire format")
+// states the grammar, the float format and the pipeline.
 
 // windowSize bounds both the read and the write side's buffering, and with it
 // the longest single token (a key or a number literal) a request may carry.
@@ -29,26 +30,24 @@ const windowSize = 64 << 10
 
 var (
 	windowPool           = sync.Pool{New: func() any { return new([windowSize]byte) }}
-	getWindow, putWindow = windowPool.Get, windowPool.Put // variables, as spawn, for tests to count
-	spawn                = func(f func()) { go f() }      // starts a codec helper
+	getWindow, putWindow = windowPool.Get, windowPool.Put // variables for tests to count
 	decBlockSize         = windowSize                     // the bytes a decode read takes; tests set it lower
 )
 
-// pipe runs a request's codec jobs, one per block, on GOMAXPROCS-1 helpers
-// (from the first job with a successor on) and the handler, settling in order.
+// pipe runs a request's codec jobs with a look-ahead of 2·GOMAXPROCS (a job
+// running and one waiting per goroutine) and keeps the request's windows.
 type pipe struct {
-	work      chan func()
-	wg        sync.WaitGroup
-	queue     []*block // run and not yet settled, oldest first
+	blocks.Pipe[*block]
 	all, free []*[windowSize]byte
 }
 
 // block is a job's window, holding win[:n], and its first element's index; a
-// decode block is at body offset base, cut after a comma, parsed to clean.
+// decode block is at body offset base, cut after a comma, parsed to clean,
+// and the last unless the body goes on past its cut.
 type block struct {
 	win                      *[windowSize]byte
 	n, off, cut, clean, base int
-	done                     chan struct{} // closed when the job is done
+	last                     bool
 }
 
 func (p *pipe) window() (w *[windowSize]byte) {
@@ -60,58 +59,12 @@ func (p *pipe) window() (w *[windowSize]byte) {
 	return p.all[len(p.all)-1]
 }
 
-// run runs job on b, on a helper if more blocks follow and one is free, then
-// settles to 2·GOMAXPROCS behind b, a job running and one waiting per goroutine.
-func (p *pipe) run(b *block, job func(*block), more bool, each func(*block) bool) bool {
-	procs := runtime.GOMAXPROCS(0)
-	if more && p.work == nil && procs > 1 {
-		p.work = make(chan func(), procs-1) // a job waiting for each helper, so none parks between jobs
-		p.wg.Add(procs - 1)
-		for range procs - 1 {
-			spawn(func() {
-				defer p.wg.Done()
-				for f := range p.work {
-					f()
-				}
-			})
-		}
-	}
-	p.queue, b.done = append(p.queue, b), make(chan struct{})
-	if f := func() { job(b); close(b.done) }; !more || len(p.work) == cap(p.work) {
-		f()
-	} else {
-		p.work <- f
-	}
-	return p.settle(2*procs, each)
-}
-
-// settle hands the oldest blocks to each while more than ahead are queued,
-// waiting for their jobs, and then while their jobs are done, keeping the
-// newest unless ahead is 0; a block each refuses stays.
-func (p *pipe) settle(ahead int, each func(*block) bool) bool {
-	for ; len(p.queue) > min(ahead, 1); p.queue = p.queue[1:] {
-		select {
-		case <-p.queue[0].done:
-		default:
-			if len(p.queue) <= ahead {
-				return true
-			}
-			<-p.queue[0].done
-		}
-		if !each(p.queue[0]) {
-			return false
-		}
-		p.free = append(p.free, p.queue[0].win)
-	}
-	return true
-}
+// reuse frees the window of b, a settled block.
+func (p *pipe) reuse(b *block) bool { p.free = append(p.free, b.win); return true }
 
 // release ends the helpers, once their jobs are done, and returns p's windows.
 func (p *pipe) release() {
-	if p.work != nil {
-		close(p.work)
-		p.wg.Wait()
-	}
+	p.Close()
 	for _, w := range p.all {
 		putWindow(w)
 	}
@@ -371,26 +324,26 @@ func (s *scanner) blocks(vec []float64) []float64 {
 			full[k], i, b.clean = f, i+1, i+1
 		}
 	}
-	parsed := func(b *block) bool { return b.clean == b.cut }
+	parsed := func(b *block) bool { return !b.last && b.clean == b.cut && s.p.reuse(b) } // the serial scan ends the last
 	for b := (&block{win: s.p.window(), base: int(s.base) + s.pos}); ; {
 		m, err := io.ReadFull(src, b.win[b.n:decBlockSize])
 		if b.n, s.rerr = b.n+m, err; err == io.ErrUnexpectedEOF {
 			s.rerr = io.EOF
 		}
 		b.cut = bytes.LastIndexByte(b.win[:b.n], ',') + 1
-		if more := b.cut > 0 && s.rerr == nil; !s.p.run(b, parse, more, parsed) || !more {
+		if b.last = b.cut == 0 || s.rerr != nil; !s.p.Run(b, parse, !b.last, 2*runtime.GOMAXPROCS(0), parsed) || b.last {
 			break
 		}
+		// b may have settled and freed its window for next: copy moves the carry.
 		next := &block{win: s.p.window(), base: b.base + b.cut, off: b.off + bytes.Count(b.win[:b.cut], []byte{','})}
 		b, next.n = next, copy(next.win[:], b.win[b.cut:b.n])
 	}
-	s.p.settle(1, parsed) // the serial scan starts at the oldest block left
-	q := s.p.queue
+	s.p.Settle(0, parsed)            // the serial scan starts at the oldest block left,
+	q := s.p.Close()                 // once no job writes to vec any more
 	if s.rerr != nil && len(q) > 1 { // fill reads it with the last block's bytes
 		src, s.rerr = stuck{s.rerr}, nil
 	}
-	for i := len(q) - 1; i > 0; i-- { // past what q[i-1] carried over, once q[i] is off vec
-		<-q[i].done
+	for i := len(q) - 1; i > 0; i-- { // past what q[i-1] carried over
 		src = io.MultiReader(bytes.NewReader(q[i].win[q[i-1].n-q[i-1].cut:q[i].n]), src)
 	}
 	s.r = src
@@ -500,13 +453,13 @@ func writeVectorResponse(w http.ResponseWriter, op opKind, out outcome) (err err
 	var p pipe
 	defer p.release()
 	format := func(b *block) { b.n = len(appendSegment(b.win[:0], op, out, b.off)) }
-	write := func(b *block) bool { _, err = w.Write(b.win[:b.n]); return err == nil }
+	write := func(b *block) bool { _, err = w.Write(b.win[:b.n]); return err == nil && p.reuse(b) }
 	for off := 0; off == 0 || off < len(out.y); off += segFloats {
-		if !p.run(&block{win: p.window(), off: off}, format, off+segFloats < len(out.y), write) {
+		if !p.Run(&block{win: p.window(), off: off}, format, off+segFloats < len(out.y), 2*runtime.GOMAXPROCS(0), write) {
 			return err
 		}
 	}
-	p.settle(0, write)
+	p.Settle(0, write)
 	return err
 }
 

@@ -17,6 +17,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"repro/internal/blocks"
 )
 
 // The streamed response is byte for byte what encoding/json writes for the
@@ -320,8 +322,8 @@ func (h *hiccup) Read(p []byte) (int, error) {
 func TestWireHelpersEndWithTheRequest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var started, out atomic.Int32
-	defer func(s func(func()), g func() any, p func(any)) { spawn, getWindow, putWindow = s, g, p }(spawn, getWindow, putWindow)
-	spawn = func(f func()) { started.Add(1); go f() }
+	defer func(s func(func()), g func() any, p func(any)) { blocks.Spawn, getWindow, putWindow = s, g, p }(blocks.Spawn, getWindow, putWindow)
+	blocks.Spawn = func(f func()) { started.Add(1); go f() }
 	getWindow = func() any { out.Add(1); return windowPool.Get() }
 	putWindow = func(w any) { out.Add(-1); windowPool.Put(w) }
 	v := benchVector()[:20000]

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/cg"
 	"repro/internal/core"
-	"repro/internal/csx"
 	"repro/internal/format"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
@@ -184,20 +183,18 @@ func fromGeneral(c *matrix.COO) (*Matrix, error) {
 // becomes a structurally-symmetric Matrix, and anything else takes the lower
 // triangle as before. Check SymmetryClass when the distinction matters.
 func ReadMatrixMarket(r io.Reader) (*Matrix, error) {
-	c, err := matrix.ReadMatrixMarket(r)
-	if err != nil {
-		return nil, err
-	}
-	if !c.Symmetric {
-		return fromGeneral(c)
-	}
-	return fromCOO(c)
+	return classified(matrix.ReadMatrixMarket(r))
 }
 
 // ReadMatrixMarketFile loads a .mtx file (see ReadMatrixMarket for how
 // general files are classified).
 func ReadMatrixMarketFile(path string) (*Matrix, error) {
-	c, err := matrix.ReadMatrixMarketFile(path)
+	return classified(matrix.ReadMatrixMarketFile(path))
+}
+
+// classified is the Matrix of a COO just read: a symmetric file's as it is,
+// a general file's as ReadMatrixMarket classifies it.
+func classified(c *matrix.COO, err error) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -251,19 +248,11 @@ type Kernel interface {
 // Option configures kernel construction.
 type Option func(*kernelOpts)
 
-type kernelOpts struct {
-	threads int
-	build   format.Options
-}
+type kernelOpts struct{ threads int }
 
 // Threads sets the worker count (default: GOMAXPROCS).
 func Threads(n int) Option {
 	return func(o *kernelOpts) { o.threads = n }
-}
-
-// CSXOptions overrides the CSX/CSX-Sym detection parameters.
-func CSXOptions(opts csx.Options) Option {
-	return func(o *kernelOpts) { o.build.CSX = &opts }
 }
 
 // Kernel builds a multithreaded kernel for the matrix in the given format.
@@ -294,7 +283,7 @@ func (a *Matrix) Kernel(f Format, options ...Option) (Kernel, error) {
 		}
 	}()
 	src := a.fm // a copy: the build may fill in its CSR
-	b, err := format.Build(&src, f, pool, o.build)
+	b, err := format.Build(&src, f, pool, format.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("symspmv: %w", err)
 	}
