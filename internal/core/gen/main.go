@@ -1,7 +1,8 @@
-// Command gen writes internal/core/lowerrow_gen.go: the multiply bodies of
-// the symmetric kernel, every one an instantiation of the single lower-row
-// loop below. Its second template (vec.go) writes internal/vec/multi_gen.go,
-// the block-CG vector bodies, and its third (pow10.go) internal/atof's table.
+// Command gen writes internal/core/lowerrow_gen.go and internal/csr/mul_gen.go:
+// the multiply bodies of the symmetric kernel and CSR's rows, every one an
+// instantiation of the single lower-row loop below. Its other templates write
+// internal/vec/multi_gen.go, the block-CG vector bodies (vec.go),
+// internal/atof's table (pow10.go) and internal/csx's decode loops (decode.go).
 // Run by `go generate ./internal/core/...` (the one directive lives in
 // lowerrow.go); `make ci` fails when a checked-in file differs from what this
 // program prints.
@@ -20,7 +21,8 @@
 //	                       colored schedule's ranges (internal/color): phase 1
 //	                       runs the split rows without the columns below the
 //	                       range's first row, phase 2 (cross) runs those deferred
-//	                       columns alone, seeding each row sum with y[r].
+//	                       columns alone, seeding each row sum with y[r];
+//	              gather — none: CSR's full rows, y[r] assigned.
 //	value policy  sym — the stored value both ways; kind — sign·uval[j] on the
 //	              transpose write and an optional diagonal (skew, structural).
 //	lane width    1 (SpM×V over the x, y arguments), 2, 4, 8 (register-blocked
@@ -43,12 +45,18 @@ import (
 // cell is one instantiation of the template.
 type cell struct {
 	Name  string
-	Write string // "local", "split" or "direct"
+	Write string // "local", "split", "direct" or "gather"
 	Kind  bool   // value policy: false = sym, true = kind
 	Lanes int    // 1, 2, 4, 8, or 0 for the run-time width nv
 	To    string // scatter target of the loop being emitted (set by Into)
 	Past  bool   // the split row loop past the local frontier (set by PastFrontier)
 	Defer bool   // the direct cell's phase-2 row loop (set by Deferred)
+}
+
+// cellFile is one package's cells.
+type cellFile struct {
+	Pkg   string
+	Cells []cell
 }
 
 // cells lists the 18 bodies under the names Kernel.phases and assembleColored dispatch on.
@@ -76,6 +84,7 @@ var cells = []cell{
 func (c cell) Local() bool  { return c.Write == "local" }
 func (c cell) Split() bool  { return c.Write == "split" }
 func (c cell) Direct() bool { return c.Write == "direct" }
+func (c cell) Gather() bool { return c.Write == "gather" }
 func (c cell) Scalar() bool { return c.Lanes == 1 }
 func (c cell) AnyNV() bool  { return c.Lanes == 0 }
 
@@ -97,6 +106,10 @@ func (c cell) Params() string {
 		rows = "tid int, cross bool"
 	}
 	switch {
+	case c.Gather() && c.AnyNV():
+		return "m *Matrix, x, y []float64, nv, lo, hi int"
+	case c.Gather():
+		return "m *Matrix, x, y []float64, lo, hi int"
 	case c.Scalar() && c.Local():
 		return rows + ", x []float64"
 	case c.Scalar():
@@ -136,7 +149,7 @@ func (c cell) Idx() []int {
 }
 
 // Row is where a finished row sum goes, RowOp how: the local policy adds into
-// the (zeroed) local vector; split and direct assign — transpose writes only
+// the (zeroed) local vector; the others assign — transpose writes only
 // reach earlier rows, so y[r] is untouched until its own row stores it, and
 // a deferred row sum starts from the y[r] phase 1 stored.
 func (c cell) Row() string {
@@ -160,9 +173,17 @@ func (c cell) Slice(v, at string) string {
 
 const text = `// Code generated by go run ./gen (internal/core/gen/main.go); DO NOT EDIT.
 
-package core
-{{range .}}{{template "cell" .}}{{end}}
+package {{.Pkg}}
+{{range .Cells}}{{template "cell" .}}{{end}}
 {{- define "cell"}}
+{{- if .Gather}}
+// {{.Name}} is the lower-row loop with the gather write policy (full rows, no
+// transpose write) and lane width {{.W}}, over rows [lo, hi) of m.
+func {{.Name}}({{.Params}}) {
+	rowPtr := m.RowPtr
+	colIdx := m.ColIdx
+	val := m.Val[:len(colIdx)]
+{{- else}}
 // {{.Name}} is the lower-row loop with the {{.Write}} write policy, the {{if .Kind}}kind{{else}}sym{{end}}
 // value policy and lane width {{.W}}.
 func (k *Kernel) {{.Name}}({{.Params}}) {
@@ -194,7 +215,8 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 	local := k.LV.Vecs[tid]{{if and .Scalar .Local}}[:n]{{end}}
 	{{- end}}
 	lo, hi := int(k.Part.Start[tid]), int(k.Part.End[tid])
-	{{- if .Local}}
+{{- end}}
+	{{- if or .Local .Gather}}
 	j := uint(rowPtr[lo]) // carried across rows: row r ends where r+1 begins
 	for r := lo; r < hi; r++ {
 		{{- template "row" .}}
@@ -229,7 +251,13 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			if jhi > uint(len(colIdx)) {
 				panic(rowPtrOverrun(r))
 			}
-			{{- if .Scalar}}
+			{{- if and .Gather .Scalar}}
+			acc := 0.0
+			{{- else if .Gather}}
+			ri := r * nv
+			row := {{.Slice "y" "ri"}}
+			clear(row)
+			{{- else if .Scalar}}
 			xr := x[r]
 			{{- if .Defer}}
 			acc := y[r]
@@ -308,7 +336,9 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 			{{- end}}
 {{- end}}
 {{- define "nonzero"}}
-				{{- if .Scalar}}
+				{{- if and .Gather .Scalar}}
+				acc += val[j] * x[c] // gather
+				{{- else if .Scalar}}
 				{{- if .Kind}}
 				acc += val[j] * x[c] // gather
 				{{.To}}[c] += sign * uval[j] * xr // scatter
@@ -321,7 +351,11 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 				ci := c * {{.W}}
 				a := val[j]
 				xc := {{.Slice "x" "ci"}} // gather
-				{{- if .AnyNV}}
+				{{- if .Gather}}
+				for v := range xc {
+					row[v] += a * xc[v]
+				}
+				{{- else if .AnyNV}}
 				tc := {{.Slice .To "ci"}} // scatter
 				for v := range xc {
 					row[v] += a * xc[v]
@@ -341,9 +375,14 @@ func (k *Kernel) {{.Name}}({{.Params}}) {
 
 func main() {
 	for _, err := range []error{
-		generate("lowerrow_gen.go", text, cells),
+		generate("lowerrow_gen.go", text, cellFile{"core", cells}),
+		generate("../csr/mul_gen.go", text, cellFile{"csr", []cell{
+			{Name: "mulRows", Write: "gather", Lanes: 1},
+			{Name: "mulMatRows", Write: "gather"},
+		}}),
 		generate("../vec/multi_gen.go", vecText, vecCells()),
 		generate("../atof/pow10_gen.go", pow10Text, pow10Rows()),
+		generate("../csx/decode_gen.go", decodeText, decodeCells),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gen:", err)

@@ -67,72 +67,16 @@ func (a *Matrix) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("csr: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			a.Rows, a.Cols, len(x), len(y)))
 	}
-	mulRange(a, x, y, 0, int32(a.Rows))
+	mulRows(a, x, y, 0, a.Rows)
 }
 
-// rowPtrOverrun is the message of the per-row check of mulRange and
-// mulMatRange; FromCOO never builds a matrix that fails it.
-func rowPtrOverrun(r int, jhi uint, stored int) string {
-	return fmt.Sprintf("csr: row %d: RowPtr[r+1] = %d runs past the %d stored elements", r, jhi, stored)
-}
-
-// mulRange is the row loop in the shape of the symmetric kernel's template
-// (internal/core/gen), so that symmetric-over-CSR ratios compare tuned
-// against tuned: the slices leave a once per call, one running j is carried
-// across rows, and one check per row (a row ends inside the arrays) leaves the
-// gather x[colIdx[j]] the only checked index of the inner loop.
-func mulRange(a *Matrix, x, y []float64, lo, hi int32) {
-	rowPtr := a.RowPtr
-	colIdx := a.ColIdx
-	val := a.Val[:len(colIdx)]
-	j := uint(rowPtr[lo])
-	for r := int(lo); r < int(hi); r++ {
-		jhi := uint(rowPtr[r+1])
-		if jhi > uint(len(colIdx)) {
-			panic(rowPtrOverrun(r, jhi, len(colIdx)))
-		}
-		sum := 0.0
-		for ; j < jhi; j++ {
-			sum += val[j] * x[colIdx[j]]
-		}
-		y[r] = sum
-	}
-}
-
-// MulMat computes Y = A·X serially for nv interleaved vectors
-// (x[i*nv+v] is component v of row i).
-func (a *Matrix) MulMat(x, y []float64, nv int) {
-	if nv < 1 || len(x) != a.Cols*nv || len(y) != a.Rows*nv {
-		panic(fmt.Sprintf("csr: MulMat dims: A is %dx%d, nv=%d, len(x)=%d, len(y)=%d",
-			a.Rows, a.Cols, nv, len(x), len(y)))
-	}
-	mulMatRange(a, x, y, nv, 0, int32(a.Rows))
-}
-
-func mulMatRange(a *Matrix, x, y []float64, nv int, lo, hi int32) {
-	rowPtr := a.RowPtr
-	colIdx := a.ColIdx
-	val := a.Val[:len(colIdx)]
-	j := uint(rowPtr[lo])
-	for r := int(lo); r < int(hi); r++ {
-		jhi := uint(rowPtr[r+1])
-		if jhi > uint(len(colIdx)) {
-			panic(rowPtrOverrun(r, jhi, len(colIdx)))
-		}
-		ri := r * nv
-		yr := y[ri : ri+nv : ri+nv]
-		for v := range yr {
-			yr[v] = 0
-		}
-		for ; j < jhi; j++ {
-			ci := int(colIdx[j]) * nv
-			av := val[j]
-			xc := x[ci : ci+nv : ci+nv]
-			for v := range xc {
-				yr[v] += av * xc[v]
-			}
-		}
-	}
+// rowPtrOverrun is what the row bodies panic with when a row's end pointer
+// lies past the stored elements; FromCOO never builds a matrix that fails it.
+// The bodies, mulRows and mulMatRows (mul_gen.go), are the gather cells of the
+// symmetric kernel's lower-row template (internal/core/gen), so that
+// symmetric-over-CSR ratios compare tuned against tuned.
+func rowPtrOverrun(r int) string {
+	return fmt.Sprintf("csr: row %d: RowPtr[r+1] runs past the stored elements", r)
 }
 
 // Parallel wraps a Matrix with an nnz-balanced row partition and a worker
@@ -165,11 +109,11 @@ func NewParallel(a *Matrix, pool *parallel.Pool) *Parallel {
 	}
 	p.vec = parallel.PhaseList{Metrics: vecMetrics, Phases: []parallel.Phase{
 		parallel.ComputePhase("csr/multiply", func(tid int) {
-			mulRange(p.A, p.x, p.y, p.Part.Start[tid], p.Part.End[tid])
+			mulRows(p.A, p.x, p.y, int(p.Part.Start[tid]), int(p.Part.End[tid]))
 		})}}
 	p.mat = parallel.PhaseList{Metrics: matMetrics, Phases: []parallel.Phase{
 		parallel.ComputePhase("csr-spmm/multiply", func(tid int) {
-			mulMatRange(p.A, p.x, p.y, p.nv, p.Part.Start[tid], p.Part.End[tid])
+			mulMatRows(p.A, p.x, p.y, p.nv, int(p.Part.Start[tid]), int(p.Part.End[tid]))
 		})}}
 	return p
 }
@@ -183,14 +127,16 @@ func (p *Parallel) MulVec(x, y []float64) {
 	p.run(&p.vec, x, y, 1)
 }
 
-// MulMat computes Y = A·X for nv interleaved vectors, one goroutine per
-// partition (rows are disjoint, so no reduction is needed).
-func (p *Parallel) MulMat(x, y []float64, nv int) {
+// MulMat computes Y = A·X for nv interleaved vectors (x[i*nv+v] is component
+// v of row i), one goroutine per partition (rows are disjoint, so no
+// reduction is needed).
+func (p *Parallel) MulMat(x, y []float64, nv int) error {
 	if nv < 1 || len(x) != p.A.Cols*nv || len(y) != p.A.Rows*nv {
-		panic(fmt.Sprintf("csr: MulMat dims: A is %dx%d, nv=%d, len(x)=%d, len(y)=%d",
-			p.A.Rows, p.A.Cols, nv, len(x), len(y)))
+		return fmt.Errorf("csr: MulMat dims: A is %dx%d, nv=%d, len(x)=%d, len(y)=%d",
+			p.A.Rows, p.A.Cols, nv, len(x), len(y))
 	}
 	p.run(&p.mat, x, y, nv)
+	return nil
 }
 
 func (p *Parallel) run(l *parallel.PhaseList, x, y []float64, nv int) {

@@ -97,138 +97,6 @@ func (mx *Matrix) MulVec(pool *parallel.Pool, x, y []float64) {
 	mx.curX, mx.curY = nil, nil
 }
 
-// MulVecSerial computes y = A·x on the calling goroutine (requires a
-// single-blob matrix).
-func (mx *Matrix) MulVecSerial(x, y []float64) {
-	if len(mx.Blobs) != 1 {
-		panic("csx: MulVecSerial on multi-blob matrix")
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	mulBlob(mx.Blobs[0], x, y)
-}
-
-// mulBlob is the unsymmetric decode-multiply kernel: a dispatch over unit
-// types with a specialized inner loop per pattern (the JIT substitute), built
-// like mulBlobSym's (DESIGN.md §17.2): windows cut once per unit or strip run,
-// a strip read column by column with one accumulator per row across its runs.
-// y rows [StartRow, EndRow) must be zeroed by the caller; all unit writes
-// accumulate, and cross-row units never leave the blob's row range.
-func mulBlob(b *Blob, x, y []float64) {
-	// As in mulBlobSym: windows are checked against the length.
-	ctl, vals := b.Ctl, b.Vals[:len(b.Vals):len(b.Vals)]
-	x, y = x[:len(x):len(x)], y[:len(y):len(y)]
-	row, col := int(b.StartRow)-1, 0
-	for i := 0; i < len(ctl); {
-		flags, size := ctl[i], int(ctl[i+1])
-		i += 2
-		if flags&flagNR != 0 {
-			row++
-			if flags&flagRJMP != 0 {
-				jump, n := readUvarint(ctl, i)
-				i += n
-				row += int(jump)
-			}
-			col = 0
-		}
-		switch Pattern(flags & patternMask) {
-		case Strip3:
-			yw := (*[3]float64)(y[row:])
-			s0, s1, s2 := 0.0, 0.0, 0.0
-			for range size {
-				d, n := readUvarint(ctl, i) // column delta
-				col += int(d)
-				w := int(ctl[i+n])
-				i += n + 1
-				a0, a1, a2 := vals[:w], vals[w:][:w], vals[2*w:][:w]
-				vals = vals[3*w:]
-				for k, xc := range x[col:][:w] {
-					s0 += a0[k] * xc
-					s1 += a1[k] * xc
-					s2 += a2[k] * xc
-				}
-				col += w - 1
-			}
-			yw[0] += s0
-			yw[1] += s1
-			yw[2] += s2
-			continue
-		case Strip2:
-			yw := (*[2]float64)(y[row:])
-			s0, s1 := 0.0, 0.0
-			for range size {
-				d, n := readUvarint(ctl, i) // column delta
-				col += int(d)
-				w := int(ctl[i+n])
-				i += n + 1
-				a0, a1 := vals[:w], vals[w:][:w]
-				vals = vals[2*w:]
-				for k, xc := range x[col:][:w] {
-					s0 += a0[k] * xc
-					s1 += a1[k] * xc
-				}
-				col += w - 1
-			}
-			yw[0] += s0
-			yw[1] += s1
-			continue
-		}
-		d, n := readUvarint(ctl, i)
-		i += n
-		col += int(d)
-		vv := vals[:size]
-		vals = vals[size:]
-
-		switch pat := Pattern(flags & patternMask); pat {
-		case Delta8:
-			sum := vv[0] * x[col] // gather
-			for _, v := range vv[1:] {
-				col += int(ctl[i]) // delta
-				i++
-				sum += v * x[col] // gather
-			}
-			y[row] += sum
-		case Delta16:
-			sum := vv[0] * x[col] // gather
-			for _, v := range vv[1:] {
-				col += int(ctl[i]) | int(ctl[i+1])<<8 // delta
-				i += 2
-				sum += v * x[col] // gather
-			}
-			y[row] += sum
-		case Delta32:
-			sum := vv[0] * x[col] // gather
-			for _, v := range vv[1:] {
-				col += int(ctl[i]) | int(ctl[i+1])<<8 | int(ctl[i+2])<<16 | int(ctl[i+3])<<24 // delta
-				i += 4
-				sum += v * x[col] // gather
-			}
-			y[row] += sum
-		case Horizontal:
-			xw := x[col:][:size]
-			sum := 0.0
-			for k, v := range vv {
-				sum += v * xw[k]
-			}
-			y[row] += sum
-			col += size - 1
-		case Vertical:
-			xv, yw := x[col], y[row:][:size]
-			for k, v := range vv {
-				yw[k] += v * xv
-			}
-		case Diagonal:
-			xw, yw := x[col:][:size], y[row:][:size]
-			for k, v := range vv {
-				yw[k] += v * xw[k]
-			}
-		default:
-			panic(fmt.Sprintf("csx: unknown pattern %d in ctl stream", pat))
-		}
-	}
-}
-
 // readUvarint decodes a LEB128 value at ctl[i:], returning it and its byte
 // count: the hot-path variant, small enough to inline into the kernels.
 func readUvarint(ctl []byte, i int) (uint32, int) {

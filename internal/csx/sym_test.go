@@ -93,17 +93,6 @@ func TestMatrixPoolSizeMismatchPanics(t *testing.T) {
 	mx.MulVec(pool, x, y)
 }
 
-func TestMulVecSerialRequiresSingleBlob(t *testing.T) {
-	ms := testMatrices(t)
-	mx := NewMatrix(ms["banded"], 2, DefaultOptions())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for MulVecSerial on 2-blob matrix")
-		}
-	}()
-	mx.MulVecSerial(make([]float64, mx.Cols), make([]float64, mx.Rows))
-}
-
 func TestCSXOnRectangularMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	m := matrix.NewCOO(120, 300, 800)

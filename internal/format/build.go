@@ -130,7 +130,7 @@ func buildCSR(_ *Descriptor, m *Matrix, pool *parallel.Pool, _ Options) (*Built,
 	pk := csr.NewParallel(a, pool)
 	return &Built{
 		Mul:    pk.MulVec,
-		MulMat: func(x, y []float64, nv int) error { pk.MulMat(x, y, nv); return nil },
+		MulMat: pk.MulMat,
 		Bytes:  a.Bytes(),
 		Cost:   func(*Matrix) perfmodel.SpMVCost { return perfmodel.CSRCost(a) },
 	}, nil
