@@ -42,7 +42,9 @@ func scrambledBanded(rng *rand.Rand, n, halfBW int) (*matrix.COO, int) {
 // rcmReference is RCM as it was before its searches took Cuthill–McKee order:
 // George–Liu's searches record levels and scan all n vertices for the last
 // one, then a separate pass sorts each vertex's unplaced neighbours with a
-// comparator. It is the oracle RCM's permutation is held to.
+// comparator. Components are taken in ascending (degree, index) order of
+// their least vertex, from a stable sort of the vertices by degree. It is the
+// oracle RCM's permutation is held to.
 func rcmReference(m *matrix.COO) ([]int32, error) {
 	n := m.Rows
 	deg := make([]int32, n)
@@ -122,7 +124,12 @@ func rcmReference(m *matrix.COO) ([]int32, error) {
 	placed := make([]bool, n)
 	level := make([]int32, n)
 	scratch := make([]int32, 0, n)
-	for comp := int32(0); int(comp) < n; comp++ {
+	byDegree := make([]int32, n)
+	for v := range byDegree {
+		byDegree[v] = int32(v)
+	}
+	sort.SliceStable(byDegree, func(i, j int) bool { return degree(byDegree[i]) < degree(byDegree[j]) })
+	for _, comp := range byDegree {
 		if placed[comp] {
 			continue
 		}
@@ -300,6 +307,80 @@ func TestRCMManyComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAsReference(t, "2^12 rows", components(rand.New(rand.NewSource(12)), 1<<12))
+}
+
+// TestRCMLevelOnlySearch: from one root, the level-only search and the
+// Cuthill–McKee search reach the same vertices, end on the same last level
+// and report the same eccentricity — all that George–Liu reads of a
+// candidate.
+func TestRCMLevelOnlySearch(t *testing.T) {
+	check := func(name string, m *matrix.COO) {
+		t.Helper()
+		a, byDegree := buildAdjacency(m)
+		n := int32(m.Rows)
+		for _, root := range []int32{0, n / 2, n - 1, byDegree[0], byDegree[n-1]} {
+			var orders [2][]int32
+			var lasts, eccs [2]int
+			for i, cm := range []bool{false, true} {
+				s := &search{a: a, seen: make([]uint64, (n+63)/64)}
+				orders[i], lasts[i], eccs[i] = s.visit(root, nil, cm)
+			}
+			if eccs[0] != eccs[1] || lasts[0] != lasts[1] {
+				t.Fatalf("%s, root %d: level-only eccentricity %d (last level from %d), CM %d (from %d)",
+					name, root, eccs[0], lasts[0], eccs[1], lasts[1])
+			}
+			for i := range orders {
+				slices.Sort(orders[i][lasts[i]:])
+			}
+			if !slices.Equal(orders[0][lasts[0]:], orders[1][lasts[1]:]) {
+				t.Fatalf("%s, root %d: the two searches end on different last levels", name, root)
+			}
+			for i := range orders {
+				slices.Sort(orders[i])
+			}
+			if !slices.Equal(orders[0], orders[1]) {
+				t.Fatalf("%s, root %d: the two searches reach different vertices", name, root)
+			}
+		}
+	}
+	for _, suite := range [][]gen.Spec{gen.PaperSuite, gen.HubSuite, gen.ScatterSuite} {
+		for _, spec := range suite {
+			m, err := gen.Generate(spec, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(spec.Name, m)
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 50; i++ {
+		n := 1 + rng.Intn(300)
+		m := matrix.NewCOO(n, n, 3*n)
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			m.Add(rng.Intn(n), rng.Intn(n), 1)
+		}
+		check("random graph", m)
+		banded, _ := scrambledBanded(rng, n, 1+rng.Intn(4))
+		check("scrambled band", banded)
+	}
+}
+
+// TestRCMHopsToAPeripheralRoot: a vertex hung off the middle of a grid is
+// its one vertex of least degree, so RCM starts there, but it is not
+// peripheral. George–Liu hops to a corner, whose level-only search wins and
+// is searched again in Cuthill–McKee order.
+func TestRCMHopsToAPeripheralRoot(t *testing.T) {
+	const side = 21
+	m := poisson(side)
+	n, mid := side*side+1, side/2*side+side/2
+	m.Rows, m.Cols = n, n
+	m.Add(n-1, n-1, 4)
+	m.Add(n-1, mid, -1)
+	sameAsReference(t, "grid with a pendant vertex", m)
+	perm, _ := RCM(m)
+	if perm[n-1] == int32(n-1) {
+		t.Fatal("RCM kept the pendant vertex as its root")
+	}
 }
 
 func TestRCMPermutationIsValid(t *testing.T) {
